@@ -2,7 +2,7 @@
 //! throughput per operation class, at each lane width).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pimvo_pim::{ArrayConfig, LaneWidth, Operand, PimMachine, Signedness};
+use pimvo_pim::{AluOp, ArrayConfig, LaneWidth, Operand, PimMachine, Shift, Signedness};
 use Operand::Row;
 
 fn machine(width: LaneWidth, sign: Signedness) -> PimMachine {
@@ -20,24 +20,30 @@ fn bench_primitives(c: &mut Criterion) {
     let mut g = c.benchmark_group("pim_primitives");
     for (name, width) in [("w8", LaneWidth::W8), ("w32", LaneWidth::W32)] {
         let mut m = machine(width, Signedness::Unsigned);
-        g.bench_function(format!("add_{name}"), |b| b.iter(|| m.add(Row(0), Row(1))));
+        g.bench_function(format!("add_{name}"), |b| {
+            b.iter(|| m.alu(AluOp::Add, Row(0), Row(1), Shift::None).unwrap())
+        });
         let mut m = machine(width, Signedness::Unsigned);
-        g.bench_function(format!("mul_{name}"), |b| b.iter(|| m.mul(Row(0), Row(1))));
+        g.bench_function(format!("mul_{name}"), |b| {
+            b.iter(|| m.mul(Row(0), Row(1)).unwrap())
+        });
         let mut m = machine(width, Signedness::Unsigned);
-        g.bench_function(format!("div_{name}"), |b| b.iter(|| m.div(Row(0), Row(1))));
+        g.bench_function(format!("div_{name}"), |b| {
+            b.iter(|| m.div(Row(0), Row(1)).unwrap())
+        });
         let mut m = machine(width, Signedness::Unsigned);
         g.bench_function(format!("abs_diff_{name}"), |b| {
-            b.iter(|| m.abs_diff(Row(0), Row(1)))
+            b.iter(|| m.alu(AluOp::AbsDiff, Row(0), Row(1), Shift::None).unwrap())
         });
     }
     let mut m = machine(LaneWidth::W32, Signedness::Signed);
     g.bench_function("mul_signed_w32", |b| {
-        b.iter(|| m.mul_signed(Row(0), Row(1)))
+        b.iter(|| m.mul_signed(Row(0), Row(1)).unwrap())
     });
     let mut m = machine(LaneWidth::W8, Signedness::Unsigned);
     g.bench_function("writeback", |b| {
-        m.add(Row(0), Row(1));
-        b.iter(|| m.writeback(2))
+        m.alu(AluOp::Add, Row(0), Row(1), Shift::None).unwrap();
+        b.iter(|| m.writeback(2).unwrap())
     });
     g.finish();
 }

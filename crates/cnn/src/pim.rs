@@ -15,7 +15,7 @@
 #[cfg(test)]
 use crate::layer::MaxPool2x2;
 use crate::layer::{Conv3x3, Dense, FeatureMap};
-use pimvo_pim::{LaneWidth, Operand, PimMachine, Signedness};
+use pimvo_pim::{AluOp, LaneWidth, LogicFunc, Operand, PimError, PimMachine, Shift, Signedness};
 
 use Operand::{Row, Tmp};
 
@@ -86,7 +86,7 @@ impl<'m> PimCnn<'m> {
             let lanes: Vec<i64> = (0..map.width()).map(|x| map.get(x, y) as i64).collect();
             self.machine
                 .host_write_lanes(base + y as usize, &lanes)
-                .expect("host I/O row in range");
+                .expect(SPAN_CHECKED);
         }
     }
 
@@ -94,7 +94,10 @@ impl<'m> PimCnn<'m> {
         self.machine.set_lanes(LaneWidth::W32, Signedness::Signed);
         let mut out = FeatureMap::new(width, height);
         for y in 0..height {
-            let lanes = self.machine.host_read_lanes(base + y as usize);
+            let lanes = self
+                .machine
+                .host_read_lanes(base + y as usize)
+                .expect(SPAN_CHECKED);
             for x in 0..width {
                 out.set(x, y, lanes[x as usize].clamp(0, 255) as u8);
             }
@@ -111,54 +114,7 @@ impl<'m> PimCnn<'m> {
         let (w, h) = (input.width(), input.height());
         assert!(w <= 80 && h <= 80, "map exceeds the staging area");
         self.load_map(self.rows.r(CnnRows::INPUT), input);
-        let base = self.rows.base;
-        let rows = CnnRows { base };
-        let m = &mut *self.machine;
-        // broadcast constants once per layer (host I/O)
-        for (ky, wrow) in conv.weights.iter().enumerate() {
-            for (kx, &wt) in wrow.iter().enumerate() {
-                m.host_broadcast(rows.r(CnnRows::WEIGHTS + 3 * ky + kx), wt as i64)
-                    .expect("host I/O row in range");
-            }
-        }
-        m.host_broadcast(rows.r(CnnRows::BIAS), conv.bias as i64)
-            .expect("host I/O row in range");
-        m.host_broadcast(rows.r(CnnRows::ZERO), 0)
-            .expect("host I/O row in range");
-        m.host_broadcast(rows.r(CnnRows::C255), 255)
-            .expect("host I/O row in range");
-
-        for y in 0..h as i64 {
-            // acc starts at the bias
-            m.load(Row(rows.r(CnnRows::BIAS)));
-            m.writeback(rows.r(CnnRows::ACC));
-            for ky in 0..3i64 {
-                let src_y = y + ky - 1;
-                if src_y < 0 || src_y >= h as i64 {
-                    continue; // zero-padded row contributes nothing
-                }
-                let in_row = rows.r(CnnRows::INPUT) + src_y as usize;
-                for kx in 0..3i64 {
-                    let wt = conv.weights[ky as usize][kx as usize];
-                    if wt == 0 {
-                        continue; // zero taps are elided at compile time
-                    }
-                    m.shift_pix(Row(in_row), (kx - 1) as i32);
-                    m.writeback(rows.r(CnnRows::SHIFTED));
-                    m.mul_signed(
-                        Row(rows.r(CnnRows::WEIGHTS + (3 * ky + kx) as usize)),
-                        Row(rows.r(CnnRows::SHIFTED)),
-                    );
-                    m.add(Tmp, Row(rows.r(CnnRows::ACC)));
-                    m.writeback(rows.r(CnnRows::ACC));
-                }
-            }
-            // rescale + fused ReLU/clamp
-            m.shr_bits(Row(rows.r(CnnRows::ACC)), conv.shift);
-            m.max(Tmp, Row(rows.r(CnnRows::ZERO)));
-            m.min(Tmp, Row(rows.r(CnnRows::C255)));
-            m.writeback(rows.r(CnnRows::OUTPUT) + y as usize);
-        }
+        conv_rows(self.machine, &self.rows, conv, h).expect(SPAN_CHECKED);
         self.read_map(self.rows.r(CnnRows::OUTPUT), w, h)
     }
 
@@ -174,24 +130,7 @@ impl<'m> PimCnn<'m> {
         assert!(w % 2 == 0 && h % 2 == 0, "pooling needs even dimensions");
         assert!(w <= 80 && h <= 80, "map exceeds the staging area");
         self.load_map(self.rows.r(CnnRows::INPUT), input);
-        let rows = CnnRows {
-            base: self.rows.base,
-        };
-        let m = &mut *self.machine;
-        m.set_lanes(LaneWidth::W32, Signedness::Signed);
-        let mut out = FeatureMap::new(w / 2, h / 2);
-        for oy in 0..h / 2 {
-            let r0 = rows.r(CnnRows::INPUT) + (2 * oy) as usize;
-            let r1 = r0 + 1;
-            m.max(Row(r0), Row(r1)); // vertical pair max
-            m.max_sh(Tmp, Tmp, 1); // horizontal pair max (lane 2x)
-            m.writeback(rows.r(CnnRows::ACC));
-            let lanes = m.host_read_lanes(rows.r(CnnRows::ACC));
-            for ox in 0..w / 2 {
-                out.set(ox, oy, lanes[(2 * ox) as usize].clamp(0, 255) as u8);
-            }
-        }
-        out
+        pool_rows(self.machine, &self.rows, w, h).expect(SPAN_CHECKED)
     }
 
     /// Runs a dense layer: per output, a lane-parallel multiply and an
@@ -204,27 +143,98 @@ impl<'m> PimCnn<'m> {
     pub fn dense(&mut self, layer: &Dense, input: &[u8]) -> Vec<i64> {
         assert!(input.len() <= 80, "dense input exceeds one word line");
         assert_eq!(input.len(), layer.inputs(), "input size mismatch");
-        let rows = CnnRows {
-            base: self.rows.base,
-        };
-        let m = &mut *self.machine;
-        m.set_lanes(LaneWidth::W32, Signedness::Signed);
-        let in_lanes: Vec<i64> = input.iter().map(|&v| v as i64).collect();
-        m.host_write_lanes(rows.r(CnnRows::INPUT), &in_lanes)
-            .expect("host I/O row in range");
-        layer
-            .weights
-            .iter()
-            .zip(&layer.bias)
-            .map(|(wrow, &b)| {
-                let w_lanes: Vec<i64> = wrow.iter().map(|&w| w as i64).collect();
-                m.host_write_lanes(rows.r(CnnRows::SHIFTED), &w_lanes)
-                    .expect("host I/O row in range");
-                m.mul_signed(Row(rows.r(CnnRows::INPUT)), Row(rows.r(CnnRows::SHIFTED)));
-                b as i64 + m.reduce_sum()
-            })
-            .collect()
+        dense_logits(self.machine, &self.rows, layer, input).expect(SPAN_CHECKED)
     }
+}
+
+/// Every row the mappings address lies inside the staging span that
+/// [`PimCnn::new`] checked against the machine geometry, and every
+/// Tmp-Reg read follows a write, so the machine ops cannot fail.
+const SPAN_CHECKED: &str = "CNN rows inside the span PimCnn::new validated";
+
+fn conv_rows(m: &mut PimMachine, rows: &CnnRows, conv: &Conv3x3, h: u32) -> Result<(), PimError> {
+    // broadcast constants once per layer (host I/O)
+    for (ky, wrow) in conv.weights.iter().enumerate() {
+        for (kx, &wt) in wrow.iter().enumerate() {
+            m.host_broadcast(rows.r(CnnRows::WEIGHTS + 3 * ky + kx), wt as i64)?;
+        }
+    }
+    m.host_broadcast(rows.r(CnnRows::BIAS), conv.bias as i64)?;
+    m.host_broadcast(rows.r(CnnRows::ZERO), 0)?;
+    m.host_broadcast(rows.r(CnnRows::C255), 255)?;
+
+    let bias = Row(rows.r(CnnRows::BIAS));
+    for y in 0..h as i64 {
+        // acc starts at the bias (an OR with itself loads the Tmp Reg)
+        m.alu(AluOp::Logic(LogicFunc::Or), bias, bias, Shift::None)?;
+        m.writeback(rows.r(CnnRows::ACC))?;
+        for ky in 0..3i64 {
+            let src_y = y + ky - 1;
+            if src_y < 0 || src_y >= h as i64 {
+                continue; // zero-padded row contributes nothing
+            }
+            let in_row = rows.r(CnnRows::INPUT) + src_y as usize;
+            for kx in 0..3i64 {
+                let wt = conv.weights[ky as usize][kx as usize];
+                if wt == 0 {
+                    continue; // zero taps are elided at compile time
+                }
+                m.shift_pix(Row(in_row), (kx - 1) as i32)?;
+                m.writeback(rows.r(CnnRows::SHIFTED))?;
+                m.mul_signed(
+                    Row(rows.r(CnnRows::WEIGHTS + (3 * ky + kx) as usize)),
+                    Row(rows.r(CnnRows::SHIFTED)),
+                )?;
+                m.alu(AluOp::Add, Tmp, Row(rows.r(CnnRows::ACC)), Shift::None)?;
+                m.writeback(rows.r(CnnRows::ACC))?;
+            }
+        }
+        // rescale + fused ReLU/clamp
+        m.shr_bits(Row(rows.r(CnnRows::ACC)), conv.shift)?;
+        m.alu(AluOp::Max, Tmp, Row(rows.r(CnnRows::ZERO)), Shift::None)?;
+        m.alu(AluOp::Min, Tmp, Row(rows.r(CnnRows::C255)), Shift::None)?;
+        m.writeback(rows.r(CnnRows::OUTPUT) + y as usize)?;
+    }
+    Ok(())
+}
+
+fn pool_rows(m: &mut PimMachine, rows: &CnnRows, w: u32, h: u32) -> Result<FeatureMap, PimError> {
+    m.set_lanes(LaneWidth::W32, Signedness::Signed);
+    let mut out = FeatureMap::new(w / 2, h / 2);
+    for oy in 0..h / 2 {
+        let r0 = rows.r(CnnRows::INPUT) + (2 * oy) as usize;
+        let r1 = r0 + 1;
+        m.alu(AluOp::Max, Row(r0), Row(r1), Shift::None)?; // vertical pair max
+        m.alu(AluOp::Max, Tmp, Tmp, Shift::Pix(1))?; // horizontal pair max (lane 2x)
+        m.writeback(rows.r(CnnRows::ACC))?;
+        let lanes = m.host_read_lanes(rows.r(CnnRows::ACC))?;
+        for ox in 0..w / 2 {
+            out.set(ox, oy, lanes[(2 * ox) as usize].clamp(0, 255) as u8);
+        }
+    }
+    Ok(out)
+}
+
+fn dense_logits(
+    m: &mut PimMachine,
+    rows: &CnnRows,
+    layer: &Dense,
+    input: &[u8],
+) -> Result<Vec<i64>, PimError> {
+    m.set_lanes(LaneWidth::W32, Signedness::Signed);
+    let in_lanes: Vec<i64> = input.iter().map(|&v| v as i64).collect();
+    m.host_write_lanes(rows.r(CnnRows::INPUT), &in_lanes)?;
+    layer
+        .weights
+        .iter()
+        .zip(&layer.bias)
+        .map(|(wrow, &b)| {
+            let w_lanes: Vec<i64> = wrow.iter().map(|&w| w as i64).collect();
+            m.host_write_lanes(rows.r(CnnRows::SHIFTED), &w_lanes)?;
+            m.mul_signed(Row(rows.r(CnnRows::INPUT)), Row(rows.r(CnnRows::SHIFTED)))?;
+            Ok(b as i64 + m.reduce_sum()?)
+        })
+        .collect()
 }
 
 #[cfg(test)]

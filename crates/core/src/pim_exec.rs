@@ -701,9 +701,11 @@ pub(crate) fn exec_batch(
         let _ = run_pose_program(m, &frac_weights_program(&rows), level, &scratch, cache);
     }
 
-    let u_raw = m.host_read_lanes(rows.r(PoseRows::U));
-    let v_raw = m.host_read_lanes(rows.r(PoseRows::V));
-    let zmask = m.host_read_lanes(rows.r(PoseRows::ZMASK));
+    let read =
+        |m: &mut PimMachine, row: usize| m.host_read_lanes(row).expect("host I/O row in range");
+    let u_raw = read(m, rows.r(PoseRows::U));
+    let v_raw = read(m, rows.r(PoseRows::V));
+    let zmask = read(m, rows.r(PoseRows::ZMASK));
     let mut valid = vec![false; n];
     let mut d00 = vec![0i64; n];
     let mut d10 = vec![0i64; n];
@@ -791,12 +793,12 @@ pub(crate) fn exec_batch(
     let mut jacobians = vec![[0i64; 6]; n];
     #[allow(clippy::needless_range_loop)] // k indexes both a machine row and a column
     for k in 0..6 {
-        let lane_vals = m.host_read_lanes(rows.r(PoseRows::J0) + k);
+        let lane_vals = read(m, rows.r(PoseRows::J0) + k);
         for (i, jac) in jacobians.iter_mut().enumerate() {
             jac[k] = if valid[i] { lane_vals[2 * i] } else { 0 };
         }
     }
-    let res_lanes = m.host_read_lanes(rows.r(PoseRows::RES));
+    let res_lanes = read(m, rows.r(PoseRows::RES));
     let residuals: Vec<i64> = (0..n)
         .map(|i| if valid[i] { res_lanes[2 * i] } else { 0 })
         .collect();
@@ -864,7 +866,7 @@ fn charge_gather(m: &mut PimMachine, lanes: usize, tables: usize) {
     // issue a real gather against row 0 to keep the accounting inside
     // the machine's stats (values are discarded)
     let addrs: Vec<(usize, usize)> = (0..lanes * tables).map(|_| (0usize, 0usize)).collect();
-    let _ = m.gather(&addrs);
+    m.gather(&addrs).expect("row 0 in range");
 }
 
 /// Executes one batch with a **naive PIM mapping** of the

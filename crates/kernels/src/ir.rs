@@ -1,8 +1,6 @@
 //! The edge-detection kernels as macro-op IR programs — **one**
-//! definition per kernel, replacing the hand-scheduled variants
-//! (`pim_naive`, `pim_opt`, `pim_multireg` — deprecated thin wrappers
-//! available only under the `legacy-kernels` feature — and
-//! [`crate::pim_pool`], a thin sharding layer over this module).
+//! definition per kernel ([`crate::pim_pool`] is a thin sharding layer
+//! over this module).
 //!
 //! Each `*_program` builder emits the kernel's dataflow over virtual
 //! registers for a strip of output rows; [`pimvo_pim::lower()`] then
@@ -513,7 +511,9 @@ fn downsample2x_impl(
     run_maybe(m, &prog, level, &r, passes);
     let mut out = GrayImage::new(w, h);
     for oy in 0..h {
-        let lanes = m.host_read_lanes(r.aux1 + oy as usize);
+        let lanes = m
+            .host_read_lanes(r.aux1 + oy as usize)
+            .expect("host I/O row in range");
         for ox in 0..w {
             out.set(ox, oy, lanes[(2 * ox) as usize] as u8);
         }

@@ -16,9 +16,6 @@
 //! * `MultiReg(n)` — the §5.4 scaling study: spills held in extra
 //!   temporary registers instead of SRAM scratch rows.
 //!
-//! The historical hand-scheduled variants (`pim_naive`, `pim_opt`,
-//! `pim_multireg`) are deprecated thin wrappers over [`ir`], compiled
-//! only under the off-by-default `legacy-kernels` cargo feature;
 //! [`pim_pool`] shards the same programs across a
 //! [`pimvo_pim::PimArrayPool`]. All levels produce **bit-identical**
 //! edge maps; they differ only in cycle and energy cost. Integration
@@ -35,12 +32,6 @@
 mod config;
 mod image;
 pub mod ir;
-#[cfg(feature = "legacy-kernels")]
-pub mod pim_multireg;
-#[cfg(feature = "legacy-kernels")]
-pub mod pim_naive;
-#[cfg(feature = "legacy-kernels")]
-pub mod pim_opt;
 pub mod pim_pool;
 pub mod pim_util;
 pub mod scalar;

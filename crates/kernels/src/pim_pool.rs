@@ -370,7 +370,9 @@ pub fn downsample2x(pool: &mut PimArrayPool, img: &GrayImage) -> GrayImage {
         let m = pool.array_mut(i);
         m.set_lanes(LaneWidth::W8, Signedness::Unsigned);
         for oy in oy0..oy1 {
-            let lanes = m.host_read_lanes(r.aux1 + oy as usize);
+            let lanes = m
+                .host_read_lanes(r.aux1 + oy as usize)
+                .expect("host I/O row in range");
             for ox in 0..w {
                 out.set(ox, oy as u32, lanes[(2 * ox) as usize] as u8);
             }
@@ -416,7 +418,7 @@ fn exchange_boundary_rows(
             let row = base + y as usize;
             let src = pool.array_mut(owner);
             src.set_lanes(LaneWidth::W8, Signedness::Unsigned);
-            let lanes = src.host_read_lanes(row);
+            let lanes = src.host_read_lanes(row).expect("host I/O row in range");
             pool.array_mut(i)
                 .host_write_lanes(row, &lanes)
                 .expect("host I/O row in range");
@@ -438,7 +440,9 @@ fn collect_image(
         let m = pool.array_mut(i);
         m.set_lanes(LaneWidth::W8, Signedness::Unsigned);
         for y in y0..y1 {
-            let lanes = m.host_read_lanes(base + y as usize);
+            let lanes = m
+                .host_read_lanes(base + y as usize)
+                .expect("host I/O row in range");
             for x in 0..width {
                 out.set(x, y as u32, lanes[x as usize] as u8);
             }

@@ -165,7 +165,9 @@ pub fn read_image(m: &mut PimMachine, base: usize, width: u32, height: u32) -> G
     m.set_lanes(LaneWidth::W8, Signedness::Unsigned);
     let mut img = GrayImage::new(width, height);
     for y in 0..height {
-        let lanes = m.host_read_lanes(base + y as usize);
+        let lanes = m
+            .host_read_lanes(base + y as usize)
+            .expect("host I/O row in range");
         for x in 0..width {
             img.set(x, y, lanes[x as usize] as u8);
         }
@@ -196,16 +198,4 @@ pub fn ghost_mask(m: &mut PimMachine, regions: &Regions, width: usize) -> Option
     m.host_write_lanes(row, &vals)
         .expect("host I/O row in range");
     Some(row)
-}
-
-/// Applies the ghost-lane mask to the Tmp Reg if one is active (a
-/// single AND cycle, only incurred for sub-width images).
-pub fn apply_ghost_mask(m: &mut PimMachine, mask: Option<usize>) {
-    if let Some(row) = mask {
-        m.logic(
-            pimvo_pim::LogicFunc::And,
-            pimvo_pim::Operand::Tmp,
-            pimvo_pim::Operand::Row(row),
-        );
-    }
 }

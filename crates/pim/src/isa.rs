@@ -52,9 +52,9 @@ impl Operand {
 ///
 /// The architecture's shifter sits in front of the accumulator, so any
 /// binary operation can consume its `b` operand shifted by a whole
-/// number of lanes in the same cycle (the `<< 1pix` of Fig. 2). This
-/// replaces the historical `op`/`op_sh` method duplication on
-/// [`crate::PimMachine`] with a single argument.
+/// number of lanes in the same cycle (the `<< 1pix` of Fig. 2), so the
+/// shift is an argument of [`crate::PimMachine::alu`] rather than a
+/// separate method per op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Shift {
     /// Operand `b` is used as stored.
@@ -83,7 +83,8 @@ impl Shift {
 /// surface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AluOp {
-    /// Bit-wise logic through the sense amplifiers.
+    /// Bit-wise logic through the sense amplifiers. `Logic(Or)` of an
+    /// operand with itself loads it into the Tmp Reg.
     Logic(LogicFunc),
     /// Wrapping addition.
     Add,

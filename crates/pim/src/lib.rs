@@ -40,12 +40,13 @@
 //!   configurable [`CostModel`] seeded with the paper's 90 nm numbers.
 //!
 //! ```
-//! use pimvo_pim::{PimMachine, Operand, ArrayConfig};
+//! use pimvo_pim::{AluOp, ArrayConfig, Operand, PimMachine, Shift};
 //!
 //! let mut pim = PimMachine::new(ArrayConfig::qvga());
 //! pim.host_write_lanes(0, &[10, 20, 30]).unwrap();
 //! pim.host_write_lanes(1, &[1, 2, 3]).unwrap();
-//! pim.add(Operand::Row(0), Operand::Row(1));
+//! pim.alu(AluOp::Add, Operand::Row(0), Operand::Row(1), Shift::None)
+//!     .unwrap();
 //! assert_eq!(&pim.tmp_lanes()[..3], &[11, 22, 33]);
 //! assert_eq!(pim.stats().cycles, 1);
 //! ```
@@ -63,8 +64,8 @@
 //! shift fusion and dead-write elimination at [`lower::LowerLevel::Opt`],
 //! register-file spilling at `MultiReg`, or the paper's unoptimized
 //! write-everything-back mapping at `Naive`. [`PimMachine::run_program`]
-//! executes the result, charging the same [`CostModel`] and tagging
-//! trace events with IR labels. Lowered programs are submitted to a
+//! executes the result, charging the same [`CostModel`] and stamping
+//! op records with the program name. Lowered programs are submitted to a
 //! pool as *jobs*: [`PoolExecutor`] queues them with session, deadline
 //! class and priority metadata and dispatches in deterministic waves,
 //! while [`PimArrayPool::submit_strips`] pins one program per array
@@ -114,7 +115,6 @@ mod machine;
 pub mod optrace;
 mod pool;
 mod stats;
-mod trace;
 
 pub use cache::{LoweredCache, LoweredCacheStats};
 pub use config::{ArrayConfig, LaneWidth, Signedness};
@@ -133,4 +133,3 @@ pub use machine::{PimError, PimMachine, PimMachineBuilder};
 pub use optrace::{OpRecorder, DEFAULT_OP_RING_CAPACITY};
 pub use pool::{PimArrayPool, PoolHealth, RetryPolicy, ScrubConfig};
 pub use stats::{EnergyBreakdown, ExecStats, MemAccessBreakdown};
-pub use trace::{Trace, TraceEvent};

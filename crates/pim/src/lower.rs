@@ -1797,7 +1797,7 @@ mod tests {
                 .unwrap();
             let l = lower(&build, level, &scratch()).unwrap();
             m.run_program(&l).unwrap();
-            rows.push(m.host_read_lanes(3)[..8].to_vec());
+            rows.push(m.host_read_lanes(3).unwrap()[..8].to_vec());
         }
         assert_eq!(rows[0], rows[1], "naive vs opt");
         assert_eq!(rows[1], rows[2], "opt vs multireg");
@@ -1969,9 +1969,21 @@ mod tests {
             m.host_write_lanes(2, &[7, 7]).unwrap();
             let l = lower(&build, level, &scratch()).unwrap();
             m.run_program(&l).unwrap();
-            assert_eq!(&m.host_read_lanes(5)[..2], &[9, 100], "{level} row 5");
-            assert_eq!(&m.host_read_lanes(6)[..2], &[21, 110], "{level} row 6");
-            assert_eq!(&m.host_read_lanes(7)[..2], &[19, 203], "{level} row 7");
+            assert_eq!(
+                &m.host_read_lanes(5).unwrap()[..2],
+                &[9, 100],
+                "{level} row 5"
+            );
+            assert_eq!(
+                &m.host_read_lanes(6).unwrap()[..2],
+                &[21, 110],
+                "{level} row 6"
+            );
+            assert_eq!(
+                &m.host_read_lanes(7).unwrap()[..2],
+                &[19, 203],
+                "{level} row 7"
+            );
         }
     }
 
@@ -1994,7 +2006,7 @@ mod tests {
             let l = lower(&build, level, &scratch()).unwrap();
             let sums = m.run_program(&l).unwrap();
             assert_eq!(sums, vec![33], "{level}");
-            assert_eq!(&m.host_read_lanes(5)[..2], &[11, 22], "{level}");
+            assert_eq!(&m.host_read_lanes(5).unwrap()[..2], &[11, 22], "{level}");
         }
     }
 
@@ -2134,7 +2146,7 @@ mod tests {
             m.host_write_lanes(0, &[7, 0, 255, 13]).unwrap();
             let l = lower(&build, level, &scratch()).unwrap();
             m.run_program(&l).unwrap();
-            rows.push(m.host_read_lanes(2)[..4].to_vec());
+            rows.push(m.host_read_lanes(2).unwrap()[..4].to_vec());
         }
         assert_eq!(rows[0], rows[1]);
     }
@@ -2170,7 +2182,7 @@ mod tests {
             let l = lower_with_passes(&prog, LowerLevel::Opt, &scratch(), passes).unwrap();
             m.run_program(&l).unwrap();
             cycles.push(m.stats().cycles);
-            rows.push(m.host_read_lanes(3)[..5].to_vec());
+            rows.push(m.host_read_lanes(3).unwrap()[..5].to_vec());
         }
         assert_eq!(rows[0], rows[1], "schedule must preserve values");
         assert!(
@@ -2216,8 +2228,8 @@ mod tests {
             m.host_write_lanes(1, &[1, 2, 3]).unwrap();
             m.run_program(l).unwrap();
             rows.push([
-                m.host_read_lanes(3)[..3].to_vec(),
-                m.host_read_lanes(4)[..3].to_vec(),
+                m.host_read_lanes(3).unwrap()[..3].to_vec(),
+                m.host_read_lanes(4).unwrap()[..3].to_vec(),
             ]);
         }
         assert_eq!(rows[0], rows[1]);
@@ -2239,7 +2251,7 @@ mod tests {
                 m.host_write_lanes(2, &[77, 1, 60, 8, 254]).unwrap();
                 let l = lower_with_passes(&prog, level, &scratch(), &pipeline[..cut]).unwrap();
                 m.run_program(&l).unwrap();
-                let got = m.host_read_lanes(3)[..5].to_vec();
+                let got = m.host_read_lanes(3).unwrap()[..5].to_vec();
                 match &reference {
                     None => reference = Some(got),
                     Some(want) => assert_eq!(want, &got, "{level} prefix {cut}"),

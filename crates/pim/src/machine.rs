@@ -2,11 +2,10 @@ use crate::config::{ArrayConfig, LaneWidth, Signedness};
 use crate::cost::CostModel;
 use crate::dma::{DmaChannel, DmaConfig, DmaFaultModel, DmaHealth, TransferKind};
 use crate::fault::{FaultModel, FaultStatus, FaultUnit, Protection};
-use crate::isa::{AluOp, LogicFunc, OpClass, Operand, Shift};
+use crate::isa::{AluOp, OpClass, Operand, Shift};
 use crate::lower::{LoweredProgram, MachineInstr};
 use crate::optrace::OpRecorder;
 use crate::stats::ExecStats;
-use crate::trace::{Trace, TraceEvent};
 use pimvo_fixed::sat;
 use pimvo_telemetry::optrace::{OpKind, OpTrace};
 use std::collections::BTreeMap;
@@ -15,12 +14,10 @@ use std::fmt;
 /// Error returned by the fallible API of [`PimMachine`] and
 /// [`crate::PimArrayPool`].
 ///
-/// Every compute macro-op has a `try_*` variant returning
-/// `Result<_, PimError>`; the historical infallible methods remain as
-/// thin wrappers that panic with the error's `Display` message, so
-/// kernel code with static row layouts keeps its simple spelling while
-/// runtime-reachable paths (host-fed geometry, pool dispatch) can
-/// propagate errors instead of crashing the tracker.
+/// Every macro-op that can address a bad row or an empty register
+/// returns `Result<_, PimError>`, so runtime-reachable paths (host-fed
+/// geometry, pool dispatch) propagate errors instead of crashing the
+/// tracker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PimError {
     /// A row index exceeds the array geometry.
@@ -144,11 +141,9 @@ impl std::error::Error for PimError {}
 /// (`host_*`) model the I/O port and are tracked separately from compute
 /// statistics.
 ///
-/// # Panics
-///
-/// Compute methods panic when given an out-of-range row index or when
-/// reading an empty Tmp Reg — both are programming errors in kernel
-/// code, not runtime conditions.
+/// Compute methods return [`PimError`] for an out-of-range row index
+/// or an empty register instead of panicking; ops before the failure
+/// stay charged.
 #[derive(Debug, Clone)]
 pub struct PimMachine {
     config: ArrayConfig,
@@ -172,13 +167,6 @@ pub struct PimMachine {
     width: LaneWidth,
     sign: Signedness,
     stats: ExecStats,
-    trace: Option<Trace>,
-    /// Retention limit applied to the trace when tracing is enabled
-    /// (`None` = unbounded). See [`Trace::set_capacity`].
-    trace_capacity: Option<usize>,
-    /// IR provenance label prefixed to trace mnemonics while
-    /// [`PimMachine::run_program`] executes (set only when tracing).
-    trace_label: Option<String>,
     /// Dependency-tracked op-record ring (flight-recorder producer).
     /// `None` (the default) keeps every hook to a single branch; see
     /// [`PimMachine::arm_op_recorder`].
@@ -195,8 +183,8 @@ pub struct PimMachine {
 }
 
 /// Fluent constructor for [`PimMachine`], replacing the historical
-/// `new`/`with_cost` + post-hoc `set_lanes`/`set_tmp_regs`/`set_tracing`
-/// dance with one declarative description of the array:
+/// `new`/`with_cost` + post-hoc `set_lanes`/`set_tmp_regs` dance with
+/// one declarative description of the array:
 ///
 /// ```
 /// use pimvo_pim::{ArrayConfig, LaneWidth, PimMachineBuilder, Signedness};
@@ -217,7 +205,6 @@ pub struct PimMachineBuilder {
     width: LaneWidth,
     sign: Signedness,
     tmp_regs: u8,
-    tracing: bool,
     fault: FaultModel,
     protection: Protection,
     spare_rows: usize,
@@ -226,7 +213,7 @@ pub struct PimMachineBuilder {
 
 impl PimMachineBuilder {
     /// Starts a builder with the paper's defaults: 90 nm cost model,
-    /// 8-bit unsigned lanes, one Tmp register, tracing off.
+    /// 8-bit unsigned lanes, one Tmp register.
     pub fn new(config: ArrayConfig) -> Self {
         PimMachineBuilder {
             config,
@@ -234,7 +221,6 @@ impl PimMachineBuilder {
             width: LaneWidth::W8,
             sign: Signedness::Unsigned,
             tmp_regs: 1,
-            tracing: false,
             fault: FaultModel::none(),
             protection: Protection::None,
             spare_rows: 0,
@@ -260,12 +246,6 @@ impl PimMachineBuilder {
     pub fn tmp_regs(mut self, n: u8) -> Self {
         assert!((1..=8).contains(&n), "1..=8 temporary registers");
         self.tmp_regs = n;
-        self
-    }
-
-    /// Enables instruction tracing from the first operation.
-    pub fn tracing(mut self, on: bool) -> Self {
-        self.tracing = on;
         self
     }
 
@@ -308,7 +288,6 @@ impl PimMachineBuilder {
         let mut m = PimMachine::with_cost(self.config.clone(), self.cost.clone());
         m.set_lanes(self.width, self.sign);
         m.set_tmp_regs(self.tmp_regs);
-        m.set_tracing(self.tracing);
         m.fault = FaultUnit::new(self.fault.clone(), self.protection);
         m.spare_rows = self.spare_rows;
         let row_bytes = self.config.row_bytes();
@@ -347,9 +326,6 @@ impl PimMachine {
             width: LaneWidth::W8,
             sign: Signedness::Unsigned,
             stats: ExecStats::new(),
-            trace: None,
-            trace_capacity: None,
-            trace_label: None,
             op_recorder: None,
             fault: FaultUnit::inert(),
             dma: None,
@@ -399,31 +375,6 @@ impl PimMachine {
         self.stats.retract(delta);
     }
 
-    /// Enables or disables instruction tracing (disabling discards the
-    /// recorded trace). See [`crate::Trace`].
-    pub fn set_tracing(&mut self, on: bool) {
-        self.trace = on.then(|| match self.trace_capacity {
-            Some(cap) => Trace::with_capacity(cap),
-            None => Trace::new(),
-        });
-    }
-
-    /// Bounds the instruction trace to at most `capacity` events
-    /// (drop-oldest ring buffer; `None` restores the unbounded
-    /// default). Applies immediately to a live trace and to any trace
-    /// started by a later [`PimMachine::set_tracing`].
-    pub fn set_trace_capacity(&mut self, capacity: Option<usize>) {
-        self.trace_capacity = capacity;
-        if let Some(trace) = &mut self.trace {
-            trace.set_capacity(capacity);
-        }
-    }
-
-    /// The recorded instruction trace, when tracing is enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
-    }
-
     // ------------------------------------------------------------------
     // Op-record ring (flight-recorder producer)
     // ------------------------------------------------------------------
@@ -469,7 +420,7 @@ impl PimMachine {
     /// clock with the DMA lanes. Sites must not charge host-I/O or
     /// stall cycles between capturing `start` and calling this (host
     /// transfers have their own emission paths). Multi-step follow-ups
-    /// fold in via [`PimMachine::extend_trace`].
+    /// fold in via [`PimMachine::extend_record`].
     #[inline]
     fn record_op(
         &mut self,
@@ -685,22 +636,12 @@ impl PimMachine {
     /// register-file traffic only — this is exactly the write-back a
     /// second register elides.
     ///
-    /// # Panics
-    ///
-    /// Panics if register `idx` is not enabled or `idx == 0`; see
-    /// [`PimMachine::try_save_tmp`] for the fallible variant.
-    pub fn save_tmp(&mut self, idx: u8) {
-        self.try_save_tmp(idx).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`PimMachine::save_tmp`].
-    ///
     /// # Errors
     ///
     /// [`PimError::RegisterZero`] for `idx == 0`,
     /// [`PimError::RegisterNotEnabled`] beyond the enabled count, or
     /// [`PimError::TmpEmpty`] when the Tmp Reg holds no value.
-    pub fn try_save_tmp(&mut self, idx: u8) -> Result<(), PimError> {
+    pub fn save_tmp(&mut self, idx: u8) -> Result<(), PimError> {
         if idx == 0 {
             return Err(PimError::RegisterZero);
         }
@@ -719,14 +660,6 @@ impl PimMachine {
         self.stats.cycles += 1;
         self.stats.acc_ops += 1;
         self.stats.tmp_accesses += 2;
-        self.record_trace(
-            OpClass::Select,
-            format!("save_tmp reg{idx}"),
-            cycle_start,
-            1,
-            0,
-            0,
-        );
         self.record_op(OpKind::Select, &[], &[], cycle_start, 0, 0);
         Ok(())
     }
@@ -903,7 +836,7 @@ impl PimMachine {
     /// # Errors
     ///
     /// Returns [`PimError::RowOutOfRange`] for a bad row index.
-    pub fn try_host_read_lanes(&mut self, row: usize) -> Result<Vec<i64>, PimError> {
+    pub fn host_read_lanes(&mut self, row: usize) -> Result<Vec<i64>, PimError> {
         self.check_row(row)?;
         let lanes = self.lanes() as u32;
         let vals = self.read_row(row, true);
@@ -914,17 +847,6 @@ impl PimMachine {
         let payload = self.rows[phys].clone();
         self.host_transfer(TransferKind::StripOut, row as u32, &payload, lanes);
         Ok(vals)
-    }
-
-    /// Reads a row's lane values at the current configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a bad row index; see
-    /// [`PimMachine::try_host_read_lanes`] for the fallible variant.
-    pub fn host_read_lanes(&mut self, row: usize) -> Vec<i64> {
-        self.try_host_read_lanes(row)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Inspects the Tmp Reg lane values (no cost: debugging/verification
@@ -1097,21 +1019,8 @@ impl PimMachine {
     /// macro-op: one call selects the operation ([`AluOp`]), the two
     /// operands, and the lane pre-shift applied to `b` ([`Shift`]).
     ///
-    /// Cycle/energy accounting is identical to the historical per-op
-    /// methods (which remain as `#[inline]` wrappers): single-cycle ops
-    /// stay single-cycle, abs-diff charges its two Tmp-resident fixup
-    /// steps, min/max their one.
-    ///
-    /// # Panics
-    ///
-    /// Panics on operand misuse (bad row, empty Tmp/register); see
-    /// [`PimMachine::try_alu`] for the fallible variant.
-    pub fn alu(&mut self, op: AluOp, a: Operand, b: Operand, shift: Shift) {
-        self.try_alu(op, a, b, shift)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`PimMachine::alu`].
+    /// Single-cycle ops stay single-cycle; abs-diff charges its two
+    /// Tmp-resident fixup steps, min/max their one (Fig. 7-a/b).
     ///
     /// # Errors
     ///
@@ -1120,13 +1029,7 @@ impl PimMachine {
     /// register consumed before being written, or
     /// [`PimError::RegisterZero`] / [`PimError::RegisterNotEnabled`]
     /// for a bad register index.
-    pub fn try_alu(
-        &mut self,
-        op: AluOp,
-        a: Operand,
-        b: Operand,
-        shift: Shift,
-    ) -> Result<(), PimError> {
+    pub fn alu(&mut self, op: AluOp, a: Operand, b: Operand, shift: Shift) -> Result<(), PimError> {
         let b_pix = shift.pix();
         let bits = self.op_bits(a, b);
         let sign = self.sign;
@@ -1193,154 +1096,25 @@ impl PimMachine {
         Ok(())
     }
 
-    /// Bit-wise logic of two operands (1 cycle).
-    #[inline]
-    pub fn logic(&mut self, f: LogicFunc, a: Operand, b: Operand) {
-        self.alu(AluOp::Logic(f), a, b, Shift::None)
-    }
-
-    /// Bit-wise logic with operand `b` pre-shifted by `b_pix` lanes.
-    #[inline]
-    pub fn logic_sh(&mut self, f: LogicFunc, a: Operand, b: Operand, b_pix: i32) {
-        self.alu(AluOp::Logic(f), a, b, Shift::Pix(b_pix))
-    }
-
-    /// Loads an operand into the Tmp Reg (1 cycle; an `OR` with itself).
-    pub fn load(&mut self, a: Operand) {
-        self.logic(LogicFunc::Or, a, a);
-    }
-
-    /// Wrapping addition (1 cycle).
-    #[inline]
-    pub fn add(&mut self, a: Operand, b: Operand) {
-        self.alu(AluOp::Add, a, b, Shift::None)
-    }
-
-    /// Wrapping addition with `b` pre-shifted by `b_pix` lanes
-    /// (shift-and-accumulate is the architecture's native single-cycle
-    /// operation).
-    #[inline]
-    pub fn add_sh(&mut self, a: Operand, b: Operand, b_pix: i32) {
-        self.alu(AluOp::Add, a, b, Shift::Pix(b_pix))
-    }
-
-    /// Wrapping subtraction `a - b` (1 cycle).
-    #[inline]
-    pub fn sub(&mut self, a: Operand, b: Operand) {
-        self.alu(AluOp::Sub, a, b, Shift::None)
-    }
-
-    /// Wrapping subtraction with `b` pre-shifted.
-    #[inline]
-    pub fn sub_sh(&mut self, a: Operand, b: Operand, b_pix: i32) {
-        self.alu(AluOp::Sub, a, b, Shift::Pix(b_pix))
-    }
-
-    /// Saturating addition (1 cycle; the carry extension applies the
-    /// clamp in the same cycle).
-    #[inline]
-    pub fn sat_add(&mut self, a: Operand, b: Operand) {
-        self.alu(AluOp::SatAdd, a, b, Shift::None)
-    }
-
-    /// Saturating addition with `b` pre-shifted.
-    #[inline]
-    pub fn sat_add_sh(&mut self, a: Operand, b: Operand, b_pix: i32) {
-        self.alu(AluOp::SatAdd, a, b, Shift::Pix(b_pix))
-    }
-
-    /// Saturating subtraction `sat(a - b)` (1 cycle).
-    #[inline]
-    pub fn sat_sub(&mut self, a: Operand, b: Operand) {
-        self.alu(AluOp::SatSub, a, b, Shift::None)
-    }
-
-    /// Saturating subtraction with `b` pre-shifted.
-    #[inline]
-    pub fn sat_sub_sh(&mut self, a: Operand, b: Operand, b_pix: i32) {
-        self.alu(AluOp::SatSub, a, b, Shift::Pix(b_pix))
-    }
-
-    /// Average `(a + b) >> 1` (1 cycle: add with the result shifter
-    /// dropping the LSB; the carry extension supplies bit n).
-    #[inline]
-    pub fn avg(&mut self, a: Operand, b: Operand) {
-        self.alu(AluOp::Avg, a, b, Shift::None)
-    }
-
-    /// Average with `b` pre-shifted by `b_pix` lanes.
-    #[inline]
-    pub fn avg_sh(&mut self, a: Operand, b: Operand, b_pix: i32) {
-        self.alu(AluOp::Avg, a, b, Shift::Pix(b_pix))
-    }
-
-    /// Absolute difference `|a - b|` — the 3-step sequence of Fig. 7-a:
-    /// `M = a - b` with carry extension `N`, `M += N`, `M ^= N`.
-    #[inline]
-    pub fn abs_diff(&mut self, a: Operand, b: Operand) {
-        self.alu(AluOp::AbsDiff, a, b, Shift::None)
-    }
-
-    /// Absolute difference with `b` pre-shifted.
-    #[inline]
-    pub fn abs_diff_sh(&mut self, a: Operand, b: Operand, b_pix: i32) {
-        self.alu(AluOp::AbsDiff, a, b, Shift::Pix(b_pix))
-    }
-
-    /// Branch-free maximum `max(a, b) = sat(a - b) + b` (2 cycles,
-    /// Fig. 7-b).
-    #[inline]
-    pub fn max(&mut self, a: Operand, b: Operand) {
-        self.alu(AluOp::Max, a, b, Shift::None)
-    }
-
-    /// Maximum with `b` pre-shifted.
-    #[inline]
-    pub fn max_sh(&mut self, a: Operand, b: Operand, b_pix: i32) {
-        self.alu(AluOp::Max, a, b, Shift::Pix(b_pix))
-    }
-
-    /// Branch-free minimum `min(a, b) = a - sat(a - b)` (2 cycles).
-    #[inline]
-    pub fn min(&mut self, a: Operand, b: Operand) {
-        self.alu(AluOp::Min, a, b, Shift::None)
-    }
-
-    /// Minimum with `b` pre-shifted.
-    #[inline]
-    pub fn min_sh(&mut self, a: Operand, b: Operand, b_pix: i32) {
-        self.alu(AluOp::Min, a, b, Shift::Pix(b_pix))
-    }
-
     /// Stand-alone lane shift by `pix` positions (1 cycle). Positive
     /// `pix` moves lane `i+pix` into lane `i` (the `<< 1pix` of Fig. 2);
     /// zeros shift in at the border.
-    pub fn shift_pix(&mut self, a: Operand, pix: i32) {
-        self.try_shift_pix(a, pix).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`PimMachine::shift_pix`].
     ///
     /// # Errors
     ///
-    /// Propagates operand errors (see [`PimMachine::try_alu`]).
-    pub fn try_shift_pix(&mut self, a: Operand, pix: i32) -> Result<(), PimError> {
+    /// Propagates operand errors (see [`PimMachine::alu`]).
+    pub fn shift_pix(&mut self, a: Operand, pix: i32) -> Result<(), PimError> {
         let bits = self.op_bits(a, a);
         self.unop(OpClass::Shift, a, bits, move |vals| shift_lanes(vals, pix))
     }
 
     /// Arithmetic/logical right shift of every lane by `k` bits
     /// (1 cycle; used to rescale products between Q-formats).
-    pub fn shr_bits(&mut self, a: Operand, k: u32) {
-        self.try_shr_bits(a, k).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`PimMachine::shr_bits`].
     ///
     /// # Errors
     ///
-    /// Propagates operand errors (see [`PimMachine::try_alu`]).
-    pub fn try_shr_bits(&mut self, a: Operand, k: u32) -> Result<(), PimError> {
+    /// Propagates operand errors (see [`PimMachine::alu`]).
+    pub fn shr_bits(&mut self, a: Operand, k: u32) -> Result<(), PimError> {
         let bits = self.op_bits(a, a);
         let sign = self.sign;
         self.unop(OpClass::Shift, a, bits, move |vals| {
@@ -1354,34 +1128,16 @@ impl PimMachine {
     }
 
     /// Left shift of every lane by `k` bits, wrapping (1 cycle).
-    pub fn shl_bits(&mut self, a: Operand, k: u32) {
-        self.try_shl_bits(a, k).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`PimMachine::shl_bits`].
     ///
     /// # Errors
     ///
-    /// Propagates operand errors (see [`PimMachine::try_alu`]).
-    pub fn try_shl_bits(&mut self, a: Operand, k: u32) -> Result<(), PimError> {
+    /// Propagates operand errors (see [`PimMachine::alu`]).
+    pub fn shl_bits(&mut self, a: Operand, k: u32) -> Result<(), PimError> {
         let bits = self.op_bits(a, a);
         let sign = self.sign;
         self.unop(OpClass::Shift, a, bits, move |vals| {
             vals.iter().map(|&v| wrap(v << k, bits, sign)).collect()
         })
-    }
-
-    /// Per-lane comparison `a > b`, leaving an all-ones/zero mask in the
-    /// Tmp Reg (1 cycle: subtraction + carry-extension mask).
-    #[inline]
-    pub fn cmp_gt(&mut self, a: Operand, b: Operand) {
-        self.alu(AluOp::CmpGt, a, b, Shift::None)
-    }
-
-    /// Comparison with `b` pre-shifted.
-    #[inline]
-    pub fn cmp_gt_sh(&mut self, a: Operand, b: Operand, b_pix: i32) {
-        self.alu(AluOp::CmpGt, a, b, Shift::Pix(b_pix))
     }
 
     /// Unsigned multiplication (Fig. 7-c): `n + 1` compute cycles for
@@ -1392,16 +1148,11 @@ impl PimMachine {
     ///
     /// The product is left in the Tmp Reg at double width
     /// ([`PimMachine::tmp_bits`] becomes `2n`).
-    pub fn mul(&mut self, a: Operand, b: Operand) {
-        self.try_mul(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`PimMachine::mul`].
     ///
     /// # Errors
     ///
-    /// Propagates operand errors (see [`PimMachine::try_alu`]).
-    pub fn try_mul(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
+    /// Propagates operand errors (see [`PimMachine::alu`]).
+    pub fn mul(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
         let n = self.width.bits();
         let mask = width_mask(n);
         let bits = n; // operands at lane width
@@ -1420,16 +1171,11 @@ impl PimMachine {
     /// values can be easily inverted before and after the computation").
     /// Costs 5 extra cycles over [`PimMachine::mul`], independent of the
     /// data (the inversions are mask-applied on all lanes).
-    pub fn mul_signed(&mut self, a: Operand, b: Operand) {
-        self.try_mul_signed(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`PimMachine::mul_signed`].
     ///
     /// # Errors
     ///
-    /// Propagates operand errors (see [`PimMachine::try_alu`]).
-    pub fn try_mul_signed(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
+    /// Propagates operand errors (see [`PimMachine::alu`]).
+    pub fn mul_signed(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
         let n = self.width.bits();
         self.binop(OpClass::Mul, a, b, 0, n, move |x, y, _| {
             (x as i128 * y as i128) as i64 // 2n <= 64 bits exact
@@ -1447,17 +1193,12 @@ impl PimMachine {
     /// remainder in the Tmp Reg and quotient bits stacked in the LSBs);
     /// write-back adds the `n + 2`nd cycle. Quotient is left in the Tmp
     /// Reg; lanes dividing by zero produce the all-ones pattern.
-    pub fn div(&mut self, a: Operand, b: Operand) {
-        self.try_div(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`PimMachine::div`].
     ///
     /// # Errors
     ///
-    /// Propagates operand errors (see [`PimMachine::try_alu`]).
+    /// Propagates operand errors (see [`PimMachine::alu`]).
     #[allow(clippy::manual_checked_ops)] // divide-by-zero yields the divider's all-ones pattern, not None
-    pub fn try_div(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
+    pub fn div(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
         let n = self.width.bits();
         let mask = width_mask(n);
         self.binop(OpClass::Div, a, b, 0, n, move |x, y, _| {
@@ -1475,16 +1216,11 @@ impl PimMachine {
 
     /// Unsigned division remainder `a % b` — same restoring sequence as
     /// [`PimMachine::div`], keeping the partial remainder instead.
-    pub fn rem(&mut self, a: Operand, b: Operand) {
-        self.try_rem(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`PimMachine::rem`].
     ///
     /// # Errors
     ///
-    /// Propagates operand errors (see [`PimMachine::try_alu`]).
-    pub fn try_rem(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
+    /// Propagates operand errors (see [`PimMachine::alu`]).
+    pub fn rem(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
         let n = self.width.bits();
         let mask = width_mask(n);
         self.binop(OpClass::Div, a, b, 0, n, move |x, y, _| {
@@ -1504,16 +1240,11 @@ impl PimMachine {
     /// sign pre/post processing as [`PimMachine::mul_signed`]. Lanes
     /// dividing by zero yield the saturated maximum with the dividend's
     /// sign.
-    pub fn div_signed(&mut self, a: Operand, b: Operand) {
-        self.try_div_signed(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`PimMachine::div_signed`].
     ///
     /// # Errors
     ///
-    /// Propagates operand errors (see [`PimMachine::try_alu`]).
-    pub fn try_div_signed(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
+    /// Propagates operand errors (see [`PimMachine::alu`]).
+    pub fn div_signed(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
         let n = self.width.bits();
         self.binop(OpClass::Div, a, b, 0, n, move |x, y, _| {
             if y == 0 {
@@ -1536,18 +1267,12 @@ impl PimMachine {
     /// steps to produce fractional quotient bits (the dividend extends
     /// into the double-width Tmp Reg exactly as the multiplier's
     /// partial products do). Costs `n + frac + 1` compute cycles.
-    pub fn div_frac(&mut self, a: Operand, b: Operand, frac: u32) {
-        self.try_div_frac(a, b, frac)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`PimMachine::div_frac`].
     ///
     /// # Errors
     ///
-    /// Propagates operand errors (see [`PimMachine::try_alu`]).
+    /// Propagates operand errors (see [`PimMachine::alu`]).
     #[allow(clippy::manual_checked_ops)] // divide-by-zero yields the divider's all-ones pattern, not None
-    pub fn try_div_frac(&mut self, a: Operand, b: Operand, frac: u32) -> Result<(), PimError> {
+    pub fn div_frac(&mut self, a: Operand, b: Operand, frac: u32) -> Result<(), PimError> {
         let n = self.width.bits();
         let mask = width_mask(n);
         self.binop(OpClass::Div, a, b, 0, n + frac, move |x, y, _| {
@@ -1570,22 +1295,11 @@ impl PimMachine {
     /// toward zero, with the 5-cycle sign pre/post-processing.
     /// Division by zero yields the saturated extreme of the dividend's
     /// sign.
-    pub fn div_frac_signed(&mut self, a: Operand, b: Operand, frac: u32) {
-        self.try_div_frac_signed(a, b, frac)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`PimMachine::div_frac_signed`].
     ///
     /// # Errors
     ///
-    /// Propagates operand errors (see [`PimMachine::try_alu`]).
-    pub fn try_div_frac_signed(
-        &mut self,
-        a: Operand,
-        b: Operand,
-        frac: u32,
-    ) -> Result<(), PimError> {
+    /// Propagates operand errors (see [`PimMachine::alu`]).
+    pub fn div_frac_signed(&mut self, a: Operand, b: Operand, frac: u32) -> Result<(), PimError> {
         let n = self.width.bits();
         let out_bits = (n + frac).min(64);
         self.binop(OpClass::Div, a, b, 0, out_bits, move |x, y, _| {
@@ -1610,16 +1324,11 @@ impl PimMachine {
     }
 
     /// Arithmetic negation of every lane (1 cycle: invert + carry-in).
-    pub fn neg(&mut self, a: Operand) {
-        self.try_neg(a).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`PimMachine::neg`].
     ///
     /// # Errors
     ///
-    /// Propagates operand errors (see [`PimMachine::try_alu`]).
-    pub fn try_neg(&mut self, a: Operand) -> Result<(), PimError> {
+    /// Propagates operand errors (see [`PimMachine::alu`]).
+    pub fn neg(&mut self, a: Operand) -> Result<(), PimError> {
         let bits = self.op_bits(a, a);
         let sign = self.sign;
         self.unop(OpClass::AddSub, a, bits, move |vals| {
@@ -1630,17 +1339,11 @@ impl PimMachine {
     /// Saturating narrowing of the Tmp/row contents to `bits` wide
     /// signed values (1 cycle: the carry-extension clamp at a narrower
     /// carry-control setting).
-    pub fn sat_narrow(&mut self, a: Operand, bits: u32) {
-        self.try_sat_narrow(a, bits)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`PimMachine::sat_narrow`].
     ///
     /// # Errors
     ///
-    /// Propagates operand errors (see [`PimMachine::try_alu`]).
-    pub fn try_sat_narrow(&mut self, a: Operand, bits: u32) -> Result<(), PimError> {
+    /// Propagates operand errors (see [`PimMachine::alu`]).
+    pub fn sat_narrow(&mut self, a: Operand, bits: u32) -> Result<(), PimError> {
         self.unop(OpClass::SatAddSub, a, bits, move |vals| {
             vals.iter().map(|&v| sat::clamp_signed(v, bits)).collect()
         })
@@ -1649,21 +1352,11 @@ impl PimMachine {
     /// Writes the Tmp Reg back to an SRAM row (1 cycle + write energy).
     /// Contents are wrapped to the lane width.
     ///
-    /// # Panics
-    ///
-    /// Panics for a bad row or an empty Tmp Reg; see
-    /// [`PimMachine::try_writeback`] for the fallible variant.
-    pub fn writeback(&mut self, dst: usize) {
-        self.try_writeback(dst).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`PimMachine::writeback`].
-    ///
     /// # Errors
     ///
     /// [`PimError::RowOutOfRange`] for a bad destination row or
     /// [`PimError::TmpEmpty`] when the Tmp Reg holds no value.
-    pub fn try_writeback(&mut self, dst: usize) -> Result<(), PimError> {
+    pub fn writeback(&mut self, dst: usize) -> Result<(), PimError> {
         self.check_row(dst)?;
         let bits = self.width.bits();
         let bytes = self.width.bytes();
@@ -1683,14 +1376,6 @@ impl PimMachine {
         self.stats.sram_writes += 1;
         self.stats.tmp_accesses += 1;
         self.stats.record_op(OpClass::WriteBack);
-        self.record_trace(
-            OpClass::WriteBack,
-            format!("writeback r{dst}"),
-            cycle_start,
-            1,
-            0,
-            1,
-        );
         self.record_op(
             OpKind::WriteBack,
             &[],
@@ -1708,20 +1393,10 @@ impl PimMachine {
     /// shift-accumulate steps (each single-cycle, Tmp-resident). The sum
     /// (wrapped at the Tmp width) is returned and left in lane 0.
     ///
-    /// # Panics
-    ///
-    /// Panics on an empty Tmp Reg; see [`PimMachine::try_reduce_sum`]
-    /// for the fallible variant.
-    pub fn reduce_sum(&mut self) -> i64 {
-        self.try_reduce_sum().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`PimMachine::reduce_sum`].
-    ///
     /// # Errors
     ///
     /// [`PimError::TmpEmpty`] when the Tmp Reg holds no value.
-    pub fn try_reduce_sum(&mut self) -> Result<i64, PimError> {
+    pub fn reduce_sum(&mut self) -> Result<i64, PimError> {
         if self.tmp.is_empty() {
             return Err(PimError::TmpEmpty);
         }
@@ -1746,14 +1421,6 @@ impl PimMachine {
         self.stats.acc_ops += steps;
         self.stats.tmp_accesses += 2 * steps;
         self.stats.record_op(OpClass::Reduce);
-        self.record_trace(
-            OpClass::Reduce,
-            format!("reduce_sum x{lanes}"),
-            cycle_start,
-            steps,
-            0,
-            0,
-        );
         self.record_op(OpKind::Reduce, &[], &[], cycle_start, 0, lanes as u32);
         Ok(self.tmp[0])
     }
@@ -1764,21 +1431,11 @@ impl PimMachine {
     /// SIMD datapath, so each element costs one serialized read cycle
     /// and one SRAM activation.
     ///
-    /// # Panics
-    ///
-    /// Panics for an out-of-range row; see [`PimMachine::try_gather`]
-    /// for the fallible variant.
-    pub fn gather(&mut self, addresses: &[(usize, usize)]) -> Vec<i64> {
-        self.try_gather(addresses).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`PimMachine::gather`].
-    ///
     /// # Errors
     ///
     /// [`PimError::RowOutOfRange`] for a bad address row (checked
     /// before any cost is charged).
-    pub fn try_gather(&mut self, addresses: &[(usize, usize)]) -> Result<Vec<i64>, PimError> {
+    pub fn gather(&mut self, addresses: &[(usize, usize)]) -> Result<Vec<i64>, PimError> {
         for &(row, _) in addresses {
             self.check_row(row)?;
         }
@@ -1794,14 +1451,6 @@ impl PimMachine {
         self.stats.sram_reads += n;
         self.stats.tmp_accesses += n;
         self.stats.record_op(OpClass::Gather);
-        self.record_trace(
-            OpClass::Gather,
-            format!("gather x{n}"),
-            cycle_start,
-            n,
-            n,
-            0,
-        );
         if self.op_recorder.is_some() {
             // first two addressed rows as representative read rows (the
             // serial chain orders the rest within the machine stream)
@@ -1831,10 +1480,8 @@ impl PimMachine {
     /// Executes a lowered macro-op program (see [`crate::ir`] and
     /// [`crate::lower()`]), charging the normal [`CostModel`] through
     /// the same compute methods hand-written kernels call. Returns the
-    /// [`MachineInstr::Reduce`] results in program order. When tracing
-    /// is enabled, every emitted trace event is prefixed with the op's
-    /// IR provenance label (`"program[ir_index]"`); with tracing off
-    /// the labels cost nothing.
+    /// [`MachineInstr::Reduce`] results in program order. An armed op
+    /// recorder stamps every record of the run with the program name.
     ///
     /// # Errors
     ///
@@ -1843,7 +1490,6 @@ impl PimMachine {
     /// already been charged, exactly as hand-written sequences behave.
     pub fn run_program(&mut self, prog: &LoweredProgram) -> Result<Vec<i64>, PimError> {
         let mut sums = Vec::with_capacity(prog.reduce_count());
-        let tracing = self.trace.is_some();
         if let Some(rec) = &mut self.op_recorder {
             // kernel-level attribution: every record of this program
             // carries the program name
@@ -1852,53 +1498,43 @@ impl PimMachine {
         // compute may not outrun its inputs: wait for outstanding
         // strip-in DMA (prefetch traffic keeps overlapping)
         self.dma_sync_inbound();
-        for op in prog.ops() {
-            if tracing {
-                self.trace_label = Some(op.label.clone());
-            }
-            let step = self.exec_instr(&op.instr, &mut sums);
-            if let Err(e) = step {
-                self.trace_label = None;
-                if let Some(rec) = &mut self.op_recorder {
-                    rec.set_label(None);
-                }
-                return Err(e);
-            }
-        }
-        self.trace_label = None;
+        let run = prog
+            .ops()
+            .iter()
+            .try_for_each(|op| self.exec_instr(&op.instr, &mut sums));
         if let Some(rec) = &mut self.op_recorder {
             rec.set_label(None);
         }
-        Ok(sums)
+        run.map(|()| sums)
     }
 
     /// Dispatches one lowered instruction to its compute method.
     fn exec_instr(&mut self, instr: &MachineInstr, sums: &mut Vec<i64>) -> Result<(), PimError> {
         match *instr {
             MachineInstr::SetLanes { width, sign } => self.set_lanes(width, sign),
-            MachineInstr::Alu { op, a, b, shift } => self.try_alu(op, a, b, shift)?,
-            MachineInstr::ShiftPix { a, pix } => self.try_shift_pix(a, pix)?,
-            MachineInstr::ShrBits { a, k } => self.try_shr_bits(a, k)?,
-            MachineInstr::ShlBits { a, k } => self.try_shl_bits(a, k)?,
-            MachineInstr::Neg { a } => self.try_neg(a)?,
-            MachineInstr::SatNarrow { a, bits } => self.try_sat_narrow(a, bits)?,
+            MachineInstr::Alu { op, a, b, shift } => self.alu(op, a, b, shift)?,
+            MachineInstr::ShiftPix { a, pix } => self.shift_pix(a, pix)?,
+            MachineInstr::ShrBits { a, k } => self.shr_bits(a, k)?,
+            MachineInstr::ShlBits { a, k } => self.shl_bits(a, k)?,
+            MachineInstr::Neg { a } => self.neg(a)?,
+            MachineInstr::SatNarrow { a, bits } => self.sat_narrow(a, bits)?,
             MachineInstr::Mul { a, b, signed } => {
                 if signed {
-                    self.try_mul_signed(a, b)?;
+                    self.mul_signed(a, b)?;
                 } else {
-                    self.try_mul(a, b)?;
+                    self.mul(a, b)?;
                 }
             }
             MachineInstr::DivFrac { a, b, frac, signed } => {
                 if signed {
-                    self.try_div_frac_signed(a, b, frac)?;
+                    self.div_frac_signed(a, b, frac)?;
                 } else {
-                    self.try_div_frac(a, b, frac)?;
+                    self.div_frac(a, b, frac)?;
                 }
             }
-            MachineInstr::Writeback { row } => self.try_writeback(row)?,
-            MachineInstr::SaveTmp { idx } => self.try_save_tmp(idx)?,
-            MachineInstr::Reduce => sums.push(self.try_reduce_sum()?),
+            MachineInstr::Writeback { row } => self.writeback(row)?,
+            MachineInstr::SaveTmp { idx } => self.save_tmp(idx)?,
+            MachineInstr::Reduce => sums.push(self.reduce_sum()?),
         }
         Ok(())
     }
@@ -1973,7 +1609,7 @@ impl PimMachine {
     /// Charges the word-protection overhead of `accesses` protected
     /// SRAM accesses on the compute path (check cycles/energy per
     /// access, plus any ECC corrections performed since the last
-    /// charge), extending the current trace event so cycle spans stay
+    /// charge), extending the current op record so cycle spans stay
     /// contiguous. Free under [`Protection::None`].
     fn charge_protection(&mut self, accesses: u64) {
         match self.fault.protection() {
@@ -1982,13 +1618,13 @@ impl PimMachine {
                 self.stats.parity_checks += accesses;
                 let c = self.cost.parity_check_cycles * accesses;
                 self.stats.cycles += c;
-                self.extend_trace(c, 0);
+                self.extend_record(c, 0);
             }
             Protection::Ecc => {
                 self.stats.ecc_checks += accesses;
                 let c = self.cost.ecc_check_cycles * accesses;
                 self.stats.cycles += c;
-                self.extend_trace(c, 0);
+                self.extend_record(c, 0);
             }
         }
         let corrections = self.fault.take_pending_corrections();
@@ -1996,7 +1632,7 @@ impl PimMachine {
             self.stats.ecc_corrections += corrections;
             let c = self.cost.ecc_correct_cycles * corrections;
             self.stats.cycles += c;
-            self.extend_trace(c, 0);
+            self.extend_record(c, 0);
         }
     }
 
@@ -2092,14 +1728,6 @@ impl PimMachine {
         let tmp_reads = a.is_reg() as u64 + b.is_reg() as u64;
         self.stats.tmp_accesses += tmp_reads + 1; // + result write
         self.stats.record_op(class);
-        self.record_trace(
-            class,
-            format!("{} {}, {}", op_name(class), fmt_op(a), fmt_op(b)),
-            cycle_start,
-            1,
-            sram,
-            0,
-        );
         if self.op_recorder.is_some() {
             let mut reads = [0u32; 2];
             let mut m = 0;
@@ -2140,14 +1768,6 @@ impl PimMachine {
         self.stats.sram_reads += sram;
         self.stats.tmp_accesses += a.is_reg() as u64 + 1;
         self.stats.record_op(class);
-        self.record_trace(
-            class,
-            format!("{} {}", op_name(class), fmt_op(a)),
-            cycle_start,
-            1,
-            sram,
-            0,
-        );
         if self.op_recorder.is_some() {
             let mut reads = [0u32; 1];
             let mut m = 0;
@@ -2175,7 +1795,7 @@ impl PimMachine {
         self.stats.cycles += steps;
         self.stats.acc_ops += steps;
         self.stats.tmp_accesses += 2 * steps;
-        self.extend_trace(steps, 0);
+        self.extend_record(steps, 0);
     }
 
     /// Charges the shift-accumulate / subtract-restore steps of a
@@ -2190,53 +1810,19 @@ impl PimMachine {
         self.stats.tmp_accesses += 2 * steps;
         let sram = if rereads_sram { steps } else { 0 };
         self.stats.sram_reads += sram;
-        self.extend_trace(steps, sram);
+        self.extend_record(steps, sram);
         // every re-read of the row operand passes the word checker too
         // (faults on re-reads themselves are not modeled: the product
         // was computed from the first sensed copy)
         self.charge_protection(sram);
     }
 
-    /// Appends a trace event when tracing is enabled.
-    fn record_trace(
-        &mut self,
-        class: OpClass,
-        mnemonic: String,
-        cycle_start: u64,
-        cycles: u64,
-        sram_reads: u64,
-        sram_writes: u64,
-    ) {
-        if let Some(trace) = &mut self.trace {
-            let mnemonic = match &self.trace_label {
-                Some(label) => format!("{label} {mnemonic}"),
-                None => mnemonic,
-            };
-            let seq = trace.next_seq();
-            trace.push(TraceEvent {
-                seq,
-                class,
-                mnemonic,
-                cycle_start,
-                cycles,
-                sram_reads,
-                sram_writes,
-            });
-        }
-    }
-
-    /// Extends the last traced event (multi-step macro ops). Also folds
-    /// the extra cycles into the armed op recorder's last record, so
-    /// per-record cycles keep summing to the exact `ExecStats` delta.
-    fn extend_trace(&mut self, cycles: u64, sram_reads: u64) {
+    /// Folds the extra cycles of a multi-step macro op into the armed
+    /// op recorder's last record, so per-record cycles keep summing to
+    /// the exact `ExecStats` delta.
+    fn extend_record(&mut self, cycles: u64, sram_reads: u64) {
         if let Some(rec) = &mut self.op_recorder {
             rec.extend_last(cycles, sram_reads as u32);
-        }
-        if let Some(trace) = &mut self.trace {
-            if let Some(last) = trace.last_mut() {
-                last.cycles += cycles;
-                last.sram_reads += sram_reads;
-            }
         }
     }
 }
@@ -2259,35 +1845,6 @@ fn kind_of(class: OpClass) -> OpKind {
         OpClass::WriteBack => OpKind::WriteBack,
         OpClass::Reduce => OpKind::Reduce,
         OpClass::Gather => OpKind::Gather,
-    }
-}
-
-/// Mnemonic stem of an op class.
-fn op_name(class: OpClass) -> &'static str {
-    match class {
-        OpClass::Logic => "logic",
-        OpClass::AddSub => "addsub",
-        OpClass::SatAddSub => "sat",
-        OpClass::Avg => "avg",
-        OpClass::AbsDiff => "absdiff",
-        OpClass::MinMax => "minmax",
-        OpClass::Shift => "shift",
-        OpClass::Cmp => "cmp",
-        OpClass::Select => "select",
-        OpClass::Mul => "mul",
-        OpClass::Div => "div",
-        OpClass::WriteBack => "writeback",
-        OpClass::Reduce => "reduce",
-        OpClass::Gather => "gather",
-    }
-}
-
-/// Operand formatter for trace mnemonics.
-fn fmt_op(op: Operand) -> String {
-    match op {
-        Operand::Row(r) => format!("r{r}"),
-        Operand::Tmp => "tmp".into(),
-        Operand::Reg(i) => format!("reg{i}"),
     }
 }
 
@@ -2335,6 +1892,7 @@ fn clamp(v: i64, bits: u32, sign: Signedness) -> i64 {
 mod tests {
     use super::*;
     use crate::config::ArrayConfig;
+    use crate::isa::LogicFunc;
 
     fn machine() -> PimMachine {
         PimMachine::new(ArrayConfig::qvga())
@@ -2357,7 +1915,7 @@ mod tests {
         let spare = m.remap_row(7).unwrap();
         assert_eq!(spare, 256);
         // contents migrate with the remap
-        assert_eq!(&m.host_read_lanes(7)[..3], &[1, 2, 3]);
+        assert_eq!(&m.host_read_lanes(7).unwrap()[..3], &[1, 2, 3]);
         assert_eq!(m.remapped_rows(), 1);
         m.remap_row(9).unwrap();
         assert_eq!(
@@ -2397,10 +1955,18 @@ mod tests {
         assert!(!m.scrub_row(3, 0x00).unwrap());
         assert!(m.scrub_row(3, 0xFF).unwrap());
         m.host_write_lanes(3, &[0, 0]).unwrap();
-        assert_eq!(m.host_read_lanes(3)[0], 1, "stuck bit visible pre-remap");
+        assert_eq!(
+            m.host_read_lanes(3).unwrap()[0],
+            1,
+            "stuck bit visible pre-remap"
+        );
         m.remap_row(3).unwrap();
         m.host_write_lanes(3, &[0, 0]).unwrap();
-        assert_eq!(m.host_read_lanes(3)[0], 0, "spare row escapes the defect");
+        assert_eq!(
+            m.host_read_lanes(3).unwrap()[0],
+            0,
+            "spare row escapes the defect"
+        );
         assert!(m.scrub_row(3, 0x00).unwrap(), "remapped row scrubs clean");
     }
 
@@ -2409,7 +1975,8 @@ mod tests {
         let mut m = machine();
         m.host_write_lanes(0, &[1, 2, 250]).unwrap();
         m.host_write_lanes(1, &[10, 20, 30]).unwrap();
-        m.add(Operand::Row(0), Operand::Row(1));
+        m.alu(AluOp::Add, Operand::Row(0), Operand::Row(1), Shift::None)
+            .unwrap();
         assert_eq!(&m.tmp_lanes()[..3], &[11, 22, 24]); // 280 wraps to 24
         assert_eq!(m.stats().cycles, 1);
         assert_eq!(m.stats().sram_reads, 1);
@@ -2420,7 +1987,8 @@ mod tests {
         let mut m = machine();
         m.host_write_lanes(0, &[250, 5]).unwrap();
         m.host_write_lanes(1, &[10, 10]).unwrap();
-        m.sat_add(Operand::Row(0), Operand::Row(1));
+        m.alu(AluOp::SatAdd, Operand::Row(0), Operand::Row(1), Shift::None)
+            .unwrap();
         assert_eq!(&m.tmp_lanes()[..2], &[255, 15]);
     }
 
@@ -2430,9 +1998,11 @@ mod tests {
         m.set_lanes(LaneWidth::W16, Signedness::Signed);
         m.host_write_lanes(0, &[-100, 30000]).unwrap();
         m.host_write_lanes(1, &[50, 10000]).unwrap();
-        m.sat_add(Operand::Row(0), Operand::Row(1));
+        m.alu(AluOp::SatAdd, Operand::Row(0), Operand::Row(1), Shift::None)
+            .unwrap();
         assert_eq!(&m.tmp_lanes()[..2], &[-50, 32767]);
-        m.sub(Operand::Row(0), Operand::Row(1));
+        m.alu(AluOp::Sub, Operand::Row(0), Operand::Row(1), Shift::None)
+            .unwrap();
         assert_eq!(&m.tmp_lanes()[..2], &[-150, 20000]);
     }
 
@@ -2441,11 +2011,13 @@ mod tests {
         let mut m = machine();
         m.host_write_lanes(0, &[10, 20, 30, 40]).unwrap();
         m.host_write_lanes(1, &[20, 40, 10, 0]).unwrap();
-        m.avg(Operand::Row(0), Operand::Row(1));
+        m.alu(AluOp::Avg, Operand::Row(0), Operand::Row(1), Shift::None)
+            .unwrap();
         assert_eq!(&m.tmp_lanes()[..4], &[15, 30, 20, 20]);
         // fused shifted average: (C[i] + C[i+1]) / 2
-        m.writeback(2);
-        m.avg_sh(Operand::Row(2), Operand::Row(2), 1);
+        m.writeback(2).unwrap();
+        m.alu(AluOp::Avg, Operand::Row(2), Operand::Row(2), Shift::Pix(1))
+            .unwrap();
         assert_eq!(&m.tmp_lanes()[..3], &[22, 25, 20]);
     }
 
@@ -2455,7 +2027,13 @@ mod tests {
         m.host_write_lanes(0, &[10, 200]).unwrap();
         m.host_write_lanes(1, &[30, 50]).unwrap();
         let before = m.stats().cycles;
-        m.abs_diff(Operand::Row(0), Operand::Row(1));
+        m.alu(
+            AluOp::AbsDiff,
+            Operand::Row(0),
+            Operand::Row(1),
+            Shift::None,
+        )
+        .unwrap();
         assert_eq!(&m.tmp_lanes()[..2], &[20, 150]);
         assert_eq!(m.stats().cycles - before, 3);
     }
@@ -2466,10 +2044,12 @@ mod tests {
         m.host_write_lanes(0, &[10, 200]).unwrap();
         m.host_write_lanes(1, &[30, 50]).unwrap();
         let c0 = m.stats().cycles;
-        m.max(Operand::Row(0), Operand::Row(1));
+        m.alu(AluOp::Max, Operand::Row(0), Operand::Row(1), Shift::None)
+            .unwrap();
         assert_eq!(&m.tmp_lanes()[..2], &[30, 200]);
         assert_eq!(m.stats().cycles - c0, 2);
-        m.min(Operand::Row(0), Operand::Row(1));
+        m.alu(AluOp::Min, Operand::Row(0), Operand::Row(1), Shift::None)
+            .unwrap();
         assert_eq!(&m.tmp_lanes()[..2], &[10, 50]);
     }
 
@@ -2479,11 +2059,11 @@ mod tests {
         m.host_write_lanes(0, &[13, 7]).unwrap();
         m.host_write_lanes(1, &[11, 9]).unwrap();
         let c0 = m.stats().cycles;
-        m.mul(Operand::Row(0), Operand::Row(1));
+        m.mul(Operand::Row(0), Operand::Row(1)).unwrap();
         assert_eq!(&m.tmp_lanes()[..2], &[143, 63]);
         assert_eq!(m.stats().cycles - c0, 9); // 8-bit: n+1 = 9
         assert_eq!(m.tmp_bits(), 16);
-        m.writeback(5);
+        m.writeback(5).unwrap();
         assert_eq!(m.stats().cycles - c0, 10); // n+2 with write-back
     }
 
@@ -2493,7 +2073,7 @@ mod tests {
         m.set_lanes(LaneWidth::W16, Signedness::Signed);
         m.host_write_lanes(0, &[-300, 250]).unwrap();
         m.host_write_lanes(1, &[40, -40]).unwrap();
-        m.mul_signed(Operand::Row(0), Operand::Row(1));
+        m.mul_signed(Operand::Row(0), Operand::Row(1)).unwrap();
         assert_eq!(&m.tmp_lanes()[..2], &[-12000, -10000]);
         assert_eq!(m.tmp_bits(), 32);
     }
@@ -2503,9 +2083,9 @@ mod tests {
         let mut m = machine();
         m.host_write_lanes(0, &[15, 143]).unwrap();
         m.host_write_lanes(1, &[6, 11]).unwrap();
-        m.div(Operand::Row(0), Operand::Row(1));
+        m.div(Operand::Row(0), Operand::Row(1)).unwrap();
         assert_eq!(&m.tmp_lanes()[..2], &[2, 13]);
-        m.rem(Operand::Row(0), Operand::Row(1));
+        m.rem(Operand::Row(0), Operand::Row(1)).unwrap();
         assert_eq!(&m.tmp_lanes()[..2], &[3, 0]);
     }
 
@@ -2514,7 +2094,7 @@ mod tests {
         let mut m = machine();
         m.host_write_lanes(0, &[15]).unwrap();
         m.host_write_lanes(1, &[0]).unwrap();
-        m.div(Operand::Row(0), Operand::Row(1));
+        m.div(Operand::Row(0), Operand::Row(1)).unwrap();
         assert_eq!(m.tmp_lanes()[0], 255);
     }
 
@@ -2522,9 +2102,9 @@ mod tests {
     fn shift_pix_semantics() {
         let mut m = machine();
         m.host_write_lanes(0, &[1, 2, 3, 4]).unwrap();
-        m.shift_pix(Operand::Row(0), 1);
+        m.shift_pix(Operand::Row(0), 1).unwrap();
         assert_eq!(&m.tmp_lanes()[..4], &[2, 3, 4, 5 - 5]);
-        m.shift_pix(Operand::Row(0), -1);
+        m.shift_pix(Operand::Row(0), -1).unwrap();
         assert_eq!(&m.tmp_lanes()[..4], &[0, 1, 2, 3]);
     }
 
@@ -2533,7 +2113,8 @@ mod tests {
         let mut m = machine();
         m.host_write_lanes(0, &[10, 50]).unwrap();
         m.host_write_lanes(1, &[30, 20]).unwrap();
-        m.cmp_gt(Operand::Row(0), Operand::Row(1));
+        m.alu(AluOp::CmpGt, Operand::Row(0), Operand::Row(1), Shift::None)
+            .unwrap();
         assert_eq!(&m.tmp_lanes()[..2], &[0, 255]);
     }
 
@@ -2541,9 +2122,16 @@ mod tests {
     fn tmp_chaining_avoids_sram_reads() {
         let mut m = machine();
         m.host_write_lanes(0, &[1, 2]).unwrap();
-        m.load(Operand::Row(0));
+        m.alu(
+            AluOp::Logic(LogicFunc::Or),
+            Operand::Row(0),
+            Operand::Row(0),
+            Shift::None,
+        )
+        .unwrap();
         let r0 = m.stats().sram_reads;
-        m.add(Operand::Tmp, Operand::Tmp);
+        m.alu(AluOp::Add, Operand::Tmp, Operand::Tmp, Shift::None)
+            .unwrap();
         assert_eq!(m.stats().sram_reads, r0); // register-resident
         assert_eq!(&m.tmp_lanes()[..2], &[2, 4]);
     }
@@ -2552,10 +2140,16 @@ mod tests {
     fn writeback_persists_and_costs() {
         let mut m = machine();
         m.host_write_lanes(0, &[7, 8]).unwrap();
-        m.load(Operand::Row(0));
-        m.writeback(3);
+        m.alu(
+            AluOp::Logic(LogicFunc::Or),
+            Operand::Row(0),
+            Operand::Row(0),
+            Shift::None,
+        )
+        .unwrap();
+        m.writeback(3).unwrap();
         assert_eq!(m.stats().sram_writes, 1);
-        assert_eq!(&m.host_read_lanes(3)[..2], &[7, 8]);
+        assert_eq!(&m.host_read_lanes(3).unwrap()[..2], &[7, 8]);
     }
 
     #[test]
@@ -2564,8 +2158,14 @@ mod tests {
         m.set_lanes(LaneWidth::W32, Signedness::Signed);
         let vals: Vec<i64> = (1..=80).collect();
         m.host_write_lanes(0, &vals).unwrap();
-        m.load(Operand::Row(0));
-        let s = m.reduce_sum();
+        m.alu(
+            AluOp::Logic(LogicFunc::Or),
+            Operand::Row(0),
+            Operand::Row(0),
+            Shift::None,
+        )
+        .unwrap();
+        let s = m.reduce_sum().unwrap();
         assert_eq!(s, 80 * 81 / 2);
         // ceil(log2(80)) = 7 steps
         let red_cycles = 7;
@@ -2577,17 +2177,27 @@ mod tests {
         let mut m = machine();
         m.host_write_lanes(4, &[9, 8, 7]).unwrap();
         let c0 = m.stats().cycles;
-        let vals = m.gather(&[(4, 0), (4, 2)]);
+        let vals = m.gather(&[(4, 0), (4, 2)]).unwrap();
         assert_eq!(vals, vec![9, 7]);
         assert_eq!(m.stats().cycles - c0, 2);
         assert_eq!(m.stats().sram_reads, 2);
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_row_panics() {
+    fn bad_row_is_an_error() {
         let mut m = machine();
-        m.load(Operand::Row(9999));
+        let err = m
+            .alu(AluOp::Add, Operand::Row(9999), Operand::Tmp, Shift::None)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            PimError::RowOutOfRange {
+                row: 9999,
+                rows: 256
+            }
+        );
+        assert!(err.to_string().contains("out of range"));
+        assert_eq!(m.stats().cycles, 0, "nothing charged");
     }
 
     #[test]
@@ -2603,6 +2213,7 @@ mod tests {
 mod multireg_tests {
     use super::*;
     use crate::config::ArrayConfig;
+    use crate::isa::LogicFunc;
 
     #[test]
     fn second_register_holds_values() {
@@ -2611,10 +2222,13 @@ mod multireg_tests {
         assert_eq!(m.tmp_reg_count(), 2);
         m.host_write_lanes(0, &[5, 9]).unwrap();
         m.host_write_lanes(1, &[2, 3]).unwrap();
-        m.add(Operand::Row(0), Operand::Row(1)); // tmp = [7, 12]
-        m.save_tmp(1);
-        m.sub(Operand::Row(0), Operand::Row(1)); // tmp = [3, 6]
-        m.add(Operand::Tmp, Operand::Reg(1)); // [10, 18]
+        m.alu(AluOp::Add, Operand::Row(0), Operand::Row(1), Shift::None)
+            .unwrap(); // tmp = [7, 12]
+        m.save_tmp(1).unwrap();
+        m.alu(AluOp::Sub, Operand::Row(0), Operand::Row(1), Shift::None)
+            .unwrap(); // tmp = [3, 6]
+        m.alu(AluOp::Add, Operand::Tmp, Operand::Reg(1), Shift::None)
+            .unwrap(); // [10, 18]
         assert_eq!(&m.tmp_lanes()[..2], &[10, 18]);
     }
 
@@ -2623,13 +2237,19 @@ mod multireg_tests {
         let mut m = PimMachine::new(ArrayConfig::qvga());
         m.set_tmp_regs(3);
         m.host_write_lanes(0, &[1]).unwrap();
-        m.load(Operand::Row(0));
+        m.alu(
+            AluOp::Logic(LogicFunc::Or),
+            Operand::Row(0),
+            Operand::Row(0),
+            Shift::None,
+        )
+        .unwrap();
         let (c0, r0, w0) = (
             m.stats().cycles,
             m.stats().sram_reads,
             m.stats().sram_writes,
         );
-        m.save_tmp(2);
+        m.save_tmp(2).unwrap();
         assert_eq!(m.stats().cycles - c0, 1);
         assert_eq!(m.stats().sram_reads, r0);
         assert_eq!(m.stats().sram_writes, w0);
@@ -2643,19 +2263,31 @@ mod multireg_tests {
         with_reg.set_tmp_regs(2);
         with_reg.host_write_lanes(0, &[10, 20]).unwrap();
         with_reg.host_write_lanes(1, &[1, 2]).unwrap();
-        with_reg.add(Operand::Row(0), Operand::Row(1));
-        with_reg.save_tmp(1);
-        with_reg.sub(Operand::Row(0), Operand::Row(1));
-        with_reg.add(Operand::Tmp, Operand::Reg(1));
+        with_reg
+            .alu(AluOp::Add, Operand::Row(0), Operand::Row(1), Shift::None)
+            .unwrap();
+        with_reg.save_tmp(1).unwrap();
+        with_reg
+            .alu(AluOp::Sub, Operand::Row(0), Operand::Row(1), Shift::None)
+            .unwrap();
+        with_reg
+            .alu(AluOp::Add, Operand::Tmp, Operand::Reg(1), Shift::None)
+            .unwrap();
         let a = with_reg.tmp_lanes()[..2].to_vec();
 
         let mut with_wb = PimMachine::new(ArrayConfig::qvga());
         with_wb.host_write_lanes(0, &[10, 20]).unwrap();
         with_wb.host_write_lanes(1, &[1, 2]).unwrap();
-        with_wb.add(Operand::Row(0), Operand::Row(1));
-        with_wb.writeback(5);
-        with_wb.sub(Operand::Row(0), Operand::Row(1));
-        with_wb.add(Operand::Tmp, Operand::Row(5));
+        with_wb
+            .alu(AluOp::Add, Operand::Row(0), Operand::Row(1), Shift::None)
+            .unwrap();
+        with_wb.writeback(5).unwrap();
+        with_wb
+            .alu(AluOp::Sub, Operand::Row(0), Operand::Row(1), Shift::None)
+            .unwrap();
+        with_wb
+            .alu(AluOp::Add, Operand::Tmp, Operand::Row(5), Shift::None)
+            .unwrap();
         assert_eq!(a, with_wb.tmp_lanes()[..2]);
 
         let er = with_reg.stats().energy(&crate::CostModel::default());
@@ -2670,20 +2302,30 @@ mod multireg_tests {
     }
 
     #[test]
-    #[should_panic(expected = "not enabled")]
-    fn unenabled_register_panics() {
+    fn unenabled_register_is_an_error() {
         let mut m = PimMachine::new(ArrayConfig::qvga());
         m.host_write_lanes(0, &[1]).unwrap();
-        m.load(Operand::Row(0));
-        m.save_tmp(1);
+        m.alu(
+            AluOp::Logic(LogicFunc::Or),
+            Operand::Row(0),
+            Operand::Row(0),
+            Shift::None,
+        )
+        .unwrap();
+        let err = m.save_tmp(1).unwrap_err();
+        assert_eq!(err, PimError::RegisterNotEnabled { idx: 1, enabled: 1 });
+        assert!(err.to_string().contains("not enabled"));
     }
 
     #[test]
-    #[should_panic(expected = "before being written")]
-    fn reading_empty_register_panics() {
+    fn reading_empty_register_is_an_error() {
         let mut m = PimMachine::new(ArrayConfig::qvga());
         m.set_tmp_regs(2);
         m.host_write_lanes(0, &[1]).unwrap();
-        m.add(Operand::Row(0), Operand::Reg(1));
+        let err = m
+            .alu(AluOp::Add, Operand::Row(0), Operand::Reg(1), Shift::None)
+            .unwrap_err();
+        assert_eq!(err, PimError::RegisterEmpty { idx: 1 });
+        assert!(err.to_string().contains("before being written"));
     }
 }

@@ -198,13 +198,13 @@ impl PoolHealth {
 /// array shares one configuration:
 ///
 /// ```
-/// use pimvo_pim::{ArrayConfig, Operand, PimMachineBuilder};
+/// use pimvo_pim::{AluOp, ArrayConfig, Operand, PimMachineBuilder, Shift};
 ///
 /// let mut pool = PimMachineBuilder::new(ArrayConfig::qvga()).build_pool(2);
 /// pool.array_mut(0).host_write_lanes(0, &[1, 2]).unwrap();
 /// pool.array_mut(1).host_write_lanes(0, &[3, 4]).unwrap();
 /// let sums: Vec<i64> = pool.run_phase(|_idx, m| {
-///     m.add(Operand::Row(0), Operand::Row(0));
+///     m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None).unwrap();
 ///     m.tmp_lanes()[0]
 /// });
 /// assert_eq!(sums, vec![2, 6]);
@@ -1508,7 +1508,7 @@ impl PimMachineBuilder {
 mod tests {
     use super::*;
     use crate::config::ArrayConfig;
-    use crate::isa::Operand;
+    use crate::isa::{AluOp, LogicFunc, Operand, Shift};
 
     fn pool(n: usize) -> PimArrayPool {
         PimMachineBuilder::new(ArrayConfig::qvga()).build_pool(n)
@@ -1525,11 +1525,13 @@ mod tests {
         // thread the slowest shard of each phase plus both barriers
         p.run_phase(|i, m| {
             for _ in 0..=i {
-                m.add(Operand::Row(0), Operand::Row(0));
+                m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
+                    .unwrap();
             }
         });
         p.run_phase(|_, m| {
-            m.add(Operand::Row(0), Operand::Row(0));
+            m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
+                .unwrap();
         });
         let trace = p.drain_op_trace().expect("armed pool drains a trace");
         assert_eq!(trace.dropped, 0);
@@ -1548,7 +1550,8 @@ mod tests {
                 p.array_mut(i).host_write_lanes(0, &[5, 6]).unwrap();
             }
             let out = p.run_phase(|_, m| {
-                m.add(Operand::Row(0), Operand::Row(0));
+                m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
+                    .unwrap();
                 m.tmp_lanes()[0]
             });
             (out, p.wall_cycles(), p.merged_stats())
@@ -1568,7 +1571,8 @@ mod tests {
         let io = p.array(0).cost_model().transfer_cycles(3);
         p.run_phase(|i, m| {
             for _ in 0..=i {
-                m.add(Operand::Row(0), Operand::Row(0));
+                m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
+                    .unwrap();
             }
         });
         assert_eq!(p.wall_cycles(), io + 3 + p.sync_cycles());
@@ -1582,13 +1586,15 @@ mod tests {
         let mut p = pool(1);
         p.array_mut(0).host_write_lanes(0, &[5, 6]).unwrap();
         p.run_phase(|_, m| {
-            m.add(Operand::Row(0), Operand::Row(0));
-            m.writeback(1);
+            m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
+                .unwrap();
+            m.writeback(1).unwrap();
         });
         let mut m = PimMachine::new(ArrayConfig::qvga());
         m.host_write_lanes(0, &[5, 6]).unwrap();
-        m.add(Operand::Row(0), Operand::Row(0));
-        m.writeback(1);
+        m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
+            .unwrap();
+        m.writeback(1).unwrap();
         // no sync overhead, identical timeline (compute + host I/O)
         assert_eq!(p.wall_cycles(), m.timeline());
         assert_eq!(p.barriers(), 0);
@@ -1657,14 +1663,20 @@ mod tests {
         let mut p = pool(2);
         p.run_phase(|_, m| {
             m.host_broadcast(0, 7).unwrap();
-            m.load(Operand::Row(0));
+            m.alu(
+                AluOp::Logic(LogicFunc::Or),
+                Operand::Row(0),
+                Operand::Row(0),
+                Shift::None,
+            )
+            .unwrap();
         });
         assert!(p.wall_cycles() > 0);
         p.reset_stats();
         assert_eq!(p.wall_cycles(), 0);
         assert_eq!(p.merged_stats().cycles, 0);
         // array contents survive the reset
-        assert_eq!(p.array_mut(0).host_read_lanes(0)[0], 7);
+        assert_eq!(p.array_mut(0).host_read_lanes(0).unwrap()[0], 7);
     }
 
     #[test]
@@ -1683,7 +1695,8 @@ mod tests {
         }
         p.run_phase_labeled("lpf_pass1", |i, m| {
             for _ in 0..=i {
-                m.add(Operand::Row(0), Operand::Row(0));
+                m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
+                    .unwrap();
             }
         });
         let snap = tele.snapshot();
@@ -1713,9 +1726,10 @@ mod tests {
     fn telemetry_does_not_perturb_accounting() {
         let shard = |i: usize, m: &mut PimMachine| {
             m.host_write_lanes(0, &[i as i64 + 1, 2]).unwrap();
-            m.add(Operand::Row(0), Operand::Row(0));
-            m.writeback(1);
-            m.host_read_lanes(1)[0]
+            m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
+                .unwrap();
+            m.writeback(1).unwrap();
+            m.host_read_lanes(1).unwrap()[0]
         };
         let mut off = pool(3);
         let r_off = off.run_phase_labeled("s", shard);
@@ -1737,7 +1751,13 @@ mod tests {
         p.try_quarantine(1).unwrap();
         p.run_phase_labeled("s", |_, m| {
             m.host_broadcast(0, 1).unwrap();
-            m.load(Operand::Row(0));
+            m.alu(
+                AluOp::Logic(LogicFunc::Or),
+                Operand::Row(0),
+                Operand::Row(0),
+                Shift::None,
+            )
+            .unwrap();
         });
         p.export_health_telemetry();
         let text = tele.metrics_text();
@@ -1753,9 +1773,10 @@ mod tests {
         let mut b = pool(3);
         let shard = |i: usize, m: &mut PimMachine| {
             m.host_write_lanes(0, &[i as i64 + 1, 2]).unwrap();
-            m.add(Operand::Row(0), Operand::Row(0));
-            m.writeback(1);
-            m.host_read_lanes(1)[0]
+            m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
+                .unwrap();
+            m.writeback(1).unwrap();
+            m.host_read_lanes(1).unwrap()[0]
         };
         let ra = a.run_phase(shard);
         let rb = b.run_phase_resilient(shard).unwrap();
@@ -1789,7 +1810,8 @@ mod tests {
         p.try_quarantine(0).unwrap();
         p.run_phase_resilient(|_, m| {
             m.host_write_lanes(0, &[1]).unwrap();
-            m.add(Operand::Row(0), Operand::Row(0));
+            m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
+                .unwrap();
         })
         .unwrap();
         let io = p.array(0).cost_model().transfer_cycles(1);
@@ -1836,7 +1858,13 @@ mod tests {
         for _ in 0..ScrubConfig::default().probation_phases {
             p.run_phase_resilient(|_, m| {
                 m.host_broadcast(0, 1).unwrap();
-                m.load(Operand::Row(0));
+                m.alu(
+                    AluOp::Logic(LogicFunc::Or),
+                    Operand::Row(0),
+                    Operand::Row(0),
+                    Shift::None,
+                )
+                .unwrap();
             })
             .unwrap();
         }
@@ -1942,9 +1970,10 @@ mod tests {
                     // bits differ from the stored data), then compute
                     m.host_write_lanes(0, &[0, 0]).unwrap();
                     m.host_write_lanes(1, &[3, 4]).unwrap();
-                    m.add(Operand::Row(0), Operand::Row(1));
-                    m.writeback(2);
-                    (shard, m.host_read_lanes(2)[0])
+                    m.alu(AluOp::Add, Operand::Row(0), Operand::Row(1), Shift::None)
+                        .unwrap();
+                    m.writeback(2).unwrap();
+                    (shard, m.host_read_lanes(2).unwrap()[0])
                 })
                 .unwrap();
             // shard 0 was re-dispatched to array 1 and computed cleanly
@@ -1980,7 +2009,7 @@ mod tests {
             let lanes = p
                 .run_phase_resilient(|_, m| {
                     m.host_write_lanes(3, &[0, 0]).unwrap();
-                    m.host_read_lanes(3)[0]
+                    m.host_read_lanes(3).unwrap()[0]
                 })
                 .unwrap();
             assert_eq!(lanes, vec![0, 0], "stuck bit must be remapped away");
@@ -2004,7 +2033,13 @@ mod tests {
             let mut p = builder.build_pool(2);
             let lanes = p.run_phase(|_, m| {
                 m.host_write_lanes(0, &[11, 22, 33, 44]).unwrap();
-                m.load(Operand::Row(0));
+                m.alu(
+                    AluOp::Logic(LogicFunc::Or),
+                    Operand::Row(0),
+                    Operand::Row(0),
+                    Shift::None,
+                )
+                .unwrap();
                 m.tmp_lanes()[..4].to_vec()
             });
             assert_ne!(

@@ -68,27 +68,11 @@ impl ExecStats {
         *self.op_histogram.entry(class).or_insert(0) += 1;
     }
 
-    /// Difference `self - earlier`, for scoped measurements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `earlier` is not a prefix of `self` (counters must be
-    /// monotone) — use [`ExecStats::try_since`] when `earlier` may come
-    /// from a different measurement scope (e.g. after a
+    /// Difference `self - earlier`, for scoped measurements, with every
+    /// subtraction checked: returns `None` if any counter (including
+    /// the op histogram) went backwards instead of wrapping around —
+    /// `earlier` came from a different measurement scope (e.g. a
     /// [`ExecStats::retract`] or a stats reset in between).
-    pub fn since(&self, earlier: &ExecStats) -> ExecStats {
-        self.try_since(earlier).unwrap_or_else(|| {
-            panic!(
-                "ExecStats::since: counters went backwards — `earlier` is not a \
-                 prefix of `self` (was reset_stats/retract_stats called between \
-                 the two snapshots?)\n  earlier: {earlier:?}\n  self: {self:?}"
-            )
-        })
-    }
-
-    /// Difference `self - earlier` with every subtraction checked;
-    /// returns `None` if any counter (including the op histogram) went
-    /// backwards instead of wrapping around.
     pub fn try_since(&self, earlier: &ExecStats) -> Option<ExecStats> {
         let mut hist = BTreeMap::new();
         for (k, v) in &earlier.op_histogram {
@@ -346,7 +330,7 @@ mod tests {
         b.sram_reads = 6;
         b.record_op(OpClass::Mul);
         b.record_op(OpClass::Div);
-        let d = b.since(&a);
+        let d = b.try_since(&a).unwrap();
         assert_eq!(d.cycles, 15);
         assert_eq!(d.sram_reads, 2);
         assert_eq!(d.op_histogram[&OpClass::Mul], 1);
@@ -368,15 +352,6 @@ mod tests {
         assert_eq!(c.try_since(&a), None);
         c.record_op(OpClass::Mul);
         assert_eq!(c.try_since(&a), Some(ExecStats::new()));
-    }
-
-    #[test]
-    #[should_panic(expected = "counters went backwards")]
-    fn since_panics_with_clear_message_on_underflow() {
-        let mut a = ExecStats::new();
-        a.sram_reads = 5;
-        let b = ExecStats::new();
-        let _ = b.since(&a);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! bit-for-bit with the gate-level reference model built from the two
 //! sense amplifiers and the sliced accumulator.
 
-use pimvo_pim::{bitexact, ArrayConfig, LaneWidth, LogicFunc, Operand, PimMachine, Signedness};
+use pimvo_pim::{
+    bitexact, AluOp, ArrayConfig, LaneWidth, LogicFunc, Operand, PimMachine, Shift, Signedness,
+};
 use proptest::prelude::*;
 
 fn machine_with(width: LaneWidth, a: &[u64], b: &[u64]) -> PimMachine {
@@ -30,7 +32,7 @@ proptest! {
         let b: Vec<u64> = a.iter().enumerate()
             .map(|(i, _)| (b_seed.rotate_left(i as u32)) & 0xFF).collect();
         let mut m = machine_with(LaneWidth::W8, &a, &b);
-        m.add(Operand::Row(0), Operand::Row(1));
+        m.alu(AluOp::Add, Operand::Row(0), Operand::Row(1), Shift::None).unwrap();
         let got = tmp_unsigned(&m, a.len(), 8);
 
         let ra = bitexact::encode_lanes(&a, LaneWidth::W8);
@@ -46,7 +48,7 @@ proptest! {
         let n = a.len().min(b.len());
         let (a, b) = (&a[..n], &b[..n]);
         let mut m = machine_with(LaneWidth::W16, a, b);
-        m.add(Operand::Row(0), Operand::Row(1));
+        m.alu(AluOp::Add, Operand::Row(0), Operand::Row(1), Shift::None).unwrap();
         let got = tmp_unsigned(&m, n, 16);
 
         let ra = bitexact::encode_lanes(a, LaneWidth::W16);
@@ -62,7 +64,7 @@ proptest! {
         let n = a.len().min(b.len());
         let (a, b) = (&a[..n], &b[..n]);
         let mut m = machine_with(LaneWidth::W8, a, b);
-        m.sub(Operand::Row(0), Operand::Row(1));
+        m.alu(AluOp::Sub, Operand::Row(0), Operand::Row(1), Shift::None).unwrap();
         let got = tmp_unsigned(&m, n, 8);
 
         let ra = bitexact::encode_lanes(a, LaneWidth::W8);
@@ -78,7 +80,7 @@ proptest! {
         let n = a.len().min(b.len());
         let (a, b) = (&a[..n], &b[..n]);
         let mut m = machine_with(LaneWidth::W8, a, b);
-        m.abs_diff(Operand::Row(0), Operand::Row(1));
+        m.alu(AluOp::AbsDiff, Operand::Row(0), Operand::Row(1), Shift::None).unwrap();
         let got = tmp_unsigned(&m, n, 8);
 
         let ra = bitexact::encode_lanes(a, LaneWidth::W8);
@@ -98,9 +100,9 @@ proptest! {
         let (gmin, gmax) = bitexact::min_max(&ra, &rb, LaneWidth::W8);
 
         let mut m = machine_with(LaneWidth::W8, a, b);
-        m.min(Operand::Row(0), Operand::Row(1));
+        m.alu(AluOp::Min, Operand::Row(0), Operand::Row(1), Shift::None).unwrap();
         prop_assert_eq!(tmp_unsigned(&m, n, 8), bitexact::decode_lanes(&gmin, LaneWidth::W8));
-        m.max(Operand::Row(0), Operand::Row(1));
+        m.alu(AluOp::Max, Operand::Row(0), Operand::Row(1), Shift::None).unwrap();
         prop_assert_eq!(tmp_unsigned(&m, n, 8), bitexact::decode_lanes(&gmax, LaneWidth::W8));
     }
 
@@ -111,7 +113,7 @@ proptest! {
         let n = a.len().min(b.len());
         let (a, b) = (&a[..n], &b[..n]);
         let mut m = machine_with(LaneWidth::W16, a, b);
-        m.mul(Operand::Row(0), Operand::Row(1));
+        m.mul(Operand::Row(0), Operand::Row(1)).unwrap();
         let got = tmp_unsigned(&m, n, 32);
 
         let ra = bitexact::encode_lanes(a, LaneWidth::W16);
@@ -132,9 +134,9 @@ proptest! {
         let (gq, gr) = bitexact::divide(&ra, &rb, LaneWidth::W16);
 
         let mut m = machine_with(LaneWidth::W16, a, b);
-        m.div(Operand::Row(0), Operand::Row(1));
+        m.div(Operand::Row(0), Operand::Row(1)).unwrap();
         prop_assert_eq!(tmp_unsigned(&m, n, 16), gq);
-        m.rem(Operand::Row(0), Operand::Row(1));
+        m.rem(Operand::Row(0), Operand::Row(1)).unwrap();
         prop_assert_eq!(tmp_unsigned(&m, n, 16), gr);
     }
 
@@ -155,7 +157,7 @@ proptest! {
             (LogicFunc::Or, &s.or),
         ] {
             let mut m = machine_with(LaneWidth::W8, a, b);
-            m.logic(f, Operand::Row(0), Operand::Row(1));
+            m.alu(AluOp::Logic(f), Operand::Row(0), Operand::Row(1), Shift::None).unwrap();
             prop_assert_eq!(
                 tmp_unsigned(&m, n, 8),
                 bitexact::decode_lanes(bits, LaneWidth::W8),
@@ -172,7 +174,7 @@ proptest! {
         let n = a.len().min(b.len());
         let (a, b) = (&a[..n], &b[..n]);
         let mut m = machine_with(LaneWidth::W8, a, b);
-        m.cmp_gt(Operand::Row(0), Operand::Row(1));
+        m.alu(AluOp::CmpGt, Operand::Row(0), Operand::Row(1), Shift::None).unwrap();
         // gate level: a > b  <=>  b - a borrows  <=> carry-out of (b - a) is 0
         let ra = bitexact::encode_lanes(a, LaneWidth::W8);
         let rb = bitexact::encode_lanes(b, LaneWidth::W8);

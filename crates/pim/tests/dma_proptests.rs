@@ -85,7 +85,7 @@ mod faulted {
                 m.host_write_lanes(i, vals).unwrap();
             }
             for (i, vals) in rows.iter().enumerate() {
-                let got = m.host_read_lanes(i);
+                let got = m.host_read_lanes(i).unwrap();
                 prop_assert_eq!(&got[..vals.len()], &vals[..], "row {} corrupted", i);
             }
 

@@ -321,6 +321,42 @@ impl OpTrace {
         self.dropped += other.dropped;
     }
 
+    /// A disassembly-style listing, one line per record: kind, kernel
+    /// label, rows read → row written, start cycle, cycles and SRAM
+    /// accesses. A leading notice reports records the producer's ring
+    /// dropped.
+    pub fn listing(&self) -> String {
+        let row = |r: u32| (r != NO_ROW).then(|| format!("r{r}"));
+        let mut out = String::new();
+        if self.dropped > 0 {
+            let _ = writeln!(
+                out,
+                "... {} earlier record(s) dropped by the ring buffer ...",
+                self.dropped
+            );
+        }
+        for r in &self.records {
+            let reads: Vec<String> = r.rows.iter().filter_map(|&x| row(x)).collect();
+            let reads = if reads.is_empty() {
+                "-".to_string()
+            } else {
+                reads.join(",")
+            };
+            let _ = writeln!(
+                out,
+                "{:<10} {:<14} {:>9} -> {:<5} @{:<8} {:>4} cyc {:>3} sram",
+                r.kind.as_str(),
+                self.label(r.label).unwrap_or("-"),
+                reads,
+                row(r.dst).unwrap_or_else(|| "-".to_string()),
+                r.start,
+                r.cycles,
+                r.sram
+            );
+        }
+        out
+    }
+
     /// Serializes the trace into the versioned, CRC-checked container.
     /// Byte-deterministic: the same trace always encodes identically.
     pub fn encode(&self) -> Vec<u8> {
@@ -895,6 +931,27 @@ mod tests {
         assert_eq!(a.dropped, 2);
         assert_eq!(a.label(a.records[1].label), Some("hpf"));
         assert_eq!(a.labels.len(), 2, "shared labels deduplicate");
+    }
+
+    #[test]
+    fn listing_has_one_line_per_record_and_a_drop_notice() {
+        let mut t = sample();
+        let listing = t.listing();
+        assert_eq!(listing.lines().count(), t.len());
+        let mul = listing.lines().nth(2).unwrap();
+        assert!(mul.starts_with("mul"), "{mul}");
+        assert!(mul.contains("lpf_pass1"), "{mul}");
+        assert!(mul.contains("r0 -> -"), "{mul}");
+        assert!(!listing.contains("dropped"));
+
+        t.dropped = 2;
+        let listing = t.listing();
+        assert_eq!(listing.lines().count(), t.len() + 1);
+        assert!(listing
+            .lines()
+            .next()
+            .unwrap()
+            .contains("2 earlier record(s) dropped"));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 #
 #   fmt check -> build (release) -> workspace tests -> fault-feature
 #   tests -> clippy (-D warnings) -> rustdoc (-D warnings) -> IR golden
-#   snapshots
+#   snapshots -> smokes -> bench gates
 #
 # Every step is mandatory. The formatter and clippy gates run the
 # pinned workspace toolchain, so lint results are reproducible.
@@ -27,9 +27,6 @@ step cargo test -q --workspace
 # too, including the fleet fault-containment proptests in pimvo-serve
 step cargo test -q --features fault -p pimvo-pim -p pimvo-core
 step cargo test -q --features fault -p pimvo-serve
-# feature-gate matrix: the deprecated hand-scheduled kernel wrappers
-# must still build and pass their equivalence tests when re-enabled
-step cargo test -q -p pimvo-kernels --features legacy-kernels
 step cargo clippy --all-targets --all-features -- -D warnings
 # rustdoc, warnings as errors (vendored dep stubs excluded: their docs
 # mirror the upstream crates, not this project)
@@ -97,6 +94,11 @@ rm -rf "$chaos_out"
 # bench regression gate: the headline cycle counts must match the
 # committed BENCH_*.json snapshots within tolerance
 step scripts/bench_check.sh
+
+# host-time benchmark smoke: the hostbench crate builds against the
+# workspace's public API and runs every workload briefly, so an API
+# removal that breaks the benchmark fails here
+step cargo run --release --quiet --offline --manifest-path hostbench/Cargo.toml -- --smoke
 
 if [ "$fail" -ne 0 ]; then
     echo

@@ -7,8 +7,11 @@ use pimvo::cnn::{render_shape, Shape, SmallNet};
 use pimvo::core::pim_exec::{run_batch, BATCH};
 use pimvo::core::{extract_features, Keyframe, QFeature, QPose};
 use pimvo::kernels::{ir, EdgeConfig};
-use pimvo::pim::{ArrayConfig, CostModel, OpClass, PimMachine};
+use pimvo::pim::{
+    ArrayConfig, CostModel, LowerLevel, OpClass, PimMachine, DEFAULT_OP_RING_CAPACITY,
+};
 use pimvo::scene::{Sequence, SequenceKind};
+use pimvo::telemetry::optrace::OpKind;
 use pimvo::vomath::{Pinhole, SE3};
 
 #[test]
@@ -20,7 +23,7 @@ fn one_machine_runs_vo_and_cnn_workloads() {
     let frame = &seq.frames[0];
 
     // 1. edge detection on the array
-    let maps = ir::edge_detect(&mut m, &frame.gray, &cfg, pimvo::pim::LowerLevel::Opt);
+    let maps = ir::edge_detect(&mut m, &frame.gray, &cfg, LowerLevel::Opt);
     assert!(maps.edge_count() > 1000);
 
     // 2. one pose-estimation batch on the same array (pose staging rows
@@ -66,12 +69,7 @@ fn multireg_and_single_reg_machines_agree_end_to_end() {
     let cfg = EdgeConfig::default();
 
     let mut m1 = PimMachine::new(ArrayConfig::qvga_banks(6));
-    let single = ir::edge_detect(
-        &mut m1,
-        &seq.frames[0].gray,
-        &cfg,
-        pimvo::pim::LowerLevel::Opt,
-    );
+    let single = ir::edge_detect(&mut m1, &seq.frames[0].gray, &cfg, LowerLevel::Opt);
 
     let mut m4 = PimMachine::new(ArrayConfig::qvga_banks(6));
     m4.set_tmp_regs(ir::REGS_REQUIRED);
@@ -79,7 +77,7 @@ fn multireg_and_single_reg_machines_agree_end_to_end() {
         &mut m4,
         &seq.frames[0].gray,
         &cfg,
-        pimvo::pim::LowerLevel::MultiReg(ir::REGS_REQUIRED),
+        LowerLevel::MultiReg(ir::REGS_REQUIRED),
     );
 
     assert_eq!(single.mask, multi.mask);
@@ -93,39 +91,49 @@ fn multireg_and_single_reg_machines_agree_end_to_end() {
     );
 }
 
-#[test]
-fn trace_covers_a_full_edge_detection() {
+/// Runs a full edge detection at `level` with the op recorder armed
+/// and checks the recorded ledger against the machine's statistics:
+/// the compute records (host transfers and DMA run on the I/O
+/// timeline, not the compute ledger) sum to `ExecStats::cycles`, and
+/// there is one write-back record per SRAM write. Returns the number
+/// of compute records.
+fn check_op_ledger(regs: u8, level: LowerLevel) -> usize {
     let seq = Sequence::generate(SequenceKind::Desk, 1);
     let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
-    m.set_tracing(true);
-    let _ = ir::edge_detect(
-        &mut m,
-        &seq.frames[0].gray,
-        &EdgeConfig::default(),
-        pimvo::pim::LowerLevel::Opt,
-    );
-    let trace = m.trace().expect("tracing on");
-    assert!(trace.len() > 3_000, "trace events {}", trace.len());
-    // the trace's cycle accounting must agree with the machine ledger
-    let traced_cycles: u64 = trace.events().iter().map(|e| e.cycles).sum();
-    assert_eq!(traced_cycles, m.stats().cycles);
-    let traced_writes: u64 = trace.events().iter().map(|e| e.sram_writes).sum();
-    assert_eq!(traced_writes, m.stats().sram_writes);
+    m.set_tmp_regs(regs);
+    m.arm_op_recorder(0, DEFAULT_OP_RING_CAPACITY);
+    let _ = ir::edge_detect(&mut m, &seq.frames[0].gray, &EdgeConfig::default(), level);
+    let trace = m.drain_op_trace().expect("recorder armed");
+    assert_eq!(trace.dropped, 0, "ring sized for a full frame");
+    let io = [
+        OpKind::HostWrite,
+        OpKind::HostRead,
+        OpKind::DmaIn,
+        OpKind::DmaOut,
+        OpKind::DmaStall,
+    ];
+    let compute: Vec<_> = trace
+        .records
+        .iter()
+        .filter(|r| !io.contains(&r.kind))
+        .collect();
+    let traced_cycles: u64 = compute.iter().map(|r| r.cycles).sum();
+    assert_eq!(traced_cycles, m.stats().cycles, "{level}");
+    let writebacks = compute
+        .iter()
+        .filter(|r| r.kind == OpKind::WriteBack)
+        .count() as u64;
+    assert_eq!(writebacks, m.stats().sram_writes, "{level}");
+    compute.len()
+}
+
+#[test]
+fn trace_covers_a_full_edge_detection() {
+    let ops = check_op_ledger(1, LowerLevel::Opt);
+    assert!(ops > 3_000, "compute records {ops}");
 }
 
 #[test]
 fn trace_ledger_agrees_on_the_multireg_pipeline_too() {
-    let seq = Sequence::generate(SequenceKind::Desk, 1);
-    let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
-    m.set_tmp_regs(ir::REGS_REQUIRED);
-    m.set_tracing(true);
-    let _ = ir::edge_detect(
-        &mut m,
-        &seq.frames[0].gray,
-        &EdgeConfig::default(),
-        pimvo::pim::LowerLevel::MultiReg(ir::REGS_REQUIRED),
-    );
-    let trace = m.trace().expect("tracing on");
-    let traced_cycles: u64 = trace.events().iter().map(|e| e.cycles).sum();
-    assert_eq!(traced_cycles, m.stats().cycles);
+    check_op_ledger(ir::REGS_REQUIRED, LowerLevel::MultiReg(ir::REGS_REQUIRED));
 }
