@@ -159,6 +159,12 @@ pub struct PimMachine {
     /// persistent defect is remapped to a spare.
     remap: BTreeMap<usize, usize>,
     tmp: Vec<i64>,
+    /// Interpreter lane buffers, reused by every macro-op so an inert
+    /// machine allocates nothing per op once they are sized: the two
+    /// decoded row operands, and the next Tmp contents (swapped with
+    /// `tmp` when an op completes, so the old Tmp buffer is recycled).
+    lane_in: [Vec<i64>; 2],
+    lane_out: Vec<i64>,
     /// Logical bit width of the Tmp Reg contents (doubles after `mul`).
     tmp_bits: u32,
     /// Additional temporary registers (index 1..): `(lanes, bits)`.
@@ -321,6 +327,8 @@ impl PimMachine {
             spares_used: 0,
             remap: BTreeMap::new(),
             tmp: Vec::new(),
+            lane_in: [Vec::new(), Vec::new()],
+            lane_out: Vec::new(),
             tmp_bits: 8,
             extra_regs: Vec::new(),
             width: LaneWidth::W8,
@@ -655,7 +663,9 @@ impl PimMachine {
         if self.tmp.is_empty() {
             return Err(PimError::TmpEmpty);
         }
-        self.extra_regs[slot] = (self.tmp.clone(), self.tmp_bits);
+        let (lanes, bits) = &mut self.extra_regs[slot];
+        lanes.clone_from(&self.tmp);
+        *bits = self.tmp_bits;
         let cycle_start = self.stats.cycles;
         self.stats.cycles += 1;
         self.stats.acc_ops += 1;
@@ -796,28 +806,7 @@ impl PimMachine {
                 lanes,
             });
         }
-        self.check_row(row)?;
-        let bits = self.width.bits();
-        let bytes = self.width.bytes();
-        let phys = self.phys_row(row);
-        // encode into a scratch wire image first: the transfer model
-        // needs the payload after the row borrow ends
-        let mut buf = vec![0u8; self.config.row_bytes()];
-        for (i, &v) in values.iter().enumerate() {
-            let raw = sat::wrap_unsigned(v, bits);
-            buf[i * bytes..(i + 1) * bytes].copy_from_slice(&raw.to_le_bytes()[..bytes]);
-        }
-        self.rows[phys].copy_from_slice(&buf);
-        // the wire moves only the valid lanes; the zero tail is a row
-        // clear strobe, not burst traffic
-        let moved = values.len() * bytes;
-        self.host_transfer(
-            self.transfer_kind,
-            row as u32,
-            &buf[..moved],
-            values.len() as u32,
-        );
-        Ok(())
+        self.host_write_encoded(row, values.iter().copied())
     }
 
     /// Fills every lane of a row with a constant (threshold rows etc.).
@@ -827,8 +816,28 @@ impl PimMachine {
     /// Returns [`PimError::RowOutOfRange`] for a bad row index.
     pub fn host_broadcast(&mut self, row: usize, value: i64) -> Result<(), PimError> {
         let lanes = self.lanes();
-        let vals = vec![value; lanes];
-        self.host_write_lanes(row, &vals)
+        self.host_write_encoded(row, std::iter::repeat_n(value, lanes))
+    }
+
+    /// Encodes lane values straight into a row's cells (unfilled lanes
+    /// become zero) and transfers them, the row's own bytes serving as
+    /// the wire image.
+    fn host_write_encoded(
+        &mut self,
+        row: usize,
+        values: impl Iterator<Item = i64>,
+    ) -> Result<(), PimError> {
+        self.check_row(row)?;
+        let phys = self.phys_row(row);
+        // the row is lent out for the transfer, which never reads cells
+        let mut cells = std::mem::take(&mut self.rows[phys]);
+        let moved = encode_lanes(&mut cells, self.width, values);
+        // the wire moves only the valid lanes; the zero tail is a row
+        // clear strobe, not burst traffic
+        let lanes = (moved / self.width.bytes()) as u32;
+        self.host_transfer(self.transfer_kind, row as u32, &cells[..moved], lanes);
+        self.rows[phys] = cells;
+        Ok(())
     }
 
     /// Reads a row's lane values at the current configuration.
@@ -839,13 +848,15 @@ impl PimMachine {
     pub fn host_read_lanes(&mut self, row: usize) -> Result<Vec<i64>, PimError> {
         self.check_row(row)?;
         let lanes = self.lanes() as u32;
-        let vals = self.read_row(row, true);
-        // snapshot the row's wire image for the outbound descriptor
-        // (the channel reads the burst buffer at issue; the host sees
-        // the values now, the port pays for them on its own clock)
+        let mut vals = Vec::new();
+        self.read_row(row, true, &mut vals);
+        // the row's cells are the outbound descriptor's wire image (the
+        // channel reads the burst buffer at issue; the host sees the
+        // values now, the port pays for them on its own clock)
         let phys = self.phys_row(row);
-        let payload = self.rows[phys].clone();
-        self.host_transfer(TransferKind::StripOut, row as u32, &payload, lanes);
+        let cells = std::mem::take(&mut self.rows[phys]);
+        self.host_transfer(TransferKind::StripOut, row as u32, &cells, lanes);
+        self.rows[phys] = cells;
         Ok(vals)
     }
 
@@ -1036,55 +1047,55 @@ impl PimMachine {
         match op {
             AluOp::Logic(f) => {
                 let mask = width_mask(bits);
-                self.binop(OpClass::Logic, a, b, b_pix, bits, move |x, y, _| {
+                self.binop(OpClass::Logic, a, b, b_pix, bits, move |x, y| {
                     let r = f.apply(x as u64 & mask, y as u64 & mask) & mask;
                     r as i64
                 })?;
             }
             AluOp::Add => {
-                self.binop(OpClass::AddSub, a, b, b_pix, bits, move |x, y, _| {
+                self.binop(OpClass::AddSub, a, b, b_pix, bits, move |x, y| {
                     wrap(x + y, bits, sign)
                 })?;
             }
             AluOp::Sub => {
-                self.binop(OpClass::AddSub, a, b, b_pix, bits, move |x, y, _| {
+                self.binop(OpClass::AddSub, a, b, b_pix, bits, move |x, y| {
                     wrap(x - y, bits, sign)
                 })?;
             }
             AluOp::SatAdd => {
-                self.binop(OpClass::SatAddSub, a, b, b_pix, bits, move |x, y, _| {
+                self.binop(OpClass::SatAddSub, a, b, b_pix, bits, move |x, y| {
                     clamp(x + y, bits, sign)
                 })?;
             }
             AluOp::SatSub => {
-                self.binop(OpClass::SatAddSub, a, b, b_pix, bits, move |x, y, _| {
+                self.binop(OpClass::SatAddSub, a, b, b_pix, bits, move |x, y| {
                     clamp(x - y, bits, sign)
                 })?;
             }
             AluOp::Avg => {
-                self.binop(OpClass::Avg, a, b, b_pix, bits, |x, y, _| (x + y) >> 1)?;
+                self.binop(OpClass::Avg, a, b, b_pix, bits, |x, y| (x + y) >> 1)?;
             }
             AluOp::AbsDiff => {
                 // Step 1: M = a - b (+ carry extension), SRAM-touching.
                 // Steps 2-3: Tmp-resident single-cycle fixups (Fig. 7-a).
-                self.binop(OpClass::AbsDiff, a, b, b_pix, bits, move |x, y, _| {
+                self.binop(OpClass::AbsDiff, a, b, b_pix, bits, move |x, y| {
                     clamp((x - y).abs(), bits, sign)
                 })?;
                 self.charge_tmp_steps(2);
             }
             AluOp::Max => {
                 // max(a, b) = sat(a - b) + b (Fig. 7-b)
-                self.binop(OpClass::MinMax, a, b, b_pix, bits, |x, y, _| x.max(y))?;
+                self.binop(OpClass::MinMax, a, b, b_pix, bits, |x, y| x.max(y))?;
                 self.charge_tmp_steps(1);
             }
             AluOp::Min => {
                 // min(a, b) = a - sat(a - b)
-                self.binop(OpClass::MinMax, a, b, b_pix, bits, |x, y, _| x.min(y))?;
+                self.binop(OpClass::MinMax, a, b, b_pix, bits, |x, y| x.min(y))?;
                 self.charge_tmp_steps(1);
             }
             AluOp::CmpGt => {
                 let mask = width_mask(bits) as i64;
-                self.binop(OpClass::Cmp, a, b, b_pix, bits, move |x, y, _| {
+                self.binop(OpClass::Cmp, a, b, b_pix, bits, move |x, y| {
                     if x > y {
                         mask
                     } else {
@@ -1105,7 +1116,10 @@ impl PimMachine {
     /// Propagates operand errors (see [`PimMachine::alu`]).
     pub fn shift_pix(&mut self, a: Operand, pix: i32) -> Result<(), PimError> {
         let bits = self.op_bits(a, a);
-        self.unop(OpClass::Shift, a, bits, move |vals| shift_lanes(vals, pix))
+        self.unop(OpClass::Shift, a, bits, move |vals, out| {
+            out.extend_from_slice(vals);
+            shift_in_place(out, pix);
+        })
     }
 
     /// Arithmetic/logical right shift of every lane by `k` bits
@@ -1117,13 +1131,9 @@ impl PimMachine {
     pub fn shr_bits(&mut self, a: Operand, k: u32) -> Result<(), PimError> {
         let bits = self.op_bits(a, a);
         let sign = self.sign;
-        self.unop(OpClass::Shift, a, bits, move |vals| {
-            vals.iter()
-                .map(|&v| match sign {
-                    Signedness::Signed => v >> k,
-                    Signedness::Unsigned => ((v as u64) >> k) as i64,
-                })
-                .collect()
+        self.unop(OpClass::Shift, a, bits, move |vals, out| match sign {
+            Signedness::Signed => out.extend(vals.iter().map(|&v| v >> k)),
+            Signedness::Unsigned => out.extend(vals.iter().map(|&v| ((v as u64) >> k) as i64)),
         })
     }
 
@@ -1135,8 +1145,8 @@ impl PimMachine {
     pub fn shl_bits(&mut self, a: Operand, k: u32) -> Result<(), PimError> {
         let bits = self.op_bits(a, a);
         let sign = self.sign;
-        self.unop(OpClass::Shift, a, bits, move |vals| {
-            vals.iter().map(|&v| wrap(v << k, bits, sign)).collect()
+        self.unop(OpClass::Shift, a, bits, move |vals, out| {
+            out.extend(vals.iter().map(|&v| wrap(v << k, bits, sign)));
         })
     }
 
@@ -1156,7 +1166,7 @@ impl PimMachine {
         let n = self.width.bits();
         let mask = width_mask(n);
         let bits = n; // operands at lane width
-        self.binop(OpClass::Mul, a, b, 0, bits, move |x, y, _| {
+        self.binop(OpClass::Mul, a, b, 0, bits, move |x, y| {
             let p = (x as u64 & mask).wrapping_mul(y as u64 & mask);
             p as i64 // 2n <= 64 bits
         })?;
@@ -1177,7 +1187,7 @@ impl PimMachine {
     /// Propagates operand errors (see [`PimMachine::alu`]).
     pub fn mul_signed(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
         let n = self.width.bits();
-        self.binop(OpClass::Mul, a, b, 0, n, move |x, y, _| {
+        self.binop(OpClass::Mul, a, b, 0, n, move |x, y| {
             (x as i128 * y as i128) as i64 // 2n <= 64 bits exact
         })?;
         self.tmp_bits = (2 * n).min(64);
@@ -1201,7 +1211,7 @@ impl PimMachine {
     pub fn div(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
         let n = self.width.bits();
         let mask = width_mask(n);
-        self.binop(OpClass::Div, a, b, 0, n, move |x, y, _| {
+        self.binop(OpClass::Div, a, b, 0, n, move |x, y| {
             let (x, y) = (x as u64 & mask, y as u64 & mask);
             if y == 0 {
                 mask as i64
@@ -1223,7 +1233,7 @@ impl PimMachine {
     pub fn rem(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
         let n = self.width.bits();
         let mask = width_mask(n);
-        self.binop(OpClass::Div, a, b, 0, n, move |x, y, _| {
+        self.binop(OpClass::Div, a, b, 0, n, move |x, y| {
             let (x, y) = (x as u64 & mask, y as u64 & mask);
             if y == 0 {
                 x as i64
@@ -1246,7 +1256,7 @@ impl PimMachine {
     /// Propagates operand errors (see [`PimMachine::alu`]).
     pub fn div_signed(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
         let n = self.width.bits();
-        self.binop(OpClass::Div, a, b, 0, n, move |x, y, _| {
+        self.binop(OpClass::Div, a, b, 0, n, move |x, y| {
             if y == 0 {
                 if x >= 0 {
                     (1i64 << (n - 1)) - 1
@@ -1275,7 +1285,7 @@ impl PimMachine {
     pub fn div_frac(&mut self, a: Operand, b: Operand, frac: u32) -> Result<(), PimError> {
         let n = self.width.bits();
         let mask = width_mask(n);
-        self.binop(OpClass::Div, a, b, 0, n + frac, move |x, y, _| {
+        self.binop(OpClass::Div, a, b, 0, n + frac, move |x, y| {
             let (x, y) = ((x as u64 & mask) as u128, (y as u64 & mask) as u128);
             if y == 0 {
                 width_mask(n + frac) as i64
@@ -1302,7 +1312,7 @@ impl PimMachine {
     pub fn div_frac_signed(&mut self, a: Operand, b: Operand, frac: u32) -> Result<(), PimError> {
         let n = self.width.bits();
         let out_bits = (n + frac).min(64);
-        self.binop(OpClass::Div, a, b, 0, out_bits, move |x, y, _| {
+        self.binop(OpClass::Div, a, b, 0, out_bits, move |x, y| {
             if y == 0 {
                 let max = (1i64 << (out_bits - 1)) - 1;
                 if x >= 0 {
@@ -1331,8 +1341,8 @@ impl PimMachine {
     pub fn neg(&mut self, a: Operand) -> Result<(), PimError> {
         let bits = self.op_bits(a, a);
         let sign = self.sign;
-        self.unop(OpClass::AddSub, a, bits, move |vals| {
-            vals.iter().map(|&v| wrap(-v, bits, sign)).collect()
+        self.unop(OpClass::AddSub, a, bits, move |vals, out| {
+            out.extend(vals.iter().map(|&v| wrap(-v, bits, sign)));
         })
     }
 
@@ -1344,8 +1354,8 @@ impl PimMachine {
     ///
     /// Propagates operand errors (see [`PimMachine::alu`]).
     pub fn sat_narrow(&mut self, a: Operand, bits: u32) -> Result<(), PimError> {
-        self.unop(OpClass::SatAddSub, a, bits, move |vals| {
-            vals.iter().map(|&v| sat::clamp_signed(v, bits)).collect()
+        self.unop(OpClass::SatAddSub, a, bits, move |vals, out| {
+            out.extend(vals.iter().map(|&v| sat::clamp_signed(v, bits)));
         })
     }
 
@@ -1358,19 +1368,12 @@ impl PimMachine {
     /// [`PimError::TmpEmpty`] when the Tmp Reg holds no value.
     pub fn writeback(&mut self, dst: usize) -> Result<(), PimError> {
         self.check_row(dst)?;
-        let bits = self.width.bits();
-        let bytes = self.width.bytes();
         if self.tmp.is_empty() {
             return Err(PimError::TmpEmpty);
         }
         let lanes = self.lanes();
-        let mut data = vec![0u8; self.config.row_bytes()];
-        for (i, &v) in self.tmp.iter().take(lanes).enumerate() {
-            let raw = sat::wrap_unsigned(v, bits);
-            data[i * bytes..(i + 1) * bytes].copy_from_slice(&raw.to_le_bytes()[..bytes]);
-        }
         let phys = self.phys_row(dst);
-        self.rows[phys] = data;
+        encode_lanes(&mut self.rows[phys], self.width, self.tmp.iter().copied());
         let cycle_start = self.stats.cycles;
         self.stats.cycles += 1;
         self.stats.sram_writes += 1;
@@ -1439,10 +1442,22 @@ impl PimMachine {
         for &(row, _) in addresses {
             self.check_row(row)?;
         }
+        let (width, sign, lanes) = (self.width, self.sign, self.lanes());
         let mut out = Vec::with_capacity(addresses.len());
+        let mut sensed = Vec::new();
         for &(row, lane) in addresses {
-            let vals = self.read_row(row, false);
-            let v = vals.get(lane).copied().unwrap_or(0);
+            let v = if !self.fault.is_inert() {
+                // an armed read draws the whole row's faults
+                self.read_row(row, false, &mut sensed);
+                sensed.get(lane).copied().unwrap_or(0)
+            } else if lane < lanes {
+                // an inert read senses nothing but the addressed lane
+                let at = lane * width.bytes();
+                let cells = &self.rows[self.phys_row(row)][at..at + width.bytes()];
+                decode_lane(cells, width, sign)
+            } else {
+                0
+            };
             out.push(v);
         }
         let n = addresses.len() as u64;
@@ -1554,28 +1569,6 @@ impl PimMachine {
         }
     }
 
-    fn decode_bytes(&self, data: &[u8]) -> Vec<i64> {
-        let bits = self.width.bits();
-        let bytes = self.width.bytes();
-        let lanes = self.lanes();
-        let mut out = Vec::with_capacity(lanes);
-        for i in 0..lanes {
-            let mut buf = [0u8; 8];
-            buf[..bytes].copy_from_slice(&data[i * bytes..(i + 1) * bytes]);
-            let raw = u64::from_le_bytes(buf);
-            let v = match self.sign {
-                Signedness::Unsigned => raw as i64,
-                Signedness::Signed => sat::wrap_signed(raw as i64, bits),
-            };
-            out.push(v);
-        }
-        out
-    }
-
-    fn decode_row(&self, row: usize) -> Vec<i64> {
-        self.decode_bytes(&self.rows[self.phys_row(row)])
-    }
-
     /// Resolves a logical row to its physical storage row through the
     /// remap table. Identity (and branch-predictable) while the table
     /// is empty, so un-remapped machines pay nothing.
@@ -1588,22 +1581,26 @@ impl PimMachine {
         }
     }
 
-    /// Reads a row through the sense amplifiers, applying the fault
-    /// model and word protection when configured. The default (inert
-    /// fault unit) takes the historical fast path untouched — bit- and
-    /// cycle-identical to a build without the fault layer. Transient
-    /// upsets corrupt the *sensed copy* only; cell contents stay intact.
-    fn read_row(&mut self, row: usize, host: bool) -> Vec<i64> {
+    /// Reads a row through the sense amplifiers into `out` (its lanes
+    /// at the current configuration), applying the fault model and word
+    /// protection when configured. The default (inert fault unit)
+    /// decodes the cells in place — bit- and cycle-identical to a build
+    /// without the fault layer. An armed read senses a copy, so
+    /// transient upsets corrupt the sensed values only and cell contents
+    /// stay intact; every armed read advances the fault stream by one
+    /// row.
+    fn read_row(&mut self, row: usize, host: bool, out: &mut Vec<i64>) {
         debug_assert!(row < self.config.rows, "read_row caller must check_row");
-        if self.fault.is_inert() {
-            return self.decode_row(row);
-        }
         // faults live with the *physical* cells: a logical row remapped
         // to a spare escapes the defective row's stuck bits
         let phys = self.phys_row(row);
+        if self.fault.is_inert() {
+            decode_lanes(&self.rows[phys], self.width, self.sign, out);
+            return;
+        }
         let mut data = self.rows[phys].clone();
         self.fault.apply_to_read(phys, &mut data, host);
-        self.decode_bytes(&data)
+        decode_lanes(&data, self.width, self.sign, out);
     }
 
     /// Charges the word-protection overhead of `accesses` protected
@@ -1636,17 +1633,23 @@ impl PimMachine {
         }
     }
 
-    fn operand_values(&mut self, op: Operand) -> Result<Vec<i64>, PimError> {
+    /// Validates an operand and says where its lanes live for the
+    /// current op. A row is sensed into lane buffer `slot`; Tmp and
+    /// extra registers are read in place.
+    fn load_operand(&mut self, op: Operand, slot: usize) -> Result<Src, PimError> {
         match op {
             Operand::Row(r) => {
                 self.check_row(r)?;
-                Ok(self.read_row(r, false))
+                let mut buf = std::mem::take(&mut self.lane_in[slot]);
+                self.read_row(r, false, &mut buf);
+                self.lane_in[slot] = buf;
+                Ok(Src::In(slot))
             }
             Operand::Tmp => {
                 if self.tmp.is_empty() {
                     return Err(PimError::TmpEmpty);
                 }
-                Ok(self.tmp.clone())
+                Ok(Src::Tmp)
             }
             Operand::Reg(i) => {
                 if i == 0 {
@@ -1662,8 +1665,17 @@ impl PimMachine {
                 if self.extra_regs[slot].0.is_empty() {
                     return Err(PimError::RegisterEmpty { idx: i });
                 }
-                Ok(self.extra_regs[slot].0.clone())
+                Ok(Src::Reg(slot))
             }
+        }
+    }
+
+    /// The lanes of a loaded operand.
+    fn lanes_of(&self, src: Src) -> &[i64] {
+        match src {
+            Src::In(slot) => &self.lane_in[slot],
+            Src::Tmp => &self.tmp,
+            Src::Reg(slot) => &self.extra_regs[slot].0,
         }
     }
 
@@ -1702,21 +1714,34 @@ impl PimMachine {
         b: Operand,
         b_pix: i32,
         out_bits: u32,
-        f: impl Fn(i64, i64, usize) -> i64,
+        f: impl Fn(i64, i64) -> i64,
     ) -> Result<(), PimError> {
-        let av = self.operand_values(a)?;
-        let bv_raw = self.operand_values(b)?;
-        let bv = if b_pix != 0 {
-            shift_lanes(&bv_raw, b_pix)
+        let sa = self.load_operand(a, 0)?;
+        // an inert machine senses a row read by both operands once (an
+        // armed one reads it twice: each read draws its own faults)
+        let mut sb = if a == b && a.touches_sram() && self.fault.is_inert() {
+            sa
         } else {
-            bv_raw
+            self.load_operand(b, 1)?
         };
-        let lanes = av.len().min(bv.len());
-        let mut out = Vec::with_capacity(lanes);
-        for i in 0..lanes {
-            out.push(f(av[i], bv[i], i));
+        if b_pix != 0 {
+            // the lane pre-shift is a slice copy within lane buffer 1
+            if sb != Src::In(1) {
+                let mut buf = std::mem::take(&mut self.lane_in[1]);
+                buf.clear();
+                buf.extend_from_slice(self.lanes_of(sb));
+                self.lane_in[1] = buf;
+                sb = Src::In(1);
+            }
+            shift_in_place(&mut self.lane_in[1], b_pix);
         }
-        self.tmp = out;
+        let mut out = std::mem::take(&mut self.lane_out);
+        out.clear();
+        let (av, bv) = (self.lanes_of(sa), self.lanes_of(sb));
+        out.extend(av.iter().zip(bv).map(|(&x, &y)| f(x, y)));
+        let lanes = out.len();
+        // the old Tmp buffer becomes the next op's output buffer
+        self.lane_out = std::mem::replace(&mut self.tmp, out);
         self.tmp_bits = out_bits;
         // cycle/energy accounting
         let cycle_start = self.stats.cycles;
@@ -1756,10 +1781,13 @@ impl PimMachine {
         class: OpClass,
         a: Operand,
         out_bits: u32,
-        f: impl Fn(&[i64]) -> Vec<i64>,
+        f: impl Fn(&[i64], &mut Vec<i64>),
     ) -> Result<(), PimError> {
-        let av = self.operand_values(a)?;
-        self.tmp = f(&av);
+        let sa = self.load_operand(a, 0)?;
+        let mut out = std::mem::take(&mut self.lane_out);
+        out.clear();
+        f(self.lanes_of(sa), &mut out);
+        self.lane_out = std::mem::replace(&mut self.tmp, out);
         self.tmp_bits = out_bits;
         let cycle_start = self.stats.cycles;
         self.stats.cycles += 1;
@@ -1848,19 +1876,101 @@ fn kind_of(class: OpClass) -> OpKind {
     }
 }
 
-/// Shift lane values: positive `pix` moves lane `i + pix` into lane `i`.
-fn shift_lanes(vals: &[i64], pix: i32) -> Vec<i64> {
-    let n = vals.len() as i64;
-    (0..n)
-        .map(|i| {
-            let src = i + pix as i64;
-            if src >= 0 && src < n {
-                vals[src as usize]
-            } else {
-                0
+/// Where an operand's lanes live during one macro-op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Src {
+    /// Sensed into interpreter lane buffer `lane_in[i]`.
+    In(usize),
+    /// The primary Tmp Reg.
+    Tmp,
+    /// Extra register `extra_regs[i]`.
+    Reg(usize),
+}
+
+/// Shifts lanes in place: positive `pix` moves lane `i + pix` into lane
+/// `i`; zeros shift in at the border.
+fn shift_in_place(lanes: &mut [i64], pix: i32) {
+    let n = lanes.len();
+    let p = (pix.unsigned_abs() as usize).min(n);
+    if pix > 0 {
+        lanes.copy_within(p.., 0);
+        lanes[n - p..].fill(0);
+    } else {
+        lanes.copy_within(..n - p, p);
+        lanes[..p].fill(0);
+    }
+}
+
+/// Expands `$body` once per lane storage type: `$t` names the
+/// little-endian cell type of a `$width` × `$sign` lane, so each lane
+/// codec loop below is monomorphic (no per-lane width or sign match).
+macro_rules! with_lane_type {
+    ($width:expr, $sign:expr, $t:ident => $body:expr) => {
+        match ($width, $sign) {
+            (LaneWidth::W8, Signedness::Unsigned) => {
+                type $t = u8;
+                $body
             }
-        })
-        .collect()
+            (LaneWidth::W8, Signedness::Signed) => {
+                type $t = i8;
+                $body
+            }
+            (LaneWidth::W16, Signedness::Unsigned) => {
+                type $t = u16;
+                $body
+            }
+            (LaneWidth::W16, Signedness::Signed) => {
+                type $t = i16;
+                $body
+            }
+            (LaneWidth::W32, Signedness::Unsigned) => {
+                type $t = u32;
+                $body
+            }
+            (LaneWidth::W32, Signedness::Signed) => {
+                type $t = i32;
+                $body
+            }
+            // unsigned 64-bit lanes reinterpret the raw word as i64
+            (LaneWidth::W64, _) => {
+                type $t = i64;
+                $body
+            }
+        }
+    };
+}
+
+/// Decodes the cells of whole lanes into `out` (cleared first):
+/// zero-extended for unsigned lanes, sign-extended for signed ones.
+#[allow(clippy::unnecessary_cast)] // identity in the 64-bit arm only
+fn decode_lanes(cells: &[u8], width: LaneWidth, sign: Signedness, out: &mut Vec<i64>) {
+    out.clear();
+    with_lane_type!(width, sign, T => out.extend(
+        cells
+            .chunks_exact(std::mem::size_of::<T>())
+            .map(|c| T::from_le_bytes(c.try_into().expect("lane-sized chunk")) as i64),
+    ));
+}
+
+/// Decodes one lane's cells (exactly `width.bytes()` of them).
+#[allow(clippy::unnecessary_cast)] // identity in the 64-bit arm only
+fn decode_lane(cells: &[u8], width: LaneWidth, sign: Signedness) -> i64 {
+    with_lane_type!(width, sign, T => T::from_le_bytes(cells.try_into().expect("one lane")) as i64)
+}
+
+/// Encodes `values` into the leading lanes of a row's cells, wrapping
+/// each to the lane width, and zeroes the lanes after the last value.
+/// Returns the number of bytes the values cover.
+fn encode_lanes(cells: &mut [u8], width: LaneWidth, values: impl Iterator<Item = i64>) -> usize {
+    let mut n = 0;
+    with_lane_type!(width, Signedness::Unsigned, T => {
+        for (c, v) in cells.chunks_exact_mut(std::mem::size_of::<T>()).zip(values) {
+            c.copy_from_slice(&(v as T).to_le_bytes());
+            n += c.len();
+        }
+    });
+    cells[n..].fill(0);
+    n
 }
 
 #[inline]
@@ -2108,6 +2218,80 @@ mod tests {
         assert_eq!(&m.tmp_lanes()[..4], &[0, 1, 2, 3]);
     }
 
+    /// The lane codec at every width × signedness: boundary values
+    /// written by the host come back through Tmp loads, lane shifts
+    /// (stand-alone and fused onto a Tmp operand), write-back and host
+    /// reads exactly as a scalar model predicts.
+    #[test]
+    fn lane_codec_matrix() {
+        use LaneWidth::{W16, W32, W64, W8};
+        use Signedness::{Signed, Unsigned};
+        // scalar model: the lane's stored bit pattern, and its value
+        fn raw(v: i64, bits: u32) -> i64 {
+            let sh = 64 - bits;
+            ((v as u64) << sh >> sh) as i64
+        }
+        fn value(v: i64, bits: u32, sign: Signedness) -> i64 {
+            let sh = 64 - bits;
+            match sign {
+                Unsigned => raw(v, bits),
+                Signed => (v << sh) >> sh,
+            }
+        }
+        fn shifted(v: &[i64], pix: i32) -> Vec<i64> {
+            (0..v.len() as i64)
+                .map(|i| usize::try_from(i + i64::from(pix)).map_or(0, |j| *v.get(j).unwrap_or(&0)))
+                .collect()
+        }
+        let or = AluOp::Logic(LogicFunc::Or);
+        for width in [W8, W16, W32, W64] {
+            for sign in [Unsigned, Signed] {
+                let mut m = machine();
+                m.set_lanes(width, sign);
+                let bits = width.bits();
+                let lanes = m.lanes();
+                let top = 1i64 << (bits - 1); // sign bit only (i64::MIN at 64)
+                let (min, max) = match sign {
+                    Unsigned => (0, raw(-1, bits)),
+                    Signed => (top, !top),
+                };
+                let pattern = [0, 1, -1, min, max, top, 7];
+                let vals: Vec<i64> = (0..lanes).map(|i| pattern[i % pattern.len()]).collect();
+                let want: Vec<i64> = vals.iter().map(|&v| value(v, bits, sign)).collect();
+                let want_raw: Vec<i64> = vals.iter().map(|&v| raw(v, bits)).collect();
+                let ctx = format!("{width:?} {sign:?}");
+
+                m.host_write_lanes(0, &vals).unwrap();
+                assert_eq!(m.host_read_lanes(0).unwrap(), want, "{ctx} host round trip");
+                m.host_broadcast(1, 0).unwrap();
+                for pix in [1, -1, lanes as i32 - 1, 1 - lanes as i32] {
+                    let ctx = format!("{ctx} pix {pix}");
+                    // logic ops yield the stored bit pattern
+                    m.alu(or, Operand::Row(0), Operand::Row(0), Shift::None)
+                        .unwrap();
+                    assert_eq!(m.tmp_lanes(), &want_raw[..], "{ctx} load");
+                    m.shift_pix(Operand::Tmp, pix).unwrap();
+                    assert_eq!(m.tmp_lanes(), &shifted(&want_raw, pix)[..], "{ctx} shift");
+                    m.writeback(2).unwrap();
+                    assert_eq!(
+                        m.host_read_lanes(2).unwrap(),
+                        shifted(&want, pix),
+                        "{ctx} write-back"
+                    );
+                    // fused pre-shift of a Tmp operand, OR'd with zeros
+                    m.alu(or, Operand::Row(0), Operand::Row(0), Shift::None)
+                        .unwrap();
+                    m.alu(or, Operand::Row(1), Operand::Tmp, Shift::Pix(pix))
+                        .unwrap();
+                    assert_eq!(m.tmp_lanes(), &shifted(&want_raw, pix)[..], "{ctx} fused");
+                    // stand-alone shift of a row decodes the lane values
+                    m.shift_pix(Operand::Row(0), pix).unwrap();
+                    assert_eq!(m.tmp_lanes(), &shifted(&want, pix)[..], "{ctx} row shift");
+                }
+            }
+        }
+    }
+
     #[test]
     fn cmp_produces_mask() {
         let mut m = machine();
@@ -2181,6 +2365,13 @@ mod tests {
         assert_eq!(vals, vec![9, 7]);
         assert_eq!(m.stats().cycles - c0, 2);
         assert_eq!(m.stats().sram_reads, 2);
+        // one lane decoded at the current width and sign; a lane past
+        // the word line reads zero but still costs its cycle
+        m.set_lanes(LaneWidth::W16, Signedness::Signed);
+        m.host_write_lanes(5, &[-2, 300]).unwrap();
+        let vals = m.gather(&[(5, 1), (5, 0), (5, 160)]).unwrap();
+        assert_eq!(vals, vec![300, -2, 0]);
+        assert_eq!(m.stats().sram_reads, 5);
     }
 
     #[test]

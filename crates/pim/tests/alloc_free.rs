@@ -1,0 +1,118 @@
+//! The interpreter's allocation contract: once its lane buffers are
+//! sized, an inert `PimMachine` runs a lowered program without touching
+//! the heap. Edge programs allocate nothing; a pose program allocates
+//! only the `sums` vector `run_program` returns.
+//!
+//! A counting global allocator sees every allocation of this test
+//! binary, so the file holds exactly one `#[test]`: no other test can
+//! allocate concurrently. Counting is per thread besides, so the test
+//! harness's own threads never show up in the counts.
+
+use pimvo_core::pim_exec::{pose_programs, pose_scratch, POSE_BASE};
+use pimvo_core::Interp;
+use pimvo_kernels::ir::{
+    hpf_program, lpf_pass1_program, lpf_pass2_program, nms_program, scratch_pool,
+};
+use pimvo_kernels::pim_util::Regions;
+use pimvo_pim::{lower, ArrayConfig, LowerLevel, LoweredProgram, PimMachine};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Forwards to the system allocator, counting this thread's
+/// allocations and reallocations.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's
+// arguments; the counter is a const-initialised thread-local `Cell`,
+// which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations made by this thread while `f` runs.
+fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.with(Cell::get);
+    let r = f();
+    (ALLOCS.with(Cell::get) - before, r)
+}
+
+/// Frame height the edge programs are built for (QVGA).
+const HEIGHT: u32 = 240;
+/// Fraction bits of the quantized feature format.
+const FEATURE_FRAC: u32 = 12;
+
+/// The four edge-detection programs over a whole frame and the five
+/// pose-estimation programs, lowered at `Opt` for `m`'s geometry.
+fn programs(m: &PimMachine) -> (Vec<LoweredProgram>, Vec<LoweredProgram>) {
+    let r = Regions::for_machine(m, HEIGHT);
+    let (h, y1) = (HEIGHT, i64::from(HEIGHT));
+    let scratch = scratch_pool(&r);
+    let edge = [
+        lpf_pass1_program(&r, r.input, h, 0, y1),
+        lpf_pass2_program(&r, r.aux2, h, None, 0, y1),
+        hpf_program(&r, r.aux2, r.aux3, h, None, 0, y1),
+        nms_program(&r, r.aux3, r.out, h, None, 0, y1),
+    ]
+    .iter()
+    .map(|p| lower(p, LowerLevel::Opt, &scratch).expect("edge program lowers"))
+    .collect();
+    let scratch = pose_scratch(POSE_BASE);
+    let pose = pose_programs(POSE_BASE, FEATURE_FRAC, Interp::Bilinear)
+        .iter()
+        .map(|p| lower(p, LowerLevel::Opt, &scratch).expect("pose program lowers"))
+        .collect();
+    (edge, pose)
+}
+
+#[test]
+fn warm_run_program_does_not_allocate() {
+    let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
+    let (edge, pose) = programs(&m);
+    // warm-up: one run of each sizes the lane buffers and the op
+    // histogram
+    for prog in edge.iter().chain(&pose) {
+        m.run_program(prog).expect("warm-up run");
+    }
+    for prog in &edge {
+        let (n, sums) = allocations(|| m.run_program(prog).expect("edge run"));
+        assert!(sums.is_empty());
+        assert_eq!(n, 0, "{}: {n} heap allocations in a warm run", prog.name());
+    }
+    for prog in &pose {
+        let (n, sums) = allocations(|| m.run_program(prog).expect("pose run"));
+        assert_eq!(sums.len(), prog.reduce_count());
+        assert!(
+            n <= 1,
+            "{}: {n} heap allocations in a warm run (only `sums` may allocate)",
+            prog.name()
+        );
+    }
+}
