@@ -8,7 +8,7 @@
 
 use crate::feature::Feature;
 use crate::hessian::QNormalEquations;
-use crate::quant::{QFeature, QPose};
+use crate::quant::{QCamera, QFeature, QPose};
 use crate::warp::{project_q, warp_float};
 use pimvo_vomath::{solve_sym6, NormalEquations, Pinhole, SE3};
 
@@ -32,6 +32,7 @@ pub struct WarpErrorStats {
 /// inter-frame pose.
 pub fn warp_error_sweep(cam: &Pinhole, pose: &SE3, configs: &[(u32, u32)]) -> Vec<WarpErrorStats> {
     let qpose = QPose::quantize(pose);
+    let qcam = QCamera::quantize(cam);
     let mut features = Vec::new();
     for i in 0..600 {
         let u = 8.0 + (i % 30) as f64 * 10.3;
@@ -58,7 +59,7 @@ pub fn warp_error_sweep(cam: &Pinhole, pose: &SE3, configs: &[(u32, u32)]) -> Ve
                     continue;
                 };
                 let q = QFeature::quantize_with(f, frac, bits);
-                let Some(w) = project_q(&q, &qpose, cam) else {
+                let Some(w) = project_q(&q, &qpose, &qcam) else {
                     continue;
                 };
                 let uq = w.u_raw as f64 / 64.0;

@@ -6,8 +6,8 @@ use crate::feature::Feature;
 use crate::hessian::QNormalEquations;
 use crate::jacobian::jacobian_q;
 use crate::keyframe::Keyframe;
-use crate::pim_exec::{self, BatchOptions, BatchRunner, BATCH};
-use crate::quant::{Interp, QFeature, QKeyframe, QPose};
+use crate::pim_exec::{self, BatchMapping, BatchOptions, BatchRunner, PoseKernels, BATCH};
+use crate::quant::{Interp, QCamera, QFeature, QKeyframe, QPose, FEAT_FRAC};
 use crate::warp::project_q;
 use pimvo_kernels::{pim_pool, EdgeConfig, EdgeMaps, GrayImage};
 use pimvo_mcu::{CostCounter, FloatFeature};
@@ -352,17 +352,10 @@ impl PimBackend {
     }
 
     /// Traces one calibration batch to learn the per-batch cost.
-    fn batch_cost(&mut self, kf: &QKeyframe, pose: &QPose, cam: &Pinhole) -> ExecStats {
+    fn batch_cost(&mut self, kf: &QKeyframe, pose: &QPose, cam: &QCamera) -> ExecStats {
         if let Some(t) = &self.batch_trace {
             return t.clone();
         }
-        let interp = self.interp();
-        let base_row = self.runner.base_row();
-        // the probe lowers through the pool's shared memo table, like
-        // the real batches it stands in for
-        let cache = self.runner.pool().lowered_cache().clone();
-        let m = self.runner.pool_mut().array_mut(0);
-        let before = m.stats().clone();
         // dummy features: the op sequence (and therefore the cost) is
         // data-independent
         let feats = vec![
@@ -370,27 +363,30 @@ impl PimBackend {
                 a: 100,
                 b: -80,
                 c: 2048,
-                frac: 12,
+                frac: FEAT_FRAC,
             };
             BATCH
         ];
+        // the probe resolves its programs through the pool's shared
+        // memo table, like the submissions it stands in for
+        let pool = self.runner.pool();
+        let kernels = PoseKernels::resolve(
+            pool.lowered_cache(),
+            pool.array(0).config(),
+            self.runner.base_row(),
+            FEAT_FRAC,
+            self.interp(),
+            BatchMapping::Opt,
+        )
+        .unwrap_or_else(|e| panic!("machine too small for pose rows: {e}"));
+        let m = self.runner.pool_mut().array_mut(0);
+        let before = m.stats().clone();
         // isolate the probe: its synchronous stats retract exactly
         // below, while residue on a DMA channel's engine clock / health
         // counters or in an op-trace lane (records whose cycles the
         // retracted wall never pays) could not be rewound
-        let _ = m.with_probe_isolation(|m| {
-            pim_exec::exec_batch(
-                m,
-                base_row,
-                &feats,
-                pose,
-                kf,
-                cam,
-                interp,
-                pim_exec::BatchMapping::Opt,
-                &cache,
-            )
-        });
+        let _ =
+            m.with_probe_isolation(|m| pim_exec::exec_batch(m, &kernels, &feats, pose, kf, cam));
         // try_since: a restored checkpoint may have reset the machine's
         // counters below the captured baseline; fall back to the
         // absolute stats rather than panicking mid-calibration
@@ -452,6 +448,7 @@ impl TrackerBackend for PimBackend {
         pose: &SE3,
     ) -> NormalEquations {
         let qpose = QPose::quantize(pose);
+        let qcam = QCamera::quantize(cam);
         let qkf = &keyframe.q_tables;
 
         if self.runner.options().on_machine {
@@ -483,7 +480,7 @@ impl TrackerBackend for PimBackend {
         let mut valid = 0usize;
         for f in features {
             let qf = QFeature::quantize(f);
-            let Some(w) = project_q(&qf, &qpose, cam) else {
+            let Some(w) = project_q(&qf, &qpose, &qcam) else {
                 continue;
             };
             let Some((r, gu, gv)) = qkf.lookup_with(w.u_raw, w.v_raw, self.interp()) else {
@@ -499,7 +496,7 @@ impl TrackerBackend for PimBackend {
         // Energy / op totals cover every batch; the wall-clock charge is
         // one batch cost per barrier section of `pool` parallel batches
         // (plus the inter-array sync when the pool is sharded).
-        let trace = self.batch_cost(qkf, &qpose, cam);
+        let trace = self.batch_cost(qkf, &qpose, &qcam);
         let batches = features.len().div_ceil(BATCH) as u64;
         let n = self.runner.pool().len() as u64;
         let sections = batches.div_ceil(n);

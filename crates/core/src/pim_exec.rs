@@ -33,14 +33,26 @@
 //! Residual/gradient lookups are host-addressed gathers
 //! ([`PimMachine::gather`]): one serialized read cycle per element, as
 //! random access cannot use the SIMD datapath.
+//!
+//! # Compile once, execute many
+//!
+//! The five programs depend only on the staging rows, the feature
+//! fraction, the interpolation mode, the mapping and the array
+//! geometry — never on the features, pose or keyframe. A submission
+//! therefore resolves them through the pool's [`LoweredCache`] once
+//! (`PoseKernels`) and every batch of it runs the held lowered
+//! programs: no batch builds, hashes or looks up a program.
 
 use crate::hessian::{tri_idx, QNormalEquations};
-use crate::quant::{Interp, QFeature, QKeyframe, QPose, PIX_FRAC, POSE_FRAC, RATIO_FRAC};
+use crate::quant::{
+    Interp, QCamera, QFeature, QKeyframe, QPose, FEAT_FRAC, PIX_FRAC, POSE_FRAC, RATIO_FRAC,
+};
 use pimvo_pim::{
-    ArrayConfig, LaneWidth, LowerLevel, LoweredCache, PimArrayPool, PimError, PimMachine,
-    PimMachineBuilder, PimProgram, ScratchRows, Signedness, VReg, Val,
+    ArrayConfig, LaneWidth, LowerLevel, LoweredCache, LoweredProgram, PimArrayPool, PimError,
+    PimMachine, PimMachineBuilder, PimProgram, ScratchRows, Signedness, VReg, Val,
 };
 use pimvo_vomath::Pinhole;
+use std::sync::Arc;
 
 use Val::Row;
 
@@ -114,11 +126,12 @@ impl Default for BatchOptions {
 /// Unified submission front end for the pose-estimation pipeline.
 ///
 /// The runner owns a [`PimArrayPool`] and executes whole feature sets:
-/// [`BatchRunner::submit`] splits the features into [`BATCH`]-sized
-/// chunks and shards them across the pool's arrays in sections of
-/// `pool` batches, one pool barrier per section. The legacy free
-/// functions [`run_batch`], [`run_batch_with`] and [`run_batch_naive`]
-/// are thin wrappers over the same single-batch core.
+/// [`BatchRunner::submit`] resolves the five lowered pose programs
+/// once, splits the features into [`BATCH`]-sized chunks and shards
+/// them across the pool's arrays in sections of `pool` batches, one
+/// pool barrier per section. The free functions [`run_batch`],
+/// [`run_batch_with`] and [`run_batch_naive`] resolve the same programs
+/// per call and run the same single-batch core.
 ///
 /// ```
 /// use pimvo_core::pim_exec::{BatchOptions, BatchRunner};
@@ -190,6 +203,14 @@ impl BatchRunner {
     /// feature order — bit-identical to running the chunks sequentially
     /// on a single array.
     ///
+    /// The five pose programs are resolved through the pool's
+    /// [`LoweredCache`] once per submission, on the caller's thread,
+    /// before any pool phase: one cache hit per program however many
+    /// batches follow, and no shard touches the cache. A chunk whose
+    /// first feature carries another fraction than the first chunk's
+    /// (hand-built mixed input) gets programs resolved for its own
+    /// fraction.
+    ///
     /// The submission is fault-resilient: sections are sized to the
     /// pool's *healthy* array count and run through
     /// [`PimArrayPool::run_phase_resilient`], so a shard whose array
@@ -202,7 +223,12 @@ impl BatchRunner {
     ///
     /// # Errors
     ///
-    /// [`PimError::AllArraysQuarantined`] once no healthy array remains.
+    /// - [`PimError::RowOutOfRange`] if the arrays lack the staging rows
+    ///   ([`BatchRunner::with_base_row`] or the builder geometry leaves
+    ///   fewer than `base_row + 55` rows); checked before any phase, so
+    ///   no array is touched.
+    /// - [`PimError::AllArraysQuarantined`] once no healthy array
+    ///   remains.
     pub fn submit(
         &mut self,
         feats: &[QFeature],
@@ -210,12 +236,25 @@ impl BatchRunner {
         kf: &QKeyframe,
         cam: &Pinhole,
     ) -> Result<Vec<BatchOutput>, PimError> {
-        let chunks: Vec<&[QFeature]> = feats.chunks(BATCH).collect();
+        let qcam = QCamera::quantize(cam);
+        let (cache, config) = (self.pool.lowered_cache(), self.pool.array(0).config());
         let (base_row, opts) = (self.base_row, self.options);
-        // every shard lowers through the pool's shared memo table, so
-        // the five pose programs lower once per (level, geometry) —
-        // not once per shard, batch or session
-        let cache = self.pool.lowered_cache().clone();
+        let resolve =
+            |ff| PoseKernels::resolve(cache, config, base_row, ff, opts.interp, opts.mapping);
+        let mut kernels = vec![resolve(frac_of(feats))?];
+        // each chunk paired with the index of its kernels in `kernels`
+        let mut chunks = Vec::with_capacity(feats.len().div_ceil(BATCH));
+        for chunk in feats.chunks(BATCH) {
+            let ff = frac_of(chunk);
+            let k = match kernels.iter().position(|k| k.ff == ff) {
+                Some(k) => k,
+                None => {
+                    kernels.push(resolve(ff)?);
+                    kernels.len() - 1
+                }
+            };
+            chunks.push((chunk, k));
+        }
         let mut outputs = Vec::with_capacity(chunks.len());
         let mut next = 0;
         while next < chunks.len() {
@@ -225,19 +264,9 @@ impl BatchRunner {
             let results = self
                 .pool
                 .run_phase_resilient_labeled("lm_batch", |shard, m| {
-                    section.get(shard).map(|c| {
-                        exec_batch(
-                            m,
-                            base_row,
-                            c,
-                            pose,
-                            kf,
-                            cam,
-                            opts.interp,
-                            opts.mapping,
-                            &cache,
-                        )
-                    })
+                    section
+                        .get(shard)
+                        .map(|&(c, k)| exec_batch(m, &kernels[k], c, pose, kf, &qcam))
                 })?;
             outputs.extend(results.into_iter().flatten());
             next += section.len();
@@ -299,25 +328,81 @@ impl PoseRows {
     }
 }
 
-/// Lowers `prog` at `level` and executes it, returning the in-array
-/// reduction results in program order.
+/// The fraction a feature set is quantized at: its first feature's,
+/// or the default Q4.12 of an empty set.
+fn frac_of(feats: &[QFeature]) -> u32 {
+    feats.first().map_or(FEAT_FRAC, |f| f.frac)
+}
+
+/// The five pose programs of [`pose_programs`], lowered for one array
+/// geometry and held for every batch that runs them.
 ///
-/// # Panics
-///
-/// Panics if the program fails to lower (a bug in the builders below)
-/// or references rows outside the machine.
-fn run_pose_program(
-    m: &mut PimMachine,
-    prog: &PimProgram,
-    level: LowerLevel,
-    scratch: &ScratchRows,
-    cache: &LoweredCache,
-) -> Vec<i64> {
-    let lowered = cache
-        .get_or_lower(prog, level, scratch, m.config())
-        .unwrap_or_else(|e| panic!("lowering {} at {level}: {e}", prog.name()));
-    m.run_program(&lowered)
-        .unwrap_or_else(|e| panic!("running {}: {e}", prog.name()))
+/// The programs are resolved through a [`LoweredCache`], so the cache
+/// stays the single lowering authority (one miss per distinct program,
+/// then hits); holding the `Arc`s spares each batch the program builds
+/// and hashed lookups. Valid for batches whose features carry fraction
+/// `ff`, on machines of the geometry they were resolved for.
+#[derive(Debug, Clone)]
+pub(crate) struct PoseKernels {
+    rows: PoseRows,
+    ff: u32,
+    interp: Interp,
+    mapping: BatchMapping,
+    warp: Arc<LoweredProgram>,
+    /// Fractional weights; bilinear interpolation only.
+    frac: Option<Arc<LoweredProgram>>,
+    residual: Arc<LoweredProgram>,
+    jacobian: Arc<LoweredProgram>,
+    hessian: Arc<LoweredProgram>,
+}
+
+impl PoseKernels {
+    /// Builds the pose programs for staging rows at `base_row` and
+    /// feature fraction `ff`, and lowers them through `cache` at the
+    /// mapping's level for geometry `config`.
+    ///
+    /// # Errors
+    ///
+    /// [`PimError::RowOutOfRange`] if `config` lacks the staging rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a program fails to lower (a bug in the builders).
+    pub(crate) fn resolve(
+        cache: &LoweredCache,
+        config: &ArrayConfig,
+        base_row: usize,
+        ff: u32,
+        interp: Interp,
+        mapping: BatchMapping,
+    ) -> Result<Self, PimError> {
+        let last = base_row.saturating_add(PoseRows::LOWER + PoseRows::LOWER_LEN - 1);
+        if last >= config.rows {
+            return Err(PimError::RowOutOfRange {
+                row: last,
+                rows: config.rows,
+            });
+        }
+        let rows = PoseRows::new(base_row);
+        let level = mapping.level();
+        let scratch = rows.lower_scratch();
+        let lower = |prog: PimProgram| {
+            cache
+                .get_or_lower(&prog, level, &scratch, config)
+                .unwrap_or_else(|e| panic!("lowering {} at {level}: {e}", prog.name()))
+        };
+        Ok(PoseKernels {
+            rows,
+            ff,
+            interp,
+            mapping,
+            warp: lower(warp_program(&rows, ff)),
+            frac: (interp == Interp::Bilinear).then(|| lower(frac_weights_program(&rows))),
+            residual: lower(residual_program(&rows, interp)),
+            jacobian: lower(jacobian_program(&rows)),
+            hessian: lower(hessian_program(&rows)),
+        })
+    }
 }
 
 /// Warp, projection and depth-validity program (Fig. 5-b):
@@ -570,13 +655,15 @@ pub struct BatchOutput {
 }
 
 /// Executes one batch (≤ [`BATCH`] features) of the pose-estimation
-/// pipeline on the machine. `base_row` is the first of ~40 scratch rows
-/// used for staging.
+/// pipeline on the machine. `base_row` is the first of 55 scratch rows
+/// used for staging. The programs are resolved through
+/// [`LoweredCache::global`] on every call; [`BatchRunner::submit`]
+/// resolves once per feature set.
 ///
 /// # Panics
 ///
 /// Panics if more than [`BATCH`] features are supplied or the machine
-/// lacks `base_row + 40` rows.
+/// lacks `base_row + 55` rows.
 #[inline]
 pub fn run_batch(
     m: &mut PimMachine,
@@ -586,7 +673,7 @@ pub fn run_batch(
     kf: &QKeyframe,
     cam: &Pinhole,
 ) -> BatchOutput {
-    exec_batch(
+    run_single(
         m,
         base_row,
         feats,
@@ -595,7 +682,6 @@ pub fn run_batch(
         cam,
         Interp::Bilinear,
         BatchMapping::Opt,
-        LoweredCache::global(),
     )
 }
 
@@ -614,24 +700,13 @@ pub fn run_batch_with(
     cam: &Pinhole,
     interp: Interp,
 ) -> BatchOutput {
-    exec_batch(
-        m,
-        base_row,
-        feats,
-        pose,
-        kf,
-        cam,
-        interp,
-        BatchMapping::Opt,
-        LoweredCache::global(),
-    )
+    run_single(m, base_row, feats, pose, kf, cam, interp, BatchMapping::Opt)
 }
 
-/// Single-batch core behind [`BatchRunner`] and the `run_batch*`
-/// wrappers: executes one chunk of ≤ [`BATCH`] features with the given
-/// interpolation and mapping.
+/// Resolves the pose programs through [`LoweredCache::global`] and
+/// runs one batch: the body of the `run_batch*` wrappers.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_batch(
+fn run_single(
     m: &mut PimMachine,
     base_row: usize,
     feats: &[QFeature],
@@ -640,18 +715,53 @@ pub(crate) fn exec_batch(
     cam: &Pinhole,
     interp: Interp,
     mapping: BatchMapping,
-    cache: &LoweredCache,
+) -> BatchOutput {
+    let kernels = PoseKernels::resolve(
+        LoweredCache::global(),
+        m.config(),
+        base_row,
+        frac_of(feats),
+        interp,
+        mapping,
+    )
+    .unwrap_or_else(|e| panic!("machine too small for pose rows: {e}"));
+    exec_batch(m, &kernels, feats, pose, kf, &QCamera::quantize(cam))
+}
+
+/// Single-batch core behind [`BatchRunner`] and the `run_batch*`
+/// wrappers: executes one chunk of ≤ [`BATCH`] features with the
+/// pre-resolved `kernels` (their interpolation and mapping), on a
+/// machine of the geometry they were resolved for.
+///
+/// # Panics
+///
+/// Panics if more than [`BATCH`] features are supplied.
+pub(crate) fn exec_batch(
+    m: &mut PimMachine,
+    kernels: &PoseKernels,
+    feats: &[QFeature],
+    pose: &QPose,
+    kf: &QKeyframe,
+    cam: &QCamera,
 ) -> BatchOutput {
     assert!(feats.len() <= BATCH, "batch too large: {}", feats.len());
-    assert!(
-        base_row + PoseRows::LOWER + PoseRows::LOWER_LEN <= m.config().rows,
-        "machine too small for pose rows"
+    debug_assert_eq!(
+        frac_of(feats),
+        kernels.ff,
+        "kernels resolved for another fraction"
     );
-    let rows = PoseRows::new(base_row);
+    let PoseKernels {
+        rows,
+        ff,
+        interp,
+        mapping,
+        ..
+    } = *kernels;
+    let run = |m: &mut PimMachine, prog: &LoweredProgram| {
+        m.run_program(prog)
+            .unwrap_or_else(|e| panic!("running {}: {e}", prog.name()))
+    };
     let n = feats.len();
-    let ff = feats.first().map(|f| f.frac).unwrap_or(12);
-    let level = mapping.level();
-    let scratch = rows.lower_scratch();
 
     // ---- host setup (I/O, not compute) --------------------------------
     m.set_lanes(LaneWidth::W32, Signedness::Signed);
@@ -676,14 +786,11 @@ pub(crate) fn exec_batch(
         m.host_broadcast(rows.r(PoseRows::POSE0 + 9 + k), t as i64)
             .expect("host I/O row in range");
     }
-    let f_q = (cam.f * (1 << PIX_FRAC) as f64).round() as i64;
-    let cx_q = (cam.cx * (1 << PIX_FRAC) as f64).round() as i64;
-    let cy_q = (cam.cy * (1 << PIX_FRAC) as f64).round() as i64;
-    m.host_broadcast(rows.r(PoseRows::CONST_F), f_q)
+    m.host_broadcast(rows.r(PoseRows::CONST_F), cam.f)
         .expect("host I/O row in range");
-    m.host_broadcast(rows.r(PoseRows::CONST_CX), cx_q)
+    m.host_broadcast(rows.r(PoseRows::CONST_CX), cam.cx)
         .expect("host I/O row in range");
-    m.host_broadcast(rows.r(PoseRows::CONST_CY), cy_q)
+    m.host_broadcast(rows.r(PoseRows::CONST_CY), cam.cy)
         .expect("host I/O row in range");
 
     // ---- warp / projection / validity mask (Fig. 5-b) ------------------
@@ -691,14 +798,14 @@ pub(crate) fn exec_batch(
         .expect("host I/O row in range");
     m.host_broadcast(rows.r(PoseRows::LOWHALF), 0xFFFF)
         .expect("host I/O row in range");
-    let _ = run_pose_program(m, &warp_program(&rows, ff), level, &scratch, cache);
+    let _ = run(m, &kernels.warp);
 
     // ---- residual / gradient gather (host-addressed) -------------------
-    if interp == Interp::Bilinear {
+    if let Some(frac) = &kernels.frac {
         // fractional weights wu, wv (Q0.6): a single AND with 0x3F
         m.host_broadcast(rows.r(PoseRows::SCRATCH), (1 << PIX_FRAC) - 1)
             .expect("host I/O row in range");
-        let _ = run_pose_program(m, &frac_weights_program(&rows), level, &scratch, cache);
+        let _ = run(m, frac);
     }
 
     let read =
@@ -778,12 +885,12 @@ pub(crate) fn exec_batch(
     // residual: bilinear lerp pipeline (or the nearest staging copy),
     // with the validity mask folded in before the store — zeroed and
     // packed for the W16 hessian stage
-    let _ = run_pose_program(m, &residual_program(&rows, interp), level, &scratch, cache);
+    let _ = run(m, &kernels.residual);
 
     // ---- Jacobian (Fig. 5-d shared-subexpression pipeline) -------------
     // invalid lanes are masked branch-free: multiplying by the 0/-1 Z
     // mask would flip signs; instead each row is ANDed with it
-    let _ = run_pose_program(m, &jacobian_program(&rows), level, &scratch, cache);
+    let _ = run(m, &kernels.jacobian);
 
     // read back jacobians and residuals (host view for verification /
     // fast-path checks). The combined mask packed each lane into 16-bit
@@ -811,7 +918,7 @@ pub(crate) fn exec_batch(
     // (charged at half cost: two 80-feature half-batches pack one
     // 160-lane word line; see the module docs)
     let before = m.stats().clone();
-    let sums = run_pose_program(m, &hessian_program(&rows), level, &scratch, cache);
+    let sums = run(m, &kernels.hessian);
     let mut h_partial = [0i64; 21];
     let mut b_partial = [0i64; 6];
     let mut it = sums.into_iter();
@@ -892,7 +999,7 @@ pub fn run_batch_naive(
     kf: &QKeyframe,
     cam: &Pinhole,
 ) -> BatchOutput {
-    exec_batch(
+    run_single(
         m,
         base_row,
         feats,
@@ -901,7 +1008,6 @@ pub fn run_batch_naive(
         cam,
         Interp::Bilinear,
         BatchMapping::Naive,
-        LoweredCache::global(),
     )
 }
 
@@ -984,7 +1090,7 @@ mod tests {
         let out = run_batch(&mut m, 1280, &feats, &pose, &kf, &cam);
 
         for (i, f) in feats.iter().enumerate() {
-            let fast = project_q(f, &pose, &cam);
+            let fast = project_q(f, &pose, &QCamera::quantize(&cam));
             match fast {
                 Some(w) => {
                     assert_eq!(out.u_raw[i], w.u_raw, "lane {i} u");
@@ -1066,7 +1172,7 @@ mod tests {
         let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
         let out = run_batch_with(&mut m, 1280, &feats, &pose, &kf, &cam, Interp::Nearest);
         for (i, f) in feats.iter().enumerate() {
-            if let Some(w) = project_q(f, &pose, &cam) {
+            if let Some(w) = project_q(f, &pose, &QCamera::quantize(&cam)) {
                 if out.valid[i] {
                     let (r, gu, gv) = kf
                         .lookup_with(w.u_raw, w.v_raw, Interp::Nearest)
@@ -1168,6 +1274,67 @@ mod tests {
         let reference = run_batch_naive(&mut m, POSE_BASE, &feats, &pose, &kf, &cam);
         assert_eq!(outs, vec![reference]);
         assert_eq!(runner.pool().merged_stats().cycles, m.stats().cycles);
+    }
+
+    #[test]
+    fn warm_submit_resolves_each_pose_program_once() {
+        let cam = Pinhole::qvga();
+        let kf = test_kf(&cam);
+        // 4 batches: a per-batch lookup would add 4 hits per program
+        let feats = test_features(&cam, 3 * BATCH + 17);
+        let pose = QPose::quantize(&SE3::exp(&[0.01, 0.0, 0.02, 0.0, 0.004, 0.0]));
+        for (interp, programs) in [(Interp::Bilinear, 5), (Interp::Nearest, 4)] {
+            let mut runner = BatchRunner::new(BatchOptions {
+                interp,
+                pool: 2,
+                ..Default::default()
+            });
+            runner.pool_mut().set_lowered_cache(LoweredCache::new());
+            let _ = runner.submit(&feats, &pose, &kf, &cam).unwrap();
+            let cold = runner.pool().lowered_cache().stats();
+            assert_eq!((cold.misses, cold.hits), (programs, 0), "{interp:?} cold");
+            let _ = runner.submit(&feats, &pose, &kf, &cam).unwrap();
+            let warm = runner.pool().lowered_cache().stats();
+            assert_eq!(
+                (warm.misses, warm.hits),
+                (programs, programs),
+                "{interp:?}: one hit per program per submission"
+            );
+        }
+    }
+
+    #[test]
+    fn submit_without_room_for_staging_rows_is_an_error() {
+        let cam = Pinhole::qvga();
+        let kf = test_kf(&cam);
+        let feats = test_features(&cam, 2 * BATCH);
+        let pose = QPose::quantize(&SE3::IDENTITY);
+        let rows = ArrayConfig::qvga_banks(6).rows;
+        for (base_row, pool) in [(rows - 10, 1), (rows - 10, 2), (usize::MAX, 2)] {
+            let mut runner = BatchRunner::new(BatchOptions {
+                pool,
+                ..Default::default()
+            })
+            .with_base_row(base_row);
+            let err = runner.submit(&feats, &pose, &kf, &cam).unwrap_err();
+            assert!(
+                matches!(err, PimError::RowOutOfRange { rows: r, .. } if r == rows),
+                "{err:?}"
+            );
+            // rejected before any phase: no array ran anything
+            assert_eq!(runner.pool().merged_stats().cycles, 0);
+            assert_eq!(runner.pool().barriers(), 0);
+        }
+        // a small builder geometry fails the same way
+        let small = PimMachine::builder(ArrayConfig::qvga_banks(1));
+        let mut runner = BatchRunner::from_builder(&small, BatchOptions::default());
+        assert!(matches!(
+            runner.submit(&feats, &pose, &kf, &cam),
+            Err(PimError::RowOutOfRange { .. })
+        ));
+        // the last staging row may be the array's last row
+        let mut runner = BatchRunner::new(BatchOptions::default()).with_base_row(rows - 55);
+        assert!(runner.submit(&feats, &pose, &kf, &cam).is_ok());
     }
 
     #[test]

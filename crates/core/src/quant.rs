@@ -114,6 +114,32 @@ impl QPose {
     }
 }
 
+/// Pinhole intrinsics quantized to the Q10.6 pixel format: the
+/// projection constants `u' = f·qx + cx`, `v' = f·qy + cy` of the warp
+/// (exact for typical integer-ish intrinsics). Quantize once per
+/// linearization and hand the result to every feature's projection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QCamera {
+    /// Focal length, Q10.6 raw.
+    pub f: i64,
+    /// Principal-point column, Q10.6 raw.
+    pub cx: i64,
+    /// Principal-point row, Q10.6 raw.
+    pub cy: i64,
+}
+
+impl QCamera {
+    /// Rounds `f`, `cx` and `cy` to Q10.6.
+    pub fn quantize(cam: &Pinhole) -> QCamera {
+        let q = |v: f64| (v * (1 << PIX_FRAC) as f64).round() as i64;
+        QCamera {
+            f: q(cam.f),
+            cx: q(cam.cx),
+            cy: q(cam.cy),
+        }
+    }
+}
+
 /// Keyframe lookup tables quantized for the PIM: the distance
 /// transform in Q12.4 and the gradient maps pre-scaled by the focal
 /// length into the Jacobian's Q14.2 (so `f·I_u` is a single lookup).

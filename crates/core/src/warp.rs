@@ -14,7 +14,7 @@
 
 use crate::feature::Feature;
 use crate::qmath::{qdiv, qmul_shr};
-use crate::quant::{QFeature, QPose, PIX_FRAC, POSE_FRAC, RATIO_FRAC};
+use crate::quant::{QCamera, QFeature, QPose, POSE_FRAC, RATIO_FRAC};
 use pimvo_vomath::{Pinhole, Vec3, SE3};
 
 /// Result of the quantized warp of one feature.
@@ -55,9 +55,9 @@ pub fn warp_q(f: &QFeature, pose: &QPose) -> Option<(i64, i64, i64)> {
 /// Projects a quantized warp result to pixel coordinates and packages
 /// the quantities the Jacobian kernel consumes.
 ///
-/// `cam` supplies `f`, `cx`, `cy`; they are quantized internally to
-/// Q10.6 constants (exact for typical integer-ish intrinsics).
-pub fn project_q(f: &QFeature, pose: &QPose, cam: &Pinhole) -> Option<WarpQ> {
+/// `cam` supplies the Q10.6 projection constants `f`, `cx`, `cy`
+/// ([`QCamera::quantize`], computed once per linearization).
+pub fn project_q(f: &QFeature, pose: &QPose, cam: &QCamera) -> Option<WarpQ> {
     let ff = f.frac;
     let warp_frac = POSE_FRAC + ff;
     let (x, y, z) = warp_q(f, pose)?;
@@ -65,11 +65,8 @@ pub fn project_q(f: &QFeature, pose: &QPose, cam: &Pinhole) -> Option<WarpQ> {
     let qx = qdiv(x << RATIO_FRAC, z, 32);
     let qy = qdiv(y << RATIO_FRAC, z, 32);
     // pixel coords: u' = f * qx + cx in Q10.6
-    let f_q = (cam.f * (1 << PIX_FRAC) as f64).round() as i64;
-    let cx_q = (cam.cx * (1 << PIX_FRAC) as f64).round() as i64;
-    let cy_q = (cam.cy * (1 << PIX_FRAC) as f64).round() as i64;
-    let u_raw = qmul_shr(f_q, qx, RATIO_FRAC) + cx_q;
-    let v_raw = qmul_shr(f_q, qy, RATIO_FRAC) + cy_q;
+    let u_raw = qmul_shr(cam.f, qx, RATIO_FRAC) + cam.cx;
+    let v_raw = qmul_shr(cam.f, qy, RATIO_FRAC) + cam.cy;
     // Z rescaled to Q4.12 for the Jacobian's divisions
     let z_q12 = z >> (warp_frac - 12);
     if z_q12 <= 0 {
@@ -126,7 +123,7 @@ mod tests {
         let f = feature_at(&cam, 100.25, 81.5, 2.0);
         let q = QFeature::quantize(&f);
         let pose = QPose::quantize(&SE3::IDENTITY);
-        let w = project_q(&q, &pose, &cam).expect("in front");
+        let w = project_q(&q, &pose, &QCamera::quantize(&cam)).expect("in front");
         let u = w.u_raw as f64 / 64.0;
         let v = w.v_raw as f64 / 64.0;
         assert!((u - 100.25).abs() < 0.5, "u={u}");
@@ -140,6 +137,7 @@ mod tests {
         let cam = Pinhole::qvga();
         let pose = SE3::exp(&[0.04, -0.03, 0.05, 0.02, -0.015, 0.01]);
         let qpose = QPose::quantize(&pose);
+        let qcam = QCamera::quantize(&cam);
         let mut max_err: f64 = 0.0;
         for i in 0..500 {
             let u = 10.0 + (i % 25) as f64 * 12.0;
@@ -150,7 +148,7 @@ mod tests {
                 continue;
             };
             let q = QFeature::quantize(&f);
-            let Some(w) = project_q(&q, &qpose, &cam) else {
+            let Some(w) = project_q(&q, &qpose, &qcam) else {
                 continue;
             };
             let (uq, vq) = (w.u_raw as f64 / 64.0, w.v_raw as f64 / 64.0);
@@ -165,6 +163,7 @@ mod tests {
         let cam = Pinhole::qvga();
         let pose = SE3::exp(&[0.04, -0.03, 0.05, 0.02, -0.015, 0.01]);
         let qpose = QPose::quantize(&pose);
+        let qcam = QCamera::quantize(&cam);
         let mut max_err: f64 = 0.0;
         for i in 0..200 {
             let u = 12.0 + (i % 20) as f64 * 15.0;
@@ -175,7 +174,7 @@ mod tests {
             };
             // 8-bit features: Q4.4
             let q = QFeature::quantize_with(&f, 4, 8);
-            let Some(w) = project_q(&q, &qpose, &cam) else {
+            let Some(w) = project_q(&q, &qpose, &qcam) else {
                 continue;
             };
             let (uq, vq) = (w.u_raw as f64 / 64.0, w.v_raw as f64 / 64.0);
@@ -191,7 +190,7 @@ mod tests {
         let q = QFeature::quantize(&f);
         // translate backwards past the point: t_z = -0.9 (c=2 => t*c=-1.8 < -1... saturates)
         let pose = QPose::quantize(&SE3::exp(&[0.0, 0.0, -0.9, 0.0, 0.0, 0.0]));
-        assert!(project_q(&q, &pose, &cam).is_none());
+        assert!(project_q(&q, &pose, &QCamera::quantize(&cam)).is_none());
     }
 
     #[test]
@@ -200,7 +199,7 @@ mod tests {
         let f = feature_at(&cam, 200.0, 100.0, 2.0);
         let q = QFeature::quantize(&f);
         let pose = QPose::quantize(&SE3::IDENTITY);
-        let w = project_q(&q, &pose, &cam).unwrap();
+        let w = project_q(&q, &pose, &QCamera::quantize(&cam)).unwrap();
         // identity: Z = 1 (times c scaling cancels): z_q12 ~ 4096 * 1
         assert!((w.z as f64 / 4096.0 - 1.0).abs() < 0.01);
         // 1/Z_real = c = 0.5

@@ -1,12 +1,17 @@
 //! Property tests of the sharded pose-estimation runner: for random
-//! poses, feature sets and pool sizes, [`BatchRunner::submit`] is
-//! bit-identical to running the batches sequentially on one array,
-//! and the distributed compute work is conserved exactly.
+//! poses, feature sets and pool sizes, and for every interpolation ×
+//! mapping variant of the programs a submission holds,
+//! [`BatchRunner::submit`] is bit-identical to running the batches
+//! sequentially on one array, and the distributed compute work is
+//! conserved exactly.
 
-use pimvo_core::pim_exec::{run_batch, BatchOptions, BatchOutput, BatchRunner, BATCH, POSE_BASE};
-use pimvo_core::{Feature, QFeature, QKeyframe, QPose};
+use pimvo_core::pim_exec::{
+    run_batch, run_batch_naive, run_batch_with, BatchMapping, BatchOptions, BatchOutput,
+    BatchRunner, BATCH, POSE_BASE,
+};
+use pimvo_core::{Feature, Interp, QFeature, QKeyframe, QPose};
 use pimvo_mcu::KeyframeTables;
-use pimvo_pim::{ArrayConfig, PimMachine};
+use pimvo_pim::{ArrayConfig, ExecStats, PimMachine};
 use pimvo_vomath::{distance_transform, gradient_maps, Pinhole, SE3};
 use proptest::prelude::*;
 
@@ -24,6 +29,10 @@ fn test_kf(cam: &Pinhole) -> QKeyframe {
 }
 
 fn features(cam: &Pinhole, n: usize, seed: u64) -> Vec<QFeature> {
+    features_at(cam, n, seed, 12)
+}
+
+fn features_at(cam: &Pinhole, n: usize, seed: u64, frac: u32) -> Vec<QFeature> {
     (0..n)
         .map(|i| {
             let k = (i as u64)
@@ -33,24 +42,89 @@ fn features(cam: &Pinhole, n: usize, seed: u64) -> Vec<QFeature> {
             let v = 10.0 + ((k >> 16) % 220) as f64;
             let d = 0.8 + ((k >> 32) % 500) as f64 * 0.01;
             let (a, b, c) = cam.inverse_depth_coords(u, v, d);
-            QFeature::quantize(&Feature {
+            let f = Feature {
                 u,
                 v,
                 depth: d,
                 a,
                 b,
                 c,
-            })
+            };
+            QFeature::quantize_with(&f, frac, 16)
         })
         .collect()
+}
+
+/// The batches of `feats` run one at a time on a single array, each
+/// resolving its own programs: the free wrappers where one covers the
+/// variant, otherwise a one-array runner fed chunk by chunk.
+fn sequential(
+    feats: &[QFeature],
+    pose: &QPose,
+    kf: &QKeyframe,
+    cam: &Pinhole,
+    interp: Interp,
+    mapping: BatchMapping,
+) -> (Vec<BatchOutput>, ExecStats) {
+    if (mapping, interp) == (BatchMapping::Naive, Interp::Nearest) {
+        let mut one = BatchRunner::new(BatchOptions {
+            mapping,
+            interp,
+            ..Default::default()
+        });
+        let outs = feats
+            .chunks(BATCH)
+            .flat_map(|c| one.submit(c, pose, kf, cam).unwrap())
+            .collect();
+        return (outs, one.pool().merged_stats());
+    }
+    let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
+    let outs = feats
+        .chunks(BATCH)
+        .map(|c| match mapping {
+            BatchMapping::Opt => run_batch_with(&mut m, POSE_BASE, c, pose, kf, cam, interp),
+            BatchMapping::Naive => run_batch_naive(&mut m, POSE_BASE, c, pose, kf, cam),
+        })
+        .collect();
+    (outs, m.stats().clone())
+}
+
+/// Two chunks quantized at different fractions in one submission: each
+/// runs programs resolved for its own fraction, exactly as the
+/// per-chunk wrapper runs do.
+#[test]
+fn mixed_fraction_submit_equals_per_chunk_runs() {
+    let cam = Pinhole::qvga();
+    let kf = test_kf(&cam);
+    let mut feats = features_at(&cam, BATCH, 7, 12);
+    feats.extend(features_at(&cam, BATCH / 2, 8, 11));
+    let pose = QPose::quantize(&SE3::exp(&[0.02, -0.01, 0.01, 0.0, 0.004, 0.01]));
+
+    let mut runner = BatchRunner::new(BatchOptions {
+        pool: 2,
+        ..Default::default()
+    });
+    let sharded = runner.submit(&feats, &pose, &kf, &cam).unwrap();
+
+    let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
+    let per_chunk: Vec<BatchOutput> = feats
+        .chunks(BATCH)
+        .map(|c| run_batch(&mut m, POSE_BASE, c, &pose, &kf, &cam))
+        .collect();
+
+    assert_eq!(sharded, per_chunk);
+    let merged = runner.pool().merged_stats();
+    assert_eq!(merged.cycles, m.stats().cycles);
+    assert_eq!(merged.op_histogram, m.stats().op_histogram);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Sharded warp/Jacobian/Hessian batches are bit-identical to the
-    /// sequential single-array execution for any pose, feature set and
-    /// pool size, and the merged compute stats are conserved.
+    /// sequential single-array execution for any pose, feature set,
+    /// pool size, interpolation and mapping, and the merged compute
+    /// stats are conserved.
     #[test]
     fn sharded_batches_equal_sequential(
         seed in any::<u64>(),
@@ -65,23 +139,24 @@ proptest! {
         let feats = features(&cam, n_feats, seed);
         let pose = QPose::quantize(&SE3::exp(&[tx, ty, 0.01, 0.0, 0.005, wz]));
 
-        let mut runner = BatchRunner::new(BatchOptions {
-            pool: n_arrays,
-            ..Default::default()
-        });
-        let sharded = runner.submit(&feats, &pose, &kf, &cam).unwrap();
+        for interp in [Interp::Bilinear, Interp::Nearest] {
+            for mapping in [BatchMapping::Opt, BatchMapping::Naive] {
+                let mut runner = BatchRunner::new(BatchOptions {
+                    pool: n_arrays,
+                    interp,
+                    mapping,
+                    ..Default::default()
+                });
+                let sharded = runner.submit(&feats, &pose, &kf, &cam).unwrap();
+                let (sequential, stats) = sequential(&feats, &pose, &kf, &cam, interp, mapping);
 
-        let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
-        let sequential: Vec<BatchOutput> = feats
-            .chunks(BATCH)
-            .map(|c| run_batch(&mut m, POSE_BASE, c, &pose, &kf, &cam))
-            .collect();
-
-        prop_assert_eq!(&sharded, &sequential);
-        let merged = runner.pool().merged_stats();
-        prop_assert_eq!(merged.cycles, m.stats().cycles);
-        prop_assert_eq!(merged.acc_ops, m.stats().acc_ops);
-        prop_assert_eq!(merged.sram_reads, m.stats().sram_reads);
-        prop_assert_eq!(&merged.op_histogram, &m.stats().op_histogram);
+                prop_assert_eq!(&sharded, &sequential, "{:?} {:?}", interp, mapping);
+                let merged = runner.pool().merged_stats();
+                prop_assert_eq!(merged.cycles, stats.cycles);
+                prop_assert_eq!(merged.acc_ops, stats.acc_ops);
+                prop_assert_eq!(merged.sram_reads, stats.sram_reads);
+                prop_assert_eq!(&merged.op_histogram, &stats.op_histogram);
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests of the quantized pose-estimation pipeline.
 
 use pimvo_core::pim_exec::{run_batch, BATCH};
-use pimvo_core::{jacobian_float, jacobian_q, Feature, QFeature, QKeyframe, QPose};
+use pimvo_core::{jacobian_float, jacobian_q, Feature, QCamera, QFeature, QKeyframe, QPose};
 use pimvo_core::{project_q, warp_float};
 use pimvo_mcu::KeyframeTables;
 use pimvo_pim::{ArrayConfig, PimMachine};
@@ -47,7 +47,11 @@ proptest! {
         let f = feature_at(&cam, u, v, d);
         let (Some((uf, vf)), Some(wq)) = (
             warp_float(&f, &pose, &cam),
-            project_q(&QFeature::quantize(&f), &QPose::quantize(&pose), &cam),
+            project_q(
+                &QFeature::quantize(&f),
+                &QPose::quantize(&pose),
+                &QCamera::quantize(&cam),
+            ),
         ) else {
             return Ok(());
         };
@@ -102,7 +106,7 @@ proptest! {
         };
         let err = |frac: u32, bits: u32| -> Option<f64> {
             let q = QFeature::quantize_with(&f, frac, bits);
-            let w = project_q(&q, &qpose, &cam)?;
+            let w = project_q(&q, &qpose, &QCamera::quantize(&cam))?;
             Some(((w.u_raw as f64 / 64.0 - uf).powi(2)
                 + (w.v_raw as f64 / 64.0 - vf).powi(2))
             .sqrt())
@@ -146,7 +150,7 @@ proptest! {
         let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
         let out = run_batch(&mut m, 1280, &feats, &pose, &kf, &cam);
         for (i, f) in feats.iter().enumerate() {
-            if let Some(wq) = project_q(f, &pose, &cam) {
+            if let Some(wq) = project_q(f, &pose, &QCamera::quantize(&cam)) {
                 prop_assert_eq!(out.u_raw[i], wq.u_raw, "lane {} u", i);
                 if out.valid[i] {
                     let (r, gu, gv) = kf.lookup_q(wq.u_raw, wq.v_raw).expect("in map");
