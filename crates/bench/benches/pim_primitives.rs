@@ -1,8 +1,19 @@
 //! Criterion micro-benches of the PIM machine primitives (simulator
-//! throughput per operation class, at each lane width).
+//! throughput per operation class, at each lane width), and of whole
+//! lowered programs through `run_program`. The per-op cases call the
+//! public API, which always computes on `i64` lanes; the program cases
+//! show the interpreter's lane classes: a whole-frame `lpf_pass1` runs
+//! on `i16` lanes, `pose_hessian` on `i64` lanes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pimvo_pim::{AluOp, ArrayConfig, LaneWidth, Operand, PimMachine, Shift, Signedness};
+use pimvo_core::pim_exec::{pose_programs, pose_scratch, POSE_BASE};
+use pimvo_core::Interp;
+use pimvo_kernels::ir::{lpf_pass1_program, scratch_pool};
+use pimvo_kernels::pim_util::Regions;
+use pimvo_pim::{
+    lower, AluOp, ArrayConfig, LaneClass, LaneWidth, LowerLevel, Operand, PimMachine, Shift,
+    Signedness,
+};
 use Operand::Row;
 
 fn machine(width: LaneWidth, sign: Signedness) -> PimMachine {
@@ -48,5 +59,34 @@ fn bench_primitives(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_primitives);
+/// Frame height of the QVGA edge program.
+const HEIGHT: u32 = 240;
+
+fn bench_programs(c: &mut Criterion) {
+    let mut g = c.benchmark_group("run_program");
+    let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
+    let r = Regions::for_machine(&m, HEIGHT);
+    let lpf = lower(
+        &lpf_pass1_program(&r, r.input, HEIGHT, 0, i64::from(HEIGHT)),
+        LowerLevel::Opt,
+        &scratch_pool(&r),
+    )
+    .expect("lpf_pass1 lowers");
+    assert_eq!(lpf.lane_class(), LaneClass::I16);
+    g.bench_function("lpf_pass1_frame_i16", |b| {
+        b.iter(|| m.run_program(&lpf).unwrap())
+    });
+    let hessian = pose_programs(POSE_BASE, 12, Interp::Bilinear)
+        .iter()
+        .map(|p| lower(p, LowerLevel::Opt, &pose_scratch(POSE_BASE)).expect("pose lowers"))
+        .find(|p| p.name() == "pose_hessian")
+        .expect("pose_hessian");
+    assert_eq!(hessian.lane_class(), LaneClass::I64);
+    g.bench_function("pose_hessian_i64", |b| {
+        b.iter(|| m.run_program(&hessian).unwrap())
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_primitives, bench_programs);
 criterion_main!(benches);

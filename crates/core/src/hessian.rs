@@ -59,30 +59,42 @@ impl QNormalEquations {
     /// (Q12.4 raw).
     ///
     /// Products `J·J` are Q28.4; they are rescaled to the accumulator
-    /// format and added with saturation at the accumulator width.
+    /// format and added with saturation at the accumulator width. The
+    /// rescale shifts and the clamp bounds are fixed per call, and the
+    /// packed triangle is walked one row slice at a time.
     pub fn accumulate(&mut self, j: &[i64; 6], r: i64) {
-        let jj_shift = (2 * GRAD_FRAC) as i64 - self.hes_frac as i64;
-        let jr_shift = (GRAD_FRAC + RES_FRAC) as i64 - self.hes_frac as i64;
-        for i in 0..6 {
-            for k in i..6 {
-                let p = rescale(j[i] * j[k], jj_shift);
-                let idx = tri_idx(i, k);
-                self.h[idx] = self.clamp(self.h[idx] + p);
+        let (lo, hi) = self.bounds();
+        let (jj_l, jj_r) = shifts((2 * GRAD_FRAC) as i64 - self.hes_frac as i64);
+        let (jr_l, jr_r) = shifts((GRAD_FRAC + RES_FRAC) as i64 - self.hes_frac as i64);
+        let mut rest = &mut self.h[..];
+        for (i, (&ji, b)) in j.iter().zip(&mut self.b).enumerate() {
+            let (row, tail) = rest.split_at_mut(6 - i);
+            for (h, &jk) in row.iter_mut().zip(&j[i..]) {
+                let p = ((ji * jk) << jj_l) >> jj_r;
+                *h = (*h + p).max(lo).min(hi);
             }
-            let p = rescale(j[i] * r, jr_shift);
-            self.b[i] = self.clamp(self.b[i] + p);
+            rest = tail;
+            let p = ((ji * r) << jr_l) >> jr_r;
+            *b = (*b + p).max(lo).min(hi);
         }
         self.cost += r * r;
         self.count += 1;
     }
 
-    fn clamp(&self, v: i64) -> i64 {
+    /// The saturation range of the accumulator width: [`sat32`]'s for
+    /// any width of 32 bits or more (the Q29.3 accumulator clamp).
+    fn bounds(&self) -> (i64, i64) {
         if self.bits >= 32 {
-            sat32(v)
+            (sat32(i64::MIN), sat32(i64::MAX))
         } else {
             let max = (1i64 << (self.bits - 1)) - 1;
-            v.clamp(-max - 1, max)
+            (-max - 1, max)
         }
+    }
+
+    fn clamp(&self, v: i64) -> i64 {
+        let (lo, hi) = self.bounds();
+        v.clamp(lo, hi)
     }
 
     /// Merges another accumulator (batch partials).
@@ -126,13 +138,14 @@ impl Default for QNormalEquations {
     }
 }
 
-/// Rescale by a signed right-shift amount (negative = left shift).
+/// A signed right-shift amount (negative = left shift) as the
+/// `(left, right)` pair that rescales by `(v << left) >> right`.
 #[inline]
-fn rescale(v: i64, shift: i64) -> i64 {
+fn shifts(shift: i64) -> (u32, u32) {
     if shift >= 0 {
-        v >> shift
+        (0, shift as u32)
     } else {
-        v << (-shift)
+        ((-shift) as u32, 0)
     }
 }
 
@@ -214,6 +227,72 @@ mod tests {
             q.accumulate(&row, 16);
         }
         assert_eq!(q.h[0], 32767, "16-bit accumulator must saturate");
+    }
+
+    /// The per-call fast path is bit-identical to the per-entry formula
+    /// it replaced (inlined here), saturating or not, at the paper's
+    /// 32-bit width and the ablation's narrower ones, with rescales in
+    /// both directions.
+    #[test]
+    fn accumulate_matches_per_entry_formula() {
+        fn reference(eq: &mut QNormalEquations, j: &[i64; 6], r: i64) {
+            let clamp = |v: i64| {
+                if eq.bits >= 32 {
+                    sat32(v)
+                } else {
+                    let max = (1i64 << (eq.bits - 1)) - 1;
+                    v.clamp(-max - 1, max)
+                }
+            };
+            let rescale = |v: i64, shift: i64| {
+                if shift >= 0 {
+                    v >> shift
+                } else {
+                    v << (-shift)
+                }
+            };
+            let jj_shift = (2 * GRAD_FRAC) as i64 - eq.hes_frac as i64;
+            let jr_shift = (GRAD_FRAC + RES_FRAC) as i64 - eq.hes_frac as i64;
+            let (mut h, mut b) = (eq.h, eq.b);
+            for i in 0..6 {
+                for k in i..6 {
+                    let idx = tri_idx(i, k);
+                    h[idx] = clamp(h[idx] + rescale(j[i] * j[k], jj_shift));
+                }
+                b[i] = clamp(b[i] + rescale(j[i] * r, jr_shift));
+            }
+            (eq.h, eq.b) = (h, b);
+            eq.cost += r * r;
+            eq.count += 1;
+        }
+        let (max, min) = (i64::from(i16::MAX), i64::from(i16::MIN));
+        let rows: [([i64; 6], i64); 6] = [
+            ([max, min, max, min, max, min], max),
+            ([min, min, min, max, max, max], min),
+            ([400, -200, 100, 50, -300, 8], 48),
+            ([0, 0, 0, 0, 0, 0], 0),
+            ([-7, 3, -1, 1, 9, -13], -5),
+            ([max, 0, -1, 1, 0, min], 1),
+        ];
+        for bits in [32, 24, 16, 12] {
+            for hes_frac in [HES_FRAC, 0, 6, 8] {
+                let mut fast = QNormalEquations::zero_with(hes_frac, bits);
+                let mut slow = fast.clone();
+                for _ in 0..40 {
+                    for (j, r) in &rows {
+                        fast.accumulate(j, *r);
+                        reference(&mut slow, j, *r);
+                        assert_eq!(fast, slow, "bits {bits} hes_frac {hes_frac}");
+                    }
+                }
+                let limit = if bits >= 32 {
+                    i64::from(i32::MAX)
+                } else {
+                    (1 << (bits - 1)) - 1
+                };
+                assert!(fast.h.iter().any(|&h| h == limit), "bits {bits}: saturates");
+            }
+        }
     }
 
     #[test]

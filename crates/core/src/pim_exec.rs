@@ -978,8 +978,13 @@ fn charge_gather(m: &mut PimMachine, lanes: usize, tables: usize) {
 
 /// Executes one batch with a **naive PIM mapping** of the
 /// pose-estimation kernels — the comparison point of Fig. 9-b's `LM*`
-/// group. Identical output values to [`run_batch`], but without the
-/// paper's scheduling optimizations:
+/// group, which uses its cycles only. The per-feature outputs (warped
+/// coordinates, valid flags, jacobians, residuals) are identical to
+/// [`run_batch`]'s. The Hessian-stage partials (`h_partial`,
+/// `b_partial`, `cost_partial`) are not: at [`LowerLevel::Naive`] each
+/// W16 Q28.4 product is written back to a 16-bit SRAM lane before the
+/// reduce, so products that need more bits wrap. The naive schedule
+/// drops the paper's scheduling optimizations:
 ///
 /// * no Tmp-Reg chaining: the same macro-op programs are lowered at
 ///   [`LowerLevel::Naive`], so every intermediate is written back to
@@ -1013,8 +1018,8 @@ pub fn run_batch_naive(
 
 /// Charges the naive-schedule costs the [`LowerLevel::Naive`] lowering
 /// cannot express (the SRAM round-trips of every intermediate *are*
-/// real at that level — only program-level rewrites are modeled here;
-/// the values are identical by construction):
+/// real at that level — only program-level rewrites are modeled here,
+/// and charging them changes no value):
 ///
 ///  * no shared-subexpression pipeline (Fig. 5-d): the s term is
 ///    recomputed for J3/J4/J5 (3 x (2 muls + shift + add) at W32)
@@ -1274,6 +1279,51 @@ mod tests {
         let reference = run_batch_naive(&mut m, POSE_BASE, &feats, &pose, &kf, &cam);
         assert_eq!(outs, vec![reference]);
         assert_eq!(runner.pool().merged_stats().cycles, m.stats().cycles);
+    }
+
+    /// The naive mapping reproduces the per-feature outputs exactly,
+    /// but not the Hessian-stage partials: its 16-bit write-backs wrap
+    /// the Q28.4 products before the reduce.
+    #[test]
+    fn naive_mapping_matches_features_but_not_hessian_partials() {
+        let cam = Pinhole::qvga();
+        let kf = test_kf(&cam);
+        let feats = test_features(&cam, BATCH);
+        let pose = QPose::quantize(&SE3::exp(&[0.03, -0.02, 0.04, 0.015, -0.01, 0.02]));
+        let opt = run_batch(
+            &mut PimMachine::new(ArrayConfig::qvga_banks(6)),
+            POSE_BASE,
+            &feats,
+            &pose,
+            &kf,
+            &cam,
+        );
+        let naive = run_batch_naive(
+            &mut PimMachine::new(ArrayConfig::qvga_banks(6)),
+            POSE_BASE,
+            &feats,
+            &pose,
+            &kf,
+            &cam,
+        );
+        assert_eq!(naive.u_raw, opt.u_raw);
+        assert_eq!(naive.v_raw, opt.v_raw);
+        assert_eq!(naive.valid, opt.valid);
+        assert_eq!(naive.jacobians, opt.jacobians);
+        assert_eq!(naive.residuals, opt.residuals);
+        assert!(opt.valid.iter().any(|&v| v), "input must have valid lanes");
+        assert_ne!(naive.h_partial, opt.h_partial);
+        assert_ne!(naive.b_partial, opt.b_partial);
+        assert_ne!(naive.cost_partial, opt.cost_partial);
+        // the optimized partials are the exact per-feature sums
+        let mut eq = QNormalEquations::zero();
+        for (j, &r) in opt.jacobians.iter().zip(&opt.residuals) {
+            eq.accumulate(j, r);
+        }
+        assert_eq!(
+            (opt.h_partial, opt.b_partial, opt.cost_partial),
+            (eq.h, eq.b, eq.cost)
+        );
     }
 
     #[test]

@@ -1,3 +1,5 @@
+use std::ops::{BitAnd, BitOr, BitXor, Not};
+
 /// A source operand of a PIM operation.
 ///
 /// The accumulator's input multiplexer (Fig. 6-c) selects between the
@@ -122,9 +124,13 @@ pub enum LogicFunc {
 }
 
 impl LogicFunc {
-    /// Applies the function to two lane bit-patterns.
+    /// Applies the function to two lane bit-patterns, held in any
+    /// integer type.
     #[inline]
-    pub fn apply(self, a: u64, b: u64) -> u64 {
+    pub fn apply<T>(self, a: T, b: T) -> T
+    where
+        T: BitAnd<Output = T> + BitOr<Output = T> + BitXor<Output = T> + Not<Output = T>,
+    {
         match self {
             LogicFunc::And => a & b,
             LogicFunc::Nor => !(a | b),

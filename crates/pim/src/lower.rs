@@ -273,6 +273,94 @@ pub struct LoweredOp {
     pub label: String,
 }
 
+impl MachineInstr {
+    /// Whether the instruction leaves a new value in the Tmp Reg.
+    pub(crate) fn writes_tmp(&self) -> bool {
+        !matches!(
+            self,
+            MachineInstr::SetLanes { .. } | MachineInstr::Writeback { .. }
+        )
+    }
+}
+
+/// The element type [`crate::PimMachine::run_program`] keeps a
+/// program's lanes in. It is fixed at lowering time from the program
+/// alone ([`LaneClass::of`]); the simulated results, costs and op
+/// records are the same in either class.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum LaneClass {
+    /// `i16` lanes: the program stays on 8-bit lanes, and every value
+    /// it can produce fits in an `i16`.
+    I16,
+    /// `i64` lanes: every other program, and the per-op machine API.
+    I64,
+}
+
+impl LaneClass {
+    /// Classifies a machine-op sequence. It is [`LaneClass::I16`] when
+    ///
+    /// * it opens with `SetLanes { W8, _ }` and never leaves W8;
+    /// * every op is an `Alu`, `ShiftPix`, `ShrBits` with `k < 16`,
+    ///   `Neg`, `SatNarrow` with `bits` in `1..=8`, or `Writeback`;
+    /// * no operand names an extra register ([`Operand::Reg`]);
+    /// * it writes the Tmp Reg before it first reads it;
+    /// * no unsigned `ShrBits` follows a signed `SetLanes`.
+    ///
+    /// Under these rules every value is in `-128..=255`: a W8 row
+    /// decodes into that range, and each admitted op maps it back into
+    /// it (8-bit wrap or clamp, bit mask, average, min/max, lane shift,
+    /// arithmetic right shift), with no intermediate beyond ±511. On
+    /// that range `i16` arithmetic is exact. The one op whose `i64`
+    /// result depends on more than the low 16 bits is an unsigned right
+    /// shift of a negative value, and only a signed op can leave a
+    /// negative value behind: hence the last rule. The Tmp rule means
+    /// a run never reads a value an earlier call left in the Tmp Reg.
+    #[must_use]
+    pub fn of(ops: &[LoweredOp]) -> LaneClass {
+        let opens_w8 = matches!(
+            ops.first().map(|op| &op.instr),
+            Some(MachineInstr::SetLanes {
+                width: LaneWidth::W8,
+                ..
+            })
+        );
+        if !opens_w8 {
+            return LaneClass::I64;
+        }
+        let (mut sign, mut seen_signed, mut tmp_written) = (Signedness::Unsigned, false, false);
+        for op in ops {
+            let (a, b) = match op.instr {
+                MachineInstr::SetLanes {
+                    width: LaneWidth::W8,
+                    sign: s,
+                } => {
+                    sign = s;
+                    seen_signed |= s == Signedness::Signed;
+                    continue;
+                }
+                MachineInstr::Alu { a, b, .. } => (a, b),
+                MachineInstr::ShiftPix { a, .. } | MachineInstr::Neg { a } => (a, a),
+                MachineInstr::ShrBits { a, k }
+                    if k < 16 && (sign == Signedness::Signed || !seen_signed) =>
+                {
+                    (a, a)
+                }
+                MachineInstr::SatNarrow { a, bits } if (1..=8).contains(&bits) => (a, a),
+                MachineInstr::Writeback { .. } => (Operand::Tmp, Operand::Tmp),
+                _ => return LaneClass::I64,
+            };
+            if matches!(a, Operand::Reg(_)) || matches!(b, Operand::Reg(_)) {
+                return LaneClass::I64;
+            }
+            if !tmp_written && (a == Operand::Tmp || b == Operand::Tmp) {
+                return LaneClass::I64;
+            }
+            tmp_written |= op.instr.writes_tmp();
+        }
+        LaneClass::I16
+    }
+}
+
 /// The result of [`lower()`]: a machine-op sequence plus bookkeeping.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LoweredProgram {
@@ -280,6 +368,7 @@ pub struct LoweredProgram {
     level: LowerLevel,
     ops: Vec<LoweredOp>,
     reduce_count: usize,
+    lane_class: LaneClass,
 }
 
 impl LoweredProgram {
@@ -305,6 +394,12 @@ impl LoweredProgram {
     #[must_use]
     pub fn reduce_count(&self) -> usize {
         self.reduce_count
+    }
+
+    /// The element type the interpreter runs this program's lanes in.
+    #[must_use]
+    pub fn lane_class(&self) -> LaneClass {
+        self.lane_class
     }
 }
 
@@ -661,6 +756,7 @@ fn lower_impl(
         LoweredProgram {
             name: prog.name().to_string(),
             level,
+            lane_class: LaneClass::of(&ops),
             ops,
             reduce_count: prog.reduce_count(),
         },
@@ -2285,5 +2381,107 @@ mod tests {
         assert!(dse.ops_out < dse.ops_in, "{report}");
         let rendered = report.to_string();
         assert!(rendered.contains("schedule") && rendered.contains("spill wb"));
+    }
+
+    /// What keeps a program on `i64` lanes: each op appended to an
+    /// otherwise narrow program (W8, Tmp written by a row op first).
+    #[test]
+    fn lane_class_rules() {
+        use MachineInstr as I;
+        let (r0, tmp) = (Operand::Row(0), Operand::Tmp);
+        let w8 = |sign| I::SetLanes {
+            width: LaneWidth::W8,
+            sign,
+        };
+        let load = I::Alu {
+            op: AluOp::Logic(LogicFunc::Or),
+            a: r0,
+            b: r0,
+            shift: Shift::None,
+        };
+        let class = |instrs: &[I]| {
+            let ops: Vec<LoweredOp> = instrs
+                .iter()
+                .map(|instr| LoweredOp {
+                    instr: instr.clone(),
+                    label: String::new(),
+                })
+                .collect();
+            LaneClass::of(&ops)
+        };
+        let narrow = [w8(Signedness::Unsigned), load.clone()];
+        let with = |tail: I| {
+            let mut v = narrow.to_vec();
+            v.push(tail);
+            class(&v)
+        };
+        assert_eq!(class(&narrow), LaneClass::I16);
+        for admitted in [
+            I::Alu {
+                op: AluOp::AbsDiff,
+                a: tmp,
+                b: r0,
+                shift: Shift::Pix(-2),
+            },
+            I::ShiftPix { a: tmp, pix: 3 },
+            I::ShrBits { a: tmp, k: 15 },
+            I::Neg { a: tmp },
+            I::SatNarrow { a: tmp, bits: 8 },
+            I::Writeback { row: 4 },
+            w8(Signedness::Signed),
+        ] {
+            assert_eq!(with(admitted.clone()), LaneClass::I16, "{admitted}");
+        }
+        for wide in [
+            I::Mul {
+                a: tmp,
+                b: r0,
+                signed: false,
+            },
+            I::DivFrac {
+                a: tmp,
+                b: r0,
+                frac: 4,
+                signed: true,
+            },
+            I::Reduce,
+            I::SaveTmp { idx: 1 },
+            I::Alu {
+                op: AluOp::Add,
+                a: Operand::Reg(1),
+                b: r0,
+                shift: Shift::None,
+            },
+            I::ShlBits { a: tmp, k: 1 },
+            I::ShrBits { a: tmp, k: 16 },
+            I::SatNarrow { a: tmp, bits: 9 },
+            I::SatNarrow { a: tmp, bits: 0 },
+            I::SetLanes {
+                width: LaneWidth::W16,
+                sign: Signedness::Unsigned,
+            },
+        ] {
+            assert_eq!(with(wide.clone()), LaneClass::I64, "{wide}");
+        }
+        // the program must open at W8 and write Tmp before reading it
+        assert_eq!(class(&[load.clone()]), LaneClass::I64);
+        assert_eq!(class(&[]), LaneClass::I64);
+        for reads_first in [I::Writeback { row: 4 }, I::ShiftPix { a: tmp, pix: 1 }] {
+            assert_eq!(
+                class(&[w8(Signedness::Unsigned), reads_first.clone()]),
+                LaneClass::I64,
+                "{reads_first}"
+            );
+        }
+        // an unsigned right shift may follow only unsigned ops
+        let shr = I::ShrBits { a: tmp, k: 1 };
+        let signed_then_unsigned = [
+            w8(Signedness::Signed),
+            load.clone(),
+            w8(Signedness::Unsigned),
+            shr.clone(),
+        ];
+        assert_eq!(class(&signed_then_unsigned), LaneClass::I64);
+        assert_eq!(class(&[w8(Signedness::Signed), load, shr]), LaneClass::I16);
     }
 }

@@ -2,14 +2,15 @@ use crate::config::{ArrayConfig, LaneWidth, Signedness};
 use crate::cost::CostModel;
 use crate::dma::{DmaChannel, DmaConfig, DmaFaultModel, DmaHealth, TransferKind};
 use crate::fault::{FaultModel, FaultStatus, FaultUnit, Protection};
-use crate::isa::{AluOp, OpClass, Operand, Shift};
-use crate::lower::{LoweredProgram, MachineInstr};
+use crate::isa::{AluOp, LogicFunc, OpClass, Operand, Shift};
+use crate::lower::{LaneClass, LoweredOp, LoweredProgram, MachineInstr};
 use crate::optrace::OpRecorder;
 use crate::stats::ExecStats;
 use pimvo_fixed::sat;
 use pimvo_telemetry::optrace::{OpKind, OpTrace};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::{Add, BitAnd, BitOr, BitXor, Neg, Not, Shr, Sub};
 
 /// Error returned by the fallible API of [`PimMachine`] and
 /// [`crate::PimArrayPool`].
@@ -158,18 +159,11 @@ pub struct PimMachine {
     /// Logical → physical row remap table; empty (identity) until a
     /// persistent defect is remapped to a spare.
     remap: BTreeMap<usize, usize>,
-    tmp: Vec<i64>,
-    /// Interpreter lane buffers, reused by every macro-op so an inert
-    /// machine allocates nothing per op once they are sized: the two
-    /// decoded row operands, and the next Tmp contents (swapped with
-    /// `tmp` when an op completes, so the old Tmp buffer is recycled).
-    lane_in: [Vec<i64>; 2],
-    lane_out: Vec<i64>,
+    /// The Tmp Reg, the extra registers and the interpreter's lane
+    /// buffers, once per lane element type (see [`Banks`]).
+    banks: Banks,
     /// Logical bit width of the Tmp Reg contents (doubles after `mul`).
     tmp_bits: u32,
-    /// Additional temporary registers (index 1..): `(lanes, bits)`.
-    /// Empty in the paper's baseline single-register configuration.
-    extra_regs: Vec<(Vec<i64>, u32)>,
     width: LaneWidth,
     sign: Signedness,
     stats: ExecStats,
@@ -326,11 +320,9 @@ impl PimMachine {
             spare_rows: 0,
             spares_used: 0,
             remap: BTreeMap::new(),
-            tmp: Vec::new(),
-            lane_in: [Vec::new(), Vec::new()],
-            lane_out: Vec::new(),
+            // a W8 row has the most lanes: one per byte
+            banks: Banks::new(row_bytes),
             tmp_bits: 8,
-            extra_regs: Vec::new(),
             width: LaneWidth::W8,
             sign: Signedness::Unsigned,
             stats: ExecStats::new(),
@@ -631,12 +623,15 @@ impl PimMachine {
     /// realistic register count).
     pub fn set_tmp_regs(&mut self, n: u8) {
         assert!((1..=8).contains(&n), "1..=8 temporary registers");
-        self.extra_regs.resize((n - 1) as usize, (Vec::new(), 8));
+        self.banks
+            .wide
+            .regs
+            .resize((n - 1) as usize, (Vec::new(), 8));
     }
 
     /// Number of temporary registers (≥ 1).
     pub fn tmp_reg_count(&self) -> u8 {
-        1 + self.extra_regs.len() as u8
+        1 + self.banks.wide.regs.len() as u8
     }
 
     /// Copies the primary Tmp Reg into extra register `idx` (1-based
@@ -654,17 +649,18 @@ impl PimMachine {
             return Err(PimError::RegisterZero);
         }
         let slot = (idx - 1) as usize;
-        if slot >= self.extra_regs.len() {
+        let wide = &mut self.banks.wide;
+        if slot >= wide.regs.len() {
             return Err(PimError::RegisterNotEnabled {
                 idx,
                 enabled: self.tmp_reg_count(),
             });
         }
-        if self.tmp.is_empty() {
+        if wide.tmp.is_empty() {
             return Err(PimError::TmpEmpty);
         }
-        let (lanes, bits) = &mut self.extra_regs[slot];
-        lanes.clone_from(&self.tmp);
+        let (lanes, bits) = &mut wide.regs[slot];
+        lanes.clone_from(&wide.tmp);
         *bits = self.tmp_bits;
         let cycle_start = self.stats.cycles;
         self.stats.cycles += 1;
@@ -863,7 +859,7 @@ impl PimMachine {
     /// Inspects the Tmp Reg lane values (no cost: debugging/verification
     /// aid, the hardware result would be consumed via write-back).
     pub fn tmp_lanes(&self) -> &[i64] {
-        &self.tmp
+        &self.banks.wide.tmp
     }
 
     /// Logical bit width of the Tmp Reg contents.
@@ -1041,65 +1037,89 @@ impl PimMachine {
     /// [`PimError::RegisterZero`] / [`PimError::RegisterNotEnabled`]
     /// for a bad register index.
     pub fn alu(&mut self, op: AluOp, a: Operand, b: Operand, shift: Shift) -> Result<(), PimError> {
+        self.alu_on::<i64>(op, a, b, shift)
+    }
+
+    /// [`PimMachine::alu`] on the lane bank of `L`.
+    fn alu_on<L: Lane>(
+        &mut self,
+        op: AluOp,
+        a: Operand,
+        b: Operand,
+        shift: Shift,
+    ) -> Result<(), PimError> {
         let b_pix = shift.pix();
-        let bits = self.op_bits(a, b);
+        let bits = self.op_bits::<L>(a, b);
         let sign = self.sign;
         match op {
             AluOp::Logic(f) => {
-                let mask = width_mask(bits);
-                self.binop(OpClass::Logic, a, b, b_pix, bits, move |x, y| {
-                    let r = f.apply(x as u64 & mask, y as u64 & mask) & mask;
-                    r as i64
-                })?;
+                let mask = L::from_i64(width_mask(bits) as i64);
+                // one lane loop per function: none matches on it per lane
+                macro_rules! logic {
+                    ($f:expr) => {
+                        self.binop(OpClass::Logic, a, b, b_pix, bits, move |x: L, y| {
+                            $f.apply(x & mask, y & mask) & mask
+                        })
+                    };
+                }
+                match f {
+                    LogicFunc::And => logic!(LogicFunc::And),
+                    LogicFunc::Nor => logic!(LogicFunc::Nor),
+                    LogicFunc::Xor => logic!(LogicFunc::Xor),
+                    LogicFunc::Or => logic!(LogicFunc::Or),
+                }?;
             }
             AluOp::Add => {
-                self.binop(OpClass::AddSub, a, b, b_pix, bits, move |x, y| {
-                    wrap(x + y, bits, sign)
+                self.binop(OpClass::AddSub, a, b, b_pix, bits, move |x: L, y| {
+                    (x + y).wrap(bits, sign)
                 })?;
             }
             AluOp::Sub => {
-                self.binop(OpClass::AddSub, a, b, b_pix, bits, move |x, y| {
-                    wrap(x - y, bits, sign)
+                self.binop(OpClass::AddSub, a, b, b_pix, bits, move |x: L, y| {
+                    (x - y).wrap(bits, sign)
                 })?;
             }
             AluOp::SatAdd => {
-                self.binop(OpClass::SatAddSub, a, b, b_pix, bits, move |x, y| {
-                    clamp(x + y, bits, sign)
+                let (lo, hi) = sat_range(bits, sign);
+                self.binop(OpClass::SatAddSub, a, b, b_pix, bits, move |x: L, y| {
+                    (x + y).max(lo).min(hi)
                 })?;
             }
             AluOp::SatSub => {
-                self.binop(OpClass::SatAddSub, a, b, b_pix, bits, move |x, y| {
-                    clamp(x - y, bits, sign)
+                let (lo, hi) = sat_range(bits, sign);
+                self.binop(OpClass::SatAddSub, a, b, b_pix, bits, move |x: L, y| {
+                    (x - y).max(lo).min(hi)
                 })?;
             }
             AluOp::Avg => {
-                self.binop(OpClass::Avg, a, b, b_pix, bits, |x, y| (x + y) >> 1)?;
+                self.binop(OpClass::Avg, a, b, b_pix, bits, |x: L, y| (x + y) >> 1)?;
             }
             AluOp::AbsDiff => {
                 // Step 1: M = a - b (+ carry extension), SRAM-touching.
                 // Steps 2-3: Tmp-resident single-cycle fixups (Fig. 7-a).
-                self.binop(OpClass::AbsDiff, a, b, b_pix, bits, move |x, y| {
-                    clamp((x - y).abs(), bits, sign)
+                let (lo, hi) = sat_range(bits, sign);
+                self.binop(OpClass::AbsDiff, a, b, b_pix, bits, move |x: L, y| {
+                    (x - y).abs().max(lo).min(hi)
                 })?;
                 self.charge_tmp_steps(2);
             }
             AluOp::Max => {
                 // max(a, b) = sat(a - b) + b (Fig. 7-b)
-                self.binop(OpClass::MinMax, a, b, b_pix, bits, |x, y| x.max(y))?;
+                self.binop(OpClass::MinMax, a, b, b_pix, bits, |x: L, y| x.max(y))?;
                 self.charge_tmp_steps(1);
             }
             AluOp::Min => {
                 // min(a, b) = a - sat(a - b)
-                self.binop(OpClass::MinMax, a, b, b_pix, bits, |x, y| x.min(y))?;
+                self.binop(OpClass::MinMax, a, b, b_pix, bits, |x: L, y| x.min(y))?;
                 self.charge_tmp_steps(1);
             }
             AluOp::CmpGt => {
-                let mask = width_mask(bits) as i64;
-                self.binop(OpClass::Cmp, a, b, b_pix, bits, move |x, y| {
+                let mask = L::from_i64(width_mask(bits) as i64);
+                self.binop(OpClass::Cmp, a, b, b_pix, bits, move |x: L, y| {
                     if x > y {
                         mask
                     } else {
-                        0
+                        L::default()
                     }
                 })?;
             }
@@ -1115,8 +1135,13 @@ impl PimMachine {
     ///
     /// Propagates operand errors (see [`PimMachine::alu`]).
     pub fn shift_pix(&mut self, a: Operand, pix: i32) -> Result<(), PimError> {
-        let bits = self.op_bits(a, a);
-        self.unop(OpClass::Shift, a, bits, move |vals, out| {
+        self.shift_pix_on::<i64>(a, pix)
+    }
+
+    /// [`PimMachine::shift_pix`] on the lane bank of `L`.
+    fn shift_pix_on<L: Lane>(&mut self, a: Operand, pix: i32) -> Result<(), PimError> {
+        let bits = self.op_bits::<L>(a, a);
+        self.unop(OpClass::Shift, a, bits, move |vals: &[L], out| {
             out.extend_from_slice(vals);
             shift_in_place(out, pix);
         })
@@ -1129,11 +1154,16 @@ impl PimMachine {
     ///
     /// Propagates operand errors (see [`PimMachine::alu`]).
     pub fn shr_bits(&mut self, a: Operand, k: u32) -> Result<(), PimError> {
-        let bits = self.op_bits(a, a);
+        self.shr_bits_on::<i64>(a, k)
+    }
+
+    /// [`PimMachine::shr_bits`] on the lane bank of `L`.
+    fn shr_bits_on<L: Lane>(&mut self, a: Operand, k: u32) -> Result<(), PimError> {
+        let bits = self.op_bits::<L>(a, a);
         let sign = self.sign;
-        self.unop(OpClass::Shift, a, bits, move |vals, out| match sign {
+        self.unop(OpClass::Shift, a, bits, move |vals: &[L], out| match sign {
             Signedness::Signed => out.extend(vals.iter().map(|&v| v >> k)),
-            Signedness::Unsigned => out.extend(vals.iter().map(|&v| ((v as u64) >> k) as i64)),
+            Signedness::Unsigned => out.extend(vals.iter().map(|&v| v.shr_logical(k))),
         })
     }
 
@@ -1143,9 +1173,9 @@ impl PimMachine {
     ///
     /// Propagates operand errors (see [`PimMachine::alu`]).
     pub fn shl_bits(&mut self, a: Operand, k: u32) -> Result<(), PimError> {
-        let bits = self.op_bits(a, a);
+        let bits = self.op_bits::<i64>(a, a);
         let sign = self.sign;
-        self.unop(OpClass::Shift, a, bits, move |vals, out| {
+        self.unop(OpClass::Shift, a, bits, move |vals: &[i64], out| {
             out.extend(vals.iter().map(|&v| wrap(v << k, bits, sign)));
         })
     }
@@ -1166,7 +1196,7 @@ impl PimMachine {
         let n = self.width.bits();
         let mask = width_mask(n);
         let bits = n; // operands at lane width
-        self.binop(OpClass::Mul, a, b, 0, bits, move |x, y| {
+        self.binop(OpClass::Mul, a, b, 0, bits, move |x: i64, y: i64| {
             let p = (x as u64 & mask).wrapping_mul(y as u64 & mask);
             p as i64 // 2n <= 64 bits
         })?;
@@ -1187,9 +1217,8 @@ impl PimMachine {
     /// Propagates operand errors (see [`PimMachine::alu`]).
     pub fn mul_signed(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
         let n = self.width.bits();
-        self.binop(OpClass::Mul, a, b, 0, n, move |x, y| {
-            (x as i128 * y as i128) as i64 // 2n <= 64 bits exact
-        })?;
+        // the low 64 bits of the product: exact for 2n <= 64
+        self.binop(OpClass::Mul, a, b, 0, n, |x: i64, y| x.wrapping_mul(y))?;
         self.tmp_bits = (2 * n).min(64);
         // unsigned core steps (re-reading the row operand) + 5 cycles
         // of Tmp-resident sign pre/post processing
@@ -1211,7 +1240,7 @@ impl PimMachine {
     pub fn div(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
         let n = self.width.bits();
         let mask = width_mask(n);
-        self.binop(OpClass::Div, a, b, 0, n, move |x, y| {
+        self.binop(OpClass::Div, a, b, 0, n, move |x: i64, y: i64| {
             let (x, y) = (x as u64 & mask, y as u64 & mask);
             if y == 0 {
                 mask as i64
@@ -1233,7 +1262,7 @@ impl PimMachine {
     pub fn rem(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
         let n = self.width.bits();
         let mask = width_mask(n);
-        self.binop(OpClass::Div, a, b, 0, n, move |x, y| {
+        self.binop(OpClass::Div, a, b, 0, n, move |x: i64, y: i64| {
             let (x, y) = (x as u64 & mask, y as u64 & mask);
             if y == 0 {
                 x as i64
@@ -1256,7 +1285,7 @@ impl PimMachine {
     /// Propagates operand errors (see [`PimMachine::alu`]).
     pub fn div_signed(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
         let n = self.width.bits();
-        self.binop(OpClass::Div, a, b, 0, n, move |x, y| {
+        self.binop(OpClass::Div, a, b, 0, n, move |x: i64, y| {
             if y == 0 {
                 if x >= 0 {
                     (1i64 << (n - 1)) - 1
@@ -1285,7 +1314,7 @@ impl PimMachine {
     pub fn div_frac(&mut self, a: Operand, b: Operand, frac: u32) -> Result<(), PimError> {
         let n = self.width.bits();
         let mask = width_mask(n);
-        self.binop(OpClass::Div, a, b, 0, n + frac, move |x, y| {
+        self.binop(OpClass::Div, a, b, 0, n + frac, move |x: i64, y: i64| {
             let (x, y) = ((x as u64 & mask) as u128, (y as u64 & mask) as u128);
             if y == 0 {
                 width_mask(n + frac) as i64
@@ -1312,14 +1341,18 @@ impl PimMachine {
     pub fn div_frac_signed(&mut self, a: Operand, b: Operand, frac: u32) -> Result<(), PimError> {
         let n = self.width.bits();
         let out_bits = (n + frac).min(64);
-        self.binop(OpClass::Div, a, b, 0, out_bits, move |x, y| {
+        let max = (width_mask(out_bits) >> 1) as i64;
+        // dividends below this magnitude shift without overflowing i64
+        let exact = if frac < 63 { 1u64 << (63 - frac) } else { 0 };
+        self.binop(OpClass::Div, a, b, 0, out_bits, move |x: i64, y| {
             if y == 0 {
-                let max = (1i64 << (out_bits - 1)) - 1;
                 if x >= 0 {
                     max
                 } else {
                     -max - 1
                 }
+            } else if x.unsigned_abs() < exact {
+                (x << frac) / y
             } else {
                 (((x as i128) << frac) / y as i128) as i64
             }
@@ -1339,10 +1372,15 @@ impl PimMachine {
     ///
     /// Propagates operand errors (see [`PimMachine::alu`]).
     pub fn neg(&mut self, a: Operand) -> Result<(), PimError> {
-        let bits = self.op_bits(a, a);
+        self.neg_on::<i64>(a)
+    }
+
+    /// [`PimMachine::neg`] on the lane bank of `L`.
+    fn neg_on<L: Lane>(&mut self, a: Operand) -> Result<(), PimError> {
+        let bits = self.op_bits::<L>(a, a);
         let sign = self.sign;
-        self.unop(OpClass::AddSub, a, bits, move |vals, out| {
-            out.extend(vals.iter().map(|&v| wrap(-v, bits, sign)));
+        self.unop(OpClass::AddSub, a, bits, move |vals: &[L], out| {
+            out.extend(vals.iter().map(|&v| (-v).wrap(bits, sign)));
         })
     }
 
@@ -1354,8 +1392,14 @@ impl PimMachine {
     ///
     /// Propagates operand errors (see [`PimMachine::alu`]).
     pub fn sat_narrow(&mut self, a: Operand, bits: u32) -> Result<(), PimError> {
-        self.unop(OpClass::SatAddSub, a, bits, move |vals, out| {
-            out.extend(vals.iter().map(|&v| sat::clamp_signed(v, bits)));
+        self.sat_narrow_on::<i64>(a, bits)
+    }
+
+    /// [`PimMachine::sat_narrow`] on the lane bank of `L`.
+    fn sat_narrow_on<L: Lane>(&mut self, a: Operand, bits: u32) -> Result<(), PimError> {
+        let (lo, hi) = sat_range(bits, Signedness::Signed);
+        self.unop(OpClass::SatAddSub, a, bits, move |vals: &[L], out| {
+            out.extend(vals.iter().map(|&v| v.max(lo).min(hi)));
         })
     }
 
@@ -1367,13 +1411,19 @@ impl PimMachine {
     /// [`PimError::RowOutOfRange`] for a bad destination row or
     /// [`PimError::TmpEmpty`] when the Tmp Reg holds no value.
     pub fn writeback(&mut self, dst: usize) -> Result<(), PimError> {
+        self.writeback_on::<i64>(dst)
+    }
+
+    /// [`PimMachine::writeback`] from the lane bank of `L`.
+    fn writeback_on<L: Lane>(&mut self, dst: usize) -> Result<(), PimError> {
         self.check_row(dst)?;
-        if self.tmp.is_empty() {
+        let tmp = &L::bank(&self.banks).tmp;
+        if tmp.is_empty() {
             return Err(PimError::TmpEmpty);
         }
         let lanes = self.lanes();
         let phys = self.phys_row(dst);
-        encode_lanes(&mut self.rows[phys], self.width, self.tmp.iter().copied());
+        encode_lanes(&mut self.rows[phys], self.width, tmp.iter().copied());
         let cycle_start = self.stats.cycles;
         self.stats.cycles += 1;
         self.stats.sram_writes += 1;
@@ -1400,10 +1450,11 @@ impl PimMachine {
     ///
     /// [`PimError::TmpEmpty`] when the Tmp Reg holds no value.
     pub fn reduce_sum(&mut self) -> Result<i64, PimError> {
-        if self.tmp.is_empty() {
+        let tmp = &mut self.banks.wide.tmp;
+        if tmp.is_empty() {
             return Err(PimError::TmpEmpty);
         }
-        let lanes = self.tmp.len();
+        let lanes = tmp.len();
         let steps = (usize::BITS - (lanes - 1).leading_zeros()) as u64;
         let bits = self.tmp_bits;
         let sign = self.sign;
@@ -1411,21 +1462,22 @@ impl PimMachine {
         while stride < lanes {
             for i in (0..lanes).step_by(stride * 2) {
                 let other = if i + stride < lanes {
-                    self.tmp[i + stride]
+                    tmp[i + stride]
                 } else {
                     0
                 };
-                self.tmp[i] = wrap(self.tmp[i] + other, bits, sign);
+                tmp[i] = wrap(tmp[i] + other, bits, sign);
             }
             stride *= 2;
         }
+        let sum = tmp[0];
         let cycle_start = self.stats.cycles;
         self.stats.cycles += steps;
         self.stats.acc_ops += steps;
         self.stats.tmp_accesses += 2 * steps;
         self.stats.record_op(OpClass::Reduce);
         self.record_op(OpKind::Reduce, &[], &[], cycle_start, 0, lanes as u32);
-        Ok(self.tmp[0])
+        Ok(sum)
     }
 
     /// Gathers `addresses.len()` lane values at arbitrary
@@ -1444,7 +1496,7 @@ impl PimMachine {
         }
         let (width, sign, lanes) = (self.width, self.sign, self.lanes());
         let mut out = Vec::with_capacity(addresses.len());
-        let mut sensed = Vec::new();
+        let mut sensed: Vec<i64> = Vec::new();
         for &(row, lane) in addresses {
             let v = if !self.fault.is_inert() {
                 // an armed read draws the whole row's faults
@@ -1498,6 +1550,11 @@ impl PimMachine {
     /// [`MachineInstr::Reduce`] results in program order. An armed op
     /// recorder stamps every record of the run with the program name.
     ///
+    /// A [`LaneClass::I16`] program computes on `i16` lanes; its final
+    /// Tmp Reg is widened back on exit, so values, statistics, records
+    /// and the state later calls see are those of the `i64` lanes every
+    /// other program and the per-op API use.
+    ///
     /// # Errors
     ///
     /// Propagates the first [`PimError`] from the underlying compute
@@ -1513,26 +1570,58 @@ impl PimMachine {
         // compute may not outrun its inputs: wait for outstanding
         // strip-in DMA (prefetch traffic keeps overlapping)
         self.dma_sync_inbound();
-        let run = prog
-            .ops()
-            .iter()
-            .try_for_each(|op| self.exec_instr(&op.instr, &mut sums));
+        let run = match prog.lane_class() {
+            LaneClass::I64 => prog
+                .ops()
+                .iter()
+                .try_for_each(|op| self.exec_instr::<i64>(&op.instr, &mut sums)),
+            LaneClass::I16 => self.run_narrow(prog.ops(), &mut sums),
+        };
         if let Some(rec) = &mut self.op_recorder {
             rec.set_label(None);
         }
         run.map(|()| sums)
     }
 
-    /// Dispatches one lowered instruction to its compute method.
-    fn exec_instr(&mut self, instr: &MachineInstr, sums: &mut Vec<i64>) -> Result<(), PimError> {
+    /// Runs the ops of a [`LaneClass::I16`] program on the `i16` bank,
+    /// then widens its Tmp Reg into the `i64` bank if the run wrote it.
+    /// The class guarantees the program writes the Tmp Reg before it
+    /// reads it, so the narrow Tmp never needs the value it held
+    /// before. Both banks' buffers are pre-sized, so the hand-over
+    /// does not allocate.
+    fn run_narrow(&mut self, ops: &[LoweredOp], sums: &mut Vec<i64>) -> Result<(), PimError> {
+        let mut done = 0;
+        let run = ops.iter().try_for_each(|op| {
+            self.exec_instr::<i16>(&op.instr, sums)?;
+            done += 1;
+            Ok(())
+        });
+        if ops[..done].iter().any(|op| op.instr.writes_tmp()) {
+            let Banks { wide, narrow } = &mut self.banks;
+            wide.tmp.clear();
+            wide.tmp.extend(narrow.tmp.iter().map(|&v| i64::from(v)));
+        }
+        run
+    }
+
+    /// Dispatches one lowered instruction to its compute method, on the
+    /// lane bank of `L`.
+    fn exec_instr<L: Lane>(
+        &mut self,
+        instr: &MachineInstr,
+        sums: &mut Vec<i64>,
+    ) -> Result<(), PimError> {
         match *instr {
             MachineInstr::SetLanes { width, sign } => self.set_lanes(width, sign),
-            MachineInstr::Alu { op, a, b, shift } => self.alu(op, a, b, shift)?,
-            MachineInstr::ShiftPix { a, pix } => self.shift_pix(a, pix)?,
-            MachineInstr::ShrBits { a, k } => self.shr_bits(a, k)?,
+            MachineInstr::Alu { op, a, b, shift } => self.alu_on::<L>(op, a, b, shift)?,
+            MachineInstr::ShiftPix { a, pix } => self.shift_pix_on::<L>(a, pix)?,
+            MachineInstr::ShrBits { a, k } => self.shr_bits_on::<L>(a, k)?,
+            MachineInstr::Neg { a } => self.neg_on::<L>(a)?,
+            MachineInstr::SatNarrow { a, bits } => self.sat_narrow_on::<L>(a, bits)?,
+            MachineInstr::Writeback { row } => self.writeback_on::<L>(row)?,
+            // the rest compute on i64 lanes only: LaneClass::of never
+            // admits them into an i16 program
             MachineInstr::ShlBits { a, k } => self.shl_bits(a, k)?,
-            MachineInstr::Neg { a } => self.neg(a)?,
-            MachineInstr::SatNarrow { a, bits } => self.sat_narrow(a, bits)?,
             MachineInstr::Mul { a, b, signed } => {
                 if signed {
                     self.mul_signed(a, b)?;
@@ -1547,7 +1636,6 @@ impl PimMachine {
                     self.div_frac(a, b, frac)?;
                 }
             }
-            MachineInstr::Writeback { row } => self.writeback(row)?,
             MachineInstr::SaveTmp { idx } => self.save_tmp(idx)?,
             MachineInstr::Reduce => sums.push(self.reduce_sum()?),
         }
@@ -1589,7 +1677,7 @@ impl PimMachine {
     /// transient upsets corrupt the sensed values only and cell contents
     /// stay intact; every armed read advances the fault stream by one
     /// row.
-    fn read_row(&mut self, row: usize, host: bool, out: &mut Vec<i64>) {
+    fn read_row<L: Lane>(&mut self, row: usize, host: bool, out: &mut Vec<L>) {
         debug_assert!(row < self.config.rows, "read_row caller must check_row");
         // faults live with the *physical* cells: a logical row remapped
         // to a spare escapes the defective row's stuck bits
@@ -1634,19 +1722,19 @@ impl PimMachine {
     }
 
     /// Validates an operand and says where its lanes live for the
-    /// current op. A row is sensed into lane buffer `slot`; Tmp and
-    /// extra registers are read in place.
-    fn load_operand(&mut self, op: Operand, slot: usize) -> Result<Src, PimError> {
+    /// current op, in the lane bank of `L`. A row is sensed into lane
+    /// buffer `slot`; Tmp and extra registers are read in place.
+    fn load_operand<L: Lane>(&mut self, op: Operand, slot: usize) -> Result<Src, PimError> {
         match op {
             Operand::Row(r) => {
                 self.check_row(r)?;
-                let mut buf = std::mem::take(&mut self.lane_in[slot]);
+                let mut buf = std::mem::take(&mut L::bank_mut(&mut self.banks).input[slot]);
                 self.read_row(r, false, &mut buf);
-                self.lane_in[slot] = buf;
+                L::bank_mut(&mut self.banks).input[slot] = buf;
                 Ok(Src::In(slot))
             }
             Operand::Tmp => {
-                if self.tmp.is_empty() {
+                if L::bank(&self.banks).tmp.is_empty() {
                     return Err(PimError::TmpEmpty);
                 }
                 Ok(Src::Tmp)
@@ -1656,13 +1744,14 @@ impl PimMachine {
                     return Err(PimError::RegisterZero);
                 }
                 let slot = (i - 1) as usize;
-                if slot >= self.extra_regs.len() {
+                let regs = &L::bank(&self.banks).regs;
+                if slot >= regs.len() {
                     return Err(PimError::RegisterNotEnabled {
                         idx: i,
                         enabled: self.tmp_reg_count(),
                     });
                 }
-                if self.extra_regs[slot].0.is_empty() {
+                if regs[slot].0.is_empty() {
                     return Err(PimError::RegisterEmpty { idx: i });
                 }
                 Ok(Src::Reg(slot))
@@ -1670,21 +1759,12 @@ impl PimMachine {
         }
     }
 
-    /// The lanes of a loaded operand.
-    fn lanes_of(&self, src: Src) -> &[i64] {
-        match src {
-            Src::In(slot) => &self.lane_in[slot],
-            Src::Tmp => &self.tmp,
-            Src::Reg(slot) => &self.extra_regs[slot].0,
-        }
-    }
-
     /// Logical bit width of a register operand's contents.
-    fn reg_bits(&self, op: Operand) -> u32 {
+    fn reg_bits<L: Lane>(&self, op: Operand) -> u32 {
         match op {
             Operand::Tmp => self.tmp_bits,
-            Operand::Reg(i) => self
-                .extra_regs
+            Operand::Reg(i) => L::bank(&self.banks)
+                .regs
                 .get((i - 1) as usize)
                 .map(|(_, b)| *b)
                 .unwrap_or(self.width.bits()),
@@ -1694,54 +1774,55 @@ impl PimMachine {
 
     /// Width of an operation's operands: lane width, except that Tmp may
     /// carry double-width contents after a multiplication.
-    fn op_bits(&self, a: Operand, b: Operand) -> u32 {
+    fn op_bits<L: Lane>(&self, a: Operand, b: Operand) -> u32 {
         let mut bits = self.width.bits();
         if a.is_reg() {
-            bits = bits.max(self.reg_bits(a));
+            bits = bits.max(self.reg_bits::<L>(a));
         }
         if b.is_reg() {
-            bits = bits.max(self.reg_bits(b));
+            bits = bits.max(self.reg_bits::<L>(b));
         }
         bits
     }
 
     /// Executes one single-cycle binary micro step and leaves the result
     /// in the Tmp Reg.
-    fn binop(
+    fn binop<L: Lane>(
         &mut self,
         class: OpClass,
         a: Operand,
         b: Operand,
         b_pix: i32,
         out_bits: u32,
-        f: impl Fn(i64, i64) -> i64,
+        f: impl Fn(L, L) -> L,
     ) -> Result<(), PimError> {
-        let sa = self.load_operand(a, 0)?;
+        let sa = self.load_operand::<L>(a, 0)?;
         // an inert machine senses a row read by both operands once (an
         // armed one reads it twice: each read draws its own faults)
         let mut sb = if a == b && a.touches_sram() && self.fault.is_inert() {
             sa
         } else {
-            self.load_operand(b, 1)?
+            self.load_operand::<L>(b, 1)?
         };
+        let bank = L::bank_mut(&mut self.banks);
         if b_pix != 0 {
             // the lane pre-shift is a slice copy within lane buffer 1
             if sb != Src::In(1) {
-                let mut buf = std::mem::take(&mut self.lane_in[1]);
+                let mut buf = std::mem::take(&mut bank.input[1]);
                 buf.clear();
-                buf.extend_from_slice(self.lanes_of(sb));
-                self.lane_in[1] = buf;
+                buf.extend_from_slice(bank.lanes(sb));
+                bank.input[1] = buf;
                 sb = Src::In(1);
             }
-            shift_in_place(&mut self.lane_in[1], b_pix);
+            shift_in_place(&mut bank.input[1], b_pix);
         }
-        let mut out = std::mem::take(&mut self.lane_out);
+        let mut out = std::mem::take(&mut bank.out);
         out.clear();
-        let (av, bv) = (self.lanes_of(sa), self.lanes_of(sb));
+        let (av, bv) = (bank.lanes(sa), bank.lanes(sb));
         out.extend(av.iter().zip(bv).map(|(&x, &y)| f(x, y)));
         let lanes = out.len();
         // the old Tmp buffer becomes the next op's output buffer
-        self.lane_out = std::mem::replace(&mut self.tmp, out);
+        bank.out = std::mem::replace(&mut bank.tmp, out);
         self.tmp_bits = out_bits;
         // cycle/energy accounting
         let cycle_start = self.stats.cycles;
@@ -1776,18 +1857,20 @@ impl PimMachine {
     }
 
     /// Executes one single-cycle unary micro step.
-    fn unop(
+    fn unop<L: Lane>(
         &mut self,
         class: OpClass,
         a: Operand,
         out_bits: u32,
-        f: impl Fn(&[i64], &mut Vec<i64>),
+        f: impl Fn(&[L], &mut Vec<L>),
     ) -> Result<(), PimError> {
-        let sa = self.load_operand(a, 0)?;
-        let mut out = std::mem::take(&mut self.lane_out);
+        let sa = self.load_operand::<L>(a, 0)?;
+        let bank = L::bank_mut(&mut self.banks);
+        let mut out = std::mem::take(&mut bank.out);
         out.clear();
-        f(self.lanes_of(sa), &mut out);
-        self.lane_out = std::mem::replace(&mut self.tmp, out);
+        f(bank.lanes(sa), &mut out);
+        let lanes = out.len() as u32;
+        bank.out = std::mem::replace(&mut bank.tmp, out);
         self.tmp_bits = out_bits;
         let cycle_start = self.stats.cycles;
         self.stats.cycles += 1;
@@ -1803,7 +1886,6 @@ impl PimMachine {
                 reads[m] = r as u32;
                 m += 1;
             }
-            let lanes = self.tmp.len() as u32;
             self.record_op(
                 kind_of(class),
                 &reads[..m],
@@ -1887,17 +1969,184 @@ enum Src {
     Reg(usize),
 }
 
+/// One lane element type's register file and interpreter buffers,
+/// reused by every macro-op, so an inert machine allocates nothing per
+/// op once they are sized.
+#[derive(Debug, Clone)]
+struct LaneBank<L> {
+    /// The Tmp Reg.
+    tmp: Vec<L>,
+    /// Additional temporary registers (index 1..): `(lanes, bits)`.
+    /// Empty in the paper's baseline single-register configuration,
+    /// and always in the `i16` bank: its programs name no register.
+    regs: Vec<(Vec<L>, u32)>,
+    /// The two decoded row operands.
+    input: [Vec<L>; 2],
+    /// The next Tmp contents, swapped with `tmp` when an op completes,
+    /// so the old Tmp buffer is recycled.
+    out: Vec<L>,
+}
+
+impl<L> LaneBank<L> {
+    /// A bank whose lane buffers hold `lanes` lanes without growing.
+    fn new(lanes: usize) -> Self {
+        LaneBank {
+            tmp: Vec::with_capacity(lanes),
+            regs: Vec::new(),
+            input: [Vec::with_capacity(lanes), Vec::with_capacity(lanes)],
+            out: Vec::with_capacity(lanes),
+        }
+    }
+
+    /// The lanes of a loaded operand.
+    fn lanes(&self, src: Src) -> &[L] {
+        match src {
+            Src::In(slot) => &self.input[slot],
+            Src::Tmp => &self.tmp,
+            Src::Reg(slot) => &self.regs[slot].0,
+        }
+    }
+}
+
+/// The lane banks. `wide` serves the per-op API and every
+/// [`LaneClass::I64`] program, and holds the Tmp Reg between calls;
+/// `narrow` serves [`LaneClass::I16`] programs inside
+/// [`PimMachine::run_program`].
+#[derive(Debug, Clone)]
+struct Banks {
+    wide: LaneBank<i64>,
+    narrow: LaneBank<i16>,
+}
+
+impl Banks {
+    /// Banks whose buffers hold `lanes` lanes (the most any width has)
+    /// without growing, so the hand-over between them never allocates.
+    fn new(lanes: usize) -> Self {
+        Banks {
+            wide: LaneBank::new(lanes),
+            narrow: LaneBank::new(lanes),
+        }
+    }
+}
+
+/// Element type of a lane bank: the interpreter's per-op helpers are
+/// written once, generic over it. Module-private, so sealed: `i64`
+/// holds a lane of any width; `i16` holds every value a
+/// [`LaneClass::I16`] program can produce (see [`LaneClass::of`]),
+/// and on those values each method returns what the `i64` one does.
+trait Lane:
+    Copy
+    + Default
+    + Ord
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Neg<Output = Self>
+    + Shr<u32, Output = Self>
+    + BitAnd<Output = Self>
+    + BitOr<Output = Self>
+    + BitXor<Output = Self>
+    + Not<Output = Self>
+{
+    /// Truncating conversion.
+    fn from_i64(v: i64) -> Self;
+    /// Sign-extending conversion.
+    fn to_i64(self) -> i64;
+    /// Absolute value.
+    fn abs(self) -> Self;
+    /// Logical right shift of the lane's bit pattern.
+    fn shr_logical(self, k: u32) -> Self;
+    /// Wraps to a `bits`-wide word ([`sat::wrap_signed`] /
+    /// [`sat::wrap_unsigned`]).
+    fn wrap(self, bits: u32, sign: Signedness) -> Self;
+    /// This type's bank.
+    fn bank(banks: &Banks) -> &LaneBank<Self>;
+    /// This type's bank, mutably.
+    fn bank_mut(banks: &mut Banks) -> &mut LaneBank<Self>;
+}
+
+impl Lane for i64 {
+    #[inline]
+    fn from_i64(v: i64) -> Self {
+        v
+    }
+    #[inline]
+    fn to_i64(self) -> i64 {
+        self
+    }
+    #[inline]
+    fn abs(self) -> Self {
+        i64::abs(self)
+    }
+    #[inline]
+    fn shr_logical(self, k: u32) -> Self {
+        ((self as u64) >> k) as i64
+    }
+    #[inline]
+    fn wrap(self, bits: u32, sign: Signedness) -> Self {
+        wrap(self, bits, sign)
+    }
+    fn bank(banks: &Banks) -> &LaneBank<Self> {
+        &banks.wide
+    }
+    fn bank_mut(banks: &mut Banks) -> &mut LaneBank<Self> {
+        &mut banks.wide
+    }
+}
+
+/// The `i64` formulas at 16 bits; exact for `bits <= 16` on values whose
+/// `i64` result fits in an `i16`.
+impl Lane for i16 {
+    #[inline]
+    fn from_i64(v: i64) -> Self {
+        v as i16
+    }
+    #[inline]
+    fn to_i64(self) -> i64 {
+        i64::from(self)
+    }
+    #[inline]
+    fn abs(self) -> Self {
+        i16::abs(self)
+    }
+    #[inline]
+    fn shr_logical(self, k: u32) -> Self {
+        ((self as u16) >> k) as i16
+    }
+    #[inline]
+    fn wrap(self, bits: u32, sign: Signedness) -> Self {
+        let sh = 16 - bits;
+        match sign {
+            Signedness::Signed => ((self as u16) << sh) as i16 >> sh,
+            Signedness::Unsigned => ((self as u16) & (u16::MAX >> sh)) as i16,
+        }
+    }
+    fn bank(banks: &Banks) -> &LaneBank<Self> {
+        &banks.narrow
+    }
+    fn bank_mut(banks: &mut Banks) -> &mut LaneBank<Self> {
+        &mut banks.narrow
+    }
+}
+
+/// The `(min, max)` a `bits`-wide word saturates to, taken from the
+/// `i64` clamp itself: saturating a lane is `v.max(min).min(max)`,
+/// with the bounds computed once per op rather than once per lane.
+fn sat_range<L: Lane>(bits: u32, sign: Signedness) -> (L, L) {
+    let (lo, hi) = (clamp(i64::MIN, bits, sign), clamp(i64::MAX, bits, sign));
+    (L::from_i64(lo), L::from_i64(hi))
+}
+
 /// Shifts lanes in place: positive `pix` moves lane `i + pix` into lane
 /// `i`; zeros shift in at the border.
-fn shift_in_place(lanes: &mut [i64], pix: i32) {
+fn shift_in_place<L: Lane>(lanes: &mut [L], pix: i32) {
     let n = lanes.len();
     let p = (pix.unsigned_abs() as usize).min(n);
     if pix > 0 {
         lanes.copy_within(p.., 0);
-        lanes[n - p..].fill(0);
+        lanes[n - p..].fill(L::default());
     } else {
         lanes.copy_within(..n - p, p);
-        lanes[..p].fill(0);
+        lanes[..p].fill(L::default());
     }
 }
 
@@ -1943,12 +2192,12 @@ macro_rules! with_lane_type {
 /// Decodes the cells of whole lanes into `out` (cleared first):
 /// zero-extended for unsigned lanes, sign-extended for signed ones.
 #[allow(clippy::unnecessary_cast)] // identity in the 64-bit arm only
-fn decode_lanes(cells: &[u8], width: LaneWidth, sign: Signedness, out: &mut Vec<i64>) {
+fn decode_lanes<L: Lane>(cells: &[u8], width: LaneWidth, sign: Signedness, out: &mut Vec<L>) {
     out.clear();
     with_lane_type!(width, sign, T => out.extend(
         cells
             .chunks_exact(std::mem::size_of::<T>())
-            .map(|c| T::from_le_bytes(c.try_into().expect("lane-sized chunk")) as i64),
+            .map(|c| L::from_i64(T::from_le_bytes(c.try_into().expect("lane-sized chunk")) as i64)),
     ));
 }
 
@@ -1961,11 +2210,15 @@ fn decode_lane(cells: &[u8], width: LaneWidth, sign: Signedness) -> i64 {
 /// Encodes `values` into the leading lanes of a row's cells, wrapping
 /// each to the lane width, and zeroes the lanes after the last value.
 /// Returns the number of bytes the values cover.
-fn encode_lanes(cells: &mut [u8], width: LaneWidth, values: impl Iterator<Item = i64>) -> usize {
+fn encode_lanes<L: Lane>(
+    cells: &mut [u8],
+    width: LaneWidth,
+    values: impl Iterator<Item = L>,
+) -> usize {
     let mut n = 0;
     with_lane_type!(width, Signedness::Unsigned, T => {
         for (c, v) in cells.chunks_exact_mut(std::mem::size_of::<T>()).zip(values) {
-            c.copy_from_slice(&(v as T).to_le_bytes());
+            c.copy_from_slice(&(v.to_i64() as T).to_le_bytes());
             n += c.len();
         }
     });
@@ -2287,6 +2540,111 @@ mod tests {
                     // stand-alone shift of a row decodes the lane values
                     m.shift_pix(Operand::Row(0), pix).unwrap();
                     assert_eq!(m.tmp_lanes(), &shifted(&want, pix)[..], "{ctx} row shift");
+                }
+            }
+        }
+    }
+
+    /// The `i16` lane helpers return what the `i64` ones do on every
+    /// value a `LaneClass::I16` program can produce (`|v| <= 511`), at
+    /// every width and signedness those programs use.
+    #[test]
+    fn i16_lane_helpers_match_i64() {
+        use Signedness::{Signed, Unsigned};
+        for v in -511i64..=511 {
+            let n = v as i16;
+            for bits in 1..=8 {
+                for sign in [Unsigned, Signed] {
+                    let ctx = format!("v {v} bits {bits} {sign:?}");
+                    assert_eq!(
+                        n.wrap(bits, sign).to_i64(),
+                        v.wrap(bits, sign),
+                        "wrap {ctx}"
+                    );
+                    let (lo, hi) = sat_range::<i16>(bits, sign);
+                    assert_eq!(
+                        n.max(lo).min(hi).to_i64(),
+                        clamp(v, bits, sign),
+                        "sat {ctx}"
+                    );
+                }
+            }
+            assert_eq!(Lane::abs(n).to_i64(), v.abs(), "abs {v}");
+            for k in 0..16 {
+                assert_eq!((n >> k).to_i64(), v >> k, "shr {v} {k}");
+                if v >= 0 {
+                    assert_eq!(
+                        n.shr_logical(k).to_i64(),
+                        v.shr_logical(k),
+                        "shr_logical {v} {k}"
+                    );
+                }
+            }
+            let mask = 0xFF;
+            for f in [
+                LogicFunc::And,
+                LogicFunc::Nor,
+                LogicFunc::Xor,
+                LogicFunc::Or,
+            ] {
+                let y = 255 - v;
+                let wide = f.apply(v & mask, y & mask) & mask;
+                let narrow = f.apply(n & mask as i16, y as i16 & mask as i16) & mask as i16;
+                assert_eq!(narrow.to_i64(), wide, "{f:?} {v}");
+            }
+        }
+    }
+
+    /// `mul_signed` and `div_frac_signed` keep the `i128` results at
+    /// the Tmp extremes: `i64::MIN`/`MAX` dividends and factors,
+    /// negative dividends, and zero and ±1 divisors (a zero divisor
+    /// saturates to the dividend's sign).
+    #[test]
+    fn signed_mul_and_frac_div_match_i128_at_extremes() {
+        let xs = [
+            i64::MIN,
+            i64::MIN + 1,
+            -(1 << 40) - 3,
+            -7,
+            -1,
+            0,
+            1,
+            (1 << 40) + 5,
+            i64::MAX - 1,
+            i64::MAX,
+        ];
+        let ys = [0, 1, -1, 3, -7, 1 << 33, i64::MIN, i64::MAX];
+        let pairs: Vec<(i64, i64)> = xs.iter().flat_map(|&x| ys.map(|y| (x, y))).collect();
+        let or = AluOp::Logic(LogicFunc::Or);
+        let mut m = machine();
+        m.set_lanes(LaneWidth::W64, Signedness::Signed);
+        for chunk in pairs.chunks(m.lanes()) {
+            let (x, y): (Vec<i64>, Vec<i64>) = chunk.iter().copied().unzip();
+            m.host_write_lanes(0, &x).unwrap();
+            m.host_write_lanes(1, &y).unwrap();
+            // the dividend/multiplicand comes from the Tmp Reg
+            m.alu(or, Operand::Row(0), Operand::Row(0), Shift::None)
+                .unwrap();
+            m.mul_signed(Operand::Tmp, Operand::Row(1)).unwrap();
+            for (i, &(x, y)) in chunk.iter().enumerate() {
+                assert_eq!(
+                    m.tmp_lanes()[i],
+                    (x as i128 * y as i128) as i64,
+                    "{x} * {y}"
+                );
+            }
+            for frac in [0, 1, 4, 12, 31, 62, 63] {
+                m.alu(or, Operand::Row(0), Operand::Row(0), Shift::None)
+                    .unwrap();
+                m.div_frac_signed(Operand::Tmp, Operand::Row(1), frac)
+                    .unwrap();
+                for (i, &(x, y)) in chunk.iter().enumerate() {
+                    let want = match y {
+                        0 if x >= 0 => i64::MAX,
+                        0 => i64::MIN,
+                        _ => (((x as i128) << frac) / y as i128) as i64,
+                    };
+                    assert_eq!(m.tmp_lanes()[i], want, "({x} << {frac}) / {y}");
                 }
             }
         }

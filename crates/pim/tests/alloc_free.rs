@@ -1,7 +1,10 @@
 //! The interpreter's allocation contract: once its lane buffers are
 //! sized, an inert `PimMachine` runs a lowered program without touching
 //! the heap. Edge programs allocate nothing; a pose program allocates
-//! only the `sums` vector `run_program` returns.
+//! only the `sums` vector `run_program` returns. That holds across
+//! lane-class transitions too: edge programs run on `i16` lanes, pose
+//! programs on `i64` lanes, and handing the Tmp Reg between the two
+//! does not allocate.
 //!
 //! A counting global allocator sees every allocation of this test
 //! binary, so the file holds exactly one `#[test]`: no other test can
@@ -107,12 +110,34 @@ fn warm_run_program_does_not_allocate() {
         assert_eq!(n, 0, "{}: {n} heap allocations in a warm run", prog.name());
     }
     for prog in &pose {
-        let (n, sums) = allocations(|| m.run_program(prog).expect("pose run"));
-        assert_eq!(sums.len(), prog.reduce_count());
-        assert!(
-            n <= 1,
-            "{}: {n} heap allocations in a warm run (only `sums` may allocate)",
-            prog.name()
-        );
+        check_pose_run(&mut m, prog);
     }
+    // narrow -> wide -> narrow: each edge program after each pose
+    // program, so every i16 run starts from an i64 Tmp and hands its
+    // own back
+    for _ in 0..2 {
+        for (i, prog) in pose.iter().enumerate() {
+            check_pose_run(&mut m, prog);
+            let edge_prog = &edge[i % edge.len()];
+            let (n, _) = allocations(|| m.run_program(edge_prog).expect("edge run"));
+            assert_eq!(
+                n,
+                0,
+                "{} after {}: {n} heap allocations in a warm run",
+                edge_prog.name(),
+                prog.name()
+            );
+        }
+    }
+}
+
+/// Runs a pose program, which may allocate only its `sums` vector.
+fn check_pose_run(m: &mut PimMachine, prog: &LoweredProgram) {
+    let (n, sums) = allocations(|| m.run_program(prog).expect("pose run"));
+    assert_eq!(sums.len(), prog.reduce_count());
+    assert!(
+        n <= 1,
+        "{}: {n} heap allocations in a warm run (only `sums` may allocate)",
+        prog.name()
+    );
 }
