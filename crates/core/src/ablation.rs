@@ -38,15 +38,7 @@ pub fn warp_error_sweep(cam: &Pinhole, pose: &SE3, configs: &[(u32, u32)]) -> Ve
         let u = 8.0 + (i % 30) as f64 * 10.3;
         let v = 8.0 + (i / 30) as f64 * 11.4;
         let d = 0.7 + (i % 10) as f64 * 0.6;
-        let (a, b, c) = cam.inverse_depth_coords(u, v, d);
-        features.push(Feature {
-            u,
-            v,
-            depth: d,
-            a,
-            b,
-            c,
-        });
+        features.push(Feature::new(u, v, d, cam));
     }
     configs
         .iter()

@@ -3,15 +3,21 @@
 //! simulation).
 
 use crate::feature::Feature;
-use crate::hessian::QNormalEquations;
+use crate::hessian::{JacobianColumns, QNormalEquations};
 use crate::jacobian::jacobian_q;
 use crate::keyframe::Keyframe;
-use crate::pim_exec::{self, BatchMapping, BatchOptions, BatchRunner, PoseKernels, BATCH};
+use crate::pim_exec::{
+    self, BatchMapping, BatchOptions, BatchRunner, PoseKernels, BATCH, POSE_BASE,
+};
 use crate::quant::{Interp, QCamera, QFeature, QKeyframe, QPose, FEAT_FRAC};
 use crate::warp::project_q;
-use pimvo_kernels::{pim_pool, EdgeConfig, EdgeMaps, GrayImage};
+use pimvo_kernels::pim_pool::{self, EdgeKernels};
+use pimvo_kernels::pim_util::Regions;
+use pimvo_kernels::{EdgeConfig, EdgeMaps, GrayImage};
 use pimvo_mcu::{CostCounter, FloatFeature};
-use pimvo_pim::{EnergyBreakdown, ExecStats, MemAccessBreakdown, PimArrayPool, PimMachine};
+use pimvo_pim::{
+    ArrayConfig, EnergyBreakdown, ExecStats, MemAccessBreakdown, PimArrayPool, PimError, PimMachine,
+};
 use pimvo_telemetry::Telemetry;
 use pimvo_vomath::{NormalEquations, Pinhole, SE3};
 
@@ -130,6 +136,46 @@ fn threshold_hpf_mask(hpf: &GrayImage, cfg: &EdgeConfig) -> GrayImage {
     mask
 }
 
+/// The PIM backend's fast path: the quantized normal equations of the
+/// warp residuals of `features` at `pose`, with the values the machine
+/// execution of the pose programs produces (property-tested in
+/// [`crate::pim_exec`]).
+///
+/// Each feature is warped from its Q4.12 form [`Feature::q`], its
+/// residual and gradients are looked up in `kf` and its Jacobian row is
+/// formed; the rows of each [`BATCH`]-feature chunk are staged in a
+/// stack buffer in column layout and summed as by
+/// [`QNormalEquations::accumulate_batch`], which gives the result of
+/// accumulating them one by one.
+pub fn linearize_q(
+    features: &[Feature],
+    pose: &QPose,
+    kf: &QKeyframe,
+    cam: &QCamera,
+    interp: Interp,
+) -> QNormalEquations {
+    let mut eq = QNormalEquations::zero();
+    let mut rows = JacobianColumns::new();
+    for chunk in features.chunks(BATCH) {
+        rows.clear();
+        for f in chunk {
+            let Some(w) = project_q(&f.q, pose, cam) else {
+                continue;
+            };
+            let Some((r, gu, gv)) = kf.lookup_with(w.u_raw, w.v_raw, interp) else {
+                continue;
+            };
+            // lossless narrowing: `jacobian_q` saturates to Q14.2's 16
+            // bits, and the residual lies between the `i16` table
+            // entries it interpolates
+            let j = jacobian_q(w.qx, w.qy, w.iz_real, gu.into(), gv.into());
+            rows.push(j.map(|v| v as i16), r as i16);
+        }
+        eq.accumulate_columns(&rows);
+    }
+    eq
+}
+
 /// The PicoVO-class baseline backend.
 #[derive(Debug, Default)]
 pub struct FloatBackend {
@@ -246,17 +292,21 @@ impl TrackerBackend for FloatBackend {
 ///
 /// Edge detection executes on the simulated array pool for real
 /// ([`pimvo_kernels::pim_pool`] shards image strips across the arrays).
-/// Pose estimation evaluates the quantized pipeline with the fast
-/// scalar path (bit-identical to the machine execution —
-/// property-tested in [`crate::pim_exec`]) and charges cycles/energy
-/// from a machine-traced calibration batch scaled by the batch count,
-/// which is exact because the instruction sequence is
-/// data-independent. With a multi-array pool the wall-clock charge per
-/// linearization drops to `ceil(batches / arrays)` barrier sections of
-/// one batch cost plus the inter-array sync overhead, while the summed
-/// energy stays that of all batches.
+/// Edge strip programs are resolved once per pool geometry and image
+/// size ([`EdgeKernels`]). Pose estimation evaluates the quantized
+/// pipeline with the fast scalar path ([`linearize_q`], bit-identical
+/// to the machine execution — property-tested in [`crate::pim_exec`])
+/// and charges cycles/energy from a machine-traced calibration batch
+/// scaled by the batch count, which is exact because the instruction
+/// sequence is data-independent. With a multi-array pool the wall-clock
+/// charge per linearization drops to `ceil(batches / arrays)` barrier
+/// sections of one batch cost plus the inter-array sync overhead, while
+/// the summed energy stays that of all batches.
 pub struct PimBackend {
     runner: BatchRunner,
+    /// Edge strip programs, resolved once per pool geometry and image
+    /// size.
+    edge_kernels: EdgeKernels,
     /// Per-batch calibration trace (lazy).
     batch_trace: Option<ExecStats>,
     edge_cycles: u64,
@@ -301,8 +351,30 @@ impl PimBackend {
     ///
     /// Panics if `options.pool` is zero.
     pub fn with_options(options: BatchOptions) -> Self {
+        Self::with_runner(BatchRunner::new(options))
+    }
+
+    /// Creates the backend with arrays stamped from an explicit machine
+    /// builder — the way to attach a [`pimvo_pim::FaultModel`] /
+    /// [`pimvo_pim::Protection`] configuration to every array.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `options.pool` is zero, or if the builder's geometry
+    /// lacks rows the backend works in ([`PimBackend::check_geometry`]):
+    /// it fails here rather than on its first frame.
+    pub fn from_builder(builder: &pimvo_pim::PimMachineBuilder, options: BatchOptions) -> Self {
+        let runner = BatchRunner::from_builder(builder, options);
+        if let Err(e) = Self::check_geometry(runner.pool().array(0).config()) {
+            panic!("PimBackend::from_builder: array geometry too small: {e}");
+        }
+        Self::with_runner(runner)
+    }
+
+    fn with_runner(runner: BatchRunner) -> Self {
         PimBackend {
-            runner: BatchRunner::new(options),
+            runner,
+            edge_kernels: EdgeKernels::new(),
             batch_trace: None,
             edge_cycles: 0,
             lm_cycles: 0,
@@ -312,23 +384,25 @@ impl PimBackend {
         }
     }
 
-    /// Creates the backend with arrays stamped from an explicit machine
-    /// builder — the way to attach a [`pimvo_pim::FaultModel`] /
-    /// [`pimvo_pim::Protection`] configuration to every array.
+    /// Checks that arrays of geometry `config` hold every row the
+    /// backend works in: the six 256-row edge-detection banks and the
+    /// pose stage's [`pim_exec::POSE_ROWS`] staging rows from
+    /// [`POSE_BASE`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `options.pool` is zero.
-    pub fn from_builder(builder: &pimvo_pim::PimMachineBuilder, options: BatchOptions) -> Self {
-        PimBackend {
-            runner: BatchRunner::from_builder(builder, options),
-            batch_trace: None,
-            edge_cycles: 0,
-            lm_cycles: 0,
-            lm_iterations: 0,
-            frames: 0,
-            scaled: ExecStats::new(),
+    /// [`PimError::RowOutOfRange`] naming the last row of the edge
+    /// banks or of the staging rows, whichever lies beyond the
+    /// geometry first.
+    pub fn check_geometry(config: &ArrayConfig) -> Result<(), PimError> {
+        let edge_rows = 6 * Regions::BANK;
+        if config.rows < edge_rows {
+            return Err(PimError::RowOutOfRange {
+                row: edge_rows - 1,
+                rows: config.rows,
+            });
         }
+        pim_exec::check_pose_rows(config, POSE_BASE)
     }
 
     /// Access to the first underlying machine (stats inspection).
@@ -411,7 +485,9 @@ impl Default for PimBackend {
 impl TrackerBackend for PimBackend {
     fn detect_edges(&mut self, img: &GrayImage, cfg: &EdgeConfig) -> EdgeMaps {
         let before = self.runner.pool().wall_cycles();
-        let maps = pim_pool::edge_detect(self.runner.pool_mut(), img, cfg);
+        let maps = self
+            .edge_kernels
+            .edge_detect(self.runner.pool_mut(), img, cfg);
         self.edge_cycles += self.runner.pool().wall_cycles() - before;
         self.frames += 1;
         maps
@@ -419,8 +495,8 @@ impl TrackerBackend for PimBackend {
 
     fn detect_edges_fast(&mut self, img: &GrayImage, cfg: &EdgeConfig) -> EdgeMaps {
         let before = self.runner.pool().wall_cycles();
-        let lpf_map = pim_pool::lpf(self.runner.pool_mut(), img);
-        let hpf_map = pim_pool::hpf(self.runner.pool_mut(), &lpf_map);
+        let lpf_map = self.edge_kernels.lpf(self.runner.pool_mut(), img);
+        let hpf_map = self.edge_kernels.hpf(self.runner.pool_mut(), &lpf_map);
         self.edge_cycles += self.runner.pool().wall_cycles() - before;
         self.frames += 1;
         // the threshold runs host-side (a byte compare is not a PIM op)
@@ -454,7 +530,7 @@ impl TrackerBackend for PimBackend {
         if self.runner.options().on_machine {
             // real machine execution: faults (if any) corrupt the
             // normal equations, recovery runs at the pool layer
-            let qfeats: Vec<QFeature> = features.iter().map(QFeature::quantize).collect();
+            let qfeats: Vec<QFeature> = features.iter().map(|f| f.q).collect();
             let wall_before = self.runner.pool().wall_cycles();
             match self.runner.submit(&qfeats, &qpose, qkf, cam) {
                 Ok(outs) => {
@@ -474,23 +550,7 @@ impl TrackerBackend for PimBackend {
             }
         }
 
-        // fast path: scalar-quantized evaluation, identical values to
-        // the machine execution
-        let mut eq = QNormalEquations::zero();
-        let mut valid = 0usize;
-        for f in features {
-            let qf = QFeature::quantize(f);
-            let Some(w) = project_q(&qf, &qpose, &qcam) else {
-                continue;
-            };
-            let Some((r, gu, gv)) = qkf.lookup_with(w.u_raw, w.v_raw, self.interp()) else {
-                continue;
-            };
-            let j = jacobian_q(w.qx, w.qy, w.iz_real, gu as i64, gv as i64);
-            eq.accumulate(&j, r);
-            valid += 1;
-        }
-        let _ = valid;
+        let eq = linearize_q(features, &qpose, qkf, &qcam, self.interp());
 
         // cost accounting: calibrated per-batch trace x batch count.
         // Energy / op totals cover every batch; the wall-clock charge is
@@ -700,6 +760,75 @@ mod tests {
         assert_eq!(fast_f.mask, fast.mask);
         let _ = full_f;
         assert!(ffast.stats().edge_cycles < ffull.stats().edge_cycles);
+    }
+
+    /// Edge kernels are resolved once per pool geometry and image size:
+    /// warm frames at two pyramid sizes make no cache lookup, a
+    /// fleet-style swap to a 2-array pool re-resolves and matches the
+    /// per-call entry point on that pool, and swapping back re-resolves
+    /// the original geometry.
+    #[test]
+    fn edge_kernels_resolve_once_per_pool_geometry() {
+        let (gray, _) = synthetic_frame();
+        let half = pimvo_kernels::scalar::downsample2x(&gray);
+        let cfg = EdgeConfig::default();
+        let mut be = PimBackend::new();
+        let cache = pimvo_pim::LoweredCache::new();
+        be.pool_mut().set_lowered_cache(cache.clone());
+        let lookups = || {
+            let s = cache.stats();
+            s.hits + s.misses
+        };
+        let full = be.detect_edges(&gray, &cfg);
+        let small = be.detect_edges_fast(&half, &cfg);
+        let cold = lookups();
+        assert!(cold > 0);
+        assert_eq!(be.detect_edges(&gray, &cfg), full);
+        assert_eq!(be.detect_edges_fast(&half, &cfg), small);
+        assert_eq!(be.detect_edges(&half, &cfg).lpf, small.lpf);
+        assert_eq!(lookups(), cold, "warm frames make no cache lookup");
+
+        let builder = PimMachine::builder(pimvo_pim::ArrayConfig::qvga_banks(6));
+        let mut shared = builder.build_pool(2);
+        shared.set_lowered_cache(cache.clone());
+        std::mem::swap(be.pool_mut(), &mut shared);
+        let swapped = be.detect_edges(&gray, &cfg);
+        assert!(lookups() > cold, "a swapped pool re-resolves");
+        let want = pim_pool::edge_detect(&mut builder.build_pool(2), &gray, &cfg);
+        assert_eq!(swapped, want);
+
+        std::mem::swap(be.pool_mut(), &mut shared);
+        let swapped_back = lookups();
+        assert_eq!(be.detect_edges(&gray, &cfg), full);
+        assert!(lookups() > swapped_back, "swapping back re-resolves");
+    }
+
+    /// A geometry without the pose staging rows (or the edge banks)
+    /// fails at construction, on the fast path and on the machine path
+    /// alike, instead of panicking in the first linearization.
+    #[test]
+    fn from_builder_rejects_a_geometry_without_the_working_rows() {
+        let small = PimMachine::builder(pimvo_pim::ArrayConfig::qvga_banks(1));
+        for on_machine in [false, true] {
+            let options = BatchOptions {
+                on_machine,
+                ..Default::default()
+            };
+            let built = std::panic::catch_unwind(|| PimBackend::from_builder(&small, options));
+            let err = built.expect_err("construction must fail");
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert!(msg.contains("array geometry too small"), "{msg}");
+        }
+        assert!(matches!(
+            PimBackend::check_geometry(&pimvo_pim::ArrayConfig::qvga_banks(1)),
+            Err(PimError::RowOutOfRange {
+                row: 1535,
+                rows: 256
+            })
+        ));
+        assert!(PimBackend::check_geometry(&pimvo_pim::ArrayConfig::qvga_banks(6)).is_ok());
     }
 
     #[test]

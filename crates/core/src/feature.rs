@@ -1,9 +1,15 @@
 //! Edge-feature extraction (Fig. 5-a).
 
+use crate::quant::{QFeature, FEAT_FRAC};
 use pimvo_kernels::{DepthImage, GrayImage};
 use pimvo_vomath::Pinhole;
 
 /// A 3D edge feature in inverse-depth coordinates on its anchor frame.
+///
+/// A feature carries its float coordinates and their Q4.12 form `q`,
+/// quantized once by [`Feature::new`]: a frame's features do not change
+/// while the LM solver evaluates them, so no linearization re-quantizes
+/// them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Feature {
     /// Pixel column on the anchor frame.
@@ -18,6 +24,34 @@ pub struct Feature {
     pub b: f64,
     /// Inverse depth `1 / d`.
     pub c: f64,
+    /// `a`, `b`, `c` at the paper's Q4.12 ([`QFeature::quantize`]).
+    pub q: QFeature,
+}
+
+impl Feature {
+    /// The feature at pixel `(u, v)` with depth `depth` meters on a
+    /// frame seen by `cam`, with its inverse-depth coordinates and
+    /// their Q4.12 form.
+    pub fn new(u: f64, v: f64, depth: f64, cam: &Pinhole) -> Feature {
+        let (a, b, c) = cam.inverse_depth_coords(u, v, depth);
+        let unset = QFeature {
+            a: 0,
+            b: 0,
+            c: 0,
+            frac: FEAT_FRAC,
+        };
+        let mut f = Feature {
+            u,
+            v,
+            depth,
+            a,
+            b,
+            c,
+            q: unset,
+        };
+        f.q = QFeature::quantize(&f);
+        f
+    }
 }
 
 /// Extracts features from an edge mask + depth image: every edge pixel
@@ -38,9 +72,12 @@ pub fn extract_features(
 ) -> Vec<Feature> {
     assert_eq!(mask.width(), depth.width(), "mask/depth width mismatch");
     assert_eq!(mask.height(), depth.height(), "mask/depth height mismatch");
+    // candidates stay pixel indices until the subsample picks them, so
+    // only the kept ones pay for (and hold) their coordinates
+    let w = mask.width();
     let mut candidates = Vec::new();
     for y in 0..mask.height() {
-        for x in 0..mask.width() {
+        for x in 0..w {
             if mask.get(x, y) == 0 {
                 continue;
             }
@@ -48,24 +85,20 @@ pub fn extract_features(
             if !(min_depth..=max_depth).contains(&d) {
                 continue;
             }
-            let (a, b, c) = cam.inverse_depth_coords(x as f64, y as f64, d);
-            candidates.push(Feature {
-                u: x as f64,
-                v: y as f64,
-                depth: d,
-                a,
-                b,
-                c,
-            });
+            candidates.push(y * w + x);
         }
     }
+    let feature = |&i: &u32| {
+        let (x, y) = (i % w, i / w);
+        Feature::new(x as f64, y as f64, depth.get(x, y) as f64, cam)
+    };
     if candidates.len() <= max_features {
-        return candidates;
+        return candidates.iter().map(feature).collect();
     }
     // uniform stride subsample (keeps spatial distribution)
     let stride = candidates.len() as f64 / max_features as f64;
     (0..max_features)
-        .map(|i| candidates[(i as f64 * stride) as usize])
+        .map(|i| feature(&candidates[(i as f64 * stride) as usize]))
         .collect()
 }
 

@@ -3,6 +3,7 @@
 //! that 16-bit accumulators break the LM solver while Q29.3 tracks as
 //! well as float.
 
+use crate::pim_exec::BATCH;
 use crate::qmath::sat32;
 use crate::quant::{GRAD_FRAC, HES_FRAC, RES_FRAC};
 use pimvo_vomath::NormalEquations;
@@ -29,6 +30,67 @@ pub struct QNormalEquations {
     /// ablation).
     pub bits: u32,
 }
+
+/// Up to one [`BATCH`] of Jacobian rows and residuals in column layout
+/// (`i16`, the range of the Q14.2 / Q12.4 formats): the staging buffer
+/// of [`QNormalEquations::accumulate_batch`] and of the PIM backend's
+/// fast path.
+#[derive(Debug, Clone)]
+pub(crate) struct JacobianColumns {
+    /// Columns `0..6` hold the Jacobian entries, column [`RES_COL`] the
+    /// residual.
+    cols: [[i16; BATCH]; 7],
+    len: usize,
+}
+
+/// The residual's column in [`JacobianColumns`].
+const RES_COL: usize = 6;
+
+impl JacobianColumns {
+    /// An empty buffer.
+    pub(crate) fn new() -> Self {
+        JacobianColumns {
+            cols: [[0; BATCH]; 7],
+            len: 0,
+        }
+    }
+
+    /// Empties the buffer.
+    pub(crate) fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Appends one row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer already holds [`BATCH`] rows.
+    pub(crate) fn push(&mut self, j: [i16; 6], r: i16) {
+        let t = self.len;
+        for (col, v) in self.cols.iter_mut().zip(j) {
+            col[t] = v;
+        }
+        self.cols[RES_COL][t] = r;
+        self.len += 1;
+    }
+}
+
+/// The `(i, j)` pairs of the packed upper triangle, in [`tri_idx`]
+/// order.
+const TRI_PAIRS: [(usize, usize); 21] = {
+    let mut pairs = [(0, 0); 21];
+    let (mut n, mut i) = (0, 0);
+    while i < 6 {
+        let mut j = i;
+        while j < 6 {
+            pairs[n] = (i, j);
+            n += 1;
+            j += 1;
+        }
+        i += 1;
+    }
+    pairs
+};
 
 /// Index into the packed upper triangle (`i <= j`).
 #[inline]
@@ -79,6 +141,113 @@ impl QNormalEquations {
         }
         self.cost += r * r;
         self.count += 1;
+    }
+
+    /// Accumulates a batch of `(Jacobian row, residual)` pairs with the
+    /// result of calling [`QNormalEquations::accumulate`] on each pair
+    /// in order.
+    ///
+    /// The clamp after every addition makes the per-row sums
+    /// order-sensitive, and clamping is most of their cost. The batch is
+    /// summed in parts of up to [`BATCH`] rows, each without the clamp
+    /// when a bound proves none can fire: with `m_i = max|J_i|` and
+    /// `m_r = max|r|` over the part's `n` rows, every rescaled product
+    /// `((J_i·J_k) << l) >> r` has magnitude at most
+    /// `((m_i·m_k) << l) >> r` plus one (the floor of a negative
+    /// product), so if `|h_ik| + n·(that + 1)` stays within the
+    /// accumulator range for every entry of `h` and `b`, no prefix sum
+    /// leaves it. No clamp fires, the unclamped sum is exact, and its
+    /// order is free. Otherwise, and for a part holding an entry or
+    /// residual outside the `i16` range of the Q14.2 / Q12.4 formats,
+    /// the part falls back to per-row [`QNormalEquations::accumulate`].
+    pub fn accumulate_batch(&mut self, rows: &[([i64; 6], i64)]) {
+        let mut cols = JacobianColumns::new();
+        for part in rows.chunks(BATCH) {
+            let narrow =
+                |&(j, r): &([i64; 6], i64)| j.iter().chain([&r]).all(|&v| i16::try_from(v).is_ok());
+            if !part.iter().all(narrow) {
+                for (j, r) in part {
+                    self.accumulate(j, *r);
+                }
+                continue;
+            }
+            cols.clear();
+            for (j, r) in part {
+                cols.push(j.map(|v| v as i16), *r as i16);
+            }
+            self.accumulate_columns(&cols);
+        }
+    }
+
+    /// [`QNormalEquations::accumulate_batch`] of one part already in
+    /// column layout: unclamped when the no-clamp bound holds, row by
+    /// row otherwise.
+    ///
+    /// Each unclamped entry is one dot product of two `i16` columns with
+    /// `i32` products and sums — exact, because the bound limits every
+    /// term and partial sum to the accumulator range, which fits `i32`.
+    /// The column loops vectorise.
+    pub(crate) fn accumulate_columns(&mut self, rows: &JacobianColumns) {
+        let n = rows.len;
+        let col = |i: usize| &rows.cols[i][..n];
+        let jj = shifts((2 * GRAD_FRAC) as i64 - self.hes_frac as i64);
+        let jr = shifts((GRAD_FRAC + RES_FRAC) as i64 - self.hes_frac as i64);
+        let max_abs: [i64; 7] = std::array::from_fn(|i| {
+            let m = col(i).iter().map(|&v| i32::from(v).abs()).max();
+            m.map_or(0, i64::from)
+        });
+        if !self.cannot_clamp(&max_abs, n, jj, jr) {
+            for t in 0..n {
+                let j = std::array::from_fn(|i| i64::from(rows.cols[i][t]));
+                self.accumulate(&j, i64::from(rows.cols[RES_COL][t]));
+            }
+            return;
+        }
+        let dot = |a: usize, c: usize, (l, r): (u32, u32)| {
+            let products = col(a)
+                .iter()
+                .zip(col(c))
+                .map(|(&x, &y)| i32::from(x) * i32::from(y));
+            // a left shift distributes over the sum; a right shift
+            // floors each term
+            let sum: i32 = if r == 0 {
+                products.sum::<i32>() << l
+            } else {
+                products.map(|p| p >> r).sum()
+            };
+            i64::from(sum)
+        };
+        for (h, &(i, k)) in self.h.iter_mut().zip(&TRI_PAIRS) {
+            *h += dot(i, k, jj);
+        }
+        for (i, b) in self.b.iter_mut().enumerate() {
+            *b += dot(i, RES_COL, jr);
+        }
+        let res = col(RES_COL);
+        self.cost += res
+            .iter()
+            .map(|&r| i64::from(r) * i64::from(r))
+            .sum::<i64>();
+        self.count += n;
+    }
+
+    /// The no-clamp bound of [`QNormalEquations::accumulate_batch`] for
+    /// `n` rows whose columns have magnitudes at most `max_abs`
+    /// (Jacobian entries, then the residual), with the `(left, right)`
+    /// rescale shifts `jj` of `J·J` and `jr` of `J·r`.
+    fn cannot_clamp(&self, max_abs: &[i64; 7], n: usize, jj: (u32, u32), jr: (u32, u32)) -> bool {
+        let n = n as i128;
+        let hi = i128::from(self.bounds().1);
+        // |acc| + n·(((m << l) >> r) + 1) <= hi, in i128 so that no
+        // term of the bound itself can overflow; a left shift of 32 or
+        // more is out of reach of the i32 column sums
+        let fits = |acc: i64, m: i64, (l, r): (u32, u32)| {
+            l < 32 && i128::from(acc).abs() + n * (((i128::from(m) << l) >> r) + 1) <= hi
+        };
+        (0..6).all(|i| {
+            fits(self.b[i], max_abs[i] * max_abs[RES_COL], jr)
+                && (i..6).all(|k| fits(self.h[tri_idx(i, k)], max_abs[i] * max_abs[k], jj))
+        })
     }
 
     /// The saturation range of the accumulator width: [`sat32`]'s for
@@ -146,14 +315,6 @@ fn shifts(shift: i64) -> (u32, u32) {
         (0, shift as u32)
     } else {
         ((-shift) as u32, 0)
-    }
-}
-
-/// Accumulates a whole batch of Jacobian rows and residuals.
-pub fn accumulate_batch_q(eq: &mut QNormalEquations, rows: &[[i64; 6]], residuals: &[i64]) {
-    assert_eq!(rows.len(), residuals.len(), "rows/residuals mismatch");
-    for (j, &r) in rows.iter().zip(residuals) {
-        eq.accumulate(j, r);
     }
 }
 
@@ -291,6 +452,71 @@ mod tests {
                     (1 << (bits - 1)) - 1
                 };
                 assert!(fast.h.iter().any(|&h| h == limit), "bits {bits}: saturates");
+            }
+        }
+    }
+
+    /// The batched accumulate gives per-row accumulate's result whether
+    /// its no-clamp proof holds or not. Rows at ±32767 with maximal
+    /// residuals fail the proof on a stream's first chunk, and again
+    /// mid-stream after chunks of small rows passed it; rows outside
+    /// the i16 range fall back too, and a slice longer than one batch
+    /// is summed in parts. Checked at the paper's format and
+    /// the ablation's narrower widths and other `hes_frac`.
+    #[test]
+    fn accumulate_batch_matches_per_row_accumulate() {
+        // whether the no-clamp bound holds for `chunk` from `eq`'s state
+        fn bound_holds(eq: &QNormalEquations, chunk: &[([i64; 6], i64)]) -> bool {
+            let max_abs = std::array::from_fn(|i| {
+                let col = chunk.iter().map(|(j, r)| if i < 6 { j[i] } else { *r });
+                col.map(i64::abs).max().unwrap_or(0)
+            });
+            let jj = shifts((2 * GRAD_FRAC) as i64 - eq.hes_frac as i64);
+            let jr = shifts((GRAD_FRAC + RES_FRAC) as i64 - eq.hes_frac as i64);
+            eq.cannot_clamp(&max_abs, chunk.len(), jj, jr)
+        }
+        let m = i64::from(i16::MAX);
+        let big: Vec<([i64; 6], i64)> = (0..BATCH as i64)
+            .map(|i| {
+                let s = if i % 3 == 0 { -1 } else { 1 };
+                ([s * m, m, -m, s * m, -m, m], -s * m)
+            })
+            .collect();
+        let small: Vec<([i64; 6], i64)> = (0..BATCH as i64)
+            .map(|i| ([3 - i % 7, -2, 1, i % 5, 4, -1], 2 - i % 4))
+            .collect();
+        let long: Vec<_> = small.iter().cycle().take(5 * BATCH / 2).copied().collect();
+        let wide = vec![([40_000, 0, 0, 0, 0, 0], 1); 3];
+        // (chunk, whether the bound holds at the paper's Q29.3 / 32 bits)
+        let first_chunk_fails = [(&big[..], false), (&small[..], false)];
+        let fails_mid_stream = [
+            (&small[..], true),
+            (&small[..BATCH / 2], true),
+            (&big[..], false),
+            (&small[..], false),
+        ];
+        let longer_than_a_batch = [(&long[..], true), (&wide[..], false), (&[][..], false)];
+        for bits in [32, 24, 16, 12] {
+            for hes_frac in [HES_FRAC, 0, 6, 8] {
+                let streams = [
+                    &first_chunk_fails[..],
+                    &fails_mid_stream,
+                    &longer_than_a_batch,
+                ];
+                for stream in streams {
+                    let mut batched = QNormalEquations::zero_with(hes_frac, bits);
+                    let mut per_row = batched.clone();
+                    for &(chunk, proof) in stream {
+                        if (bits, hes_frac) == (32, HES_FRAC) && !chunk.is_empty() {
+                            assert_eq!(bound_holds(&batched, chunk), proof);
+                        }
+                        batched.accumulate_batch(chunk);
+                        for (j, r) in chunk {
+                            per_row.accumulate(j, *r);
+                        }
+                        assert_eq!(batched, per_row, "bits {bits} hes_frac {hes_frac}");
+                    }
+                }
             }
         }
     }

@@ -57,11 +57,13 @@ pub mod supervisor;
 mod tracker;
 mod warp;
 
-pub use backend::{BackendKind, BackendStats, FloatBackend, PimBackend, TrackerBackend};
+pub use backend::{
+    linearize_q, BackendKind, BackendStats, FloatBackend, PimBackend, TrackerBackend,
+};
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use config::{KeyframePolicy, RecoveryConfig, TrackerConfig};
 pub use feature::{extract_features, Feature};
-pub use hessian::{accumulate_batch_q, QNormalEquations};
+pub use hessian::QNormalEquations;
 pub use jacobian::{jacobian_float, jacobian_q};
 pub use keyframe::Keyframe;
 pub use mapping::EdgeMap3d;

@@ -156,24 +156,12 @@ pub fn integrate_frame(
 mod tests {
     use super::*;
 
-    fn feature(cam: &Pinhole, u: f64, v: f64, d: f64) -> Feature {
-        let (a, b, c) = cam.inverse_depth_coords(u, v, d);
-        Feature {
-            u,
-            v,
-            depth: d,
-            a,
-            b,
-            c,
-        }
-    }
-
     #[test]
     fn backprojection_reproduces_known_geometry() {
         let cam = Pinhole::qvga();
         let mut map = EdgeMap3d::new(0.01);
         // a feature on the optical axis at 2 m, identity pose
-        let f = feature(&cam, cam.cx, cam.cy, 2.0);
+        let f = Feature::new(cam.cx, cam.cy, 2.0, &cam);
         map.integrate_keyframe(&[f], &SE3::IDENTITY);
         assert_eq!(map.len(), 1);
         let p = map.points()[0];
@@ -185,7 +173,7 @@ mod tests {
         let cam = Pinhole::qvga();
         let mut map = EdgeMap3d::new(0.01);
         let pose = SE3::exp(&[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-        let f = feature(&cam, cam.cx, cam.cy, 3.0);
+        let f = Feature::new(cam.cx, cam.cy, 3.0, &cam);
         map.integrate_keyframe(&[f], &pose);
         let p = map.points()[0];
         assert!((p - Vec3::new(1.0, 0.0, 3.0)).norm() < 1e-9, "{p:?}");
@@ -195,7 +183,7 @@ mod tests {
     fn voxel_grid_deduplicates() {
         let cam = Pinhole::qvga();
         let mut map = EdgeMap3d::new(0.05);
-        let f = feature(&cam, 100.0, 80.0, 2.0);
+        let f = Feature::new(100.0, 80.0, 2.0, &cam);
         let added1 = map.integrate_keyframe(&[f], &SE3::IDENTITY);
         let added2 = map.integrate_keyframe(&[f], &SE3::IDENTITY);
         assert_eq!(added1, 1);
@@ -209,7 +197,7 @@ mod tests {
         let mut map = EdgeMap3d::new(0.01);
         for i in 0..5 {
             map.integrate_keyframe(
-                &[feature(&cam, 50.0 + i as f64 * 30.0, 100.0, 1.5)],
+                &[Feature::new(50.0 + i as f64 * 30.0, 100.0, 1.5, &cam)],
                 &SE3::IDENTITY,
             );
         }
@@ -223,7 +211,7 @@ mod tests {
     fn rms_distance_metric() {
         let cam = Pinhole::qvga();
         let mut map = EdgeMap3d::new(0.001);
-        map.integrate_keyframe(&[feature(&cam, cam.cx, cam.cy, 2.0)], &SE3::IDENTITY);
+        map.integrate_keyframe(&[Feature::new(cam.cx, cam.cy, 2.0, &cam)], &SE3::IDENTITY);
         let reference = vec![Vec3::new(0.0, 0.0, 2.1)];
         assert!((map.rms_distance_to(&reference) - 0.1).abs() < 1e-9);
     }

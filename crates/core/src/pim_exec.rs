@@ -225,7 +225,7 @@ impl BatchRunner {
     ///
     /// - [`PimError::RowOutOfRange`] if the arrays lack the staging rows
     ///   ([`BatchRunner::with_base_row`] or the builder geometry leaves
-    ///   fewer than `base_row + 55` rows); checked before any phase, so
+    ///   fewer than `base_row +` [`POSE_ROWS`] rows); checked before any phase, so
     ///   no array is touched.
     /// - [`PimError::AllArraysQuarantined`] once no healthy array
     ///   remains.
@@ -328,6 +328,29 @@ impl PoseRows {
     }
 }
 
+/// Rows the pose stage stages through, counted from its base row:
+/// feature inputs, broadcasts, intermediates and the lowering's spill
+/// pool.
+pub const POSE_ROWS: usize = PoseRows::LOWER + PoseRows::LOWER_LEN;
+
+/// Checks that arrays of geometry `config` hold the pose stage's
+/// [`POSE_ROWS`] staging rows from `base_row` on.
+///
+/// # Errors
+///
+/// [`PimError::RowOutOfRange`] naming the last staging row when it
+/// lies beyond the geometry.
+pub(crate) fn check_pose_rows(config: &ArrayConfig, base_row: usize) -> Result<(), PimError> {
+    let last = base_row.saturating_add(POSE_ROWS - 1);
+    if last >= config.rows {
+        return Err(PimError::RowOutOfRange {
+            row: last,
+            rows: config.rows,
+        });
+    }
+    Ok(())
+}
+
 /// The fraction a feature set is quantized at: its first feature's,
 /// or the default Q4.12 of an empty set.
 fn frac_of(feats: &[QFeature]) -> u32 {
@@ -376,13 +399,7 @@ impl PoseKernels {
         interp: Interp,
         mapping: BatchMapping,
     ) -> Result<Self, PimError> {
-        let last = base_row.saturating_add(PoseRows::LOWER + PoseRows::LOWER_LEN - 1);
-        if last >= config.rows {
-            return Err(PimError::RowOutOfRange {
-                row: last,
-                rows: config.rows,
-            });
-        }
+        check_pose_rows(config, base_row)?;
         let rows = PoseRows::new(base_row);
         let level = mapping.level();
         let scratch = rows.lower_scratch();
@@ -655,7 +672,7 @@ pub struct BatchOutput {
 }
 
 /// Executes one batch (≤ [`BATCH`] features) of the pose-estimation
-/// pipeline on the machine. `base_row` is the first of 55 scratch rows
+/// pipeline on the machine. `base_row` is the first of [`POSE_ROWS`] rows
 /// used for staging. The programs are resolved through
 /// [`LoweredCache::global`] on every call; [`BatchRunner::submit`]
 /// resolves once per feature set.
@@ -663,7 +680,7 @@ pub struct BatchOutput {
 /// # Panics
 ///
 /// Panics if more than [`BATCH`] features are supplied or the machine
-/// lacks `base_row + 55` rows.
+/// lacks `base_row +` [`POSE_ROWS`] rows.
 #[inline]
 pub fn run_batch(
     m: &mut PimMachine,
@@ -1071,15 +1088,7 @@ mod tests {
                 let u = 15.0 + (i % 30) as f64 * 9.7;
                 let v = 12.0 + (i / 30) as f64 * 23.3;
                 let d = 1.0 + (i % 11) as f64 * 0.45;
-                let (a, b, c) = cam.inverse_depth_coords(u, v, d);
-                QFeature::quantize(&Feature {
-                    u,
-                    v,
-                    depth: d,
-                    a,
-                    b,
-                    c,
-                })
+                Feature::new(u, v, d, cam).q
             })
             .collect()
     }

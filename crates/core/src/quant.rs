@@ -237,15 +237,9 @@ mod tests {
 
     #[test]
     fn qfeature_roundtrip_within_lsb() {
-        let f = Feature {
-            u: 100.0,
-            v: 80.0,
-            depth: 2.0,
-            a: -0.2245,
-            b: -0.1491,
-            c: 0.5,
-        };
+        let f = Feature::new(100.0, 80.0, 2.0, &Pinhole::qvga());
         let q = QFeature::quantize(&f);
+        assert_eq!(f.q, q, "a feature carries its Q4.12 form");
         assert!((q.a as f64 / 4096.0 - f.a).abs() <= 0.5 / 4096.0);
         assert!((q.c as f64 / 4096.0 - f.c).abs() <= 0.5 / 4096.0);
         assert_eq!(q.frac, 12);

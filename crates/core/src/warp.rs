@@ -105,22 +105,10 @@ mod tests {
     use super::*;
     use crate::quant::FEAT_FRAC;
 
-    fn feature_at(cam: &Pinhole, u: f64, v: f64, d: f64) -> Feature {
-        let (a, b, c) = cam.inverse_depth_coords(u, v, d);
-        Feature {
-            u,
-            v,
-            depth: d,
-            a,
-            b,
-            c,
-        }
-    }
-
     #[test]
     fn identity_warp_reprojects_to_source_pixel() {
         let cam = Pinhole::qvga();
-        let f = feature_at(&cam, 100.25, 81.5, 2.0);
+        let f = Feature::new(100.25, 81.5, 2.0, &cam);
         let q = QFeature::quantize(&f);
         let pose = QPose::quantize(&SE3::IDENTITY);
         let w = project_q(&q, &pose, &QCamera::quantize(&cam)).expect("in front");
@@ -143,7 +131,7 @@ mod tests {
             let u = 10.0 + (i % 25) as f64 * 12.0;
             let v = 10.0 + (i / 25) as f64 * 11.0;
             let d = 0.8 + (i % 9) as f64 * 0.7;
-            let f = feature_at(&cam, u, v, d);
+            let f = Feature::new(u, v, d, &cam);
             let Some((uf, vf)) = warp_float(&f, &pose, &cam) else {
                 continue;
             };
@@ -168,7 +156,7 @@ mod tests {
         for i in 0..200 {
             let u = 12.0 + (i % 20) as f64 * 15.0;
             let v = 12.0 + (i / 20) as f64 * 22.0;
-            let f = feature_at(&cam, u, v, 1.0 + (i % 5) as f64);
+            let f = Feature::new(u, v, 1.0 + (i % 5) as f64, &cam);
             let Some((uf, vf)) = warp_float(&f, &pose, &cam) else {
                 continue;
             };
@@ -186,7 +174,7 @@ mod tests {
     #[test]
     fn behind_camera_returns_none() {
         let cam = Pinhole::qvga();
-        let f = feature_at(&cam, 160.0, 120.0, 0.5);
+        let f = Feature::new(160.0, 120.0, 0.5, &cam);
         let q = QFeature::quantize(&f);
         // translate backwards past the point: t_z = -0.9 (c=2 => t*c=-1.8 < -1... saturates)
         let pose = QPose::quantize(&SE3::exp(&[0.0, 0.0, -0.9, 0.0, 0.0, 0.0]));
@@ -196,7 +184,7 @@ mod tests {
     #[test]
     fn ratio_and_depth_outputs_consistent() {
         let cam = Pinhole::qvga();
-        let f = feature_at(&cam, 200.0, 100.0, 2.0);
+        let f = Feature::new(200.0, 100.0, 2.0, &cam);
         let q = QFeature::quantize(&f);
         let pose = QPose::quantize(&SE3::IDENTITY);
         let w = project_q(&q, &pose, &QCamera::quantize(&cam)).unwrap();

@@ -41,16 +41,7 @@ fn features_at(cam: &Pinhole, n: usize, seed: u64, frac: u32) -> Vec<QFeature> {
             let u = 10.0 + (k % 300) as f64;
             let v = 10.0 + ((k >> 16) % 220) as f64;
             let d = 0.8 + ((k >> 32) % 500) as f64 * 0.01;
-            let (a, b, c) = cam.inverse_depth_coords(u, v, d);
-            let f = Feature {
-                u,
-                v,
-                depth: d,
-                a,
-                b,
-                c,
-            };
-            QFeature::quantize_with(&f, frac, 16)
+            QFeature::quantize_with(&Feature::new(u, v, d, cam), frac, 16)
         })
         .collect()
 }

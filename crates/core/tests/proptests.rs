@@ -2,23 +2,11 @@
 
 use pimvo_core::pim_exec::{run_batch, BATCH};
 use pimvo_core::{jacobian_float, jacobian_q, Feature, QCamera, QFeature, QKeyframe, QPose};
-use pimvo_core::{project_q, warp_float};
+use pimvo_core::{linearize_q, project_q, warp_float, Interp, QNormalEquations};
 use pimvo_mcu::KeyframeTables;
 use pimvo_pim::{ArrayConfig, PimMachine};
 use pimvo_vomath::{distance_transform, gradient_maps, Pinhole, SE3};
 use proptest::prelude::*;
-
-fn feature_at(cam: &Pinhole, u: f64, v: f64, d: f64) -> Feature {
-    let (a, b, c) = cam.inverse_depth_coords(u, v, d);
-    Feature {
-        u,
-        v,
-        depth: d,
-        a,
-        b,
-        c,
-    }
-}
 
 fn small_pose(t: [f64; 3], w: [f64; 3]) -> SE3 {
     SE3::exp(&[t[0], t[1], t[2], w[0], w[1], w[2]])
@@ -44,7 +32,7 @@ proptest! {
     ) {
         let cam = Pinhole::qvga();
         let pose = small_pose([tx, ty, tz], [wx, wy, wz]);
-        let f = feature_at(&cam, u, v, d);
+        let f = Feature::new(u, v, d, &cam);
         let (Some((uf, vf)), Some(wq)) = (
             warp_float(&f, &pose, &cam),
             project_q(
@@ -100,7 +88,7 @@ proptest! {
         let cam = Pinhole::qvga();
         let pose = small_pose([0.03, -0.02, 0.04], [0.01, -0.02, 0.01]);
         let qpose = QPose::quantize(&pose);
-        let f = feature_at(&cam, u, v, d);
+        let f = Feature::new(u, v, d, &cam);
         let Some((uf, vf)) = warp_float(&f, &pose, &cam) else {
             return Ok(());
         };
@@ -144,7 +132,7 @@ proptest! {
                 let u = 10.0 + ((i * 7 + seed as usize) % 300) as f64;
                 let v = 10.0 + ((i * 13) % 220) as f64;
                 let d = 0.9 + (i % 8) as f64 * 0.5;
-                QFeature::quantize(&feature_at(&cam, u, v, d))
+                Feature::new(u, v, d, &cam).q
             })
             .collect();
         let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
@@ -160,5 +148,62 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The batched fast path — features quantized at extraction,
+    /// 80-row chunks summed under the no-clamp proof — gives the
+    /// normal equations of the per-feature `project_q → lookup_with →
+    /// jacobian_q → accumulate` loop exactly (h, b, cost and count), in
+    /// both interpolation modes and with a partial last chunk.
+    #[test]
+    fn batched_fast_path_equals_per_feature_loop(
+        seed in 0u64..1_000_000,
+        n in 1usize..(3 * BATCH + BATCH / 2),
+        t in prop::array::uniform3(-0.08f64..0.08),
+        w in prop::array::uniform3(-0.04f64..0.04),
+        nearest in any::<bool>(),
+        stride in 7usize..97,
+    ) {
+        let cam = Pinhole::qvga();
+        let (mw, mh) = (320u32, 240u32);
+        let mut mask = vec![0u8; (mw * mh) as usize];
+        for i in ((seed as usize % stride)..mask.len()).step_by(stride * 13) {
+            mask[i] = 255;
+        }
+        let dt = distance_transform(&mask, mw, mh);
+        let (gx, gy) = gradient_maps(&dt);
+        let kf = QKeyframe::quantize(&KeyframeTables { dt, grad_x: gx, grad_y: gy }, &cam);
+        let pose = QPose::quantize(&small_pose(t, w));
+        let qcam = QCamera::quantize(&cam);
+        let interp = if nearest { Interp::Nearest } else { Interp::Bilinear };
+        let features: Vec<Feature> = (0..n as u64)
+            .map(|i| {
+                let k = (i + seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let u = (k % 320) as f64 + ((k >> 9) % 64) as f64 / 64.0;
+                let v = ((k >> 16) % 240) as f64 + ((k >> 25) % 64) as f64 / 64.0;
+                let d = 0.3 + ((k >> 32) % 770) as f64 * 0.01;
+                Feature::new(u, v, d, &cam)
+            })
+            .collect();
+
+        let mut want = QNormalEquations::zero();
+        for f in &features {
+            let Some(wq) = project_q(&QFeature::quantize(f), &pose, &qcam) else {
+                continue;
+            };
+            let Some((r, gu, gv)) = kf.lookup_with(wq.u_raw, wq.v_raw, interp) else {
+                continue;
+            };
+            want.accumulate(&jacobian_q(wq.qx, wq.qy, wq.iz_real, gu as i64, gv as i64), r);
+        }
+        let got = linearize_q(&features, &pose, &kf, &qcam, interp);
+        prop_assert_eq!(got.h, want.h);
+        prop_assert_eq!(got.b, want.b);
+        prop_assert_eq!(got.cost, want.cost);
+        prop_assert_eq!(got.count, want.count);
     }
 }

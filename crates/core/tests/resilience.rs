@@ -32,15 +32,7 @@ fn features(cam: &Pinhole, n: usize, seed: u64) -> Vec<QFeature> {
             let u = 10.0 + (k % 300) as f64;
             let v = 10.0 + ((k >> 16) % 220) as f64;
             let d = 0.8 + ((k >> 32) % 500) as f64 * 0.01;
-            let (a, b, c) = cam.inverse_depth_coords(u, v, d);
-            QFeature::quantize(&Feature {
-                u,
-                v,
-                depth: d,
-                a,
-                b,
-                c,
-            })
+            Feature::new(u, v, d, cam).q
         })
         .collect()
 }

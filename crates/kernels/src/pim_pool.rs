@@ -27,15 +27,28 @@
 //! in `crates/kernels/tests/` enforce this. Wall cycles shrink by the
 //! strip factor, paying one [`pimvo_pim::CostModel::pool_sync_cycles`]
 //! per barrier.
+//!
+//! # Compile once, execute many
+//!
+//! The four strip program sets of a frame (LPF pass 1 and 2, HPF, NMS)
+//! depend only on the pool length, the array geometry, the image size
+//! and the ghost-mask row — never on the pixels. [`EdgeKernels`]
+//! resolves them through the pool's [`pimvo_pim::LoweredCache`] once
+//! per such key and holds the `Arc`s, so a warm frame builds, hashes
+//! and looks up no program. The free entry points ([`edge_detect`],
+//! [`lpf`], [`hpf`], [`nms`]) resolve per call.
 
 use crate::ir::{
     downsample_program, hpf_program, lower_opt, lpf_pass1_program, lpf_pass2_program, nms_program,
     scratch_pool,
 };
-use crate::pim_util::{ghost_mask, load_image_rows, partition_rows, prefetch_image_rows, Regions};
+use crate::pim_util::{
+    ghost_mask, ghost_mask_row, load_image_rows, partition_rows, prefetch_image_rows, Regions,
+};
 use crate::{EdgeConfig, EdgeMaps, GrayImage};
 use pimvo_pim::{
-    lower_with_passes, LaneWidth, LowerLevel, LoweredProgram, Pass, PimArrayPool, Signedness,
+    lower_with_passes, ArrayConfig, LaneWidth, LowerLevel, LoweredProgram, Pass, PimArrayPool,
+    PimProgram, Signedness,
 };
 use std::sync::Arc;
 
@@ -43,35 +56,29 @@ use std::sync::Arc;
 /// memoized through the pool's [`pimvo_pim::LoweredCache`] — across
 /// frames (and across sessions sharing the cache handle) each distinct
 /// strip program is lowered exactly once.
-fn strip_programs<F>(
+fn strip_programs(
     pool: &PimArrayPool,
     strips: &[(i64, i64)],
     r: &Regions,
-    mut build: F,
-) -> Vec<Arc<LoweredProgram>>
-where
-    F: FnMut(i64, i64) -> pimvo_pim::PimProgram,
-{
-    let cache = pool.lowered_cache().clone();
-    let config = pool.array(0).config().clone();
+    build: &dyn Fn(i64, i64) -> PimProgram,
+) -> Vec<Arc<LoweredProgram>> {
+    let cache = pool.lowered_cache();
+    let config = pool.array(0).config();
     strips
         .iter()
-        .map(|&(y0, y1)| lower_opt(&build(y0, y1), r, &cache, &config))
+        .map(|&(y0, y1)| lower_opt(&build(y0, y1), r, cache, config))
         .collect()
 }
 
 /// [`strip_programs`] with an explicit pass list. Uncached: the cache
 /// key does not cover the pass list, and a partial lowering must never
 /// be served to regular callers.
-fn strip_programs_with_passes<F>(
+fn strip_programs_with_passes(
     strips: &[(i64, i64)],
     r: &Regions,
     passes: &[Pass],
-    mut build: F,
-) -> Vec<Arc<LoweredProgram>>
-where
-    F: FnMut(i64, i64) -> pimvo_pim::PimProgram,
-{
+    build: &dyn Fn(i64, i64) -> PimProgram,
+) -> Vec<Arc<LoweredProgram>> {
     strips
         .iter()
         .map(|&(y0, y1)| {
@@ -83,15 +90,175 @@ where
         .collect()
 }
 
+/// What the edge strip builders read: the strips (pool length and
+/// image height), the array geometry, the image width and the
+/// ghost-mask row.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct EdgeKey {
+    arrays: usize,
+    config: ArrayConfig,
+    width: u32,
+    height: u32,
+    mask: Option<usize>,
+}
+
+impl EdgeKey {
+    /// The key of a `width` x `height` frame on `pool`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Regions::for_machine`].
+    fn of(pool: &PimArrayPool, width: u32, height: u32) -> EdgeKey {
+        let config = pool.array(0).config();
+        let r = Regions::for_machine(pool.array(0), height);
+        EdgeKey {
+            arrays: pool.len(),
+            config: config.clone(),
+            width,
+            height,
+            mask: ghost_mask_row(config, &r, width as usize),
+        }
+    }
+}
+
+/// The four Opt-lowered strip program sets of one key, one program per
+/// pool array in each.
+#[derive(Debug, Clone)]
+struct EdgeSet {
+    key: EdgeKey,
+    lpf_pass1: Vec<Arc<LoweredProgram>>,
+    lpf_pass2: Vec<Arc<LoweredProgram>>,
+    hpf: Vec<Arc<LoweredProgram>>,
+    nms: Vec<Arc<LoweredProgram>>,
+}
+
+impl EdgeSet {
+    /// Builds the strip programs of `key` and lowers them through the
+    /// pool's cache, or uncached through `passes` when given.
+    fn resolve(pool: &PimArrayPool, key: EdgeKey, passes: Option<&[Pass]>) -> EdgeSet {
+        let r = Regions::for_machine(pool.array(0), key.height);
+        let strips = partition_rows(key.height, key.arrays);
+        let (h, mask) = (key.height, key.mask);
+        let lower = |build: &dyn Fn(i64, i64) -> PimProgram| match passes {
+            Some(ps) => strip_programs_with_passes(&strips, &r, ps, build),
+            None => strip_programs(pool, &strips, &r, build),
+        };
+        EdgeSet {
+            lpf_pass1: lower(&|y0, y1| lpf_pass1_program(&r, r.input, h, y0, y1)),
+            lpf_pass2: lower(&|y0, y1| lpf_pass2_program(&r, r.aux2, h, mask, y0, y1)),
+            hpf: lower(&|y0, y1| hpf_program(&r, r.aux2, r.aux3, h, mask, y0, y1)),
+            nms: lower(&|y0, y1| nms_program(&r, r.aux3, r.out, h, mask, y0, y1)),
+            key,
+        }
+    }
+
+    /// The cached set for a `width` x `height` frame on `pool`.
+    fn for_frame(pool: &PimArrayPool, width: u32, height: u32) -> EdgeSet {
+        Self::resolve(pool, EdgeKey::of(pool, width, height), None)
+    }
+}
+
+/// Edge-detection kernels resolved once and held across frames, the
+/// edge counterpart of the pose stage's held kernels.
+///
+/// Holds one resolved set of the four strip program sets per image
+/// size (pyramid levels differ in size) and checks its key — pool length, array
+/// geometry, image width and height, ghost-mask row — on every call: a
+/// caller whose pool was swapped for another geometry or length (as a
+/// serving fleet does per frame) gets its set re-resolved, never a
+/// stale one. Resolution goes through the pool's
+/// [`pimvo_pim::LoweredCache`], which stays the only lowering
+/// authority; a warm call makes no cache lookup.
+///
+/// ```
+/// use pimvo_kernels::pim_pool::{self, EdgeKernels};
+/// use pimvo_kernels::{EdgeConfig, GrayImage};
+/// use pimvo_pim::{ArrayConfig, PimMachineBuilder};
+///
+/// let mut pool = PimMachineBuilder::new(ArrayConfig::qvga_banks(6)).build_pool(2);
+/// let img = GrayImage::from_fn(32, 16, |x, y| ((x * 8) ^ (y * 8)) as u8);
+/// let cfg = EdgeConfig::default();
+/// let mut kernels = EdgeKernels::new();
+/// let held = kernels.edge_detect(&mut pool, &img, &cfg);
+/// assert_eq!(held, pim_pool::edge_detect(&mut pool, &img, &cfg));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct EdgeKernels {
+    sets: Vec<EdgeSet>,
+}
+
+impl EdgeKernels {
+    /// An empty holder; sets are resolved on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The set for a `width` x `height` frame on `pool`: the held one
+    /// if its key still matches, else a fresh resolution replacing the
+    /// held set of that size.
+    fn resolve(&mut self, pool: &PimArrayPool, width: u32, height: u32) -> &EdgeSet {
+        let key = EdgeKey::of(pool, width, height);
+        let same_size = |s: &EdgeSet| (s.key.width, s.key.height) == (width, height);
+        let i = match self.sets.iter().position(same_size) {
+            Some(i) if self.sets[i].key == key => i,
+            Some(i) => {
+                self.sets[i] = EdgeSet::resolve(pool, key, None);
+                i
+            }
+            None => {
+                self.sets.push(EdgeSet::resolve(pool, key, None));
+                self.sets.len() - 1
+            }
+        };
+        &self.sets[i]
+    }
+
+    /// [`edge_detect`] with the held kernels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool's arrays have fewer than 6 banks of 256 rows.
+    pub fn edge_detect(
+        &mut self,
+        pool: &mut PimArrayPool,
+        img: &GrayImage,
+        cfg: &EdgeConfig,
+    ) -> EdgeMaps {
+        let set = self.resolve(pool, img.width(), img.height());
+        edge_detect_frame(pool, set, img, cfg, false, None)
+    }
+
+    /// [`lpf`] with the held kernels.
+    ///
+    /// # Panics
+    ///
+    /// As [`EdgeKernels::edge_detect`].
+    pub fn lpf(&mut self, pool: &mut PimArrayPool, img: &GrayImage) -> GrayImage {
+        let set = self.resolve(pool, img.width(), img.height());
+        lpf_with(pool, set, img)
+    }
+
+    /// [`hpf`] with the held kernels.
+    ///
+    /// # Panics
+    ///
+    /// As [`EdgeKernels::edge_detect`].
+    pub fn hpf(&mut self, pool: &mut PimArrayPool, lpf_map: &GrayImage) -> GrayImage {
+        let set = self.resolve(pool, lpf_map.width(), lpf_map.height());
+        hpf_with(pool, set, lpf_map)
+    }
+}
+
 /// Runs the full optimized pipeline (LPF → HPF → NMS) sharded across
 /// the pool's arrays; output is bit-identical to single-array
 /// [`crate::ir::edge_detect`] at [`pimvo_pim::LowerLevel::Opt`].
+/// Resolves the kernels on every call; [`EdgeKernels`] holds them.
 ///
 /// # Panics
 ///
 /// Panics if the pool's arrays have fewer than 6 banks of 256 rows.
 pub fn edge_detect(pool: &mut PimArrayPool, img: &GrayImage, cfg: &EdgeConfig) -> EdgeMaps {
-    edge_detect_frame(pool, img, cfg, false, None, None)
+    EdgeKernels::new().edge_detect(pool, img, cfg)
 }
 
 /// [`edge_detect`] with an explicit pass list in place of the full
@@ -105,7 +272,9 @@ pub fn edge_detect_with_passes(
     cfg: &EdgeConfig,
     passes: &[Pass],
 ) -> EdgeMaps {
-    edge_detect_frame(pool, img, cfg, false, None, Some(passes))
+    let key = EdgeKey::of(pool, img.width(), img.height());
+    let set = EdgeSet::resolve(pool, key, Some(passes));
+    edge_detect_frame(pool, &set, img, cfg, false, None)
 }
 
 /// Runs [`edge_detect`] over a sequence of equal-sized frames with the
@@ -133,6 +302,7 @@ pub fn edge_detect_pipelined(
             .all(|p| p[0].width() == p[1].width() && p[0].height() == p[1].height()),
         "pipelined frames must share one size"
     );
+    let mut kernels = EdgeKernels::new();
     let mut out = Vec::with_capacity(frames.len());
     for (f, img) in frames.iter().enumerate() {
         if f > 0 {
@@ -140,47 +310,39 @@ pub fn edge_detect_pipelined(
             // landed before LPF pass 1 reads the input bank
             pool.dma_settle();
         }
+        let set = kernels.resolve(pool, img.width(), img.height());
         out.push(edge_detect_frame(
             pool,
+            set,
             img,
             cfg,
             f > 0,
             frames.get(f + 1),
-            None,
         ));
     }
     pool.dma_settle();
     out
 }
 
-/// One edge-detection frame. With `preloaded` the input strips are
-/// already resident (a prior frame prefetched them); with `next` the
-/// following frame's strips are prefetched right after LPF pass 1
-/// frees the input bank.
+/// One edge-detection frame with the programs of `set`. With
+/// `preloaded` the input strips are already resident (a prior frame
+/// prefetched them); with `next` the following frame's strips are
+/// prefetched right after LPF pass 1 frees the input bank.
 fn edge_detect_frame(
     pool: &mut PimArrayPool,
+    set: &EdgeSet,
     img: &GrayImage,
     cfg: &EdgeConfig,
     preloaded: bool,
     next: Option<&GrayImage>,
-    passes: Option<&[Pass]>,
 ) -> EdgeMaps {
     let r = Regions::for_machine(pool.array(0), img.height());
     let h = img.height();
     let w = img.width() as usize;
     let strips = partition_rows(h, pool.len());
-    let lower_strips = |pool: &PimArrayPool,
-                        build: &mut dyn FnMut(i64, i64) -> pimvo_pim::PimProgram|
-     -> Vec<Arc<LoweredProgram>> {
-        match passes {
-            Some(ps) => strip_programs_with_passes(&strips, &r, ps, build),
-            None => strip_programs(pool, &strips, &r, build),
-        }
-    };
 
     // host setup per array: padding/threshold rows, ghost mask, input
     // strip + one halo row below (LPF pass 1 reads y and y + 1)
-    let mut mask = None;
     for (i, &(y0, y1)) in strips.iter().enumerate() {
         let m = pool.array_mut(i);
         m.set_lanes(LaneWidth::W8, Signedness::Unsigned);
@@ -190,7 +352,7 @@ fn edge_detect_frame(
             .expect("host I/O row in range");
         m.host_broadcast(r.th(1), cfg.th2 as i64)
             .expect("host I/O row in range");
-        mask = ghost_mask(m, &r, w);
+        ghost_mask(m, &r, w);
         let lo = y0 as u32;
         let hi = (y1 as u32 + 1).min(h);
         if !preloaded && lo < hi {
@@ -198,10 +360,7 @@ fn edge_detect_frame(
         }
     }
 
-    let p1 = lower_strips(pool, &mut |y0, y1| {
-        lpf_pass1_program(&r, r.input, h, y0, y1)
-    });
-    pool.submit_strips_shared("lpf_pass1", &p1)
+    pool.submit_strips_shared("lpf_pass1", &set.lpf_pass1)
         .expect("lpf pass 1 programs run");
     if let Some(nf) = next {
         // input bank is dead from here on: stream the next frame's
@@ -215,26 +374,17 @@ fn edge_detect_frame(
         }
     }
     exchange_boundary_rows(pool, &strips, r.aux1, h, true, false);
-    let p2 = lower_strips(pool, &mut |y0, y1| {
-        lpf_pass2_program(&r, r.aux2, h, mask, y0, y1)
-    });
-    pool.submit_strips_shared("lpf_pass2", &p2)
+    pool.submit_strips_shared("lpf_pass2", &set.lpf_pass2)
         .expect("lpf pass 2 programs run");
     let lpf = collect_image(pool, &strips, r.aux2, img.width(), h);
 
     exchange_boundary_rows(pool, &strips, r.aux2, h, true, true);
-    let ph = lower_strips(pool, &mut |y0, y1| {
-        hpf_program(&r, r.aux2, r.aux3, h, mask, y0, y1)
-    });
-    pool.submit_strips_shared("hpf", &ph)
+    pool.submit_strips_shared("hpf", &set.hpf)
         .expect("hpf programs run");
     let hpf = collect_image(pool, &strips, r.aux3, img.width(), h);
 
     exchange_boundary_rows(pool, &strips, r.aux3, h, true, true);
-    let pn = lower_strips(pool, &mut |y0, y1| {
-        nms_program(&r, r.aux3, r.out, h, mask, y0, y1)
-    });
-    pool.submit_strips_shared("nms", &pn)
+    pool.submit_strips_shared("nms", &set.nms)
         .expect("nms programs run");
     let mut mask_img = collect_image(pool, &strips, r.out, img.width(), h);
     mask_img.clear_border(cfg.border);
@@ -249,33 +399,31 @@ fn edge_detect_frame(
 /// Sharded LPF; bit-identical to single-array [`crate::ir::lpf`] at
 /// [`pimvo_pim::LowerLevel::Opt`].
 pub fn lpf(pool: &mut PimArrayPool, img: &GrayImage) -> GrayImage {
+    let set = EdgeSet::for_frame(pool, img.width(), img.height());
+    lpf_with(pool, &set, img)
+}
+
+fn lpf_with(pool: &mut PimArrayPool, set: &EdgeSet, img: &GrayImage) -> GrayImage {
     let r = Regions::for_machine(pool.array(0), img.height());
     let h = img.height();
     let w = img.width() as usize;
     let strips = partition_rows(h, pool.len());
-    let mut mask = None;
     for (i, &(y0, y1)) in strips.iter().enumerate() {
         let m = pool.array_mut(i);
         m.set_lanes(LaneWidth::W8, Signedness::Unsigned);
         m.host_broadcast(r.zero_row(), 0)
             .expect("host I/O row in range");
-        mask = ghost_mask(m, &r, w);
+        ghost_mask(m, &r, w);
         let lo = y0 as u32;
         let hi = (y1 as u32 + 1).min(h);
         if lo < hi {
             load_image_rows(m, r.input, img, lo, hi);
         }
     }
-    let p1 = strip_programs(pool, &strips, &r, |y0, y1| {
-        lpf_pass1_program(&r, r.input, h, y0, y1)
-    });
-    pool.submit_strips_shared("lpf_pass1", &p1)
+    pool.submit_strips_shared("lpf_pass1", &set.lpf_pass1)
         .expect("lpf pass 1 programs run");
     exchange_boundary_rows(pool, &strips, r.aux1, h, true, false);
-    let p2 = strip_programs(pool, &strips, &r, |y0, y1| {
-        lpf_pass2_program(&r, r.aux2, h, mask, y0, y1)
-    });
-    pool.submit_strips_shared("lpf_pass2", &p2)
+    pool.submit_strips_shared("lpf_pass2", &set.lpf_pass2)
         .expect("lpf pass 2 programs run");
     collect_image(pool, &strips, r.aux2, img.width(), h)
 }
@@ -283,17 +431,21 @@ pub fn lpf(pool: &mut PimArrayPool, img: &GrayImage) -> GrayImage {
 /// Sharded HPF on a low-pass map; bit-identical to single-array
 /// [`crate::ir::hpf`] at [`pimvo_pim::LowerLevel::Opt`].
 pub fn hpf(pool: &mut PimArrayPool, lpf_map: &GrayImage) -> GrayImage {
+    let set = EdgeSet::for_frame(pool, lpf_map.width(), lpf_map.height());
+    hpf_with(pool, &set, lpf_map)
+}
+
+fn hpf_with(pool: &mut PimArrayPool, set: &EdgeSet, lpf_map: &GrayImage) -> GrayImage {
     let r = Regions::for_machine(pool.array(0), lpf_map.height());
     let h = lpf_map.height();
     let w = lpf_map.width() as usize;
     let strips = partition_rows(h, pool.len());
-    let mut mask = None;
     for (i, &(y0, y1)) in strips.iter().enumerate() {
         let m = pool.array_mut(i);
         m.set_lanes(LaneWidth::W8, Signedness::Unsigned);
         m.host_broadcast(r.zero_row(), 0)
             .expect("host I/O row in range");
-        mask = ghost_mask(m, &r, w);
+        ghost_mask(m, &r, w);
         // strip plus one halo row on each side (3-row stencil)
         if y0 < y1 {
             let lo = (y0 - 1).max(0) as u32;
@@ -301,10 +453,7 @@ pub fn hpf(pool: &mut PimArrayPool, lpf_map: &GrayImage) -> GrayImage {
             load_image_rows(m, r.aux2, lpf_map, lo, hi);
         }
     }
-    let ph = strip_programs(pool, &strips, &r, |y0, y1| {
-        hpf_program(&r, r.aux2, r.aux3, h, mask, y0, y1)
-    });
-    pool.submit_strips_shared("hpf", &ph)
+    pool.submit_strips_shared("hpf", &set.hpf)
         .expect("hpf programs run");
     collect_image(pool, &strips, r.aux3, lpf_map.width(), h)
 }
@@ -312,11 +461,11 @@ pub fn hpf(pool: &mut PimArrayPool, lpf_map: &GrayImage) -> GrayImage {
 /// Sharded NMS on a high-pass map; bit-identical to single-array
 /// [`crate::ir::nms`] at [`pimvo_pim::LowerLevel::Opt`].
 pub fn nms(pool: &mut PimArrayPool, hpf_map: &GrayImage, cfg: &EdgeConfig) -> GrayImage {
+    let set = EdgeSet::for_frame(pool, hpf_map.width(), hpf_map.height());
     let r = Regions::for_machine(pool.array(0), hpf_map.height());
     let h = hpf_map.height();
     let w = hpf_map.width() as usize;
     let strips = partition_rows(h, pool.len());
-    let mut mask = None;
     for (i, &(y0, y1)) in strips.iter().enumerate() {
         let m = pool.array_mut(i);
         m.set_lanes(LaneWidth::W8, Signedness::Unsigned);
@@ -326,17 +475,14 @@ pub fn nms(pool: &mut PimArrayPool, hpf_map: &GrayImage, cfg: &EdgeConfig) -> Gr
             .expect("host I/O row in range");
         m.host_broadcast(r.th(1), cfg.th2 as i64)
             .expect("host I/O row in range");
-        mask = ghost_mask(m, &r, w);
+        ghost_mask(m, &r, w);
         if y0 < y1 {
             let lo = (y0 - 1).max(0) as u32;
             let hi = (y1 as u32 + 1).min(h);
             load_image_rows(m, r.aux3, hpf_map, lo, hi);
         }
     }
-    let pn = strip_programs(pool, &strips, &r, |y0, y1| {
-        nms_program(&r, r.aux3, r.out, h, mask, y0, y1)
-    });
-    pool.submit_strips_shared("nms", &pn)
+    pool.submit_strips_shared("nms", &set.nms)
         .expect("nms programs run");
     let mut out = collect_image(pool, &strips, r.out, hpf_map.width(), h);
     out.clear_border(cfg.border);
@@ -360,7 +506,7 @@ pub fn downsample2x(pool: &mut PimArrayPool, img: &GrayImage) -> GrayImage {
             load_image_rows(m, r.input, img, lo, hi);
         }
     }
-    let pd = strip_programs(pool, &strips, &r, |oy0, oy1| {
+    let pd = strip_programs(pool, &strips, &r, &|oy0, oy1| {
         downsample_program(&r, oy0 as u32, oy1 as u32)
     });
     pool.submit_strips_shared("downsample", &pd)

@@ -1,7 +1,7 @@
 //! Shared helpers for mapping image kernels onto the PIM machine.
 
 use crate::GrayImage;
-use pimvo_pim::{LaneWidth, PimMachine, Signedness};
+use pimvo_pim::{ArrayConfig, LaneWidth, PimMachine, Signedness};
 
 /// Row-region layout used by the edge-detection mappings.
 ///
@@ -188,14 +188,22 @@ pub use crate::config::row_or_zero;
 /// full-width and no masking is needed.
 pub fn ghost_mask(m: &mut PimMachine, regions: &Regions, width: usize) -> Option<usize> {
     m.set_lanes(LaneWidth::W8, Signedness::Unsigned);
-    if width >= m.lanes() {
-        return None;
-    }
-    let row = regions.th(8);
+    let row = ghost_mask_row(m.config(), regions, width)?;
     let vals: Vec<i64> = (0..m.lanes())
         .map(|i| if i < width { 0xFF } else { 0 })
         .collect();
     m.host_write_lanes(row, &vals)
         .expect("host I/O row in range");
     Some(row)
+}
+
+/// The row [`ghost_mask`] writes its mask to on arrays of geometry
+/// `config` for an image `width` pixels wide, or `None` when the image
+/// fills the word line — without touching a machine.
+pub(crate) fn ghost_mask_row(
+    config: &ArrayConfig,
+    regions: &Regions,
+    width: usize,
+) -> Option<usize> {
+    (width < config.lanes(LaneWidth::W8)).then(|| regions.th(8))
 }

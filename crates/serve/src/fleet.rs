@@ -4,7 +4,9 @@
 
 use crate::flight::{DumpReason, FlightDump, FlightFrame, FlightRecorder};
 use crate::session::{ServeError, SessionSpec, SessionStats, StepOutcome};
-use pimvo_core::{BackendKind, Checkpoint, DegradeRung, Tracker, TrackerBuilder, TrackingState};
+use pimvo_core::{
+    BackendKind, Checkpoint, DegradeRung, PimBackend, Tracker, TrackerBuilder, TrackingState,
+};
 use pimvo_kernels::{DepthImage, GrayImage};
 use pimvo_pim::{
     ArrayConfig, LoweredCache, LoweredCacheStats, PimArrayPool, PimMachine, PimMachineBuilder,
@@ -110,10 +112,16 @@ impl FleetScheduler {
     ///
     /// # Panics
     ///
-    /// Panics if `arrays` is zero.
+    /// Panics if `arrays` is zero, or if the builder's geometry lacks
+    /// rows a session's PIM backend works in
+    /// ([`PimBackend::check_geometry`]): every frame runs on these
+    /// arrays, so it fails here rather than on the first step.
     pub fn from_builder(builder: &PimMachineBuilder, arrays: usize) -> Self {
         let lowered = LoweredCache::new();
         let mut shared = builder.build_pool(arrays);
+        if let Err(e) = PimBackend::check_geometry(shared.array(0).config()) {
+            panic!("FleetScheduler::from_builder: array geometry too small: {e}");
+        }
         shared.set_lowered_cache(lowered.clone());
         FleetScheduler {
             shared,
@@ -1053,6 +1061,15 @@ mod tests {
         });
         let depth = DepthImage::from_fn(320, 240, |_, _| 2.0);
         (gray, depth)
+    }
+
+    /// Every session frame runs on the shared arrays, so a geometry
+    /// without the PIM backend's working rows fails at construction
+    /// rather than in the first step.
+    #[test]
+    #[should_panic(expected = "array geometry too small")]
+    fn from_builder_rejects_a_geometry_without_the_working_rows() {
+        let _ = FleetScheduler::from_builder(&PimMachine::builder(ArrayConfig::qvga_banks(1)), 2);
     }
 
     #[test]
