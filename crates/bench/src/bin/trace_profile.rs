@@ -12,13 +12,14 @@
 //!   with a flight-recorder-armed session on a 1-cycle deadline, so
 //!   every frame dumps; the last dump is loaded back from disk and its
 //!   final frame profiled, asserting the critical path reproduces the
-//!   frame's wall-cycle delta.
+//!   frame's wall-cycle delta and that every record in the dump is
+//!   attributed to the dumped session.
 //!
 //! Everything is measured in virtual (pool) cycles, so the outputs —
 //! including `BENCH_profile.json` — are byte-identical across runs.
 //!
 //! ```text
-//! cargo run --release --bin trace_profile -- [--out .]
+//! cargo run --release -p pimvo-bench --bin trace_profile -- [--out .]
 //! ```
 
 use pimvo_bench::canonical_frame;
@@ -184,6 +185,19 @@ fn main() {
         eprintln!(
             "fleet flight frame diverged: critical path {} vs wall delta {} ({} dropped)",
             pf.critical_path_cycles, last.wall_delta, pf.dropped
+        );
+        std::process::exit(1);
+    }
+    let foreign = dump
+        .frames
+        .iter()
+        .flat_map(|f| &f.trace.records)
+        .filter(|r| r.session != dump.session)
+        .count();
+    if foreign != 0 {
+        eprintln!(
+            "fleet flight dump of session {} holds {foreign} records of other sessions",
+            dump.session
         );
         std::process::exit(1);
     }

@@ -213,7 +213,7 @@ impl BatchRunner {
     ///
     /// The submission is fault-resilient: sections are sized to the
     /// pool's *healthy* array count and run through
-    /// [`PimArrayPool::run_phase_resilient`], so a shard whose array
+    /// [`PimArrayPool::run_phase`], so a shard whose array
     /// reports detected errors is retried and — on a persistent defect —
     /// re-dispatched to another array (each `exec_batch` is
     /// self-contained: it host-writes every input it reads, making
@@ -261,13 +261,11 @@ impl BatchRunner {
             // re-sized every section: recovery may quarantine arrays
             let n = self.pool.healthy_len();
             let section = &chunks[next..chunks.len().min(next + n.max(1))];
-            let results = self
-                .pool
-                .run_phase_resilient_labeled("lm_batch", |shard, m| {
-                    section
-                        .get(shard)
-                        .map(|&(c, k)| exec_batch(m, &kernels[k], c, pose, kf, &qcam))
-                })?;
+            let results = self.pool.run_phase("lm_batch", |shard, m| {
+                section
+                    .get(shard)
+                    .map(|&(c, k)| exec_batch(m, &kernels[k], c, pose, kf, &qcam))
+            })?;
             outputs.extend(results.into_iter().flatten());
             next += section.len();
         }

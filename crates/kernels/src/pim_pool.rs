@@ -2,8 +2,8 @@
 //! runs the [`crate::ir`] kernel programs — lowered at
 //! [`pimvo_pim::LowerLevel::Opt`] — for a contiguous strip of image
 //! rows, submitted through
-//! [`PimArrayPool::submit_strips`] (the job-queue strip entry point,
-//! one pinned job per array).
+//! [`PimArrayPool::submit_strips`] (one program per array, every array
+//! running its own strip).
 //!
 //! # Sharding model
 //!
@@ -360,7 +360,7 @@ fn edge_detect_frame(
         }
     }
 
-    pool.submit_strips_shared("lpf_pass1", &set.lpf_pass1)
+    pool.submit_strips("lpf_pass1", &set.lpf_pass1)
         .expect("lpf pass 1 programs run");
     if let Some(nf) = next {
         // input bank is dead from here on: stream the next frame's
@@ -374,17 +374,17 @@ fn edge_detect_frame(
         }
     }
     exchange_boundary_rows(pool, &strips, r.aux1, h, true, false);
-    pool.submit_strips_shared("lpf_pass2", &set.lpf_pass2)
+    pool.submit_strips("lpf_pass2", &set.lpf_pass2)
         .expect("lpf pass 2 programs run");
     let lpf = collect_image(pool, &strips, r.aux2, img.width(), h);
 
     exchange_boundary_rows(pool, &strips, r.aux2, h, true, true);
-    pool.submit_strips_shared("hpf", &set.hpf)
+    pool.submit_strips("hpf", &set.hpf)
         .expect("hpf programs run");
     let hpf = collect_image(pool, &strips, r.aux3, img.width(), h);
 
     exchange_boundary_rows(pool, &strips, r.aux3, h, true, true);
-    pool.submit_strips_shared("nms", &set.nms)
+    pool.submit_strips("nms", &set.nms)
         .expect("nms programs run");
     let mut mask_img = collect_image(pool, &strips, r.out, img.width(), h);
     mask_img.clear_border(cfg.border);
@@ -420,10 +420,10 @@ fn lpf_with(pool: &mut PimArrayPool, set: &EdgeSet, img: &GrayImage) -> GrayImag
             load_image_rows(m, r.input, img, lo, hi);
         }
     }
-    pool.submit_strips_shared("lpf_pass1", &set.lpf_pass1)
+    pool.submit_strips("lpf_pass1", &set.lpf_pass1)
         .expect("lpf pass 1 programs run");
     exchange_boundary_rows(pool, &strips, r.aux1, h, true, false);
-    pool.submit_strips_shared("lpf_pass2", &set.lpf_pass2)
+    pool.submit_strips("lpf_pass2", &set.lpf_pass2)
         .expect("lpf pass 2 programs run");
     collect_image(pool, &strips, r.aux2, img.width(), h)
 }
@@ -453,7 +453,7 @@ fn hpf_with(pool: &mut PimArrayPool, set: &EdgeSet, lpf_map: &GrayImage) -> Gray
             load_image_rows(m, r.aux2, lpf_map, lo, hi);
         }
     }
-    pool.submit_strips_shared("hpf", &set.hpf)
+    pool.submit_strips("hpf", &set.hpf)
         .expect("hpf programs run");
     collect_image(pool, &strips, r.aux3, lpf_map.width(), h)
 }
@@ -482,7 +482,7 @@ pub fn nms(pool: &mut PimArrayPool, hpf_map: &GrayImage, cfg: &EdgeConfig) -> Gr
             load_image_rows(m, r.aux3, hpf_map, lo, hi);
         }
     }
-    pool.submit_strips_shared("nms", &set.nms)
+    pool.submit_strips("nms", &set.nms)
         .expect("nms programs run");
     let mut out = collect_image(pool, &strips, r.out, hpf_map.width(), h);
     out.clear_border(cfg.border);
@@ -509,7 +509,7 @@ pub fn downsample2x(pool: &mut PimArrayPool, img: &GrayImage) -> GrayImage {
     let pd = strip_programs(pool, &strips, &r, &|oy0, oy1| {
         downsample_program(&r, oy0 as u32, oy1 as u32)
     });
-    pool.submit_strips_shared("downsample", &pd)
+    pool.submit_strips("downsample", &pd)
         .expect("downsample programs run");
     let mut out = GrayImage::new(w, h);
     for (i, &(oy0, oy1)) in strips.iter().enumerate() {

@@ -65,12 +65,11 @@
 //! register-file spilling at `MultiReg`, or the paper's unoptimized
 //! write-everything-back mapping at `Naive`. [`PimMachine::run_program`]
 //! executes the result, charging the same [`CostModel`] and stamping
-//! op records with the program name. Lowered programs are submitted to a
-//! pool as *jobs*: [`PoolExecutor`] queues them with session, deadline
-//! class and priority metadata and dispatches in deterministic waves,
-//! while [`PimArrayPool::submit_strips`] pins one program per array
-//! for strip-sharded kernels ([`PimArrayPool::run_programs_labeled`]
-//! is the legacy spelling, kept as a thin wrapper).
+//! op records with the program name. A pool runs lowered programs through
+//! [`PimArrayPool::submit_strips`], one program per array for
+//! strip-sharded kernels; closures that do host I/O around several
+//! programs (the pose batches) go through the fault-resilient
+//! [`PimArrayPool::run_phase`].
 //!
 //! # Fault injection & resilience
 //!
@@ -106,7 +105,6 @@ pub mod cache;
 mod config;
 mod cost;
 pub mod dma;
-pub mod executor;
 pub mod fault;
 pub mod ir;
 mod isa;
@@ -120,7 +118,6 @@ pub use cache::{LoweredCache, LoweredCacheStats};
 pub use config::{ArrayConfig, LaneWidth, Signedness};
 pub use cost::{AreaReport, CostModel};
 pub use dma::{DmaConfig, DmaFaultModel, DmaHealth, TransferDescriptor, TransferKind};
-pub use executor::{DeadlineClass, Job, JobHandle, JobRecord, JobResult, PoolExecutor, SessionId};
 pub use fault::{FaultModel, FaultStatus, Protection, StuckBit};
 pub use ir::{MacroOp, PimProgram, VReg, Val};
 pub use isa::{AluOp, LogicFunc, OpClass, Operand, Shift};
@@ -131,5 +128,5 @@ pub use lower::{
 };
 pub use machine::{PimError, PimMachine, PimMachineBuilder};
 pub use optrace::{OpRecorder, DEFAULT_OP_RING_CAPACITY};
-pub use pool::{PimArrayPool, PoolHealth, RetryPolicy, ScrubConfig};
+pub use pool::{PimArrayPool, PoolHealth, RetryPolicy, ScrubConfig, SessionId};
 pub use stats::{EnergyBreakdown, ExecStats, MemAccessBreakdown};

@@ -66,10 +66,11 @@ pub enum PimError {
         /// Arrays in the pool.
         arrays: usize,
     },
-    /// An imported pool-health snapshot describes a different pool
-    /// geometry than the one it is applied to.
+    /// Per-array input (a pool-health snapshot, probation counters or
+    /// strip programs) describes a different number of arrays than the
+    /// pool it is applied to.
     PoolSizeMismatch {
-        /// Arrays described by the snapshot.
+        /// Arrays described by the input.
         got: usize,
         /// Arrays in this pool.
         expected: usize,
@@ -121,7 +122,7 @@ impl fmt::Display for PimError {
             PimError::PoolSizeMismatch { got, expected } => {
                 write!(
                     f,
-                    "health snapshot describes {got} arrays but the pool has {expected}"
+                    "input describes {got} arrays but the pool has {expected}"
                 )
             }
             PimError::SpareRowsExhausted { spares } => {
@@ -964,7 +965,7 @@ impl PimMachine {
     }
 
     /// Mutable access to the channel's op recorder (session stamping by
-    /// the wave scheduler).
+    /// [`crate::PimArrayPool::set_op_session`]).
     pub fn dma_recorder_mut(&mut self) -> Option<&mut OpRecorder> {
         self.dma.as_mut().and_then(|ch| ch.recorder_mut())
     }

@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates a single (320·8)×256-bit macro, but a deployed
 //! PIM cache tiles many of them. The pool owns N independent
-//! [`PimMachine`] arrays and runs *phases* — closures over disjoint
-//! shards of a kernel — on scoped worker threads, one per array.
+//! [`PimMachine`] arrays and runs *waves* — disjoint shards of a kernel
+//! — on scoped worker threads, one per array.
 //!
 //! Accounting stays deterministic and paper-faithful:
 //!
@@ -21,21 +21,25 @@
 //! are computed from per-array counters after the barrier, in array
 //! order.
 //!
-//! # Job-queue submission
+//! # Two entry points
 //!
-//! The phase API models one kernel owning the whole pool. Multi-tenant
-//! submission goes through [`crate::PoolExecutor`] instead: jobs carry
-//! lowered programs plus session/class/priority metadata, and arrays
-//! pull work in deterministic waves (see [`crate::executor`]).
-//! [`PimArrayPool::submit_strips`] is the strip-kernel entry point on
-//! that path; [`PimArrayPool::run_programs_labeled`] remains as a thin
-//! compatibility wrapper over it.
+//! Every frame runs as fixed array-wide kernel phases, and the pool has
+//! one entry point per kind of phase. Both share one private wave core
+//! (the thread fan-out, the max + sync wall-clock charge and the
+//! op-trace barrier):
+//!
+//! * [`PimArrayPool::submit_strips`] runs one lowered program per
+//!   array, on *every* array, quarantined or not, with no retry. Strip
+//!   kernels host-load their inputs into specific arrays before the
+//!   submission, so a strip cannot move to another array.
+//! * [`PimArrayPool::run_phase`] runs a self-contained closure per
+//!   *healthy* array, with fault detection and recovery.
 //!
 //! # Fault resilience
 //!
 //! When arrays carry a [`crate::FaultModel`] with word
 //! [`crate::Protection`], the pool is the recovery layer:
-//! [`PimArrayPool::run_phase_resilient`] runs *self-contained* shard
+//! [`PimArrayPool::run_phase`] runs *self-contained* shard
 //! closures, checks each array's detected-error counter after the
 //! barrier, retries dirty shards on the same array (bounded by
 //! [`RetryPolicy::max_retries`]), and — when the per-row syndrome log
@@ -67,7 +71,6 @@
 
 use crate::cache::LoweredCache;
 use crate::dma::{DmaConfig, DmaFaultModel, DmaHealth};
-use crate::executor::{Job, JobHandle, PoolExecutor};
 use crate::fault::FaultStatus;
 use crate::lower::LoweredProgram;
 use crate::machine::{PimError, PimMachine, PimMachineBuilder};
@@ -76,8 +79,14 @@ use crate::stats::ExecStats;
 use pimvo_telemetry::optrace::{OpTrace, DMA_LANE_BASE, POOL_STREAM};
 use pimvo_telemetry::{Severity, Telemetry, TimeDomain};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-/// Retry/quarantine policy of [`PimArrayPool::run_phase_resilient`].
+/// Identifies a serving-layer session (tenant). The pool only uses it
+/// as an attribution tag on op records ([`PimArrayPool::set_op_session`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct SessionId(pub u32);
+
+/// Retry/quarantine policy of [`PimArrayPool::run_phase`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Bounded retries of a dirty shard on the *same* array before the
@@ -203,10 +212,12 @@ impl PoolHealth {
 /// let mut pool = PimMachineBuilder::new(ArrayConfig::qvga()).build_pool(2);
 /// pool.array_mut(0).host_write_lanes(0, &[1, 2]).unwrap();
 /// pool.array_mut(1).host_write_lanes(0, &[3, 4]).unwrap();
-/// let sums: Vec<i64> = pool.run_phase(|_idx, m| {
-///     m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None).unwrap();
-///     m.tmp_lanes()[0]
-/// });
+/// let sums: Vec<i64> = pool
+///     .run_phase("sum", |_idx, m| {
+///         m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None).unwrap();
+///         m.tmp_lanes()[0]
+///     })
+///     .unwrap();
 /// assert_eq!(sums, vec![2, 6]);
 /// // both shards ran one compute cycle on top of their (equal) host
 /// // strip-load transfer; the barrier charges one sync overhead
@@ -372,11 +383,14 @@ impl PimArrayPool {
         self.op_sync.is_some()
     }
 
-    /// Stamps subsequent op records (all streams) with a serving-layer
-    /// session id. A no-op while disarmed.
+    /// Stamps subsequent op records (all streams, DMA lanes included)
+    /// with a serving-layer session id. A no-op while disarmed.
     pub fn set_op_session(&mut self, session: u32) {
         for m in &mut self.arrays {
             if let Some(r) = m.op_recorder_mut() {
+                r.set_session(session);
+            }
+            if let Some(r) = m.dma_recorder_mut() {
                 r.set_session(session);
             }
         }
@@ -591,228 +605,109 @@ impl PimArrayPool {
         delta
     }
 
-    /// Runs one parallel phase: `f(index, machine)` executes on every
-    /// array concurrently (scoped worker threads; inline for a pool of
-    /// one), with each closure owning its array exclusively. Returns the
-    /// per-array results in array order.
-    ///
-    /// The phase forms a barrier: wall cycles advance by the maximum
-    /// per-array cycle delta, plus the sync overhead when the pool has
-    /// more than one array.
-    pub fn run_phase<R, F>(&mut self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &mut PimMachine) -> R + Sync,
-    {
-        self.run_phase_labeled("phase", f)
-    }
-
-    /// [`PimArrayPool::run_phase`] with a phase label for telemetry:
-    /// when a handle is attached ([`PimArrayPool::set_telemetry`]), the
-    /// phase records one wall-time span and, in the cycle domain, a
-    /// pool-phase span plus one span per participating array (so the
-    /// trace shows the barrier waiting on the slowest shard).
-    pub fn run_phase_labeled<R, F>(&mut self, label: &str, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &mut PimMachine) -> R + Sync,
-    {
-        let members: Vec<usize> = (0..self.arrays.len()).collect();
-        self.run_wave(label, &members, f).0
-    }
-
-    /// Runs one parallel *wave* over the arrays listed in `members`:
-    /// `f(slot, machine)` executes on `arrays[members[slot]]`, each
-    /// closure owning its array exclusively (scoped worker threads;
-    /// inline for a single member). Returns the per-slot results and
+    /// The wave core both entry points share: `f(slot, machine)` runs
+    /// on `arrays[members[slot]]` (`members` ascending), each closure
+    /// owning its array exclusively (scoped worker threads; inline for
+    /// a single member). The wave forms a barrier: wall cycles advance
+    /// by the slowest member's timeline delta, plus the sync overhead
+    /// when more than one member participates, and the op-trace pool
+    /// stream records the sync point. Returns the per-slot results and
     /// cycle deltas, both in `members` order.
-    ///
-    /// This is the execution core shared by the phase API (a wave over
-    /// every array) and the job executor ([`crate::PoolExecutor`], a
-    /// wave over whichever arrays pulled work). Accounting is the
-    /// phase rule: wall cycles advance by the slowest member's delta,
-    /// plus the sync overhead when more than one member participates;
-    /// telemetry records the pool-phase and per-array cycle spans.
-    pub(crate) fn run_wave<R, F>(
-        &mut self,
-        label: &str,
-        members: &[usize],
-        f: F,
-    ) -> (Vec<R>, Vec<u64>)
+    fn wave<R, F>(&mut self, members: &[usize], f: &F) -> (Vec<R>, Vec<u64>)
     where
         R: Send,
         F: Fn(usize, &mut PimMachine) -> R + Sync,
     {
-        let _wall = self.telemetry.span("pool", label);
-        let wall_start = self.wall_cycles;
         let results: Vec<R> = if members.len() == 1 {
             vec![f(0, &mut self.arrays[members[0]])]
         } else {
-            let mut slot_of: Vec<Option<usize>> = vec![None; self.arrays.len()];
-            for (k, &i) in members.iter().enumerate() {
-                slot_of[i] = Some(k);
-            }
             std::thread::scope(|s| {
                 let handles: Vec<_> = self
                     .arrays
                     .iter_mut()
                     .enumerate()
-                    .filter_map(|(i, m)| slot_of[i].map(|k| (k, m)))
-                    .map(|(k, m)| {
-                        let f = &f;
-                        s.spawn(move || (k, f(k, m)))
-                    })
+                    .filter(|(i, _)| members.contains(i))
+                    .enumerate()
+                    .map(|(slot, (_, m))| s.spawn(move || f(slot, m)))
                     .collect();
-                let mut out: Vec<Option<R>> = (0..members.len()).map(|_| None).collect();
-                for h in handles {
-                    let (k, r) = h.join().expect("pool shard thread panicked");
-                    out[k] = Some(r);
-                }
-                out.into_iter()
-                    .map(|r| r.expect("every wave slot produces a result"))
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("pool shard thread panicked"))
                     .collect()
             })
         };
         let deltas: Vec<u64> = members.iter().map(|&i| self.take_timeline(i)).collect();
-        let max_delta = deltas.iter().copied().max().unwrap_or(0);
-        self.wall_cycles += max_delta;
-        if members.len() > 1 {
-            self.wall_cycles += self.sync_cycles;
-            self.barriers += 1;
-        }
         let sync = if members.len() > 1 {
+            self.barriers += 1;
             self.sync_cycles
         } else {
             0
         };
+        self.wall_cycles += deltas.iter().copied().max().unwrap_or(0) + sync;
         self.op_sync_point(sync, members);
-        if self.telemetry.is_enabled() {
-            let participants: Vec<(usize, u64)> = members
-                .iter()
-                .copied()
-                .zip(deltas.iter().copied())
-                .collect();
-            self.record_phase_spans(label, wall_start, &participants);
-        }
         (results, deltas)
     }
 
-    /// Legacy spelling of [`PimArrayPool::submit_strips`], kept as a
-    /// thin wrapper during the job-API migration so existing strip
-    /// kernels and their bit-identity tests keep working unchanged.
+    /// Runs one strip-sharded kernel phase: `programs[i]` (a lowered
+    /// macro-op program, see [`crate::lower()`]) executes on array `i`.
+    /// Every array runs its program, quarantined or not, and nothing is
+    /// retried: the host already loaded each strip's inputs into its
+    /// array, so a strip cannot move. Returns each program's reduce
+    /// results in array order.
     ///
-    /// # Panics
-    ///
-    /// Panics when `programs.len()` differs from the pool size.
-    ///
-    /// # Errors
-    ///
-    /// As [`PimArrayPool::submit_strips`].
-    pub fn run_programs_labeled(
-        &mut self,
-        label: &str,
-        programs: &[LoweredProgram],
-    ) -> Result<Vec<Vec<i64>>, PimError> {
-        self.submit_strips(label, programs)
-    }
-
-    /// Strip-sharded program submission through the job queue:
-    /// `programs[i]` (one lowered macro-op program per array, see
-    /// [`crate::lower()`]) is submitted as a [`crate::Job`] pinned to
-    /// array `i`, and the queue is drained — a single wave, so
-    /// wall-cycle, barrier and telemetry accounting are identical to
-    /// [`PimArrayPool::run_phase_labeled`] over the same programs.
-    /// Returns each program's reduce results in array order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `programs.len()` differs from the pool size.
+    /// The phase is one barrier: wall cycles advance by the slowest
+    /// array's delta, plus the sync overhead when the pool has more
+    /// than one array. With telemetry attached
+    /// ([`PimArrayPool::set_telemetry`]) it records one wall-time span
+    /// and, in the cycle domain, a pool span plus one span per array.
     ///
     /// # Errors
     ///
-    /// The first [`PimError`] any job's executor reports, in array
-    /// order (jobs that already ran stay charged, like any partially
-    /// executed phase).
+    /// - [`PimError::PoolSizeMismatch`] when `programs.len()` differs
+    ///   from the pool size; nothing runs.
+    /// - The first [`PimError`] a program reports, in array order (the
+    ///   programs that ran stay charged, like any partially executed
+    ///   phase).
     pub fn submit_strips(
         &mut self,
         label: &str,
-        programs: &[LoweredProgram],
+        programs: &[Arc<LoweredProgram>],
     ) -> Result<Vec<Vec<i64>>, PimError> {
-        assert_eq!(
-            programs.len(),
-            self.arrays.len(),
-            "one lowered program per array"
-        );
-        let mut ex = PoolExecutor::new(self);
-        let handles: Vec<JobHandle> = programs
-            .iter()
-            .enumerate()
-            .map(|(i, p)| ex.submit(Job::strip(label, p.clone()).pin(i)))
-            .collect();
-        ex.drain()?;
-        handles
-            .into_iter()
-            .map(|h| {
-                ex.take(h)
-                    .expect("drained executor holds every result")
-                    .map(|r| r.outputs)
-            })
-            .collect()
-    }
-
-    /// [`PimArrayPool::submit_strips`] over already-shared programs
-    /// (e.g. handed out by the pool's [`LoweredCache`]) — identical
-    /// accounting, no instruction-stream clones.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `programs.len()` differs from the pool size.
-    ///
-    /// # Errors
-    ///
-    /// As [`PimArrayPool::submit_strips`].
-    pub fn submit_strips_shared(
-        &mut self,
-        label: &str,
-        programs: &[std::sync::Arc<LoweredProgram>],
-    ) -> Result<Vec<Vec<i64>>, PimError> {
-        assert_eq!(
-            programs.len(),
-            self.arrays.len(),
-            "one lowered program per array"
-        );
-        let mut ex = PoolExecutor::new(self);
-        let handles: Vec<JobHandle> = programs
-            .iter()
-            .enumerate()
-            .map(|(i, p)| ex.submit(Job::strip_shared(label, std::sync::Arc::clone(p)).pin(i)))
-            .collect();
-        ex.drain()?;
-        handles
-            .into_iter()
-            .map(|h| {
-                ex.take(h)
-                    .expect("drained executor holds every result")
-                    .map(|r| r.outputs)
-            })
-            .collect()
+        if programs.len() != self.arrays.len() {
+            return Err(PimError::PoolSizeMismatch {
+                got: programs.len(),
+                expected: self.arrays.len(),
+            });
+        }
+        let _wall = self.telemetry.span("pool", label);
+        let wall_start = self.wall_cycles;
+        let members: Vec<usize> = (0..self.arrays.len()).collect();
+        let (results, deltas) = self.wave(&members, &|i, m: &mut PimMachine| {
+            m.run_program(&programs[i])
+        });
+        self.record_phase_spans(label, wall_start, &members, &deltas);
+        results.into_iter().collect()
     }
 
     /// Records the cycle-domain spans of one completed phase: the pool
     /// span (`wall_start..wall_cycles`, including sync and any serial
     /// recovery) and one span per participating array, all starting at
     /// the barrier entry so the viewer shows the slowest shard gating
-    /// the phase. Called from the main thread after the barrier.
-    fn record_phase_spans(&self, label: &str, wall_start: u64, participants: &[(usize, u64)]) {
+    /// the phase. Called from the main thread after the barrier; a
+    /// no-op without an attached telemetry handle.
+    fn record_phase_spans(&self, label: &str, wall_start: u64, members: &[usize], deltas: &[u64]) {
+        if !self.telemetry.is_enabled() {
+            return;
+        }
         self.telemetry.record_span(
             TimeDomain::Cycles,
             "pool",
             label,
             wall_start,
             self.wall_cycles - wall_start,
-            &[("arrays", participants.len().to_string())],
+            &[("arrays", members.len().to_string())],
         );
-        for &(i, delta) in participants {
+        for (&i, &delta) in members.iter().zip(deltas) {
             if delta > 0 {
                 self.telemetry.record_span(
                     TimeDomain::Cycles,
@@ -836,8 +731,9 @@ impl PimArrayPool {
         self.policy = policy;
     }
 
-    /// Quarantines array `i`: [`PimArrayPool::run_phase_resilient`]
-    /// stops dispatching shards to it. Contents and statistics are
+    /// Quarantines array `i`: [`PimArrayPool::run_phase`]
+    /// stops dispatching shards to it (pinned strips of
+    /// [`PimArrayPool::submit_strips`] still run there). Contents and statistics are
     /// kept; any probation state and rehabilitation mark are cleared
     /// (this is a *new* defect verdict, not the old one resurfacing).
     ///
@@ -981,7 +877,7 @@ impl PimArrayPool {
 
     /// Replaces the scrub/probation configuration. A non-zero
     /// [`ScrubConfig::interval_phases`] arms the automatic trigger in
-    /// [`PimArrayPool::run_phase_resilient`].
+    /// [`PimArrayPool::run_phase`].
     pub fn set_scrub(&mut self, scrub: ScrubConfig) {
         self.scrub = scrub;
     }
@@ -1089,33 +985,22 @@ impl PimArrayPool {
     ///    [`PoolHealth::dirty_accepted`] — retrying a memoryless upset
     ///    process forever has no expected benefit.
     ///
-    /// Accounting matches [`PimArrayPool::run_phase`] exactly when no
-    /// recovery triggers (max healthy-shard delta + sync when more than
-    /// one healthy array); retries and re-dispatches are serial and add
-    /// their full cycle delta to the wall clock.
+    /// Accounting is the barrier rule of [`PimArrayPool::submit_strips`]
+    /// over the healthy arrays (max shard delta + sync when more than
+    /// one array participates); retries and re-dispatches are serial and
+    /// add their full cycle delta to the wall clock. With telemetry
+    /// attached, the phase records the same spans as
+    /// [`PimArrayPool::submit_strips`] (the cycle-domain pool span
+    /// covers the serial recovery too), and recovery activity records
+    /// warning/error events (shard retries, quarantines, re-dispatches,
+    /// degraded accepts) and bumps the matching `pimvo_pool_*_total`
+    /// counters.
     ///
     /// # Errors
     ///
     /// [`PimError::AllArraysQuarantined`] when no healthy array remains,
     /// on entry or after quarantines during recovery.
-    pub fn run_phase_resilient<R, F>(&mut self, f: F) -> Result<Vec<R>, PimError>
-    where
-        R: Send,
-        F: Fn(usize, &mut PimMachine) -> R + Sync,
-    {
-        self.run_phase_resilient_labeled("phase", f)
-    }
-
-    /// [`PimArrayPool::run_phase_resilient`] with a phase label for
-    /// telemetry. Besides the spans of [`PimArrayPool::run_phase_labeled`],
-    /// recovery activity records warning/error events (shard retries,
-    /// quarantines, re-dispatches, degraded accepts) and bumps the
-    /// matching `pimvo_pool_*_total` counters.
-    pub fn run_phase_resilient_labeled<R, F>(
-        &mut self,
-        label: &str,
-        f: F,
-    ) -> Result<Vec<R>, PimError>
+    pub fn run_phase<R, F>(&mut self, label: &str, f: F) -> Result<Vec<R>, PimError>
     where
         R: Send,
         F: Fn(usize, &mut PimMachine) -> R + Sync,
@@ -1145,41 +1030,7 @@ impl PimArrayPool {
             .iter()
             .map(|&i| self.arrays[i].fault_row_log().clone())
             .collect();
-        let mut results: Vec<R> = if healthy.len() == 1 {
-            vec![f(0, &mut self.arrays[healthy[0]])]
-        } else {
-            let quarantined = &self.quarantined;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = self
-                    .arrays
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(i, _)| !quarantined[*i])
-                    .enumerate()
-                    .map(|(shard, (_i, m))| {
-                        let f = &f;
-                        s.spawn(move || f(shard, m))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("pool shard thread panicked"))
-                    .collect()
-            })
-        };
-        let wave_deltas: Vec<u64> = healthy.iter().map(|&i| self.take_timeline(i)).collect();
-        let max_delta = wave_deltas.iter().copied().max().unwrap_or(0);
-        self.wall_cycles += max_delta;
-        if healthy.len() > 1 {
-            self.wall_cycles += self.sync_cycles;
-            self.barriers += 1;
-        }
-        let sync = if healthy.len() > 1 {
-            self.sync_cycles
-        } else {
-            0
-        };
-        self.op_sync_point(sync, &healthy);
+        let (mut results, wave_deltas) = self.wave(&healthy, &f);
 
         // serial recovery pass, in shard order (deterministic)
         for shard in 0..healthy.len() {
@@ -1274,14 +1125,7 @@ impl PimArrayPool {
                 }
             }
         }
-        if self.telemetry.is_enabled() {
-            let participants: Vec<(usize, u64)> = healthy
-                .iter()
-                .copied()
-                .zip(wave_deltas.iter().copied())
-                .collect();
-            self.record_phase_spans(label, wall_start, &participants);
-        }
+        self.record_phase_spans(label, wall_start, &healthy, &wave_deltas);
         Ok(results)
     }
 
@@ -1508,10 +1352,30 @@ impl PimMachineBuilder {
 mod tests {
     use super::*;
     use crate::config::ArrayConfig;
+    use crate::ir::{PimProgram, Val};
     use crate::isa::{AluOp, LogicFunc, Operand, Shift};
+    use crate::lower::{lower, LowerLevel, ScratchRows};
 
     fn pool(n: usize) -> PimArrayPool {
         PimMachineBuilder::new(ArrayConfig::qvga()).build_pool(n)
+    }
+
+    /// A program doing `n_adds` chained adds of row 0 and reducing the
+    /// final value; cost scales with `n_adds`.
+    fn adds_program(n_adds: usize) -> Arc<LoweredProgram> {
+        let mut p = PimProgram::new("adds");
+        let mut v = p.load(Val::Row(0));
+        for _ in 0..n_adds {
+            v = p.add(v.into(), Val::Row(0));
+        }
+        p.reduce(v.into());
+        Arc::new(lower(&p, LowerLevel::Opt, &ScratchRows::contiguous(16, 4)).unwrap())
+    }
+
+    fn seed_rows(p: &mut PimArrayPool, lanes: &[i64]) {
+        for i in 0..p.len() {
+            p.array_mut(i).host_write_lanes(0, lanes).unwrap();
+        }
     }
 
     #[test]
@@ -1523,16 +1387,18 @@ mod tests {
         }
         // two phases with skewed shard lengths: the critical path must
         // thread the slowest shard of each phase plus both barriers
-        p.run_phase(|i, m| {
+        p.run_phase("phase", |i, m| {
             for _ in 0..=i {
                 m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
                     .unwrap();
             }
-        });
-        p.run_phase(|_, m| {
+        })
+        .unwrap();
+        p.run_phase("phase", |_, m| {
             m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
                 .unwrap();
-        });
+        })
+        .unwrap();
         let trace = p.drain_op_trace().expect("armed pool drains a trace");
         assert_eq!(trace.dropped, 0);
         let prof = pimvo_telemetry::optrace::profile(&trace);
@@ -1549,11 +1415,13 @@ mod tests {
             for i in 0..2 {
                 p.array_mut(i).host_write_lanes(0, &[5, 6]).unwrap();
             }
-            let out = p.run_phase(|_, m| {
-                m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
-                    .unwrap();
-                m.tmp_lanes()[0]
-            });
+            let out = p
+                .run_phase("phase", |_, m| {
+                    m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
+                        .unwrap();
+                    m.tmp_lanes()[0]
+                })
+                .unwrap();
             (out, p.wall_cycles(), p.merged_stats())
         };
         assert_eq!(run(false), run(true));
@@ -1569,12 +1437,13 @@ mod tests {
         // top of the (equal) host-transfer cost of the strip loads,
         // absorbed at this first barrier via the timeline watermarks
         let io = p.array(0).cost_model().transfer_cycles(3);
-        p.run_phase(|i, m| {
+        p.run_phase("phase", |i, m| {
             for _ in 0..=i {
                 m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
                     .unwrap();
             }
-        });
+        })
+        .unwrap();
         assert_eq!(p.wall_cycles(), io + 3 + p.sync_cycles());
         assert_eq!(p.barriers(), 1);
         // compute work is conserved: 1 + 2 + 3 summed cycles
@@ -1585,11 +1454,12 @@ mod tests {
     fn single_array_pool_matches_bare_machine() {
         let mut p = pool(1);
         p.array_mut(0).host_write_lanes(0, &[5, 6]).unwrap();
-        p.run_phase(|_, m| {
+        p.run_phase("phase", |_, m| {
             m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
                 .unwrap();
             m.writeback(1).unwrap();
-        });
+        })
+        .unwrap();
         let mut m = PimMachine::new(ArrayConfig::qvga());
         m.host_write_lanes(0, &[5, 6]).unwrap();
         m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
@@ -1604,7 +1474,7 @@ mod tests {
     #[test]
     fn phase_results_in_array_order() {
         let mut p = pool(4);
-        let ids = p.run_phase(|i, _| i);
+        let ids = p.run_phase("phase", |i, _| i).unwrap();
         assert_eq!(ids, vec![0, 1, 2, 3]);
     }
 
@@ -1661,7 +1531,7 @@ mod tests {
     #[test]
     fn reset_clears_wall_clock() {
         let mut p = pool(2);
-        p.run_phase(|_, m| {
+        p.run_phase("phase", |_, m| {
             m.host_broadcast(0, 7).unwrap();
             m.alu(
                 AluOp::Logic(LogicFunc::Or),
@@ -1670,7 +1540,8 @@ mod tests {
                 Shift::None,
             )
             .unwrap();
-        });
+        })
+        .unwrap();
         assert!(p.wall_cycles() > 0);
         p.reset_stats();
         assert_eq!(p.wall_cycles(), 0);
@@ -1685,20 +1556,17 @@ mod tests {
         pool(0);
     }
 
-    #[test]
-    fn labeled_phase_records_pool_and_shard_spans() {
+    /// Runs `phase` (labeled `lpf_pass1`, array 1 the slower shard) on
+    /// a fresh two-array pool with telemetry attached and checks its
+    /// spans: a cycle-domain pool span over the barrier, one span per
+    /// array covering everything since its last barrier (the host strip
+    /// load plus its compute), and a wall-domain pool span.
+    fn assert_phase_spans(phase: impl FnOnce(&mut PimArrayPool)) {
         let tele = Telemetry::with_clock(Box::new(pimvo_telemetry::ManualClock::with_step(10)));
         let mut p = pool(2);
         p.set_telemetry(tele.clone());
-        for i in 0..2 {
-            p.array_mut(i).host_write_lanes(0, &[1, 2]).unwrap();
-        }
-        p.run_phase_labeled("lpf_pass1", |i, m| {
-            for _ in 0..=i {
-                m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
-                    .unwrap();
-            }
-        });
+        seed_rows(&mut p, &[1, 2]);
+        phase(&mut p);
         let snap = tele.snapshot();
         let pool_span = snap
             .spans
@@ -1707,19 +1575,36 @@ mod tests {
             .expect("pool cycle span");
         assert_eq!(pool_span.name, "lpf_pass1");
         assert_eq!(pool_span.start, 0);
-        // shard spans cover everything since the arrays' last barrier:
-        // the host strip load plus the compute delta
+        let (d0, d1) = (p.array(0).timeline(), p.array(1).timeline());
         let io = p.array(0).cost_model().transfer_cycles(2);
-        assert_eq!(pool_span.dur, io + 2 + p.sync_cycles());
+        assert!(io < d0 && d0 < d1, "array 1 runs the longer shard");
+        assert_eq!(pool_span.dur, d1 + p.sync_cycles());
         let a0 = snap.spans.iter().find(|s| s.track == "array 0").unwrap();
         let a1 = snap.spans.iter().find(|s| s.track == "array 1").unwrap();
-        assert_eq!(a0.dur, io + 1);
-        assert_eq!(a1.dur, io + 2);
+        assert_eq!(a0.dur, d0);
+        assert_eq!(a1.dur, d1);
         // a wall-domain span is recorded too (RAII guard)
         assert!(snap
             .spans
             .iter()
             .any(|s| s.track == "pool" && s.domain == TimeDomain::Wall && s.name == "lpf_pass1"));
+    }
+
+    #[test]
+    fn labeled_phase_records_pool_and_shard_spans() {
+        assert_phase_spans(|p| {
+            p.run_phase("lpf_pass1", |i, m| {
+                for _ in 0..=i {
+                    m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
+                        .unwrap();
+                }
+            })
+            .unwrap();
+        });
+        let progs = [adds_program(1), adds_program(2)];
+        assert_phase_spans(|p| {
+            p.submit_strips("lpf_pass1", &progs).unwrap();
+        });
     }
 
     #[test]
@@ -1732,12 +1617,12 @@ mod tests {
             m.host_read_lanes(1).unwrap()[0]
         };
         let mut off = pool(3);
-        let r_off = off.run_phase_labeled("s", shard);
+        let r_off = off.run_phase("s", shard).unwrap();
         let mut on = pool(3);
         on.set_telemetry(Telemetry::with_clock(Box::new(
             pimvo_telemetry::ManualClock::with_step(1),
         )));
-        let r_on = on.run_phase_labeled("s", shard);
+        let r_on = on.run_phase("s", shard).unwrap();
         assert_eq!(r_off, r_on);
         assert_eq!(off.wall_cycles(), on.wall_cycles());
         assert_eq!(off.merged_stats(), on.merged_stats());
@@ -1749,7 +1634,7 @@ mod tests {
         let mut p = pool(3);
         p.set_telemetry(tele.clone());
         p.try_quarantine(1).unwrap();
-        p.run_phase_labeled("s", |_, m| {
+        p.run_phase("s", |_, m| {
             m.host_broadcast(0, 1).unwrap();
             m.alu(
                 AluOp::Logic(LogicFunc::Or),
@@ -1758,7 +1643,8 @@ mod tests {
                 Shift::None,
             )
             .unwrap();
-        });
+        })
+        .unwrap();
         p.export_health_telemetry();
         let text = tele.metrics_text();
         assert!(text.contains("pimvo_pool_arrays 3"));
@@ -1768,9 +1654,7 @@ mod tests {
     }
 
     #[test]
-    fn resilient_phase_matches_run_phase_when_inert() {
-        let mut a = pool(3);
-        let mut b = pool(3);
+    fn inert_phase_matches_bare_machines_plus_one_barrier() {
         let shard = |i: usize, m: &mut PimMachine| {
             m.host_write_lanes(0, &[i as i64 + 1, 2]).unwrap();
             m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
@@ -1778,17 +1662,75 @@ mod tests {
             m.writeback(1).unwrap();
             m.host_read_lanes(1).unwrap()[0]
         };
-        let ra = a.run_phase(shard);
-        let rb = b.run_phase_resilient(shard).unwrap();
-        assert_eq!(ra, rb);
-        assert_eq!(a.wall_cycles(), b.wall_cycles());
-        assert_eq!(a.barriers(), b.barriers());
-        assert_eq!(a.merged_stats(), b.merged_stats());
-        let h = b.health();
+        let mut p = pool(3);
+        let got = p.run_phase("phase", shard).unwrap();
+        let (mut want, mut stats, mut slowest) = (Vec::new(), ExecStats::new(), 0);
+        for i in 0..3 {
+            let mut m = PimMachine::new(ArrayConfig::qvga());
+            want.push(shard(i, &mut m));
+            stats.merge(m.stats());
+            slowest = slowest.max(m.timeline());
+        }
+        assert_eq!(got, want);
+        assert_eq!(p.wall_cycles(), slowest + p.sync_cycles());
+        assert_eq!(p.barriers(), 1);
+        assert_eq!(p.merged_stats(), stats);
+        let h = p.health();
         assert_eq!(h.retries, 0);
         assert_eq!(h.redispatches, 0);
         assert_eq!(h.dirty_accepted, 0);
         assert_eq!(h.quarantined_count(), 0);
+    }
+
+    #[test]
+    fn submit_strips_matches_run_phase_over_the_same_programs() {
+        let progs: Vec<_> = (0..3).map(|i| adds_program(i + 1)).collect();
+        let mut phase = pool(3);
+        seed_rows(&mut phase, &[1, 2, 3]);
+        let want = phase
+            .run_phase("strips", |i, m| m.run_program(&progs[i]).unwrap())
+            .unwrap();
+
+        let mut p = pool(3);
+        seed_rows(&mut p, &[1, 2, 3]);
+        let got = p.submit_strips("strips", &progs).unwrap();
+        assert_eq!(got, want);
+        assert_eq!(p.wall_cycles(), phase.wall_cycles());
+        assert_eq!(p.barriers(), phase.barriers());
+        assert_eq!(p.merged_stats(), phase.merged_stats());
+    }
+
+    #[test]
+    fn submit_strips_runs_every_array_even_quarantined_ones() {
+        // strip kernels host-load inputs into specific arrays, so a
+        // quarantined array still runs its own strip, and no strip moves
+        let mut p = pool(2);
+        seed_rows(&mut p, &[1]);
+        p.try_quarantine(0).unwrap();
+        let got = p
+            .submit_strips("pinned", &[adds_program(1), adds_program(3)])
+            .unwrap();
+        assert_eq!(got, vec![vec![2], vec![4]]);
+        assert!(p.array(0).stats().cycles > 0, "array 0 ran its strip");
+        assert!(p.array(0).stats().cycles < p.array(1).stats().cycles);
+        assert_eq!(p.barriers(), 1);
+    }
+
+    #[test]
+    fn submit_strips_rejects_a_program_count_mismatch() {
+        let mut p = pool(2);
+        let progs: Vec<_> = (0..3).map(|_| adds_program(1)).collect();
+        assert!(matches!(
+            p.submit_strips("bad", &progs),
+            Err(PimError::PoolSizeMismatch {
+                got: 3,
+                expected: 2
+            })
+        ));
+        // nothing ran
+        assert_eq!(p.wall_cycles(), 0);
+        assert_eq!(p.barriers(), 0);
+        assert_eq!(p.merged_stats().cycles, 0);
     }
 
     #[test]
@@ -1799,7 +1741,7 @@ mod tests {
         assert_eq!(p.healthy_arrays(), vec![0, 2]);
         assert_eq!(p.healthy_len(), 2);
         // shard indices are dense over the healthy subset
-        let ids = p.run_phase_resilient(|shard, _| shard).unwrap();
+        let ids = p.run_phase("phase", |shard, _| shard).unwrap();
         assert_eq!(ids, vec![0, 1]);
         assert_eq!(p.health().healthy_count(), 2);
     }
@@ -1808,7 +1750,7 @@ mod tests {
     fn single_healthy_array_charges_no_sync() {
         let mut p = pool(2);
         p.try_quarantine(0).unwrap();
-        p.run_phase_resilient(|_, m| {
+        p.run_phase("phase", |_, m| {
             m.host_write_lanes(0, &[1]).unwrap();
             m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
                 .unwrap();
@@ -1824,7 +1766,7 @@ mod tests {
         let mut p = pool(2);
         p.try_quarantine(0).unwrap();
         p.try_quarantine(1).unwrap();
-        let err = p.run_phase_resilient(|_, _| ()).unwrap_err();
+        let err = p.run_phase("phase", |_, _| ()).unwrap_err();
         assert!(matches!(err, PimError::AllArraysQuarantined { arrays: 2 }));
         assert!(err.to_string().contains("quarantined"));
     }
@@ -1856,7 +1798,7 @@ mod tests {
         // each charging a verify-on-read patrol
         let ecc0 = p.merged_stats().ecc_checks;
         for _ in 0..ScrubConfig::default().probation_phases {
-            p.run_phase_resilient(|_, m| {
+            p.run_phase("phase", |_, m| {
                 m.host_broadcast(0, 1).unwrap();
                 m.alu(
                     AluOp::Logic(LogicFunc::Or),
@@ -1892,7 +1834,7 @@ mod tests {
         p.try_quarantine(1).unwrap();
         // the automatic scrub runs before the healthy check, so the
         // phase succeeds instead of AllArraysQuarantined
-        let ids = p.run_phase_resilient(|shard, _| shard).unwrap();
+        let ids = p.run_phase("phase", |shard, _| shard).unwrap();
         assert_eq!(ids, vec![0, 1]);
         assert_eq!(p.health().rehabilitated, 2);
     }
@@ -1965,7 +1907,7 @@ mod tests {
             assert!(!p.array(0).fault_model().is_none());
             p.array_mut(1).set_fault_model(FaultModel::none());
             let out = p
-                .run_phase_resilient(|shard, m| {
+                .run_phase("phase", |shard, m| {
                     // self-contained: write rows 0/1 (zeros, so the stuck
                     // bits differ from the stored data), then compute
                     m.host_write_lanes(0, &[0, 0]).unwrap();
@@ -1985,7 +1927,7 @@ mod tests {
             assert_eq!(h.redispatches, 1);
             assert!(h.total_detected() > 0);
             // further phases keep running on the surviving array
-            let again = p.run_phase_resilient(|shard, _| shard).unwrap();
+            let again = p.run_phase("phase", |shard, _| shard).unwrap();
             assert_eq!(again, vec![0]);
         }
 
@@ -2007,7 +1949,7 @@ mod tests {
             assert_eq!(h.total_remapped_rows(), 1);
             // the repaired array reads the remapped row cleanly
             let lanes = p
-                .run_phase_resilient(|_, m| {
+                .run_phase("phase", |_, m| {
                     m.host_write_lanes(3, &[0, 0]).unwrap();
                     m.host_read_lanes(3).unwrap()[0]
                 })
@@ -2031,17 +1973,25 @@ mod tests {
                 .fault(FaultModel::transient(7, 0.02))
                 .protection(Protection::Parity);
             let mut p = builder.build_pool(2);
-            let lanes = p.run_phase(|_, m| {
-                m.host_write_lanes(0, &[11, 22, 33, 44]).unwrap();
-                m.alu(
-                    AluOp::Logic(LogicFunc::Or),
-                    Operand::Row(0),
-                    Operand::Row(0),
-                    Shift::None,
-                )
-                .unwrap();
-                m.tmp_lanes()[..4].to_vec()
+            // no retry, no quarantine: each array's first run is the one
+            // compared, upsets included
+            p.set_retry_policy(RetryPolicy {
+                max_retries: 0,
+                stuck_row_threshold: u64::MAX,
             });
+            let lanes = p
+                .run_phase("phase", |_, m| {
+                    m.host_write_lanes(0, &[11, 22, 33, 44]).unwrap();
+                    m.alu(
+                        AluOp::Logic(LogicFunc::Or),
+                        Operand::Row(0),
+                        Operand::Row(0),
+                        Shift::None,
+                    )
+                    .unwrap();
+                    m.tmp_lanes()[..4].to_vec()
+                })
+                .unwrap();
             assert_ne!(
                 lanes[0], lanes[1],
                 "independent arrays must not replay identical upsets"

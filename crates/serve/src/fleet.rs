@@ -1464,42 +1464,53 @@ mod tests {
 
     #[test]
     fn flight_recorder_dumps_on_deadline_miss_and_replays() {
-        let dir = std::env::temp_dir().join(format!("pimvo_flight_fleet_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut fleet = FleetScheduler::new(2);
-        fleet.set_flight_dir(&dir);
-        // 1-cycle deadline: every frame misses, so every frame dumps
-        fleet.add_session(
-            SessionId(1),
-            SessionSpec::new(TrackerConfig::default())
-                .deadline_cycles(1)
-                .max_queue(4)
-                .flight_recorder(2),
-        );
-        let (g, d) = textured_frame(0.0);
-        for _ in 0..2 {
-            fleet
-                .submit_frame(SessionId(1), g.clone(), d.clone())
-                .unwrap();
-            let _ = fleet.step().unwrap().unwrap();
+        let dma =
+            PimMachine::builder(ArrayConfig::qvga_banks(6)).dma(pimvo_pim::DmaConfig::default());
+        for (name, mut fleet) in [
+            ("sync", FleetScheduler::new(2)),
+            ("dma", FleetScheduler::from_builder(&dma, 2)),
+        ] {
+            let dir = std::env::temp_dir()
+                .join(format!("pimvo_flight_fleet_{name}_{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            fleet.set_flight_dir(&dir);
+            // 1-cycle deadline: every frame misses, so every frame dumps
+            fleet.add_session(
+                SessionId(1),
+                SessionSpec::new(TrackerConfig::default())
+                    .deadline_cycles(1)
+                    .max_queue(4)
+                    .flight_recorder(2),
+            );
+            let (g, d) = textured_frame(0.0);
+            for _ in 0..2 {
+                fleet
+                    .submit_frame(SessionId(1), g.clone(), d.clone())
+                    .unwrap();
+                let _ = fleet.step().unwrap().unwrap();
+            }
+            let st = fleet.stats(SessionId(1)).unwrap();
+            assert_eq!(st.flight_dumps.len(), 2);
+            let dump =
+                FlightDump::load(std::path::Path::new(&st.flight_dumps[1])).expect("dump decodes");
+            assert_eq!(dump.session, 1);
+            assert_eq!(dump.reason, DumpReason::DeadlineMiss);
+            assert_eq!(dump.frames.len(), 2, "ring holds both frames");
+            for f in &dump.frames {
+                assert!(!f.trace.is_empty());
+                assert_eq!(f.trace.dropped, 0);
+                // the dependency DAG reproduces the frame's wall clock: the
+                // critical path through the barrier chain is exactly the
+                // pool cycles the scheduler charged this frame
+                let prof = pimvo_telemetry::optrace::profile(&f.trace);
+                assert_eq!(prof.critical_path_cycles, f.wall_delta, "{name}");
+                // every record of the frame, strip, batch and DMA lanes
+                // alike, belongs to the session that ran it
+                let sessions: Vec<u32> = prof.by_session.keys().copied().collect();
+                assert_eq!(sessions, vec![1], "{name}");
+            }
+            std::fs::remove_dir_all(&dir).ok();
         }
-        let st = fleet.stats(SessionId(1)).unwrap();
-        assert_eq!(st.flight_dumps.len(), 2);
-        let dump =
-            FlightDump::load(std::path::Path::new(&st.flight_dumps[1])).expect("dump decodes");
-        assert_eq!(dump.session, 1);
-        assert_eq!(dump.reason, DumpReason::DeadlineMiss);
-        assert_eq!(dump.frames.len(), 2, "ring holds both frames");
-        for f in &dump.frames {
-            assert!(!f.trace.is_empty());
-            assert_eq!(f.trace.dropped, 0);
-            // the dependency DAG reproduces the frame's wall clock: the
-            // critical path through the barrier chain is exactly the
-            // pool cycles the scheduler charged this frame
-            let prof = pimvo_telemetry::optrace::profile(&f.trace);
-            assert_eq!(prof.critical_path_cycles, f.wall_delta);
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! The paper's PIM-SRAM tracker is a single-session device. This crate
 //! is the "millions of users" step of the roadmap: a deterministic
 //! fleet scheduler that multiplexes N [`pimvo_core::Tracker`] sessions
-//! over a shared array pool, built on the job-queue submission API of
-//! [`pimvo_pim::PoolExecutor`].
+//! over a shared array pool. Each frame runs on that pool through the
+//! same two pool entry points a solo tracker uses
+//! ([`pimvo_pim::PimArrayPool::submit_strips`] and
+//! [`pimvo_pim::PimArrayPool::run_phase`]).
 //!
 //! # Model
 //!
