@@ -36,7 +36,7 @@
 //! probe recovery, a DMA transfer-fault storm (CRC-rejected payload
 //! flips, stalled descriptors, channel quarantine with degradation to
 //! the synchronous port), and a mid-soak hard kill replayed
-//! bit-identically from a [`pimvo_serve::FleetCheckpointStore`]
+//! bit-identically from a [`FleetScheduler::save_manifest`]
 //! manifest (`BENCH_fleet_chaos.json`).
 
 use std::fs;
@@ -53,9 +53,8 @@ use pimvo_pim::{
     ArrayConfig, DmaConfig, DmaFaultModel, FaultModel, PimMachine, PimMachineBuilder, ScrubConfig,
     SessionId,
 };
-use pimvo_serve::{
-    BreakerConfig, BreakerState, FleetCheckpointStore, FleetScheduler, FlightDump, SessionSpec,
-};
+use pimvo_serve::{BreakerConfig, BreakerState, FleetScheduler, FlightDump, SessionSpec};
+use pimvo_telemetry::container::ContainerError;
 use pimvo_vomath::Pinhole;
 
 use crate::sink::BenchReport;
@@ -207,7 +206,7 @@ fn make_tracker(cfg: &ChaosConfig, tracker_cfg: &TrackerConfig) -> Tracker {
 
 fn ckpt_io(e: CheckpointError) -> io::Error {
     match e {
-        CheckpointError::Io(e) => e,
+        CheckpointError::Container(ContainerError::Io(e)) => e,
         other => io::Error::other(other.to_string()),
     }
 }
@@ -564,7 +563,7 @@ fn fleet_wave(
 ///    build so the RNG stream is identical without the `fault`
 ///    feature — actual transfer faults only fire with it);
 /// 5. **kill-and-recover** — the fleet is checkpointed to a
-///    [`pimvo_serve::FleetCheckpointStore`] manifest and dropped; a
+///    [`FleetScheduler::save_manifest`] manifest and dropped; a
 ///    recovered fleet replays the remaining waves and must match the
 ///    uninterrupted run bit-for-bit (pose delta 0, equal clocks).
 ///
@@ -796,10 +795,9 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> io::Result<ChaosOutcome> {
         prev_states[s] = o.result.state;
         poses.push((o.session.0, o.result.pose_wc));
     }
-    let store =
-        FleetCheckpointStore::new(cfg.workdir.join(format!("fleet_{:016x}.ckpt", cfg.seed)));
-    store
-        .save(&fleet)
+    let manifest = cfg.workdir.join(format!("fleet_{:016x}.ckpt", cfg.seed));
+    fleet
+        .save_manifest(&manifest)
         .map_err(|e| io::Error::other(e.to_string()))?;
 
     let run_tail = |fleet: &mut FleetScheduler| -> (Vec<(u32, pimvo_vomath::SE3)>, u64) {
@@ -817,7 +815,7 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> io::Result<ChaosOutcome> {
     };
 
     let (tail_a, clock_a) = run_tail(&mut fleet);
-    let mut recovered = FleetScheduler::recover(&store, &builder, cfg.arrays, &specs)
+    let mut recovered = FleetScheduler::recover(&manifest, &builder, cfg.arrays, &specs)
         .map_err(|e| io::Error::other(e.to_string()))?;
     recovered.set_flight_dir(&cfg.workdir);
     let (tail_b, clock_b) = run_tail(&mut recovered);
@@ -966,7 +964,7 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> io::Result<ChaosOutcome> {
         .metric("final_virtual_cycles", clock_a as f64)
         .metric("invariant_violations", violations.len() as f64);
 
-    let _ = fs::remove_file(store.path());
+    let _ = fs::remove_file(&manifest);
     Ok(ChaosOutcome { report, violations })
 }
 

@@ -11,28 +11,22 @@
 //! through `f64::to_bits`, so a restored run replays the uninterrupted
 //! run exactly.
 //!
-//! # On-disk format (version 1)
+//! # On-disk format (version 2)
 //!
-//! ```text
-//! offset  size  field
-//! 0       8     magic "PIMVOCKP"
-//! 8       2     version (u16 LE)
-//! 10      8     config hash (u64 LE, FNV-1a over the estimator config)
-//! 18      8     payload length (u64 LE)
-//! 26      n     payload (see the field list in the source)
-//! 26+n    4     CRC-32 (IEEE) over bytes [0, 26+n)
-//! ```
+//! One [`pimvo_telemetry::container`] frame with magic `PIMVOCKP`. The
+//! payload opens with the estimator config hash (u64 LE, FNV-1a over
+//! the estimator config); the field list follows in the source.
 //!
-//! Writers are atomic: the file is written to a `.tmp` sibling and
-//! renamed into place, so a crash mid-write never leaves a truncated
-//! snapshot under the real name. Readers reject damage with typed
-//! [`CheckpointError`]s — wrong magic, unsupported version, truncation,
-//! checksum mismatch, config mismatch — and never panic on foreign
-//! bytes.
+//! Writers go through the container's atomic writer (temp file, fsync,
+//! rename), so a crash mid-write never leaves a truncated snapshot
+//! under the real name. Readers reject framing damage with a typed
+//! [`ContainerError`] and a snapshot of another configuration with
+//! [`CheckpointError::ConfigMismatch`]; foreign bytes never panic.
 
 use crate::supervisor::DegradeRung;
 use crate::tracker::TrackingState;
 use pimvo_kernels::GrayImage;
+use pimvo_telemetry::container::{self, ContainerError, Reader, Writer};
 use pimvo_vomath::{Mat3, Vec3, SE3, SO3};
 use std::fmt;
 use std::path::Path;
@@ -40,9 +34,7 @@ use std::path::Path;
 /// Magic prefix of every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"PIMVOCKP";
 /// Current (and only) format version.
-pub const VERSION: u16 = 1;
-/// Fixed header size: magic + version + config hash + payload length.
-const HEADER_LEN: usize = 8 + 2 + 8 + 8;
+pub const VERSION: u16 = 2;
 /// Sanity bound on keyframe pyramid levels in a snapshot.
 const MAX_LEVELS: usize = 8;
 /// Sanity bound on image dimensions in a snapshot.
@@ -51,31 +43,6 @@ const MAX_DIM: u32 = 1 << 14;
 /// Why a snapshot could not be written or restored.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// Filesystem failure reading or writing the snapshot.
-    Io(std::io::Error),
-    /// The file does not start with the checkpoint magic.
-    BadMagic,
-    /// The file's format version is newer than this build understands.
-    UnsupportedVersion {
-        /// Version stored in the file.
-        got: u16,
-        /// Highest version this build supports.
-        supported: u16,
-    },
-    /// The file ends before the announced payload (+ checksum) does.
-    Truncated {
-        /// Bytes the format required.
-        expected: usize,
-        /// Bytes actually present.
-        got: usize,
-    },
-    /// The stored CRC-32 does not match the file contents.
-    ChecksumMismatch {
-        /// Checksum stored in the file.
-        stored: u32,
-        /// Checksum computed over the file.
-        computed: u32,
-    },
     /// The snapshot was taken under a different tracker configuration.
     ConfigMismatch {
         /// Config hash stored in the snapshot.
@@ -83,35 +50,21 @@ pub enum CheckpointError {
         /// Config hash of the restoring tracker.
         current: u64,
     },
-    /// The payload is internally inconsistent (invalid enum tag,
-    /// non-finite pose, absurd dimensions, trailing bytes).
-    Malformed(&'static str),
+    /// The file could not be written, read or decoded, or its payload
+    /// does not fit the restoring tracker.
+    Container(ContainerError),
 }
 
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint I/O: {e}"),
-            CheckpointError::BadMagic => write!(f, "not a pimvo checkpoint (bad magic)"),
-            CheckpointError::UnsupportedVersion { got, supported } => {
-                write!(f, "checkpoint version {got} unsupported (max {supported})")
-            }
-            CheckpointError::Truncated { expected, got } => {
-                write!(f, "checkpoint truncated: need {expected} bytes, have {got}")
-            }
-            CheckpointError::ChecksumMismatch { stored, computed } => {
-                write!(
-                    f,
-                    "checkpoint checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-                )
-            }
             CheckpointError::ConfigMismatch { snapshot, current } => {
                 write!(
                     f,
                     "checkpoint config hash {snapshot:#018x} does not match tracker {current:#018x}"
                 )
             }
-            CheckpointError::Malformed(what) => write!(f, "checkpoint malformed: {what}"),
+            CheckpointError::Container(e) => write!(f, "checkpoint: {e}"),
         }
     }
 }
@@ -119,15 +72,15 @@ impl fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CheckpointError::Io(e) => Some(e),
-            _ => None,
+            CheckpointError::Container(e) => Some(e),
+            CheckpointError::ConfigMismatch { .. } => None,
         }
     }
 }
 
-impl From<std::io::Error> for CheckpointError {
-    fn from(e: std::io::Error) -> Self {
-        CheckpointError::Io(e)
+impl From<ContainerError> for CheckpointError {
+    fn from(e: ContainerError) -> Self {
+        CheckpointError::Container(e)
     }
 }
 
@@ -204,37 +157,6 @@ pub struct Checkpoint {
     pub pool: Option<PoolSnapshot>,
 }
 
-// ---------------------------------------------------------------- CRC32
-
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0usize;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE 802.3, reflected) over `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
 // ------------------------------------------------------- config hashing
 
 /// FNV-1a accumulator for the config hash.
@@ -303,97 +225,38 @@ pub fn config_hash(cfg: &crate::TrackerConfig) -> u64 {
 
 // --------------------------------------------------------------- codec
 
-struct Writer {
-    buf: Vec<u8>,
+fn put_vec3(w: &mut Writer, v: &Vec3) {
+    w.f64(v.x);
+    w.f64(v.y);
+    w.f64(v.z);
 }
 
-impl Writer {
-    fn new() -> Self {
-        Writer { buf: Vec::new() }
-    }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn vec3(&mut self, v: &Vec3) {
-        self.f64(v.x);
-        self.f64(v.y);
-        self.f64(v.z);
-    }
-    fn se3(&mut self, p: &SE3) {
-        for row in &p.rotation.matrix().m {
-            for &e in row {
-                self.f64(e);
-            }
+fn put_se3(w: &mut Writer, p: &SE3) {
+    for row in &p.rotation.matrix().m {
+        for &e in row {
+            w.f64(e);
         }
-        self.vec3(&p.translation);
     }
+    put_vec3(w, &p.translation);
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn read_vec3(r: &mut Reader) -> Result<Vec3, ContainerError> {
+    Ok(Vec3::new(r.f64()?, r.f64()?, r.f64()?))
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(CheckpointError::Malformed("length overflow"))?;
-        if end > self.buf.len() {
-            return Err(CheckpointError::Truncated {
-                expected: end,
-                got: self.buf.len(),
-            });
+fn read_se3(r: &mut Reader) -> Result<SE3, ContainerError> {
+    let mut m = [[0.0f64; 3]; 3];
+    for row in &mut m {
+        for e in row.iter_mut() {
+            *e = r.f64()?;
         }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
     }
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
+    let t = read_vec3(r)?;
+    let pose = SE3::new(SO3::from_matrix_unchecked(Mat3 { m }), t);
+    if !pose_finite(&pose) {
+        return Err(ContainerError::Malformed("non-finite pose"));
     }
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-    fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn vec3(&mut self) -> Result<Vec3, CheckpointError> {
-        Ok(Vec3::new(self.f64()?, self.f64()?, self.f64()?))
-    }
-    fn se3(&mut self) -> Result<SE3, CheckpointError> {
-        let mut m = [[0.0f64; 3]; 3];
-        for row in &mut m {
-            for e in row.iter_mut() {
-                *e = self.f64()?;
-            }
-        }
-        let t = self.vec3()?;
-        let pose = SE3::new(SO3::from_matrix_unchecked(Mat3 { m }), t);
-        if !pose_finite(&pose) {
-            return Err(CheckpointError::Malformed("non-finite pose"));
-        }
-        Ok(pose)
-    }
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
+    Ok(pose)
 }
 
 /// Every component of the pose is a finite number.
@@ -410,10 +273,11 @@ pub fn pose_finite(p: &SE3) -> bool {
 }
 
 impl Checkpoint {
-    /// Serializes the snapshot into the versioned, checksummed format
-    /// described in the module docs.
+    /// Serializes the snapshot into its container frame (see the
+    /// module docs).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Writer::new(&MAGIC, VERSION);
+        w.u64(self.config_hash);
         w.u64(self.frame_index as u64);
         w.u8(match self.state {
             TrackingState::Ok => 0,
@@ -421,10 +285,10 @@ impl Checkpoint {
             TrackingState::Lost => 2,
         });
         w.u64(self.bad_frames as u64);
-        w.se3(&self.pose_wc);
-        w.se3(&self.pose_kc);
-        w.se3(&self.prev_pose_wc);
-        w.se3(&self.motion);
+        put_se3(&mut w, &self.pose_wc);
+        put_se3(&mut w, &self.pose_kc);
+        put_se3(&mut w, &self.prev_pose_wc);
+        put_se3(&mut w, &self.motion);
         w.u8(self.rung.index() as u8);
         w.u64(self.deadline_misses);
         w.u64(self.coasted_frames);
@@ -434,12 +298,12 @@ impl Checkpoint {
             Some(kf) => {
                 w.u8(1);
                 w.u64(kf.frame_index as u64);
-                w.se3(&kf.pose_wk);
+                put_se3(&mut w, &kf.pose_wk);
                 w.u8(kf.masks.len() as u8);
                 for mask in &kf.masks {
                     w.u32(mask.width());
                     w.u32(mask.height());
-                    w.buf.extend_from_slice(mask.pixels());
+                    w.bytes(mask.pixels());
                 }
             }
         }
@@ -450,7 +314,7 @@ impl Checkpoint {
                 w.f64(m.voxel_m);
                 w.u64(m.points.len() as u64);
                 for p in &m.points {
-                    w.vec3(p);
+                    put_vec3(&mut w, p);
                 }
             }
         }
@@ -467,84 +331,35 @@ impl Checkpoint {
                 w.u64(p.dirty_accepted);
             }
         }
-
-        let payload = w.buf;
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&self.config_hash.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&payload);
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        w.seal()
     }
 
-    /// Parses and validates a snapshot. Checks run in order — magic,
-    /// version, length, checksum, payload — so each class of damage
-    /// maps to its own [`CheckpointError`] variant.
+    /// Parses and validates a snapshot: the container checks first
+    /// ([`container::open`]), then the payload's structure.
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        if bytes.len() < MAGIC.len() {
-            return Err(CheckpointError::Truncated {
-                expected: HEADER_LEN + 4,
-                got: bytes.len(),
-            });
-        }
-        if bytes[..8] != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        if bytes.len() < HEADER_LEN {
-            return Err(CheckpointError::Truncated {
-                expected: HEADER_LEN + 4,
-                got: bytes.len(),
-            });
-        }
-        let version = u16::from_le_bytes(bytes[8..10].try_into().expect("2"));
-        if version > VERSION {
-            return Err(CheckpointError::UnsupportedVersion {
-                got: version,
-                supported: VERSION,
-            });
-        }
-        let config_hash = u64::from_le_bytes(bytes[10..18].try_into().expect("8"));
-        let payload_len = u64::from_le_bytes(bytes[18..26].try_into().expect("8")) as usize;
-        let total = HEADER_LEN
-            .checked_add(payload_len)
-            .and_then(|n| n.checked_add(4))
-            .ok_or(CheckpointError::Malformed("length overflow"))?;
-        if bytes.len() < total {
-            return Err(CheckpointError::Truncated {
-                expected: total,
-                got: bytes.len(),
-            });
-        }
-        if bytes.len() > total {
-            return Err(CheckpointError::Malformed("trailing bytes"));
-        }
-        let stored = u32::from_le_bytes(bytes[total - 4..].try_into().expect("4"));
-        let computed = crc32(&bytes[..total - 4]);
-        if stored != computed {
-            return Err(CheckpointError::ChecksumMismatch { stored, computed });
-        }
+        let mut r = Reader::new(container::open(bytes, &MAGIC, VERSION)?);
+        let ckpt = Self::decode(&mut r)?;
+        r.finish()?;
+        Ok(ckpt)
+    }
 
-        let mut r = Reader::new(&bytes[HEADER_LEN..total - 4]);
+    fn decode(r: &mut Reader) -> Result<Checkpoint, ContainerError> {
+        let config_hash = r.u64()?;
         let frame_index = r.u64()? as usize;
         let state = match r.u8()? {
             0 => TrackingState::Ok,
             1 => TrackingState::Degraded,
             2 => TrackingState::Lost,
-            _ => return Err(CheckpointError::Malformed("invalid tracking state")),
+            _ => return Err(ContainerError::Malformed("invalid tracking state")),
         };
         let bad_frames = r.u64()? as usize;
-        let pose_wc = r.se3()?;
-        let pose_kc = r.se3()?;
-        let prev_pose_wc = r.se3()?;
-        let motion = r.se3()?;
-        let rung_idx = r.u8()? as usize;
-        if rung_idx >= DegradeRung::LADDER.len() {
-            return Err(CheckpointError::Malformed("invalid degrade rung"));
-        }
-        let rung = DegradeRung::from_index(rung_idx);
+        let pose_wc = read_se3(r)?;
+        let pose_kc = read_se3(r)?;
+        let prev_pose_wc = read_se3(r)?;
+        let motion = read_se3(r)?;
+        let rung = *DegradeRung::LADDER
+            .get(r.u8()? as usize)
+            .ok_or(ContainerError::Malformed("invalid degrade rung"))?;
         let deadline_misses = r.u64()?;
         let coasted_frames = r.u64()?;
 
@@ -552,17 +367,17 @@ impl Checkpoint {
             0 => None,
             1 => {
                 let kf_index = r.u64()? as usize;
-                let pose_wk = r.se3()?;
+                let pose_wk = read_se3(r)?;
                 let levels = r.u8()? as usize;
                 if levels == 0 || levels > MAX_LEVELS {
-                    return Err(CheckpointError::Malformed("invalid pyramid level count"));
+                    return Err(ContainerError::Malformed("invalid pyramid level count"));
                 }
                 let mut masks = Vec::with_capacity(levels);
                 for _ in 0..levels {
                     let w = r.u32()?;
                     let h = r.u32()?;
                     if w == 0 || h == 0 || w > MAX_DIM || h > MAX_DIM {
-                        return Err(CheckpointError::Malformed("invalid mask dimensions"));
+                        return Err(ContainerError::Malformed("invalid mask dimensions"));
                     }
                     let data = r.take((w as usize) * (h as usize))?.to_vec();
                     masks.push(GrayImage::from_raw(w, h, data));
@@ -573,7 +388,7 @@ impl Checkpoint {
                     masks,
                 })
             }
-            _ => return Err(CheckpointError::Malformed("invalid keyframe tag")),
+            _ => return Err(ContainerError::Malformed("invalid keyframe tag")),
         };
 
         let map = match r.u8()? {
@@ -581,42 +396,23 @@ impl Checkpoint {
             1 => {
                 let voxel_m = r.f64()?;
                 if !(voxel_m.is_finite() && voxel_m > 0.0) {
-                    return Err(CheckpointError::Malformed("invalid voxel size"));
+                    return Err(ContainerError::Malformed("invalid voxel size"));
                 }
-                let count = r.u64()? as usize;
-                if count > r.remaining() / 24 {
-                    return Err(CheckpointError::Truncated {
-                        expected: total,
-                        got: bytes.len(),
-                    });
-                }
+                let count = r.count(24)?;
                 let mut points = Vec::with_capacity(count);
                 for _ in 0..count {
-                    points.push(r.vec3()?);
+                    points.push(read_vec3(r)?);
                 }
                 Some(MapSnapshot { voxel_m, points })
             }
-            _ => return Err(CheckpointError::Malformed("invalid map tag")),
+            _ => return Err(ContainerError::Malformed("invalid map tag")),
         };
 
         let pool = match r.u8()? {
             0 => None,
             1 => {
                 let n = r.u32()? as usize;
-                if n > r.remaining() {
-                    return Err(CheckpointError::Truncated {
-                        expected: total,
-                        got: bytes.len(),
-                    });
-                }
-                let mut quarantined = Vec::with_capacity(n);
-                for _ in 0..n {
-                    quarantined.push(match r.u8()? {
-                        0 => false,
-                        1 => true,
-                        _ => return Err(CheckpointError::Malformed("invalid quarantine flag")),
-                    });
-                }
+                let quarantined = (0..n).map(|_| r.bool()).collect::<Result<Vec<_>, _>>()?;
                 Some(PoolSnapshot {
                     quarantined,
                     retries: r.u64()?,
@@ -624,12 +420,8 @@ impl Checkpoint {
                     dirty_accepted: r.u64()?,
                 })
             }
-            _ => return Err(CheckpointError::Malformed("invalid pool tag")),
+            _ => return Err(ContainerError::Malformed("invalid pool tag")),
         };
-
-        if r.remaining() != 0 {
-            return Err(CheckpointError::Malformed("trailing payload bytes"));
-        }
 
         Ok(Checkpoint {
             config_hash,
@@ -649,23 +441,9 @@ impl Checkpoint {
         })
     }
 
-    /// Writes the snapshot atomically: serialize to `<path>.tmp`, then
-    /// rename over `path`. A crash mid-write leaves either the previous
-    /// snapshot or a stray `.tmp`, never a truncated file under the
-    /// real name.
-    pub fn write_atomic(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        let path = path.as_ref();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, self.to_bytes())?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
-    }
-
     /// Reads and validates a snapshot file.
     pub fn read_file(path: impl AsRef<Path>) -> Result<Checkpoint, CheckpointError> {
-        let bytes = std::fs::read(path)?;
+        let bytes = std::fs::read(path).map_err(ContainerError::Io)?;
         Self::from_bytes(&bytes)
     }
 }
@@ -716,65 +494,16 @@ mod tests {
     }
 
     #[test]
-    fn every_bitflip_class_is_detected() {
-        let bytes = sample().to_bytes();
-        // flip one byte in the payload -> checksum mismatch
-        let mut b = bytes.clone();
-        b[HEADER_LEN + 5] ^= 0x40;
-        assert!(matches!(
-            Checkpoint::from_bytes(&b),
-            Err(CheckpointError::ChecksumMismatch { .. })
-        ));
-        // wrong magic
-        let mut b = bytes.clone();
-        b[0] = b'X';
-        assert!(matches!(
-            Checkpoint::from_bytes(&b),
-            Err(CheckpointError::BadMagic)
-        ));
-        // future version
-        let mut b = bytes.clone();
-        b[8] = 0xFF;
-        assert!(matches!(
-            Checkpoint::from_bytes(&b),
-            Err(CheckpointError::UnsupportedVersion { .. })
-        ));
-        // truncation at every prefix length parses to a typed error,
-        // never a panic
-        for cut in [0, 4, 9, 17, 25, HEADER_LEN + 3, bytes.len() - 5] {
-            let err = Checkpoint::from_bytes(&bytes[..cut]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    CheckpointError::Truncated { .. } | CheckpointError::BadMagic
-                ),
-                "cut {cut}: {err}"
-            );
-        }
-        // trailing garbage
-        let mut b = bytes.clone();
-        b.push(0);
-        assert!(matches!(
-            Checkpoint::from_bytes(&b),
-            Err(CheckpointError::Malformed(_))
-        ));
-    }
-
-    #[test]
     fn non_finite_pose_rejected() {
         let mut ckpt = sample();
         ckpt.pose_wc.translation.x = f64::NAN;
         let bytes = ckpt.to_bytes();
         assert!(matches!(
             Checkpoint::from_bytes(&bytes),
-            Err(CheckpointError::Malformed("non-finite pose"))
+            Err(CheckpointError::Container(ContainerError::Malformed(
+                "non-finite pose"
+            )))
         ));
-    }
-
-    #[test]
-    fn crc32_reference_vector() {
-        // the classic check value for CRC-32/IEEE
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use crate::keyframe::Keyframe;
 use crate::mapping::EdgeMap3d;
 use crate::supervisor::{BudgetConfig, BudgetStatus, DeadlineSupervisor, DegradeRung};
 use pimvo_kernels::{DepthImage, GrayImage};
+use pimvo_telemetry::container::{self, ContainerError};
 use pimvo_telemetry::{EventKind, Severity, Telemetry, TimeDomain};
 use pimvo_vomath::{LmOutcome, LmProblem, LmSolver, NormalEquations, Pinhole, SE3, SO3};
 use std::path::Path;
@@ -441,10 +442,13 @@ impl Tracker {
         }
     }
 
-    /// Snapshots the tracker and writes it atomically to `path`
-    /// (temp + rename; see [`Checkpoint::write_atomic`]).
+    /// Snapshots the tracker and writes it to `path` through
+    /// [`container::write_atomic`]: a crash mid-write leaves either the
+    /// previous snapshot or a stray `.tmp`, never a truncated file
+    /// under the real name.
     pub fn save_checkpoint(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        self.checkpoint().write_atomic(path)?;
+        container::write_atomic(path.as_ref(), &self.checkpoint().to_bytes())
+            .map_err(ContainerError::Io)?;
         self.telemetry.event(
             EventKind::CheckpointWritten,
             &[("frame", self.frame_index.to_string())],
@@ -508,7 +512,7 @@ impl Tracker {
             &ckpt.motion,
         ] {
             if !checkpoint::pose_finite(p) {
-                return Err(CheckpointError::Malformed("non-finite pose"));
+                return Err(ContainerError::Malformed("non-finite pose").into());
             }
         }
         // validate and rebuild everything side-effect-free first, so a
@@ -517,17 +521,18 @@ impl Tracker {
             None => None,
             Some(kf) => {
                 if !checkpoint::pose_finite(&kf.pose_wk) {
-                    return Err(CheckpointError::Malformed("non-finite pose"));
+                    return Err(ContainerError::Malformed("non-finite pose").into());
                 }
                 if kf.masks.len() != self.cameras.len() {
-                    return Err(CheckpointError::Malformed("pyramid level count mismatch"));
+                    return Err(ContainerError::Malformed("pyramid level count mismatch").into());
                 }
                 let mut kfs = Vec::with_capacity(kf.masks.len());
                 for (mask, cam) in kf.masks.iter().zip(&self.cameras) {
                     if mask.width() != cam.width || mask.height() != cam.height {
-                        return Err(CheckpointError::Malformed(
+                        return Err(ContainerError::Malformed(
                             "mask dimensions do not match the camera",
-                        ));
+                        )
+                        .into());
                     }
                     kfs.push(Keyframe::build(
                         kf.frame_index,
@@ -542,7 +547,7 @@ impl Tracker {
         let map = if self.config.build_map {
             Some(match &ckpt.map {
                 Some(m) => EdgeMap3d::from_points(m.voxel_m, m.points.clone())
-                    .ok_or(CheckpointError::Malformed("invalid voxel size"))?,
+                    .ok_or(ContainerError::Malformed("invalid voxel size"))?,
                 // a snapshot without map state under a map-building
                 // config restarts the map empty rather than failing
                 None => EdgeMap3d::new(self.config.map_voxel_m),
@@ -566,7 +571,7 @@ impl Tracker {
                 rehabilitated: 0,
             };
             pool.import_health(&health)
-                .map_err(|_| CheckpointError::Malformed("pool size mismatch"))?;
+                .map_err(|_| ContainerError::Malformed("pool size mismatch"))?;
         }
 
         self.keyframes = keyframes;

@@ -3,7 +3,6 @@
 //! and checkpoint/restore (kill-and-restore trajectory equality, typed
 //! rejection of damaged snapshots, recovery-config edge cases).
 
-use pimvo_core::checkpoint::VERSION;
 use pimvo_core::{
     transition_legal, BackendKind, BudgetConfig, Checkpoint, CheckpointError, DegradeRung, Tracker,
     TrackerConfig, TrackingState,
@@ -107,44 +106,10 @@ fn damaged_snapshots_are_rejected_with_typed_errors() {
     let pose_before = t.process_frame(&g, &d).pose_wc;
     let bytes = t.checkpoint().to_bytes();
 
-    // bit flip in the payload
-    let mut corrupt = bytes.clone();
-    let mid = corrupt.len() / 2;
-    corrupt[mid] ^= 0x01;
-    assert!(matches!(
-        Checkpoint::from_bytes(&corrupt),
-        Err(CheckpointError::ChecksumMismatch { .. })
-    ));
-
-    // truncation at arbitrary points never panics
-    for frac in [1, 3, 7, 9] {
-        let cut = bytes.len() * frac / 10;
-        let err = Checkpoint::from_bytes(&bytes[..cut]).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CheckpointError::Truncated { .. } | CheckpointError::BadMagic
-            ),
-            "cut at {cut}: {err}"
-        );
-    }
-
-    // future format version
-    let mut future = bytes.clone();
-    future[8] = (VERSION + 1) as u8;
-    future[9] = ((VERSION + 1) >> 8) as u8;
-    // checksum covers the version, so recompute it for a pure
-    // version-mismatch (not a checksum failure)
-    let crc = pimvo_core::checkpoint::crc32(&future[..future.len() - 4]);
-    let n = future.len();
-    future[n - 4..].copy_from_slice(&crc.to_le_bytes());
-    assert!(matches!(
-        Checkpoint::from_bytes(&future),
-        Err(CheckpointError::UnsupportedVersion { .. })
-    ));
-
-    // config mismatch: a tracker with different estimator settings
-    // refuses the snapshot and is left unchanged
+    // config mismatch (framing damage is covered for every format in
+    // crates/serve/tests/container_corruption.rs): a tracker with
+    // different estimator settings refuses the snapshot and is left
+    // unchanged
     let ckpt = Checkpoint::from_bytes(&bytes).expect("pristine decodes");
     let mut other_cfg = cfg;
     other_cfg.max_features = 1234;

@@ -54,7 +54,8 @@
 
 use crate::cost::CostModel;
 use crate::optrace::OpRecorder;
-use pimvo_telemetry::optrace::{crc32, OpKind, NO_ROW};
+use pimvo_telemetry::container::crc32;
+use pimvo_telemetry::optrace::{OpKind, NO_ROW};
 use std::collections::VecDeque;
 
 /// What a [`TransferDescriptor`] moves. Inbound kinds map to
@@ -123,12 +124,10 @@ impl TransferDescriptor {
         h
     }
 
-    /// CRC-32 over `payload` followed by the header fields.
+    /// CRC-32 over `payload` followed by the header fields, the header
+    /// fed to the payload's running CRC (no concatenated copy).
     pub fn payload_crc(&self, payload: &[u8]) -> u32 {
-        let mut buf = Vec::with_capacity(payload.len() + 17);
-        buf.extend_from_slice(payload);
-        buf.extend_from_slice(&self.header_bytes());
-        crc32(&buf)
+        crc32(crc32(0, payload), &self.header_bytes())
     }
 
     /// Whether `payload` matches the sealed CRC.
@@ -682,6 +681,15 @@ mod tests {
         // header corruption (wrong row) is caught too
         let other = TransferDescriptor::new(TransferKind::StripIn, 8, 3, &payload);
         assert_ne!(d.crc, other.crc);
+    }
+
+    #[test]
+    fn descriptor_crc_is_the_one_shot_crc_of_payload_then_header() {
+        let payload: Vec<u8> = (0..96u8).map(|i| i.wrapping_mul(29)).collect();
+        let d = TransferDescriptor::new(TransferKind::PyramidPrefetch, 11, 9, &payload);
+        let mut wire = payload.clone();
+        wire.extend_from_slice(&d.header_bytes());
+        assert_eq!(d.crc, crc32(0, &wire));
     }
 
     #[test]

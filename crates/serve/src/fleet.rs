@@ -12,9 +12,10 @@ use pimvo_pim::{
     ArrayConfig, LoweredCache, LoweredCacheStats, PimArrayPool, PimMachine, PimMachineBuilder,
     SessionId,
 };
+use pimvo_telemetry::container::{self, ContainerError, ContainerError::Malformed, Reader, Writer};
 use pimvo_telemetry::{Severity, Telemetry};
 use std::collections::{BTreeMap, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Circuit-breaker state of one session
 /// ([`crate::BreakerConfig`] on the spec arms it).
@@ -719,11 +720,15 @@ impl FleetScheduler {
 // Fleet manifest: crash-consistent recovery payload
 // ---------------------------------------------------------------------
 
-/// Manifest payload version; bumped on layout changes.
-pub(crate) const MANIFEST_PAYLOAD_VERSION: u16 = 1;
+/// Fleet manifest magic: "PIMVOFLT" (fleet), distinct from the
+/// per-session tracker checkpoint magic "PIMVOCKP".
+const MANIFEST_MAGIC: &[u8; 8] = b"PIMVOFLT";
+/// Manifest layout version; bumped on layout changes.
+const MANIFEST_VERSION: u16 = 2;
 
 impl FleetScheduler {
-    /// Serializes the fleet's recoverable state: the virtual clock,
+    /// Serializes the fleet's recoverable state into a sealed
+    /// [`pimvo_telemetry::container`] frame: the virtual clock,
     /// pool health (quarantine flags, probation countdowns, recovery
     /// counters) and, per session, the scheduler bookkeeping (stats,
     /// shed rung, breaker state) plus a tracker checkpoint blob —
@@ -734,42 +739,33 @@ impl FleetScheduler {
     /// resubmits from the last committed frame (at-least-once
     /// submission). Remap tables and raw array contents are physical
     /// simulator state and rebuild from scratch, like a device reboot.
-    pub(crate) fn manifest_payload(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        push_u64(&mut buf, self.shared.wall_cycles());
+    fn manifest(&self) -> Vec<u8> {
+        let mut w = Writer::new(MANIFEST_MAGIC, MANIFEST_VERSION);
+        w.u64(self.shared.wall_cycles());
         let health = self.shared.health();
-        push_u64(&mut buf, health.quarantined.len() as u64);
+        w.u64(health.quarantined.len() as u64);
         for i in 0..health.quarantined.len() {
-            buf.push(health.quarantined[i] as u8);
-            push_u64(&mut buf, health.probation[i]);
+            w.u8(health.quarantined[i] as u8);
+            w.u64(health.probation[i]);
         }
-        push_u64(&mut buf, health.retries);
-        push_u64(&mut buf, health.redispatches);
-        push_u64(&mut buf, health.dirty_accepted);
-        push_u64(&mut buf, self.sessions.len() as u64);
+        w.u64(health.retries);
+        w.u64(health.redispatches);
+        w.u64(health.dirty_accepted);
+        w.u64(self.sessions.len() as u64);
         for (id, sess) in &self.sessions {
-            push_u32(&mut buf, id.0);
-            buf.push(sess.shed_rung.index() as u8);
-            match sess.breaker {
-                BreakerState::Closed => {
-                    buf.push(0);
-                    push_u64(&mut buf, 0);
-                    push_u64(&mut buf, 0);
-                }
-                BreakerState::Open { until, backoff } => {
-                    buf.push(1);
-                    push_u64(&mut buf, until);
-                    push_u64(&mut buf, backoff);
-                }
-                BreakerState::HalfOpen { backoff } => {
-                    buf.push(2);
-                    push_u64(&mut buf, 0);
-                    push_u64(&mut buf, backoff);
-                }
-            }
-            push_u64(&mut buf, sess.failure_marks.len() as u64);
+            w.u32(id.0);
+            w.u8(sess.shed_rung.index() as u8);
+            let (tag, until, backoff) = match sess.breaker {
+                BreakerState::Closed => (0, 0, 0),
+                BreakerState::Open { until, backoff } => (1, until, backoff),
+                BreakerState::HalfOpen { backoff } => (2, 0, backoff),
+            };
+            w.u8(tag);
+            w.u64(until);
+            w.u64(backoff);
+            w.u64(sess.failure_marks.len() as u64);
             for &m in &sess.failure_marks {
-                push_u64(&mut buf, m);
+                w.u64(m);
             }
             let st = &sess.stats;
             for v in [
@@ -786,11 +782,11 @@ impl FleetScheduler {
                 st.pool_detected,
                 st.pool_quarantines,
             ] {
-                push_u64(&mut buf, v);
+                w.u64(v);
             }
-            push_u64(&mut buf, st.latencies_cycles.len() as u64);
+            w.u64(st.latencies_cycles.len() as u64);
             for &l in &st.latencies_cycles {
-                push_u64(&mut buf, l);
+                w.u64(l);
             }
             let blob: Option<Vec<u8>> = match &sess.residency {
                 Residency::Cold => None,
@@ -799,21 +795,21 @@ impl FleetScheduler {
             };
             match blob {
                 None => {
-                    buf.push(0);
-                    push_u64(&mut buf, 0);
+                    w.u8(0);
+                    w.u64(0);
                 }
                 Some(bytes) => {
-                    buf.push(1);
-                    push_u64(&mut buf, bytes.len() as u64);
-                    buf.extend_from_slice(&bytes);
+                    w.u8(1);
+                    w.u64(bytes.len() as u64);
+                    w.bytes(&bytes);
                 }
             }
         }
-        buf
+        w.seal()
     }
 
-    /// Rebuilds a fleet from a manifest payload after a hard kill: a
-    /// fresh pool is stamped from `builder`, the virtual clock, pool
+    /// Rebuilds a fleet from a manifest after a hard kill: a fresh
+    /// pool is stamped from `builder`, the virtual clock, pool
     /// health and probation countdowns are restored, and every session
     /// comes back with its stats/rung/breaker state and its checkpoint
     /// blob staged as [`Residency::Evicted`] — the next frame restores
@@ -822,28 +818,28 @@ impl FleetScheduler {
     /// `specs` must cover exactly the session ids in the manifest
     /// (configs are additionally verified against each blob's config
     /// hash when the session first runs).
-    pub(crate) fn from_manifest_payload(
+    fn from_manifest(
         builder: &PimMachineBuilder,
         arrays: usize,
         specs: &[(SessionId, SessionSpec)],
-        payload: &[u8],
-    ) -> Result<FleetScheduler, StoreError> {
+        bytes: &[u8],
+    ) -> Result<FleetScheduler, ContainerError> {
+        let mut r = Reader::new(container::open(bytes, MANIFEST_MAGIC, MANIFEST_VERSION)?);
         let mut fleet = FleetScheduler::from_builder(builder, arrays);
-        let c = &mut 0usize;
-        let wall = read_u64(payload, c)?;
-        let n = read_u64(payload, c)? as usize;
+        let wall = r.u64()?;
+        let n = r.u64()? as usize;
         if n != arrays {
-            return Err(StoreError::Malformed("pool size mismatch"));
+            return Err(Malformed("pool size mismatch"));
         }
         let mut quarantined = vec![false; n];
         let mut probation = vec![0u64; n];
         for i in 0..n {
-            quarantined[i] = read_u8(payload, c)? != 0;
-            probation[i] = read_u64(payload, c)?;
+            quarantined[i] = r.bool()?;
+            probation[i] = r.u64()?;
         }
-        let retries = read_u64(payload, c)?;
-        let redispatches = read_u64(payload, c)?;
-        let dirty_accepted = read_u64(payload, c)?;
+        let retries = r.u64()?;
+        let redispatches = r.u64()?;
+        let dirty_accepted = r.u64()?;
         let health = pimvo_pim::PoolHealth {
             arrays: vec![Default::default(); n],
             quarantined,
@@ -858,51 +854,48 @@ impl FleetScheduler {
         fleet
             .shared
             .import_health(&health)
-            .map_err(|_| StoreError::Malformed("pool health rejected"))?;
+            .map_err(|_| Malformed("pool health rejected"))?;
         fleet
             .shared
             .restore_probation(&probation)
-            .map_err(|_| StoreError::Malformed("probation vector rejected"))?;
+            .map_err(|_| Malformed("probation vector rejected"))?;
         fleet.shared.restore_wall_cycles(wall);
 
         let spec_map: BTreeMap<SessionId, SessionSpec> = specs.iter().cloned().collect();
         if spec_map.len() != specs.len() {
-            return Err(StoreError::Malformed("duplicate session spec"));
+            return Err(Malformed("duplicate session spec"));
         }
-        let count = read_u64(payload, c)? as usize;
-        if count != spec_map.len() {
-            return Err(StoreError::Malformed("session count mismatch"));
+        if r.u64()? != spec_map.len() as u64 {
+            return Err(Malformed("session count mismatch"));
         }
-        for _ in 0..count {
-            let id = SessionId(read_u32(payload, c)?);
+        for _ in 0..spec_map.len() {
+            let id = SessionId(r.u32()?);
             let spec = spec_map
                 .get(&id)
-                .ok_or(StoreError::Malformed("manifest session missing a spec"))?
+                .ok_or(Malformed("manifest session missing a spec"))?
                 .clone();
-            let shed_rung = DegradeRung::from_index(read_u8(payload, c)? as usize);
-            let tag = read_u8(payload, c)?;
-            let until = read_u64(payload, c)?;
-            let backoff = read_u64(payload, c)?;
+            let shed_rung = *DegradeRung::LADDER
+                .get(r.u8()? as usize)
+                .ok_or(Malformed("invalid degrade rung"))?;
+            let tag = r.u8()?;
+            let until = r.u64()?;
+            let backoff = r.u64()?;
             let breaker = match tag {
                 0 => BreakerState::Closed,
                 1 => BreakerState::Open { until, backoff },
                 2 => BreakerState::HalfOpen { backoff },
-                _ => return Err(StoreError::Malformed("unknown breaker state")),
+                _ => return Err(Malformed("unknown breaker state")),
             };
-            let marks = read_u64(payload, c)? as usize;
-            let mut failure_marks = VecDeque::with_capacity(marks.min(1024));
-            for _ in 0..marks {
-                failure_marks.push_back(read_u64(payload, c)?);
-            }
+            let failure_marks = (0..r.count(8)?)
+                .map(|_| r.u64())
+                .collect::<Result<VecDeque<_>, _>>()?;
             let mut vals = [0u64; 12];
             for v in &mut vals {
-                *v = read_u64(payload, c)?;
+                *v = r.u64()?;
             }
-            let lat = read_u64(payload, c)? as usize;
-            let mut latencies_cycles = Vec::with_capacity(lat.min(1 << 20));
-            for _ in 0..lat {
-                latencies_cycles.push(read_u64(payload, c)?);
-            }
+            let latencies_cycles = (0..r.count(8)?)
+                .map(|_| r.u64())
+                .collect::<Result<Vec<_>, _>>()?;
             let stats = SessionStats {
                 submitted: vals[0],
                 completed: vals[1],
@@ -929,16 +922,16 @@ impl FleetScheduler {
                 lower_hits: 0,
                 lower_misses: 0,
             };
-            let residency = match read_u8(payload, c)? {
+            let residency = match r.u8()? {
                 0 => {
-                    let _ = read_u64(payload, c)?;
+                    r.u64()?;
                     Residency::Cold
                 }
                 1 => {
-                    let len = read_u64(payload, c)? as usize;
-                    Residency::Evicted(read_bytes(payload, c, len)?.to_vec())
+                    let len = r.count(1)?;
+                    Residency::Evicted(r.take(len)?.to_vec())
                 }
-                _ => return Err(StoreError::Malformed("unknown residency tag")),
+                _ => return Err(Malformed("unknown residency tag")),
             };
             let prev = fleet.sessions.insert(
                 id,
@@ -954,70 +947,46 @@ impl FleetScheduler {
                 },
             );
             if prev.is_some() {
-                return Err(StoreError::Malformed("duplicate session in manifest"));
+                return Err(Malformed("duplicate session in manifest"));
             }
         }
-        if *c != payload.len() {
-            return Err(StoreError::Malformed("trailing bytes in manifest"));
-        }
+        r.finish()?;
         Ok(fleet)
     }
 
-    /// Recovers a fleet from a [`FleetCheckpointStore`] manifest on
-    /// disk after a simulated hard kill. See
-    /// [`FleetCheckpointStore::save`] for what is (and is not) in the
-    /// manifest.
+    /// Saves the fleet's manifest to `path` through
+    /// [`container::write_atomic`], so a hard kill at any instant leaves
+    /// either the previous manifest or the new one, never a torn file.
+    ///
+    /// The manifest covers the virtual clock, pool health/probation,
+    /// scheduler counters and per-session checkpoint blobs. In-flight
+    /// queued frames are not saved — a crash loses uncommitted frames
+    /// and the submitter replays them (at-least-once semantics).
     ///
     /// # Errors
     ///
-    /// Any [`StoreError`]: I/O, corruption (magic/version/CRC), or a
-    /// manifest inconsistent with `builder`/`arrays`/`specs`.
+    /// [`ContainerError::Io`] on any filesystem failure.
+    pub fn save_manifest(&self, path: &Path) -> Result<(), ContainerError> {
+        container::write_atomic(path, &self.manifest())?;
+        Ok(())
+    }
+
+    /// Recovers a fleet from a manifest written by
+    /// [`FleetScheduler::save_manifest`] after a simulated hard kill.
+    ///
+    /// # Errors
+    ///
+    /// Any [`ContainerError`]: I/O, framing damage (magic, version,
+    /// length, CRC), or a manifest inconsistent with
+    /// `builder`/`arrays`/`specs`.
     pub fn recover(
-        store: &FleetCheckpointStore,
+        path: &Path,
         builder: &PimMachineBuilder,
         arrays: usize,
         specs: &[(SessionId, SessionSpec)],
-    ) -> Result<FleetScheduler, StoreError> {
-        let payload = store.load_payload()?;
-        Self::from_manifest_payload(builder, arrays, specs, &payload)
+    ) -> Result<FleetScheduler, ContainerError> {
+        Self::from_manifest(builder, arrays, specs, &std::fs::read(path)?)
     }
-}
-
-use crate::store::{FleetCheckpointStore, StoreError};
-
-fn push_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn read_u8(bytes: &[u8], cursor: &mut usize) -> Result<u8, StoreError> {
-    let b = read_bytes(bytes, cursor, 1)?;
-    Ok(b[0])
-}
-
-fn read_u32(bytes: &[u8], cursor: &mut usize) -> Result<u32, StoreError> {
-    let b = read_bytes(bytes, cursor, 4)?;
-    Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
-}
-
-fn read_u64(bytes: &[u8], cursor: &mut usize) -> Result<u64, StoreError> {
-    let b = read_bytes(bytes, cursor, 8)?;
-    Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-}
-
-fn read_bytes<'a>(bytes: &'a [u8], cursor: &mut usize, len: usize) -> Result<&'a [u8], StoreError> {
-    let end = cursor
-        .checked_add(len)
-        .ok_or(StoreError::Malformed("length overflow"))?;
-    if end > bytes.len() {
-        return Err(StoreError::Malformed("truncated manifest"));
-    }
-    let out = &bytes[*cursor..end];
-    *cursor = end;
-    Ok(out)
 }
 
 impl std::fmt::Debug for FleetScheduler {
@@ -1393,8 +1362,8 @@ mod tests {
         let _ = fleet.run_until_idle().unwrap();
         let dir = std::env::temp_dir().join(format!("pimvo_fleet_store_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let store = crate::FleetCheckpointStore::new(dir.join("fleet.ckpt"));
-        store.save(&fleet).unwrap();
+        let path = dir.join("fleet.ckpt");
+        fleet.save_manifest(&path).unwrap();
         let clock_at_save = fleet.now_cycles();
 
         // uninterrupted arm keeps going
@@ -1404,7 +1373,7 @@ mod tests {
         let want = fleet.run_until_idle().unwrap().remove(0);
 
         // recovered arm replays the same frame after the kill
-        let mut recovered = FleetScheduler::recover(&store, &builder, 2, &specs).unwrap();
+        let mut recovered = FleetScheduler::recover(&path, &builder, 2, &specs).unwrap();
         assert_eq!(recovered.now_cycles(), clock_at_save, "clock restored");
         assert!(
             !recovered.is_resident(SessionId(1)),
@@ -1428,37 +1397,29 @@ mod tests {
     #[test]
     fn store_rejects_corruption() {
         let builder = PimMachine::builder(ArrayConfig::qvga_banks(6));
+        let specs = vec![(SessionId(1), SessionSpec::new(TrackerConfig::default()))];
         let mut fleet = FleetScheduler::from_builder(&builder, 1);
-        fleet.add_session(SessionId(1), SessionSpec::new(TrackerConfig::default()));
+        fleet.add_session(specs[0].0, specs[0].1.clone());
         let dir = std::env::temp_dir().join(format!("pimvo_fleet_corrupt_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fleet.ckpt");
-        let store = crate::FleetCheckpointStore::new(&path);
-        store.save(&fleet).unwrap();
+        fleet.save_manifest(&path).unwrap();
+        let recover = || FleetScheduler::recover(&path, &builder, 1, &specs);
 
         // flip one payload byte: CRC must catch it
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() - 10;
         bytes[mid] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            store.load_payload(),
-            Err(crate::StoreError::Crc { .. })
-        ));
+        assert!(matches!(recover(), Err(ContainerError::Crc)));
 
         // wrong magic (long enough to pass the length check)
         std::fs::write(&path, b"NOTAFLEETMANIFEST_____________").unwrap();
-        assert!(matches!(
-            store.load_payload(),
-            Err(crate::StoreError::BadMagic)
-        ));
+        assert!(matches!(recover(), Err(ContainerError::BadMagic)));
 
         // truncation
         std::fs::write(&path, b"PIMVO").unwrap();
-        assert!(matches!(
-            store.load_payload(),
-            Err(crate::StoreError::Malformed(_))
-        ));
+        assert!(matches!(recover(), Err(ContainerError::Truncated)));
         std::fs::remove_dir_all(&dir).ok();
     }
 

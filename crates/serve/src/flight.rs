@@ -10,78 +10,60 @@
 //! aircraft flight recorder, the file holds the *lead-up* to the
 //! incident, not just the incident itself.
 //!
-//! Dumps use the same self-validating container idiom as the fleet
-//! manifest ([`crate::FleetCheckpointStore`]): written to a temp file
-//! and renamed into place, CRC-checked on load, decoded with typed
-//! [`StoreError`]s:
+//! A dump is one [`pimvo_telemetry::container`] frame with magic
+//! `PIMVOFDR`, written through the container's atomic writer and
+//! decoded with typed [`ContainerError`]s. The payload:
 //!
 //! ```text
-//! magic "PIMVOFDR" | version u16 | session u32 | reason u8
-//!   | nframes u64 | (frame u64, wall_delta u64, len u64, OpTrace)* | crc32
+//! session u32 | reason u8 | nframes u64
+//!   | (frame u64, wall_delta u64, len u64, OpTrace)*
 //! ```
 //!
-//! Each embedded [`OpTrace`] is itself a CRC'd container, so a dump
+//! Each embedded [`OpTrace`] is itself a full container, so a dump
 //! replays through the ordinary trace tooling: the critical path of a
 //! frame's trace equals that frame's recorded `wall_delta` (asserted
 //! by the chaos harness in `pimvo-bench`).
 
-use crate::store::StoreError;
-use pimvo_core::checkpoint::crc32;
+use pimvo_telemetry::container::{self, ContainerError, Reader, Writer};
 use pimvo_telemetry::optrace::OpTrace;
 use std::collections::VecDeque;
-use std::fs;
-use std::io::Write;
 use std::path::Path;
 
 /// Container magic: "PIMVOFDR" (flight data recorder), distinct from
 /// the fleet manifest magic "PIMVOFLT" and the raw trace "PIMVOTRC".
 pub const FLIGHT_MAGIC: &[u8; 8] = b"PIMVOFDR";
 /// Dump container version; bumped on layout changes.
-pub const FLIGHT_VERSION: u16 = 1;
-/// Bytes before the frame list: magic + version + session + reason +
-/// frame count.
-const HEADER_LEN: usize = 8 + 2 + 4 + 1 + 8;
+pub const FLIGHT_VERSION: u16 = 2;
 
-/// Why a flight dump was written.
+/// Why a flight dump was written. The discriminant is the stable wire
+/// tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum DumpReason {
     /// The session's circuit breaker tripped open on this frame.
-    BreakerTrip,
+    BreakerTrip = 0,
     /// The frame completed past the session's deadline.
-    DeadlineMiss,
+    DeadlineMiss = 1,
     /// The shared pool quarantined at least one array during the frame.
-    Quarantine,
+    Quarantine = 2,
     /// An operator or tool requested the dump (no incident).
-    Manual,
+    Manual = 3,
     /// A host↔array DMA channel quarantined during the frame (the
     /// transfer retry ladder exhausted; traffic degraded to the
     /// synchronous port).
-    DmaQuarantine,
+    DmaQuarantine = 4,
 }
 
+/// Every reason, in wire-tag order.
+const DUMP_REASONS: [DumpReason; 5] = [
+    DumpReason::BreakerTrip,
+    DumpReason::DeadlineMiss,
+    DumpReason::Quarantine,
+    DumpReason::Manual,
+    DumpReason::DmaQuarantine,
+];
+
 impl DumpReason {
-    /// Stable wire tag.
-    fn as_u8(self) -> u8 {
-        match self {
-            DumpReason::BreakerTrip => 0,
-            DumpReason::DeadlineMiss => 1,
-            DumpReason::Quarantine => 2,
-            DumpReason::Manual => 3,
-            DumpReason::DmaQuarantine => 4,
-        }
-    }
-
-    fn from_u8(v: u8) -> Option<Self> {
-        match v {
-            0 => Some(DumpReason::BreakerTrip),
-            1 => Some(DumpReason::DeadlineMiss),
-            2 => Some(DumpReason::Quarantine),
-            3 => Some(DumpReason::Manual),
-            4 => Some(DumpReason::DmaQuarantine),
-            _ => None,
-        }
-    }
-
     /// Human-readable reason, used in dump file names.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -149,76 +131,41 @@ pub struct FlightDump {
 impl FlightDump {
     /// Serializes the dump into its container bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(FLIGHT_MAGIC);
-        payload.extend_from_slice(&FLIGHT_VERSION.to_le_bytes());
-        payload.extend_from_slice(&self.session.to_le_bytes());
-        payload.push(self.reason.as_u8());
-        payload.extend_from_slice(&(self.frames.len() as u64).to_le_bytes());
+        let mut w = Writer::new(FLIGHT_MAGIC, FLIGHT_VERSION);
+        w.u32(self.session);
+        w.u8(self.reason as u8);
+        w.u64(self.frames.len() as u64);
         for f in &self.frames {
-            payload.extend_from_slice(&f.frame.to_le_bytes());
-            payload.extend_from_slice(&f.wall_delta.to_le_bytes());
+            w.u64(f.frame);
+            w.u64(f.wall_delta);
             let trace = f.trace.encode();
-            payload.extend_from_slice(&(trace.len() as u64).to_le_bytes());
-            payload.extend_from_slice(&trace);
+            w.u64(trace.len() as u64);
+            w.bytes(&trace);
         }
-        let crc = crc32(&payload[8..]);
-        payload.extend_from_slice(&crc.to_le_bytes());
-        payload
+        w.seal()
     }
 
-    /// Decodes a dump, validating length, magic, CRC, version and
-    /// structure — in that order, with typed errors and no panics.
-    pub fn decode(bytes: &[u8]) -> Result<Self, StoreError> {
-        if bytes.len() < HEADER_LEN + 4 {
-            return Err(StoreError::Malformed("file shorter than header"));
-        }
-        if &bytes[..8] != FLIGHT_MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        let body = &bytes[8..bytes.len() - 4];
-        let expected = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-        let got = crc32(body);
-        if expected != got {
-            return Err(StoreError::Crc { expected, got });
-        }
-        let version = u16::from_le_bytes(bytes[8..10].try_into().expect("2 bytes"));
-        if version != FLIGHT_VERSION {
-            return Err(StoreError::Version(version));
-        }
-        let session = u32::from_le_bytes(bytes[10..14].try_into().expect("4 bytes"));
-        let reason =
-            DumpReason::from_u8(bytes[14]).ok_or(StoreError::Malformed("unknown dump reason"))?;
-        let nframes = u64::from_le_bytes(bytes[15..23].try_into().expect("8 bytes"));
-        let mut cursor = HEADER_LEN;
-        let end = bytes.len() - 4;
-        let mut frames = Vec::new();
+    /// Decodes a dump: the container checks, then the payload's
+    /// structure and every embedded trace — typed errors, no panics.
+    pub fn decode(bytes: &[u8]) -> Result<Self, ContainerError> {
+        let mut r = Reader::new(container::open(bytes, FLIGHT_MAGIC, FLIGHT_VERSION)?);
+        let session = r.u32()?;
+        let reason = *DUMP_REASONS
+            .get(r.u8()? as usize)
+            .ok_or(ContainerError::Malformed("unknown dump reason"))?;
+        let nframes = r.count(24)?;
+        let mut frames = Vec::with_capacity(nframes);
         for _ in 0..nframes {
-            if cursor + 24 > end {
-                return Err(StoreError::Malformed("truncated frame header"));
-            }
-            let frame = u64::from_le_bytes(bytes[cursor..cursor + 8].try_into().expect("8 bytes"));
-            let wall_delta =
-                u64::from_le_bytes(bytes[cursor + 8..cursor + 16].try_into().expect("8 bytes"));
-            let len =
-                u64::from_le_bytes(bytes[cursor + 16..cursor + 24].try_into().expect("8 bytes"))
-                    as usize;
-            cursor += 24;
-            if len > end - cursor {
-                return Err(StoreError::Malformed("frame trace overruns dump"));
-            }
-            let trace = OpTrace::decode(&bytes[cursor..cursor + len])
-                .map_err(|_| StoreError::Malformed("embedded op trace rejected"))?;
-            cursor += len;
+            let frame = r.u64()?;
+            let wall_delta = r.u64()?;
+            let len = r.count(1)?;
             frames.push(FlightFrame {
                 frame,
                 wall_delta,
-                trace,
+                trace: OpTrace::decode(r.take(len)?)?,
             });
         }
-        if cursor != end {
-            return Err(StoreError::Malformed("trailing bytes in dump"));
-        }
+        r.finish()?;
         Ok(FlightDump {
             session,
             reason,
@@ -226,21 +173,14 @@ impl FlightDump {
         })
     }
 
-    /// Writes the dump atomically: temp file + fsync + rename, the same
+    /// Writes the dump through [`container::write_atomic`], the same
     /// crash-safety contract as the fleet manifest store.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] on any filesystem failure.
-    pub fn save(&self, path: &Path) -> Result<(), StoreError> {
-        let bytes = self.encode();
-        let tmp = path.with_extension("flight.tmp");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, path)?;
+    /// [`ContainerError::Io`] on any filesystem failure.
+    pub fn save(&self, path: &Path) -> Result<(), ContainerError> {
+        container::write_atomic(path, &self.encode())?;
         Ok(())
     }
 
@@ -248,9 +188,9 @@ impl FlightDump {
     ///
     /// # Errors
     ///
-    /// Any [`StoreError`]: I/O, corruption, or structural rejection.
-    pub fn load(path: &Path) -> Result<Self, StoreError> {
-        Self::decode(&fs::read(path)?)
+    /// Any [`ContainerError`]: I/O, corruption, or structural rejection.
+    pub fn load(path: &Path) -> Result<Self, ContainerError> {
+        Self::decode(&std::fs::read(path)?)
     }
 }
 
@@ -278,56 +218,6 @@ mod tests {
         t
     }
 
-    fn dump() -> FlightDump {
-        FlightDump {
-            session: 7,
-            reason: DumpReason::DeadlineMiss,
-            frames: vec![
-                FlightFrame {
-                    frame: 1,
-                    wall_delta: 10,
-                    trace: tiny_trace(10),
-                },
-                FlightFrame {
-                    frame: 2,
-                    wall_delta: 12,
-                    trace: tiny_trace(12),
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn dump_roundtrips_byte_identically() {
-        let d = dump();
-        let bytes = d.encode();
-        let back = FlightDump::decode(&bytes).expect("valid dump decodes");
-        assert_eq!(back, d);
-        assert_eq!(back.encode(), bytes);
-    }
-
-    #[test]
-    fn corruption_yields_typed_errors() {
-        let bytes = dump().encode();
-        assert!(matches!(
-            FlightDump::decode(&bytes[..10]),
-            Err(StoreError::Malformed(_))
-        ));
-        let mut bad = bytes.clone();
-        bad[0] ^= 0xFF;
-        assert!(matches!(
-            FlightDump::decode(&bad),
-            Err(StoreError::BadMagic)
-        ));
-        let mut flipped = bytes.clone();
-        let mid = bytes.len() / 2;
-        flipped[mid] ^= 0x08;
-        assert!(matches!(
-            FlightDump::decode(&flipped),
-            Err(StoreError::Crc { .. })
-        ));
-    }
-
     #[test]
     fn ring_keeps_the_last_n_frames() {
         let mut r = FlightRecorder::new(2);
@@ -341,16 +231,5 @@ mod tests {
         let frames = r.snapshot();
         assert_eq!(frames.len(), 2);
         assert_eq!((frames[0].frame, frames[1].frame), (4, 5));
-    }
-
-    #[test]
-    fn save_and_load_through_disk() {
-        let dir = std::env::temp_dir().join(format!("pimvo_flight_unit_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("s7.flight");
-        let d = dump();
-        d.save(&path).unwrap();
-        assert_eq!(FlightDump::load(&path).unwrap(), d);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -47,9 +47,9 @@
 //!   shared pool. [`SessionStats`] carries the fault/quarantine
 //!   telemetry (lost frames, failures, trips, probes, pool fault
 //!   events attributed per session).
-//! * **Crash recovery** is fleet-wide: [`FleetCheckpointStore`] writes
-//!   an atomic, CRC-checked manifest of every session's checkpoint
-//!   blob plus the pool health and scheduler counters;
+//! * **Crash recovery** is fleet-wide: [`FleetScheduler::save_manifest`]
+//!   writes an atomic, CRC-checked manifest of every session's
+//!   checkpoint blob plus the pool health and scheduler counters;
 //!   [`FleetScheduler::recover`] rebuilds the fleet from it and
 //!   replays the remaining frames bit-identically after a hard kill.
 //!
@@ -76,9 +76,7 @@
 mod fleet;
 mod flight;
 mod session;
-mod store;
 
 pub use fleet::{BreakerState, FleetScheduler};
 pub use flight::{DumpReason, FlightDump, FlightFrame, FLIGHT_MAGIC, FLIGHT_VERSION};
 pub use session::{BreakerConfig, ServeError, SessionSpec, SessionStats, StepOutcome};
-pub use store::{FleetCheckpointStore, StoreError};

@@ -42,6 +42,7 @@
 //!   object per line with timestamp, frame id and severity.
 
 mod clock;
+pub mod container;
 /// Minimal hand-rolled JSON serialization helpers (the crate is
 /// dependency-free); also used by `pimvo-bench` for its report files.
 pub mod json;

@@ -9,13 +9,13 @@
 //! host load/store ↔ compute — and this module owns everything
 //! downstream of that stream:
 //!
-//! * the **versioned little-endian binary codec** ([`OpTrace::encode`] /
-//!   [`OpTrace::decode`]), byte-deterministic and CRC-checked:
+//! * the **binary codec** ([`OpTrace::encode`] / [`OpTrace::decode`]),
+//!   byte-deterministic, in the shared [`crate::container`] frame
+//!   (magic `PIMVOTRC`) with this payload:
 //!
 //!   ```text
-//!   magic "PIMVOTRC" | version u16 | record_len u16 | dropped u64 |
-//!   count u64 | records (80 B each) | nlabels u64 |
-//!   (len u64, utf8 bytes)* | crc32
+//!   record_len u16 | dropped u64 | count u64 | records (80 B each) |
+//!   nlabels u64 | (len u64, utf8 bytes)*
 //!   ```
 //!
 //! * the **critical-path profiler** ([`profile`]): a longest-path walk
@@ -24,8 +24,9 @@
 //! * a **Perfetto converter** ([`to_perfetto`]) for small windows.
 //!
 //! Corrupt input never panics: every decode failure is a typed
-//! [`OpTraceError`].
+//! [`ContainerError`].
 
+use crate::container::{open, ContainerError, Reader, Writer};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -33,8 +34,8 @@ use std::fmt::Write as _;
 /// manifest ("PIMVOFLT") and tracker checkpoint ("PIMVOCKP") magics.
 pub const OPTRACE_MAGIC: &[u8; 8] = b"PIMVOTRC";
 /// Container version; bumped on layout changes.
-pub const OPTRACE_VERSION: u16 = 1;
-/// Encoded size of one [`OpRecord`], embedded in the header so a
+pub const OPTRACE_VERSION: u16 = 2;
+/// Encoded size of one [`OpRecord`], embedded in the payload so a
 /// decoder can reject records from a different layout outright.
 pub const OP_RECORD_LEN: u16 = 80;
 
@@ -212,48 +213,42 @@ pub struct OpRecord {
 }
 
 impl OpRecord {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.id.to_le_bytes());
-        for d in &self.deps {
-            out.extend_from_slice(&d.to_le_bytes());
+    fn encode_into(&self, w: &mut Writer) {
+        w.u64(self.id);
+        for &d in &self.deps {
+            w.u64(d);
         }
-        out.extend_from_slice(&self.start.to_le_bytes());
-        out.extend_from_slice(&self.cycles.to_le_bytes());
-        out.extend_from_slice(&self.sram.to_le_bytes());
-        out.extend_from_slice(&self.size.to_le_bytes());
-        out.extend_from_slice(&self.rows[0].to_le_bytes());
-        out.extend_from_slice(&self.rows[1].to_le_bytes());
-        out.extend_from_slice(&self.dst.to_le_bytes());
-        out.extend_from_slice(&self.session.to_le_bytes());
-        out.extend_from_slice(&self.label.to_le_bytes());
-        out.extend_from_slice(&(self.kind as u16).to_le_bytes());
-        out.extend_from_slice(&self.array.to_le_bytes());
+        w.u64(self.start);
+        w.u64(self.cycles);
+        w.u32(self.sram);
+        w.u32(self.size);
+        w.u32(self.rows[0]);
+        w.u32(self.rows[1]);
+        w.u32(self.dst);
+        w.u32(self.session);
+        w.u32(self.label);
+        w.u16(self.kind as u16);
+        w.u16(self.array);
     }
 
-    fn decode_from(bytes: &[u8]) -> Result<OpRecord, OpTraceError> {
-        debug_assert_eq!(bytes.len(), OP_RECORD_LEN as usize);
-        let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().expect("8 bytes"));
-        let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().expect("4 bytes"));
-        let u16_at = |o: usize| u16::from_le_bytes(bytes[o..o + 2].try_into().expect("2 bytes"));
-        let id = u64_at(0);
+    fn decode_from(r: &mut Reader) -> Result<OpRecord, ContainerError> {
+        let id = r.u64()?;
         if id == 0 {
-            return Err(OpTraceError::Malformed("record id zero"));
+            return Err(ContainerError::Malformed("record id zero"));
         }
-        let kind =
-            OpKind::from_u16(u16_at(76)).ok_or(OpTraceError::Malformed("unknown op kind"))?;
         Ok(OpRecord {
             id,
-            deps: [u64_at(8), u64_at(16), u64_at(24)],
-            start: u64_at(32),
-            cycles: u64_at(40),
-            sram: u32_at(48),
-            size: u32_at(52),
-            rows: [u32_at(56), u32_at(60)],
-            dst: u32_at(64),
-            session: u32_at(68),
-            label: u32_at(72),
-            kind,
-            array: u16_at(78),
+            deps: [r.u64()?, r.u64()?, r.u64()?],
+            start: r.u64()?,
+            cycles: r.u64()?,
+            sram: r.u32()?,
+            size: r.u32()?,
+            rows: [r.u32()?, r.u32()?],
+            dst: r.u32()?,
+            session: r.u32()?,
+            label: r.u32()?,
+            kind: OpKind::from_u16(r.u16()?).ok_or(ContainerError::Malformed("unknown op kind"))?,
+            array: r.u16()?,
         })
     }
 }
@@ -357,85 +352,56 @@ impl OpTrace {
         out
     }
 
-    /// Serializes the trace into the versioned, CRC-checked container.
+    /// Serializes the trace into its [`crate::container`] frame.
     /// Byte-deterministic: the same trace always encodes identically.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            8 + 2 + 2 + 8 + 8 + self.records.len() * OP_RECORD_LEN as usize + 8 + 4,
-        );
-        out.extend_from_slice(OPTRACE_MAGIC);
-        out.extend_from_slice(&OPTRACE_VERSION.to_le_bytes());
-        out.extend_from_slice(&OP_RECORD_LEN.to_le_bytes());
-        out.extend_from_slice(&self.dropped.to_le_bytes());
-        out.extend_from_slice(&(self.records.len() as u64).to_le_bytes());
+        let mut w = Writer::new(OPTRACE_MAGIC, OPTRACE_VERSION);
+        w.u16(OP_RECORD_LEN);
+        w.u64(self.dropped);
+        w.u64(self.records.len() as u64);
         for r in &self.records {
-            r.encode_into(&mut out);
+            r.encode_into(&mut w);
         }
-        out.extend_from_slice(&(self.labels.len() as u64).to_le_bytes());
+        w.u64(self.labels.len() as u64);
         for l in &self.labels {
-            out.extend_from_slice(&(l.len() as u64).to_le_bytes());
-            out.extend_from_slice(l.as_bytes());
+            w.u64(l.len() as u64);
+            w.bytes(l.as_bytes());
         }
-        let crc = crc32(&out[8..]);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        w.seal()
     }
 
     /// Parses a container produced by [`OpTrace::encode`].
     ///
     /// # Errors
     ///
-    /// A typed [`OpTraceError`] on any corruption: truncation, foreign
-    /// magic, unsupported version or record layout, CRC mismatch or a
-    /// structurally invalid payload. Never panics.
-    pub fn decode(bytes: &[u8]) -> Result<OpTrace, OpTraceError> {
-        if bytes.len() < 8 + 2 + 2 + 8 + 8 + 8 + 4 {
-            return Err(OpTraceError::Truncated);
+    /// A typed [`ContainerError`] on any corruption: framing damage,
+    /// an unsupported version or record layout, or a structurally
+    /// invalid payload. Never panics.
+    pub fn decode(bytes: &[u8]) -> Result<OpTrace, ContainerError> {
+        let mut r = Reader::new(open(bytes, OPTRACE_MAGIC, OPTRACE_VERSION)?);
+        if r.u16()? != OP_RECORD_LEN {
+            return Err(ContainerError::Malformed("unsupported op record size"));
         }
-        if &bytes[..8] != OPTRACE_MAGIC {
-            return Err(OpTraceError::BadMagic);
+        let dropped = r.u64()?;
+        let count = r.count(OP_RECORD_LEN as usize)?;
+        let mut records = Vec::with_capacity(count);
+        for _ in 0..count {
+            records.push(OpRecord::decode_from(&mut r)?);
         }
-        let body = &bytes[8..bytes.len() - 4];
-        let expected = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-        let got = crc32(body);
-        if expected != got {
-            return Err(OpTraceError::Crc { expected, got });
-        }
-        let c = &mut 0usize;
-        let version = read_u16(body, c)?;
-        if version != OPTRACE_VERSION {
-            return Err(OpTraceError::Version(version));
-        }
-        let record_len = read_u16(body, c)?;
-        if record_len != OP_RECORD_LEN {
-            return Err(OpTraceError::RecordLen(record_len));
-        }
-        let dropped = read_u64(body, c)?;
-        let count = read_u64(body, c)?;
-        let need = (count as usize)
-            .checked_mul(OP_RECORD_LEN as usize)
-            .ok_or(OpTraceError::Malformed("record count overflow"))?;
-        let rec_bytes = read_bytes(body, c, need)?;
-        let mut records = Vec::with_capacity(count as usize);
-        for chunk in rec_bytes.chunks_exact(OP_RECORD_LEN as usize) {
-            records.push(OpRecord::decode_from(chunk)?);
-        }
-        let nlabels = read_u64(body, c)? as usize;
-        let mut labels = Vec::with_capacity(nlabels.min(1 << 16));
+        let nlabels = r.count(8)?;
+        let mut labels = Vec::with_capacity(nlabels);
         for _ in 0..nlabels {
-            let len = read_u64(body, c)? as usize;
-            let raw = read_bytes(body, c, len)?;
-            let s =
-                std::str::from_utf8(raw).map_err(|_| OpTraceError::Malformed("label not utf-8"))?;
+            let len = r.count(1)?;
+            let s = std::str::from_utf8(r.take(len)?)
+                .map_err(|_| ContainerError::Malformed("label not utf-8"))?;
             labels.push(s.to_string());
         }
-        if *c != body.len() {
-            return Err(OpTraceError::Malformed("trailing bytes"));
-        }
-        for r in &records {
-            if r.label != NO_LABEL && r.label as usize >= labels.len() {
-                return Err(OpTraceError::Malformed("label index out of range"));
-            }
+        r.finish()?;
+        if records
+            .iter()
+            .any(|rec| rec.label != NO_LABEL && rec.label as usize >= labels.len())
+        {
+            return Err(ContainerError::Malformed("label index out of range"));
         }
         Ok(OpTrace {
             records,
@@ -443,87 +409,6 @@ impl OpTrace {
             dropped,
         })
     }
-}
-
-/// Typed op-trace decode errors.
-#[derive(Debug)]
-pub enum OpTraceError {
-    /// The input is shorter than the fixed container framing.
-    Truncated,
-    /// The input does not start with the op-trace magic.
-    BadMagic,
-    /// The container was written by an incompatible version.
-    Version(u16),
-    /// The container embeds a different record layout size.
-    RecordLen(u16),
-    /// The body CRC does not match: torn or corrupted file.
-    Crc {
-        /// CRC recorded in the file.
-        expected: u32,
-        /// CRC of the body actually read.
-        got: u32,
-    },
-    /// The payload failed structural validation.
-    Malformed(&'static str),
-}
-
-impl std::fmt::Display for OpTraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OpTraceError::Truncated => write!(f, "op trace shorter than its framing"),
-            OpTraceError::BadMagic => write!(f, "not an op trace (bad magic)"),
-            OpTraceError::Version(v) => write!(f, "unsupported op trace version {v}"),
-            OpTraceError::RecordLen(n) => write!(f, "unsupported op record size {n}"),
-            OpTraceError::Crc { expected, got } => write!(
-                f,
-                "op trace CRC mismatch (expected {expected:#010x}, got {got:#010x})"
-            ),
-            OpTraceError::Malformed(what) => write!(f, "malformed op trace: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for OpTraceError {}
-
-fn read_u16(bytes: &[u8], cursor: &mut usize) -> Result<u16, OpTraceError> {
-    let b = read_bytes(bytes, cursor, 2)?;
-    Ok(u16::from_le_bytes(b.try_into().expect("2 bytes")))
-}
-
-fn read_u64(bytes: &[u8], cursor: &mut usize) -> Result<u64, OpTraceError> {
-    let b = read_bytes(bytes, cursor, 8)?;
-    Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-}
-
-fn read_bytes<'a>(
-    bytes: &'a [u8],
-    cursor: &mut usize,
-    len: usize,
-) -> Result<&'a [u8], OpTraceError> {
-    let end = cursor
-        .checked_add(len)
-        .ok_or(OpTraceError::Malformed("length overflow"))?;
-    if end > bytes.len() {
-        return Err(OpTraceError::Truncated);
-    }
-    let out = &bytes[*cursor..end];
-    *cursor = end;
-    Ok(out)
-}
-
-/// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) — the same
-/// polynomial the tracker/fleet checkpoints use, reimplemented here so
-/// the telemetry crate stays dependency-free.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 // ---------------------------------------------------------------------
@@ -863,52 +748,6 @@ mod tests {
             },
         ];
         t
-    }
-
-    #[test]
-    fn roundtrip_is_byte_identical() {
-        let t = sample();
-        let bytes = t.encode();
-        let back = OpTrace::decode(&bytes).unwrap();
-        assert_eq!(back, t);
-        assert_eq!(back.encode(), bytes);
-    }
-
-    #[test]
-    fn corruption_yields_typed_errors() {
-        let t = sample();
-        let bytes = t.encode();
-
-        assert!(matches!(
-            OpTrace::decode(&bytes[..10]),
-            Err(OpTraceError::Truncated)
-        ));
-
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(matches!(OpTrace::decode(&bad), Err(OpTraceError::BadMagic)));
-
-        let mut bad = bytes.clone();
-        bad[20] ^= 0x10; // flip a body bit: CRC must catch it
-        assert!(matches!(
-            OpTrace::decode(&bad),
-            Err(OpTraceError::Crc { .. })
-        ));
-
-        // a version flip re-CRC'd: reaches the version check
-        let mut bad = bytes.clone();
-        bad[8] = 0xEE;
-        let len = bad.len();
-        let crc = crc32(&bad[8..len - 4]).to_le_bytes();
-        bad[len - 4..].copy_from_slice(&crc);
-        assert!(matches!(
-            OpTrace::decode(&bad),
-            Err(OpTraceError::Version(0xEE))
-        ));
-
-        // truncating whole records also breaks the CRC, never panics
-        let cut = &bytes[..bytes.len() - OP_RECORD_LEN as usize];
-        assert!(OpTrace::decode(cut).is_err());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: what every PR must keep green.
 #
-#   fmt check -> build (release) -> workspace tests -> fault-feature
-#   tests -> clippy (-D warnings) -> rustdoc (-D warnings) -> IR golden
-#   snapshots -> smokes -> bench gates
+#   fmt check -> one-codec check -> build (release) -> workspace
+#   tests -> fault-feature tests -> clippy (-D warnings) -> rustdoc
+#   (-D warnings) -> IR golden snapshots -> smokes -> bench gates
 #
 # Every step is mandatory. The formatter and clippy gates run the
 # pinned workspace toolchain, so lint results are reproducible.
@@ -21,6 +21,13 @@ step() {
 }
 
 step cargo fmt --check
+# one durable-container codec: the CRC, the fsync and the atomic rename
+# are defined only in pimvo_telemetry::container, never re-implemented
+one_codec() {
+    ! git grep -n -e 'fn crc32' -e 'sync_all(' -e 'fs::rename(' -- \
+        'crates/**/*.rs' ':!crates/telemetry/src/container.rs'
+}
+step one_codec
 step cargo build --release
 step cargo test -q --workspace
 # the fault-injection layer is feature-gated off by default; test it
