@@ -5,6 +5,7 @@
 //! cycle counts printed by the `exp_*` binaries.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use pimvo_kernels::pim_pool::EdgeKernels;
 use pimvo_kernels::{ir, scalar, EdgeConfig, GrayImage};
 use pimvo_pim::{ArrayConfig, LowerLevel, PimMachine};
 
@@ -29,40 +30,23 @@ fn bench_kernels(c: &mut Criterion) {
     });
     g.finish();
 
+    // one array, enough Tmp registers for the multi-register lowering
+    let array = PimMachine::builder(ArrayConfig::qvga_banks(6)).tmp_regs(ir::REGS_REQUIRED);
     let mut g = c.benchmark_group("edge_kernels_pim_simulated");
     g.sample_size(10);
-    g.bench_function("optimized", |b| {
-        b.iter_batched(
-            || PimMachine::new(ArrayConfig::qvga_banks(6)),
-            |mut m| ir::edge_detect(&mut m, &img, &cfg, LowerLevel::Opt),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("naive", |b| {
-        b.iter_batched(
-            || PimMachine::new(ArrayConfig::qvga_banks(6)),
-            |mut m| ir::edge_detect(&mut m, &img, &cfg, LowerLevel::Naive),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("multireg", |b| {
-        b.iter_batched(
-            || {
-                let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
-                m.set_tmp_regs(pimvo_kernels::ir::REGS_REQUIRED);
-                m
-            },
-            |mut m| {
-                ir::edge_detect(
-                    &mut m,
-                    &img,
-                    &cfg,
-                    LowerLevel::MultiReg(pimvo_kernels::ir::REGS_REQUIRED),
-                )
-            },
-            BatchSize::LargeInput,
-        )
-    });
+    for (name, level) in [
+        ("optimized", LowerLevel::Opt),
+        ("naive", LowerLevel::Naive),
+        ("multireg", LowerLevel::MultiReg(ir::REGS_REQUIRED)),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter_batched(
+                || array.build_pool(1),
+                |mut m| EdgeKernels::at(level).edge_detect(&mut m, &img, &cfg),
+                BatchSize::LargeInput,
+            )
+        });
+    }
     g.finish();
 }
 

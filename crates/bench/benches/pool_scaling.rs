@@ -6,7 +6,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pimvo_core::pim_exec::{BatchOptions, BatchRunner};
 use pimvo_core::{extract_features, Keyframe, QFeature, QPose};
-use pimvo_kernels::{pim_pool, EdgeConfig};
+use pimvo_kernels::pim_pool::EdgeKernels;
+use pimvo_kernels::EdgeConfig;
 use pimvo_pim::{ArrayConfig, PimMachine};
 use pimvo_vomath::{Pinhole, SE3};
 
@@ -20,7 +21,7 @@ fn bench_pool(c: &mut Criterion) {
         g.bench_function(format!("arrays_{n}"), |b| {
             b.iter(|| {
                 let mut pool = builder.build_pool(n);
-                black_box(pim_pool::edge_detect(&mut pool, &gray, &cfg))
+                black_box(EdgeKernels::new().edge_detect(&mut pool, &gray, &cfg))
             })
         });
     }
@@ -28,7 +29,7 @@ fn bench_pool(c: &mut Criterion) {
 
     let cam = Pinhole::qvga();
     let mut pool = builder.build_pool(1);
-    let maps = pim_pool::edge_detect(&mut pool, &gray, &cfg);
+    let maps = EdgeKernels::new().edge_detect(&mut pool, &gray, &cfg);
     let features = extract_features(&maps.mask, &depth, &cam, 4000, 0.3, 8.0);
     let kf = Keyframe::build(0, SE3::IDENTITY, maps.mask.clone(), &cam);
     let qpose = QPose::quantize(&SE3::IDENTITY);

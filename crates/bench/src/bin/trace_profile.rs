@@ -2,7 +2,7 @@
 //! workloads and profiles them through the critical-path profiler:
 //!
 //! * **Fig. 9-a** — the PIM side of the per-frame measurement (edge
-//!   detection + one LM batch) on a single machine. The raw trace is
+//!   detection + one LM batch) on a single array. The raw trace is
 //!   written as `trace_fig9a.bin` and the rendered attribution table as
 //!   `profile_fig9a.txt` (the committed golden in `out/`).
 //! * **Fig. 9-b** — the optimized LPF/HPF/NMS mapping, traced the same
@@ -24,10 +24,11 @@
 
 use pimvo_bench::canonical_frame;
 use pimvo_bench::sink::{BenchReport, TelemetrySink};
-use pimvo_core::pim_exec::{run_batch, BATCH};
+use pimvo_core::pim_exec::{BatchOptions, BatchRunner, BATCH};
 use pimvo_core::{extract_features, Keyframe, QFeature, QPose, TrackerConfig};
-use pimvo_kernels::{ir, EdgeConfig};
-use pimvo_pim::{ArrayConfig, CostModel, LowerLevel, PimMachine, SessionId};
+use pimvo_kernels::pim_pool::EdgeKernels;
+use pimvo_kernels::EdgeConfig;
+use pimvo_pim::{ArrayConfig, CostModel, PimMachine, SessionId};
 use pimvo_serve::{FleetScheduler, FlightDump, SessionSpec};
 use pimvo_telemetry::optrace::{profile, EnergyWeights, OpTrace, Profile};
 use pimvo_vomath::{Pinhole, SE3};
@@ -50,34 +51,41 @@ fn trace_fig9a() -> OpTrace {
     let (gray, depth) = canonical_frame();
     let cam = Pinhole::qvga();
     let cfg = EdgeConfig::default();
-    let mut machine = PimMachine::new(ArrayConfig::qvga_banks(6));
-    machine.arm_op_recorder(0, RING);
-    let maps = ir::edge_detect(&mut machine, &gray, &cfg, LowerLevel::Opt);
+    let mut runner = BatchRunner::new(BatchOptions::default());
+    runner.pool_mut().array_mut(0).arm_op_recorder(0, RING);
+    let maps = EdgeKernels::new().edge_detect(runner.pool_mut(), &gray, &cfg);
     let features = extract_features(&maps.mask, &depth, &cam, 6000, 0.3, 8.0);
     let kf = Keyframe::build(0, SE3::IDENTITY, maps.mask.clone(), &cam);
     let qpose = QPose::quantize(&SE3::IDENTITY);
     let qfeats: Vec<QFeature> = features.iter().map(QFeature::quantize).collect();
-    let _ = run_batch(
-        &mut machine,
-        5 * 256 + 64,
-        &qfeats[..BATCH.min(qfeats.len())],
-        &qpose,
-        &kf.q_tables,
-        &cam,
-    );
-    machine.drain_op_trace().expect("recorder is armed")
+    runner
+        .submit(
+            &qfeats[..BATCH.min(qfeats.len())],
+            &qpose,
+            &kf.q_tables,
+            &cam,
+        )
+        .expect("the QVGA array holds the pose staging rows");
+    runner
+        .pool_mut()
+        .array_mut(0)
+        .drain_op_trace()
+        .expect("recorder is armed")
 }
 
 /// Traces the optimized Fig. 9-b edge pipeline (LPF → HPF → NMS).
 fn trace_fig9b() -> OpTrace {
     let (gray, _) = canonical_frame();
     let cfg = EdgeConfig::default();
-    let mut machine = PimMachine::new(ArrayConfig::qvga_banks(6));
-    machine.arm_op_recorder(0, RING);
-    let lpf_map = ir::lpf(&mut machine, &gray, LowerLevel::Opt);
-    let hpf_map = ir::hpf(&mut machine, &lpf_map, LowerLevel::Opt);
-    let _ = ir::nms(&mut machine, &hpf_map, &cfg, LowerLevel::Opt);
-    machine.drain_op_trace().expect("recorder is armed")
+    let mut pool = PimMachine::builder(ArrayConfig::qvga_banks(6)).build_pool(1);
+    pool.array_mut(0).arm_op_recorder(0, RING);
+    let mut kernels = EdgeKernels::new();
+    let lpf_map = kernels.lpf(&mut pool, &gray);
+    let hpf_map = kernels.hpf(&mut pool, &lpf_map);
+    let _ = kernels.nms(&mut pool, &hpf_map, &cfg);
+    pool.array_mut(0)
+        .drain_op_trace()
+        .expect("recorder is armed")
 }
 
 /// Runs the small fleet soak: a flight-armed session on an impossible

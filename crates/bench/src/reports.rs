@@ -3,22 +3,57 @@
 //! formatted report block; the `exp_*` binaries are thin wrappers.
 
 use crate::{canonical_frame, fmt_cycles, run_sequence, SequenceRun, DEFAULT_FRAMES};
-use pimvo_core::pim_exec::{run_batch, run_batch_naive, BATCH};
+use pimvo_core::pim_exec::{BatchMapping, BatchOptions, BatchRunner, BATCH};
 use pimvo_core::{
     ablation, extract_features, BackendKind, Keyframe, QFeature, QPose, Tracker, TrackerConfig,
 };
-use pimvo_kernels::{ir, pim_pool, EdgeConfig};
+use pimvo_kernels::pim_pool::EdgeKernels;
+use pimvo_kernels::{ir, EdgeConfig, GrayImage};
 use pimvo_mcu::{
     edge_detect_counted, edge_detect_counted_with, linearize_counted, CodegenModel, CostCounter,
     FloatFeature, InstructionMix,
 };
-use pimvo_pim::{ArrayConfig, CostModel, DmaConfig, LowerLevel, Pass, PimMachine};
+use pimvo_pim::{
+    ArrayConfig, CostModel, DmaConfig, LowerLevel, Pass, PimArrayPool, PimMachine,
+    PimMachineBuilder,
+};
 use pimvo_scene::{format_tum, Sequence, SequenceKind};
 use pimvo_vomath::{Pinhole, SE3};
 use std::fmt::Write as _;
 
 /// Mean LM iterations the paper reports (×8 in Fig. 9-a's `LM*`).
 pub const LM_ITERS: u64 = 8;
+
+/// The builder of the paper's single six-bank QVGA array.
+fn qvga_array() -> PimMachineBuilder {
+    PimMachine::builder(ArrayConfig::qvga_banks(6))
+}
+
+/// Compute cycles `pool` has spent so far.
+fn cycles(pool: &PimArrayPool) -> u64 {
+    pool.merged_stats().cycles
+}
+
+/// Submits one pose batch (the first [`BATCH`] features) to `runner`;
+/// returns its compute cycles.
+fn batch_cycles(
+    runner: &mut BatchRunner,
+    qfeats: &[QFeature],
+    kf: &Keyframe,
+    cam: &Pinhole,
+) -> u64 {
+    let c0 = cycles(runner.pool());
+    let qpose = QPose::quantize(&SE3::IDENTITY);
+    runner
+        .submit(
+            &qfeats[..BATCH.min(qfeats.len())],
+            &qpose,
+            &kf.q_tables,
+            cam,
+        )
+        .expect("the QVGA array holds the pose staging rows");
+    cycles(runner.pool()) - c0
+}
 
 /// Table 1 — RMSE of relative pose error for the three sequences, both
 /// backends.
@@ -185,23 +220,12 @@ pub fn fig9a() -> (Fig9aResult, String) {
     let _ = linearize_counted(&floats, &kf.tables, &cam, &SE3::IDENTITY, &mut counter);
     let mcu_lm8 = counter.cycles() * LM_ITERS;
 
-    // PIM side
-    let mut machine = PimMachine::new(ArrayConfig::qvga_banks(6));
-    let c0 = machine.stats().cycles;
-    let _ = ir::edge_detect(&mut machine, &gray, &cfg, LowerLevel::Opt);
-    let pim_edge = machine.stats().cycles - c0;
-    let qpose = QPose::quantize(&SE3::IDENTITY);
+    // PIM side: one array running both stages
+    let mut runner = BatchRunner::new(BatchOptions::default());
+    let _ = EdgeKernels::new().edge_detect(runner.pool_mut(), &gray, &cfg);
+    let pim_edge = cycles(runner.pool());
     let qfeats: Vec<QFeature> = features.iter().map(QFeature::quantize).collect();
-    let c1 = machine.stats().cycles;
-    let _ = run_batch(
-        &mut machine,
-        5 * 256 + 64,
-        &qfeats[..BATCH.min(qfeats.len())],
-        &qpose,
-        &kf.q_tables,
-        &cam,
-    );
-    let per_batch = machine.stats().cycles - c1;
+    let per_batch = batch_cycles(&mut runner, &qfeats, &kf, &cam);
     let batches = features.len().div_ceil(BATCH) as u64;
     let pim_lm8 = per_batch * batches * LM_ITERS;
 
@@ -272,50 +296,33 @@ pub fn fig9b() -> (Fig9bResult, String) {
     let cam = Pinhole::qvga();
     let cfg = EdgeConfig::default();
 
-    let measure_edge = |naive: bool| -> (u64, u64, u64) {
-        let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
-        let c0 = m.stats().cycles;
-        let level = if naive {
-            LowerLevel::Naive
-        } else {
-            LowerLevel::Opt
-        };
-        let lpf_map = ir::lpf(&mut m, &gray, level);
-        let c1 = m.stats().cycles;
-        let hpf_map = ir::hpf(&mut m, &lpf_map, level);
-        let c2 = m.stats().cycles;
-        let _ = ir::nms(&mut m, &hpf_map, &cfg, level);
-        let c3 = m.stats().cycles;
-        (c1 - c0, c2 - c1, c3 - c2)
+    let measure_edge = |level: LowerLevel| -> (u64, u64, u64) {
+        let (mut m, mut k) = (qvga_array().build_pool(1), EdgeKernels::at(level));
+        let lpf_map = k.lpf(&mut m, &gray);
+        let c1 = cycles(&m);
+        let hpf_map = k.hpf(&mut m, &lpf_map);
+        let c2 = cycles(&m);
+        let _ = k.nms(&mut m, &hpf_map, &cfg);
+        (c1, c2 - c1, cycles(&m) - c2)
     };
-    let (lpf_n, hpf_n, nms_n) = measure_edge(true);
-    let (lpf_o, hpf_o, nms_o) = measure_edge(false);
+    let (lpf_n, hpf_n, nms_n) = measure_edge(LowerLevel::Naive);
+    let (lpf_o, hpf_o, nms_o) = measure_edge(LowerLevel::Opt);
 
     // LM: one iteration, naive vs optimized batch schedule
-    let maps = ir::edge_detect(
-        &mut PimMachine::new(ArrayConfig::qvga_banks(6)),
-        &gray,
-        &cfg,
-        LowerLevel::Opt,
-    );
+    let maps = EdgeKernels::new().edge_detect(&mut qvga_array().build_pool(1), &gray, &cfg);
     let features = extract_features(&maps.mask, &depth, &cam, 6000, 0.3, 8.0);
     let kf = Keyframe::build(0, SE3::IDENTITY, maps.mask.clone(), &cam);
-    let qpose = QPose::quantize(&SE3::IDENTITY);
     let qfeats: Vec<QFeature> = features.iter().map(QFeature::quantize).collect();
     let batches = features.len().div_ceil(BATCH) as u64;
-    let measure_lm = |naive: bool| -> u64 {
-        let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
-        let c0 = m.stats().cycles;
-        let chunk = &qfeats[..BATCH.min(qfeats.len())];
-        if naive {
-            let _ = run_batch_naive(&mut m, 5 * 256 + 64, chunk, &qpose, &kf.q_tables, &cam);
-        } else {
-            let _ = run_batch(&mut m, 5 * 256 + 64, chunk, &qpose, &kf.q_tables, &cam);
-        }
-        (m.stats().cycles - c0) * batches
+    let measure_lm = |mapping: BatchMapping| -> u64 {
+        let mut runner = BatchRunner::new(BatchOptions {
+            mapping,
+            ..Default::default()
+        });
+        batch_cycles(&mut runner, &qfeats, &kf, &cam) * batches
     };
-    let lm_n = measure_lm(true);
-    let lm_o = measure_lm(false);
+    let lm_n = measure_lm(BatchMapping::Naive);
+    let lm_o = measure_lm(BatchMapping::Opt);
 
     let res = Fig9bResult {
         lpf: (lpf_n, lpf_o),
@@ -401,14 +408,14 @@ pub fn lowering() -> (Vec<(&'static str, &'static str, u64)>, String) {
     let hpf_map = pimvo_kernels::scalar::hpf(&lpf_map);
 
     let mut rows: Vec<(&'static str, &'static str, u64)> = Vec::new();
-    let mut outputs: Vec<(&'static str, pimvo_kernels::GrayImage)> = Vec::new();
+    let mut outputs: Vec<(&'static str, GrayImage)> = Vec::new();
     for (stage, passes) in LOWERING_STAGES {
+        let mut kernels = EdgeKernels::with_passes(LowerLevel::Opt, passes);
         let mut measure =
-            |kernel: &'static str, f: &dyn Fn(&mut PimMachine) -> pimvo_kernels::GrayImage| {
-                let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
-                let c0 = m.stats().cycles;
-                let img = f(&mut m);
-                rows.push((kernel, stage, m.stats().cycles - c0));
+            |kernel: &'static str, f: &dyn Fn(&mut EdgeKernels, &mut PimArrayPool) -> GrayImage| {
+                let mut m = qvga_array().build_pool(1);
+                let img = f(&mut kernels, &mut m);
+                rows.push((kernel, stage, cycles(&m)));
                 // identity across stages: later passes may only change cost
                 match outputs.iter().find(|(k, _)| *k == kernel) {
                     Some((_, want)) => {
@@ -417,18 +424,10 @@ pub fn lowering() -> (Vec<(&'static str, &'static str, u64)>, String) {
                     None => outputs.push((kernel, img)),
                 }
             };
-        measure("lpf", &|m| {
-            ir::lpf_with_passes(m, &gray, LowerLevel::Opt, passes)
-        });
-        measure("hpf", &|m| {
-            ir::hpf_with_passes(m, &lpf_map, LowerLevel::Opt, passes)
-        });
-        measure("nms", &|m| {
-            ir::nms_with_passes(m, &hpf_map, &cfg, LowerLevel::Opt, passes)
-        });
-        measure("downsample", &|m| {
-            ir::downsample2x_with_passes(m, &gray, LowerLevel::Opt, passes)
-        });
+        measure("lpf", &|k, m| k.lpf(m, &gray));
+        measure("hpf", &|k, m| k.hpf(m, &lpf_map));
+        measure("nms", &|k, m| k.nms(m, &hpf_map, &cfg));
+        measure("downsample", &|k, m| k.downsample2x(m, &gray));
     }
 
     let mut out = String::new();
@@ -929,19 +928,14 @@ pub fn tmpreg_ablation() -> String {
     let cfg = EdgeConfig::default();
     let cost = CostModel::default();
 
-    let mut m1 = PimMachine::new(ArrayConfig::qvga_banks(6));
-    let single = ir::edge_detect(&mut m1, &gray, &cfg, LowerLevel::Opt);
-    let mut m4 = PimMachine::new(ArrayConfig::qvga_banks(6));
-    m4.set_tmp_regs(pimvo_kernels::ir::REGS_REQUIRED);
-    let multi = ir::edge_detect(
-        &mut m4,
-        &gray,
-        &cfg,
-        LowerLevel::MultiReg(pimvo_kernels::ir::REGS_REQUIRED),
-    );
+    let mut m1 = qvga_array().build_pool(1);
+    let single = EdgeKernels::new().edge_detect(&mut m1, &gray, &cfg);
+    let mut m4 = qvga_array().tmp_regs(ir::REGS_REQUIRED).build_pool(1);
+    let multi =
+        EdgeKernels::at(LowerLevel::MultiReg(ir::REGS_REQUIRED)).edge_detect(&mut m4, &gray, &cfg);
     assert_eq!(single.mask, multi.mask, "outputs must be identical");
 
-    let (s1, s4) = (m1.stats(), m4.stats());
+    let (s1, s4) = (&m1.merged_stats(), &m4.merged_stats());
     let (e1, e4) = (s1.energy(&cost), s4.energy(&cost));
     let mut out = String::new();
     writeln!(
@@ -1312,7 +1306,7 @@ impl OverlapResult {
 /// synchronous host port (every strip transfer serializes with
 /// compute) and once with per-array DMA channels prefetching the next
 /// frame's strips behind the current frame's remaining phases
-/// ([`pim_pool::edge_detect_pipelined`]). Fault builds add a seeded
+/// ([`EdgeKernels::edge_detect_pipelined`]). Fault builds add a seeded
 /// transfer-fault sweep on top of the overlap arm. Every arm produces
 /// bit-identical edge maps; only the timing model moves.
 pub fn overlap() -> (OverlapResult, String) {
@@ -1323,18 +1317,17 @@ pub fn overlap() -> (OverlapResult, String) {
     let frames: Vec<_> = seq.frames.iter().map(|f| f.gray.clone()).collect();
 
     // synchronous arm: no channels, every transfer serializes
-    let mut sync = PimMachine::builder(ArrayConfig::qvga_banks(6)).build_pool(ARRAYS);
-    let mut want = Vec::with_capacity(FRAMES);
-    for img in &frames {
-        want.push(pim_pool::edge_detect(&mut sync, img, &cfg));
-    }
+    let mut sync = qvga_array().build_pool(ARRAYS);
+    let mut kernels = EdgeKernels::new();
+    let want: Vec<_> = frames
+        .iter()
+        .map(|img| kernels.edge_detect(&mut sync, img, &cfg))
+        .collect();
     sync.dma_settle();
 
     // overlap arm: channels on, next frame streams in behind compute
-    let mut dma = PimMachine::builder(ArrayConfig::qvga_banks(6))
-        .dma(DmaConfig::default())
-        .build_pool(ARRAYS);
-    let got = pim_pool::edge_detect_pipelined(&mut dma, &frames, &cfg);
+    let mut dma = qvga_array().dma(DmaConfig::default()).build_pool(ARRAYS);
+    let got = kernels.edge_detect_pipelined(&mut dma, &frames, &cfg);
 
     #[cfg_attr(not(feature = "fault"), allow(unused_mut))]
     let mut res = OverlapResult {
@@ -1352,16 +1345,14 @@ pub fn overlap() -> (OverlapResult, String) {
     // synchronous port), so outputs stay bit-identical at any rate
     #[cfg(feature = "fault")]
     for &(flip, stall) in &[(0.02, 0.01), (0.10, 0.05), (0.35, 0.25)] {
-        let mut p = PimMachine::builder(ArrayConfig::qvga_banks(6))
-            .dma(DmaConfig::default())
-            .build_pool(ARRAYS);
+        let mut p = qvga_array().dma(DmaConfig::default()).build_pool(ARRAYS);
         p.set_dma_fault(pimvo_pim::DmaFaultModel::new(
             0xd3a0_0b5e,
             flip,
             stall,
             0.01,
         ));
-        let maps = pim_pool::edge_detect_pipelined(&mut p, &frames, &cfg);
+        let maps = kernels.edge_detect_pipelined(&mut p, &frames, &cfg);
         res.fault_sweep.push(OverlapFaultPoint {
             flip_rate: flip,
             stall_rate: stall,

@@ -6,12 +6,10 @@ use crate::feature::Feature;
 use crate::hessian::{JacobianColumns, QNormalEquations};
 use crate::jacobian::jacobian_q;
 use crate::keyframe::Keyframe;
-use crate::pim_exec::{
-    self, BatchMapping, BatchOptions, BatchRunner, PoseKernels, BATCH, POSE_BASE,
-};
+use crate::pim_exec::{self, BatchOptions, BatchRunner, PoseKernels, BATCH, POSE_BASE};
 use crate::quant::{Interp, QCamera, QFeature, QKeyframe, QPose, FEAT_FRAC};
 use crate::warp::project_q;
-use pimvo_kernels::pim_pool::{self, EdgeKernels};
+use pimvo_kernels::pim_pool::EdgeKernels;
 use pimvo_kernels::pim_util::Regions;
 use pimvo_kernels::{EdgeConfig, EdgeMaps, GrayImage};
 use pimvo_mcu::{CostCounter, FloatFeature};
@@ -290,13 +288,13 @@ impl TrackerBackend for FloatBackend {
 
 /// The PIM-accelerated backend.
 ///
-/// Edge detection executes on the simulated array pool for real
-/// ([`pimvo_kernels::pim_pool`] shards image strips across the arrays).
-/// Edge strip programs are resolved once per pool geometry and image
-/// size ([`EdgeKernels`]). Pose estimation evaluates the quantized
-/// pipeline with the fast scalar path ([`linearize_q`], bit-identical
-/// to the machine execution — property-tested in [`crate::pim_exec`])
-/// and charges cycles/energy from a machine-traced calibration batch
+/// Edge detection executes on the simulated array pool for real:
+/// [`EdgeKernels`] shards image strips across the arrays and resolves
+/// the strip programs once per pool geometry and image size. Pose
+/// estimation evaluates the quantized pipeline with the fast scalar
+/// path ([`linearize_q`], bit-identical to the machine execution —
+/// property-tested in [`crate::pim_exec`]) and charges cycles/energy
+/// from a machine-traced calibration batch, at the runner's mapping,
 /// scaled by the batch count, which is exact because the instruction
 /// sequence is data-independent. With a multi-array pool the wall-clock
 /// charge per linearization drops to `ceil(batches / arrays)` barrier
@@ -442,7 +440,7 @@ impl PimBackend {
             BATCH
         ];
         // the probe resolves its programs through the pool's shared
-        // memo table, like the submissions it stands in for
+        // memo table, at the mapping of the submissions it stands in for
         let pool = self.runner.pool();
         let kernels = PoseKernels::resolve(
             pool.lowered_cache(),
@@ -450,7 +448,7 @@ impl PimBackend {
             self.runner.base_row(),
             FEAT_FRAC,
             self.interp(),
-            BatchMapping::Opt,
+            self.runner.options().mapping,
         )
         .unwrap_or_else(|e| panic!("machine too small for pose rows: {e}"));
         let m = self.runner.pool_mut().array_mut(0);
@@ -511,7 +509,7 @@ impl TrackerBackend for PimBackend {
 
     fn downsample(&mut self, img: &GrayImage) -> GrayImage {
         let before = self.runner.pool().wall_cycles();
-        let out = pim_pool::downsample2x(self.runner.pool_mut(), img);
+        let out = self.edge_kernels.downsample2x(self.runner.pool_mut(), img);
         self.edge_cycles += self.runner.pool().wall_cycles() - before;
         out
     }
@@ -626,6 +624,7 @@ impl std::fmt::Debug for PimBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pim_exec::BatchMapping;
     use pimvo_kernels::DepthImage;
     use pimvo_vomath::SE3;
 
@@ -794,7 +793,7 @@ mod tests {
         std::mem::swap(be.pool_mut(), &mut shared);
         let swapped = be.detect_edges(&gray, &cfg);
         assert!(lookups() > cold, "a swapped pool re-resolves");
-        let want = pim_pool::edge_detect(&mut builder.build_pool(2), &gray, &cfg);
+        let want = EdgeKernels::new().edge_detect(&mut builder.build_pool(2), &gray, &cfg);
         assert_eq!(swapped, want);
 
         std::mem::swap(be.pool_mut(), &mut shared);
@@ -829,6 +828,40 @@ mod tests {
             })
         ));
         assert!(PimBackend::check_geometry(&pimvo_pim::ArrayConfig::qvga_banks(6)).is_ok());
+    }
+
+    /// The fast path charges the calibration batch at the runner's
+    /// mapping: a naive backend's LM charge for one batch equals that
+    /// batch's compute cycles on a naive runner, above the optimized
+    /// charge.
+    #[test]
+    fn fast_path_charges_the_configured_mapping() {
+        let (gray, depth) = synthetic_frame();
+        let cam = Pinhole::qvga();
+        let maps = PimBackend::new().detect_edges(&gray, &EdgeConfig::default());
+        let kf = keyframe_from(&maps);
+        let feats = crate::feature::extract_features(&maps.mask, &depth, &cam, 4000, 0.3, 8.0);
+        let feats = &feats[..BATCH];
+        let pose = SE3::exp(&[0.01, -0.005, 0.008, 0.002, -0.004, 0.001]);
+        let lm_cycles = |mapping| {
+            let mut be = PimBackend::with_options(BatchOptions {
+                mapping,
+                ..Default::default()
+            });
+            let _ = be.linearize(feats, &kf, &cam, &pose);
+            be.stats().lm_cycles
+        };
+        let mut naive = BatchRunner::new(BatchOptions {
+            mapping: BatchMapping::Naive,
+            ..Default::default()
+        });
+        let qfeats: Vec<QFeature> = feats.iter().map(|f| f.q).collect();
+        let _ = naive
+            .submit(&qfeats, &QPose::quantize(&pose), &kf.q_tables, &cam)
+            .unwrap();
+        let naive_cycles = naive.pool().merged_stats().cycles;
+        assert_eq!(lm_cycles(BatchMapping::Naive), naive_cycles);
+        assert!(naive_cycles > lm_cycles(BatchMapping::Opt));
     }
 
     #[test]

@@ -75,11 +75,21 @@ pub enum BatchMapping {
     /// gathers.
     #[default]
     Opt,
-    /// The naive mapping of Fig. 9-b's `LM*` group
-    /// ([`LowerLevel::Naive`]): identical values, but every
-    /// intermediate round-trips through SRAM; on top of the naive
-    /// lowering, shared terms are charged as recomputed and gathers as
-    /// unpacked (see `charge_naive_extras`).
+    /// The naive mapping of Fig. 9-b's `LM*` group, which uses its
+    /// cycles only. The per-feature outputs (warped coordinates, valid
+    /// flags, Jacobians, residuals) equal [`BatchMapping::Opt`]'s. The
+    /// Hessian-stage partials (`h_partial`, `b_partial`,
+    /// `cost_partial`) do not: at [`LowerLevel::Naive`] each W16 Q28.4
+    /// product is written back to a 16-bit SRAM lane before the reduce,
+    /// so products that need more bits wrap. The naive schedule drops
+    /// the paper's scheduling optimizations:
+    ///
+    /// * no Tmp-Reg chaining: the same macro-op programs are lowered at
+    ///   [`LowerLevel::Naive`], so every intermediate is written back
+    ///   to SRAM and re-read by the consumer;
+    /// * no shared-subexpression pipeline (Fig. 5-d): the `s` term of
+    ///   the Jacobian is charged as recomputed from scratch for J3, J4
+    ///   and J5, and gathers as unpacked (see `charge_naive_extras`).
     Naive,
 }
 
@@ -129,9 +139,8 @@ impl Default for BatchOptions {
 /// [`BatchRunner::submit`] resolves the five lowered pose programs
 /// once, splits the features into [`BATCH`]-sized chunks and shards
 /// them across the pool's arrays in sections of `pool` batches, one
-/// pool barrier per section. The free functions [`run_batch`],
-/// [`run_batch_with`] and [`run_batch_naive`] resolve the same programs
-/// per call and run the same single-batch core.
+/// pool barrier per section. It is the only way a pose batch runs: one
+/// machine is a runner with `pool: 1`, cycle-identical to a bare array.
 ///
 /// ```
 /// use pimvo_core::pim_exec::{BatchOptions, BatchRunner};
@@ -623,9 +632,9 @@ fn hessian_program(rows: &PoseRows) -> PimProgram {
 ///
 /// This is the introspection entry point behind `examples/dump_ir.rs`
 /// and the tier-1 golden-program snapshots: the returned programs are
-/// exactly what [`run_batch`] lowers and executes, but detached from
-/// any machine so they can be listed or lowered standalone (pair with
-/// [`pose_scratch`]).
+/// exactly what [`BatchRunner::submit`] lowers and executes, but
+/// detached from any machine so they can be listed or lowered
+/// standalone (pair with [`pose_scratch`]).
 #[must_use]
 pub fn pose_programs(base_row: usize, ff: u32, interp: Interp) -> Vec<PimProgram> {
     let rows = PoseRows::new(base_row);
@@ -640,7 +649,7 @@ pub fn pose_programs(base_row: usize, ff: u32, interp: Interp) -> Vec<PimProgram
 
 /// The scratch-row pool the pose-program lowering spills into, for
 /// staging rows at `base_row` — lowers [`pose_programs`] outside
-/// [`run_batch`].
+/// [`BatchRunner::submit`].
 #[must_use]
 pub fn pose_scratch(base_row: usize) -> ScratchRows {
     PoseRows::new(base_row).lower_scratch()
@@ -669,83 +678,9 @@ pub struct BatchOutput {
     pub cost_partial: i64,
 }
 
-/// Executes one batch (≤ [`BATCH`] features) of the pose-estimation
-/// pipeline on the machine. `base_row` is the first of [`POSE_ROWS`] rows
-/// used for staging. The programs are resolved through
-/// [`LoweredCache::global`] on every call; [`BatchRunner::submit`]
-/// resolves once per feature set.
-///
-/// # Panics
-///
-/// Panics if more than [`BATCH`] features are supplied or the machine
-/// lacks `base_row +` [`POSE_ROWS`] rows.
-#[inline]
-pub fn run_batch(
-    m: &mut PimMachine,
-    base_row: usize,
-    feats: &[QFeature],
-    pose: &QPose,
-    kf: &QKeyframe,
-    cam: &Pinhole,
-) -> BatchOutput {
-    run_single(
-        m,
-        base_row,
-        feats,
-        pose,
-        kf,
-        cam,
-        Interp::Bilinear,
-        BatchMapping::Opt,
-    )
-}
-
-/// [`run_batch`] with an explicit residual-interpolation mode.
-///
-/// # Panics
-///
-/// Same conditions as [`run_batch`].
-#[inline]
-pub fn run_batch_with(
-    m: &mut PimMachine,
-    base_row: usize,
-    feats: &[QFeature],
-    pose: &QPose,
-    kf: &QKeyframe,
-    cam: &Pinhole,
-    interp: Interp,
-) -> BatchOutput {
-    run_single(m, base_row, feats, pose, kf, cam, interp, BatchMapping::Opt)
-}
-
-/// Resolves the pose programs through [`LoweredCache::global`] and
-/// runs one batch: the body of the `run_batch*` wrappers.
-#[allow(clippy::too_many_arguments)]
-fn run_single(
-    m: &mut PimMachine,
-    base_row: usize,
-    feats: &[QFeature],
-    pose: &QPose,
-    kf: &QKeyframe,
-    cam: &Pinhole,
-    interp: Interp,
-    mapping: BatchMapping,
-) -> BatchOutput {
-    let kernels = PoseKernels::resolve(
-        LoweredCache::global(),
-        m.config(),
-        base_row,
-        frac_of(feats),
-        interp,
-        mapping,
-    )
-    .unwrap_or_else(|e| panic!("machine too small for pose rows: {e}"));
-    exec_batch(m, &kernels, feats, pose, kf, &QCamera::quantize(cam))
-}
-
-/// Single-batch core behind [`BatchRunner`] and the `run_batch*`
-/// wrappers: executes one chunk of ≤ [`BATCH`] features with the
-/// pre-resolved `kernels` (their interpolation and mapping), on a
+/// Single-batch core behind [`BatchRunner`] and the backend's
+/// calibration probe: executes one chunk of ≤ [`BATCH`] features with
+/// the pre-resolved `kernels` (their interpolation and mapping), on a
 /// machine of the geometry they were resolved for.
 ///
 /// # Panics
@@ -991,46 +926,6 @@ fn charge_gather(m: &mut PimMachine, lanes: usize, tables: usize) {
     m.gather(&addrs).expect("row 0 in range");
 }
 
-/// Executes one batch with a **naive PIM mapping** of the
-/// pose-estimation kernels — the comparison point of Fig. 9-b's `LM*`
-/// group, which uses its cycles only. The per-feature outputs (warped
-/// coordinates, valid flags, jacobians, residuals) are identical to
-/// [`run_batch`]'s. The Hessian-stage partials (`h_partial`,
-/// `b_partial`, `cost_partial`) are not: at [`LowerLevel::Naive`] each
-/// W16 Q28.4 product is written back to a 16-bit SRAM lane before the
-/// reduce, so products that need more bits wrap. The naive schedule
-/// drops the paper's scheduling optimizations:
-///
-/// * no Tmp-Reg chaining: the same macro-op programs are lowered at
-///   [`LowerLevel::Naive`], so every intermediate is written back to
-///   SRAM and re-read by the consumer;
-/// * no shared-subexpression pipeline (Fig. 5-d): the `s` term of the
-///   Jacobian is charged as recomputed from scratch for J3, J4 and J5.
-///
-/// # Panics
-///
-/// Same conditions as [`run_batch`].
-#[inline]
-pub fn run_batch_naive(
-    m: &mut PimMachine,
-    base_row: usize,
-    feats: &[QFeature],
-    pose: &QPose,
-    kf: &QKeyframe,
-    cam: &Pinhole,
-) -> BatchOutput {
-    run_single(
-        m,
-        base_row,
-        feats,
-        pose,
-        kf,
-        cam,
-        Interp::Bilinear,
-        BatchMapping::Naive,
-    )
-}
-
 /// Charges the naive-schedule costs the [`LowerLevel::Naive`] lowering
 /// cannot express (the SRAM round-trips of every intermediate *are*
 /// real at that level — only program-level rewrites are modeled here,
@@ -1063,7 +958,7 @@ mod tests {
     use crate::quant::RES_FRAC;
     use crate::warp::project_q;
     use pimvo_mcu::KeyframeTables;
-    use pimvo_pim::ArrayConfig;
+    use pimvo_pim::{ArrayConfig, ExecStats};
     use pimvo_vomath::{distance_transform, gradient_maps, SE3};
 
     fn test_kf(cam: &Pinhole) -> QKeyframe {
@@ -1091,6 +986,36 @@ mod tests {
             .collect()
     }
 
+    /// Runs one batch on a single array with `mapping` and `interp`;
+    /// returns its output and the array's statistics.
+    fn one_batch(
+        mapping: BatchMapping,
+        interp: Interp,
+        feats: &[QFeature],
+        pose: &QPose,
+        kf: &QKeyframe,
+        cam: &Pinhole,
+    ) -> (BatchOutput, ExecStats) {
+        let mut runner = BatchRunner::new(BatchOptions {
+            mapping,
+            interp,
+            ..Default::default()
+        });
+        let mut outs = runner.submit(feats, pose, kf, cam).unwrap();
+        assert_eq!(outs.len(), 1, "one batch");
+        (outs.remove(0), runner.pool().merged_stats())
+    }
+
+    /// [`one_batch`] with the optimized bilinear schedule.
+    fn opt_batch(
+        feats: &[QFeature],
+        pose: &QPose,
+        kf: &QKeyframe,
+        cam: &Pinhole,
+    ) -> (BatchOutput, ExecStats) {
+        one_batch(BatchMapping::Opt, Interp::Bilinear, feats, pose, kf, cam)
+    }
+
     #[test]
     fn machine_batch_matches_fast_path_exactly() {
         let cam = Pinhole::qvga();
@@ -1098,8 +1023,7 @@ mod tests {
         let feats = test_features(&cam, 80);
         let pose = QPose::quantize(&SE3::exp(&[0.03, -0.02, 0.04, 0.015, -0.01, 0.02]));
 
-        let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
-        let out = run_batch(&mut m, 1280, &feats, &pose, &kf, &cam);
+        let (out, _) = opt_batch(&feats, &pose, &kf, &cam);
 
         for (i, f) in feats.iter().enumerate() {
             let fast = project_q(f, &pose, &QCamera::quantize(&cam));
@@ -1127,8 +1051,7 @@ mod tests {
         let kf = test_kf(&cam);
         let feats = test_features(&cam, 64);
         let pose = QPose::quantize(&SE3::exp(&[0.01, 0.02, -0.01, 0.0, 0.01, 0.0]));
-        let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
-        let out = run_batch(&mut m, 1280, &feats, &pose, &kf, &cam);
+        let (out, _) = opt_batch(&feats, &pose, &kf, &cam);
 
         // fold via in-array partials
         let mut eq_fold = QNormalEquations::zero();
@@ -1154,12 +1077,9 @@ mod tests {
         let kf = test_kf(&cam);
         let pose = QPose::quantize(&SE3::IDENTITY);
 
-        let mut m1 = PimMachine::new(ArrayConfig::qvga_banks(6));
-        let _ = run_batch(&mut m1, 1280, &test_features(&cam, 80), &pose, &kf, &cam);
-        let c1 = m1.stats().cycles;
+        let (_, s1) = opt_batch(&test_features(&cam, 80), &pose, &kf, &cam);
 
         let pose2 = QPose::quantize(&SE3::exp(&[0.05, 0.0, -0.03, 0.02, 0.0, 0.01]));
-        let mut m2 = PimMachine::new(ArrayConfig::qvga_banks(6));
         let feats2: Vec<QFeature> = test_features(&cam, 80)
             .into_iter()
             .map(|mut f| {
@@ -1167,12 +1087,8 @@ mod tests {
                 f
             })
             .collect();
-        let _ = run_batch(&mut m2, 1280, &feats2, &pose2, &kf, &cam);
-        assert_eq!(
-            c1,
-            m2.stats().cycles,
-            "op sequence must be data-independent"
-        );
+        let (_, s2) = opt_batch(&feats2, &pose2, &kf, &cam);
+        assert_eq!(s1.cycles, s2.cycles, "op sequence must be data-independent");
     }
 
     #[test]
@@ -1181,8 +1097,7 @@ mod tests {
         let kf = test_kf(&cam);
         let feats = test_features(&cam, 80);
         let pose = QPose::quantize(&SE3::exp(&[0.02, -0.01, 0.03, 0.01, -0.005, 0.015]));
-        let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
-        let out = run_batch_with(&mut m, 1280, &feats, &pose, &kf, &cam, Interp::Nearest);
+        let (out, _) = one_batch(BatchMapping::Opt, Interp::Nearest, &feats, &pose, &kf, &cam);
         for (i, f) in feats.iter().enumerate() {
             if let Some(w) = project_q(f, &pose, &QCamera::quantize(&cam)) {
                 if out.valid[i] {
@@ -1203,16 +1118,9 @@ mod tests {
         let kf = test_kf(&cam);
         let feats = test_features(&cam, 80);
         let pose = QPose::quantize(&SE3::IDENTITY);
-        let mut mb = PimMachine::new(ArrayConfig::qvga_banks(6));
-        let _ = run_batch_with(&mut mb, 1280, &feats, &pose, &kf, &cam, Interp::Bilinear);
-        let mut mn = PimMachine::new(ArrayConfig::qvga_banks(6));
-        let _ = run_batch_with(&mut mn, 1280, &feats, &pose, &kf, &cam, Interp::Nearest);
-        assert!(
-            mn.stats().cycles < mb.stats().cycles,
-            "{} vs {}",
-            mn.stats().cycles,
-            mb.stats().cycles
-        );
+        let (_, sb) = opt_batch(&feats, &pose, &kf, &cam);
+        let (_, sn) = one_batch(BatchMapping::Opt, Interp::Nearest, &feats, &pose, &kf, &cam);
+        assert!(sn.cycles < sb.cycles, "{} vs {}", sn.cycles, sb.cycles);
     }
 
     #[test]
@@ -1228,18 +1136,18 @@ mod tests {
         });
         let sharded = runner.submit(&feats, &pose, &kf, &cam).unwrap();
 
-        let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
+        let mut one = BatchRunner::new(BatchOptions::default());
         let sequential: Vec<BatchOutput> = feats
             .chunks(BATCH)
-            .map(|c| run_batch(&mut m, POSE_BASE, c, &pose, &kf, &cam))
+            .flat_map(|c| one.submit(c, &pose, &kf, &cam).unwrap())
             .collect();
 
         assert_eq!(sharded, sequential, "sharding must not change values");
         // the distributed compute work equals the sequential work exactly
-        let merged = runner.pool().merged_stats();
-        assert_eq!(merged.cycles, m.stats().cycles);
-        assert_eq!(merged.acc_ops, m.stats().acc_ops);
-        assert_eq!(merged.op_histogram, m.stats().op_histogram);
+        let (merged, want) = (runner.pool().merged_stats(), one.pool().merged_stats());
+        assert_eq!(merged.cycles, want.cycles);
+        assert_eq!(merged.acc_ops, want.acc_ops);
+        assert_eq!(merged.op_histogram, want.op_histogram);
     }
 
     #[test]
@@ -1256,36 +1164,17 @@ mod tests {
         });
         let _ = runner.submit(&feats, &pose, &kf, &cam).unwrap();
 
-        let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
-        let _ = run_batch(&mut m, POSE_BASE, &feats[..BATCH], &pose, &kf, &cam);
+        let mut one = BatchRunner::new(BatchOptions::default());
+        let _ = one.submit(&feats[..BATCH], &pose, &kf, &cam).unwrap();
         // timeline = compute + host transfer cycles: the pool charges
         // strip I/O to the wall at each barrier
-        let per_batch = m.timeline();
+        let per_batch = one.pool().array(0).timeline();
 
         assert_eq!(
             runner.pool().wall_cycles(),
             2 * (per_batch + runner.pool().sync_cycles())
         );
         assert_eq!(runner.pool().barriers(), 2);
-    }
-
-    #[test]
-    fn naive_mapping_via_runner_matches_wrapper() {
-        let cam = Pinhole::qvga();
-        let kf = test_kf(&cam);
-        let feats = test_features(&cam, BATCH);
-        let pose = QPose::quantize(&SE3::IDENTITY);
-
-        let mut runner = BatchRunner::new(BatchOptions {
-            mapping: BatchMapping::Naive,
-            ..Default::default()
-        });
-        let outs = runner.submit(&feats, &pose, &kf, &cam).unwrap();
-
-        let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
-        let reference = run_batch_naive(&mut m, POSE_BASE, &feats, &pose, &kf, &cam);
-        assert_eq!(outs, vec![reference]);
-        assert_eq!(runner.pool().merged_stats().cycles, m.stats().cycles);
     }
 
     /// The naive mapping reproduces the per-feature outputs exactly,
@@ -1297,17 +1186,10 @@ mod tests {
         let kf = test_kf(&cam);
         let feats = test_features(&cam, BATCH);
         let pose = QPose::quantize(&SE3::exp(&[0.03, -0.02, 0.04, 0.015, -0.01, 0.02]));
-        let opt = run_batch(
-            &mut PimMachine::new(ArrayConfig::qvga_banks(6)),
-            POSE_BASE,
-            &feats,
-            &pose,
-            &kf,
-            &cam,
-        );
-        let naive = run_batch_naive(
-            &mut PimMachine::new(ArrayConfig::qvga_banks(6)),
-            POSE_BASE,
+        let (opt, _) = opt_batch(&feats, &pose, &kf, &cam);
+        let (naive, _) = one_batch(
+            BatchMapping::Naive,
+            Interp::Bilinear,
             &feats,
             &pose,
             &kf,
@@ -1402,9 +1284,8 @@ mod tests {
         let cam = Pinhole::qvga();
         let kf = test_kf(&cam);
         let pose = QPose::quantize(&SE3::IDENTITY);
-        let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
-        let _ = run_batch(&mut m, 1280, &test_features(&cam, 80), &pose, &kf, &cam);
-        let c = m.stats().cycles;
+        let (_, st) = opt_batch(&test_features(&cam, 80), &pose, &kf, &cam);
+        let c = st.cycles;
         assert!((800..4_000).contains(&c), "batch cycles {c}");
         let _ = RES_FRAC;
     }

@@ -7,8 +7,9 @@
 #![cfg(feature = "fault")]
 
 use pimvo_core::{BackendKind, TrackerBuilder, TrackerConfig};
+use pimvo_kernels::pim_pool::EdgeKernels;
 use pimvo_kernels::{ir, DepthImage, EdgeConfig, GrayImage};
-use pimvo_pim::{ArrayConfig, DmaConfig, DmaFaultModel, LowerLevel, PimMachine};
+use pimvo_pim::{ArrayConfig, DmaConfig, DmaFaultModel, LowerLevel, PimArrayPool, PimMachine};
 use proptest::prelude::*;
 
 fn test_image(phase: u32) -> GrayImage {
@@ -17,14 +18,13 @@ fn test_image(phase: u32) -> GrayImage {
     })
 }
 
-/// A machine with a DMA channel and enough Tmp registers for the
+/// One array with a DMA channel and enough Tmp registers for the
 /// multi-register lowerings.
-fn dma_machine() -> PimMachine {
-    let mut m = PimMachine::builder(ArrayConfig::qvga_banks(6))
+fn dma_machine() -> PimArrayPool {
+    PimMachine::builder(ArrayConfig::qvga_banks(6))
         .dma(DmaConfig::default())
-        .build();
-    m.set_tmp_regs(ir::REGS_REQUIRED);
-    m
+        .tmp_regs(ir::REGS_REQUIRED)
+        .build_pool(1)
 }
 
 proptest! {
@@ -51,14 +51,14 @@ proptest! {
         ];
         for level in levels {
             let mut clean = dma_machine();
-            let want = ir::edge_detect(&mut clean, &img, &cfg, level);
+            let want = EdgeKernels::at(level).edge_detect(&mut clean, &img, &cfg);
 
             let mut faulted = dma_machine();
             faulted.set_dma_fault(DmaFaultModel::new(seed, flip, stall, 0.02));
-            let got = ir::edge_detect(&mut faulted, &img, &cfg, level);
+            let got = EdgeKernels::at(level).edge_detect(&mut faulted, &img, &cfg);
             prop_assert_eq!(&got, &want, "level {} diverged under faults", level);
 
-            let h = faulted.dma_health().expect("channel installed");
+            let h = faulted.dma_health();
             prop_assert!(h.faults() > 0, "level {}: no fault was injected", level);
             prop_assert!(
                 h.retries > 0 || h.sync_fallbacks > 0,

@@ -5,13 +5,10 @@
 //! sequentially on one array, and the distributed compute work is
 //! conserved exactly.
 
-use pimvo_core::pim_exec::{
-    run_batch, run_batch_naive, run_batch_with, BatchMapping, BatchOptions, BatchOutput,
-    BatchRunner, BATCH, POSE_BASE,
-};
+use pimvo_core::pim_exec::{BatchMapping, BatchOptions, BatchOutput, BatchRunner, BATCH};
 use pimvo_core::{Feature, Interp, QFeature, QKeyframe, QPose};
 use pimvo_mcu::KeyframeTables;
-use pimvo_pim::{ArrayConfig, ExecStats, PimMachine};
+use pimvo_pim::ExecStats;
 use pimvo_vomath::{distance_transform, gradient_maps, Pinhole, SE3};
 use proptest::prelude::*;
 
@@ -46,43 +43,26 @@ fn features_at(cam: &Pinhole, n: usize, seed: u64, frac: u32) -> Vec<QFeature> {
         .collect()
 }
 
-/// The batches of `feats` run one at a time on a single array, each
-/// resolving its own programs: the free wrappers where one covers the
-/// variant, otherwise a one-array runner fed chunk by chunk.
+/// The batches of `feats` run one at a time on a single array, one
+/// submission per chunk.
 fn sequential(
     feats: &[QFeature],
     pose: &QPose,
     kf: &QKeyframe,
     cam: &Pinhole,
-    interp: Interp,
-    mapping: BatchMapping,
+    options: BatchOptions,
 ) -> (Vec<BatchOutput>, ExecStats) {
-    if (mapping, interp) == (BatchMapping::Naive, Interp::Nearest) {
-        let mut one = BatchRunner::new(BatchOptions {
-            mapping,
-            interp,
-            ..Default::default()
-        });
-        let outs = feats
-            .chunks(BATCH)
-            .flat_map(|c| one.submit(c, pose, kf, cam).unwrap())
-            .collect();
-        return (outs, one.pool().merged_stats());
-    }
-    let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
+    let mut one = BatchRunner::new(BatchOptions { pool: 1, ..options });
     let outs = feats
         .chunks(BATCH)
-        .map(|c| match mapping {
-            BatchMapping::Opt => run_batch_with(&mut m, POSE_BASE, c, pose, kf, cam, interp),
-            BatchMapping::Naive => run_batch_naive(&mut m, POSE_BASE, c, pose, kf, cam),
-        })
+        .flat_map(|c| one.submit(c, pose, kf, cam).unwrap())
         .collect();
-    (outs, m.stats().clone())
+    (outs, one.pool().merged_stats())
 }
 
 /// Two chunks quantized at different fractions in one submission: each
-/// runs programs resolved for its own fraction, exactly as the
-/// per-chunk wrapper runs do.
+/// runs programs resolved for its own fraction, exactly as one
+/// submission per chunk does.
 #[test]
 fn mixed_fraction_submit_equals_per_chunk_runs() {
     let cam = Pinhole::qvga();
@@ -97,16 +77,12 @@ fn mixed_fraction_submit_equals_per_chunk_runs() {
     });
     let sharded = runner.submit(&feats, &pose, &kf, &cam).unwrap();
 
-    let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
-    let per_chunk: Vec<BatchOutput> = feats
-        .chunks(BATCH)
-        .map(|c| run_batch(&mut m, POSE_BASE, c, &pose, &kf, &cam))
-        .collect();
+    let (per_chunk, stats) = sequential(&feats, &pose, &kf, &cam, BatchOptions::default());
 
     assert_eq!(sharded, per_chunk);
     let merged = runner.pool().merged_stats();
-    assert_eq!(merged.cycles, m.stats().cycles);
-    assert_eq!(merged.op_histogram, m.stats().op_histogram);
+    assert_eq!(merged.cycles, stats.cycles);
+    assert_eq!(merged.op_histogram, stats.op_histogram);
 }
 
 proptest! {
@@ -132,14 +108,15 @@ proptest! {
 
         for interp in [Interp::Bilinear, Interp::Nearest] {
             for mapping in [BatchMapping::Opt, BatchMapping::Naive] {
-                let mut runner = BatchRunner::new(BatchOptions {
+                let options = BatchOptions {
                     pool: n_arrays,
                     interp,
                     mapping,
                     ..Default::default()
-                });
+                };
+                let mut runner = BatchRunner::new(options);
                 let sharded = runner.submit(&feats, &pose, &kf, &cam).unwrap();
-                let (sequential, stats) = sequential(&feats, &pose, &kf, &cam, interp, mapping);
+                let (sequential, stats) = sequential(&feats, &pose, &kf, &cam, options);
 
                 prop_assert_eq!(&sharded, &sequential, "{:?} {:?}", interp, mapping);
                 let merged = runner.pool().merged_stats();

@@ -1,10 +1,9 @@
 //! Property tests of the quantized pose-estimation pipeline.
 
-use pimvo_core::pim_exec::{run_batch, BATCH};
+use pimvo_core::pim_exec::{BatchOptions, BatchRunner, BATCH};
 use pimvo_core::{jacobian_float, jacobian_q, Feature, QCamera, QFeature, QKeyframe, QPose};
 use pimvo_core::{linearize_q, project_q, warp_float, Interp, QNormalEquations};
 use pimvo_mcu::KeyframeTables;
-use pimvo_pim::{ArrayConfig, PimMachine};
 use pimvo_vomath::{distance_transform, gradient_maps, Pinhole, SE3};
 use proptest::prelude::*;
 
@@ -135,8 +134,8 @@ proptest! {
                 Feature::new(u, v, d, &cam).q
             })
             .collect();
-        let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
-        let out = run_batch(&mut m, 1280, &feats, &pose, &kf, &cam);
+        let mut runner = BatchRunner::new(BatchOptions::default());
+        let out = runner.submit(&feats, &pose, &kf, &cam).unwrap().remove(0);
         for (i, f) in feats.iter().enumerate() {
             if let Some(wq) = project_q(f, &pose, &QCamera::quantize(&cam)) {
                 prop_assert_eq!(out.u_raw[i], wq.u_raw, "lane {} u", i);

@@ -3,7 +3,7 @@
 //! `--features fault`) end-to-end tracker recovery from an injected
 //! fault burst.
 
-use pimvo_core::pim_exec::{run_batch, BatchOptions, BatchOutput, BatchRunner, BATCH, POSE_BASE};
+use pimvo_core::pim_exec::{BatchOptions, BatchOutput, BatchRunner, BATCH};
 use pimvo_core::{Feature, QFeature, QKeyframe, QPose};
 use pimvo_mcu::KeyframeTables;
 use pimvo_pim::{ArrayConfig, PimMachine, Protection};
@@ -41,7 +41,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// A pool that lost an array to quarantine still produces outputs
-    /// bit-identical to a pristine single machine: shards re-pack onto
+    /// bit-identical to a pristine single array: shards re-pack onto
     /// the healthy arrays, values never change.
     #[test]
     fn quarantined_pool_matches_single_machine(
@@ -64,10 +64,10 @@ proptest! {
         runner.pool_mut().try_quarantine(quarantine % n_arrays).unwrap();
         let sharded = runner.submit(&feats, &pose, &kf, &cam).expect("healthy arrays remain");
 
-        let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
+        let mut one = BatchRunner::new(BatchOptions::default());
         let sequential: Vec<BatchOutput> = feats
             .chunks(BATCH)
-            .map(|c| run_batch(&mut m, POSE_BASE, c, &pose, &kf, &cam))
+            .flat_map(|c| one.submit(c, &pose, &kf, &cam).unwrap())
             .collect();
 
         prop_assert_eq!(&sharded, &sequential);

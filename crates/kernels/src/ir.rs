@@ -1,6 +1,7 @@
 //! The edge-detection kernels as macro-op IR programs — **one**
-//! definition per kernel ([`crate::pim_pool`] is a thin sharding layer
-//! over this module).
+//! definition per kernel. This module only builds programs;
+//! [`crate::pim_pool::EdgeKernels`] lowers them and runs them on a
+//! [`pimvo_pim::PimArrayPool`], one strip of rows per array.
 //!
 //! Each `*_program` builder emits the kernel's dataflow over virtual
 //! registers for a strip of output rows; [`pimvo_pim::lower()`] then
@@ -17,17 +18,16 @@
 //! All levels produce output bit-identical to [`crate::scalar`]; only
 //! the cycle/energy cost differs. Property tests in
 //! `crates/kernels/tests/ir_roundtrip.rs` enforce this on random
-//! images for every level and both backends (single machine, sharded
-//! pool).
+//! images for every level and pool size.
+//!
+//! [`LowerLevel`]: pimvo_pim::LowerLevel
+//! [`LowerLevel::Naive`]: pimvo_pim::LowerLevel::Naive
+//! [`LowerLevel::Opt`]: pimvo_pim::LowerLevel::Opt
+//! [`LowerLevel::MultiReg`]: pimvo_pim::LowerLevel::MultiReg
 
 use crate::config::{NEIGHBOR_SHIFT, RECENTER_SHIFT};
-use crate::pim_util::{ghost_mask, load_image, read_image, row_or_zero, Regions};
-use crate::{EdgeConfig, EdgeMaps, GrayImage};
-use pimvo_pim::{
-    lower_with_passes, LaneWidth, LowerLevel, LoweredCache, LoweredProgram, Pass, PimMachine,
-    PimProgram, ScratchRows, Signedness, Val,
-};
-use std::sync::Arc;
+use crate::pim_util::{row_or_zero, Regions};
+use pimvo_pim::{LaneWidth, PimProgram, ScratchRows, Signedness, Val};
 
 /// Scratch rows the lowering may spill into: `r.s(0) .. r.s(14)`.
 /// Fifteen rows comfortably hold the worst-case live set of the naive
@@ -35,91 +35,15 @@ use std::sync::Arc;
 pub const SCRATCH_POOL: usize = 15;
 
 /// Temporary registers the §5.4 multi-register lowering
-/// ([`LowerLevel::MultiReg`]) uses — enable them with
-/// [`PimMachine::set_tmp_regs`] before running a program lowered at
-/// that level.
+/// ([`pimvo_pim::LowerLevel::MultiReg`]) uses: programs lowered at that
+/// level need arrays built with at least this many (`tmp_regs` on the
+/// pool's machine builder).
 pub const REGS_REQUIRED: u8 = 4;
 
 /// The scratch pool handed to [`pimvo_pim::lower()`] for every kernel
 /// program.
 pub fn scratch_pool(r: &Regions) -> ScratchRows {
     ScratchRows::new((0..SCRATCH_POOL).map(|i| r.s(i)).collect())
-}
-
-/// Asserts the machine satisfies `level`'s register requirement.
-///
-/// # Panics
-///
-/// Panics when `level` is [`LowerLevel::MultiReg`]`(n)` and the machine
-/// has fewer than `n` Tmp registers (enable them with
-/// [`PimMachine::set_tmp_regs`]).
-pub fn check_level(m: &PimMachine, level: LowerLevel) {
-    if let LowerLevel::MultiReg(n) = level {
-        assert!(
-            m.tmp_reg_count() >= n,
-            "multi-register lowering needs {} Tmp registers, machine has {} \
-             (call set_tmp_regs)",
-            n,
-            m.tmp_reg_count()
-        );
-    }
-}
-
-/// Lowers `prog` at `level` and runs it, panicking on malformed
-/// programs (the builders below are hazard-free by construction).
-/// Lowering memoizes through [`LoweredCache::global`], so repeated
-/// frames re-lower nothing.
-fn run(m: &mut PimMachine, prog: &PimProgram, level: LowerLevel, r: &Regions) {
-    let lowered = LoweredCache::global()
-        .get_or_lower(prog, level, &scratch_pool(r), m.config())
-        .unwrap_or_else(|e| panic!("lowering {} at {level}: {e}", prog.name()));
-    m.run_program(&lowered)
-        .unwrap_or_else(|e| panic!("running {} at {level}: {e:?}", prog.name()));
-}
-
-/// Like [`run`], but lowering with an explicit pass list instead of
-/// the level's full pipeline. Bypasses the cache: its key does not
-/// cover the pass list, and partial lowerings must never be served to
-/// regular callers.
-fn run_with_passes(
-    m: &mut PimMachine,
-    prog: &PimProgram,
-    level: LowerLevel,
-    r: &Regions,
-    passes: &[Pass],
-) {
-    let lowered = lower_with_passes(prog, level, &scratch_pool(r), passes)
-        .unwrap_or_else(|e| panic!("lowering {} at {level}: {e}", prog.name()));
-    m.run_program(&lowered)
-        .unwrap_or_else(|e| panic!("running {} at {level}: {e:?}", prog.name()));
-}
-
-/// Dispatches to [`run`] (full pipeline, cached) or
-/// [`run_with_passes`] (explicit pass list, uncached).
-fn run_maybe(
-    m: &mut PimMachine,
-    prog: &PimProgram,
-    level: LowerLevel,
-    r: &Regions,
-    passes: Option<&[Pass]>,
-) {
-    match passes {
-        Some(ps) => run_with_passes(m, prog, level, r, ps),
-        None => run(m, prog, level, r),
-    }
-}
-
-/// Lowers `prog` at [`LowerLevel::Opt`] for pool submission, memoized
-/// through `cache`.
-pub(crate) fn lower_opt(
-    prog: &PimProgram,
-    r: &Regions,
-    cache: &LoweredCache,
-    config: &pimvo_pim::ArrayConfig,
-) -> Arc<LoweredProgram> {
-    cache
-        .get_or_lower(prog, LowerLevel::Opt, &scratch_pool(r), config)
-        .unwrap_or_else(|e| panic!("lowering {}: {e}", prog.name()))
 }
 
 // ---------------------------------------------------------------------
@@ -263,427 +187,4 @@ pub fn downsample_program(r: &Regions, oy0: u32, oy1: u32) -> PimProgram {
         p.store(e, r.aux1 + oy as usize);
     }
     p
-}
-
-// ---------------------------------------------------------------------
-// Level-parameterized executors (single machine)
-// ---------------------------------------------------------------------
-
-/// Runs the full pipeline (LPF → HPF → NMS) at the given lowering
-/// level.
-///
-/// # Panics
-///
-/// Panics if the machine has fewer than 6 banks of 256 rows, or fewer
-/// Tmp registers than a [`LowerLevel::MultiReg`] level requires.
-pub fn edge_detect(
-    m: &mut PimMachine,
-    img: &GrayImage,
-    cfg: &EdgeConfig,
-    level: LowerLevel,
-) -> EdgeMaps {
-    check_level(m, level);
-    let r = Regions::for_machine(m, img.height());
-    let w = load_image(m, r.input, img) as u32;
-    let h = img.height();
-
-    lpf_rows(m, &r, r.input, r.aux2, h, w as usize, level, None);
-    let lpf = read_image(m, r.aux2, w, h);
-
-    hpf_rows(m, &r, r.aux2, r.aux3, h, w as usize, level, None);
-    let hpf = read_image(m, r.aux3, w, h);
-
-    nms_rows(m, &r, r.aux3, r.out, h, w as usize, cfg, level, None);
-    let mut mask = read_image(m, r.out, w, h);
-    mask.clear_border(cfg.border);
-
-    EdgeMaps { lpf, hpf, mask }
-}
-
-/// [`edge_detect`] with an explicit pass list in place of `level`'s
-/// full [`pimvo_pim::pass_pipeline`]. Every prefix of the pipeline is
-/// value-preserving — only cost may change — which
-/// `crates/kernels/tests/pass_prefix_proptests.rs` pins against
-/// [`crate::scalar`] on random images.
-pub fn edge_detect_with_passes(
-    m: &mut PimMachine,
-    img: &GrayImage,
-    cfg: &EdgeConfig,
-    level: LowerLevel,
-    passes: &[Pass],
-) -> EdgeMaps {
-    check_level(m, level);
-    let r = Regions::for_machine(m, img.height());
-    let w = load_image(m, r.input, img) as u32;
-    let h = img.height();
-
-    lpf_rows(m, &r, r.input, r.aux2, h, w as usize, level, Some(passes));
-    let lpf = read_image(m, r.aux2, w, h);
-
-    hpf_rows(m, &r, r.aux2, r.aux3, h, w as usize, level, Some(passes));
-    let hpf = read_image(m, r.aux3, w, h);
-
-    nms_rows(
-        m,
-        &r,
-        r.aux3,
-        r.out,
-        h,
-        w as usize,
-        cfg,
-        level,
-        Some(passes),
-    );
-    let mut mask = read_image(m, r.out, w, h);
-    mask.clear_border(cfg.border);
-
-    EdgeMaps { lpf, hpf, mask }
-}
-
-/// Runs only the LPF at the given lowering level.
-pub fn lpf(m: &mut PimMachine, img: &GrayImage, level: LowerLevel) -> GrayImage {
-    check_level(m, level);
-    let r = Regions::for_machine(m, img.height());
-    let w = load_image(m, r.input, img) as u32;
-    lpf_rows(
-        m,
-        &r,
-        r.input,
-        r.aux2,
-        img.height(),
-        w as usize,
-        level,
-        None,
-    );
-    read_image(m, r.aux2, w, img.height())
-}
-
-/// [`lpf`] with an explicit pass list in place of `level`'s full
-/// pipeline (see [`edge_detect_with_passes`]).
-pub fn lpf_with_passes(
-    m: &mut PimMachine,
-    img: &GrayImage,
-    level: LowerLevel,
-    passes: &[Pass],
-) -> GrayImage {
-    check_level(m, level);
-    let r = Regions::for_machine(m, img.height());
-    let w = load_image(m, r.input, img) as u32;
-    lpf_rows(
-        m,
-        &r,
-        r.input,
-        r.aux2,
-        img.height(),
-        w as usize,
-        level,
-        Some(passes),
-    );
-    read_image(m, r.aux2, w, img.height())
-}
-
-/// Runs only the HPF on a low-pass map at the given lowering level.
-pub fn hpf(m: &mut PimMachine, lpf_map: &GrayImage, level: LowerLevel) -> GrayImage {
-    check_level(m, level);
-    let r = Regions::for_machine(m, lpf_map.height());
-    let w = load_image(m, r.aux2, lpf_map) as u32;
-    hpf_rows(
-        m,
-        &r,
-        r.aux2,
-        r.aux3,
-        lpf_map.height(),
-        w as usize,
-        level,
-        None,
-    );
-    read_image(m, r.aux3, w, lpf_map.height())
-}
-
-/// [`hpf`] with an explicit pass list in place of `level`'s full
-/// pipeline (see [`edge_detect_with_passes`]).
-pub fn hpf_with_passes(
-    m: &mut PimMachine,
-    lpf_map: &GrayImage,
-    level: LowerLevel,
-    passes: &[Pass],
-) -> GrayImage {
-    check_level(m, level);
-    let r = Regions::for_machine(m, lpf_map.height());
-    let w = load_image(m, r.aux2, lpf_map) as u32;
-    hpf_rows(
-        m,
-        &r,
-        r.aux2,
-        r.aux3,
-        lpf_map.height(),
-        w as usize,
-        level,
-        Some(passes),
-    );
-    read_image(m, r.aux3, w, lpf_map.height())
-}
-
-/// Runs only the NMS on a high-pass map at the given lowering level.
-pub fn nms(
-    m: &mut PimMachine,
-    hpf_map: &GrayImage,
-    cfg: &EdgeConfig,
-    level: LowerLevel,
-) -> GrayImage {
-    check_level(m, level);
-    let r = Regions::for_machine(m, hpf_map.height());
-    let w = load_image(m, r.aux3, hpf_map) as u32;
-    nms_rows(
-        m,
-        &r,
-        r.aux3,
-        r.out,
-        hpf_map.height(),
-        w as usize,
-        cfg,
-        level,
-        None,
-    );
-    let mut mask = read_image(m, r.out, w, hpf_map.height());
-    mask.clear_border(cfg.border);
-    mask
-}
-
-/// [`nms`] with an explicit pass list in place of `level`'s full
-/// pipeline (see [`edge_detect_with_passes`]).
-pub fn nms_with_passes(
-    m: &mut PimMachine,
-    hpf_map: &GrayImage,
-    cfg: &EdgeConfig,
-    level: LowerLevel,
-    passes: &[Pass],
-) -> GrayImage {
-    check_level(m, level);
-    let r = Regions::for_machine(m, hpf_map.height());
-    let w = load_image(m, r.aux3, hpf_map) as u32;
-    nms_rows(
-        m,
-        &r,
-        r.aux3,
-        r.out,
-        hpf_map.height(),
-        w as usize,
-        cfg,
-        level,
-        Some(passes),
-    );
-    let mut mask = read_image(m, r.out, w, hpf_map.height());
-    mask.clear_border(cfg.border);
-    mask
-}
-
-/// Downsamples by 2 at the given lowering level; the lane decimation is
-/// a host-side repack. Output is bit-identical to
-/// [`crate::scalar::downsample2x`].
-pub fn downsample2x(m: &mut PimMachine, img: &GrayImage, level: LowerLevel) -> GrayImage {
-    downsample2x_impl(m, img, level, None)
-}
-
-/// [`downsample2x`] with an explicit pass list in place of `level`'s
-/// full pipeline (see [`edge_detect_with_passes`]).
-pub fn downsample2x_with_passes(
-    m: &mut PimMachine,
-    img: &GrayImage,
-    level: LowerLevel,
-    passes: &[Pass],
-) -> GrayImage {
-    downsample2x_impl(m, img, level, Some(passes))
-}
-
-fn downsample2x_impl(
-    m: &mut PimMachine,
-    img: &GrayImage,
-    level: LowerLevel,
-    passes: Option<&[Pass]>,
-) -> GrayImage {
-    check_level(m, level);
-    let r = Regions::for_machine(m, img.height());
-    let _ = load_image(m, r.input, img);
-    let (w, h) = (img.width() / 2, img.height() / 2);
-    assert!(w > 0 && h > 0, "image too small to downsample");
-    let prog = downsample_program(&r, 0, h);
-    run_maybe(m, &prog, level, &r, passes);
-    let mut out = GrayImage::new(w, h);
-    for oy in 0..h {
-        let lanes = m
-            .host_read_lanes(r.aux1 + oy as usize)
-            .expect("host I/O row in range");
-        for ox in 0..w {
-            out.set(ox, oy, lanes[(2 * ox) as usize] as u8);
-        }
-    }
-    out
-}
-
-#[allow(clippy::too_many_arguments)]
-fn lpf_rows(
-    m: &mut PimMachine,
-    r: &Regions,
-    src: usize,
-    dst: usize,
-    h: u32,
-    w: usize,
-    level: LowerLevel,
-    passes: Option<&[Pass]>,
-) {
-    m.set_lanes(LaneWidth::W8, Signedness::Unsigned);
-    m.host_broadcast(r.zero_row(), 0)
-        .expect("host I/O row in range");
-    let mask = ghost_mask(m, r, w);
-    let p1 = lpf_pass1_program(r, src, h, 0, h as i64);
-    run_maybe(m, &p1, level, r, passes);
-    let p2 = lpf_pass2_program(r, dst, h, mask, 0, h as i64);
-    run_maybe(m, &p2, level, r, passes);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn hpf_rows(
-    m: &mut PimMachine,
-    r: &Regions,
-    src: usize,
-    dst: usize,
-    h: u32,
-    w: usize,
-    level: LowerLevel,
-    passes: Option<&[Pass]>,
-) {
-    m.host_broadcast(r.zero_row(), 0)
-        .expect("host I/O row in range");
-    let mask = ghost_mask(m, r, w);
-    let p = hpf_program(r, src, dst, h, mask, 0, h as i64);
-    run_maybe(m, &p, level, r, passes);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn nms_rows(
-    m: &mut PimMachine,
-    r: &Regions,
-    src: usize,
-    dst: usize,
-    h: u32,
-    w: usize,
-    cfg: &EdgeConfig,
-    level: LowerLevel,
-    passes: Option<&[Pass]>,
-) {
-    m.set_lanes(LaneWidth::W8, Signedness::Unsigned);
-    m.host_broadcast(r.zero_row(), 0)
-        .expect("host I/O row in range");
-    m.host_broadcast(r.th(0), cfg.th1 as i64)
-        .expect("host I/O row in range");
-    m.host_broadcast(r.th(1), cfg.th2 as i64)
-        .expect("host I/O row in range");
-    let mask = ghost_mask(m, r, w);
-    let p = nms_program(r, src, dst, h, mask, 0, h as i64);
-    run_maybe(m, &p, level, r, passes);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::scalar;
-    use pimvo_pim::ArrayConfig;
-
-    fn machine() -> PimMachine {
-        PimMachine::new(ArrayConfig::qvga_banks(6))
-    }
-
-    fn test_image() -> GrayImage {
-        GrayImage::from_fn(64, 48, |x, y| {
-            ((x * 23 + y * 37).wrapping_mul(2654435761) >> 11) as u8
-        })
-    }
-
-    fn levels() -> [LowerLevel; 3] {
-        [LowerLevel::Naive, LowerLevel::Opt, LowerLevel::MultiReg(4)]
-    }
-
-    fn machine_for(level: LowerLevel) -> PimMachine {
-        let mut m = machine();
-        if let LowerLevel::MultiReg(n) = level {
-            m.set_tmp_regs(n);
-        }
-        m
-    }
-
-    #[test]
-    fn every_level_matches_scalar() {
-        let img = test_image();
-        let cfg = EdgeConfig::default();
-        let want = scalar::edge_detect(&img, &cfg);
-        for level in levels() {
-            let mut m = machine_for(level);
-            let got = edge_detect(&mut m, &img, &cfg, level);
-            assert_eq!(got.lpf, want.lpf, "{level} lpf");
-            assert_eq!(got.hpf, want.hpf, "{level} hpf");
-            assert_eq!(got.mask, want.mask, "{level} mask");
-        }
-    }
-
-    #[test]
-    fn level_cost_ordering_holds() {
-        let img = test_image();
-        let cfg = EdgeConfig::default();
-        let mut cycles = Vec::new();
-        let mut writes = Vec::new();
-        for level in levels() {
-            let mut m = machine_for(level);
-            let _ = edge_detect(&mut m, &img, &cfg, level);
-            cycles.push(m.stats().cycles);
-            writes.push(m.stats().sram_writes);
-        }
-        assert!(
-            cycles[0] > cycles[1],
-            "naive {} should exceed opt {}",
-            cycles[0],
-            cycles[1]
-        );
-        assert!(
-            cycles[2] <= cycles[1],
-            "multireg {} should not exceed opt {}",
-            cycles[2],
-            cycles[1]
-        );
-        assert!(
-            writes[2] < writes[1] / 2,
-            "multireg writes {} vs opt {}",
-            writes[2],
-            writes[1]
-        );
-    }
-
-    #[test]
-    fn downsample_matches_scalar_at_every_level() {
-        let img = test_image();
-        let want = scalar::downsample2x(&img);
-        for level in levels() {
-            let mut m = machine_for(level);
-            assert_eq!(downsample2x(&mut m, &img, level), want, "{level}");
-        }
-    }
-
-    #[test]
-    fn program_listing_is_stable() {
-        let mut m = machine();
-        let r = Regions::for_machine(&m, 4);
-        let _ = &mut m;
-        let p = lpf_pass1_program(&r, r.input, 4, 0, 1);
-        let text = p.to_string();
-        assert!(text.starts_with("program lpf_pass1:\n"), "{text}");
-        assert!(text.contains("avg"), "{text}");
-        assert!(text.contains("store"), "{text}");
-    }
-
-    #[test]
-    #[should_panic(expected = "Tmp registers")]
-    fn multireg_level_rejects_single_register_machine() {
-        let mut m = machine();
-        let _ = hpf(&mut m, &test_image(), LowerLevel::MultiReg(4));
-    }
 }

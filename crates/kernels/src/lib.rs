@@ -16,10 +16,12 @@
 //! * `MultiReg(n)` — the §5.4 scaling study: spills held in extra
 //!   temporary registers instead of SRAM scratch rows.
 //!
-//! [`pim_pool`] shards the same programs across a
-//! [`pimvo_pim::PimArrayPool`]. All levels produce **bit-identical**
-//! edge maps; they differ only in cycle and energy cost. Integration
-//! and property tests enforce the equivalence.
+//! [`pim_pool::EdgeKernels`] is the one front end: it lowers the
+//! programs at a level and runs them sharded across a
+//! [`pimvo_pim::PimArrayPool`] (one machine is a pool of one). All
+//! levels produce **bit-identical** edge maps at every pool size; they
+//! differ only in cycle and energy cost. Integration and property tests
+//! enforce the equivalence.
 //!
 //! ```
 //! use pimvo_kernels::{scalar, EdgeConfig, GrayImage};

@@ -74,31 +74,15 @@ impl Regions {
     }
 }
 
-/// Loads a grayscale image into consecutive rows starting at `base`,
-/// one image row per word line (8-bit lanes). Returns the image width.
+/// Loads image rows `y0..y1` into rows `base + y0 .. base + y1`, one
+/// image row per word line (8-bit lanes). Rows keep their global
+/// indices, so a strip-loaded shard is row-for-row identical to a full
+/// load. Returns the image width.
 ///
 /// # Panics
 ///
-/// Panics if the image is wider than the word line.
-pub fn load_image(m: &mut PimMachine, base: usize, img: &GrayImage) -> usize {
-    m.set_lanes(LaneWidth::W8, Signedness::Unsigned);
-    let w = img.width() as usize;
-    assert!(
-        w <= m.lanes(),
-        "image width {w} exceeds {} lanes",
-        m.lanes()
-    );
-    for y in 0..img.height() {
-        let lanes: Vec<i64> = img.row(y).iter().map(|&p| p as i64).collect();
-        m.host_write_lanes(base + y as usize, &lanes)
-            .expect("host I/O row in range");
-    }
-    w
-}
-
-/// Loads image rows `y0..y1` into rows `base + y0 .. base + y1` (same
-/// global row addressing as [`load_image`], so a strip-loaded shard is
-/// row-for-row identical to the full load). Returns the image width.
+/// Panics if the image is wider than the word line or `y1` exceeds its
+/// height.
 pub fn load_image_rows(
     m: &mut PimMachine,
     base: usize,
@@ -158,21 +142,6 @@ pub fn partition_rows(h: u32, n: usize) -> Vec<(i64, i64)> {
         y += len;
     }
     strips
-}
-
-/// Reads a map back from consecutive rows starting at `base`.
-pub fn read_image(m: &mut PimMachine, base: usize, width: u32, height: u32) -> GrayImage {
-    m.set_lanes(LaneWidth::W8, Signedness::Unsigned);
-    let mut img = GrayImage::new(width, height);
-    for y in 0..height {
-        let lanes = m
-            .host_read_lanes(base + y as usize)
-            .expect("host I/O row in range");
-        for x in 0..width {
-            img.set(x, y, lanes[x as usize] as u8);
-        }
-    }
-    img
 }
 
 pub use crate::config::row_or_zero;

@@ -1,18 +1,24 @@
-//! IR round-trip property tests (satellite of the kernel-IR refactor).
+//! Level × pool-size property tests of the one edge-kernel front end.
 //!
 //! Every kernel is defined exactly once as a macro-op program in
-//! `pimvo_kernels::ir`; this suite pins the whole lowering matrix
-//! against the scalar reference on random images:
+//! `pimvo_kernels::ir` and runs only through
+//! [`pimvo_kernels::pim_pool::EdgeKernels`]; one machine is a pool of
+//! one. This suite pins the whole matrix on random images:
 //!
-//! * levels: `Naive`, `Opt`, `MultiReg(2)`, `MultiReg(4)`;
-//! * backends: a single `PimMachine` and a sharded `PimArrayPool`;
+//! * levels: `Naive`, `Opt`, `MultiReg(4)`;
+//! * pools of 1 to 6 arrays;
 //! * kernels: LPF, HPF, NMS, downsample and the full pipeline.
 //!
-//! All of them must be **bit-identical** — lowering is only allowed to
-//! change cost, never values.
+//! Every run is **bit-identical** to the scalar reference — lowering
+//! and sharding may only change cost, never values — and sharding
+//! conserves the compute work: the merged statistics of any pool equal
+//! the pool of one at the same level (only host I/O may differ), and
+//! its wall clock never exceeds that work plus what the pool charged
+//! for transfers and barriers.
 
-use pimvo_kernels::{ir, pim_pool, scalar, EdgeConfig, GrayImage};
-use pimvo_pim::{ArrayConfig, LowerLevel, PimMachine};
+use pimvo_kernels::pim_pool::EdgeKernels;
+use pimvo_kernels::{ir, scalar, EdgeConfig, GrayImage};
+use pimvo_pim::{ArrayConfig, LowerLevel, PimArrayPool, PimMachineBuilder};
 use proptest::prelude::*;
 
 fn random_image(seed: u64, w: u32, h: u32) -> GrayImage {
@@ -26,116 +32,159 @@ fn random_image(seed: u64, w: u32, h: u32) -> GrayImage {
     })
 }
 
-/// The three lowering levels exercised per case; `MultiReg` is sampled
-/// at both a small and the standard register count.
-const LEVELS: [LowerLevel; 4] = [
+const LEVELS: [LowerLevel; 3] = [
     LowerLevel::Naive,
     LowerLevel::Opt,
-    LowerLevel::MultiReg(2),
-    LowerLevel::MultiReg(4),
+    LowerLevel::MultiReg(ir::REGS_REQUIRED),
 ];
 
-fn machine_for(level: LowerLevel) -> PimMachine {
-    let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
-    if let LowerLevel::MultiReg(n) = level {
-        m.set_tmp_regs(n);
+#[derive(Debug, Clone, Copy)]
+enum Kernel {
+    Lpf,
+    Hpf,
+    Nms,
+    Downsample,
+    EdgeDetect,
+}
+
+const KERNELS: [Kernel; 5] = [
+    Kernel::Lpf,
+    Kernel::Hpf,
+    Kernel::Nms,
+    Kernel::Downsample,
+    Kernel::EdgeDetect,
+];
+
+/// The input `kernel` reads for camera image `img`: the camera image
+/// itself, or the upstream kernel's map.
+fn input(kernel: Kernel, img: &GrayImage) -> GrayImage {
+    match kernel {
+        Kernel::Hpf => scalar::lpf(img),
+        Kernel::Nms => scalar::hpf(&scalar::lpf(img)),
+        Kernel::Downsample => {
+            GrayImage::from_fn(img.width() & !1, img.height() & !1, |x, y| img.get(x, y))
+        }
+        Kernel::Lpf | Kernel::EdgeDetect => img.clone(),
     }
-    m
+}
+
+/// The scalar reference output maps of `kernel` on `src`.
+fn reference(kernel: Kernel, src: &GrayImage, cfg: &EdgeConfig) -> Vec<GrayImage> {
+    match kernel {
+        Kernel::Lpf => vec![scalar::lpf(src)],
+        Kernel::Hpf => vec![scalar::hpf(src)],
+        Kernel::Nms => {
+            let mut mask = scalar::nms(src, cfg);
+            mask.clear_border(cfg.border);
+            vec![mask]
+        }
+        Kernel::Downsample => vec![scalar::downsample2x(src)],
+        Kernel::EdgeDetect => {
+            let maps = scalar::edge_detect(src, cfg);
+            vec![maps.lpf, maps.hpf, maps.mask]
+        }
+    }
+}
+
+/// Runs `kernel` at `level` on a fresh pool of `arrays`; returns its
+/// output maps and the pool.
+fn run(
+    kernel: Kernel,
+    level: LowerLevel,
+    arrays: usize,
+    src: &GrayImage,
+    cfg: &EdgeConfig,
+) -> (Vec<GrayImage>, PimArrayPool) {
+    // exactly the Tmp registers `level` may use, so a lowering that
+    // exceeds its register budget fails loudly
+    let mut b = PimMachineBuilder::new(ArrayConfig::qvga_banks(6));
+    if let LowerLevel::MultiReg(n) = level {
+        b = b.tmp_regs(n);
+    }
+    let mut pool = b.build_pool(arrays);
+    let mut k = EdgeKernels::at(level);
+    let maps = match kernel {
+        Kernel::Lpf => vec![k.lpf(&mut pool, src)],
+        Kernel::Hpf => vec![k.hpf(&mut pool, src)],
+        Kernel::Nms => vec![k.nms(&mut pool, src, cfg)],
+        Kernel::Downsample => vec![k.downsample2x(&mut pool, src)],
+        Kernel::EdgeDetect => {
+            let maps = k.edge_detect(&mut pool, src, cfg);
+            vec![maps.lpf, maps.hpf, maps.mask]
+        }
+    };
+    (maps, pool)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// LPF round-trips through every lowering level.
+    /// Every kernel at every level on every pool size reproduces the
+    /// scalar reference, and its merged compute statistics equal the
+    /// pool of one at that level.
     #[test]
-    fn lpf_roundtrips_at_every_level(seed in any::<u64>(), w in 12u32..64, h in 10u32..48) {
-        let img = random_image(seed, w, h);
-        let want = scalar::lpf(&img);
-        for level in LEVELS {
-            let mut m = machine_for(level);
-            let got = ir::lpf(&mut m, &img, level);
-            prop_assert_eq!(&got, &want, "level {}", level);
-        }
-    }
-
-    /// HPF round-trips through every lowering level.
-    #[test]
-    fn hpf_roundtrips_at_every_level(seed in any::<u64>(), w in 12u32..64, h in 10u32..48) {
-        let lpf_map = scalar::lpf(&random_image(seed, w, h));
-        let want = scalar::hpf(&lpf_map);
-        for level in LEVELS {
-            let mut m = machine_for(level);
-            let got = ir::hpf(&mut m, &lpf_map, level);
-            prop_assert_eq!(&got, &want, "level {}", level);
-        }
-    }
-
-    /// NMS round-trips through every lowering level, for arbitrary
-    /// threshold pairs.
-    #[test]
-    fn nms_roundtrips_at_every_level(
+    fn every_kernel_level_and_pool_size_matches_scalar(
         seed in any::<u64>(),
+        w in 12u32..72,
+        h in 8u32..56,
         th1 in 0u8..40,
         th2 in 0u8..80,
     ) {
-        let hmap = scalar::hpf(&scalar::lpf(&random_image(seed, 48, 36)));
+        let img = random_image(seed, w, h);
         let cfg = EdgeConfig::new(th1, th2);
-        let mut want = scalar::nms(&hmap, &cfg);
-        want.clear_border(cfg.border);
-        for level in LEVELS {
-            let mut m = machine_for(level);
-            let got = ir::nms(&mut m, &hmap, &cfg, level);
-            prop_assert_eq!(&got, &want, "level {}", level);
+        for kernel in KERNELS {
+            let src = input(kernel, &img);
+            let want = reference(kernel, &src, &cfg);
+            for level in LEVELS {
+                let (one, base) = run(kernel, level, 1, &src, &cfg);
+                prop_assert_eq!(&one, &want, "{:?} at {} on 1 array", kernel, level);
+                let base = base.merged_stats();
+                for arrays in 2..=6 {
+                    let (got, pool) = run(kernel, level, arrays, &src, &cfg);
+                    let st = pool.merged_stats();
+                    let at = format!("{kernel:?} at {level} on {arrays} arrays");
+                    prop_assert_eq!(&got, &want, "{}", at);
+                    prop_assert_eq!(st.cycles, base.cycles, "cycles, {}", at);
+                    prop_assert_eq!(st.acc_ops, base.acc_ops, "acc_ops, {}", at);
+                    prop_assert_eq!(st.sram_reads, base.sram_reads, "sram_reads, {}", at);
+                    prop_assert_eq!(st.sram_writes, base.sram_writes, "sram_writes, {}", at);
+                    prop_assert_eq!(st.tmp_accesses, base.tmp_accesses, "tmp_accesses, {}", at);
+                    prop_assert_eq!(&st.op_histogram, &base.op_histogram, "histogram, {}", at);
+                    // each barrier advances by the slowest member's compute
+                    // + transfer delta, never by more than all of them
+                    let budget = base.cycles
+                        + st.host_io_cycles
+                        + st.dma_stall_cycles
+                        + pool.barriers() * pool.sync_cycles();
+                    prop_assert!(pool.wall_cycles() <= budget, "wall over budget, {}", at);
+                }
+            }
         }
     }
 
-    /// Downsample round-trips through every lowering level.
+    /// The full pipeline matches the scalar reference at every level,
+    /// `MultiReg(2)` included, and the level cost ordering holds: naive
+    /// is strictly the most expensive, and more Tmp registers never
+    /// cost more cycles.
     #[test]
-    fn downsample_roundtrips_at_every_level(seed in any::<u64>(), w in 12u32..64, h in 10u32..48) {
-        let img = random_image(seed, w & !1, h & !1);
-        let want = scalar::downsample2x(&img);
-        for level in LEVELS {
-            let mut m = machine_for(level);
-            let got = ir::downsample2x(&mut m, &img, level);
-            prop_assert_eq!(&got, &want, "level {}", level);
-        }
-    }
-
-    /// The full pipeline round-trips through every lowering level
-    /// (all three output maps), and the level cost ordering holds:
-    /// naive is strictly the most expensive, multi-register never
-    /// costs more cycles than opt.
-    #[test]
-    fn pipeline_roundtrips_and_costs_order(seed in any::<u64>(), w in 12u32..64, h in 10u32..48) {
+    fn level_cost_ordering_holds(seed in any::<u64>(), w in 12u32..64, h in 10u32..48) {
         let img = random_image(seed, w, h);
         let cfg = EdgeConfig::default();
-        let want = scalar::edge_detect(&img, &cfg);
+        let levels = [
+            LowerLevel::Naive,
+            LowerLevel::Opt,
+            LowerLevel::MultiReg(2),
+            LowerLevel::MultiReg(4),
+        ];
+        let want = reference(Kernel::EdgeDetect, &img, &cfg);
         let mut cycles = Vec::new();
-        for level in LEVELS {
-            let mut m = machine_for(level);
-            let got = ir::edge_detect(&mut m, &img, &cfg, level);
-            prop_assert_eq!(&got.lpf, &want.lpf, "level {}", level);
-            prop_assert_eq!(&got.hpf, &want.hpf, "level {}", level);
-            prop_assert_eq!(&got.mask, &want.mask, "level {}", level);
-            cycles.push(m.stats().cycles);
+        for level in levels {
+            let (got, pool) = run(Kernel::EdgeDetect, level, 1, &img, &cfg);
+            prop_assert_eq!(&got, &want, "level {}", level);
+            cycles.push(pool.merged_stats().cycles);
         }
-        // LEVELS = [Naive, Opt, MultiReg(2), MultiReg(4)]
         prop_assert!(cycles[0] > cycles[1], "naive {} vs opt {}", cycles[0], cycles[1]);
         prop_assert!(cycles[2] <= cycles[1], "multireg(2) {} vs opt {}", cycles[2], cycles[1]);
         prop_assert!(cycles[3] <= cycles[2], "multireg(4) {} vs multireg(2) {}", cycles[3], cycles[2]);
-    }
-
-    /// The pooled backend runs the same Opt-lowered programs sharded
-    /// across arrays and still reproduces the scalar reference.
-    #[test]
-    fn pool_backend_roundtrips(seed in any::<u64>(), arrays in 1usize..5) {
-        let img = random_image(seed, 48, 40);
-        let cfg = EdgeConfig::default();
-        let want = scalar::edge_detect(&img, &cfg);
-        let mut pool = PimMachine::builder(ArrayConfig::qvga_banks(6)).build_pool(arrays);
-        let got = pim_pool::edge_detect(&mut pool, &img, &cfg);
-        prop_assert_eq!(&got.lpf, &want.lpf, "arrays {}", arrays);
-        prop_assert_eq!(&got.hpf, &want.hpf, "arrays {}", arrays);
-        prop_assert_eq!(&got.mask, &want.mask, "arrays {}", arrays);
     }
 }

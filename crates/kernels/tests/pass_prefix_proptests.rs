@@ -9,11 +9,12 @@
 //!
 //! * levels: `Naive`, `Opt`, `MultiReg(2)`, `MultiReg(4)`;
 //! * kernels: LPF pass 1 + pass 2, HPF and NMS (through the full
-//!   `edge_detect` which runs all five strip programs) and downsample;
-//! * backends: a single `PimMachine` and a sharded `PimArrayPool`.
+//!   `edge_detect` which runs all four strip programs) and downsample;
+//! * pools of 1 to 4 arrays, through the pass-list `EdgeKernels`.
 
-use pimvo_kernels::{ir, pim_pool, scalar, EdgeConfig, GrayImage};
-use pimvo_pim::{pass_pipeline, ArrayConfig, LowerLevel, PimMachine};
+use pimvo_kernels::pim_pool::EdgeKernels;
+use pimvo_kernels::{scalar, EdgeConfig, GrayImage};
+use pimvo_pim::{pass_pipeline, ArrayConfig, LowerLevel, PimArrayPool, PimMachineBuilder};
 use proptest::prelude::*;
 
 fn random_image(seed: u64, w: u32, h: u32) -> GrayImage {
@@ -34,25 +35,29 @@ const LEVELS: [LowerLevel; 4] = [
     LowerLevel::MultiReg(4),
 ];
 
-fn machine_for(level: LowerLevel) -> PimMachine {
-    let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
+/// A pool of `arrays` with exactly the Tmp registers `level` may use:
+/// `n` for `MultiReg(n)`, the default single register otherwise, so a
+/// lowering that exceeds its register budget fails loudly.
+fn pool(arrays: usize, level: LowerLevel) -> PimArrayPool {
+    let mut b = PimMachineBuilder::new(ArrayConfig::qvga_banks(6));
     if let LowerLevel::MultiReg(n) = level {
-        m.set_tmp_regs(n);
+        b = b.tmp_regs(n);
     }
-    m
+    b.build_pool(arrays)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Single-machine backend: LPF, HPF and NMS (all five strip
-    /// programs through `edge_detect`) match the scalar reference at
-    /// every prefix of every level's pass pipeline.
+    /// LPF, HPF and NMS (all four strip programs through
+    /// `edge_detect`) match the scalar reference at every prefix of
+    /// every level's pass pipeline.
     #[test]
-    fn every_pass_prefix_matches_scalar_on_machine(
+    fn every_pass_prefix_matches_scalar(
         seed in any::<u64>(),
         w in 12u32..48,
         h in 10u32..32,
+        arrays in 1usize..5,
     ) {
         let img = random_image(seed, w, h);
         let cfg = EdgeConfig::default();
@@ -60,8 +65,8 @@ proptest! {
         for level in LEVELS {
             let pipeline = pass_pipeline(level);
             for cut in 0..=pipeline.len() {
-                let mut m = machine_for(level);
-                let got = ir::edge_detect_with_passes(&mut m, &img, &cfg, level, &pipeline[..cut]);
+                let mut kernels = EdgeKernels::with_passes(level, &pipeline[..cut]);
+                let got = kernels.edge_detect(&mut pool(arrays, level), &img, &cfg);
                 prop_assert_eq!(&got.lpf, &want.lpf, "lpf, level {} prefix {}", level, cut);
                 prop_assert_eq!(&got.hpf, &want.hpf, "hpf, level {} prefix {}", level, cut);
                 prop_assert_eq!(&got.mask, &want.mask, "nms, level {} prefix {}", level, cut);
@@ -76,38 +81,17 @@ proptest! {
         seed in any::<u64>(),
         w in 12u32..48,
         h in 10u32..32,
+        arrays in 1usize..5,
     ) {
         let img = random_image(seed, w & !1, h & !1);
         let want = scalar::downsample2x(&img);
         for level in LEVELS {
             let pipeline = pass_pipeline(level);
             for cut in 0..=pipeline.len() {
-                let mut m = machine_for(level);
-                let got = ir::downsample2x_with_passes(&mut m, &img, level, &pipeline[..cut]);
+                let mut kernels = EdgeKernels::with_passes(level, &pipeline[..cut]);
+                let got = kernels.downsample2x(&mut pool(arrays, level), &img);
                 prop_assert_eq!(&got, &want, "level {} prefix {}", level, cut);
             }
-        }
-    }
-
-    /// Sharded-pool backend: the full pipeline at `Opt` matches the
-    /// scalar reference at every prefix of the `Opt` pass pipeline,
-    /// on 2..4 arrays.
-    #[test]
-    fn every_pass_prefix_matches_scalar_on_pool(
-        seed in any::<u64>(),
-        arrays in 2usize..5,
-        h in 10u32..32,
-    ) {
-        let img = random_image(seed, 32, h);
-        let cfg = EdgeConfig::default();
-        let want = scalar::edge_detect(&img, &cfg);
-        let pipeline = pass_pipeline(LowerLevel::Opt);
-        for cut in 0..=pipeline.len() {
-            let mut pool = PimMachine::builder(ArrayConfig::qvga_banks(6)).build_pool(arrays);
-            let got = pim_pool::edge_detect_with_passes(&mut pool, &img, &cfg, &pipeline[..cut]);
-            prop_assert_eq!(&got.lpf, &want.lpf, "lpf, prefix {}", cut);
-            prop_assert_eq!(&got.hpf, &want.hpf, "hpf, prefix {}", cut);
-            prop_assert_eq!(&got.mask, &want.mask, "nms, prefix {}", cut);
         }
     }
 }

@@ -7,8 +7,9 @@
 //! the same regime: a few thousand cycles per kernel, tens of thousands
 //! for the full detection, with the naive mappings clearly slower.
 
-use pimvo_kernels::{ir, scalar, EdgeConfig, GrayImage};
-use pimvo_pim::{ArrayConfig, LowerLevel, PimMachine};
+use pimvo_kernels::pim_pool::EdgeKernels;
+use pimvo_kernels::{scalar, EdgeConfig, GrayImage};
+use pimvo_pim::{ArrayConfig, LowerLevel, PimArrayPool, PimMachineBuilder};
 
 fn qvga_image() -> GrayImage {
     GrayImage::from_fn(320, 240, |x, y| {
@@ -22,23 +23,33 @@ fn qvga_image() -> GrayImage {
     })
 }
 
+/// One six-bank QVGA array.
+fn machine() -> PimArrayPool {
+    PimMachineBuilder::new(ArrayConfig::qvga_banks(6)).build_pool(1)
+}
+
+/// Compute cycles the pool has spent so far.
+fn cycles(m: &PimArrayPool) -> u64 {
+    m.merged_stats().cycles
+}
+
 #[test]
 fn optimized_edge_detection_cycles_in_paper_regime() {
     let img = qvga_image();
     let cfg = EdgeConfig::default();
-    let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
+    let (mut m, mut k) = (machine(), EdgeKernels::new());
 
-    let c0 = m.stats().cycles;
-    let lpf = ir::lpf(&mut m, &img, LowerLevel::Opt);
-    let lpf_cycles = m.stats().cycles - c0;
+    let c0 = cycles(&m);
+    let lpf = k.lpf(&mut m, &img);
+    let lpf_cycles = cycles(&m) - c0;
 
-    let c0 = m.stats().cycles;
-    let hpf = ir::hpf(&mut m, &lpf, LowerLevel::Opt);
-    let hpf_cycles = m.stats().cycles - c0;
+    let c0 = cycles(&m);
+    let hpf = k.hpf(&mut m, &lpf);
+    let hpf_cycles = cycles(&m) - c0;
 
-    let c0 = m.stats().cycles;
-    let _ = ir::nms(&mut m, &hpf, &cfg, LowerLevel::Opt);
-    let nms_cycles = m.stats().cycles - c0;
+    let c0 = cycles(&m);
+    let _ = k.nms(&mut m, &hpf, &cfg);
+    let nms_cycles = cycles(&m) - c0;
 
     let total = lpf_cycles + hpf_cycles + nms_cycles;
     println!("opt cycles: lpf={lpf_cycles} hpf={hpf_cycles} nms={nms_cycles} total={total}");
@@ -55,16 +66,16 @@ fn naive_mappings_cost_more_with_identical_output() {
     let img = qvga_image();
     let cfg = EdgeConfig::default();
 
-    let mut mo = PimMachine::new(ArrayConfig::qvga_banks(6));
-    let opt = ir::edge_detect(&mut mo, &img, &cfg, LowerLevel::Opt);
-    let mut mn = PimMachine::new(ArrayConfig::qvga_banks(6));
-    let naive = ir::edge_detect(&mut mn, &img, &cfg, LowerLevel::Naive);
+    let mut mo = machine();
+    let opt = EdgeKernels::at(LowerLevel::Opt).edge_detect(&mut mo, &img, &cfg);
+    let mut mn = machine();
+    let naive = EdgeKernels::at(LowerLevel::Naive).edge_detect(&mut mn, &img, &cfg);
 
     assert_eq!(opt.mask, naive.mask);
     assert_eq!(opt.lpf, naive.lpf);
     assert_eq!(opt.hpf, naive.hpf);
 
-    let (co, cn) = (mo.stats().cycles, mn.stats().cycles);
+    let (co, cn) = (cycles(&mo), cycles(&mn));
     let ratio = cn as f64 / co as f64;
     println!("opt={co} naive={cn} ratio={ratio:.2}");
     // paper: 1.7x overall for edge detection
@@ -76,8 +87,7 @@ fn scalar_and_pim_agree_at_qvga() {
     let img = qvga_image();
     let cfg = EdgeConfig::default();
     let want = scalar::edge_detect(&img, &cfg);
-    let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
-    let got = ir::edge_detect(&mut m, &img, &cfg, LowerLevel::Opt);
+    let got = EdgeKernels::new().edge_detect(&mut machine(), &img, &cfg);
     assert_eq!(got.mask, want.mask);
     let n = want.edge_count();
     // the paper's tracked-feature regime at QVGA
@@ -91,9 +101,9 @@ fn writeback_share_is_small_after_tmp_reg_optimization() {
     // optimized pipeline thanks to Tmp-Reg chaining.
     let img = qvga_image();
     let cfg = EdgeConfig::default();
-    let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
-    let _ = ir::edge_detect(&mut m, &img, &cfg, LowerLevel::Opt);
-    let mem = m.stats().mem_accesses();
+    let mut m = machine();
+    let _ = EdgeKernels::new().edge_detect(&mut m, &img, &cfg);
+    let mem = m.merged_stats().mem_accesses();
     let share = mem.write_share();
     println!("write share: {share:.3}");
     assert!(share < 0.25, "write share {share}");

@@ -122,7 +122,7 @@ pub use fault::{FaultModel, FaultStatus, Protection, StuckBit};
 pub use ir::{MacroOp, PimProgram, VReg, Val};
 pub use isa::{AluOp, LogicFunc, OpClass, Operand, Shift};
 pub use lower::{
-    lower, lower_with_passes, lower_with_report, pass_pipeline, LaneClass, LowerError, LowerLevel,
+    lower, lower_passes, lower_with_report, pass_pipeline, LaneClass, LowerError, LowerLevel,
     LowerReport, LoweredOp, LoweredProgram, MachineInstr, Pass, PassStats, ScratchRows,
     MAX_TMP_REGS,
 };

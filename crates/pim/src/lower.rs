@@ -465,7 +465,7 @@ impl fmt::Display for LoweredProgram {
 }
 
 /// One stage of the lowering pipeline. [`pass_pipeline`] names the
-/// stages [`lower()`] runs per level; [`lower_with_passes`] accepts any
+/// stages [`lower()`] runs per level; [`lower_passes`] accepts any
 /// subset (every prefix is independently value-preserving — property
 /// tested against the scalar reference).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -649,7 +649,7 @@ pub fn lower_with_report(
 /// # Errors
 ///
 /// Same conditions as [`lower`].
-pub fn lower_with_passes(
+pub fn lower_passes(
     prog: &PimProgram,
     level: LowerLevel,
     scratch: &ScratchRows,
@@ -2275,7 +2275,7 @@ mod tests {
             m.host_write_lanes(0, &[9, 3, 200, 17, 4]).unwrap();
             m.host_write_lanes(1, &[5, 100, 2, 90, 30]).unwrap();
             m.host_write_lanes(2, &[77, 1, 60, 8, 254]).unwrap();
-            let l = lower_with_passes(&prog, LowerLevel::Opt, &scratch(), passes).unwrap();
+            let l = lower_passes(&prog, LowerLevel::Opt, &scratch(), passes).unwrap();
             m.run_program(&l).unwrap();
             cycles.push(m.stats().cycles);
             rows.push(m.host_read_lanes(3).unwrap()[..5].to_vec());
@@ -2311,7 +2311,7 @@ mod tests {
             .filter(|p| *p != Pass::Layout)
             .collect();
         let full = lower(&build, LowerLevel::Opt, &scratch()).unwrap();
-        let bare = lower_with_passes(&build, LowerLevel::Opt, &scratch(), &no_layout).unwrap();
+        let bare = lower_passes(&build, LowerLevel::Opt, &scratch(), &no_layout).unwrap();
         assert!(
             full.ops().len() <= bare.ops().len(),
             "planned copy is never worse than the rescue"
@@ -2345,7 +2345,7 @@ mod tests {
                 m.host_write_lanes(0, &[9, 3, 200, 17, 4]).unwrap();
                 m.host_write_lanes(1, &[5, 100, 2, 90, 30]).unwrap();
                 m.host_write_lanes(2, &[77, 1, 60, 8, 254]).unwrap();
-                let l = lower_with_passes(&prog, level, &scratch(), &pipeline[..cut]).unwrap();
+                let l = lower_passes(&prog, level, &scratch(), &pipeline[..cut]).unwrap();
                 m.run_program(&l).unwrap();
                 let got = m.host_read_lanes(3).unwrap()[..5].to_vec();
                 match &reference {

@@ -7,7 +7,8 @@
 //! cargo run --release --example edge_detect
 //! ```
 
-use pimvo::kernels::{ir, EdgeConfig, GrayImage};
+use pimvo::kernels::pim_pool::EdgeKernels;
+use pimvo::kernels::{EdgeConfig, EdgeMaps, GrayImage};
 use pimvo::mcu::CostCounter;
 use pimvo::pim::{ArrayConfig, LowerLevel, PimMachine};
 use pimvo::scene::{Sequence, SequenceKind};
@@ -35,22 +36,27 @@ fn ascii_render(mask: &GrayImage, cols: u32, rows: u32) {
     }
 }
 
+/// Runs the full pipeline at `level` on one fresh QVGA array; returns
+/// the maps and the compute cycles.
+fn run(level: LowerLevel, gray: &GrayImage, cfg: &EdgeConfig) -> (EdgeMaps, u64) {
+    let mut array = PimMachine::builder(ArrayConfig::qvga_banks(6)).build_pool(1);
+    let maps = EdgeKernels::at(level).edge_detect(&mut array, gray, cfg);
+    (maps, array.merged_stats().cycles)
+}
+
 fn main() {
     let seq = Sequence::generate(SequenceKind::Desk, 1);
     let gray = &seq.frames[0].gray;
     let cfg = EdgeConfig::default();
 
     // optimized PIM mapping
-    let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
-    let maps = ir::edge_detect(&mut m, gray, &cfg, LowerLevel::Opt);
-    let opt_cycles = m.stats().cycles;
+    let (maps, opt_cycles) = run(LowerLevel::Opt, gray, &cfg);
 
     println!("edge mask ({} edge pixels):", maps.edge_count());
     ascii_render(&maps.mask, 80, 30);
 
     // naive PIM mapping (identical output, more cycles)
-    let mut mn = PimMachine::new(ArrayConfig::qvga_banks(6));
-    let naive = ir::edge_detect(&mut mn, gray, &cfg, LowerLevel::Naive);
+    let (naive, naive_cycles) = run(LowerLevel::Naive, gray, &cfg);
     assert_eq!(naive.mask, maps.mask, "mappings must agree bit-for-bit");
 
     // MCU baseline
@@ -62,8 +68,8 @@ fn main() {
     println!("cycles: PIM optimized {:>10}", opt_cycles);
     println!(
         "        PIM naive     {:>10}  ({:.2}x)",
-        mn.stats().cycles,
-        mn.stats().cycles as f64 / opt_cycles as f64
+        naive_cycles,
+        naive_cycles as f64 / opt_cycles as f64
     );
     println!(
         "        MCU baseline  {:>10}  ({:.0}x slower than PIM)",

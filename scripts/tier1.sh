@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: what every PR must keep green.
 #
-#   fmt check -> one-codec check -> build (release) -> workspace
-#   tests -> fault-feature tests -> clippy (-D warnings) -> rustdoc
-#   (-D warnings) -> IR golden snapshots -> smokes -> bench gates
+#   fmt check -> one-codec check -> one-front-end check -> build
+#   (release) -> workspace tests -> fault-feature tests -> clippy
+#   (-D warnings) -> rustdoc (-D warnings) -> IR golden snapshots ->
+#   smokes -> RESULTS.txt freshness -> bench gates
 #
 # Every step is mandatory. The formatter and clippy gates run the
 # pinned workspace toolchain, so lint results are reproducible.
@@ -28,6 +29,15 @@ one_codec() {
         'crates/**/*.rs' ':!crates/telemetry/src/container.rs'
 }
 step one_codec
+# one kernel front end: edge kernels run only through EdgeKernels and
+# pose batches only through BatchRunner, on a pool (one machine is a
+# pool of one). ir.rs builds programs and never touches a machine, and
+# no bare-machine runner or per-call pass-list twin comes back
+one_front_end() {
+    ! git grep -n -w 'PimMachine' -- crates/kernels/src/ir.rs &&
+        ! git grep -n -E -e 'fn run_batch' -e 'fn .*_with_passes' -- 'crates/**/*.rs'
+}
+step one_front_end
 step cargo build --release
 step cargo test -q --workspace
 # the fault-injection layer is feature-gated off by default; test it
@@ -96,6 +106,15 @@ step cargo run -q --release -p pimvo-bench --bin trace_profile -- --out "$tp_b"
 step cmp "$tp_a/trace_fig9a.bin" "$tp_b/trace_fig9a.bin"
 step cmp "$tp_a/BENCH_profile.json" "$tp_b/BENCH_profile.json"
 step cmp "$tp_a/profile_fig9a.txt" out/profile_fig9a.txt
+# RESULTS.txt stays fresh: exp_all at its default frame count (its
+# BENCH snapshots go to a temp dir) reproduces the committed report
+# byte for byte
+results_fresh() {
+    cargo run -q --release -p pimvo-bench --bin exp_all -- --out "$chaos_out" \
+        > "$chaos_out/RESULTS.txt" 2> "$chaos_out/exp_all.log" &&
+        cmp "$chaos_out/RESULTS.txt" RESULTS.txt
+}
+step results_fresh
 rm -rf "$chaos_out"
 
 # bench regression gate: the headline cycle counts must match the

@@ -3,8 +3,10 @@
 //! (who wins, by roughly what factor). The exact numbers live in
 //! `EXPERIMENTS.md`; these tests keep the shapes from regressing.
 
+use pimvo::core::pim_exec::{BatchOptions, BatchRunner, BATCH};
 use pimvo::core::{extract_features, BackendKind, Keyframe, Tracker, TrackerConfig};
-use pimvo::kernels::{ir, EdgeConfig};
+use pimvo::kernels::pim_pool::EdgeKernels;
+use pimvo::kernels::EdgeConfig;
 use pimvo::mcu::{CostCounter, FloatFeature};
 use pimvo::pim::{ArrayConfig, CostModel, PimMachine};
 use pimvo::scene::{Sequence, SequenceKind};
@@ -26,11 +28,11 @@ fn edge_detection_speedup_shape() {
     let mut counter = CostCounter::new();
     let mcu_maps = pimvo::mcu::edge_detect_counted(&gray, &cfg, &mut counter);
 
-    let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
-    let pim_maps = ir::edge_detect(&mut m, &gray, &cfg, pimvo::pim::LowerLevel::Opt);
+    let mut m = PimMachine::builder(ArrayConfig::qvga_banks(6)).build_pool(1);
+    let pim_maps = EdgeKernels::new().edge_detect(&mut m, &gray, &cfg);
 
     assert_eq!(mcu_maps.mask, pim_maps.mask, "outputs must be identical");
-    let speedup = counter.cycles() as f64 / m.stats().cycles as f64;
+    let speedup = counter.cycles() as f64 / m.merged_stats().cycles as f64;
     assert!(speedup > 40.0, "edge speedup {speedup}");
 }
 
@@ -59,26 +61,20 @@ fn lm_speedup_and_overall_shape() {
     let _ = pimvo::mcu::linearize_counted(&floats, &kf.tables, &cam, &SE3::IDENTITY, &mut counter);
     let mcu_lm = counter.cycles();
 
-    let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
-    let c0 = m.stats().cycles;
-    let _ = ir::edge_detect(&mut m, &gray, &cfg, pimvo::pim::LowerLevel::Opt);
-    let pim_edge = m.stats().cycles - c0;
+    // one array running both stages
+    let mut runner = BatchRunner::new(BatchOptions::default());
+    let _ = EdgeKernels::new().edge_detect(runner.pool_mut(), &gray, &cfg);
+    let pim_edge = runner.pool().merged_stats().cycles;
     let qpose = pimvo::core::QPose::quantize(&SE3::IDENTITY);
     let qfeats: Vec<pimvo::core::QFeature> = features
         .iter()
         .map(pimvo::core::QFeature::quantize)
         .collect();
-    let c1 = m.stats().cycles;
-    let _ = pimvo::core::pim_exec::run_batch(
-        &mut m,
-        5 * 256 + 64,
-        &qfeats[..pimvo::core::pim_exec::BATCH],
-        &qpose,
-        &kf.q_tables,
-        &cam,
-    );
-    let batches = features.len().div_ceil(pimvo::core::pim_exec::BATCH) as u64;
-    let pim_lm = (m.stats().cycles - c1) * batches;
+    runner
+        .submit(&qfeats[..BATCH], &qpose, &kf.q_tables, &cam)
+        .unwrap();
+    let batches = features.len().div_ceil(BATCH) as u64;
+    let pim_lm = (runner.pool().merged_stats().cycles - pim_edge) * batches;
 
     let lm_speedup = mcu_lm as f64 / pim_lm as f64;
     assert!((3.0..15.0).contains(&lm_speedup), "LM speedup {lm_speedup}");
