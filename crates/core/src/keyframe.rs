@@ -68,4 +68,48 @@ mod tests {
         assert_eq!(q.dt[(20 * 64 + 30) as usize], 0);
         assert!(q.dt[(20 * 64 + 35) as usize] >= 4 << 4);
     }
+
+    /// FNV-1a over every table `Keyframe::build` produces, in a fixed
+    /// order: f32 DT, `∂DT/∂u`, `∂DT/∂v` (bit patterns), then the Q12.4
+    /// DT and the Q14.2 gradients.
+    fn tables_digest(kf: &Keyframe) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        for table in [kf.tables.dt.data(), &kf.tables.grad_x, &kf.tables.grad_y] {
+            for v in table {
+                eat(&v.to_bits().to_le_bytes());
+            }
+        }
+        let q = &kf.q_tables;
+        for table in [&q.dt, &q.gx, &q.gy] {
+            for v in table {
+                eat(&v.to_le_bytes());
+            }
+        }
+        h
+    }
+
+    /// The tables built from the first rendered xyz frame's edge mask
+    /// are pinned bit for bit: a faster distance transform, gradient or
+    /// quantization pass must reproduce them exactly.
+    #[test]
+    fn build_tables_are_pinned() {
+        let seq = pimvo_scene::Sequence::generate(pimvo_scene::SequenceKind::Xyz, 1);
+        let maps = pimvo_kernels::scalar::edge_detect(
+            &seq.frames[0].gray,
+            &pimvo_kernels::EdgeConfig::default(),
+        );
+        let kf = Keyframe::build(0, SE3::IDENTITY, maps.mask, &seq.camera);
+        assert!(kf.edge_count() > 1000, "{}", kf.edge_count());
+        assert_eq!(
+            tables_digest(&kf),
+            0xd9ac_8da8_60a4_8218,
+            "digest {:#018x}",
+            tables_digest(&kf)
+        );
+    }
 }

@@ -957,9 +957,10 @@ mod tests {
     use crate::jacobian::jacobian_q;
     use crate::quant::RES_FRAC;
     use crate::warp::project_q;
-    use pimvo_mcu::KeyframeTables;
+    use crate::Keyframe;
+    use pimvo_kernels::GrayImage;
     use pimvo_pim::{ArrayConfig, ExecStats};
-    use pimvo_vomath::{distance_transform, gradient_maps, SE3};
+    use pimvo_vomath::SE3;
 
     fn test_kf(cam: &Pinhole) -> QKeyframe {
         let (w, h) = (320u32, 240u32);
@@ -970,9 +971,7 @@ mod tests {
                 mask[(y * w + x) as usize] = 255;
             }
         }
-        let dt = distance_transform(&mask, w, h);
-        let (grad_x, grad_y) = gradient_maps(&dt);
-        QKeyframe::quantize(&KeyframeTables { dt, grad_x, grad_y }, cam)
+        Keyframe::build(0, SE3::IDENTITY, GrayImage::from_raw(w, h, mask), cam).q_tables
     }
 
     fn test_features(cam: &Pinhole, n: usize) -> Vec<QFeature> {

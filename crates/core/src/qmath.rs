@@ -43,13 +43,21 @@ pub fn sat16(v: i64) -> i64 {
 }
 
 /// Round a float to the nearest fixed-point raw value with `frac`
-/// fractional bits, saturating to `bits` total width.
+/// fractional bits (ties away from zero, as [`f64::round`]),
+/// saturating to `bits` total width. NaN maps to 0.
+///
+/// The bounds are integers, so clamping before rounding gives the same
+/// value as after; the clamped value then rounds by truncation and an
+/// exact remainder test instead of a call to `round`, which the
+/// baseline x86-64 target has no instruction for.
 #[inline]
 pub fn quantize(v: f64, frac: u32, bits: u32) -> i64 {
-    let scaled = (v * (1i64 << frac) as f64).round();
     let max = ((1i64 << (bits - 1)) - 1) as f64;
     let min = -(1i64 << (bits - 1)) as f64;
-    scaled.clamp(min, max) as i64
+    let scaled = (v * (1i64 << frac) as f64).clamp(min, max);
+    let whole = scaled as i64;
+    let rem = scaled - whole as f64;
+    whole + i64::from(rem >= 0.5) - i64::from(rem <= -0.5)
 }
 
 /// Fixed-point raw value back to float.
@@ -85,6 +93,52 @@ mod tests {
         assert_eq!(sat16(40000), 32767);
         assert_eq!(sat16(-40000), -32768);
         assert_eq!(sat16(1234), 1234);
+    }
+
+    /// The rounding `quantize` replaces: `round`, clamp, cast.
+    fn quantize_by_round(v: f64, frac: u32, bits: u32) -> i64 {
+        let scaled = (v * (1i64 << frac) as f64).round();
+        let max = ((1i64 << (bits - 1)) - 1) as f64;
+        let min = -(1i64 << (bits - 1)) as f64;
+        scaled.clamp(min, max) as i64
+    }
+
+    /// Bit-identical to `round`-clamp-cast on ties, values one ulp off
+    /// a tie, the saturation bounds, infinities, NaN and a random sweep.
+    #[test]
+    fn quantize_rounds_like_f64_round() {
+        let mut values = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, 1e300];
+        for k in -70_000i64..70_000 {
+            let tie = k as f64 + 0.5;
+            values.extend([tie, tie.next_up(), tie.next_down(), k as f64]);
+            values.extend([(k as f64).next_up(), (k as f64).next_down()]);
+        }
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..100_000 {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            values.push((s >> 11) as f64 / (1u64 << 53) as f64 * 80_000.0 - 40_000.0);
+        }
+        let formats = [
+            (0, 16),
+            (2, 16),
+            (4, 16),
+            (12, 16),
+            (15, 16),
+            (4, 8),
+            (3, 32),
+        ];
+        for &v in &values {
+            for (frac, bits) in formats {
+                let scaled_back = v / (1i64 << frac) as f64;
+                assert_eq!(
+                    quantize(scaled_back, frac, bits),
+                    quantize_by_round(scaled_back, frac, bits),
+                    "{v} at Q.{frac} in {bits} bits"
+                );
+            }
+        }
     }
 
     #[test]

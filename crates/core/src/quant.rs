@@ -160,26 +160,14 @@ pub struct QKeyframe {
 impl QKeyframe {
     /// Quantizes keyframe tables for the camera `cam`.
     pub fn quantize(tables: &KeyframeTables, cam: &Pinhole) -> QKeyframe {
-        let w = tables.dt.width();
-        let h = tables.dt.height();
-        let n = (w * h) as usize;
-        let mut dt = Vec::with_capacity(n);
-        let mut gx = Vec::with_capacity(n);
-        let mut gy = Vec::with_capacity(n);
-        for y in 0..h {
-            for x in 0..w {
-                let idx = (y * w + x) as usize;
-                dt.push(quantize(tables.dt.get(x, y) as f64, RES_FRAC, 16) as i16);
-                gx.push(quantize(cam.f * tables.grad_x[idx] as f64, GRAD_FRAC, 16) as i16);
-                gy.push(quantize(cam.f * tables.grad_y[idx] as f64, GRAD_FRAC, 16) as i16);
-            }
-        }
+        let dist = |d: &f32| quantize(*d as f64, RES_FRAC, 16) as i16;
+        let grad = |g: &f32| quantize(cam.f * *g as f64, GRAD_FRAC, 16) as i16;
         QKeyframe {
-            width: w,
-            height: h,
-            dt,
-            gx,
-            gy,
+            width: tables.dt.width(),
+            height: tables.dt.height(),
+            dt: tables.dt.data().iter().map(dist).collect(),
+            gx: tables.grad_x.iter().map(grad).collect(),
+            gy: tables.grad_y.iter().map(grad).collect(),
         }
     }
 
@@ -233,7 +221,8 @@ impl QKeyframe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pimvo_vomath::{distance_transform, gradient_maps};
+    use crate::Keyframe;
+    use pimvo_kernels::GrayImage;
 
     #[test]
     fn qfeature_roundtrip_within_lsb() {
@@ -261,10 +250,7 @@ mod tests {
         let (w, h) = (32u32, 24u32);
         let mut mask = vec![0u8; (w * h) as usize];
         mask[(12 * w + 16) as usize] = 255;
-        let dt = distance_transform(&mask, w, h);
-        let (grad_x, grad_y) = gradient_maps(&dt);
-        let tables = KeyframeTables { dt, grad_x, grad_y };
-        let qk = QKeyframe::quantize(&tables, &cam);
+        let qk = Keyframe::build(0, SE3::IDENTITY, GrayImage::from_raw(w, h, mask), &cam).q_tables;
         // at the site: zero residual
         let (r, _, _) = qk
             .lookup_q(16 << PIX_FRAC, 12 << PIX_FRAC)
@@ -287,9 +273,7 @@ mod tests {
         let (w, h) = (8u32, 8u32);
         let mut mask = vec![0u8; 64];
         mask[0] = 255;
-        let dt = distance_transform(&mask, w, h);
-        let (grad_x, grad_y) = gradient_maps(&dt);
-        let qk = QKeyframe::quantize(&KeyframeTables { dt, grad_x, grad_y }, &cam);
+        let qk = Keyframe::build(0, SE3::IDENTITY, GrayImage::from_raw(w, h, mask), &cam).q_tables;
         // along row 0 the DT is the distance to (0,0): at u = 2.5 px the
         // bilinear residual is 2.5 (Q12.4 raw 40)
         let u25 = (2 << PIX_FRAC) + (1 << (PIX_FRAC - 1));

@@ -6,10 +6,10 @@
 //! conserved exactly.
 
 use pimvo_core::pim_exec::{BatchMapping, BatchOptions, BatchOutput, BatchRunner, BATCH};
-use pimvo_core::{Feature, Interp, QFeature, QKeyframe, QPose};
-use pimvo_mcu::KeyframeTables;
+use pimvo_core::{Feature, Interp, Keyframe, QFeature, QKeyframe, QPose};
+use pimvo_kernels::GrayImage;
 use pimvo_pim::ExecStats;
-use pimvo_vomath::{distance_transform, gradient_maps, Pinhole, SE3};
+use pimvo_vomath::{Pinhole, SE3};
 use proptest::prelude::*;
 
 fn test_kf(cam: &Pinhole) -> QKeyframe {
@@ -20,9 +20,7 @@ fn test_kf(cam: &Pinhole) -> QKeyframe {
             mask[(y * w + x) as usize] = 255;
         }
     }
-    let dt = distance_transform(&mask, w, h);
-    let (grad_x, grad_y) = gradient_maps(&dt);
-    QKeyframe::quantize(&KeyframeTables { dt, grad_x, grad_y }, cam)
+    Keyframe::build(0, SE3::IDENTITY, GrayImage::from_raw(w, h, mask), cam).q_tables
 }
 
 fn features(cam: &Pinhole, n: usize, seed: u64) -> Vec<QFeature> {

@@ -1,10 +1,10 @@
 //! Property tests of the quantized pose-estimation pipeline.
 
 use pimvo_core::pim_exec::{BatchOptions, BatchRunner, BATCH};
-use pimvo_core::{jacobian_float, jacobian_q, Feature, QCamera, QFeature, QKeyframe, QPose};
+use pimvo_core::{jacobian_float, jacobian_q, Feature, Keyframe, QCamera, QFeature, QPose};
 use pimvo_core::{linearize_q, project_q, warp_float, Interp, QNormalEquations};
-use pimvo_mcu::KeyframeTables;
-use pimvo_vomath::{distance_transform, gradient_maps, Pinhole, SE3};
+use pimvo_kernels::GrayImage;
+use pimvo_vomath::{Pinhole, SE3};
 use proptest::prelude::*;
 
 fn small_pose(t: [f64; 3], w: [f64; 3]) -> SE3 {
@@ -122,9 +122,7 @@ proptest! {
         for i in (seed as usize % 13..mask.len()).step_by(41) {
             mask[i] = 255;
         }
-        let dt = distance_transform(&mask, w, h);
-        let (gx, gy) = gradient_maps(&dt);
-        let kf = QKeyframe::quantize(&KeyframeTables { dt, grad_x: gx, grad_y: gy }, &cam);
+        let kf = Keyframe::build(0, SE3::IDENTITY, GrayImage::from_raw(w, h, mask), &cam).q_tables;
         let pose = QPose::quantize(&small_pose([tx, 0.01, -0.02], [0.0, wy, 0.005]));
         let feats: Vec<QFeature> = (0..BATCH)
             .map(|i| {
@@ -173,9 +171,7 @@ proptest! {
         for i in ((seed as usize % stride)..mask.len()).step_by(stride * 13) {
             mask[i] = 255;
         }
-        let dt = distance_transform(&mask, mw, mh);
-        let (gx, gy) = gradient_maps(&dt);
-        let kf = QKeyframe::quantize(&KeyframeTables { dt, grad_x: gx, grad_y: gy }, &cam);
+        let kf = Keyframe::build(0, SE3::IDENTITY, GrayImage::from_raw(mw, mh, mask), &cam).q_tables;
         let pose = QPose::quantize(&small_pose(t, w));
         let qcam = QCamera::quantize(&cam);
         let interp = if nearest { Interp::Nearest } else { Interp::Bilinear };

@@ -4,10 +4,10 @@
 //! fault burst.
 
 use pimvo_core::pim_exec::{BatchOptions, BatchOutput, BatchRunner, BATCH};
-use pimvo_core::{Feature, QFeature, QKeyframe, QPose};
-use pimvo_mcu::KeyframeTables;
+use pimvo_core::{Feature, Keyframe, QFeature, QKeyframe, QPose};
+use pimvo_kernels::GrayImage;
 use pimvo_pim::{ArrayConfig, PimMachine, Protection};
-use pimvo_vomath::{distance_transform, gradient_maps, Pinhole, SE3};
+use pimvo_vomath::{Pinhole, SE3};
 use proptest::prelude::*;
 
 fn test_kf(cam: &Pinhole) -> QKeyframe {
@@ -18,9 +18,7 @@ fn test_kf(cam: &Pinhole) -> QKeyframe {
             mask[(y * w + x) as usize] = 255;
         }
     }
-    let dt = distance_transform(&mask, w, h);
-    let (grad_x, grad_y) = gradient_maps(&dt);
-    QKeyframe::quantize(&KeyframeTables { dt, grad_x, grad_y }, cam)
+    Keyframe::build(0, SE3::IDENTITY, GrayImage::from_raw(w, h, mask), cam).q_tables
 }
 
 fn features(cam: &Pinhole, n: usize, seed: u64) -> Vec<QFeature> {

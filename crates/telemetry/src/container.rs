@@ -85,8 +85,12 @@ impl From<std::io::Error> for ContainerError {
 
 // ---------------------------------------------------------------- CRC32
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the bytewise table of the
+/// reflected polynomial `0xEDB88320`, and `CRC_TABLES[k][b]` advances
+/// `CRC_TABLES[k - 1][b]` by one more zero byte, so a byte followed by
+/// `k` bytes folds in with one lookup.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         let mut c = i as u32;
@@ -95,20 +99,45 @@ const CRC_TABLE: [u32; 256] = {
             c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1usize;
+    while k < 8 {
+        let mut i = 0usize;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE 802.3, reflected) of the data whose CRC is `crc` (0
 /// for none) followed by `bytes`, as zlib's `crc32(crc, buf)`: feeding
 /// bytes in pieces, `crc32(crc32(0, a), b)`, equals the one-shot
-/// `crc32(0, a ++ b)`.
+/// `crc32(0, a ++ b)`. Eight bytes fold in per step (slicing-by-8),
+/// the tail one at a time.
 pub fn crc32(crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !crc;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let lo = c ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -335,6 +364,54 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bytewise table loop: one lookup per byte, the reference the
+    /// slicing-by-8 [`crc32`] must match.
+    fn crc32_bytewise(crc: u32, bytes: &[u8]) -> u32 {
+        let mut c = !crc;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_is_the_ieee_checksum_and_chains() {
+        // the standard CRC-32/IEEE check value
+        assert_eq!(crc32(0, b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(0, b""), 0);
+        assert_eq!(crc32(crc32(0, b"1234"), b"56789"), 0xCBF4_3926);
+        assert_eq!(crc32(crc32(0, b""), b"123456789"), 0xCBF4_3926);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// For every length 0..=1024, random bytes: the sliced CRC
+        /// equals the bytewise loop, from a random running CRC too, and
+        /// feeding the bytes in two pieces split anywhere equals one
+        /// pass.
+        #[test]
+        fn crc32_matches_the_bytewise_loop(seed in any::<u64>(), running in any::<u32>()) {
+            let mut s = seed | 1;
+            let mut next = || {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s
+            };
+            for len in 0..=1024usize {
+                let bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+                let whole = crc32(0, &bytes);
+                prop_assert_eq!(whole, crc32_bytewise(0, &bytes), "length {}", len);
+                prop_assert_eq!(crc32(running, &bytes), crc32_bytewise(running, &bytes));
+                let split = next() as usize % (len + 1);
+                let (a, b) = bytes.split_at(split);
+                prop_assert_eq!(crc32(crc32(0, a), b), whole, "length {} split {}", len, split);
+            }
+        }
+    }
 
     #[test]
     fn version_is_checked_before_length_and_crc() {

@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 
 //! Visual-odometry math substrate: small fixed-size linear algebra,
-//! SO(3)/SE(3) Lie groups, the pinhole camera model, the Felzenszwalb
+//! SO(3)/SE(3) Lie groups, the pinhole camera model, an exact clamped
 //! distance transform, a 6x6 symmetric solver and a Levenberg-Marquardt
 //! driver.
 //!
