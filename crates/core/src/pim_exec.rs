@@ -715,15 +715,13 @@ pub(crate) fn exec_batch(
 
     // ---- host setup (I/O, not compute) --------------------------------
     m.set_lanes(LaneWidth::W32, Signedness::Signed);
-    let av: Vec<i64> = feats.iter().map(|f| f.a as i64).collect();
-    let bv: Vec<i64> = feats.iter().map(|f| f.b as i64).collect();
-    let cv: Vec<i64> = feats.iter().map(|f| f.c as i64).collect();
-    m.host_write_lanes(rows.r(PoseRows::A), &av)
-        .expect("host I/O row in range");
-    m.host_write_lanes(rows.r(PoseRows::B), &bv)
-        .expect("host I/O row in range");
-    m.host_write_lanes(rows.r(PoseRows::C), &cv)
-        .expect("host I/O row in range");
+    let write_field = |m: &mut PimMachine, row: usize, field: fn(&QFeature) -> i32| {
+        m.host_write_lanes_iter(rows.r(row), feats.iter().map(|f| i64::from(field(f))))
+            .expect("host I/O row in range");
+    };
+    write_field(m, PoseRows::A, |f| f.a);
+    write_field(m, PoseRows::B, |f| f.b);
+    write_field(m, PoseRows::C, |f| f.c);
     m.host_broadcast(rows.r(PoseRows::ONE), 1 << ff)
         .expect("host I/O row in range");
     for (k, &r) in pose.r.iter().enumerate() {
@@ -758,18 +756,21 @@ pub(crate) fn exec_batch(
         let _ = run(m, frac);
     }
 
-    let read =
-        |m: &mut PimMachine, row: usize| m.host_read_lanes(row).expect("host I/O row in range");
-    let u_raw = read(m, rows.r(PoseRows::U));
-    let v_raw = read(m, rows.r(PoseRows::V));
-    let zmask = read(m, rows.r(PoseRows::ZMASK));
+    // every row read lands in one lane buffer, sized for W16 rows (the
+    // widest lane count read here)
+    let mut lanes = Vec::with_capacity(m.config().row_bytes() / 2);
+    let read = |m: &mut PimMachine, row: usize, lanes: &mut Vec<i64>| {
+        m.host_read_lanes_into(row, lanes)
+            .expect("host I/O row in range");
+    };
+    read(m, rows.r(PoseRows::U), &mut lanes);
+    let u_raw = lanes[..n].to_vec();
+    read(m, rows.r(PoseRows::V), &mut lanes);
+    let v_raw = lanes[..n].to_vec();
+    read(m, rows.r(PoseRows::ZMASK), &mut lanes);
+    let zmask = &lanes;
     let mut valid = vec![false; n];
-    let mut d00 = vec![0i64; n];
-    let mut d10 = vec![0i64; n];
-    let mut d01 = vec![0i64; n];
-    let mut d11 = vec![0i64; n];
-    let mut gu = vec![0i64; n];
-    let mut gv = vec![0i64; n];
+    let [mut d00, mut d10, mut d01, mut d11, mut gu, mut gv] = [[0i64; BATCH]; 6];
     for i in 0..n {
         let in_front = zmask[i] != 0;
         match interp {
@@ -813,22 +814,22 @@ pub(crate) fn exec_batch(
     // interleaved gradients); nearest: two (DT + gradients)
     charge_gather(m, n, if interp == Interp::Bilinear { 3 } else { 2 });
     m.set_lanes(LaneWidth::W32, Signedness::Signed);
-    m.host_write_lanes(rows.r(PoseRows::D00), &d00)
-        .expect("host I/O row in range");
-    m.host_write_lanes(rows.r(PoseRows::D10), &d10)
-        .expect("host I/O row in range");
-    m.host_write_lanes(rows.r(PoseRows::D01), &d01)
-        .expect("host I/O row in range");
-    m.host_write_lanes(rows.r(PoseRows::D11), &d11)
-        .expect("host I/O row in range");
-    m.host_write_lanes(rows.r(PoseRows::GU), &gu)
-        .expect("host I/O row in range");
-    m.host_write_lanes(rows.r(PoseRows::GV), &gv)
-        .expect("host I/O row in range");
+    let gathered = [
+        (PoseRows::D00, &d00),
+        (PoseRows::D10, &d10),
+        (PoseRows::D01, &d01),
+        (PoseRows::D11, &d11),
+        (PoseRows::GU, &gu),
+        (PoseRows::GV, &gv),
+    ];
+    for (row, values) in gathered {
+        m.host_write_lanes(rows.r(row), &values[..n])
+            .expect("host I/O row in range");
+    }
 
     if interp == Interp::Nearest {
         // the gathered values are the residuals; place them in RES
-        m.host_write_lanes(rows.r(PoseRows::RES), &d00)
+        m.host_write_lanes(rows.r(PoseRows::RES), &d00[..n])
             .expect("host I/O row in range");
     }
 
@@ -850,14 +851,14 @@ pub(crate) fn exec_batch(
     let mut jacobians = vec![[0i64; 6]; n];
     #[allow(clippy::needless_range_loop)] // k indexes both a machine row and a column
     for k in 0..6 {
-        let lane_vals = read(m, rows.r(PoseRows::J0) + k);
+        read(m, rows.r(PoseRows::J0) + k, &mut lanes);
         for (i, jac) in jacobians.iter_mut().enumerate() {
-            jac[k] = if valid[i] { lane_vals[2 * i] } else { 0 };
+            jac[k] = if valid[i] { lanes[2 * i] } else { 0 };
         }
     }
-    let res_lanes = read(m, rows.r(PoseRows::RES));
+    read(m, rows.r(PoseRows::RES), &mut lanes);
     let residuals: Vec<i64> = (0..n)
-        .map(|i| if valid[i] { res_lanes[2 * i] } else { 0 })
+        .map(|i| if valid[i] { lanes[2 * i] } else { 0 })
         .collect();
     m.set_lanes(LaneWidth::W32, Signedness::Signed);
     // the map-validity masking above covers Z; the gather stage already
@@ -892,8 +893,8 @@ pub(crate) fn exec_batch(
     }
 
     BatchOutput {
-        u_raw: u_raw[..n].to_vec(),
-        v_raw: v_raw[..n].to_vec(),
+        u_raw,
+        v_raw,
         jacobians,
         residuals,
         valid,
@@ -922,8 +923,8 @@ pub fn fold_batch(eq: &mut QNormalEquations, out: &BatchOutput) {
 fn charge_gather(m: &mut PimMachine, lanes: usize, tables: usize) {
     // issue a real gather against row 0 to keep the accounting inside
     // the machine's stats (values are discarded)
-    let addrs: Vec<(usize, usize)> = (0..lanes * tables).map(|_| (0usize, 0usize)).collect();
-    m.gather(&addrs).expect("row 0 in range");
+    let addrs = [(0usize, 0usize); 3 * BATCH];
+    m.gather(&addrs[..lanes * tables]).expect("row 0 in range");
 }
 
 /// Charges the naive-schedule costs the [`LowerLevel::Naive`] lowering

@@ -122,6 +122,14 @@ impl GrayImage {
         &self.data[y as usize * w..(y as usize + 1) * w]
     }
 
+    /// One image row as a mutable slice.
+    #[inline]
+    pub fn row_mut(&mut self, y: u32) -> &mut [u8] {
+        assert!(y < self.height, "row out of bounds");
+        let w = self.width as usize;
+        &mut self.data[y as usize * w..(y as usize + 1) * w]
+    }
+
     /// Clears a `margin`-pixel border to zero (the valid-region policy
     /// shared by all kernel implementations).
     pub fn clear_border(&mut self, margin: u32) {

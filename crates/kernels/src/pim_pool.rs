@@ -83,23 +83,28 @@ impl EdgeKey {
 }
 
 /// The four lowered strip program sets of one key, one program per
-/// pool array in each.
+/// pool array in each, and the strips they cover.
 #[derive(Debug, Clone)]
 struct EdgeSet {
     key: EdgeKey,
+    strips: Vec<(i64, i64)>,
     lpf_pass1: Vec<Arc<LoweredProgram>>,
     lpf_pass2: Vec<Arc<LoweredProgram>>,
     hpf: Vec<Arc<LoweredProgram>>,
     nms: Vec<Arc<LoweredProgram>>,
 }
 
-/// The array phases of the pipeline, in order.
+/// The array phases of the pipeline, in order; a phase's discriminant
+/// indexes [`PhaseMaps`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Lpf,
     Hpf,
     Nms,
 }
+
+/// The output map of each phase a run executed, indexed by [`Phase`].
+type PhaseMaps = [Option<GrayImage>; 3];
 
 impl Phase {
     /// The region the phase reads.
@@ -138,7 +143,9 @@ impl Phase {
 /// length, array geometry, image width and height, ghost-mask row — on
 /// every call: a caller whose pool was swapped for another geometry or
 /// length (as a serving fleet does per frame) gets its set
-/// re-resolved, never a stale one. A warm call makes no cache lookup.
+/// re-resolved, never a stale one. A warm call makes no cache lookup,
+/// and its host row transfers go through one lane buffer held here, so
+/// on a pool of one it allocates nothing but the maps it returns.
 ///
 /// ```
 /// use pimvo_kernels::pim_pool::EdgeKernels;
@@ -160,6 +167,8 @@ pub struct EdgeKernels {
     level: LowerLevel,
     passes: Option<Vec<Pass>>,
     sets: Vec<EdgeSet>,
+    /// Lane buffer of the host row reads, reused across calls.
+    lanes: Vec<i64>,
 }
 
 impl Default for EdgeKernels {
@@ -182,6 +191,7 @@ impl EdgeKernels {
             level,
             passes: None,
             sets: Vec::new(),
+            lanes: Vec::new(),
         }
     }
 
@@ -268,6 +278,7 @@ impl EdgeKernels {
             hpf: lower(&|y0, y1| hpf_program(&r, r.aux2, r.aux3, h, mask, y0, y1)),
             nms: lower(&|y0, y1| nms_program(&r, r.aux3, r.out, h, mask, y0, y1)),
             key,
+            strips,
         }
     }
 
@@ -278,9 +289,30 @@ impl EdgeKernels {
         src: &GrayImage,
         phases: &[Phase],
         cfg: Option<&EdgeConfig>,
-    ) -> Vec<GrayImage> {
+    ) -> PhaseMaps {
         let i = self.resolve(pool, src.width(), src.height());
-        run_phases(pool, &self.sets[i], src, phases, cfg, false, None)
+        run_phases(
+            pool,
+            &self.sets[i],
+            &mut self.lanes,
+            src,
+            phases,
+            cfg,
+            false,
+            None,
+        )
+    }
+
+    /// Runs the single `phase` and returns its map.
+    fn run_one(
+        &mut self,
+        pool: &mut PimArrayPool,
+        src: &GrayImage,
+        phase: Phase,
+        cfg: Option<&EdgeConfig>,
+    ) -> GrayImage {
+        let mut maps = self.run(pool, src, &[phase], cfg);
+        maps[phase as usize].take().expect("the phase ran")
     }
 
     /// Runs the full pipeline (LPF → HPF → NMS) sharded across the
@@ -307,7 +339,7 @@ impl EdgeKernels {
     ///
     /// As [`EdgeKernels::edge_detect`].
     pub fn lpf(&mut self, pool: &mut PimArrayPool, img: &GrayImage) -> GrayImage {
-        self.run(pool, img, &[Phase::Lpf], None).remove(0)
+        self.run_one(pool, img, Phase::Lpf, None)
     }
 
     /// Runs only the HPF on a low-pass map.
@@ -316,7 +348,7 @@ impl EdgeKernels {
     ///
     /// As [`EdgeKernels::edge_detect`].
     pub fn hpf(&mut self, pool: &mut PimArrayPool, lpf_map: &GrayImage) -> GrayImage {
-        self.run(pool, lpf_map, &[Phase::Hpf], None).remove(0)
+        self.run_one(pool, lpf_map, Phase::Hpf, None)
     }
 
     /// Runs only the NMS on a high-pass map.
@@ -330,7 +362,7 @@ impl EdgeKernels {
         hpf_map: &GrayImage,
         cfg: &EdgeConfig,
     ) -> GrayImage {
-        self.run(pool, hpf_map, &[Phase::Nms], Some(cfg)).remove(0)
+        self.run_one(pool, hpf_map, Phase::Nms, Some(cfg))
     }
 
     /// Downsamples by 2; the lane decimation is a host-side repack.
@@ -364,11 +396,11 @@ impl EdgeKernels {
             let m = pool.array_mut(i);
             m.set_lanes(LaneWidth::W8, Signedness::Unsigned);
             for oy in oy0..oy1 {
-                let lanes = m
-                    .host_read_lanes(r.aux1 + oy as usize)
+                m.host_read_lanes_into(r.aux1 + oy as usize, &mut self.lanes)
                     .expect("host I/O row in range");
-                for ox in 0..w {
-                    out.set(ox, oy as u32, lanes[(2 * ox) as usize] as u8);
+                let even = self.lanes.iter().step_by(2);
+                for (px, &v) in out.row_mut(oy as u32).iter_mut().zip(even) {
+                    *px = v as u8;
                 }
             }
         }
@@ -412,6 +444,7 @@ impl EdgeKernels {
             let maps = run_phases(
                 pool,
                 &self.sets[i],
+                &mut self.lanes,
                 img,
                 &PIPELINE,
                 Some(cfg),
@@ -429,8 +462,8 @@ impl EdgeKernels {
 const PIPELINE: [Phase; 3] = [Phase::Lpf, Phase::Hpf, Phase::Nms];
 
 /// The three maps of a full pipeline run.
-fn into_maps(maps: Vec<GrayImage>) -> EdgeMaps {
-    let [lpf, hpf, mask]: [GrayImage; 3] = maps.try_into().expect("one map per phase");
+fn into_maps(maps: PhaseMaps) -> EdgeMaps {
+    let [lpf, hpf, mask] = maps.map(|m| m.expect("one map per phase"));
     EdgeMaps { lpf, hpf, mask }
 }
 
@@ -447,19 +480,22 @@ fn submit(pool: &mut PimArrayPool, label: &str, programs: &[Arc<LoweredProgram>]
 /// and border and must be given when `phases` includes NMS. With
 /// `preloaded` the input strips are already resident (a prior frame
 /// prefetched them); with `next` the following frame's strips are
-/// prefetched right after LPF pass 1 frees the input bank.
+/// prefetched right after LPF pass 1 frees the input bank. `lanes` is
+/// the lane buffer of every host row read.
+#[allow(clippy::too_many_arguments)] // one private call shape shared by two entry points
 fn run_phases(
     pool: &mut PimArrayPool,
     set: &EdgeSet,
+    lanes: &mut Vec<i64>,
     src: &GrayImage,
     phases: &[Phase],
     cfg: Option<&EdgeConfig>,
     preloaded: bool,
     next: Option<&GrayImage>,
-) -> Vec<GrayImage> {
+) -> PhaseMaps {
     let r = Regions::for_machine(pool.array(0), src.height());
     let (w, h) = (src.width(), src.height());
-    let strips = partition_rows(h, pool.len());
+    let strips = &set.strips[..];
     let first = phases[0];
 
     // host setup per array: padding/threshold rows, ghost mask, and the
@@ -487,10 +523,10 @@ fn run_phases(
         }
     }
 
-    let mut maps = Vec::with_capacity(phases.len());
+    let mut maps = PhaseMaps::default();
     for (k, &phase) in phases.iter().enumerate() {
         if k > 0 {
-            exchange_boundary_rows(pool, &strips, phase.src(&r), h, true, true);
+            exchange_boundary_rows(pool, strips, lanes, phase.src(&r), h, true, true);
         }
         match phase {
             Phase::Lpf => {
@@ -505,17 +541,17 @@ fn run_phases(
                         }
                     }
                 }
-                exchange_boundary_rows(pool, &strips, r.aux1, h, true, false);
+                exchange_boundary_rows(pool, strips, lanes, r.aux1, h, true, false);
                 submit(pool, "lpf_pass2", &set.lpf_pass2);
             }
             Phase::Hpf => submit(pool, "hpf", &set.hpf),
             Phase::Nms => submit(pool, "nms", &set.nms),
         }
-        let mut map = collect_image(pool, &strips, phase.dst(&r), w, h);
+        let mut map = collect_image(pool, strips, lanes, phase.dst(&r), w, h);
         if phase == Phase::Nms {
             map.clear_border(cfg.expect("NMS needs its thresholds").border);
         }
-        maps.push(map);
+        maps[phase as usize] = Some(map);
     }
     maps
 }
@@ -528,6 +564,7 @@ fn run_phases(
 fn exchange_boundary_rows(
     pool: &mut PimArrayPool,
     strips: &[(i64, i64)],
+    lanes: &mut Vec<i64>,
     base: usize,
     h: u32,
     above: bool,
@@ -538,14 +575,9 @@ fn exchange_boundary_rows(
         if y0 >= y1 {
             continue; // empty strip
         }
-        let mut wanted: Vec<i64> = Vec::new();
-        if above && y0 > 0 {
-            wanted.push(y0 - 1);
-        }
-        if below && (y1 as u32) < h {
-            wanted.push(y1);
-        }
-        for y in wanted {
+        let up = (above && y0 > 0).then_some(y0 - 1);
+        let down = (below && (y1 as u32) < h).then_some(y1);
+        for y in up.into_iter().chain(down) {
             // find the array whose strip produced row y
             let owner = strips
                 .iter()
@@ -557,19 +589,21 @@ fn exchange_boundary_rows(
             let row = base + y as usize;
             let src = pool.array_mut(owner);
             src.set_lanes(LaneWidth::W8, Signedness::Unsigned);
-            let lanes = src.host_read_lanes(row).expect("host I/O row in range");
+            src.host_read_lanes_into(row, lanes)
+                .expect("host I/O row in range");
             pool.array_mut(i)
-                .host_write_lanes(row, &lanes)
+                .host_write_lanes(row, lanes)
                 .expect("host I/O row in range");
         }
     }
 }
 
 /// Assembles the output map by host-reading each strip from the array
-/// that computed it.
+/// that computed it, row by row through the `lanes` buffer.
 fn collect_image(
     pool: &mut PimArrayPool,
     strips: &[(i64, i64)],
+    lanes: &mut Vec<i64>,
     base: usize,
     width: u32,
     h: u32,
@@ -579,11 +613,10 @@ fn collect_image(
         let m = pool.array_mut(i);
         m.set_lanes(LaneWidth::W8, Signedness::Unsigned);
         for y in y0..y1 {
-            let lanes = m
-                .host_read_lanes(base + y as usize)
+            m.host_read_lanes_into(base + y as usize, lanes)
                 .expect("host I/O row in range");
-            for x in 0..width {
-                out.set(x, y as u32, lanes[x as usize] as u8);
+            for (px, &v) in out.row_mut(y as u32).iter_mut().zip(lanes.iter()) {
+                *px = v as u8;
             }
         }
     }

@@ -99,8 +99,8 @@ pub fn load_image_rows(
     );
     assert!(y1 <= img.height(), "strip {y0}..{y1} exceeds image height");
     for y in y0..y1 {
-        let lanes: Vec<i64> = img.row(y).iter().map(|&p| p as i64).collect();
-        m.host_write_lanes(base + y as usize, &lanes)
+        let lanes = img.row(y).iter().map(|&p| i64::from(p));
+        m.host_write_lanes_iter(base + y as usize, lanes)
             .expect("host I/O row in range");
     }
     w
@@ -158,10 +158,8 @@ pub use crate::config::row_or_zero;
 pub fn ghost_mask(m: &mut PimMachine, regions: &Regions, width: usize) -> Option<usize> {
     m.set_lanes(LaneWidth::W8, Signedness::Unsigned);
     let row = ghost_mask_row(m.config(), regions, width)?;
-    let vals: Vec<i64> = (0..m.lanes())
-        .map(|i| if i < width { 0xFF } else { 0 })
-        .collect();
-    m.host_write_lanes(row, &vals)
+    let vals = (0..m.lanes()).map(|i| if i < width { 0xFF } else { 0 });
+    m.host_write_lanes_iter(row, vals)
         .expect("host I/O row in range");
     Some(row)
 }

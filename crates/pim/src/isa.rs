@@ -174,6 +174,27 @@ pub enum OpClass {
     Gather,
 }
 
+impl OpClass {
+    /// Every class, in declaration (and `Ord`) order; a class's index
+    /// here is its discriminant.
+    pub const ALL: [OpClass; 14] = [
+        OpClass::Logic,
+        OpClass::AddSub,
+        OpClass::SatAddSub,
+        OpClass::Avg,
+        OpClass::AbsDiff,
+        OpClass::MinMax,
+        OpClass::Shift,
+        OpClass::Cmp,
+        OpClass::Select,
+        OpClass::Mul,
+        OpClass::Div,
+        OpClass::WriteBack,
+        OpClass::Reduce,
+        OpClass::Gather,
+    ];
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

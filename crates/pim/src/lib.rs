@@ -129,4 +129,4 @@ pub use lower::{
 pub use machine::{PimError, PimMachine, PimMachineBuilder};
 pub use optrace::{OpRecorder, DEFAULT_OP_RING_CAPACITY};
 pub use pool::{PimArrayPool, PoolHealth, RetryPolicy, ScrubConfig, SessionId};
-pub use stats::{EnergyBreakdown, ExecStats, MemAccessBreakdown};
+pub use stats::{EnergyBreakdown, ExecStats, MemAccessBreakdown, OpHistogram};

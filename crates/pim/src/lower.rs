@@ -275,7 +275,7 @@ pub struct LoweredOp {
 
 impl MachineInstr {
     /// Whether the instruction leaves a new value in the Tmp Reg.
-    pub(crate) fn writes_tmp(&self) -> bool {
+    pub fn writes_tmp(&self) -> bool {
         !matches!(
             self,
             MachineInstr::SetLanes { .. } | MachineInstr::Writeback { .. }

@@ -796,6 +796,24 @@ impl PimMachine {
     /// [`PimError::TooManyLanes`] when `values` exceeds the lane count —
     /// the same contract as [`PimMachine::host_write_bytes`].
     pub fn host_write_lanes(&mut self, row: usize, values: &[i64]) -> Result<(), PimError> {
+        self.host_write_lanes_iter(row, values.iter().copied())
+    }
+
+    /// Writes lane values drawn from an iterator, exactly as
+    /// [`PimMachine::host_write_lanes`] writes a slice of them: the
+    /// values are encoded straight into the row's cells, so a caller
+    /// converting pixels or feature fields on the fly stages nothing
+    /// and allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`PimMachine::host_write_lanes`].
+    pub fn host_write_lanes_iter<I>(&mut self, row: usize, values: I) -> Result<(), PimError>
+    where
+        I: IntoIterator<Item = i64>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let values = values.into_iter();
         let lanes = self.lanes();
         if values.len() > lanes {
             return Err(PimError::TooManyLanes {
@@ -803,7 +821,7 @@ impl PimMachine {
                 lanes,
             });
         }
-        self.host_write_encoded(row, values.iter().copied())
+        self.host_write_encoded(row, values)
     }
 
     /// Fills every lane of a row with a constant (threshold rows etc.).
@@ -843,10 +861,24 @@ impl PimMachine {
     ///
     /// Returns [`PimError::RowOutOfRange`] for a bad row index.
     pub fn host_read_lanes(&mut self, row: usize) -> Result<Vec<i64>, PimError> {
+        let mut vals = Vec::new();
+        self.host_read_lanes_into(row, &mut vals)?;
+        Ok(vals)
+    }
+
+    /// Reads a row's lane values into `out`, replacing its contents,
+    /// with the same faults, transfer charge and records as
+    /// [`PimMachine::host_read_lanes`]. Once `out` has room for a row's
+    /// lanes, a read on an inert machine allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PimError::RowOutOfRange`] for a bad row index; `out`
+    /// is left untouched then.
+    pub fn host_read_lanes_into(&mut self, row: usize, out: &mut Vec<i64>) -> Result<(), PimError> {
         self.check_row(row)?;
         let lanes = self.lanes() as u32;
-        let mut vals = Vec::new();
-        self.read_row(row, true, &mut vals);
+        self.read_row(row, true, out);
         // the row's cells are the outbound descriptor's wire image (the
         // channel reads the burst buffer at issue; the host sees the
         // values now, the port pays for them on its own clock)
@@ -854,7 +886,7 @@ impl PimMachine {
         let cells = std::mem::take(&mut self.rows[phys]);
         self.host_transfer(TransferKind::StripOut, row as u32, &cells, lanes);
         self.rows[phys] = cells;
-        Ok(vals)
+        Ok(())
     }
 
     /// Inspects the Tmp Reg lane values (no cost: debugging/verification
@@ -1276,32 +1308,6 @@ impl PimMachine {
         Ok(())
     }
 
-    /// Signed division (truncating toward zero), with the same 5-cycle
-    /// sign pre/post processing as [`PimMachine::mul_signed`]. Lanes
-    /// dividing by zero yield the saturated maximum with the dividend's
-    /// sign.
-    ///
-    /// # Errors
-    ///
-    /// Propagates operand errors (see [`PimMachine::alu`]).
-    pub fn div_signed(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
-        let n = self.width.bits();
-        self.binop(OpClass::Div, a, b, 0, n, move |x: i64, y| {
-            if y == 0 {
-                if x >= 0 {
-                    (1i64 << (n - 1)) - 1
-                } else {
-                    -(1i64 << (n - 1))
-                }
-            } else {
-                wrap(x / y, n, Signedness::Signed)
-            }
-        })?;
-        self.tmp_bits = n;
-        self.charge_tmp_steps((n - 1) as u64 + 1 + 5);
-        Ok(())
-    }
-
     /// Fractional-quotient unsigned division: `(a << frac) / b`, i.e.
     /// the restoring divider of Fig. 7-d continued for `frac` extra
     /// steps to produce fractional quotient bits (the dividend extends
@@ -1443,9 +1449,28 @@ impl PimMachine {
         Ok(())
     }
 
-    /// Reduces the Tmp Reg lanes to their sum by `ceil(log2(lanes))`
-    /// shift-accumulate steps (each single-cycle, Tmp-resident). The sum
-    /// (wrapped at the Tmp width) is returned and left in lane 0.
+    /// Reduces the Tmp Reg lanes to their sum and returns it.
+    ///
+    /// *Charge.* The modelled array folds the lanes by a strided tree of
+    /// `ceil(log2(lanes))` shift-accumulate steps, each single-cycle
+    /// and Tmp-resident: that many cycles and shifter/adder operations,
+    /// two Tmp accesses per step, one [`OpClass::Reduce`] histogram
+    /// entry and one op record.
+    ///
+    /// *Value.* The simulator computes the tree's result in one
+    /// wrapping pass instead: addition is associative modulo
+    /// `2^tmp_bits`, so the lane-0 value of the tree equals the lane
+    /// sum wrapped once at the Tmp width. A single lane needs no step
+    /// and is returned as it stands.
+    ///
+    /// *Tmp contract.* A reduce consumes the Tmp Reg. Lane 0 holds the
+    /// sum afterwards; every other lane keeps the value it held before
+    /// the reduce, a defined and deterministic state that differs from
+    /// the tree's partial sums. Nothing may read those lanes: the
+    /// lowering treats the Tmp Reg as destroyed by a reduce (it spills
+    /// a still-live operand first), and `crates/pim/tests/tmp_contract.rs`
+    /// checks every edge and pose program at every level for a Tmp read
+    /// between a reduce and the next Tmp write.
     ///
     /// # Errors
     ///
@@ -1457,21 +1482,8 @@ impl PimMachine {
         }
         let lanes = tmp.len();
         let steps = (usize::BITS - (lanes - 1).leading_zeros()) as u64;
-        let bits = self.tmp_bits;
-        let sign = self.sign;
-        let mut stride = 1usize;
-        while stride < lanes {
-            for i in (0..lanes).step_by(stride * 2) {
-                let other = if i + stride < lanes {
-                    tmp[i + stride]
-                } else {
-                    0
-                };
-                tmp[i] = wrap(tmp[i] + other, bits, sign);
-            }
-            stride *= 2;
-        }
-        let sum = tmp[0];
+        let sum = lane_sum(tmp, self.tmp_bits, self.sign);
+        tmp[0] = sum;
         let cycle_start = self.stats.cycles;
         self.stats.cycles += steps;
         self.stats.acc_ops += steps;
@@ -2236,6 +2248,17 @@ fn width_mask(bits: u32) -> u64 {
     }
 }
 
+/// The value [`PimMachine::reduce_sum`] leaves in lane 0: the wrapping
+/// sum of `lanes` wrapped at `bits`, or the one lane as it stands. A
+/// strided tree that wraps after every pairwise add gives the same
+/// value, because wrapping is a ring homomorphism modulo `2^bits`.
+fn lane_sum(lanes: &[i64], bits: u32, sign: Signedness) -> i64 {
+    match lanes {
+        [only] => *only,
+        _ => wrap(lanes.iter().fold(0, |s, &v| s.wrapping_add(v)), bits, sign),
+    }
+}
+
 #[inline]
 fn wrap(v: i64, bits: u32, sign: Signedness) -> i64 {
     match sign {
@@ -2257,6 +2280,7 @@ mod tests {
     use super::*;
     use crate::config::ArrayConfig;
     use crate::isa::LogicFunc;
+    use proptest::prelude::*;
 
     fn machine() -> PimMachine {
         PimMachine::new(ArrayConfig::qvga())
@@ -2713,6 +2737,125 @@ mod tests {
         // ceil(log2(80)) = 7 steps
         let red_cycles = 7;
         assert!(m.stats().cycles >= red_cycles);
+    }
+
+    /// The strided tree [`PimMachine::reduce_sum`] ran before its
+    /// one-pass rewrite, kept as the oracle: pairwise adds at doubling
+    /// strides, each wrapped at the Tmp width, the sum ending in lane 0.
+    /// The adds wrap at 64 bits, as the release build's did.
+    fn tree_sum(lanes: &mut [i64], bits: u32, sign: Signedness) -> i64 {
+        let n = lanes.len();
+        let mut stride = 1usize;
+        while stride < n {
+            for i in (0..n).step_by(stride * 2) {
+                let other = if i + stride < n { lanes[i + stride] } else { 0 };
+                lanes[i] = wrap(lanes[i].wrapping_add(other), bits, sign);
+            }
+            stride *= 2;
+        }
+        lanes[0]
+    }
+
+    const WIDTHS: [LaneWidth; 4] = [
+        LaneWidth::W8,
+        LaneWidth::W16,
+        LaneWidth::W32,
+        LaneWidth::W64,
+    ];
+    const SIGNS: [Signedness; 2] = [Signedness::Signed, Signedness::Unsigned];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// For every lane count 1..=320, every lane width and sign and a
+        /// random Tmp width of at least the lane width: the one-pass sum
+        /// equals the tree's lane 0. Lanes hold values at the Tmp width
+        /// (what a machine leaves there), half of them drawn from the
+        /// range's extremes so the sum wraps, plus raw 64-bit values
+        /// for the one-lane case, which no step touches.
+        #[test]
+        fn one_pass_sum_equals_the_strided_tree(seed in any::<u64>()) {
+            let mut s = seed | 1;
+            let mut next = || {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s
+            };
+            for lanes in 1..=320usize {
+                for width in WIDTHS {
+                    for sign in SIGNS {
+                        let bits = width.bits() + (next() % u64::from(65 - width.bits())) as u32;
+                        // the extremes of the Tmp range: min and max
+                        // are one apart modulo 2^bits
+                        let top = 1i64 << (bits - 1);
+                        let (lo, hi) = match sign {
+                            Signedness::Signed => (wrap(top, bits, sign), wrap(top.wrapping_sub(1), bits, sign)),
+                            Signedness::Unsigned => (0, wrap(-1, bits, sign)),
+                        };
+                        let mut vals: Vec<i64> = (0..lanes)
+                            .map(|_| match next() % 4 {
+                                0 => lo,
+                                1 => hi,
+                                _ => wrap(next() as i64, bits, sign),
+                            })
+                            .collect();
+                        if lanes == 1 {
+                            vals[0] = next() as i64;
+                        }
+                        let got = lane_sum(&vals, bits, sign);
+                        let want = tree_sum(&mut vals, bits, sign);
+                        prop_assert_eq!(got, want, "{} lanes, {:?} {:?}, tmp {} bits", lanes, width, sign, bits);
+                    }
+                }
+            }
+        }
+
+        /// On a machine: for every lane width and sign, a Tmp Reg left
+        /// by an add or a multiply over random rows reduces to the
+        /// tree's lane 0, lane 0 then holds the sum and every other lane
+        /// keeps its value, and the charge is `ceil(log2(lanes))` steps.
+        #[test]
+        fn reduce_sum_keeps_its_value_charge_and_tmp_contract(seed in any::<u64>(), lanes in 1..=320usize) {
+            let mut s = seed | 1;
+            let mut next = || {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s
+            };
+            for width in WIDTHS {
+                for sign in SIGNS {
+                    let cfg = ArrayConfig { rows: 4, row_bits: lanes * width.bits() as usize };
+                    let mut m = PimMachine::new(cfg);
+                    m.set_lanes(width, sign);
+                    for row in 0..2 {
+                        // W64 lanes keep two bits of headroom: the
+                        // ALU's add does not wrap at 64 bits
+                        let headroom = if width == LaneWidth::W64 { 2 } else { 0 };
+                        let vals: Vec<i64> = (0..lanes).map(|_| next() as i64 >> headroom).collect();
+                        m.host_write_lanes(row, &vals).unwrap();
+                    }
+                    let (r0, r1) = (Operand::Row(0), Operand::Row(1));
+                    match (next() % 3, width) {
+                        (0, _) | (_, LaneWidth::W64) => m.alu(AluOp::Add, r0, r1, Shift::None).unwrap(),
+                        (1, _) => m.mul(r0, r1).unwrap(),
+                        _ => m.mul_signed(r0, r1).unwrap(),
+                    }
+                    let before_tmp = m.tmp_lanes().to_vec();
+                    let before = m.stats().clone();
+                    let sum = m.reduce_sum().unwrap();
+                    let want = tree_sum(&mut before_tmp.clone(), m.tmp_bits(), sign);
+                    prop_assert_eq!(sum, want, "{} lanes, {:?} {:?}", lanes, width, sign);
+                    prop_assert_eq!(m.tmp_lanes()[0], sum);
+                    prop_assert_eq!(&m.tmp_lanes()[1..], &before_tmp[1..]);
+                    let d = m.stats().try_since(&before).unwrap();
+                    let steps = u64::from(usize::BITS - (lanes - 1).leading_zeros());
+                    prop_assert_eq!((d.cycles, d.acc_ops, d.tmp_accesses), (steps, steps, 2 * steps));
+                    prop_assert_eq!(d.op_histogram.iter().collect::<Vec<_>>(), vec![(OpClass::Reduce, 1)]);
+                }
+            }
+        }
     }
 
     #[test]

@@ -264,6 +264,11 @@ pub struct PimArrayPool {
     /// Memo table for lowered programs; defaults to a clone of the
     /// process-wide [`LoweredCache::global`] handle.
     lowered: LoweredCache,
+    /// Every array index in order: the members of a strip phase.
+    all: Vec<usize>,
+    /// The last wave's per-member cycle deltas, in member order (a
+    /// buffer reused across waves).
+    deltas: Vec<u64>,
 }
 
 impl PimArrayPool {
@@ -305,6 +310,8 @@ impl PimArrayPool {
             op_sync: None,
             op_capacity: 0,
             lowered: LoweredCache::global().clone(),
+            all: (0..n).collect(),
+            deltas: Vec::with_capacity(n),
         }
     }
 
@@ -540,18 +547,18 @@ impl PimArrayPool {
     /// rides the frame-end barrier the caller already pays). Free when
     /// no channel is installed or everything already landed.
     pub fn dma_settle(&mut self) {
-        let members: Vec<usize> = (0..self.arrays.len()).collect();
-        for &i in &members {
-            self.arrays[i].dma_settle();
+        for m in &mut self.arrays {
+            m.dma_settle();
         }
-        let max_delta = members
-            .iter()
-            .map(|&i| self.take_timeline(i))
+        let max_delta = (0..self.arrays.len())
+            .map(|i| self.take_timeline(i))
             .max()
             .unwrap_or(0);
         if max_delta > 0 {
             self.wall_cycles += max_delta;
+            let members = std::mem::take(&mut self.all);
             self.op_sync_point(0, &members);
+            self.all = members;
         }
     }
 
@@ -608,18 +615,20 @@ impl PimArrayPool {
     /// The wave core both entry points share: `f(slot, machine)` runs
     /// on `arrays[members[slot]]` (`members` ascending), each closure
     /// owning its array exclusively (scoped worker threads; inline for
-    /// a single member). The wave forms a barrier: wall cycles advance
+    /// a single member), and `done(slot, result)` takes the results in
+    /// `members` order. The wave forms a barrier: wall cycles advance
     /// by the slowest member's timeline delta, plus the sync overhead
     /// when more than one member participates, and the op-trace pool
-    /// stream records the sync point. Returns the per-slot results and
-    /// cycle deltas, both in `members` order.
-    fn wave<R, F>(&mut self, members: &[usize], f: &F) -> (Vec<R>, Vec<u64>)
+    /// stream records the sync point. Leaves the per-member cycle
+    /// deltas in `self.deltas`, in `members` order. A single-member
+    /// wave allocates nothing of its own.
+    fn wave<R, F>(&mut self, members: &[usize], f: &F, mut done: impl FnMut(usize, R))
     where
         R: Send,
         F: Fn(usize, &mut PimMachine) -> R + Sync,
     {
-        let results: Vec<R> = if members.len() == 1 {
-            vec![f(0, &mut self.arrays[members[0]])]
+        if members.len() == 1 {
+            done(0, f(0, &mut self.arrays[members[0]]));
         } else {
             std::thread::scope(|s| {
                 let handles: Vec<_> = self
@@ -630,30 +639,35 @@ impl PimArrayPool {
                     .enumerate()
                     .map(|(slot, (_, m))| s.spawn(move || f(slot, m)))
                     .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("pool shard thread panicked"))
-                    .collect()
-            })
-        };
-        let deltas: Vec<u64> = members.iter().map(|&i| self.take_timeline(i)).collect();
+                for (slot, h) in handles.into_iter().enumerate() {
+                    done(slot, h.join().expect("pool shard thread panicked"));
+                }
+            });
+        }
+        self.deltas.clear();
+        for &i in members {
+            let delta = self.take_timeline(i);
+            self.deltas.push(delta);
+        }
         let sync = if members.len() > 1 {
             self.barriers += 1;
             self.sync_cycles
         } else {
             0
         };
-        self.wall_cycles += deltas.iter().copied().max().unwrap_or(0) + sync;
+        self.wall_cycles += self.deltas.iter().copied().max().unwrap_or(0) + sync;
         self.op_sync_point(sync, members);
-        (results, deltas)
     }
 
     /// Runs one strip-sharded kernel phase: `programs[i]` (a lowered
     /// macro-op program, see [`crate::lower()`]) executes on array `i`.
     /// Every array runs its program, quarantined or not, and nothing is
     /// retried: the host already loaded each strip's inputs into its
-    /// array, so a strip cannot move. Returns each program's reduce
-    /// results in array order.
+    /// array, so a strip cannot move. Strip programs are image kernels
+    /// that leave their results in rows, so the phase returns none; a
+    /// program whose reduce sums the host needs runs through
+    /// [`PimArrayPool::run_phase`]. On a pool of one the phase
+    /// allocates nothing of its own.
     ///
     /// The phase is one barrier: wall cycles advance by the slowest
     /// array's delta, plus the sync overhead when the pool has more
@@ -672,7 +686,7 @@ impl PimArrayPool {
         &mut self,
         label: &str,
         programs: &[Arc<LoweredProgram>],
-    ) -> Result<Vec<Vec<i64>>, PimError> {
+    ) -> Result<(), PimError> {
         if programs.len() != self.arrays.len() {
             return Err(PimError::PoolSizeMismatch {
                 got: programs.len(),
@@ -681,12 +695,21 @@ impl PimArrayPool {
         }
         let _wall = self.telemetry.span("pool", label);
         let wall_start = self.wall_cycles;
-        let members: Vec<usize> = (0..self.arrays.len()).collect();
-        let (results, deltas) = self.wave(&members, &|i, m: &mut PimMachine| {
-            m.run_program(&programs[i])
-        });
-        self.record_phase_spans(label, wall_start, &members, &deltas);
-        results.into_iter().collect()
+        // lent out for the wave, which needs the pool mutably
+        let members = std::mem::take(&mut self.all);
+        let mut first_err = None;
+        self.wave(
+            &members,
+            &|i, m: &mut PimMachine| m.run_program(&programs[i]).err(),
+            |_, err| {
+                if first_err.is_none() {
+                    first_err = err;
+                }
+            },
+        );
+        self.record_phase_spans(label, wall_start, &members, &self.deltas);
+        self.all = members;
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Records the cycle-domain spans of one completed phase: the pool
@@ -1030,7 +1053,8 @@ impl PimArrayPool {
             .iter()
             .map(|&i| self.arrays[i].fault_row_log().clone())
             .collect();
-        let (mut results, wave_deltas) = self.wave(&healthy, &f);
+        let mut results = Vec::with_capacity(healthy.len());
+        self.wave(&healthy, &f, |_, r| results.push(r));
 
         // serial recovery pass, in shard order (deterministic)
         for shard in 0..healthy.len() {
@@ -1125,7 +1149,9 @@ impl PimArrayPool {
                 }
             }
         }
-        self.record_phase_spans(label, wall_start, &healthy, &wave_deltas);
+        // recovery and probation run shards outside any wave, so
+        // `deltas` still holds the wave's own
+        self.record_phase_spans(label, wall_start, &healthy, &self.deltas);
         Ok(results)
     }
 
@@ -1693,7 +1719,9 @@ mod tests {
 
         let mut p = pool(3);
         seed_rows(&mut p, &[1, 2, 3]);
-        let got = p.submit_strips("strips", &progs).unwrap();
+        p.submit_strips("strips", &progs).unwrap();
+        // each program's one reduce leaves its sum in Tmp lane 0
+        let got: Vec<Vec<i64>> = (0..3).map(|i| vec![p.array(i).tmp_lanes()[0]]).collect();
         assert_eq!(got, want);
         assert_eq!(p.wall_cycles(), phase.wall_cycles());
         assert_eq!(p.barriers(), phase.barriers());
@@ -1707,10 +1735,10 @@ mod tests {
         let mut p = pool(2);
         seed_rows(&mut p, &[1]);
         p.try_quarantine(0).unwrap();
-        let got = p
-            .submit_strips("pinned", &[adds_program(1), adds_program(3)])
+        p.submit_strips("pinned", &[adds_program(1), adds_program(3)])
             .unwrap();
-        assert_eq!(got, vec![vec![2], vec![4]]);
+        let got: Vec<i64> = (0..2).map(|i| p.array(i).tmp_lanes()[0]).collect();
+        assert_eq!(got, [2, 4]);
         assert!(p.array(0).stats().cycles > 0, "array 0 ran its strip");
         assert!(p.array(0).stats().cycles < p.array(1).stats().cycles);
         assert_eq!(p.barriers(), 1);

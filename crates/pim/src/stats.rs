@@ -1,6 +1,61 @@
 use crate::cost::CostModel;
 use crate::isa::OpClass;
-use std::collections::BTreeMap;
+use std::ops::Index;
+
+/// Macro-op counts per [`OpClass`]: a fixed array indexed by class, so
+/// recording, cloning and combining histograms never touch the heap.
+///
+/// A class with count 0 is the same as an absent class. There is no
+/// separate "present" state: equality, [`OpHistogram::iter`] and every
+/// combinator of [`ExecStats`] treat a zero count and a missing class
+/// alike.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct OpHistogram([u64; OpClass::ALL.len()]);
+
+impl OpHistogram {
+    /// The count of `class` (0 when it never ran).
+    pub fn get(&self, class: OpClass) -> u64 {
+        self.0[class as usize]
+    }
+
+    /// The classes with a non-zero count and their counts, in
+    /// [`OpClass`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (OpClass, u64)> + '_ {
+        OpClass::ALL
+            .iter()
+            .zip(&self.0)
+            .filter(|(_, &n)| n > 0)
+            .map(|(&c, &n)| (c, n))
+    }
+
+    /// The class-wise `self - earlier`, or `None` if any count went
+    /// backwards.
+    fn checked_sub(&self, earlier: &Self) -> Option<Self> {
+        let mut out = Self::default();
+        for ((o, &a), &b) in out.0.iter_mut().zip(&self.0).zip(&earlier.0) {
+            *o = a.checked_sub(b)?;
+        }
+        Some(out)
+    }
+
+    /// The class-wise `f(self, other)`.
+    fn zip(&self, other: &Self, f: impl Fn(u64, u64) -> u64) -> Self {
+        Self(std::array::from_fn(|i| f(self.0[i], other.0[i])))
+    }
+
+    /// The class-wise `f(count)`.
+    fn map(&self, f: impl Fn(u64) -> u64) -> Self {
+        Self(self.0.map(f))
+    }
+}
+
+impl Index<OpClass> for OpHistogram {
+    type Output = u64;
+
+    fn index(&self, class: OpClass) -> &u64 {
+        &self.0[class as usize]
+    }
+}
 
 /// Execution statistics accumulated by [`crate::PimMachine`].
 ///
@@ -54,7 +109,7 @@ pub struct ExecStats {
     /// rehabilitation after quarantine); zero outside scrub passes.
     pub scrub_rows: u64,
     /// Macro-op histogram.
-    pub op_histogram: BTreeMap<OpClass, u64>,
+    pub op_histogram: OpHistogram,
 }
 
 impl ExecStats {
@@ -65,7 +120,7 @@ impl ExecStats {
 
     /// Records a macro op in the histogram.
     pub(crate) fn record_op(&mut self, class: OpClass) {
-        *self.op_histogram.entry(class).or_insert(0) += 1;
+        self.op_histogram.0[class as usize] += 1;
     }
 
     /// Difference `self - earlier`, for scoped measurements, with every
@@ -74,18 +129,6 @@ impl ExecStats {
     /// `earlier` came from a different measurement scope (e.g. a
     /// [`ExecStats::retract`] or a stats reset in between).
     pub fn try_since(&self, earlier: &ExecStats) -> Option<ExecStats> {
-        let mut hist = BTreeMap::new();
-        for (k, v) in &earlier.op_histogram {
-            let now = self.op_histogram.get(k).copied().unwrap_or(0);
-            now.checked_sub(*v)?;
-        }
-        for (k, v) in &self.op_histogram {
-            let prev = earlier.op_histogram.get(k).copied().unwrap_or(0);
-            let d = v.checked_sub(prev)?;
-            if d > 0 {
-                hist.insert(*k, d);
-            }
-        }
         Some(ExecStats {
             cycles: self.cycles.checked_sub(earlier.cycles)?,
             sram_reads: self.sram_reads.checked_sub(earlier.sram_reads)?,
@@ -105,7 +148,7 @@ impl ExecStats {
             ecc_checks: self.ecc_checks.checked_sub(earlier.ecc_checks)?,
             ecc_corrections: self.ecc_corrections.checked_sub(earlier.ecc_corrections)?,
             scrub_rows: self.scrub_rows.checked_sub(earlier.scrub_rows)?,
-            op_histogram: hist,
+            op_histogram: self.op_histogram.checked_sub(&earlier.op_histogram)?,
         })
     }
 
@@ -127,19 +170,13 @@ impl ExecStats {
         self.ecc_checks += other.ecc_checks;
         self.ecc_corrections += other.ecc_corrections;
         self.scrub_rows += other.scrub_rows;
-        for (k, v) in &other.op_histogram {
-            *self.op_histogram.entry(*k).or_insert(0) += v;
-        }
+        self.op_histogram = self.op_histogram.zip(&other.op_histogram, |a, b| a + b);
     }
 
     /// Scales every counter by an integer factor (used to extrapolate a
     /// measured per-batch trace to a full feature set; valid because the
     /// PIM op sequences are data-independent).
     pub fn scaled(&self, factor: u64) -> ExecStats {
-        let mut hist = BTreeMap::new();
-        for (k, v) in &self.op_histogram {
-            hist.insert(*k, v * factor);
-        }
         ExecStats {
             cycles: self.cycles * factor,
             sram_reads: self.sram_reads * factor,
@@ -157,7 +194,7 @@ impl ExecStats {
             ecc_checks: self.ecc_checks * factor,
             ecc_corrections: self.ecc_corrections * factor,
             scrub_rows: self.scrub_rows * factor,
-            op_histogram: hist,
+            op_histogram: self.op_histogram.map(|v| v * factor),
         }
     }
 
@@ -166,10 +203,6 @@ impl ExecStats {
     /// it, e.g. two half-batches packed into one word line).
     pub fn scaled_div(&self, den: u64) -> ExecStats {
         assert!(den > 0, "division by zero");
-        let mut hist = BTreeMap::new();
-        for (k, v) in &self.op_histogram {
-            hist.insert(*k, v / den);
-        }
         ExecStats {
             cycles: self.cycles / den,
             sram_reads: self.sram_reads / den,
@@ -187,7 +220,7 @@ impl ExecStats {
             ecc_checks: self.ecc_checks / den,
             ecc_corrections: self.ecc_corrections / den,
             scrub_rows: self.scrub_rows / den,
-            op_histogram: hist,
+            op_histogram: self.op_histogram.map(|v| v / den),
         }
     }
 
@@ -210,11 +243,9 @@ impl ExecStats {
         self.ecc_checks = self.ecc_checks.saturating_sub(other.ecc_checks);
         self.ecc_corrections = self.ecc_corrections.saturating_sub(other.ecc_corrections);
         self.scrub_rows = self.scrub_rows.saturating_sub(other.scrub_rows);
-        for (k, v) in &other.op_histogram {
-            if let Some(mine) = self.op_histogram.get_mut(k) {
-                *mine = mine.saturating_sub(*v);
-            }
-        }
+        self.op_histogram = self
+            .op_histogram
+            .zip(&other.op_histogram, u64::saturating_sub);
     }
 
     /// Energy decomposition per component (Fig. 10-a).
@@ -318,6 +349,150 @@ impl MemAccessBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    type Map = BTreeMap<OpClass, u64>;
+
+    /// The `BTreeMap` histogram formulas [`ExecStats`] used before
+    /// [`OpHistogram`], kept as the oracle of the array port.
+    mod map_oracle {
+        use super::Map;
+
+        pub fn merge(a: &mut Map, b: &Map) {
+            for (k, v) in b {
+                *a.entry(*k).or_insert(0) += v;
+            }
+        }
+
+        pub fn try_since(now: &Map, earlier: &Map) -> Option<Map> {
+            let mut hist = Map::new();
+            for (k, v) in earlier {
+                let n = now.get(k).copied().unwrap_or(0);
+                n.checked_sub(*v)?;
+            }
+            for (k, v) in now {
+                let prev = earlier.get(k).copied().unwrap_or(0);
+                let d = v.checked_sub(prev)?;
+                if d > 0 {
+                    hist.insert(*k, d);
+                }
+            }
+            Some(hist)
+        }
+
+        pub fn scaled(m: &Map, factor: u64) -> Map {
+            m.iter().map(|(k, v)| (*k, v * factor)).collect()
+        }
+
+        pub fn scaled_div(m: &Map, den: u64) -> Map {
+            m.iter().map(|(k, v)| (*k, v / den)).collect()
+        }
+
+        pub fn retract(a: &mut Map, b: &Map) {
+            for (k, v) in b {
+                if let Some(mine) = a.get_mut(k) {
+                    *mine = mine.saturating_sub(*v);
+                }
+            }
+        }
+    }
+
+    /// `m` with its zero counts dropped: the form in which a zero count
+    /// and an absent class agree.
+    fn normalized(m: &Map) -> Map {
+        m.iter()
+            .filter(|(_, &v)| v > 0)
+            .map(|(&k, &v)| (k, v))
+            .collect()
+    }
+
+    /// Statistics whose histogram holds `m`'s counts.
+    fn stats_of(m: &Map) -> ExecStats {
+        let mut s = ExecStats::new();
+        for (&k, &v) in m {
+            s.op_histogram.0[k as usize] = v;
+        }
+        s
+    }
+
+    fn map_of(s: &ExecStats) -> Map {
+        s.op_histogram.iter().collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `merge`, `try_since`, `scaled`, `scaled_div` and `retract`
+        /// on the array histogram agree with the old map formulas, a
+        /// zero count counting as absent. Each class of either operand
+        /// is absent, zero or a small count, so both directions of
+        /// `try_since` (and its `None`) come up.
+        #[test]
+        fn histogram_ops_match_the_map_formulas(
+            seed in any::<u64>(),
+            factor in 0..5u64,
+            den in 1..5u64,
+        ) {
+            let mut s = seed | 1;
+            let mut next = || {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s
+            };
+            let mut draw = || -> Map {
+                OpClass::ALL
+                    .iter()
+                    .filter_map(|&c| match next() % 4 {
+                        0 => None,
+                        1 => Some((c, 0)),
+                        r => Some((c, r + next() % 3)),
+                    })
+                    .collect()
+            };
+            let (a, b) = (draw(), draw());
+            let (sa, sb) = (stats_of(&a), stats_of(&b));
+
+            let mut want = a.clone();
+            map_oracle::merge(&mut want, &b);
+            let mut got = sa.clone();
+            got.merge(&sb);
+            prop_assert_eq!(map_of(&got), normalized(&want));
+
+            for (now, earlier) in [(&a, &b), (&b, &a), (&want, &a)] {
+                let got = stats_of(now).try_since(&stats_of(earlier)).map(|d| map_of(&d));
+                prop_assert_eq!(got, map_oracle::try_since(now, earlier));
+            }
+
+            prop_assert_eq!(map_of(&sa.scaled(factor)), normalized(&map_oracle::scaled(&a, factor)));
+            prop_assert_eq!(map_of(&sa.scaled_div(den)), normalized(&map_oracle::scaled_div(&a, den)));
+
+            let mut want = a.clone();
+            map_oracle::retract(&mut want, &b);
+            let mut got = sa.clone();
+            got.retract(&sb);
+            prop_assert_eq!(map_of(&got), normalized(&want));
+        }
+    }
+
+    #[test]
+    fn histogram_indexes_by_class_and_zero_is_absent() {
+        for (i, &c) in OpClass::ALL.iter().enumerate() {
+            assert_eq!(c as usize, i, "{c:?} sits at its discriminant");
+        }
+        let mut s = ExecStats::new();
+        s.record_op(OpClass::Gather);
+        s.record_op(OpClass::Gather);
+        s.record_op(OpClass::Logic);
+        assert_eq!(s.op_histogram[OpClass::Gather], 2);
+        assert_eq!(s.op_histogram.get(OpClass::Mul), 0);
+        let listed: Vec<_> = s.op_histogram.iter().collect();
+        assert_eq!(listed, vec![(OpClass::Logic, 1), (OpClass::Gather, 2)]);
+        // a class scaled down to zero equals one that never ran
+        let halved = s.scaled_div(4);
+        assert_eq!(halved, ExecStats::new());
+    }
 
     #[test]
     fn since_subtracts() {
@@ -333,8 +508,8 @@ mod tests {
         let d = b.try_since(&a).unwrap();
         assert_eq!(d.cycles, 15);
         assert_eq!(d.sram_reads, 2);
-        assert_eq!(d.op_histogram[&OpClass::Mul], 1);
-        assert_eq!(d.op_histogram[&OpClass::Div], 1);
+        assert_eq!(d.op_histogram[OpClass::Mul], 1);
+        assert_eq!(d.op_histogram[OpClass::Div], 1);
     }
 
     #[test]
@@ -381,7 +556,7 @@ mod tests {
         let t = s.scaled(4);
         assert_eq!(t.cycles, 28);
         assert_eq!(t.tmp_accesses, 12);
-        assert_eq!(t.op_histogram[&OpClass::Avg], 4);
+        assert_eq!(t.op_histogram[OpClass::Avg], 4);
     }
 
     #[test]

@@ -6,18 +6,27 @@
 //! programs on `i64` lanes, and handing the Tmp Reg between the two
 //! does not allocate.
 //!
+//! Host row I/O keeps the same contract: a host read into a sized
+//! buffer and a host write from a slice or an iterator allocate
+//! nothing, so a warm `EdgeKernels::edge_detect` on a pool of one
+//! allocates only the three maps it returns.
+//!
 //! A counting global allocator sees every allocation of this test
-//! binary, so the file holds exactly one `#[test]`: no other test can
-//! allocate concurrently. Counting is per thread besides, so the test
-//! harness's own threads never show up in the counts.
+//! binary. Counting is per thread, so neither the other test of this
+//! file nor the test harness's own threads show up in a test's counts.
 
 use pimvo_core::pim_exec::{pose_programs, pose_scratch, POSE_BASE};
 use pimvo_core::Interp;
 use pimvo_kernels::ir::{
     hpf_program, lpf_pass1_program, lpf_pass2_program, nms_program, scratch_pool,
 };
+use pimvo_kernels::pim_pool::EdgeKernels;
 use pimvo_kernels::pim_util::Regions;
-use pimvo_pim::{lower, ArrayConfig, LowerLevel, LoweredProgram, PimMachine};
+use pimvo_kernels::{scalar, EdgeConfig, GrayImage};
+use pimvo_pim::{
+    lower, ArrayConfig, LaneWidth, LowerLevel, LoweredProgram, PimMachine, PimMachineBuilder,
+    Signedness,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -139,5 +148,42 @@ fn check_pose_run(m: &mut PimMachine, prog: &LoweredProgram) {
         n <= 1,
         "{}: {n} heap allocations in a warm run (only `sums` may allocate)",
         prog.name()
+    );
+}
+
+#[test]
+fn warm_host_io_and_edge_detect_allocate_only_their_outputs() {
+    let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
+    let mut lanes = Vec::new();
+    for width in [LaneWidth::W8, LaneWidth::W16, LaneWidth::W32] {
+        m.set_lanes(width, Signedness::Signed);
+        let row: Vec<i64> = (0..m.lanes() as i64).map(|v| v * 37 - 900).collect();
+        // the first read sizes the buffer (the W8 row is the widest)
+        m.host_read_lanes_into(0, &mut lanes).expect("row in range");
+        let (n, ()) = allocations(|| {
+            for r in 0..8 {
+                m.host_write_lanes(r, &row).expect("row in range");
+                m.host_read_lanes_into(r, &mut lanes).expect("row in range");
+                m.host_write_lanes_iter(r + 8, lanes.iter().map(|v| v + 1))
+                    .expect("row in range");
+            }
+        });
+        assert_eq!(n, 0, "{width:?}: {n} heap allocations in warm host row I/O");
+        assert_eq!(lanes.len(), m.lanes());
+    }
+
+    // a QVGA frame with texture at every scale, so every phase has
+    // edges to keep and to suppress
+    let img = GrayImage::from_fn(320, 240, |x, y| (((x * 7) ^ (y * 13)) + (x * y) / 40) as u8);
+    let cfg = EdgeConfig::default();
+    let mut pool = PimMachineBuilder::new(ArrayConfig::qvga_banks(6)).build_pool(1);
+    let mut kernels = EdgeKernels::new();
+    // warm-up: resolves the strip programs and sizes the lane buffers
+    kernels.edge_detect(&mut pool, &img, &cfg);
+    let (n, maps) = allocations(|| kernels.edge_detect(&mut pool, &img, &cfg));
+    assert_eq!(maps, scalar::edge_detect(&img, &cfg));
+    assert_eq!(
+        n, 3,
+        "a warm edge_detect made {n} heap allocations; only its three maps may allocate"
     );
 }

@@ -11,6 +11,11 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
+# scratch directories of the determinism check and the smokes, removed
+# on exit however the run ends
+det_a="$(mktemp -d)"; det_b="$(mktemp -d)"; chaos_out="$(mktemp -d)"
+trap 'rm -rf "$det_a" "$det_b" "$chaos_out"' EXIT
+
 fail=0
 step() {
     echo
@@ -59,14 +64,12 @@ step git diff --exit-code -- 'out/ir_*.txt'
 # lowering determinism: two cold dump_ir runs (separate processes,
 # fresh lowered-program caches, --report included so the per-pass
 # statistics are covered too) must be byte-identical
-det_a="$(mktemp -d)"; det_b="$(mktemp -d)"
 step cargo run -q --release --example dump_ir -- "$det_a" --report
 step cargo run -q --release --example dump_ir -- "$det_b" --report
 step diff -r "$det_a" "$det_b"
 
 # bounded chaos smoke: kill-and-restore, snapshot corruption, budget
 # squeezes and quarantine storms must hold every invariant (exit 0)
-chaos_out="$(mktemp -d)"
 step cargo run -q --release -p pimvo-bench --bin chaos_soak -- \
     --frames 30 --seed 1 --out "$chaos_out"
 # checkpoint round trip through the example: snapshot a run, resume it
@@ -115,7 +118,6 @@ results_fresh() {
         cmp "$chaos_out/RESULTS.txt" RESULTS.txt
 }
 step results_fresh
-rm -rf "$chaos_out"
 
 # bench regression gate: the headline cycle counts must match the
 # committed BENCH_*.json snapshots within tolerance

@@ -60,7 +60,7 @@ fn one_machine_runs_vo_and_cnn_workloads() {
     // the op mix spans image kernels, pose math and CNN layers
     for class in [OpClass::Avg, OpClass::Mul, OpClass::Div, OpClass::Gather] {
         assert!(
-            stats.op_histogram.get(&class).copied().unwrap_or(0) > 0,
+            stats.op_histogram.get(class) > 0,
             "missing {class:?} in the combined workload"
         );
     }
