@@ -1,9 +1,10 @@
-//! Criterion micro-benches of the PIM machine primitives (simulator
-//! throughput per operation class, at each lane width), and of whole
-//! lowered programs through `run_program`. The per-op cases call the
-//! public API, which always computes on `i64` lanes; the program cases
-//! show the interpreter's lane classes: a whole-frame `lpf_pass1` runs
-//! on `i16` lanes, `pose_hessian` on `i64` lanes.
+//! Criterion micro-benches of the PIM machine: one-op lowered programs
+//! (simulator throughput per operation class, at each lane width, each
+//! op followed by its write-back), and whole lowered programs through
+//! `run_program`. The cases span the interpreter's lane classes: the
+//! 8-bit add and abs-diff and a whole-frame `lpf_pass1` run on `i16`
+//! lanes; multiplies, divides, 32-bit lanes and `pose_hessian` on `i64`
+//! lanes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pimvo_core::pim_exec::{pose_programs, pose_scratch, POSE_BASE};
@@ -11,12 +12,17 @@ use pimvo_core::Interp;
 use pimvo_kernels::ir::{lpf_pass1_program, scratch_pool};
 use pimvo_kernels::pim_util::Regions;
 use pimvo_pim::{
-    lower, AluOp, ArrayConfig, LaneClass, LaneWidth, LowerLevel, Operand, PimMachine, Shift,
-    Signedness,
+    lower, AluOp, ArrayConfig, LaneClass, LaneWidth, LowerLevel, LoweredProgram, PimMachine,
+    PimProgram, ScratchRows, Signedness, VReg, Val,
 };
-use Operand::Row;
 
-fn machine(width: LaneWidth, sign: Signedness) -> PimMachine {
+/// A machine with two operand rows filled at `width`, and the one-op
+/// program `op` builds over them, storing its result to row 2.
+fn one_op(
+    width: LaneWidth,
+    sign: Signedness,
+    op: impl FnOnce(&mut PimProgram, Val, Val) -> VReg,
+) -> (PimMachine, LoweredProgram) {
     let mut m = PimMachine::new(ArrayConfig::qvga());
     m.set_lanes(width, sign);
     let lanes = m.lanes();
@@ -24,37 +30,36 @@ fn machine(width: LaneWidth, sign: Signedness) -> PimMachine {
     let b: Vec<i64> = (0..lanes as i64).map(|i| i * 7 + 2).collect();
     m.host_write_lanes(0, &a).unwrap();
     m.host_write_lanes(1, &b).unwrap();
-    m
+    let mut p = PimProgram::new("one_op");
+    p.set_lanes(width, sign);
+    let v = op(&mut p, Val::Row(0), Val::Row(1));
+    p.store(v, 2);
+    let prog = lower(&p, LowerLevel::Opt, &ScratchRows::contiguous(8, 4)).expect("one op lowers");
+    (m, prog)
 }
 
 fn bench_primitives(c: &mut Criterion) {
     let mut g = c.benchmark_group("pim_primitives");
+    let unsigned = Signedness::Unsigned;
     for (name, width) in [("w8", LaneWidth::W8), ("w32", LaneWidth::W32)] {
-        let mut m = machine(width, Signedness::Unsigned);
-        g.bench_function(format!("add_{name}"), |b| {
-            b.iter(|| m.alu(AluOp::Add, Row(0), Row(1), Shift::None).unwrap())
-        });
-        let mut m = machine(width, Signedness::Unsigned);
-        g.bench_function(format!("mul_{name}"), |b| {
-            b.iter(|| m.mul(Row(0), Row(1)).unwrap())
-        });
-        let mut m = machine(width, Signedness::Unsigned);
-        g.bench_function(format!("div_{name}"), |b| {
-            b.iter(|| m.div(Row(0), Row(1)).unwrap())
-        });
-        let mut m = machine(width, Signedness::Unsigned);
-        g.bench_function(format!("abs_diff_{name}"), |b| {
-            b.iter(|| m.alu(AluOp::AbsDiff, Row(0), Row(1), Shift::None).unwrap())
-        });
+        let cases: [(&str, fn(&mut PimProgram, Val, Val) -> VReg); 4] = [
+            ("add", |p, a, b| p.add(a, b)),
+            ("mul", |p, a, b| p.mul(a, b)),
+            ("div", |p, a, b| p.div_frac(a, b, 0)),
+            ("abs_diff", |p, a, b| p.alu(AluOp::AbsDiff, a, b)),
+        ];
+        for (op, build) in cases {
+            let (mut m, prog) = one_op(width, unsigned, build);
+            g.bench_function(format!("{op}_{name}"), |b| {
+                b.iter(|| m.run_program(&prog).unwrap())
+            });
+        }
     }
-    let mut m = machine(LaneWidth::W32, Signedness::Signed);
-    g.bench_function("mul_signed_w32", |b| {
-        b.iter(|| m.mul_signed(Row(0), Row(1)).unwrap())
+    let (mut m, prog) = one_op(LaneWidth::W32, Signedness::Signed, |p, a, b| {
+        p.mul_signed(a, b)
     });
-    let mut m = machine(LaneWidth::W8, Signedness::Unsigned);
-    g.bench_function("writeback", |b| {
-        m.alu(AluOp::Add, Row(0), Row(1), Shift::None).unwrap();
-        b.iter(|| m.writeback(2).unwrap())
+    g.bench_function("mul_signed_w32", |b| {
+        b.iter(|| m.run_program(&prog).unwrap())
     });
     g.finish();
 }

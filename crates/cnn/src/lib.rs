@@ -7,7 +7,8 @@
 //! processing and state estimation, and it may also benefit the
 //! integration of a broader range of applications such as CNN."* This
 //! crate substantiates that claim: quantized convolution, ReLU,
-//! max-pooling and dense layers mapped onto the same
+//! max-pooling and dense layers written as IR programs
+//! ([`pimvo_pim::PimProgram`]), lowered and run on the same
 //! [`pimvo_pim::PimMachine`] the EBVO pipeline uses, with scalar
 //! reference implementations that the PIM mappings must match
 //! bit-for-bit.

@@ -42,12 +42,12 @@ pub fn min_u8(a: u8, b: u8) -> u8 {
     a.wrapping_sub(sat_sub_u8(a, b))
 }
 
-/// Generic saturating clamp of an `i64` into a signed `bits`-wide word.
+/// Generic saturating clamp of an `i64` into a signed `bits`-wide word
+/// (`1..=64` bits).
 #[inline]
 pub fn clamp_signed(v: i64, bits: u32) -> i64 {
-    let max = (1i64 << (bits - 1)) - 1;
-    let min = -(1i64 << (bits - 1));
-    v.clamp(min, max)
+    let max = i64::MAX >> (64 - bits);
+    v.clamp(!max, max)
 }
 
 /// Generic wrap of an `i64` into a signed `bits`-wide word (two's
@@ -64,10 +64,12 @@ pub fn wrap_unsigned(v: i64, bits: u32) -> u64 {
     (v as u64) & (u64::MAX >> (64 - bits))
 }
 
-/// Generic saturating clamp into an unsigned `bits`-wide word.
+/// Generic saturating clamp into an unsigned `bits`-wide word
+/// (`1..=64` bits). No `i64` exceeds a 64-bit word's maximum, so at 64
+/// bits only negative values move.
 #[inline]
 pub fn clamp_unsigned(v: i64, bits: u32) -> u64 {
-    let max = (u64::MAX >> (64 - bits)) as i64;
+    let max = (u64::MAX >> (64 - bits)).min(i64::MAX as u64) as i64;
     v.clamp(0, max) as u64
 }
 
@@ -104,5 +106,37 @@ mod tests {
         assert_eq!(wrap_unsigned(256, 8), 0);
         assert_eq!(clamp_unsigned(-5, 8), 0);
         assert_eq!(clamp_unsigned(300, 8), 255);
+    }
+
+    #[test]
+    fn clamps_are_exact_at_every_width() {
+        let vals = [
+            i64::MIN,
+            i64::MIN + 1,
+            -300,
+            -1,
+            0,
+            1,
+            300,
+            i64::MAX - 1,
+            i64::MAX,
+        ];
+        for bits in 1..=64u32 {
+            let (lo, hi) = (-(1i128 << (bits - 1)), (1i128 << (bits - 1)) - 1);
+            let umax = (1i128 << bits) - 1;
+            for v in vals {
+                let w = i128::from(v);
+                assert_eq!(
+                    i128::from(clamp_signed(v, bits)),
+                    w.clamp(lo, hi),
+                    "{v} s{bits}"
+                );
+                assert_eq!(
+                    i128::from(clamp_unsigned(v, bits)),
+                    w.clamp(0, umax),
+                    "{v} u{bits}"
+                );
+            }
+        }
     }
 }

@@ -217,7 +217,8 @@ pub fn multiply(row_a: &[bool], row_b: &[bool], width: LaneWidth) -> Vec<u64> {
 
 /// Gate-level restoring division of Fig. 7-d for unsigned lanes:
 /// returns (quotient, remainder) per lane. Division by zero yields the
-/// all-ones quotient, matching [`crate::PimMachine::div`].
+/// all-ones quotient, matching [`crate::MachineInstr::DivFrac`] with
+/// `frac: 0`.
 pub fn divide(row_a: &[bool], row_b: &[bool], width: LaneWidth) -> (Vec<u64>, Vec<u64>) {
     let lane_bits = width.bits() as usize;
     let a = decode_lanes(row_a, width);

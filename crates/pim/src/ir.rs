@@ -11,10 +11,15 @@
 //! [`crate::lower()`], which turns the same program into the naive,
 //! optimized, or multi-register machine-op sequence.
 //!
-//! Host-side operations (row I/O, broadcasts, gathers) are *not* part
-//! of the IR: they stay explicit [`crate::PimMachine`] calls between
-//! program submissions, mirroring the paper's split between the I/O
-//! port and the in-array compute path.
+//! Programs are the way in to the array's compute path: the machine
+//! runs nothing but lowered instructions
+//! ([`crate::lower::MachineInstr`]), so every in-array computation —
+//! edge kernels, pose math, CNN layers — is written here and passes
+//! through the lowering. Host-side operations (row I/O, broadcasts,
+//! gathers) are *not* part of the IR: they stay explicit
+//! [`crate::PimMachine`] calls between program submissions, mirroring
+//! the paper's split between the I/O port and the in-array compute
+//! path.
 
 use crate::config::{LaneWidth, Signedness};
 use crate::isa::{AluOp, LogicFunc};
@@ -90,7 +95,7 @@ pub enum MacroOp {
     },
     /// Shift-capable binary ALU op `dst = op(a, b << shift)`, covering
     /// logic, add/sub, saturating add/sub, average, abs-diff, min/max
-    /// and compare — everything [`crate::PimMachine::alu`] accepts.
+    /// and compare — everything [`crate::MachineInstr::Alu`] selects.
     Alu {
         /// The operation.
         op: AluOp,

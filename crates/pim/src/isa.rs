@@ -22,7 +22,7 @@ pub enum Operand {
     /// "we could use more registers to further improve the efficiency
     /// of both computation and power"). Registers beyond index 0 must
     /// be enabled via [`crate::PimMachine::set_tmp_regs`] and are
-    /// filled with [`crate::PimMachine::save_tmp`].
+    /// filled with [`crate::MachineInstr::SaveTmp`].
     Reg(u8),
 }
 
@@ -55,8 +55,8 @@ impl Operand {
 /// The architecture's shifter sits in front of the accumulator, so any
 /// binary operation can consume its `b` operand shifted by a whole
 /// number of lanes in the same cycle (the `<< 1pix` of Fig. 2), so the
-/// shift is an argument of [`crate::PimMachine::alu`] rather than a
-/// separate method per op.
+/// shift is a field of [`crate::MachineInstr::Alu`] rather than a
+/// separate instruction per op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Shift {
     /// Operand `b` is used as stored.
@@ -78,11 +78,10 @@ impl Shift {
     }
 }
 
-/// Single-submission ALU operation selector for
-/// [`crate::PimMachine::alu`] — every shift-capable binary macro-op of
-/// the datapath. Multi-cycle sequences (abs-diff 3 cycles, min/max 2)
-/// keep their paper-faithful costs; the selector only unifies the call
-/// surface.
+/// Operation selector of [`crate::MachineInstr::Alu`] — every
+/// shift-capable binary macro-op of the datapath. Multi-cycle sequences
+/// (abs-diff 3 cycles, min/max 2) keep their paper-faithful costs; the
+/// selector only unifies the instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AluOp {
     /// Bit-wise logic through the sense amplifiers. `Logic(Or)` of an

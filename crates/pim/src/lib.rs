@@ -39,16 +39,21 @@
 //!   charged to the SRAM array, the shifter/adder, or the Tmp Reg using a
 //!   configurable [`CostModel`] seeded with the paper's 90 nm numbers.
 //!
+//! Compute is a lowered IR program; host I/O stays outside it:
+//!
 //! ```
-//! use pimvo_pim::{AluOp, ArrayConfig, Operand, PimMachine, Shift};
+//! use pimvo_pim::{lower, ArrayConfig, LowerLevel, PimMachine, PimProgram, ScratchRows, Val};
 //!
 //! let mut pim = PimMachine::new(ArrayConfig::qvga());
 //! pim.host_write_lanes(0, &[10, 20, 30]).unwrap();
 //! pim.host_write_lanes(1, &[1, 2, 3]).unwrap();
-//! pim.alu(AluOp::Add, Operand::Row(0), Operand::Row(1), Shift::None)
-//!     .unwrap();
-//! assert_eq!(&pim.tmp_lanes()[..3], &[11, 22, 33]);
-//! assert_eq!(pim.stats().cycles, 1);
+//! let mut p = PimProgram::new("add");
+//! let sum = p.add(Val::Row(0), Val::Row(1));
+//! p.store(sum, 2);
+//! let prog = lower(&p, LowerLevel::Opt, &ScratchRows::contiguous(8, 2)).unwrap();
+//! pim.run_program(&prog).unwrap();
+//! assert_eq!(&pim.host_read_lanes(2).unwrap()[..3], &[11, 22, 33]);
+//! assert_eq!(pim.stats().cycles, 2); // the add and its write-back
 //! ```
 //!
 //! Multi-array deployments are modeled by [`PimArrayPool`]: N identical
@@ -65,7 +70,9 @@
 //! register-file spilling at `MultiReg`, or the paper's unoptimized
 //! write-everything-back mapping at `Naive`. [`PimMachine::run_program`]
 //! executes the result, charging the same [`CostModel`] and stamping
-//! op records with the program name. A pool runs lowered programs through
+//! op records with the program name; [`PimMachine::execute`] runs one
+//! [`MachineInstr`], the reference interpretation. The machine has no
+//! other compute entry. A pool runs lowered programs through
 //! [`PimArrayPool::submit_strips`], one program per array for
 //! strip-sharded kernels; closures that do host I/O around several
 //! programs (the pose batches) go through the fault-resilient

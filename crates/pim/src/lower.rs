@@ -172,18 +172,26 @@ impl fmt::Display for LowerError {
 
 impl std::error::Error for LowerError {}
 
-/// One machine-level instruction of a [`LoweredProgram`] — a direct
-/// transliteration of the [`crate::PimMachine`] compute methods.
+/// One machine-level instruction of a [`LoweredProgram`]: the
+/// instruction set of [`crate::PimMachine`], which computes nothing
+/// else. [`crate::PimMachine::run_program`] runs a program of them and
+/// [`crate::PimMachine::execute`] one at a time. Every compute
+/// instruction leaves its result in the Tmp Reg; on unsigned 64-bit
+/// operands it fails with [`crate::PimError::UnsignedW64`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MachineInstr {
-    /// [`crate::PimMachine::set_lanes`].
+    /// Reconfigures lane width and signedness
+    /// ([`crate::PimMachine::set_lanes`]); free.
     SetLanes {
         /// Lane width.
         width: LaneWidth,
         /// Signedness.
         sign: Signedness,
     },
-    /// [`crate::PimMachine::alu`].
+    /// Shift-capable binary ALU op `op(a, b << shift)`: one cycle,
+    /// abs-diff three, min/max two (Fig. 7-a/b). Add, sub and negation
+    /// wrap at the operand width, saturating ops clamp to it, and the
+    /// average is the exact floor mean.
     Alu {
         /// Operation.
         op: AluOp,
@@ -194,40 +202,49 @@ pub enum MachineInstr {
         /// Lane pre-shift on `b`.
         shift: Shift,
     },
-    /// [`crate::PimMachine::shift_pix`].
+    /// Stand-alone lane shift (1 cycle): positive `pix` moves lane
+    /// `i + pix` into lane `i` (the `<< 1pix` of Fig. 2); zeros shift
+    /// in at the border.
     ShiftPix {
         /// Operand.
         a: Operand,
         /// Lane shift.
         pix: i32,
     },
-    /// [`crate::PimMachine::shr_bits`].
+    /// Right shift of every lane by `k` bits (1 cycle), arithmetic on
+    /// signed lanes. A shift by 64 or more leaves the sign fill
+    /// (arithmetic) or zero (logical).
     ShrBits {
         /// Operand.
         a: Operand,
         /// Bit count.
         k: u32,
     },
-    /// [`crate::PimMachine::shl_bits`].
+    /// Left shift of every lane by `k` bits, wrapping (1 cycle); by 64
+    /// or more every lane becomes zero.
     ShlBits {
         /// Operand.
         a: Operand,
         /// Bit count.
         k: u32,
     },
-    /// [`crate::PimMachine::neg`].
+    /// Wrapping negation of every lane (1 cycle: invert + carry-in).
     Neg {
         /// Operand.
         a: Operand,
     },
-    /// [`crate::PimMachine::sat_narrow`].
+    /// Saturating narrowing to `bits`-wide signed values (1 cycle: the
+    /// carry-extension clamp at a narrower carry-control setting).
     SatNarrow {
         /// Operand.
         a: Operand,
         /// Target width.
         bits: u32,
     },
-    /// [`crate::PimMachine::mul`] / [`crate::PimMachine::mul_signed`].
+    /// Shift-accumulate multiplication (Fig. 7-c): `n + 1` compute
+    /// cycles for `n`-bit lanes, `n + 2` with the write-back; the
+    /// signed variant inverts around the unsigned core in 5 more
+    /// cycles. The product stays in the Tmp Reg at double width.
     Mul {
         /// Multiplicand.
         a: Operand,
@@ -236,8 +253,11 @@ pub enum MachineInstr {
         /// Signed variant.
         signed: bool,
     },
-    /// [`crate::PimMachine::div_frac`] /
-    /// [`crate::PimMachine::div_frac_signed`].
+    /// Restoring division continued for `frac` fractional quotient
+    /// bits (Fig. 7-d): `(a << frac) / b` in `n + frac + 1` compute
+    /// cycles, the signed variant truncating toward zero in 5 more. A
+    /// zero divisor yields the all-ones quotient (unsigned) or the
+    /// saturated extreme of the dividend's sign (signed).
     DivFrac {
         /// Dividend.
         a: Operand,
@@ -248,17 +268,20 @@ pub enum MachineInstr {
         /// Signed variant.
         signed: bool,
     },
-    /// [`crate::PimMachine::writeback`].
+    /// Writes the Tmp Reg back to an SRAM row (1 cycle + write energy),
+    /// wrapped to the lane width.
     Writeback {
         /// Destination row.
         row: usize,
     },
-    /// [`crate::PimMachine::save_tmp`].
+    /// Copies the Tmp Reg into extra register `idx` (1 cycle, no SRAM
+    /// traffic: the write-back a second register elides).
     SaveTmp {
         /// Extra-register index (1-based).
         idx: u8,
     },
-    /// [`crate::PimMachine::reduce_sum`].
+    /// Reduces the Tmp Reg lanes to their sum in `ceil(log2(lanes))`
+    /// Tmp-resident steps, consuming the Tmp Reg.
     Reduce,
 }
 
@@ -292,7 +315,8 @@ pub enum LaneClass {
     /// `i16` lanes: the program stays on 8-bit lanes, and every value
     /// it can produce fits in an `i16`.
     I16,
-    /// `i64` lanes: every other program, and the per-op machine API.
+    /// `i64` lanes: every other program, and
+    /// [`crate::PimMachine::execute`].
     I64,
 }
 

@@ -10,7 +10,7 @@ use pimvo_fixed::sat;
 use pimvo_telemetry::optrace::{OpKind, OpTrace};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::{Add, BitAnd, BitOr, BitXor, Neg, Not, Shr, Sub};
+use std::ops::{BitAnd, BitOr, BitXor, Not, Shr};
 
 /// Error returned by the fallible API of [`PimMachine`] and
 /// [`crate::PimArrayPool`].
@@ -81,6 +81,10 @@ pub enum PimError {
         /// Spare rows reserved at construction.
         spares: usize,
     },
+    /// An instruction computes on unsigned 64-bit operands. The
+    /// machine's `i64` lanes cannot order values of 2^63 and above, so
+    /// it rejects the instruction before charging it.
+    UnsignedW64,
 }
 
 impl fmt::Display for PimError {
@@ -128,6 +132,9 @@ impl fmt::Display for PimError {
             PimError::SpareRowsExhausted { spares } => {
                 write!(f, "all {spares} spare rows are already remapped")
             }
+            PimError::UnsignedW64 => {
+                write!(f, "unsigned compute on 64-bit operands is not supported")
+            }
         }
     }
 }
@@ -137,15 +144,18 @@ impl std::error::Error for PimError {}
 /// The bit-parallel SRAM-PIM machine: array storage, Tmp Reg, lane
 /// configuration and cycle/energy bookkeeping.
 ///
-/// All compute methods place their result in the Tmp Reg; use
-/// [`PimMachine::writeback`] to persist it to an SRAM row (costing the
-/// extra cycle the paper's timing model prescribes). Host-side methods
-/// (`host_*`) model the I/O port and are tracked separately from compute
+/// The machine computes only lowered instructions ([`MachineInstr`]):
+/// whole programs through [`PimMachine::run_program`], one instruction
+/// at a time through [`PimMachine::execute`]. Every compute instruction
+/// places its result in the Tmp Reg; a [`MachineInstr::Writeback`]
+/// persists it to an SRAM row (costing the extra cycle the paper's
+/// timing model prescribes). Host-side methods (`host_*`, `gather`)
+/// model the I/O port and are tracked separately from compute
 /// statistics.
 ///
-/// Compute methods return [`PimError`] for an out-of-range row index
-/// or an empty register instead of panicking; ops before the failure
-/// stay charged.
+/// A bad row index, an empty register or unsigned 64-bit operands make
+/// an instruction return [`PimError`] instead of panicking; the
+/// instructions before the failure stay charged.
 #[derive(Debug, Clone)]
 pub struct PimMachine {
     config: ArrayConfig,
@@ -616,7 +626,7 @@ impl PimMachine {
     /// Enables `n` temporary registers (the paper's §5.4 scaling knob;
     /// the baseline design has one). Register 0 is the implicit result
     /// register ([`Operand::Tmp`]); registers 1..n are addressed with
-    /// [`Operand::Reg`] after being filled by [`PimMachine::save_tmp`].
+    /// [`Operand::Reg`] after being filled by [`MachineInstr::SaveTmp`].
     ///
     /// # Panics
     ///
@@ -633,42 +643,6 @@ impl PimMachine {
     /// Number of temporary registers (≥ 1).
     pub fn tmp_reg_count(&self) -> u8 {
         1 + self.banks.wide.regs.len() as u8
-    }
-
-    /// Copies the primary Tmp Reg into extra register `idx` (1-based
-    /// among the extra registers: `Operand::Reg(idx)`). One cycle,
-    /// register-file traffic only — this is exactly the write-back a
-    /// second register elides.
-    ///
-    /// # Errors
-    ///
-    /// [`PimError::RegisterZero`] for `idx == 0`,
-    /// [`PimError::RegisterNotEnabled`] beyond the enabled count, or
-    /// [`PimError::TmpEmpty`] when the Tmp Reg holds no value.
-    pub fn save_tmp(&mut self, idx: u8) -> Result<(), PimError> {
-        if idx == 0 {
-            return Err(PimError::RegisterZero);
-        }
-        let slot = (idx - 1) as usize;
-        let wide = &mut self.banks.wide;
-        if slot >= wide.regs.len() {
-            return Err(PimError::RegisterNotEnabled {
-                idx,
-                enabled: self.tmp_reg_count(),
-            });
-        }
-        if wide.tmp.is_empty() {
-            return Err(PimError::TmpEmpty);
-        }
-        let (lanes, bits) = &mut wide.regs[slot];
-        lanes.clone_from(&wide.tmp);
-        *bits = self.tmp_bits;
-        let cycle_start = self.stats.cycles;
-        self.stats.cycles += 1;
-        self.stats.acc_ops += 1;
-        self.stats.tmp_accesses += 2;
-        self.record_op(OpKind::Select, &[], &[], cycle_start, 0, 0);
-        Ok(())
     }
 
     /// Current lane width.
@@ -1052,28 +1026,113 @@ impl PimMachine {
     }
 
     // ------------------------------------------------------------------
-    // Compute macro-ops
+    // Compute: lowered instructions only
     // ------------------------------------------------------------------
 
-    /// Unified submission point for every shift-capable binary ALU
-    /// macro-op: one call selects the operation ([`AluOp`]), the two
-    /// operands, and the lane pre-shift applied to `b` ([`Shift`]).
+    /// Executes a lowered macro-op program (see [`crate::ir`] and
+    /// [`crate::lower()`]), charging the normal [`CostModel`]. Returns
+    /// the [`MachineInstr::Reduce`] results in program order. An armed
+    /// op recorder stamps every record of the run with the program
+    /// name.
     ///
-    /// Single-cycle ops stay single-cycle; abs-diff charges its two
-    /// Tmp-resident fixup steps, min/max their one (Fig. 7-a/b).
+    /// A [`LaneClass::I64`] program is exactly a loop of
+    /// [`PimMachine::execute`] over its instructions. A
+    /// [`LaneClass::I16`] program computes on `i16` lanes; its final
+    /// Tmp Reg is widened back on exit, so values, statistics, records
+    /// and the state later calls see are those of the `i64` loop.
     ///
     /// # Errors
     ///
-    /// [`PimError::RowOutOfRange`] for a bad row operand,
-    /// [`PimError::TmpEmpty`] / [`PimError::RegisterEmpty`] for a
-    /// register consumed before being written, or
-    /// [`PimError::RegisterZero`] / [`PimError::RegisterNotEnabled`]
-    /// for a bad register index.
-    pub fn alu(&mut self, op: AluOp, a: Operand, b: Operand, shift: Shift) -> Result<(), PimError> {
-        self.alu_on::<i64>(op, a, b, shift)
+    /// Propagates the first [`PimError`] of an instruction (bad rows,
+    /// empty registers, unsigned 64-bit operands). Instructions before
+    /// the failure have already been charged.
+    pub fn run_program(&mut self, prog: &LoweredProgram) -> Result<Vec<i64>, PimError> {
+        let mut sums = Vec::with_capacity(prog.reduce_count());
+        if let Some(rec) = &mut self.op_recorder {
+            // kernel-level attribution: every record of this program
+            // carries the program name
+            rec.set_label(Some(prog.name()));
+        }
+        // compute may not outrun its inputs: wait for outstanding
+        // strip-in DMA (prefetch traffic keeps overlapping)
+        self.dma_sync_inbound();
+        let run = match prog.lane_class() {
+            LaneClass::I64 => prog.ops().iter().try_for_each(|op| {
+                sums.extend(self.execute(&op.instr)?);
+                Ok(())
+            }),
+            LaneClass::I16 => self.run_narrow(prog.ops()),
+        };
+        if let Some(rec) = &mut self.op_recorder {
+            rec.set_label(None);
+        }
+        run.map(|()| sums)
     }
 
-    /// [`PimMachine::alu`] on the lane bank of `L`.
+    /// Executes one lowered instruction on `i64` lanes, charged like any
+    /// instruction of a program; returns the sum of a
+    /// [`MachineInstr::Reduce`], `None` otherwise. The reference
+    /// interpretation: an `i64` program is a loop of it, and the `i16`
+    /// lanes are checked against it.
+    ///
+    /// # Errors
+    ///
+    /// A bad row, an empty or bad register, or unsigned 64-bit operands
+    /// ([`PimError`]); a failing instruction charges nothing.
+    pub fn execute(&mut self, instr: &MachineInstr) -> Result<Option<i64>, PimError> {
+        self.exec_instr::<i64>(instr)
+    }
+
+    /// Runs the ops of a [`LaneClass::I16`] program on the `i16` bank,
+    /// then widens its Tmp Reg into the `i64` bank if the run wrote it.
+    /// The class guarantees the program writes the Tmp Reg before it
+    /// reads it and never reduces, so the narrow Tmp never needs the
+    /// value it held before and no sum is lost. Both banks' buffers
+    /// are pre-sized, so the hand-over does not allocate.
+    fn run_narrow(&mut self, ops: &[LoweredOp]) -> Result<(), PimError> {
+        let mut done = 0;
+        let run = ops.iter().try_for_each(|op| {
+            self.exec_instr::<i16>(&op.instr)?;
+            done += 1;
+            Ok(())
+        });
+        if ops[..done].iter().any(|op| op.instr.writes_tmp()) {
+            let Banks { wide, narrow } = &mut self.banks;
+            wide.tmp.clear();
+            wide.tmp.extend(narrow.tmp.iter().map(|&v| i64::from(v)));
+        }
+        run
+    }
+
+    /// Dispatches one lowered instruction to its helper on the lane bank
+    /// of `L`. The helpers stay out of line: folded into this dispatcher,
+    /// pose-program ops measured 10-20 % slower on the host. `i16`
+    /// programs stay on 8-bit lanes, so only `i64` checks the width.
+    fn exec_instr<L: Lane>(&mut self, instr: &MachineInstr) -> Result<Option<i64>, PimError> {
+        if L::BITS == 64 && self.sign == Signedness::Unsigned {
+            self.check_operand_width::<L>(instr)?;
+        }
+        match *instr {
+            MachineInstr::SetLanes { width, sign } => self.set_lanes(width, sign),
+            MachineInstr::Alu { op, a, b, shift } => self.alu_on::<L>(op, a, b, shift)?,
+            MachineInstr::ShiftPix { a, pix } => self.shift_pix_on::<L>(a, pix)?,
+            MachineInstr::ShrBits { a, k } => self.shr_bits_on::<L>(a, k)?,
+            MachineInstr::Neg { a } => self.neg_on::<L>(a)?,
+            MachineInstr::SatNarrow { a, bits } => self.sat_narrow_on::<L>(a, bits)?,
+            MachineInstr::Writeback { row } => self.writeback_on::<L>(row)?,
+            // the rest compute on i64 lanes only: LaneClass::of never
+            // admits them into an i16 program
+            MachineInstr::ShlBits { a, k } => self.shl_bits(a, k)?,
+            MachineInstr::Mul { a, b, signed } => self.mul(a, b, signed)?,
+            MachineInstr::DivFrac { a, b, frac, signed } => self.div_frac(a, b, frac, signed)?,
+            MachineInstr::SaveTmp { idx } => self.save_tmp(idx)?,
+            MachineInstr::Reduce => return self.reduce_sum().map(Some),
+        }
+        Ok(None)
+    }
+
+    /// [`MachineInstr::Alu`] on the lane bank of `L`.
+    #[inline(never)]
     fn alu_on<L: Lane>(
         &mut self,
         op: AluOp,
@@ -1104,35 +1163,35 @@ impl PimMachine {
             }
             AluOp::Add => {
                 self.binop(OpClass::AddSub, a, b, b_pix, bits, move |x: L, y| {
-                    (x + y).wrap(bits, sign)
+                    x.wrapping_add(y).wrap(bits, sign)
                 })?;
             }
             AluOp::Sub => {
                 self.binop(OpClass::AddSub, a, b, b_pix, bits, move |x: L, y| {
-                    (x - y).wrap(bits, sign)
+                    x.wrapping_sub(y).wrap(bits, sign)
                 })?;
             }
             AluOp::SatAdd => {
                 let (lo, hi) = sat_range(bits, sign);
                 self.binop(OpClass::SatAddSub, a, b, b_pix, bits, move |x: L, y| {
-                    (x + y).max(lo).min(hi)
+                    x.saturating_add(y).max(lo).min(hi)
                 })?;
             }
             AluOp::SatSub => {
                 let (lo, hi) = sat_range(bits, sign);
                 self.binop(OpClass::SatAddSub, a, b, b_pix, bits, move |x: L, y| {
-                    (x - y).max(lo).min(hi)
+                    x.saturating_sub(y).max(lo).min(hi)
                 })?;
             }
             AluOp::Avg => {
-                self.binop(OpClass::Avg, a, b, b_pix, bits, |x: L, y| (x + y) >> 1)?;
+                self.binop(OpClass::Avg, a, b, b_pix, bits, |x: L, y| x.avg(y))?;
             }
             AluOp::AbsDiff => {
                 // Step 1: M = a - b (+ carry extension), SRAM-touching.
                 // Steps 2-3: Tmp-resident single-cycle fixups (Fig. 7-a).
-                let (lo, hi) = sat_range(bits, sign);
+                let (_, hi) = sat_range(bits, sign);
                 self.binop(OpClass::AbsDiff, a, b, b_pix, bits, move |x: L, y| {
-                    (x - y).abs().max(lo).min(hi)
+                    x.abs_diff_at_most(y, hi)
                 })?;
                 self.charge_tmp_steps(2);
             }
@@ -1160,18 +1219,8 @@ impl PimMachine {
         Ok(())
     }
 
-    /// Stand-alone lane shift by `pix` positions (1 cycle). Positive
-    /// `pix` moves lane `i+pix` into lane `i` (the `<< 1pix` of Fig. 2);
-    /// zeros shift in at the border.
-    ///
-    /// # Errors
-    ///
-    /// Propagates operand errors (see [`PimMachine::alu`]).
-    pub fn shift_pix(&mut self, a: Operand, pix: i32) -> Result<(), PimError> {
-        self.shift_pix_on::<i64>(a, pix)
-    }
-
-    /// [`PimMachine::shift_pix`] on the lane bank of `L`.
+    /// [`MachineInstr::ShiftPix`] on the lane bank of `L`.
+    #[inline(never)]
     fn shift_pix_on<L: Lane>(&mut self, a: Operand, pix: i32) -> Result<(), PimError> {
         let bits = self.op_bits::<L>(a, a);
         self.unop(OpClass::Shift, a, bits, move |vals: &[L], out| {
@@ -1180,229 +1229,116 @@ impl PimMachine {
         })
     }
 
-    /// Arithmetic/logical right shift of every lane by `k` bits
-    /// (1 cycle; used to rescale products between Q-formats).
-    ///
-    /// # Errors
-    ///
-    /// Propagates operand errors (see [`PimMachine::alu`]).
-    pub fn shr_bits(&mut self, a: Operand, k: u32) -> Result<(), PimError> {
-        self.shr_bits_on::<i64>(a, k)
-    }
-
-    /// [`PimMachine::shr_bits`] on the lane bank of `L`.
+    /// [`MachineInstr::ShrBits`] on the lane bank of `L`; shifts by the
+    /// whole lane or more are decided once per op.
+    #[inline(never)]
     fn shr_bits_on<L: Lane>(&mut self, a: Operand, k: u32) -> Result<(), PimError> {
         let bits = self.op_bits::<L>(a, a);
         let sign = self.sign;
+        let k_arith = k.min(L::BITS - 1);
         self.unop(OpClass::Shift, a, bits, move |vals: &[L], out| match sign {
-            Signedness::Signed => out.extend(vals.iter().map(|&v| v >> k)),
+            Signedness::Signed => out.extend(vals.iter().map(|&v| v >> k_arith)),
+            Signedness::Unsigned if k >= L::BITS => out.resize(vals.len(), L::default()),
             Signedness::Unsigned => out.extend(vals.iter().map(|&v| v.shr_logical(k))),
         })
     }
 
-    /// Left shift of every lane by `k` bits, wrapping (1 cycle).
-    ///
-    /// # Errors
-    ///
-    /// Propagates operand errors (see [`PimMachine::alu`]).
-    pub fn shl_bits(&mut self, a: Operand, k: u32) -> Result<(), PimError> {
+    /// [`MachineInstr::ShlBits`] on `i64` lanes.
+    #[inline(never)]
+    fn shl_bits(&mut self, a: Operand, k: u32) -> Result<(), PimError> {
         let bits = self.op_bits::<i64>(a, a);
         let sign = self.sign;
         self.unop(OpClass::Shift, a, bits, move |vals: &[i64], out| {
-            out.extend(vals.iter().map(|&v| wrap(v << k, bits, sign)));
+            if k >= i64::BITS {
+                out.resize(vals.len(), 0);
+            } else {
+                out.extend(vals.iter().map(|&v| wrap(v << k, bits, sign)));
+            }
         })
     }
 
-    /// Unsigned multiplication (Fig. 7-c): `n + 1` compute cycles for
-    /// `n`-bit lanes (operand read + `n` shift-accumulate steps holding
-    /// the partial product and multiplier concatenated in the Tmp Reg);
-    /// the optional write-back adds the final cycle, giving the paper's
-    /// `n + 2` total.
-    ///
-    /// The product is left in the Tmp Reg at double width
-    /// ([`PimMachine::tmp_bits`] becomes `2n`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates operand errors (see [`PimMachine::alu`]).
-    pub fn mul(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
+    /// [`MachineInstr::Mul`] on `i64` lanes.
+    #[inline(never)]
+    fn mul(&mut self, a: Operand, b: Operand, signed: bool) -> Result<(), PimError> {
         let n = self.width.bits();
-        let mask = width_mask(n);
-        let bits = n; // operands at lane width
-        self.binop(OpClass::Mul, a, b, 0, bits, move |x: i64, y: i64| {
-            let p = (x as u64 & mask).wrapping_mul(y as u64 & mask);
-            p as i64 // 2n <= 64 bits
-        })?;
+        if signed {
+            // the low 64 bits of the product: exact for 2n <= 64
+            self.binop(OpClass::Mul, a, b, 0, n, |x: i64, y| x.wrapping_mul(y))?;
+        } else {
+            let mask = width_mask(n);
+            self.binop(OpClass::Mul, a, b, 0, n, move |x: i64, y: i64| {
+                (x as u64 & mask).wrapping_mul(y as u64 & mask) as i64
+            })?;
+        }
         self.tmp_bits = (2 * n).min(64);
         // n-1 further shift-accumulate steps + final correction
-        self.charge_muldiv_steps((n - 1) as u64 + 1, a.touches_sram() || b.touches_sram());
+        self.charge_muldiv_steps(n as u64, a.touches_sram() || b.touches_sram());
+        if signed {
+            self.charge_tmp_steps(5);
+        }
         Ok(())
     }
 
-    /// Signed multiplication: sign extraction and conditional inversion
-    /// around the unsigned core, as the paper prescribes ("the negative
-    /// values can be easily inverted before and after the computation").
-    /// Costs 5 extra cycles over [`PimMachine::mul`], independent of the
-    /// data (the inversions are mask-applied on all lanes).
-    ///
-    /// # Errors
-    ///
-    /// Propagates operand errors (see [`PimMachine::alu`]).
-    pub fn mul_signed(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
-        let n = self.width.bits();
-        // the low 64 bits of the product: exact for 2n <= 64
-        self.binop(OpClass::Mul, a, b, 0, n, |x: i64, y| x.wrapping_mul(y))?;
-        self.tmp_bits = (2 * n).min(64);
-        // unsigned core steps (re-reading the row operand) + 5 cycles
-        // of Tmp-resident sign pre/post processing
-        self.charge_muldiv_steps((n - 1) as u64 + 1, a.touches_sram() || b.touches_sram());
-        self.charge_tmp_steps(5);
-        Ok(())
-    }
-
-    /// Unsigned restoring division `a / b` (Fig. 7-d): `n + 1` compute
-    /// cycles (read + `n` subtract-restore steps with the partial
-    /// remainder in the Tmp Reg and quotient bits stacked in the LSBs);
-    /// write-back adds the `n + 2`nd cycle. Quotient is left in the Tmp
-    /// Reg; lanes dividing by zero produce the all-ones pattern.
-    ///
-    /// # Errors
-    ///
-    /// Propagates operand errors (see [`PimMachine::alu`]).
+    /// [`MachineInstr::DivFrac`] on `i64` lanes.
     #[allow(clippy::manual_checked_ops)] // divide-by-zero yields the divider's all-ones pattern, not None
-    pub fn div(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
-        let n = self.width.bits();
-        let mask = width_mask(n);
-        self.binop(OpClass::Div, a, b, 0, n, move |x: i64, y: i64| {
-            let (x, y) = (x as u64 & mask, y as u64 & mask);
-            if y == 0 {
-                mask as i64
-            } else {
-                (x / y) as i64
-            }
-        })?;
-        self.tmp_bits = n;
-        self.charge_muldiv_steps((n - 1) as u64 + 1, a.touches_sram() || b.touches_sram());
-        Ok(())
-    }
-
-    /// Unsigned division remainder `a % b` — same restoring sequence as
-    /// [`PimMachine::div`], keeping the partial remainder instead.
-    ///
-    /// # Errors
-    ///
-    /// Propagates operand errors (see [`PimMachine::alu`]).
-    pub fn rem(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
-        let n = self.width.bits();
-        let mask = width_mask(n);
-        self.binop(OpClass::Div, a, b, 0, n, move |x: i64, y: i64| {
-            let (x, y) = (x as u64 & mask, y as u64 & mask);
-            if y == 0 {
-                x as i64
-            } else {
-                (x % y) as i64
-            }
-        })?;
-        self.tmp_bits = n;
-        self.charge_muldiv_steps((n - 1) as u64 + 1, a.touches_sram() || b.touches_sram());
-        Ok(())
-    }
-
-    /// Fractional-quotient unsigned division: `(a << frac) / b`, i.e.
-    /// the restoring divider of Fig. 7-d continued for `frac` extra
-    /// steps to produce fractional quotient bits (the dividend extends
-    /// into the double-width Tmp Reg exactly as the multiplier's
-    /// partial products do). Costs `n + frac + 1` compute cycles.
-    ///
-    /// # Errors
-    ///
-    /// Propagates operand errors (see [`PimMachine::alu`]).
-    #[allow(clippy::manual_checked_ops)] // divide-by-zero yields the divider's all-ones pattern, not None
-    pub fn div_frac(&mut self, a: Operand, b: Operand, frac: u32) -> Result<(), PimError> {
-        let n = self.width.bits();
-        let mask = width_mask(n);
-        self.binop(OpClass::Div, a, b, 0, n + frac, move |x: i64, y: i64| {
-            let (x, y) = ((x as u64 & mask) as u128, (y as u64 & mask) as u128);
-            if y == 0 {
-                width_mask(n + frac) as i64
-            } else {
-                ((x << frac) / y) as i64
-            }
-        })?;
-        self.tmp_bits = (n + frac).min(64);
-        self.charge_muldiv_steps(
-            (n + frac - 1) as u64 + 1,
-            a.touches_sram() || b.touches_sram(),
-        );
-        Ok(())
-    }
-
-    /// Signed fractional-quotient division `(a << frac) / b`, truncating
-    /// toward zero, with the 5-cycle sign pre/post-processing.
-    /// Division by zero yields the saturated extreme of the dividend's
-    /// sign.
-    ///
-    /// # Errors
-    ///
-    /// Propagates operand errors (see [`PimMachine::alu`]).
-    pub fn div_frac_signed(&mut self, a: Operand, b: Operand, frac: u32) -> Result<(), PimError> {
+    #[inline(never)]
+    fn div_frac(
+        &mut self,
+        a: Operand,
+        b: Operand,
+        frac: u32,
+        signed: bool,
+    ) -> Result<(), PimError> {
         let n = self.width.bits();
         let out_bits = (n + frac).min(64);
-        let max = (width_mask(out_bits) >> 1) as i64;
-        // dividends below this magnitude shift without overflowing i64
-        let exact = if frac < 63 { 1u64 << (63 - frac) } else { 0 };
-        self.binop(OpClass::Div, a, b, 0, out_bits, move |x: i64, y| {
-            if y == 0 {
-                if x >= 0 {
-                    max
+        if signed {
+            let max = (width_mask(out_bits) >> 1) as i64;
+            // dividends below this magnitude shift without overflowing i64
+            let exact = if frac < 63 { 1u64 << (63 - frac) } else { 0 };
+            self.binop(OpClass::Div, a, b, 0, out_bits, move |x: i64, y| {
+                if y == 0 {
+                    if x >= 0 {
+                        max
+                    } else {
+                        -max - 1
+                    }
+                } else if x.unsigned_abs() < exact {
+                    (x << frac) / y
                 } else {
-                    -max - 1
+                    (((x as i128) << frac) / y as i128) as i64
                 }
-            } else if x.unsigned_abs() < exact {
-                (x << frac) / y
-            } else {
-                (((x as i128) << frac) / y as i128) as i64
-            }
-        })?;
+            })?;
+        } else {
+            let mask = width_mask(n);
+            self.binop(OpClass::Div, a, b, 0, out_bits, move |x: i64, y: i64| {
+                let (x, y) = ((x as u64 & mask) as u128, (y as u64 & mask) as u128);
+                if y == 0 {
+                    width_mask(n + frac) as i64
+                } else {
+                    ((x << frac) / y) as i64
+                }
+            })?;
+        }
         self.tmp_bits = out_bits;
-        self.charge_muldiv_steps(
-            (n + frac - 1) as u64 + 1,
-            a.touches_sram() || b.touches_sram(),
-        );
-        self.charge_tmp_steps(5);
+        self.charge_muldiv_steps((n + frac) as u64, a.touches_sram() || b.touches_sram());
+        if signed {
+            self.charge_tmp_steps(5);
+        }
         Ok(())
     }
 
-    /// Arithmetic negation of every lane (1 cycle: invert + carry-in).
-    ///
-    /// # Errors
-    ///
-    /// Propagates operand errors (see [`PimMachine::alu`]).
-    pub fn neg(&mut self, a: Operand) -> Result<(), PimError> {
-        self.neg_on::<i64>(a)
-    }
-
-    /// [`PimMachine::neg`] on the lane bank of `L`.
+    /// [`MachineInstr::Neg`] on the lane bank of `L`.
+    #[inline(never)]
     fn neg_on<L: Lane>(&mut self, a: Operand) -> Result<(), PimError> {
         let bits = self.op_bits::<L>(a, a);
         let sign = self.sign;
         self.unop(OpClass::AddSub, a, bits, move |vals: &[L], out| {
-            out.extend(vals.iter().map(|&v| (-v).wrap(bits, sign)));
+            out.extend(vals.iter().map(|&v| v.wrapping_neg().wrap(bits, sign)));
         })
     }
 
-    /// Saturating narrowing of the Tmp/row contents to `bits` wide
-    /// signed values (1 cycle: the carry-extension clamp at a narrower
-    /// carry-control setting).
-    ///
-    /// # Errors
-    ///
-    /// Propagates operand errors (see [`PimMachine::alu`]).
-    pub fn sat_narrow(&mut self, a: Operand, bits: u32) -> Result<(), PimError> {
-        self.sat_narrow_on::<i64>(a, bits)
-    }
-
-    /// [`PimMachine::sat_narrow`] on the lane bank of `L`.
+    /// [`MachineInstr::SatNarrow`] on the lane bank of `L`.
+    #[inline(never)]
     fn sat_narrow_on<L: Lane>(&mut self, a: Operand, bits: u32) -> Result<(), PimError> {
         let (lo, hi) = sat_range(bits, Signedness::Signed);
         self.unop(OpClass::SatAddSub, a, bits, move |vals: &[L], out| {
@@ -1410,18 +1346,8 @@ impl PimMachine {
         })
     }
 
-    /// Writes the Tmp Reg back to an SRAM row (1 cycle + write energy).
-    /// Contents are wrapped to the lane width.
-    ///
-    /// # Errors
-    ///
-    /// [`PimError::RowOutOfRange`] for a bad destination row or
-    /// [`PimError::TmpEmpty`] when the Tmp Reg holds no value.
-    pub fn writeback(&mut self, dst: usize) -> Result<(), PimError> {
-        self.writeback_on::<i64>(dst)
-    }
-
-    /// [`PimMachine::writeback`] from the lane bank of `L`.
+    /// [`MachineInstr::Writeback`] from the lane bank of `L`.
+    #[inline(never)]
     fn writeback_on<L: Lane>(&mut self, dst: usize) -> Result<(), PimError> {
         self.check_row(dst)?;
         let tmp = &L::bank(&self.banks).tmp;
@@ -1449,7 +1375,36 @@ impl PimMachine {
         Ok(())
     }
 
-    /// Reduces the Tmp Reg lanes to their sum and returns it.
+    /// [`MachineInstr::SaveTmp`] from the `i64` bank.
+    #[inline(never)]
+    fn save_tmp(&mut self, idx: u8) -> Result<(), PimError> {
+        if idx == 0 {
+            return Err(PimError::RegisterZero);
+        }
+        let slot = (idx - 1) as usize;
+        let wide = &mut self.banks.wide;
+        if slot >= wide.regs.len() {
+            return Err(PimError::RegisterNotEnabled {
+                idx,
+                enabled: self.tmp_reg_count(),
+            });
+        }
+        if wide.tmp.is_empty() {
+            return Err(PimError::TmpEmpty);
+        }
+        let (lanes, bits) = &mut wide.regs[slot];
+        lanes.clone_from(&wide.tmp);
+        *bits = self.tmp_bits;
+        let cycle_start = self.stats.cycles;
+        self.stats.cycles += 1;
+        self.stats.acc_ops += 1;
+        self.stats.tmp_accesses += 2;
+        self.record_op(OpKind::Select, &[], &[], cycle_start, 0, 0);
+        Ok(())
+    }
+
+    /// [`MachineInstr::Reduce`]: reduces the Tmp Reg lanes to their sum
+    /// and returns it.
     ///
     /// *Charge.* The modelled array folds the lanes by a strided tree of
     /// `ceil(log2(lanes))` shift-accumulate steps, each single-cycle
@@ -1471,11 +1426,8 @@ impl PimMachine {
     /// a still-live operand first), and `crates/pim/tests/tmp_contract.rs`
     /// checks every edge and pose program at every level for a Tmp read
     /// between a reduce and the next Tmp write.
-    ///
-    /// # Errors
-    ///
-    /// [`PimError::TmpEmpty`] when the Tmp Reg holds no value.
-    pub fn reduce_sum(&mut self) -> Result<i64, PimError> {
+    #[inline(never)]
+    fn reduce_sum(&mut self) -> Result<i64, PimError> {
         let tmp = &mut self.banks.wide.tmp;
         if tmp.is_empty() {
             return Err(PimError::TmpEmpty);
@@ -1494,10 +1446,10 @@ impl PimMachine {
     }
 
     /// Gathers `addresses.len()` lane values at arbitrary
-    /// (row, lane) addresses — the distance-transform / gradient-map
-    /// lookups of the pose-estimation step. Random access cannot use the
-    /// SIMD datapath, so each element costs one serialized read cycle
-    /// and one SRAM activation.
+    /// (row, lane) addresses — the host lookup port of the
+    /// distance-transform / gradient-map reads of the pose-estimation
+    /// step. Random access cannot use the SIMD datapath, so each
+    /// element costs one serialized read cycle and one SRAM activation.
     ///
     /// # Errors
     ///
@@ -1551,108 +1503,6 @@ impl PimMachine {
         }
         self.charge_protection(n);
         Ok(out)
-    }
-
-    // ------------------------------------------------------------------
-    // Program execution
-    // ------------------------------------------------------------------
-
-    /// Executes a lowered macro-op program (see [`crate::ir`] and
-    /// [`crate::lower()`]), charging the normal [`CostModel`] through
-    /// the same compute methods hand-written kernels call. Returns the
-    /// [`MachineInstr::Reduce`] results in program order. An armed op
-    /// recorder stamps every record of the run with the program name.
-    ///
-    /// A [`LaneClass::I16`] program computes on `i16` lanes; its final
-    /// Tmp Reg is widened back on exit, so values, statistics, records
-    /// and the state later calls see are those of the `i64` lanes every
-    /// other program and the per-op API use.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`PimError`] from the underlying compute
-    /// method (bad rows, empty registers). Ops before the failure have
-    /// already been charged, exactly as hand-written sequences behave.
-    pub fn run_program(&mut self, prog: &LoweredProgram) -> Result<Vec<i64>, PimError> {
-        let mut sums = Vec::with_capacity(prog.reduce_count());
-        if let Some(rec) = &mut self.op_recorder {
-            // kernel-level attribution: every record of this program
-            // carries the program name
-            rec.set_label(Some(prog.name()));
-        }
-        // compute may not outrun its inputs: wait for outstanding
-        // strip-in DMA (prefetch traffic keeps overlapping)
-        self.dma_sync_inbound();
-        let run = match prog.lane_class() {
-            LaneClass::I64 => prog
-                .ops()
-                .iter()
-                .try_for_each(|op| self.exec_instr::<i64>(&op.instr, &mut sums)),
-            LaneClass::I16 => self.run_narrow(prog.ops(), &mut sums),
-        };
-        if let Some(rec) = &mut self.op_recorder {
-            rec.set_label(None);
-        }
-        run.map(|()| sums)
-    }
-
-    /// Runs the ops of a [`LaneClass::I16`] program on the `i16` bank,
-    /// then widens its Tmp Reg into the `i64` bank if the run wrote it.
-    /// The class guarantees the program writes the Tmp Reg before it
-    /// reads it, so the narrow Tmp never needs the value it held
-    /// before. Both banks' buffers are pre-sized, so the hand-over
-    /// does not allocate.
-    fn run_narrow(&mut self, ops: &[LoweredOp], sums: &mut Vec<i64>) -> Result<(), PimError> {
-        let mut done = 0;
-        let run = ops.iter().try_for_each(|op| {
-            self.exec_instr::<i16>(&op.instr, sums)?;
-            done += 1;
-            Ok(())
-        });
-        if ops[..done].iter().any(|op| op.instr.writes_tmp()) {
-            let Banks { wide, narrow } = &mut self.banks;
-            wide.tmp.clear();
-            wide.tmp.extend(narrow.tmp.iter().map(|&v| i64::from(v)));
-        }
-        run
-    }
-
-    /// Dispatches one lowered instruction to its compute method, on the
-    /// lane bank of `L`.
-    fn exec_instr<L: Lane>(
-        &mut self,
-        instr: &MachineInstr,
-        sums: &mut Vec<i64>,
-    ) -> Result<(), PimError> {
-        match *instr {
-            MachineInstr::SetLanes { width, sign } => self.set_lanes(width, sign),
-            MachineInstr::Alu { op, a, b, shift } => self.alu_on::<L>(op, a, b, shift)?,
-            MachineInstr::ShiftPix { a, pix } => self.shift_pix_on::<L>(a, pix)?,
-            MachineInstr::ShrBits { a, k } => self.shr_bits_on::<L>(a, k)?,
-            MachineInstr::Neg { a } => self.neg_on::<L>(a)?,
-            MachineInstr::SatNarrow { a, bits } => self.sat_narrow_on::<L>(a, bits)?,
-            MachineInstr::Writeback { row } => self.writeback_on::<L>(row)?,
-            // the rest compute on i64 lanes only: LaneClass::of never
-            // admits them into an i16 program
-            MachineInstr::ShlBits { a, k } => self.shl_bits(a, k)?,
-            MachineInstr::Mul { a, b, signed } => {
-                if signed {
-                    self.mul_signed(a, b)?;
-                } else {
-                    self.mul(a, b)?;
-                }
-            }
-            MachineInstr::DivFrac { a, b, frac, signed } => {
-                if signed {
-                    self.div_frac_signed(a, b, frac)?;
-                } else {
-                    self.div_frac(a, b, frac)?;
-                }
-            }
-            MachineInstr::SaveTmp { idx } => self.save_tmp(idx)?,
-            MachineInstr::Reduce => sums.push(self.reduce_sum()?),
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1796,6 +1646,28 @@ impl PimMachine {
             bits = bits.max(self.reg_bits::<L>(b));
         }
         bits
+    }
+
+    /// On unsigned lanes, rejects an instruction that computes on 64-bit
+    /// operands, from the operand width its op takes: `i64` lanes
+    /// cannot order unsigned values of 2^63 and above.
+    #[inline(never)]
+    fn check_operand_width<L: Lane>(&self, instr: &MachineInstr) -> Result<(), PimError> {
+        let bits = match *instr {
+            MachineInstr::Alu { a, b, .. } => self.op_bits::<L>(a, b),
+            MachineInstr::ShiftPix { a, .. }
+            | MachineInstr::ShrBits { a, .. }
+            | MachineInstr::ShlBits { a, .. }
+            | MachineInstr::Neg { a }
+            | MachineInstr::SatNarrow { a, .. } => self.op_bits::<L>(a, a),
+            MachineInstr::Mul { .. } | MachineInstr::DivFrac { .. } => self.width.bits(),
+            _ => 0,
+        };
+        if bits < 64 {
+            Ok(())
+        } else {
+            Err(PimError::UnsignedW64)
+        }
     }
 
     /// Executes one single-cycle binary micro step and leaves the result
@@ -2021,7 +1893,7 @@ impl<L> LaneBank<L> {
     }
 }
 
-/// The lane banks. `wide` serves the per-op API and every
+/// The lane banks. `wide` serves [`PimMachine::execute`] and every
 /// [`LaneClass::I64`] program, and holds the Tmp Reg between calls;
 /// `narrow` serves [`LaneClass::I16`] programs inside
 /// [`PimMachine::run_program`].
@@ -2047,26 +1919,38 @@ impl Banks {
 /// holds a lane of any width; `i16` holds every value a
 /// [`LaneClass::I16`] program can produce (see [`LaneClass::of`]),
 /// and on those values each method returns what the `i64` one does.
+/// No method overflows on any `i64` value.
 trait Lane:
     Copy
     + Default
     + Ord
-    + Add<Output = Self>
-    + Sub<Output = Self>
-    + Neg<Output = Self>
     + Shr<u32, Output = Self>
     + BitAnd<Output = Self>
     + BitOr<Output = Self>
     + BitXor<Output = Self>
     + Not<Output = Self>
 {
+    /// Bits of the element type.
+    const BITS: u32;
     /// Truncating conversion.
     fn from_i64(v: i64) -> Self;
     /// Sign-extending conversion.
     fn to_i64(self) -> i64;
-    /// Absolute value.
-    fn abs(self) -> Self;
-    /// Logical right shift of the lane's bit pattern.
+    /// Two's-complement sum.
+    fn wrapping_add(self, y: Self) -> Self;
+    /// Two's-complement difference.
+    fn wrapping_sub(self, y: Self) -> Self;
+    /// Two's-complement negation.
+    fn wrapping_neg(self) -> Self;
+    /// Sum clamped to the element type.
+    fn saturating_add(self, y: Self) -> Self;
+    /// Difference clamped to the element type.
+    fn saturating_sub(self, y: Self) -> Self;
+    /// The exact floor of `(self + y) / 2`.
+    fn avg(self, y: Self) -> Self;
+    /// `|self - y|`, clamped to `hi` (`hi >= 0`).
+    fn abs_diff_at_most(self, y: Self, hi: Self) -> Self;
+    /// Logical right shift of the lane's bit pattern (`k < BITS`).
     fn shr_logical(self, k: u32) -> Self;
     /// Wraps to a `bits`-wide word ([`sat::wrap_signed`] /
     /// [`sat::wrap_unsigned`]).
@@ -2077,7 +1961,39 @@ trait Lane:
     fn bank_mut(banks: &mut Banks) -> &mut LaneBank<Self>;
 }
 
+/// The `Lane` methods that forward to the integer type's own.
+macro_rules! lane_int_methods {
+    ($t:ty) => {
+        const BITS: u32 = <$t>::BITS;
+        #[inline]
+        fn wrapping_add(self, y: Self) -> Self {
+            <$t>::wrapping_add(self, y)
+        }
+        #[inline]
+        fn wrapping_sub(self, y: Self) -> Self {
+            <$t>::wrapping_sub(self, y)
+        }
+        #[inline]
+        fn wrapping_neg(self) -> Self {
+            <$t>::wrapping_neg(self)
+        }
+        #[inline]
+        fn saturating_add(self, y: Self) -> Self {
+            <$t>::saturating_add(self, y)
+        }
+        #[inline]
+        fn saturating_sub(self, y: Self) -> Self {
+            <$t>::saturating_sub(self, y)
+        }
+        #[inline]
+        fn abs_diff_at_most(self, y: Self, hi: Self) -> Self {
+            <$t>::abs_diff(self, y).min(hi as _) as $t
+        }
+    };
+}
+
 impl Lane for i64 {
+    lane_int_methods!(i64);
     #[inline]
     fn from_i64(v: i64) -> Self {
         v
@@ -2087,8 +2003,9 @@ impl Lane for i64 {
         self
     }
     #[inline]
-    fn abs(self) -> Self {
-        i64::abs(self)
+    fn avg(self, y: Self) -> Self {
+        // halves first: a 64-bit lane has no headroom for the carry
+        (self >> 1) + (y >> 1) + (self & y & 1)
     }
     #[inline]
     fn shr_logical(self, k: u32) -> Self {
@@ -2109,6 +2026,7 @@ impl Lane for i64 {
 /// The `i64` formulas at 16 bits; exact for `bits <= 16` on values whose
 /// `i64` result fits in an `i16`.
 impl Lane for i16 {
+    lane_int_methods!(i16);
     #[inline]
     fn from_i64(v: i64) -> Self {
         v as i16
@@ -2118,8 +2036,9 @@ impl Lane for i16 {
         i64::from(self)
     }
     #[inline]
-    fn abs(self) -> Self {
-        i16::abs(self)
+    fn avg(self, y: Self) -> Self {
+        // exact: I16-class values stay within +-511
+        (self + y) >> 1
     }
     #[inline]
     fn shr_logical(self, k: u32) -> Self {
@@ -2248,7 +2167,7 @@ fn width_mask(bits: u32) -> u64 {
     }
 }
 
-/// The value [`PimMachine::reduce_sum`] leaves in lane 0: the wrapping
+/// The value [`MachineInstr::Reduce`] leaves in lane 0: the wrapping
 /// sum of `lanes` wrapped at `bits`, or the one lane as it stands. A
 /// strided tree that wraps after every pairwise add gives the same
 /// value, because wrapping is a ring homomorphism modulo `2^bits`.
@@ -2281,9 +2200,14 @@ mod tests {
     use crate::config::ArrayConfig;
     use crate::isa::LogicFunc;
     use proptest::prelude::*;
+    use MachineInstr::{DivFrac, Mul, Reduce, ShiftPix, Writeback};
 
     fn machine() -> PimMachine {
         PimMachine::new(ArrayConfig::qvga())
+    }
+
+    pub(super) fn alu(op: AluOp, a: Operand, b: Operand, shift: Shift) -> MachineInstr {
+        MachineInstr::Alu { op, a, b, shift }
     }
 
     #[test]
@@ -2363,8 +2287,13 @@ mod tests {
         let mut m = machine();
         m.host_write_lanes(0, &[1, 2, 250]).unwrap();
         m.host_write_lanes(1, &[10, 20, 30]).unwrap();
-        m.alu(AluOp::Add, Operand::Row(0), Operand::Row(1), Shift::None)
-            .unwrap();
+        m.execute(&alu(
+            AluOp::Add,
+            Operand::Row(0),
+            Operand::Row(1),
+            Shift::None,
+        ))
+        .unwrap();
         assert_eq!(&m.tmp_lanes()[..3], &[11, 22, 24]); // 280 wraps to 24
         assert_eq!(m.stats().cycles, 1);
         assert_eq!(m.stats().sram_reads, 1);
@@ -2375,8 +2304,13 @@ mod tests {
         let mut m = machine();
         m.host_write_lanes(0, &[250, 5]).unwrap();
         m.host_write_lanes(1, &[10, 10]).unwrap();
-        m.alu(AluOp::SatAdd, Operand::Row(0), Operand::Row(1), Shift::None)
-            .unwrap();
+        m.execute(&alu(
+            AluOp::SatAdd,
+            Operand::Row(0),
+            Operand::Row(1),
+            Shift::None,
+        ))
+        .unwrap();
         assert_eq!(&m.tmp_lanes()[..2], &[255, 15]);
     }
 
@@ -2386,11 +2320,21 @@ mod tests {
         m.set_lanes(LaneWidth::W16, Signedness::Signed);
         m.host_write_lanes(0, &[-100, 30000]).unwrap();
         m.host_write_lanes(1, &[50, 10000]).unwrap();
-        m.alu(AluOp::SatAdd, Operand::Row(0), Operand::Row(1), Shift::None)
-            .unwrap();
+        m.execute(&alu(
+            AluOp::SatAdd,
+            Operand::Row(0),
+            Operand::Row(1),
+            Shift::None,
+        ))
+        .unwrap();
         assert_eq!(&m.tmp_lanes()[..2], &[-50, 32767]);
-        m.alu(AluOp::Sub, Operand::Row(0), Operand::Row(1), Shift::None)
-            .unwrap();
+        m.execute(&alu(
+            AluOp::Sub,
+            Operand::Row(0),
+            Operand::Row(1),
+            Shift::None,
+        ))
+        .unwrap();
         assert_eq!(&m.tmp_lanes()[..2], &[-150, 20000]);
     }
 
@@ -2399,13 +2343,23 @@ mod tests {
         let mut m = machine();
         m.host_write_lanes(0, &[10, 20, 30, 40]).unwrap();
         m.host_write_lanes(1, &[20, 40, 10, 0]).unwrap();
-        m.alu(AluOp::Avg, Operand::Row(0), Operand::Row(1), Shift::None)
-            .unwrap();
+        m.execute(&alu(
+            AluOp::Avg,
+            Operand::Row(0),
+            Operand::Row(1),
+            Shift::None,
+        ))
+        .unwrap();
         assert_eq!(&m.tmp_lanes()[..4], &[15, 30, 20, 20]);
         // fused shifted average: (C[i] + C[i+1]) / 2
-        m.writeback(2).unwrap();
-        m.alu(AluOp::Avg, Operand::Row(2), Operand::Row(2), Shift::Pix(1))
-            .unwrap();
+        m.execute(&Writeback { row: 2 }).unwrap();
+        m.execute(&alu(
+            AluOp::Avg,
+            Operand::Row(2),
+            Operand::Row(2),
+            Shift::Pix(1),
+        ))
+        .unwrap();
         assert_eq!(&m.tmp_lanes()[..3], &[22, 25, 20]);
     }
 
@@ -2415,12 +2369,12 @@ mod tests {
         m.host_write_lanes(0, &[10, 200]).unwrap();
         m.host_write_lanes(1, &[30, 50]).unwrap();
         let before = m.stats().cycles;
-        m.alu(
+        m.execute(&alu(
             AluOp::AbsDiff,
             Operand::Row(0),
             Operand::Row(1),
             Shift::None,
-        )
+        ))
         .unwrap();
         assert_eq!(&m.tmp_lanes()[..2], &[20, 150]);
         assert_eq!(m.stats().cycles - before, 3);
@@ -2432,12 +2386,22 @@ mod tests {
         m.host_write_lanes(0, &[10, 200]).unwrap();
         m.host_write_lanes(1, &[30, 50]).unwrap();
         let c0 = m.stats().cycles;
-        m.alu(AluOp::Max, Operand::Row(0), Operand::Row(1), Shift::None)
-            .unwrap();
+        m.execute(&alu(
+            AluOp::Max,
+            Operand::Row(0),
+            Operand::Row(1),
+            Shift::None,
+        ))
+        .unwrap();
         assert_eq!(&m.tmp_lanes()[..2], &[30, 200]);
         assert_eq!(m.stats().cycles - c0, 2);
-        m.alu(AluOp::Min, Operand::Row(0), Operand::Row(1), Shift::None)
-            .unwrap();
+        m.execute(&alu(
+            AluOp::Min,
+            Operand::Row(0),
+            Operand::Row(1),
+            Shift::None,
+        ))
+        .unwrap();
         assert_eq!(&m.tmp_lanes()[..2], &[10, 50]);
     }
 
@@ -2447,11 +2411,16 @@ mod tests {
         m.host_write_lanes(0, &[13, 7]).unwrap();
         m.host_write_lanes(1, &[11, 9]).unwrap();
         let c0 = m.stats().cycles;
-        m.mul(Operand::Row(0), Operand::Row(1)).unwrap();
+        m.execute(&Mul {
+            a: Operand::Row(0),
+            b: Operand::Row(1),
+            signed: false,
+        })
+        .unwrap();
         assert_eq!(&m.tmp_lanes()[..2], &[143, 63]);
         assert_eq!(m.stats().cycles - c0, 9); // 8-bit: n+1 = 9
         assert_eq!(m.tmp_bits(), 16);
-        m.writeback(5).unwrap();
+        m.execute(&Writeback { row: 5 }).unwrap();
         assert_eq!(m.stats().cycles - c0, 10); // n+2 with write-back
     }
 
@@ -2461,7 +2430,12 @@ mod tests {
         m.set_lanes(LaneWidth::W16, Signedness::Signed);
         m.host_write_lanes(0, &[-300, 250]).unwrap();
         m.host_write_lanes(1, &[40, -40]).unwrap();
-        m.mul_signed(Operand::Row(0), Operand::Row(1)).unwrap();
+        m.execute(&Mul {
+            a: Operand::Row(0),
+            b: Operand::Row(1),
+            signed: true,
+        })
+        .unwrap();
         assert_eq!(&m.tmp_lanes()[..2], &[-12000, -10000]);
         assert_eq!(m.tmp_bits(), 32);
     }
@@ -2471,10 +2445,17 @@ mod tests {
         let mut m = machine();
         m.host_write_lanes(0, &[15, 143]).unwrap();
         m.host_write_lanes(1, &[6, 11]).unwrap();
-        m.div(Operand::Row(0), Operand::Row(1)).unwrap();
+        let c0 = m.stats().cycles;
+        m.execute(&DivFrac {
+            a: Operand::Row(0),
+            b: Operand::Row(1),
+            frac: 0,
+            signed: false,
+        })
+        .unwrap();
         assert_eq!(&m.tmp_lanes()[..2], &[2, 13]);
-        m.rem(Operand::Row(0), Operand::Row(1)).unwrap();
-        assert_eq!(&m.tmp_lanes()[..2], &[3, 0]);
+        assert_eq!(m.stats().cycles - c0, 9); // 8-bit: n+1 = 9
+        assert_eq!(m.tmp_bits(), 8);
     }
 
     #[test]
@@ -2482,7 +2463,13 @@ mod tests {
         let mut m = machine();
         m.host_write_lanes(0, &[15]).unwrap();
         m.host_write_lanes(1, &[0]).unwrap();
-        m.div(Operand::Row(0), Operand::Row(1)).unwrap();
+        m.execute(&DivFrac {
+            a: Operand::Row(0),
+            b: Operand::Row(1),
+            frac: 0,
+            signed: false,
+        })
+        .unwrap();
         assert_eq!(m.tmp_lanes()[0], 255);
     }
 
@@ -2490,9 +2477,17 @@ mod tests {
     fn shift_pix_semantics() {
         let mut m = machine();
         m.host_write_lanes(0, &[1, 2, 3, 4]).unwrap();
-        m.shift_pix(Operand::Row(0), 1).unwrap();
+        m.execute(&ShiftPix {
+            a: Operand::Row(0),
+            pix: 1,
+        })
+        .unwrap();
         assert_eq!(&m.tmp_lanes()[..4], &[2, 3, 4, 5 - 5]);
-        m.shift_pix(Operand::Row(0), -1).unwrap();
+        m.execute(&ShiftPix {
+            a: Operand::Row(0),
+            pix: -1,
+        })
+        .unwrap();
         assert_eq!(&m.tmp_lanes()[..4], &[0, 1, 2, 3]);
     }
 
@@ -2542,28 +2537,42 @@ mod tests {
                 m.host_write_lanes(0, &vals).unwrap();
                 assert_eq!(m.host_read_lanes(0).unwrap(), want, "{ctx} host round trip");
                 m.host_broadcast(1, 0).unwrap();
+                if width == W64 && sign == Unsigned {
+                    // host I/O only: no compute on unsigned 64-bit lanes
+                    let load = alu(or, Operand::Row(0), Operand::Row(0), Shift::None);
+                    assert_eq!(m.execute(&load), Err(PimError::UnsignedW64), "{ctx}");
+                    continue;
+                }
                 for pix in [1, -1, lanes as i32 - 1, 1 - lanes as i32] {
                     let ctx = format!("{ctx} pix {pix}");
                     // logic ops yield the stored bit pattern
-                    m.alu(or, Operand::Row(0), Operand::Row(0), Shift::None)
+                    m.execute(&alu(or, Operand::Row(0), Operand::Row(0), Shift::None))
                         .unwrap();
                     assert_eq!(m.tmp_lanes(), &want_raw[..], "{ctx} load");
-                    m.shift_pix(Operand::Tmp, pix).unwrap();
+                    m.execute(&ShiftPix {
+                        a: Operand::Tmp,
+                        pix,
+                    })
+                    .unwrap();
                     assert_eq!(m.tmp_lanes(), &shifted(&want_raw, pix)[..], "{ctx} shift");
-                    m.writeback(2).unwrap();
+                    m.execute(&Writeback { row: 2 }).unwrap();
                     assert_eq!(
                         m.host_read_lanes(2).unwrap(),
                         shifted(&want, pix),
                         "{ctx} write-back"
                     );
                     // fused pre-shift of a Tmp operand, OR'd with zeros
-                    m.alu(or, Operand::Row(0), Operand::Row(0), Shift::None)
+                    m.execute(&alu(or, Operand::Row(0), Operand::Row(0), Shift::None))
                         .unwrap();
-                    m.alu(or, Operand::Row(1), Operand::Tmp, Shift::Pix(pix))
+                    m.execute(&alu(or, Operand::Row(1), Operand::Tmp, Shift::Pix(pix)))
                         .unwrap();
                     assert_eq!(m.tmp_lanes(), &shifted(&want_raw, pix)[..], "{ctx} fused");
                     // stand-alone shift of a row decodes the lane values
-                    m.shift_pix(Operand::Row(0), pix).unwrap();
+                    m.execute(&ShiftPix {
+                        a: Operand::Row(0),
+                        pix,
+                    })
+                    .unwrap();
                     assert_eq!(m.tmp_lanes(), &shifted(&want, pix)[..], "{ctx} row shift");
                 }
             }
@@ -2594,7 +2603,18 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(Lane::abs(n).to_i64(), v.abs(), "abs {v}");
+            for y in [-511i64, -3, 0, 7, 511] {
+                let ctx = format!("{v} {y}");
+                let (m, w) = (y as i16, y);
+                assert_eq!(n.avg(m).to_i64(), w.avg(v), "avg {ctx}");
+                assert_eq!(n.saturating_add(m).to_i64(), v + w, "sat add {ctx}");
+                assert_eq!(n.saturating_sub(m).to_i64(), v - w, "sat sub {ctx}");
+                assert_eq!(
+                    n.abs_diff_at_most(m, 255).to_i64(),
+                    (v - w).abs().min(255),
+                    "abs diff {ctx}"
+                );
+            }
             for k in 0..16 {
                 assert_eq!((n >> k).to_i64(), v >> k, "shr {v} {k}");
                 if v >= 0 {
@@ -2648,9 +2668,14 @@ mod tests {
             m.host_write_lanes(0, &x).unwrap();
             m.host_write_lanes(1, &y).unwrap();
             // the dividend/multiplicand comes from the Tmp Reg
-            m.alu(or, Operand::Row(0), Operand::Row(0), Shift::None)
+            m.execute(&alu(or, Operand::Row(0), Operand::Row(0), Shift::None))
                 .unwrap();
-            m.mul_signed(Operand::Tmp, Operand::Row(1)).unwrap();
+            m.execute(&Mul {
+                a: Operand::Tmp,
+                b: Operand::Row(1),
+                signed: true,
+            })
+            .unwrap();
             for (i, &(x, y)) in chunk.iter().enumerate() {
                 assert_eq!(
                     m.tmp_lanes()[i],
@@ -2659,10 +2684,15 @@ mod tests {
                 );
             }
             for frac in [0, 1, 4, 12, 31, 62, 63] {
-                m.alu(or, Operand::Row(0), Operand::Row(0), Shift::None)
+                m.execute(&alu(or, Operand::Row(0), Operand::Row(0), Shift::None))
                     .unwrap();
-                m.div_frac_signed(Operand::Tmp, Operand::Row(1), frac)
-                    .unwrap();
+                m.execute(&DivFrac {
+                    a: Operand::Tmp,
+                    b: Operand::Row(1),
+                    frac: frac,
+                    signed: true,
+                })
+                .unwrap();
                 for (i, &(x, y)) in chunk.iter().enumerate() {
                     let want = match y {
                         0 if x >= 0 => i64::MAX,
@@ -2680,8 +2710,13 @@ mod tests {
         let mut m = machine();
         m.host_write_lanes(0, &[10, 50]).unwrap();
         m.host_write_lanes(1, &[30, 20]).unwrap();
-        m.alu(AluOp::CmpGt, Operand::Row(0), Operand::Row(1), Shift::None)
-            .unwrap();
+        m.execute(&alu(
+            AluOp::CmpGt,
+            Operand::Row(0),
+            Operand::Row(1),
+            Shift::None,
+        ))
+        .unwrap();
         assert_eq!(&m.tmp_lanes()[..2], &[0, 255]);
     }
 
@@ -2689,15 +2724,15 @@ mod tests {
     fn tmp_chaining_avoids_sram_reads() {
         let mut m = machine();
         m.host_write_lanes(0, &[1, 2]).unwrap();
-        m.alu(
+        m.execute(&alu(
             AluOp::Logic(LogicFunc::Or),
             Operand::Row(0),
             Operand::Row(0),
             Shift::None,
-        )
+        ))
         .unwrap();
         let r0 = m.stats().sram_reads;
-        m.alu(AluOp::Add, Operand::Tmp, Operand::Tmp, Shift::None)
+        m.execute(&alu(AluOp::Add, Operand::Tmp, Operand::Tmp, Shift::None))
             .unwrap();
         assert_eq!(m.stats().sram_reads, r0); // register-resident
         assert_eq!(&m.tmp_lanes()[..2], &[2, 4]);
@@ -2707,14 +2742,14 @@ mod tests {
     fn writeback_persists_and_costs() {
         let mut m = machine();
         m.host_write_lanes(0, &[7, 8]).unwrap();
-        m.alu(
+        m.execute(&alu(
             AluOp::Logic(LogicFunc::Or),
             Operand::Row(0),
             Operand::Row(0),
             Shift::None,
-        )
+        ))
         .unwrap();
-        m.writeback(3).unwrap();
+        m.execute(&Writeback { row: 3 }).unwrap();
         assert_eq!(m.stats().sram_writes, 1);
         assert_eq!(&m.host_read_lanes(3).unwrap()[..2], &[7, 8]);
     }
@@ -2725,21 +2760,21 @@ mod tests {
         m.set_lanes(LaneWidth::W32, Signedness::Signed);
         let vals: Vec<i64> = (1..=80).collect();
         m.host_write_lanes(0, &vals).unwrap();
-        m.alu(
+        m.execute(&alu(
             AluOp::Logic(LogicFunc::Or),
             Operand::Row(0),
             Operand::Row(0),
             Shift::None,
-        )
+        ))
         .unwrap();
-        let s = m.reduce_sum().unwrap();
+        let s = m.execute(&Reduce).unwrap().unwrap();
         assert_eq!(s, 80 * 81 / 2);
         // ceil(log2(80)) = 7 steps
         let red_cycles = 7;
         assert!(m.stats().cycles >= red_cycles);
     }
 
-    /// The strided tree [`PimMachine::reduce_sum`] ran before its
+    /// The strided tree [`MachineInstr::Reduce`] ran before its
     /// one-pass rewrite, kept as the oracle: pairwise adds at doubling
     /// strides, each wrapped at the Tmp width, the sum ending in lane 0.
     /// The adds wrap at 64 bits, as the release build's did.
@@ -2829,22 +2864,23 @@ mod tests {
                     let cfg = ArrayConfig { rows: 4, row_bits: lanes * width.bits() as usize };
                     let mut m = PimMachine::new(cfg);
                     m.set_lanes(width, sign);
+                    if width == LaneWidth::W64 && sign == Signedness::Unsigned {
+                        continue; // no unsigned compute at 64 bits
+                    }
                     for row in 0..2 {
-                        // W64 lanes keep two bits of headroom: the
-                        // ALU's add does not wrap at 64 bits
-                        let headroom = if width == LaneWidth::W64 { 2 } else { 0 };
-                        let vals: Vec<i64> = (0..lanes).map(|_| next() as i64 >> headroom).collect();
+                        let vals: Vec<i64> = (0..lanes).map(|_| next() as i64).collect();
                         m.host_write_lanes(row, &vals).unwrap();
                     }
                     let (r0, r1) = (Operand::Row(0), Operand::Row(1));
-                    match (next() % 3, width) {
-                        (0, _) | (_, LaneWidth::W64) => m.alu(AluOp::Add, r0, r1, Shift::None).unwrap(),
-                        (1, _) => m.mul(r0, r1).unwrap(),
-                        _ => m.mul_signed(r0, r1).unwrap(),
-                    }
+                    let instr = match (next() % 3, width) {
+                        (0, _) | (_, LaneWidth::W64) => alu(AluOp::Add, r0, r1, Shift::None),
+                        (1, _) => Mul { a: r0, b: r1, signed: false },
+                        _ => Mul { a: r0, b: r1, signed: true },
+                    };
+                    m.execute(&instr).unwrap();
                     let before_tmp = m.tmp_lanes().to_vec();
                     let before = m.stats().clone();
-                    let sum = m.reduce_sum().unwrap();
+                    let sum = m.execute(&Reduce).unwrap().unwrap();
                     let want = tree_sum(&mut before_tmp.clone(), m.tmp_bits(), sign);
                     prop_assert_eq!(sum, want, "{} lanes, {:?} {:?}", lanes, width, sign);
                     prop_assert_eq!(m.tmp_lanes()[0], sum);
@@ -2880,7 +2916,12 @@ mod tests {
     fn bad_row_is_an_error() {
         let mut m = machine();
         let err = m
-            .alu(AluOp::Add, Operand::Row(9999), Operand::Tmp, Shift::None)
+            .execute(&alu(
+                AluOp::Add,
+                Operand::Row(9999),
+                Operand::Tmp,
+                Shift::None,
+            ))
             .unwrap_err();
         assert_eq!(
             err,
@@ -2904,9 +2945,11 @@ mod tests {
 
 #[cfg(test)]
 mod multireg_tests {
+    use super::tests::alu;
     use super::*;
     use crate::config::ArrayConfig;
     use crate::isa::LogicFunc;
+    use MachineInstr::{SaveTmp, Writeback};
 
     #[test]
     fn second_register_holds_values() {
@@ -2915,12 +2958,22 @@ mod multireg_tests {
         assert_eq!(m.tmp_reg_count(), 2);
         m.host_write_lanes(0, &[5, 9]).unwrap();
         m.host_write_lanes(1, &[2, 3]).unwrap();
-        m.alu(AluOp::Add, Operand::Row(0), Operand::Row(1), Shift::None)
-            .unwrap(); // tmp = [7, 12]
-        m.save_tmp(1).unwrap();
-        m.alu(AluOp::Sub, Operand::Row(0), Operand::Row(1), Shift::None)
-            .unwrap(); // tmp = [3, 6]
-        m.alu(AluOp::Add, Operand::Tmp, Operand::Reg(1), Shift::None)
+        m.execute(&alu(
+            AluOp::Add,
+            Operand::Row(0),
+            Operand::Row(1),
+            Shift::None,
+        ))
+        .unwrap(); // tmp = [7, 12]
+        m.execute(&SaveTmp { idx: 1 }).unwrap();
+        m.execute(&alu(
+            AluOp::Sub,
+            Operand::Row(0),
+            Operand::Row(1),
+            Shift::None,
+        ))
+        .unwrap(); // tmp = [3, 6]
+        m.execute(&alu(AluOp::Add, Operand::Tmp, Operand::Reg(1), Shift::None))
             .unwrap(); // [10, 18]
         assert_eq!(&m.tmp_lanes()[..2], &[10, 18]);
     }
@@ -2930,19 +2983,19 @@ mod multireg_tests {
         let mut m = PimMachine::new(ArrayConfig::qvga());
         m.set_tmp_regs(3);
         m.host_write_lanes(0, &[1]).unwrap();
-        m.alu(
+        m.execute(&alu(
             AluOp::Logic(LogicFunc::Or),
             Operand::Row(0),
             Operand::Row(0),
             Shift::None,
-        )
+        ))
         .unwrap();
         let (c0, r0, w0) = (
             m.stats().cycles,
             m.stats().sram_reads,
             m.stats().sram_writes,
         );
-        m.save_tmp(2).unwrap();
+        m.execute(&SaveTmp { idx: 2 }).unwrap();
         assert_eq!(m.stats().cycles - c0, 1);
         assert_eq!(m.stats().sram_reads, r0);
         assert_eq!(m.stats().sram_writes, w0);
@@ -2957,14 +3010,24 @@ mod multireg_tests {
         with_reg.host_write_lanes(0, &[10, 20]).unwrap();
         with_reg.host_write_lanes(1, &[1, 2]).unwrap();
         with_reg
-            .alu(AluOp::Add, Operand::Row(0), Operand::Row(1), Shift::None)
+            .execute(&alu(
+                AluOp::Add,
+                Operand::Row(0),
+                Operand::Row(1),
+                Shift::None,
+            ))
             .unwrap();
-        with_reg.save_tmp(1).unwrap();
+        with_reg.execute(&SaveTmp { idx: 1 }).unwrap();
         with_reg
-            .alu(AluOp::Sub, Operand::Row(0), Operand::Row(1), Shift::None)
+            .execute(&alu(
+                AluOp::Sub,
+                Operand::Row(0),
+                Operand::Row(1),
+                Shift::None,
+            ))
             .unwrap();
         with_reg
-            .alu(AluOp::Add, Operand::Tmp, Operand::Reg(1), Shift::None)
+            .execute(&alu(AluOp::Add, Operand::Tmp, Operand::Reg(1), Shift::None))
             .unwrap();
         let a = with_reg.tmp_lanes()[..2].to_vec();
 
@@ -2972,14 +3035,24 @@ mod multireg_tests {
         with_wb.host_write_lanes(0, &[10, 20]).unwrap();
         with_wb.host_write_lanes(1, &[1, 2]).unwrap();
         with_wb
-            .alu(AluOp::Add, Operand::Row(0), Operand::Row(1), Shift::None)
+            .execute(&alu(
+                AluOp::Add,
+                Operand::Row(0),
+                Operand::Row(1),
+                Shift::None,
+            ))
             .unwrap();
-        with_wb.writeback(5).unwrap();
+        with_wb.execute(&Writeback { row: 5 }).unwrap();
         with_wb
-            .alu(AluOp::Sub, Operand::Row(0), Operand::Row(1), Shift::None)
+            .execute(&alu(
+                AluOp::Sub,
+                Operand::Row(0),
+                Operand::Row(1),
+                Shift::None,
+            ))
             .unwrap();
         with_wb
-            .alu(AluOp::Add, Operand::Tmp, Operand::Row(5), Shift::None)
+            .execute(&alu(AluOp::Add, Operand::Tmp, Operand::Row(5), Shift::None))
             .unwrap();
         assert_eq!(a, with_wb.tmp_lanes()[..2]);
 
@@ -2998,14 +3071,14 @@ mod multireg_tests {
     fn unenabled_register_is_an_error() {
         let mut m = PimMachine::new(ArrayConfig::qvga());
         m.host_write_lanes(0, &[1]).unwrap();
-        m.alu(
+        m.execute(&alu(
             AluOp::Logic(LogicFunc::Or),
             Operand::Row(0),
             Operand::Row(0),
             Shift::None,
-        )
+        ))
         .unwrap();
-        let err = m.save_tmp(1).unwrap_err();
+        let err = m.execute(&SaveTmp { idx: 1 }).unwrap_err();
         assert_eq!(err, PimError::RegisterNotEnabled { idx: 1, enabled: 1 });
         assert!(err.to_string().contains("not enabled"));
     }
@@ -3016,7 +3089,12 @@ mod multireg_tests {
         m.set_tmp_regs(2);
         m.host_write_lanes(0, &[1]).unwrap();
         let err = m
-            .alu(AluOp::Add, Operand::Row(0), Operand::Reg(1), Shift::None)
+            .execute(&alu(
+                AluOp::Add,
+                Operand::Row(0),
+                Operand::Reg(1),
+                Shift::None,
+            ))
             .unwrap_err();
         assert_eq!(err, PimError::RegisterEmpty { idx: 1 });
         assert!(err.to_string().contains("before being written"));

@@ -207,14 +207,16 @@ impl PoolHealth {
 /// array shares one configuration:
 ///
 /// ```
-/// use pimvo_pim::{AluOp, ArrayConfig, Operand, PimMachineBuilder, Shift};
+/// use pimvo_pim::{AluOp, ArrayConfig, MachineInstr, Operand, PimMachineBuilder, Shift};
 ///
 /// let mut pool = PimMachineBuilder::new(ArrayConfig::qvga()).build_pool(2);
 /// pool.array_mut(0).host_write_lanes(0, &[1, 2]).unwrap();
 /// pool.array_mut(1).host_write_lanes(0, &[3, 4]).unwrap();
+/// let (a, b, shift) = (Operand::Row(0), Operand::Row(0), Shift::None);
+/// let double = MachineInstr::Alu { op: AluOp::Add, a, b, shift };
 /// let sums: Vec<i64> = pool
 ///     .run_phase("sum", |_idx, m| {
-///         m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None).unwrap();
+///         m.execute(&double).unwrap();
 ///         m.tmp_lanes()[0]
 ///     })
 ///     .unwrap();
@@ -1380,7 +1382,12 @@ mod tests {
     use crate::config::ArrayConfig;
     use crate::ir::{PimProgram, Val};
     use crate::isa::{AluOp, LogicFunc, Operand, Shift};
-    use crate::lower::{lower, LowerLevel, ScratchRows};
+    use crate::lower::{lower, LowerLevel, MachineInstr, ScratchRows};
+    use MachineInstr::Writeback;
+
+    fn alu(op: AluOp, a: Operand, b: Operand, shift: Shift) -> MachineInstr {
+        MachineInstr::Alu { op, a, b, shift }
+    }
 
     fn pool(n: usize) -> PimArrayPool {
         PimMachineBuilder::new(ArrayConfig::qvga()).build_pool(n)
@@ -1415,14 +1422,24 @@ mod tests {
         // thread the slowest shard of each phase plus both barriers
         p.run_phase("phase", |i, m| {
             for _ in 0..=i {
-                m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
-                    .unwrap();
+                m.execute(&alu(
+                    AluOp::Add,
+                    Operand::Row(0),
+                    Operand::Row(0),
+                    Shift::None,
+                ))
+                .unwrap();
             }
         })
         .unwrap();
         p.run_phase("phase", |_, m| {
-            m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
-                .unwrap();
+            m.execute(&alu(
+                AluOp::Add,
+                Operand::Row(0),
+                Operand::Row(0),
+                Shift::None,
+            ))
+            .unwrap();
         })
         .unwrap();
         let trace = p.drain_op_trace().expect("armed pool drains a trace");
@@ -1443,8 +1460,13 @@ mod tests {
             }
             let out = p
                 .run_phase("phase", |_, m| {
-                    m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
-                        .unwrap();
+                    m.execute(&alu(
+                        AluOp::Add,
+                        Operand::Row(0),
+                        Operand::Row(0),
+                        Shift::None,
+                    ))
+                    .unwrap();
                     m.tmp_lanes()[0]
                 })
                 .unwrap();
@@ -1465,8 +1487,13 @@ mod tests {
         let io = p.array(0).cost_model().transfer_cycles(3);
         p.run_phase("phase", |i, m| {
             for _ in 0..=i {
-                m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
-                    .unwrap();
+                m.execute(&alu(
+                    AluOp::Add,
+                    Operand::Row(0),
+                    Operand::Row(0),
+                    Shift::None,
+                ))
+                .unwrap();
             }
         })
         .unwrap();
@@ -1481,16 +1508,26 @@ mod tests {
         let mut p = pool(1);
         p.array_mut(0).host_write_lanes(0, &[5, 6]).unwrap();
         p.run_phase("phase", |_, m| {
-            m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
-                .unwrap();
-            m.writeback(1).unwrap();
+            m.execute(&alu(
+                AluOp::Add,
+                Operand::Row(0),
+                Operand::Row(0),
+                Shift::None,
+            ))
+            .unwrap();
+            m.execute(&Writeback { row: 1 }).unwrap();
         })
         .unwrap();
         let mut m = PimMachine::new(ArrayConfig::qvga());
         m.host_write_lanes(0, &[5, 6]).unwrap();
-        m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
-            .unwrap();
-        m.writeback(1).unwrap();
+        m.execute(&alu(
+            AluOp::Add,
+            Operand::Row(0),
+            Operand::Row(0),
+            Shift::None,
+        ))
+        .unwrap();
+        m.execute(&Writeback { row: 1 }).unwrap();
         // no sync overhead, identical timeline (compute + host I/O)
         assert_eq!(p.wall_cycles(), m.timeline());
         assert_eq!(p.barriers(), 0);
@@ -1559,12 +1596,12 @@ mod tests {
         let mut p = pool(2);
         p.run_phase("phase", |_, m| {
             m.host_broadcast(0, 7).unwrap();
-            m.alu(
+            m.execute(&alu(
                 AluOp::Logic(LogicFunc::Or),
                 Operand::Row(0),
                 Operand::Row(0),
                 Shift::None,
-            )
+            ))
             .unwrap();
         })
         .unwrap();
@@ -1621,8 +1658,13 @@ mod tests {
         assert_phase_spans(|p| {
             p.run_phase("lpf_pass1", |i, m| {
                 for _ in 0..=i {
-                    m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
-                        .unwrap();
+                    m.execute(&alu(
+                        AluOp::Add,
+                        Operand::Row(0),
+                        Operand::Row(0),
+                        Shift::None,
+                    ))
+                    .unwrap();
                 }
             })
             .unwrap();
@@ -1637,9 +1679,14 @@ mod tests {
     fn telemetry_does_not_perturb_accounting() {
         let shard = |i: usize, m: &mut PimMachine| {
             m.host_write_lanes(0, &[i as i64 + 1, 2]).unwrap();
-            m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
-                .unwrap();
-            m.writeback(1).unwrap();
+            m.execute(&alu(
+                AluOp::Add,
+                Operand::Row(0),
+                Operand::Row(0),
+                Shift::None,
+            ))
+            .unwrap();
+            m.execute(&Writeback { row: 1 }).unwrap();
             m.host_read_lanes(1).unwrap()[0]
         };
         let mut off = pool(3);
@@ -1662,12 +1709,12 @@ mod tests {
         p.try_quarantine(1).unwrap();
         p.run_phase("s", |_, m| {
             m.host_broadcast(0, 1).unwrap();
-            m.alu(
+            m.execute(&alu(
                 AluOp::Logic(LogicFunc::Or),
                 Operand::Row(0),
                 Operand::Row(0),
                 Shift::None,
-            )
+            ))
             .unwrap();
         })
         .unwrap();
@@ -1683,9 +1730,14 @@ mod tests {
     fn inert_phase_matches_bare_machines_plus_one_barrier() {
         let shard = |i: usize, m: &mut PimMachine| {
             m.host_write_lanes(0, &[i as i64 + 1, 2]).unwrap();
-            m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
-                .unwrap();
-            m.writeback(1).unwrap();
+            m.execute(&alu(
+                AluOp::Add,
+                Operand::Row(0),
+                Operand::Row(0),
+                Shift::None,
+            ))
+            .unwrap();
+            m.execute(&Writeback { row: 1 }).unwrap();
             m.host_read_lanes(1).unwrap()[0]
         };
         let mut p = pool(3);
@@ -1780,8 +1832,13 @@ mod tests {
         p.try_quarantine(0).unwrap();
         p.run_phase("phase", |_, m| {
             m.host_write_lanes(0, &[1]).unwrap();
-            m.alu(AluOp::Add, Operand::Row(0), Operand::Row(0), Shift::None)
-                .unwrap();
+            m.execute(&alu(
+                AluOp::Add,
+                Operand::Row(0),
+                Operand::Row(0),
+                Shift::None,
+            ))
+            .unwrap();
         })
         .unwrap();
         let io = p.array(0).cost_model().transfer_cycles(1);
@@ -1828,12 +1885,12 @@ mod tests {
         for _ in 0..ScrubConfig::default().probation_phases {
             p.run_phase("phase", |_, m| {
                 m.host_broadcast(0, 1).unwrap();
-                m.alu(
+                m.execute(&alu(
                     AluOp::Logic(LogicFunc::Or),
                     Operand::Row(0),
                     Operand::Row(0),
                     Shift::None,
-                )
+                ))
                 .unwrap();
             })
             .unwrap();
@@ -1940,9 +1997,14 @@ mod tests {
                     // bits differ from the stored data), then compute
                     m.host_write_lanes(0, &[0, 0]).unwrap();
                     m.host_write_lanes(1, &[3, 4]).unwrap();
-                    m.alu(AluOp::Add, Operand::Row(0), Operand::Row(1), Shift::None)
-                        .unwrap();
-                    m.writeback(2).unwrap();
+                    m.execute(&alu(
+                        AluOp::Add,
+                        Operand::Row(0),
+                        Operand::Row(1),
+                        Shift::None,
+                    ))
+                    .unwrap();
+                    m.execute(&Writeback { row: 2 }).unwrap();
                     (shard, m.host_read_lanes(2).unwrap()[0])
                 })
                 .unwrap();
@@ -2010,12 +2072,12 @@ mod tests {
             let lanes = p
                 .run_phase("phase", |_, m| {
                     m.host_write_lanes(0, &[11, 22, 33, 44]).unwrap();
-                    m.alu(
+                    m.execute(&alu(
                         AluOp::Logic(LogicFunc::Or),
                         Operand::Row(0),
                         Operand::Row(0),
                         Shift::None,
-                    )
+                    ))
                     .unwrap();
                     m.tmp_lanes()[..4].to_vec()
                 })

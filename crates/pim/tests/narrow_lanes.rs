@@ -2,8 +2,8 @@
 //!
 //! `run_program` runs a [`LaneClass::I16`] program on `i16` lanes. Each
 //! test here runs the same lowered program twice: once through
-//! `run_program`, and once replayed op by op through the public per-op
-//! API, which always computes on `i64` lanes. Both machines must agree
+//! `run_program`, and once replayed instruction by instruction through
+//! `execute`, which always computes on `i64` lanes. Both machines must agree
 //! on every row, the Tmp Reg and its width, `ExecStats` (op histogram
 //! included), the armed op recorder's records, and with an armed fault
 //! model, the fault counters and the per-row syndrome log.
@@ -125,7 +125,7 @@ fn random_program(seed: u64, mixed_signs: bool) -> PimProgram {
 
 /// Two identical machines over `rows` rows with the same random row
 /// contents, their recorders armed, and a wide value (a signed 16-bit
-/// product) left in the Tmp Reg by the per-op API.
+/// product) left in the Tmp Reg by one executed instruction.
 fn twin_machines(builder: &PimMachineBuilder, seed: u64, rows: usize) -> [PimMachine; 2] {
     let mut rng = Rng(seed ^ 0xA5A5);
     let contents: Vec<Vec<u8>> = (0..rows)
@@ -137,55 +137,27 @@ fn twin_machines(builder: &PimMachineBuilder, seed: u64, rows: usize) -> [PimMac
             m.host_write_bytes(r, bytes).expect("row in range");
         }
         m.set_lanes(LaneWidth::W16, Signedness::Signed);
-        m.mul_signed(Operand::Row(0), Operand::Row(1))
-            .expect("prelude");
+        m.execute(&MachineInstr::Mul {
+            a: Operand::Row(0),
+            b: Operand::Row(1),
+            signed: true,
+        })
+        .expect("prelude");
         m
     })
 }
 
-/// Replays a lowered program op by op through the public `i64` API,
-/// labelling records the way `run_program` does.
+/// Replays a lowered program instruction by instruction through
+/// `execute`, labelling records the way `run_program` does.
 fn replay(m: &mut PimMachine, prog: &LoweredProgram) -> Vec<i64> {
     if let Some(rec) = m.op_recorder_mut() {
         rec.set_label(Some(prog.name()));
     }
-    let mut sums = Vec::new();
-    for op in prog.ops() {
-        let r = match op.instr {
-            MachineInstr::SetLanes { width, sign } => {
-                m.set_lanes(width, sign);
-                Ok(())
-            }
-            MachineInstr::Alu { op, a, b, shift } => m.alu(op, a, b, shift),
-            MachineInstr::ShiftPix { a, pix } => m.shift_pix(a, pix),
-            MachineInstr::ShrBits { a, k } => m.shr_bits(a, k),
-            MachineInstr::ShlBits { a, k } => m.shl_bits(a, k),
-            MachineInstr::Neg { a } => m.neg(a),
-            MachineInstr::SatNarrow { a, bits } => m.sat_narrow(a, bits),
-            MachineInstr::Mul { a, b, signed: true } => m.mul_signed(a, b),
-            MachineInstr::Mul {
-                a,
-                b,
-                signed: false,
-            } => m.mul(a, b),
-            MachineInstr::DivFrac {
-                a,
-                b,
-                frac,
-                signed: true,
-            } => m.div_frac_signed(a, b, frac),
-            MachineInstr::DivFrac {
-                a,
-                b,
-                frac,
-                signed: false,
-            } => m.div_frac(a, b, frac),
-            MachineInstr::Writeback { row } => m.writeback(row),
-            MachineInstr::SaveTmp { idx } => m.save_tmp(idx),
-            MachineInstr::Reduce => m.reduce_sum().map(|s| sums.push(s)),
-        };
-        r.expect("replayed op");
-    }
+    let sums = prog
+        .ops()
+        .iter()
+        .filter_map(|op| m.execute(&op.instr).expect("replayed op"))
+        .collect();
     if let Some(rec) = m.op_recorder_mut() {
         rec.set_label(None);
     }
@@ -193,9 +165,9 @@ fn replay(m: &mut PimMachine, prog: &LoweredProgram) -> Vec<i64> {
 }
 
 /// Runs `prog` through `run_program` on `fast` and by replay on
-/// `reference`, then returns the first disagreement, if any. A per-op
-/// call reading the Tmp Reg afterwards checks the state the run hands
-/// on.
+/// `reference`, then returns the first disagreement, if any. One more
+/// instruction reading the Tmp Reg afterwards checks the state the run
+/// hands on.
 fn compare(
     fast: &mut PimMachine,
     reference: &mut PimMachine,
@@ -219,12 +191,17 @@ fn compare(
         "lane config",
         fast.lane_width() == reference.lane_width() && fast.signedness() == reference.signedness(),
     )?;
+    let follow_up = MachineInstr::Alu {
+        op: AluOp::Add,
+        a: Operand::Tmp,
+        b: Operand::Row(2),
+        shift: Shift::Pix(1),
+    };
     for m in [&mut *fast, &mut *reference] {
-        m.alu(AluOp::Add, Operand::Tmp, Operand::Row(2), Shift::Pix(1))
-            .map_err(|e| e.to_string())?;
+        m.execute(&follow_up).map_err(|e| e.to_string())?;
     }
     check(
-        "follow-up per-op result",
+        "follow-up instruction result",
         fast.tmp_lanes() == reference.tmp_lanes(),
     )?;
     check("stats", fast.stats() == reference.stats())?;

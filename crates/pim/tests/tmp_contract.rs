@@ -1,4 +1,4 @@
-//! The Tmp Reg contract of `PimMachine::reduce_sum`: a reduce leaves
+//! The Tmp Reg contract of `MachineInstr::Reduce`: a reduce leaves
 //! the lane sum in lane 0 and the other lanes in a state no program may
 //! read (they keep their pre-reduce values, not the partial sums of the
 //! strided tree the hardware runs). The lowering treats the Tmp Reg as

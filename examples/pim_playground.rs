@@ -1,18 +1,43 @@
-//! Drive the bit-parallel SRAM-PIM machine directly: reproduces the
-//! arithmetic walk-throughs of Fig. 7 of the paper (absolute
-//! difference, branch-free min/max, shift-accumulate multiplication,
-//! restoring division), disassembles the last instructions from the
-//! op recorder, and shows the cycle/energy ledger the simulator keeps.
+//! Drive the bit-parallel SRAM-PIM machine with one-op programs:
+//! reproduces the arithmetic walk-throughs of Fig. 7 of the paper
+//! (absolute difference, branch-free min/max, shift-accumulate
+//! multiplication, restoring division), checks each result, and shows
+//! the lowered instructions, the op recorder's disassembly and the
+//! cycle/energy ledger the simulator keeps. Exits non-zero if a Fig. 7
+//! result drifts.
 //!
 //! ```sh
 //! cargo run --release --example pim_playground
 //! ```
 
 use pimvo::pim::{
-    AluOp, ArrayConfig, CostModel, LaneWidth, Operand, PimError, PimMachine, Shift, Signedness,
-    DEFAULT_OP_RING_CAPACITY,
+    lower, ArrayConfig, CostModel, LaneWidth, LowerLevel, PimError, PimMachine, PimProgram,
+    ScratchRows, VReg, Val, DEFAULT_OP_RING_CAPACITY,
 };
-use Operand::{Row, Tmp};
+use Val::Row;
+
+/// Row every program stores its result to.
+const OUT: usize = 4;
+
+/// Lowers the program `body` builds (its result stored to [`OUT`]),
+/// runs it, and returns the first `n` result lanes with the cycles the
+/// run took.
+fn run(
+    m: &mut PimMachine,
+    name: &str,
+    n: usize,
+    body: impl FnOnce(&mut PimProgram) -> VReg,
+) -> Result<(Vec<i64>, u64), PimError> {
+    let mut p = PimProgram::new(name);
+    let v = body(&mut p);
+    p.store(v, OUT);
+    let prog =
+        lower(&p, LowerLevel::Opt, &ScratchRows::contiguous(16, 4)).expect("one-op programs lower");
+    let c0 = m.stats().cycles;
+    m.run_program(&prog)?;
+    let cycles = m.stats().cycles - c0;
+    Ok((m.host_read_lanes(OUT)?[..n].to_vec(), cycles))
+}
 
 fn main() -> Result<(), PimError> {
     let mut m = PimMachine::new(ArrayConfig::qvga());
@@ -28,57 +53,61 @@ fn main() -> Result<(), PimError> {
     // Fig. 7-a: absolute difference |A - B|
     m.host_write_lanes(0, &[121, 12])?;
     m.host_write_lanes(1, &[106, 22])?;
-    m.alu(AluOp::AbsDiff, Row(0), Row(1), Shift::None)?;
-    println!("Fig.7-a |[121,12] - [106,22]| = {:?}", &m.tmp_lanes()[..2]);
+    let (diff, _) = run(&mut m, "abs_diff", 2, |p| p.abs_diff(Row(0), Row(1)))?;
+    println!("Fig.7-a |[121,12] - [106,22]| = {diff:?}");
+    assert_eq!(diff, [15, 10], "Fig. 7-a absolute difference");
 
     // Fig. 7-b: branch-free min/max
-    m.alu(AluOp::Min, Row(0), Row(1), Shift::None)?;
-    let min2 = m.tmp_lanes()[..2].to_vec();
-    m.alu(AluOp::Max, Row(0), Row(1), Shift::None)?;
-    println!("Fig.7-b min = {:?}, max = {:?}", min2, &m.tmp_lanes()[..2]);
-
-    // Fig. 7-c: multiplication 13 x 11 = 143 (n+2 cycles at 8 bits)
-    m.host_write_lanes(2, &[13])?;
-    m.host_write_lanes(3, &[11])?;
-    let c0 = m.stats().cycles;
-    m.mul(Row(2), Row(3))?;
-    m.writeback(4)?;
-    println!(
-        "Fig.7-c 13 x 11 = {} in {} cycles (paper: n+2 = 10)",
-        m.host_read_lanes(4)?[0],
-        m.stats().cycles - c0
+    let (min2, _) = run(&mut m, "min", 2, |p| p.min(Row(0), Row(1)))?;
+    let (max2, _) = run(&mut m, "max", 2, |p| p.max(Row(0), Row(1)))?;
+    println!("Fig.7-b min = {min2:?}, max = {max2:?}");
+    assert_eq!(
+        (min2, max2),
+        (vec![106, 12], vec![121, 22]),
+        "Fig. 7-b min/max"
     );
 
-    // Fig. 7-d: division 15 / 6 = 2 rem 3
+    // Fig. 7-c: multiplication 13 x 11 = 143 (n+2 cycles at 8 bits:
+    // operand read, n shift-accumulate steps, write-back)
+    m.host_write_lanes(2, &[13])?;
+    m.host_write_lanes(3, &[11])?;
+    let (prod, cycles) = run(&mut m, "mul", 1, |p| p.mul(Row(2), Row(3)))?;
+    println!(
+        "Fig.7-c 13 x 11 = {} in {cycles} cycles (paper: n+2 = 10)",
+        prod[0]
+    );
+    assert_eq!((prod[0], cycles), (143, 10), "Fig. 7-c multiplication");
+
+    // Fig. 7-d: restoring division 15 / 6 = 2
     m.host_write_lanes(2, &[15])?;
     m.host_write_lanes(3, &[6])?;
-    m.div(Row(2), Row(3))?;
-    let q = m.tmp_lanes()[0];
-    m.rem(Row(2), Row(3))?;
-    println!("Fig.7-d 15 / 6 = {} rem {}", q, m.tmp_lanes()[0]);
+    let (quot, _) = run(&mut m, "div", 1, |p| p.div_frac(Row(2), Row(3), 0))?;
+    println!("Fig.7-d 15 / 6 = {}", quot[0]);
+    assert_eq!(quot[0], 2, "Fig. 7-d division");
     println!();
 
-    // a taste of the SIMD width: 320 pixel averages in one cycle
-    m.set_lanes(LaneWidth::W8, Signedness::Unsigned);
+    // a taste of the SIMD width: 320 pixel averages in one cycle, then
+    // the fused shift-average of Fig. 2's LPF step
     let a: Vec<i64> = (0..320).map(|i| (i % 251) as i64).collect();
     let b: Vec<i64> = (0..320).map(|i| ((i * 7) % 251) as i64).collect();
     m.host_write_lanes(10, &a)?;
     m.host_write_lanes(11, &b)?;
-    // label the records of the box-filter step in the disassembly
-    if let Some(rec) = m.op_recorder_mut() {
-        rec.set_label(Some("box2x2"));
-    }
+    let mut p = PimProgram::new("box2x2");
+    let v = p.avg(Row(10), Row(11));
+    let h = p.avg_sh(v.into(), v.into(), 1);
+    p.store(h, OUT);
+    let prog =
+        lower(&p, LowerLevel::Opt, &ScratchRows::contiguous(16, 4)).expect("box filter lowers");
+    print!("{prog}");
     let c1 = m.stats().cycles;
-    m.alu(AluOp::Avg, Row(10), Row(11), Shift::None)?;
-    // fused shift-average (Fig. 2's LPF step)
-    m.alu(AluOp::Avg, Tmp, Tmp, Shift::Pix(1))?;
+    m.run_program(&prog)?;
     println!(
-        "320-lane 2x2 box filter step: {} cycles for 640 pixel averages",
+        "320-lane 2x2 box filter step: {} cycles for 640 pixel averages and the write-back",
         m.stats().cycles - c1
     );
     println!();
 
-    // instruction trace (disassembly-style)
+    // instruction trace (disassembly-style, labelled by program)
     if let Some(trace) = m.drain_op_trace() {
         println!("last instructions:");
         let listing = trace.listing();

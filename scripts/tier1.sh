@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: what every PR must keep green.
 #
-#   fmt check -> one-codec check -> one-front-end check -> build
+#   fmt check -> one-codec check -> one-front-end check ->
+#   one-execution-surface check -> build
 #   (release) -> workspace tests -> fault-feature tests -> clippy
 #   (-D warnings) -> rustdoc (-D warnings) -> IR golden snapshots ->
 #   smokes -> RESULTS.txt freshness -> bench gates
@@ -43,6 +44,15 @@ one_front_end() {
         ! git grep -n -E -e 'fn run_batch' -e 'fn .*_with_passes' -- 'crates/**/*.rs'
 }
 step one_front_end
+# one execution surface: the machine computes only lowered instructions
+# (run_program, execute), so no crate outside pimvo-pim builds a
+# MachineInstr, and machine.rs exports none of the removed per-op methods
+one_execution_surface() {
+    ! git grep -n -w 'MachineInstr' -- '*.rs' ':!crates/pim/' &&
+        ! git grep -n -E 'pub fn (alu|shift_pix|shr_bits|shl_bits|mul|mul_signed|div|rem|div_frac|div_frac_signed|neg|sat_narrow|writeback|reduce_sum|save_tmp)\b' \
+            -- crates/pim/src/machine.rs
+}
+step one_execution_surface
 step cargo build --release
 step cargo test -q --workspace
 # the fault-injection layer is feature-gated off by default; test it
@@ -67,6 +77,10 @@ step git diff --exit-code -- 'out/ir_*.txt'
 step cargo run -q --release --example dump_ir -- "$det_a" --report
 step cargo run -q --release --example dump_ir -- "$det_b" --report
 step diff -r "$det_a" "$det_b"
+
+# Fig. 7 walk-through: the playground runs one-op programs and asserts
+# |121-106| = 15, min/max, 13x11 = 143 in n+2 = 10 cycles and 15/6 = 2
+step cargo run -q --release --example pim_playground
 
 # bounded chaos smoke: kill-and-restore, snapshot corruption, budget
 # squeezes and quarantine storms must hold every invariant (exit 0)
