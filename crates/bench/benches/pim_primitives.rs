@@ -1,19 +1,21 @@
 //! Criterion micro-benches of the PIM machine: one-op lowered programs
 //! (simulator throughput per operation class, at each lane width, each
-//! op followed by its write-back), and whole lowered programs through
-//! `run_program`. The cases span the interpreter's lane classes: the
-//! 8-bit add and abs-diff and a whole-frame `lpf_pass1` run on `i16`
-//! lanes; multiplies, divides, 32-bit lanes and `pose_hessian` on `i64`
-//! lanes.
+//! op followed by its write-back), whole lowered programs through
+//! `run_program`, and the armed op recorder's cost per recorded op. The
+//! cases span the interpreter's lane classes: the 8-bit add and
+//! abs-diff and a whole-frame `lpf_pass1` run on `i16` lanes;
+//! multiplies, divides, 32-bit lanes and `pose_hessian` on `i64` lanes.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pimvo_core::pim_exec::{pose_programs, pose_scratch, POSE_BASE};
 use pimvo_core::Interp;
 use pimvo_kernels::ir::{lpf_pass1_program, scratch_pool};
+use pimvo_kernels::pim_pool::EdgeKernels;
 use pimvo_kernels::pim_util::Regions;
+use pimvo_kernels::{EdgeConfig, GrayImage};
 use pimvo_pim::{
-    lower, AluOp, ArrayConfig, LaneClass, LaneWidth, LowerLevel, LoweredProgram, PimMachine,
-    PimProgram, ScratchRows, Signedness, VReg, Val,
+    lower, AluOp, ArrayConfig, DmaConfig, LaneClass, LaneWidth, LowerLevel, LoweredProgram,
+    PimMachine, PimProgram, ScratchRows, Signedness, VReg, Val, DEFAULT_OP_RING_CAPACITY,
 };
 
 /// A machine with two operand rows filled at `width`, and the one-op
@@ -93,5 +95,49 @@ fn bench_programs(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_primitives, bench_programs);
+/// One QVGA edge detection (upload, the four edge programs, readout)
+/// on a pool of one array, drained after every run as the serving
+/// fleet drains each frame: with nothing armed, with the op recorder
+/// armed, and with a DMA channel without and with the recorder (the
+/// fleet's set-up). The throughput unit is one machine-stream record of
+/// a run, so every case reads as ns per recorded op, and an armed case
+/// minus its unarmed twin is the recorder's cost per op.
+fn bench_op_recorder(c: &mut Criterion) {
+    let img = GrayImage::from_fn(320, 240, |x, y| {
+        ((x * 13 + y * 7).wrapping_mul(2654435761) >> 9) as u8
+    });
+    let cfg = EdgeConfig::default();
+    let plain = PimMachine::builder(ArrayConfig::qvga_banks(6));
+    let with_dma = plain.clone().dma(DmaConfig::default());
+    let mut kernels = EdgeKernels::new();
+
+    let mut probe = plain.build_pool(1);
+    probe.arm_op_recorders(DEFAULT_OP_RING_CAPACITY);
+    kernels.edge_detect(&mut probe, &img, &cfg);
+    let trace = probe.drain_op_trace().expect("armed pool drains");
+    let ops = trace.records.iter().filter(|r| r.array == 0).count() as u64;
+
+    let mut g = c.benchmark_group("op_recorder");
+    g.throughput(Throughput::Elements(ops));
+    for (name, builder, armed) in [
+        ("edge_detect_off", &plain, false),
+        ("edge_detect_armed", &plain, true),
+        ("edge_detect_dma", &with_dma, false),
+        ("edge_detect_armed_dma", &with_dma, true),
+    ] {
+        let mut pool = builder.build_pool(1);
+        if armed {
+            pool.arm_op_recorders(DEFAULT_OP_RING_CAPACITY);
+        }
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let maps = kernels.edge_detect(&mut pool, &img, &cfg);
+                (maps, pool.drain_op_trace().map(|t| t.len()))
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_primitives, bench_programs, bench_op_recorder);
 criterion_main!(benches);

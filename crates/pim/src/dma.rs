@@ -501,12 +501,12 @@ impl DmaChannel {
         self.recorder = Some(OpRecorder::with_stream(stream, array, capacity));
     }
 
-    pub(crate) fn recorder_mut(&mut self) -> Option<&mut OpRecorder> {
-        self.recorder.as_mut()
+    pub(crate) fn disarm_recorder(&mut self) {
+        self.recorder = None;
     }
 
-    pub(crate) fn drain_trace(&mut self) -> Option<pimvo_telemetry::optrace::OpTrace> {
-        self.recorder.as_mut().map(|r| r.drain())
+    pub(crate) fn recorder_mut(&mut self) -> Option<&mut OpRecorder> {
+        self.recorder.as_mut()
     }
 
     /// Books machine stall cycles attributed to this channel

@@ -395,10 +395,15 @@ impl PimMachine {
     /// [`pimvo_telemetry::optrace::OpRecord`] into a bounded ring
     /// (`capacity` records, oldest dropped and counted). `stream` is
     /// the array index used to namespace record ids and stamped on each
-    /// record. Off by default; recording never changes simulated
-    /// results, cycles or energy.
+    /// record. Row edges are tracked for the machine's logical rows
+    /// ([`ArrayConfig::rows`]). Off by default; recording never changes
+    /// simulated results, cycles or energy.
     pub fn arm_op_recorder(&mut self, stream: u16, capacity: usize) {
-        self.op_recorder = Some(Box::new(OpRecorder::new(stream, capacity)));
+        self.op_recorder = Some(Box::new(OpRecorder::new(
+            stream,
+            capacity,
+            self.config.rows,
+        )));
     }
 
     /// Disarms the op-record ring, discarding buffered records.
@@ -970,16 +975,18 @@ impl PimMachine {
         }
     }
 
-    /// Mutable access to the channel's op recorder (session stamping by
-    /// [`crate::PimArrayPool::set_op_session`]).
-    pub fn dma_recorder_mut(&mut self) -> Option<&mut OpRecorder> {
-        self.dma.as_mut().and_then(|ch| ch.recorder_mut())
+    /// Disarms the DMA channel's op-trace lane, discarding its buffered
+    /// records. No effect without a channel.
+    pub fn disarm_dma_recorder(&mut self) {
+        if let Some(ch) = &mut self.dma {
+            ch.disarm_recorder();
+        }
     }
 
-    /// Hands off the channel lane's buffered records, when a channel
-    /// recorder is armed.
-    pub fn drain_dma_trace(&mut self) -> Option<OpTrace> {
-        self.dma.as_mut().and_then(|ch| ch.drain_trace())
+    /// Mutable access to the channel's op recorder (session stamping and
+    /// draining by the owning [`crate::PimArrayPool`]).
+    pub fn dma_recorder_mut(&mut self) -> Option<&mut OpRecorder> {
+        self.dma.as_mut().and_then(|ch| ch.recorder_mut())
     }
 
     /// Stalls the compute stream to timeline `target`: charges

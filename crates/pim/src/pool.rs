@@ -379,10 +379,11 @@ impl PimArrayPool {
     }
 
     /// Disarms the recorders armed by [`PimArrayPool::arm_op_recorders`],
-    /// discarding any buffered records.
+    /// DMA lanes included, discarding any buffered records.
     pub fn disarm_op_recorders(&mut self) {
         for m in &mut self.arrays {
             m.disarm_op_recorder();
+            m.disarm_dma_recorder();
         }
         self.op_sync = None;
     }
@@ -409,24 +410,49 @@ impl PimArrayPool {
     }
 
     /// Drains every armed stream into one merged [`OpTrace`] (machine
-    /// streams in array order, then the pool sync stream). Returns
-    /// `None` while disarmed. Recorders stay armed; ids remain unique
-    /// across drains.
+    /// streams in array order, each followed by its DMA lane, then the
+    /// pool sync stream). The trace is sized once and every stream's
+    /// records are copied into it in one block. Returns `None` while
+    /// disarmed. Recorders stay armed; ids remain unique across drains.
     pub fn drain_op_trace(&mut self) -> Option<OpTrace> {
-        self.op_sync.as_ref()?;
-        let mut trace = OpTrace::new();
+        let sync = self.op_sync.as_deref_mut()?;
+        let mut len = sync.len();
         for m in &mut self.arrays {
-            if let Some(t) = m.drain_op_trace() {
-                trace.merge(t);
+            len += m.op_recorder().map_or(0, OpRecorder::len);
+            len += m.dma_recorder_mut().map_or(0, |r| r.len());
+        }
+        let mut trace = OpTrace::new();
+        trace.records.reserve_exact(len);
+        for m in &mut self.arrays {
+            if let Some(r) = m.op_recorder_mut() {
+                r.drain_into(&mut trace);
             }
-            if let Some(t) = m.drain_dma_trace() {
-                trace.merge(t);
+            if let Some(r) = m.dma_recorder_mut() {
+                r.drain_into(&mut trace);
             }
         }
-        if let Some(sync) = &mut self.op_sync {
-            trace.merge(sync.drain());
-        }
+        sync.drain_into(&mut trace);
         Some(trace)
+    }
+
+    /// Discards what every armed stream has buffered, leaving each
+    /// recorder exactly as [`PimArrayPool::drain_op_trace`] would (ids,
+    /// serial tails and row tables kept) without building the trace:
+    /// the way to scope the next drain to what follows. A no-op while
+    /// disarmed.
+    pub fn discard_op_trace(&mut self) {
+        let Some(sync) = self.op_sync.as_deref_mut() else {
+            return;
+        };
+        for m in &mut self.arrays {
+            if let Some(r) = m.op_recorder_mut() {
+                r.clear();
+            }
+            if let Some(r) = m.dma_recorder_mut() {
+                r.clear();
+            }
+        }
+        sync.clear();
     }
 
     /// Records one sync point in the pool stream after a wall-clock
@@ -1473,6 +1499,23 @@ mod tests {
             (out, p.wall_cycles(), p.merged_stats())
         };
         assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn disarming_stops_every_stream_dma_lanes_included() {
+        let mut p = pool(2);
+        p.set_dma(Some(DmaConfig::default()));
+        p.arm_op_recorders(64);
+        p.disarm_op_recorders();
+        for i in 0..2 {
+            p.array_mut(i).host_write_lanes(0, &[5, 6]).unwrap();
+            assert!(p.array(i).op_recorder().is_none());
+            assert!(
+                p.array_mut(i).dma_recorder_mut().is_none(),
+                "array {i}'s DMA lane still records"
+            );
+        }
+        assert!(p.drain_op_trace().is_none());
     }
 
     #[test]

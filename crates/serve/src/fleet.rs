@@ -306,7 +306,7 @@ impl FleetScheduler {
                 }
                 self.shared.set_op_session(id.0);
                 // discard anything recorded before this frame started
-                let _ = self.shared.drain_op_trace();
+                self.shared.discard_op_trace();
             }
             None => {
                 if self.shared.op_recorders_armed() {
@@ -1472,6 +1472,73 @@ mod tests {
             }
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    #[test]
+    fn discarding_the_pre_frame_trace_matches_draining_it() {
+        // every frame dumps (1-cycle deadline); between steps the test
+        // records host writes of its own, so each step starts with
+        // records to scope away. `drain_first` drops them through a
+        // full drain before the step (the step's own discard then finds
+        // the rings empty): the dumps must not tell the two apart
+        let run = |drain_first: bool| {
+            let dma = PimMachine::builder(ArrayConfig::qvga_banks(6))
+                .dma(pimvo_pim::DmaConfig::default());
+            let mut fleet = FleetScheduler::from_builder(&dma, 2);
+            let dir = std::env::temp_dir().join(format!(
+                "pimvo_flight_discard_{drain_first}_{}",
+                std::process::id()
+            ));
+            std::fs::create_dir_all(&dir).unwrap();
+            fleet.set_flight_dir(&dir);
+            for id in [SessionId(1), SessionId(2)] {
+                fleet.add_session(
+                    id,
+                    SessionSpec::new(TrackerConfig::default())
+                        .deadline_cycles(1)
+                        .max_queue(4)
+                        .flight_recorder(2),
+                );
+            }
+            for round in 0..3 {
+                let (g, d) = textured_frame(round as f64);
+                for id in [SessionId(1), SessionId(2)] {
+                    fleet.submit_frame(id, g.clone(), d.clone()).unwrap();
+                }
+                loop {
+                    let pool = fleet.pool_mut();
+                    // two labels, so a window that is not reset keeps
+                    // one the next frame never uses
+                    for (row, label) in [(round, "probe"), (round + 1, "upload")] {
+                        if let Some(rec) = pool.array_mut(0).op_recorder_mut() {
+                            rec.set_label(Some(label));
+                        }
+                        pool.array_mut(0)
+                            .host_write_lanes(row, &[round as i64; 8])
+                            .unwrap();
+                    }
+                    if drain_first {
+                        let _ = pool.drain_op_trace();
+                    }
+                    if fleet.step().unwrap().is_none() {
+                        break;
+                    }
+                }
+            }
+            let mut dumps = Vec::new();
+            for id in [SessionId(1), SessionId(2)] {
+                for path in &fleet.stats(id).unwrap().flight_dumps {
+                    let path = std::path::Path::new(path);
+                    let name = path.file_name().unwrap().to_owned();
+                    dumps.push((name, std::fs::read(path).unwrap()));
+                }
+            }
+            std::fs::remove_dir_all(&dir).ok();
+            dumps
+        };
+        let discarded = run(false);
+        assert_eq!(discarded.len(), 6, "every frame of both sessions dumps");
+        assert!(discarded == run(true), "flight dumps differ byte for byte");
     }
 
     #[test]

@@ -179,7 +179,7 @@ impl OpKind {
 
 /// One traced macro-op: what ran, where, what it cost, and which
 /// earlier records it depended on. Fixed 80-byte wire encoding.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OpRecord {
     /// Globally unique id (> 0; producers namespace ids per stream).
     pub id: u64,
@@ -306,14 +306,23 @@ impl OpTrace {
     /// drop counter. Record ids are producer-namespaced and stay
     /// valid unchanged.
     pub fn merge(&mut self, other: OpTrace) {
-        let remap: Vec<u32> = other.labels.iter().map(|l| self.intern(l)).collect();
-        self.records.extend(other.records.into_iter().map(|mut r| {
+        self.append(&other.records, &other.labels, other.dropped);
+    }
+
+    /// Appends one producer stream given as its parts — records, their
+    /// label table and drop counter — exactly as [`OpTrace::merge`]
+    /// would append the trace they form, without building that trace:
+    /// the records are copied in one block, then relabeled in place.
+    pub fn append(&mut self, records: &[OpRecord], labels: &[String], dropped: u64) {
+        let remap: Vec<u32> = labels.iter().map(|l| self.intern(l)).collect();
+        let at = self.records.len();
+        self.records.extend_from_slice(records);
+        for r in &mut self.records[at..] {
             if r.label != NO_LABEL {
                 r.label = remap.get(r.label as usize).copied().unwrap_or(NO_LABEL);
             }
-            r
-        }));
-        self.dropped += other.dropped;
+        }
+        self.dropped += dropped;
     }
 
     /// A disassembly-style listing, one line per record: kind, kernel
