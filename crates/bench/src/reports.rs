@@ -5,7 +5,7 @@
 use crate::{canonical_frame, fmt_cycles, run_sequence, SequenceRun, DEFAULT_FRAMES};
 use pimvo_core::pim_exec::{BatchMapping, BatchOptions, BatchRunner, BATCH};
 use pimvo_core::{
-    ablation, extract_features, BackendKind, Keyframe, QFeature, QPose, Tracker, TrackerConfig,
+    ablation, extract_features, BackendKind, Keyframe, QPose, Tracker, TrackerConfig,
 };
 use pimvo_kernels::pim_pool::EdgeKernels;
 use pimvo_kernels::{ir, EdgeConfig, GrayImage};
@@ -24,6 +24,10 @@ use std::fmt::Write as _;
 /// Mean LM iterations the paper reports (×8 in Fig. 9-a's `LM*`).
 pub const LM_ITERS: u64 = 8;
 
+/// The paper's Fig. 9-a speed-ups, quoted in `RESULTS.txt` and in
+/// `BENCH_fig9a.json` (the abstract's 11× overall is the anchor).
+const FIG9A_PAPER: &str = "48x edge, 9x LM, ~11x overall";
+
 /// The builder of the paper's single six-bank QVGA array.
 fn qvga_array() -> PimMachineBuilder {
     PimMachine::builder(ArrayConfig::qvga_banks(6))
@@ -32,27 +36,6 @@ fn qvga_array() -> PimMachineBuilder {
 /// Compute cycles `pool` has spent so far.
 fn cycles(pool: &PimArrayPool) -> u64 {
     pool.merged_stats().cycles
-}
-
-/// Submits one pose batch (the first [`BATCH`] features) to `runner`;
-/// returns its compute cycles.
-fn batch_cycles(
-    runner: &mut BatchRunner,
-    qfeats: &[QFeature],
-    kf: &Keyframe,
-    cam: &Pinhole,
-) -> u64 {
-    let c0 = cycles(runner.pool());
-    let qpose = QPose::quantize(&SE3::IDENTITY);
-    runner
-        .submit(
-            &qfeats[..BATCH.min(qfeats.len())],
-            &qpose,
-            &kf.q_tables,
-            cam,
-        )
-        .expect("the QVGA array holds the pose staging rows");
-    cycles(runner.pool()) - c0
 }
 
 /// Table 1 — RMSE of relative pose error for the three sequences, both
@@ -224,8 +207,11 @@ pub fn fig9a() -> (Fig9aResult, String) {
     let mut runner = BatchRunner::new(BatchOptions::default());
     let _ = EdgeKernels::new().edge_detect(runner.pool_mut(), &gray, &cfg);
     let pim_edge = cycles(runner.pool());
-    let qfeats: Vec<QFeature> = features.iter().map(QFeature::quantize).collect();
-    let per_batch = batch_cycles(&mut runner, &qfeats, &kf, &cam);
+    let identity = QPose::quantize(&SE3::IDENTITY);
+    let per_batch = runner
+        .batch_cost(&identity, &kf.q_tables, &cam)
+        .expect("the QVGA array holds the pose staging rows")
+        .cycles;
     let batches = features.len().div_ceil(BATCH) as u64;
     let pim_lm8 = per_batch * batches * LM_ITERS;
 
@@ -264,7 +250,7 @@ pub fn fig9a() -> (Fig9aResult, String) {
     .unwrap();
     writeln!(
         out,
-        "  overall speed-up: {:.1}x  (paper: 48x edge, 9x LM, ~11x overall)",
+        "  overall speed-up: {:.1}x  (paper: {FIG9A_PAPER})",
         res.overall_speedup()
     )
     .unwrap();
@@ -312,14 +298,17 @@ pub fn fig9b() -> (Fig9bResult, String) {
     let maps = EdgeKernels::new().edge_detect(&mut qvga_array().build_pool(1), &gray, &cfg);
     let features = extract_features(&maps.mask, &depth, &cam, 6000, 0.3, 8.0);
     let kf = Keyframe::build(0, SE3::IDENTITY, maps.mask.clone(), &cam);
-    let qfeats: Vec<QFeature> = features.iter().map(QFeature::quantize).collect();
     let batches = features.len().div_ceil(BATCH) as u64;
+    let identity = QPose::quantize(&SE3::IDENTITY);
     let measure_lm = |mapping: BatchMapping| -> u64 {
-        let mut runner = BatchRunner::new(BatchOptions {
+        let runner = BatchRunner::new(BatchOptions {
             mapping,
             ..Default::default()
         });
-        batch_cycles(&mut runner, &qfeats, &kf, &cam) * batches
+        let price = runner
+            .batch_cost(&identity, &kf.q_tables, &cam)
+            .expect("the QVGA array holds the pose staging rows");
+        price.cycles * batches
     };
     let lm_n = measure_lm(BatchMapping::Naive);
     let lm_o = measure_lm(BatchMapping::Opt);
@@ -752,7 +741,7 @@ pub fn all_with_reports(frames: usize) -> (Vec<crate::sink::BenchReport>, String
         .metric("lm_speedup", f9a.lm_speedup())
         .metric("overall_speedup", f9a.overall_speedup())
         .metric("wall_seconds", t0.elapsed().as_secs_f64())
-        .note("paper", "Fig. 9-a: 48x edge, 11x LM, 24x overall");
+        .note("paper", &format!("Fig. 9-a: {FIG9A_PAPER}"));
     reports.push(r);
 
     let t0 = Instant::now();

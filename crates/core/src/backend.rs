@@ -6,8 +6,8 @@ use crate::feature::Feature;
 use crate::hessian::{JacobianColumns, QNormalEquations};
 use crate::jacobian::jacobian_q;
 use crate::keyframe::Keyframe;
-use crate::pim_exec::{self, BatchOptions, BatchRunner, PoseKernels, BATCH, POSE_BASE};
-use crate::quant::{Interp, QCamera, QFeature, QKeyframe, QPose, FEAT_FRAC};
+use crate::pim_exec::{self, BatchOptions, BatchRunner, BATCH, POSE_BASE};
+use crate::quant::{Interp, QCamera, QFeature, QKeyframe, QPose};
 use crate::warp::project_q;
 use pimvo_kernels::pim_pool::EdgeKernels;
 use pimvo_kernels::pim_util::Regions;
@@ -294,24 +294,27 @@ impl TrackerBackend for FloatBackend {
 /// estimation evaluates the quantized pipeline with the fast scalar
 /// path ([`linearize_q`], bit-identical to the machine execution —
 /// property-tested in [`crate::pim_exec`]) and charges cycles/energy
-/// from a machine-traced calibration batch, at the runner's mapping,
-/// scaled by the batch count, which is exact because the instruction
-/// sequence is data-independent. With a multi-array pool the wall-clock
-/// charge per linearization drops to `ceil(batches / arrays)` barrier
-/// sections of one batch cost plus the inter-array sync overhead, while
-/// the summed energy stays that of all batches.
+/// at the runner's price for one batch ([`BatchRunner::batch_cost`],
+/// at its mapping) times the batch count, which is exact because the
+/// instruction sequence is data-independent. With a multi-array pool
+/// the wall-clock charge per linearization drops to
+/// `ceil(batches / arrays)` barrier sections of one batch cost plus the
+/// inter-array sync overhead, while the summed energy stays that of all
+/// batches.
 pub struct PimBackend {
     runner: BatchRunner,
     /// Edge strip programs, resolved once per pool geometry and image
     /// size.
     edge_kernels: EdgeKernels,
-    /// Per-batch calibration trace (lazy).
-    batch_trace: Option<ExecStats>,
+    /// The runner's per-batch price, taken on the first fast-path
+    /// linearization.
+    batch_price: Option<ExecStats>,
     edge_cycles: u64,
     lm_cycles: u64,
     lm_iterations: u64,
     frames: u64,
-    /// Extra stats accumulated via calibration scaling.
+    /// Fast-path stats: the per-batch price times each call's batch
+    /// count.
     scaled: ExecStats,
 }
 
@@ -373,7 +376,7 @@ impl PimBackend {
         PimBackend {
             runner,
             edge_kernels: EdgeKernels::new(),
-            batch_trace: None,
+            batch_price: None,
             edge_cycles: 0,
             lm_cycles: 0,
             lm_iterations: 0,
@@ -417,60 +420,6 @@ impl PimBackend {
     /// reset, retry-policy configuration, manual quarantine).
     pub fn pool_mut(&mut self) -> &mut PimArrayPool {
         self.runner.pool_mut()
-    }
-
-    fn interp(&self) -> Interp {
-        self.runner.options().interp
-    }
-
-    /// Traces one calibration batch to learn the per-batch cost.
-    fn batch_cost(&mut self, kf: &QKeyframe, pose: &QPose, cam: &QCamera) -> ExecStats {
-        if let Some(t) = &self.batch_trace {
-            return t.clone();
-        }
-        // dummy features: the op sequence (and therefore the cost) is
-        // data-independent
-        let feats = vec![
-            QFeature {
-                a: 100,
-                b: -80,
-                c: 2048,
-                frac: FEAT_FRAC,
-            };
-            BATCH
-        ];
-        // the probe resolves its programs through the pool's shared
-        // memo table, at the mapping of the submissions it stands in for
-        let pool = self.runner.pool();
-        let kernels = PoseKernels::resolve(
-            pool.lowered_cache(),
-            pool.array(0).config(),
-            self.runner.base_row(),
-            FEAT_FRAC,
-            self.interp(),
-            self.runner.options().mapping,
-        )
-        .unwrap_or_else(|e| panic!("machine too small for pose rows: {e}"));
-        let m = self.runner.pool_mut().array_mut(0);
-        let before = m.stats().clone();
-        // isolate the probe: its synchronous stats retract exactly
-        // below, while residue on a DMA channel's engine clock / health
-        // counters or in an op-trace lane (records whose cycles the
-        // retracted wall never pays) could not be rewound
-        let _ =
-            m.with_probe_isolation(|m| pim_exec::exec_batch(m, &kernels, &feats, pose, kf, cam));
-        // try_since: a restored checkpoint may have reset the machine's
-        // counters below the captured baseline; fall back to the
-        // absolute stats rather than panicking mid-calibration
-        let delta = m
-            .stats()
-            .try_since(&before)
-            .unwrap_or_else(|| m.stats().clone());
-        // the calibration run itself should not count toward the
-        // workload totals
-        m.retract_stats(&delta);
-        self.batch_trace = Some(delta.clone());
-        delta
     }
 }
 
@@ -548,13 +497,17 @@ impl TrackerBackend for PimBackend {
             }
         }
 
-        let eq = linearize_q(features, &qpose, qkf, &qcam, self.interp());
+        let eq = linearize_q(features, &qpose, qkf, &qcam, self.runner.options().interp);
 
-        // cost accounting: calibrated per-batch trace x batch count.
+        // cost accounting: the runner's per-batch price x batch count.
         // Energy / op totals cover every batch; the wall-clock charge is
         // one batch cost per barrier section of `pool` parallel batches
         // (plus the inter-array sync when the pool is sharded).
-        let trace = self.batch_cost(qkf, &qpose, &qcam);
+        let price = self.batch_price.get_or_insert_with(|| {
+            self.runner
+                .batch_cost(&qpose, qkf, cam)
+                .unwrap_or_else(|e| panic!("machine too small for pose rows: {e}"))
+        });
         let batches = features.len().div_ceil(BATCH) as u64;
         let n = self.runner.pool().len() as u64;
         let sections = batches.div_ceil(n);
@@ -563,8 +516,8 @@ impl TrackerBackend for PimBackend {
         } else {
             0
         };
-        self.lm_cycles += sections * (trace.cycles + sync);
-        self.scaled.merge(&trace.scaled(batches));
+        self.lm_cycles += sections * (price.cycles + sync);
+        self.scaled.merge(&price.scaled(batches));
         self.lm_iterations += 1;
 
         eq.to_normal_equations()
@@ -616,7 +569,7 @@ impl std::fmt::Debug for PimBackend {
             .field("arrays", &self.runner.pool().len())
             .field("edge_cycles", &self.edge_cycles)
             .field("lm_cycles", &self.lm_cycles)
-            .field("calibrated", &self.batch_trace.is_some())
+            .field("priced", &self.batch_price.is_some())
             .finish()
     }
 }
@@ -830,38 +783,48 @@ mod tests {
         assert!(PimBackend::check_geometry(&pimvo_pim::ArrayConfig::qvga_banks(6)).is_ok());
     }
 
-    /// The fast path charges the calibration batch at the runner's
-    /// mapping: a naive backend's LM charge for one batch equals that
-    /// batch's compute cycles on a naive runner, above the optimized
-    /// charge.
+    /// The fast path charges one batch at the price of one submitted
+    /// batch at the runner's mapping, on the pool in the backend at the
+    /// time, as `FleetScheduler::step` swaps it in: here a pool stamped
+    /// with a non-default cost model and ECC protection. The naive
+    /// charge lies above the optimized one.
     #[test]
-    fn fast_path_charges_the_configured_mapping() {
+    fn fast_path_charges_one_batch_at_its_mapping_on_the_swapped_in_pool() {
         let (gray, depth) = synthetic_frame();
         let cam = Pinhole::qvga();
         let maps = PimBackend::new().detect_edges(&gray, &EdgeConfig::default());
         let kf = keyframe_from(&maps);
         let feats = crate::feature::extract_features(&maps.mask, &depth, &cam, 4000, 0.3, 8.0);
         let feats = &feats[..BATCH];
+        let qfeats: Vec<QFeature> = feats.iter().map(|f| f.q).collect();
         let pose = SE3::exp(&[0.01, -0.005, 0.008, 0.002, -0.004, 0.001]);
+        let builder = PimMachine::builder(ArrayConfig::qvga_banks(6))
+            .cost(pimvo_pim::CostModel {
+                ecc_check_cycles: 3,
+                ..Default::default()
+            })
+            .protection(pimvo_pim::Protection::Ecc);
         let lm_cycles = |mapping| {
-            let mut be = PimBackend::with_options(BatchOptions {
+            let options = BatchOptions {
                 mapping,
                 ..Default::default()
-            });
+            };
+            let mut be = PimBackend::with_options(options);
+            std::mem::swap(be.pool_mut(), &mut builder.build_pool(1));
             let _ = be.linearize(feats, &kf, &cam, &pose);
-            be.stats().lm_cycles
+
+            let mut runner = BatchRunner::from_builder(&builder, options);
+            let _ = runner
+                .submit(&qfeats, &QPose::quantize(&pose), &kf.q_tables, &cam)
+                .unwrap();
+            let want = runner.pool().merged_stats();
+            let got = be.stats();
+            assert_eq!(got.lm_cycles, want.cycles, "{mapping:?}");
+            assert_eq!(got.pim.as_ref(), Some(&want), "{mapping:?}");
+            assert!(want.ecc_checks > 0);
+            got.lm_cycles
         };
-        let mut naive = BatchRunner::new(BatchOptions {
-            mapping: BatchMapping::Naive,
-            ..Default::default()
-        });
-        let qfeats: Vec<QFeature> = feats.iter().map(|f| f.q).collect();
-        let _ = naive
-            .submit(&qfeats, &QPose::quantize(&pose), &kf.q_tables, &cam)
-            .unwrap();
-        let naive_cycles = naive.pool().merged_stats().cycles;
-        assert_eq!(lm_cycles(BatchMapping::Naive), naive_cycles);
-        assert!(naive_cycles > lm_cycles(BatchMapping::Opt));
+        assert!(lm_cycles(BatchMapping::Naive) > lm_cycles(BatchMapping::Opt));
     }
 
     #[test]

@@ -25,9 +25,10 @@
 //!   MCU cost model of [`pimvo_mcu`];
 //! * [`PimBackend`] — the quantized pipeline with PIM cycle/energy
 //!   accounting (edge detection executes on the simulated array for
-//!   real; pose estimation runs the value-exact fast path, with a
-//!   machine-executed calibration batch proving the equivalence and
-//!   providing the per-batch cycle cost — see [`pim_exec`]).
+//!   real; pose estimation runs the value-exact fast path, charged at
+//!   the price of one machine-executed batch,
+//!   [`pim_exec::BatchRunner::batch_cost`], times the batch count —
+//!   see [`pim_exec`]).
 //!
 //! ```
 //! use pimvo_core::{Tracker, TrackerConfig, BackendKind};

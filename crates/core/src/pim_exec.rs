@@ -8,10 +8,11 @@
 //!
 //! * for **verification** — tests assert the machine-produced lane
 //!   values equal the fast path bit-for-bit;
-//! * for **cost calibration** — the instruction sequence is
-//!   data-independent, so one traced batch yields the exact cycle and
-//!   energy cost of every batch; the backend scales the trace by the
-//!   batch count instead of re-simulating gigalanes of identical ops.
+//! * for **pricing** — the instruction sequence is data-independent,
+//!   so one batch run on a scratch array ([`BatchRunner::batch_cost`])
+//!   yields the exact cycle and energy cost of every full batch; the
+//!   backend's fast path multiplies that price by the batch count
+//!   instead of re-simulating gigalanes of identical ops.
 //!
 //! # Schedule
 //!
@@ -48,8 +49,8 @@ use crate::quant::{
     Interp, QCamera, QFeature, QKeyframe, QPose, FEAT_FRAC, PIX_FRAC, POSE_FRAC, RATIO_FRAC,
 };
 use pimvo_pim::{
-    ArrayConfig, LaneWidth, LowerLevel, LoweredCache, LoweredProgram, PimArrayPool, PimError,
-    PimMachine, PimMachineBuilder, PimProgram, ScratchRows, Signedness, VReg, Val,
+    ArrayConfig, ExecStats, LaneWidth, LowerLevel, LoweredCache, LoweredProgram, PimArrayPool,
+    PimError, PimMachine, PimMachineBuilder, PimProgram, ScratchRows, Signedness, VReg, Val,
 };
 use pimvo_vomath::Pinhole;
 use std::sync::Arc;
@@ -116,7 +117,7 @@ pub struct BatchOptions {
     /// When true, [`crate::TrackerBackend::linearize`] on the PIM
     /// backend executes every batch
     /// on the machines (through [`BatchRunner::submit`]) instead of
-    /// the calibrated fast scalar path. Slower to simulate but required
+    /// the priced fast scalar path. Slower to simulate but required
     /// for fault-injection studies: injected upsets then actually
     /// corrupt the normal equations.
     pub on_machine: bool,
@@ -190,18 +191,13 @@ impl BatchRunner {
         &self.options
     }
 
-    /// The scratch base row batches stage through.
-    pub fn base_row(&self) -> usize {
-        self.base_row
-    }
-
     /// Shared view of the underlying array pool.
     pub fn pool(&self) -> &PimArrayPool {
         &self.pool
     }
 
     /// Exclusive access to the underlying array pool (edge kernels,
-    /// calibration, stats reset).
+    /// stats reset, fleet pool swaps).
     pub fn pool_mut(&mut self) -> &mut PimArrayPool {
         &mut self.pool
     }
@@ -246,11 +242,7 @@ impl BatchRunner {
         cam: &Pinhole,
     ) -> Result<Vec<BatchOutput>, PimError> {
         let qcam = QCamera::quantize(cam);
-        let (cache, config) = (self.pool.lowered_cache(), self.pool.array(0).config());
-        let (base_row, opts) = (self.base_row, self.options);
-        let resolve =
-            |ff| PoseKernels::resolve(cache, config, base_row, ff, opts.interp, opts.mapping);
-        let mut kernels = vec![resolve(frac_of(feats))?];
+        let mut kernels = vec![self.kernels(frac_of(feats))?];
         // each chunk paired with the index of its kernels in `kernels`
         let mut chunks = Vec::with_capacity(feats.len().div_ceil(BATCH));
         for chunk in feats.chunks(BATCH) {
@@ -258,7 +250,7 @@ impl BatchRunner {
             let k = match kernels.iter().position(|k| k.ff == ff) {
                 Some(k) => k,
                 None => {
-                    kernels.push(resolve(ff)?);
+                    kernels.push(self.kernels(ff)?);
                     kernels.len() - 1
                 }
             };
@@ -279,6 +271,73 @@ impl BatchRunner {
             next += section.len();
         }
         Ok(outputs)
+    }
+
+    /// The pose programs for features at fraction `ff`, lowered through
+    /// the pool's [`LoweredCache`] at the mapping's level for the
+    /// arrays' geometry; [`PimError::RowOutOfRange`] without the
+    /// staging rows. A program that fails to lower is a builder bug and
+    /// panics.
+    fn kernels(&self, ff: u32) -> Result<PoseKernels, PimError> {
+        let config = self.pool.array(0).config();
+        check_pose_rows(config, self.base_row)?;
+        let rows = PoseRows::new(self.base_row);
+        let BatchOptions {
+            mapping, interp, ..
+        } = self.options;
+        let (level, scratch) = (mapping.level(), rows.lower_scratch());
+        let cache: &LoweredCache = self.pool.lowered_cache();
+        let lower = |prog: PimProgram| {
+            cache
+                .get_or_lower(&prog, level, &scratch, config)
+                .unwrap_or_else(|e| panic!("lowering {} at {level}: {e}", prog.name()))
+        };
+        Ok(PoseKernels {
+            rows,
+            ff,
+            interp,
+            mapping,
+            warp: lower(warp_program(&rows, ff)),
+            frac: (interp == Interp::Bilinear).then(|| lower(frac_weights_program(&rows))),
+            residual: lower(residual_program(&rows, interp)),
+            jacobian: lower(jacobian_program(&rows)),
+            hessian: lower(hessian_program(&rows)),
+        })
+    }
+
+    /// The price of one full [`BATCH`]-feature batch: the statistics
+    /// [`BatchRunner::submit`] adds for it. The pose op sequence is
+    /// data-independent, so one dummy batch prices them all; it runs on
+    /// a scratch array stamped from the pool's array 0 (geometry, cost
+    /// model, word protection, Tmp-register count; no DMA channel, op
+    /// recorder or fault model), so the pool is only read.
+    ///
+    /// # Errors
+    ///
+    /// [`PimError::RowOutOfRange`] if the arrays lack the staging rows,
+    /// as for [`BatchRunner::submit`].
+    pub fn batch_cost(
+        &self,
+        pose: &QPose,
+        kf: &QKeyframe,
+        cam: &Pinhole,
+    ) -> Result<ExecStats, PimError> {
+        let kernels = self.kernels(FEAT_FRAC)?;
+        let a0 = self.pool.array(0);
+        let mut scratch = PimMachine::builder(a0.config().clone())
+            .cost(a0.cost_model().clone())
+            .protection(a0.protection())
+            .tmp_regs(a0.tmp_reg_count())
+            .build();
+        let feats = [QFeature {
+            a: 100,
+            b: -80,
+            c: 2048,
+            frac: FEAT_FRAC,
+        }; BATCH];
+        let qcam = QCamera::quantize(cam);
+        let _ = exec_batch(&mut scratch, &kernels, &feats, pose, kf, &qcam);
+        Ok(scratch.stats().clone())
     }
 }
 
@@ -373,7 +432,7 @@ fn frac_of(feats: &[QFeature]) -> u32 {
 /// and hashed lookups. Valid for batches whose features carry fraction
 /// `ff`, on machines of the geometry they were resolved for.
 #[derive(Debug, Clone)]
-pub(crate) struct PoseKernels {
+struct PoseKernels {
     rows: PoseRows,
     ff: u32,
     interp: Interp,
@@ -384,49 +443,6 @@ pub(crate) struct PoseKernels {
     residual: Arc<LoweredProgram>,
     jacobian: Arc<LoweredProgram>,
     hessian: Arc<LoweredProgram>,
-}
-
-impl PoseKernels {
-    /// Builds the pose programs for staging rows at `base_row` and
-    /// feature fraction `ff`, and lowers them through `cache` at the
-    /// mapping's level for geometry `config`.
-    ///
-    /// # Errors
-    ///
-    /// [`PimError::RowOutOfRange`] if `config` lacks the staging rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a program fails to lower (a bug in the builders).
-    pub(crate) fn resolve(
-        cache: &LoweredCache,
-        config: &ArrayConfig,
-        base_row: usize,
-        ff: u32,
-        interp: Interp,
-        mapping: BatchMapping,
-    ) -> Result<Self, PimError> {
-        check_pose_rows(config, base_row)?;
-        let rows = PoseRows::new(base_row);
-        let level = mapping.level();
-        let scratch = rows.lower_scratch();
-        let lower = |prog: PimProgram| {
-            cache
-                .get_or_lower(&prog, level, &scratch, config)
-                .unwrap_or_else(|e| panic!("lowering {} at {level}: {e}", prog.name()))
-        };
-        Ok(PoseKernels {
-            rows,
-            ff,
-            interp,
-            mapping,
-            warp: lower(warp_program(&rows, ff)),
-            frac: (interp == Interp::Bilinear).then(|| lower(frac_weights_program(&rows))),
-            residual: lower(residual_program(&rows, interp)),
-            jacobian: lower(jacobian_program(&rows)),
-            hessian: lower(hessian_program(&rows)),
-        })
-    }
 }
 
 /// Warp, projection and depth-validity program (Fig. 5-b):
@@ -678,15 +694,15 @@ pub struct BatchOutput {
     pub cost_partial: i64,
 }
 
-/// Single-batch core behind [`BatchRunner`] and the backend's
-/// calibration probe: executes one chunk of ≤ [`BATCH`] features with
+/// Single-batch core behind [`BatchRunner::submit`] and
+/// [`BatchRunner::batch_cost`]: executes one chunk of ≤ [`BATCH`] features with
 /// the pre-resolved `kernels` (their interpolation and mapping), on a
 /// machine of the geometry they were resolved for.
 ///
 /// # Panics
 ///
 /// Panics if more than [`BATCH`] features are supplied.
-pub(crate) fn exec_batch(
+fn exec_batch(
     m: &mut PimMachine,
     kernels: &PoseKernels,
     feats: &[QFeature],
@@ -943,7 +959,7 @@ fn charge_naive_extras(m: &mut PimMachine, n_feats: usize) {
     let s_recompute = 3 * (2 * 38 + 2);
     let div_recompute = 2 * 50;
     let unpacked_gathers = 3 * n_feats as u64;
-    let mut extra = pimvo_pim::ExecStats::new();
+    let mut extra = ExecStats::new();
     extra.cycles = s_recompute + div_recompute + unpacked_gathers;
     extra.acc_ops = s_recompute + div_recompute;
     extra.tmp_accesses = extra.acc_ops + unpacked_gathers;
@@ -956,11 +972,10 @@ mod tests {
     use crate::feature::Feature;
     use crate::hessian::QNormalEquations;
     use crate::jacobian::jacobian_q;
-    use crate::quant::RES_FRAC;
     use crate::warp::project_q;
     use crate::Keyframe;
     use pimvo_kernels::GrayImage;
-    use pimvo_pim::{ArrayConfig, ExecStats};
+    use pimvo_pim::{ArrayConfig, DmaConfig};
     use pimvo_vomath::SE3;
 
     fn test_kf(cam: &Pinhole) -> QKeyframe {
@@ -1071,24 +1086,79 @@ mod tests {
         assert!(eq_fold.count <= eq_scalar.count);
     }
 
+    /// The op sequence, and so the cost, is data-independent: the
+    /// price (one dummy batch on a scratch array) equals what one full
+    /// batch of real features adds to a fresh pool of one, for two
+    /// feature sets and poses, at every mapping and interpolation. The
+    /// bilinear prices are Fig. 9-b's per-batch LM cycles (the paper's
+    /// ~58.9k cycles per 50-batch LM iteration puts a batch at ~1.2k),
+    /// and nearest lookups are cheaper.
     #[test]
     fn batch_cost_is_data_independent() {
         let cam = Pinhole::qvga();
         let kf = test_kf(&cam);
+        let feats = test_features(&cam, BATCH);
+        let mirrored: Vec<QFeature> = feats.iter().map(|&f| QFeature { a: -f.a, ..f }).collect();
         let pose = QPose::quantize(&SE3::IDENTITY);
-
-        let (_, s1) = opt_batch(&test_features(&cam, 80), &pose, &kf, &cam);
-
         let pose2 = QPose::quantize(&SE3::exp(&[0.05, 0.0, -0.03, 0.02, 0.0, 0.01]));
-        let feats2: Vec<QFeature> = test_features(&cam, 80)
-            .into_iter()
-            .map(|mut f| {
-                f.a = -f.a;
-                f
-            })
-            .collect();
-        let (_, s2) = opt_batch(&feats2, &pose2, &kf, &cam);
-        assert_eq!(s1.cycles, s2.cycles, "op sequence must be data-independent");
+        for (mapping, fig9b) in [(BatchMapping::Opt, 1_902), (BatchMapping::Naive, 2_572)] {
+            let price = |interp| {
+                let options = BatchOptions {
+                    mapping,
+                    interp,
+                    ..Default::default()
+                };
+                let price = BatchRunner::new(options)
+                    .batch_cost(&pose, &kf, &cam)
+                    .unwrap();
+                for (f, p) in [(&feats, &pose), (&mirrored, &pose2)] {
+                    let (_, submitted) = one_batch(mapping, interp, f, p, &kf, &cam);
+                    assert_eq!(price, submitted, "{mapping:?} {interp:?}");
+                }
+                price.cycles
+            };
+            let bilinear = price(Interp::Bilinear);
+            assert_eq!(bilinear, fig9b, "{mapping:?}");
+            assert!(price(Interp::Nearest) < bilinear, "{mapping:?}");
+        }
+    }
+
+    /// Pricing only reads the pool: with DMA channels and op recorders
+    /// armed, a priced runner and an unpriced twin agree on merged
+    /// statistics, wall clock, channel health and the drained op trace,
+    /// then and after a further submission.
+    #[test]
+    fn pricing_leaves_an_armed_pool_untouched() {
+        let cam = Pinhole::qvga();
+        let kf = test_kf(&cam);
+        let feats = test_features(&cam, 2 * BATCH + 9);
+        let pose = QPose::quantize(&SE3::exp(&[0.01, 0.0, 0.02, 0.0, 0.004, 0.0]));
+        let armed = || {
+            let mut runner = BatchRunner::new(BatchOptions {
+                pool: 2,
+                ..Default::default()
+            });
+            let pool = runner.pool_mut();
+            pool.set_dma(Some(DmaConfig::default()));
+            pool.arm_op_recorders(1 << 12);
+            let _ = runner.submit(&feats, &pose, &kf, &cam).unwrap();
+            runner.pool_mut().reset_stats();
+            runner
+        };
+        let assert_same = |p: &mut PimArrayPool, t: &mut PimArrayPool| {
+            assert_eq!(p.merged_stats(), t.merged_stats());
+            assert_eq!(p.wall_cycles(), t.wall_cycles());
+            assert_eq!(p.dma_health(), t.dma_health());
+            let trace = p.drain_op_trace().unwrap();
+            assert!(!trace.records.is_empty());
+            assert_eq!(trace, t.drain_op_trace().unwrap());
+        };
+        let (mut priced, mut twin) = (armed(), armed());
+        assert!(priced.batch_cost(&pose, &kf, &cam).unwrap().cycles > 0);
+        assert_same(priced.pool_mut(), twin.pool_mut());
+        let _ = priced.submit(&feats, &pose, &kf, &cam).unwrap();
+        let _ = twin.submit(&feats, &pose, &kf, &cam).unwrap();
+        assert_same(priced.pool_mut(), twin.pool_mut());
     }
 
     #[test]
@@ -1110,17 +1180,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn nearest_mode_is_cheaper_than_bilinear() {
-        let cam = Pinhole::qvga();
-        let kf = test_kf(&cam);
-        let feats = test_features(&cam, 80);
-        let pose = QPose::quantize(&SE3::IDENTITY);
-        let (_, sb) = opt_batch(&feats, &pose, &kf, &cam);
-        let (_, sn) = one_batch(BatchMapping::Opt, Interp::Nearest, &feats, &pose, &kf, &cam);
-        assert!(sn.cycles < sb.cycles, "{} vs {}", sn.cycles, sb.cycles);
     }
 
     #[test]
@@ -1164,11 +1223,10 @@ mod tests {
         });
         let _ = runner.submit(&feats, &pose, &kf, &cam).unwrap();
 
-        let mut one = BatchRunner::new(BatchOptions::default());
-        let _ = one.submit(&feats[..BATCH], &pose, &kf, &cam).unwrap();
         // timeline = compute + host transfer cycles: the pool charges
         // strip I/O to the wall at each barrier
-        let per_batch = one.pool().array(0).timeline();
+        let price = runner.batch_cost(&pose, &kf, &cam).unwrap();
+        let per_batch = price.cycles + price.host_io_cycles;
 
         assert_eq!(
             runner.pool().wall_cycles(),
@@ -1274,19 +1332,5 @@ mod tests {
         // the last staging row may be the array's last row
         let mut runner = BatchRunner::new(BatchOptions::default()).with_base_row(rows - 55);
         assert!(runner.submit(&feats, &pose, &kf, &cam).is_ok());
-    }
-
-    #[test]
-    fn batch_cycle_cost_in_paper_regime() {
-        // paper: ~58.9k cycles per LM iteration at ~4000 features
-        // (50 batches) => ~1200-2400 cycles per 80-feature batch is the
-        // right regime for our leaner trace
-        let cam = Pinhole::qvga();
-        let kf = test_kf(&cam);
-        let pose = QPose::quantize(&SE3::IDENTITY);
-        let (_, st) = opt_batch(&test_features(&cam, 80), &pose, &kf, &cam);
-        let c = st.cycles;
-        assert!((800..4_000).contains(&c), "batch cycles {c}");
-        let _ = RES_FRAC;
     }
 }

@@ -168,8 +168,8 @@ impl TrackerBuilder {
     /// pool: a fleet building many trackers against one
     /// [`pimvo_pim::LoweredCache`] handle lowers each distinct
     /// (program, level, geometry) triple exactly once across all of
-    /// them — including the build-time calibration probes. Ignored by
-    /// non-PIM backends.
+    /// them, the fast path's batch price included. Ignored by non-PIM
+    /// backends.
     pub fn lowered_cache(mut self, cache: pimvo_pim::LoweredCache) -> Self {
         self.lowered_cache = Some(cache);
         self

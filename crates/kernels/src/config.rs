@@ -1,7 +1,6 @@
-//! Pipeline configuration: threshold constants, stencil shift
-//! distances, and the border-padding row helper shared by every kernel
-//! mapping (scalar reference, IR builders, and the deprecated
-//! hand-scheduled variants).
+//! Pipeline configuration: the edge thresholds the scalar reference
+//! and the IR builders share, and the IR builders' stencil shift
+//! distances and border-padding row helper.
 
 use crate::pim_util::Regions;
 

@@ -205,10 +205,6 @@ impl FaultUnit {
         u
     }
 
-    pub(crate) fn inert() -> Self {
-        FaultUnit::new(FaultModel::none(), Protection::None)
-    }
-
     /// True when the read path can skip fault/protection handling
     /// entirely (the default): guarantees bit- and cycle-identical
     /// behaviour to a build without this module.
@@ -394,7 +390,7 @@ mod tests {
 
     #[test]
     fn none_model_is_inert() {
-        let u = FaultUnit::inert();
+        let u = FaultUnit::new(FaultModel::none(), Protection::None);
         assert!(u.is_inert());
         assert!(FaultModel::none().is_none());
         assert_eq!(u.status(), FaultStatus::default());

@@ -160,9 +160,10 @@ impl std::error::Error for PimError {}
 pub struct PimMachine {
     config: ArrayConfig,
     cost: CostModel,
-    /// Physical row storage: `config.rows` logical rows followed by
-    /// `spare_rows` reserved spares for defect remapping.
-    rows: Vec<Vec<u8>>,
+    /// Physical row storage, one contiguous zeroed buffer of
+    /// `config.row_bytes()`-byte rows: `config.rows` logical rows
+    /// followed by `spare_rows` reserved spares for defect remapping.
+    cells: Vec<u8>,
     /// Spare physical rows reserved beyond the logical geometry.
     spare_rows: usize,
     /// Spares consumed by remaps so far.
@@ -194,8 +195,8 @@ pub struct PimMachine {
 }
 
 /// Fluent constructor for [`PimMachine`], replacing the historical
-/// `new`/`with_cost` + post-hoc `set_lanes`/`set_tmp_regs` dance with
-/// one declarative description of the array:
+/// `new` + post-hoc `set_lanes`/`set_tmp_regs` dance with one
+/// declarative description of the array:
 ///
 /// ```
 /// use pimvo_pim::{ArrayConfig, LaneWidth, PimMachineBuilder, Signedness};
@@ -296,14 +297,26 @@ impl PimMachineBuilder {
     /// Constructs the machine. The builder is reusable (`&self`), which
     /// is what lets a pool stamp out N identical arrays.
     pub fn build(&self) -> PimMachine {
-        let mut m = PimMachine::with_cost(self.config.clone(), self.cost.clone());
-        m.set_lanes(self.width, self.sign);
-        m.set_tmp_regs(self.tmp_regs);
-        m.fault = FaultUnit::new(self.fault.clone(), self.protection);
-        m.spare_rows = self.spare_rows;
         let row_bytes = self.config.row_bytes();
-        m.rows
-            .extend(std::iter::repeat_with(|| vec![0u8; row_bytes]).take(self.spare_rows));
+        let mut m = PimMachine {
+            config: self.config.clone(),
+            cost: self.cost.clone(),
+            cells: vec![0u8; (self.config.rows + self.spare_rows) * row_bytes],
+            spare_rows: self.spare_rows,
+            spares_used: 0,
+            remap: BTreeMap::new(),
+            // a W8 row has the most lanes: one per byte
+            banks: Banks::new(row_bytes),
+            tmp_bits: 8,
+            width: self.width,
+            sign: self.sign,
+            stats: ExecStats::new(),
+            op_recorder: None,
+            fault: FaultUnit::new(self.fault.clone(), self.protection),
+            dma: None,
+            transfer_kind: TransferKind::StripIn,
+        };
+        m.set_tmp_regs(self.tmp_regs);
         m.set_dma(self.dma);
         m
     }
@@ -312,36 +325,12 @@ impl PimMachineBuilder {
 impl PimMachine {
     /// Creates a machine with the default 90 nm cost model.
     pub fn new(config: ArrayConfig) -> Self {
-        Self::with_cost(config, CostModel::default())
+        PimMachineBuilder::new(config).build()
     }
 
     /// Starts a [`PimMachineBuilder`] for this geometry.
     pub fn builder(config: ArrayConfig) -> PimMachineBuilder {
         PimMachineBuilder::new(config)
-    }
-
-    /// Creates a machine with an explicit cost model.
-    pub fn with_cost(config: ArrayConfig, cost: CostModel) -> Self {
-        let row_bytes = config.row_bytes();
-        let rows = vec![vec![0u8; row_bytes]; config.rows];
-        PimMachine {
-            config,
-            cost,
-            rows,
-            spare_rows: 0,
-            spares_used: 0,
-            remap: BTreeMap::new(),
-            // a W8 row has the most lanes: one per byte
-            banks: Banks::new(row_bytes),
-            tmp_bits: 8,
-            width: LaneWidth::W8,
-            sign: Signedness::Unsigned,
-            stats: ExecStats::new(),
-            op_recorder: None,
-            fault: FaultUnit::inert(),
-            dma: None,
-            transfer_kind: TransferKind::StripIn,
-        }
     }
 
     /// Array geometry.
@@ -566,9 +555,8 @@ impl PimMachine {
         }
         let spare = self.config.rows + self.spares_used;
         self.spares_used += 1;
-        let old = self.phys_row(row);
-        let data = self.rows[old].clone();
-        self.rows[spare] = data;
+        let old = self.row_span(self.phys_row(row));
+        self.cells.copy_within(old, spare * self.config.row_bytes());
         self.remap.insert(row, spare);
         self.stats.cycles += 2;
         self.stats.sram_reads += 1;
@@ -597,8 +585,9 @@ impl PimMachine {
     pub fn scrub_row(&mut self, row: usize, pattern: u8) -> Result<bool, PimError> {
         self.check_row(row)?;
         let phys = self.phys_row(row);
-        self.rows[phys].fill(pattern);
-        let mut data = self.rows[phys].clone();
+        let span = self.row_span(phys);
+        self.cells[span.clone()].fill(pattern);
+        let mut data = self.cells[span].to_vec();
         self.fault.apply_stuck_raw(phys, &mut data);
         self.stats.scrub_rows += 1;
         self.stats.cycles += self.cost.scrub_row_cycles;
@@ -756,9 +745,10 @@ impl PimMachine {
                 lanes: rb,
             });
         }
-        let phys = self.phys_row(row);
-        self.rows[phys][..bytes.len()].copy_from_slice(bytes);
-        self.rows[phys][bytes.len()..].fill(0);
+        let span = self.row_span(self.phys_row(row));
+        let cells = &mut self.cells[span];
+        cells[..bytes.len()].copy_from_slice(bytes);
+        cells[bytes.len()..].fill(0);
         // data lands eagerly (above); the transfer model charges the
         // timing and seals the descriptor CRC over the wire image
         self.host_transfer(self.transfer_kind, row as u32, bytes, bytes.len() as u32);
@@ -822,15 +812,15 @@ impl PimMachine {
         values: impl Iterator<Item = i64>,
     ) -> Result<(), PimError> {
         self.check_row(row)?;
-        let phys = self.phys_row(row);
-        // the row is lent out for the transfer, which never reads cells
-        let mut cells = std::mem::take(&mut self.rows[phys]);
-        let moved = encode_lanes(&mut cells, self.width, values);
+        let span = self.row_span(self.phys_row(row));
+        // the cells are lent out for the transfer, which never reads them
+        let mut cells = std::mem::take(&mut self.cells);
+        let moved = encode_lanes(&mut cells[span.clone()], self.width, values);
         // the wire moves only the valid lanes; the zero tail is a row
         // clear strobe, not burst traffic
         let lanes = (moved / self.width.bytes()) as u32;
-        self.host_transfer(self.transfer_kind, row as u32, &cells[..moved], lanes);
-        self.rows[phys] = cells;
+        self.host_transfer(self.transfer_kind, row as u32, &cells[span][..moved], lanes);
+        self.cells = cells;
         Ok(())
     }
 
@@ -861,10 +851,10 @@ impl PimMachine {
         // the row's cells are the outbound descriptor's wire image (the
         // channel reads the burst buffer at issue; the host sees the
         // values now, the port pays for them on its own clock)
-        let phys = self.phys_row(row);
-        let cells = std::mem::take(&mut self.rows[phys]);
-        self.host_transfer(TransferKind::StripOut, row as u32, &cells, lanes);
-        self.rows[phys] = cells;
+        let span = self.row_span(self.phys_row(row));
+        let cells = std::mem::take(&mut self.cells);
+        self.host_transfer(TransferKind::StripOut, row as u32, &cells[span], lanes);
+        self.cells = cells;
         Ok(())
     }
 
@@ -894,23 +884,6 @@ impl PimMachine {
     /// Whether a DMA channel is installed.
     pub fn dma_enabled(&self) -> bool {
         self.dma.is_some()
-    }
-
-    /// Runs `f` with the DMA channel *and* the op recorder detached:
-    /// host transfers inside go through the synchronous port, the
-    /// channel's engine clock, queue and health counters see nothing,
-    /// and no op records are emitted. Calibration probes use this — a
-    /// probe's synchronous stats can be retracted exactly afterwards,
-    /// while residue on a channel's engine clock or in a trace lane
-    /// (records whose cycles the retracted wall never pays) could not
-    /// be.
-    pub fn with_probe_isolation<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        let ch = self.dma.take();
-        let rec = self.op_recorder.take();
-        let r = f(self);
-        self.op_recorder = rec;
-        self.dma = ch;
-        r
     }
 
     /// Plugs a seeded [`DmaFaultModel`] into the installed channel.
@@ -1362,8 +1335,8 @@ impl PimMachine {
             return Err(PimError::TmpEmpty);
         }
         let lanes = self.lanes();
-        let phys = self.phys_row(dst);
-        encode_lanes(&mut self.rows[phys], self.width, tmp.iter().copied());
+        let span = self.row_span(self.phys_row(dst));
+        encode_lanes(&mut self.cells[span], self.width, tmp.iter().copied());
         let cycle_start = self.stats.cycles;
         self.stats.cycles += 1;
         self.stats.sram_writes += 1;
@@ -1477,7 +1450,7 @@ impl PimMachine {
             } else if lane < lanes {
                 // an inert read senses nothing but the addressed lane
                 let at = lane * width.bytes();
-                let cells = &self.rows[self.phys_row(row)][at..at + width.bytes()];
+                let cells = &self.cells[self.row_span(self.phys_row(row))][at..at + width.bytes()];
                 decode_lane(cells, width, sign)
             } else {
                 0
@@ -1539,6 +1512,13 @@ impl PimMachine {
         }
     }
 
+    /// The byte range of physical row `phys` in the cell buffer.
+    #[inline]
+    fn row_span(&self, phys: usize) -> std::ops::Range<usize> {
+        let rb = self.config.row_bytes();
+        phys * rb..(phys + 1) * rb
+    }
+
     /// Reads a row through the sense amplifiers into `out` (its lanes
     /// at the current configuration), applying the fault model and word
     /// protection when configured. The default (inert fault unit)
@@ -1552,11 +1532,12 @@ impl PimMachine {
         // faults live with the *physical* cells: a logical row remapped
         // to a spare escapes the defective row's stuck bits
         let phys = self.phys_row(row);
+        let cells = &self.cells[self.row_span(phys)];
         if self.fault.is_inert() {
-            decode_lanes(&self.rows[phys], self.width, self.sign, out);
+            decode_lanes(cells, self.width, self.sign, out);
             return;
         }
-        let mut data = self.rows[phys].clone();
+        let mut data = cells.to_vec();
         self.fault.apply_to_read(phys, &mut data, host);
         decode_lanes(&data, self.width, self.sign, out);
     }
@@ -2248,6 +2229,38 @@ mod tests {
                 rows: 256
             }
         );
+    }
+
+    /// The edges of the row buffer: full-row host round trips on
+    /// logical row 0, the last logical row and, after two remaps, the
+    /// last spare row stay in their own row.
+    #[test]
+    fn row_buffer_edges_round_trip() {
+        let rows = ArrayConfig::qvga().rows;
+        let last = rows - 1;
+        let mut m = PimMachineBuilder::new(ArrayConfig::qvga())
+            .spare_rows(2)
+            .build();
+        let lanes = m.lanes();
+        let full =
+            |seed: i64| -> Vec<i64> { (0..lanes as i64).map(|i| (i * 7 + seed) & 0xFF).collect() };
+        let check = |m: &mut PimMachine, first: i64, end: i64| {
+            assert_eq!(m.host_read_lanes(0).unwrap(), full(first));
+            assert_eq!(m.host_read_lanes(last).unwrap(), full(end));
+            for row in [1, last - 1] {
+                assert_eq!(m.host_read_lanes(row).unwrap(), vec![0; lanes]);
+            }
+        };
+        m.host_write_lanes(0, &full(1)).unwrap();
+        m.host_write_lanes(last, &full(2)).unwrap();
+        check(&mut m, 1, 2);
+        assert_eq!(m.remap_row(0).unwrap(), rows);
+        assert_eq!(m.remap_row(last).unwrap(), rows + 1, "the last spare");
+        check(&mut m, 1, 2);
+        m.host_write_lanes(last, &full(3)).unwrap();
+        check(&mut m, 1, 3);
+        let corners = m.gather(&[(last, lanes - 1), (0, 0)]).unwrap();
+        assert_eq!(corners, [full(3)[lanes - 1], full(1)[0]]);
     }
 
     #[test]

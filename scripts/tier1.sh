@@ -37,11 +37,16 @@ one_codec() {
 step one_codec
 # one kernel front end: edge kernels run only through EdgeKernels and
 # pose batches only through BatchRunner, on a pool (one machine is a
-# pool of one). ir.rs builds programs and never touches a machine, and
-# no bare-machine runner or per-call pass-list twin comes back
+# pool of one). ir.rs builds programs and never touches a machine, no
+# bare-machine runner or per-call pass-list twin comes back, a pose
+# batch executes only inside pim_exec.rs (submit, and batch_cost on its
+# scratch array), and no isolation door for a probe on a live array
+# returns
 one_front_end() {
     ! git grep -n -w 'PimMachine' -- crates/kernels/src/ir.rs &&
-        ! git grep -n -E -e 'fn run_batch' -e 'fn .*_with_passes' -- 'crates/**/*.rs'
+        ! git grep -n -E -e 'fn run_batch' -e 'fn .*_with_passes' -- 'crates/**/*.rs' &&
+        ! git grep -n -F 'exec_batch(' -- '*.rs' ':!crates/core/src/pim_exec.rs' &&
+        ! git grep -n -w 'with_probe_isolation' -- '*.rs'
 }
 step one_front_end
 # one execution surface: the machine computes only lowered instructions

@@ -66,15 +66,9 @@ fn lm_speedup_and_overall_shape() {
     let _ = EdgeKernels::new().edge_detect(runner.pool_mut(), &gray, &cfg);
     let pim_edge = runner.pool().merged_stats().cycles;
     let qpose = pimvo::core::QPose::quantize(&SE3::IDENTITY);
-    let qfeats: Vec<pimvo::core::QFeature> = features
-        .iter()
-        .map(pimvo::core::QFeature::quantize)
-        .collect();
-    runner
-        .submit(&qfeats[..BATCH], &qpose, &kf.q_tables, &cam)
-        .unwrap();
+    let price = runner.batch_cost(&qpose, &kf.q_tables, &cam).unwrap();
     let batches = features.len().div_ceil(BATCH) as u64;
-    let pim_lm = (runner.pool().merged_stats().cycles - pim_edge) * batches;
+    let pim_lm = price.cycles * batches;
 
     let lm_speedup = mcu_lm as f64 / pim_lm as f64;
     assert!((3.0..15.0).contains(&lm_speedup), "LM speedup {lm_speedup}");
