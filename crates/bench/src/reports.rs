@@ -14,10 +14,9 @@ use pimvo_mcu::{
     FloatFeature, InstructionMix,
 };
 use pimvo_pim::{
-    ArrayConfig, CostModel, DmaConfig, LowerLevel, Pass, PimArrayPool, PimMachine,
-    PimMachineBuilder,
+    ArrayConfig, CostModel, LowerLevel, Pass, PimArrayPool, PimMachine, PimMachineBuilder,
 };
-use pimvo_scene::{format_tum, Sequence, SequenceKind};
+use pimvo_scene::{format_tum, SequenceKind};
 use pimvo_vomath::{Pinhole, SE3};
 use std::fmt::Write as _;
 
@@ -858,45 +857,6 @@ pub fn all_with_reports(frames: usize) -> (Vec<crate::sink::BenchReport>, String
         .note("paper", "extension: sharded pool scaling, 1-8 arrays");
     reports.push(r);
 
-    let t0 = Instant::now();
-    let (ov, text) = overlap();
-    out.push('\n');
-    out.push_str(&text);
-    out.push('\n');
-    let mut r = BenchReport::new("overlap");
-    r.metric("frames", ov.frames as f64)
-        .metric("arrays", ov.arrays as f64)
-        .metric("sync_wall_cycles", ov.sync_wall as f64)
-        .metric("overlap_wall_cycles", ov.overlap_wall as f64)
-        .metric("compute_cycles", ov.compute as f64)
-        .metric("hidden_cycles", ov.hidden() as f64)
-        .metric("overlap_speedup", ov.speedup())
-        .metric("bit_identical", if ov.identical { 1.0 } else { 0.0 });
-    for p in &ov.fault_sweep {
-        let prefix = format!(
-            "fault_{:02}_{:02}",
-            (p.flip_rate * 100.0) as u32,
-            (p.stall_rate * 100.0) as u32
-        );
-        r.metric(&format!("{prefix}_wall_cycles"), p.wall as f64)
-            .metric(&format!("{prefix}_crc_errors"), p.health.crc_errors as f64)
-            .metric(&format!("{prefix}_timeouts"), p.health.timeouts as f64)
-            .metric(&format!("{prefix}_retries"), p.health.retries as f64)
-            .metric(
-                &format!("{prefix}_quarantines"),
-                p.health.quarantines as f64,
-            )
-            .metric(
-                &format!("{prefix}_bit_identical"),
-                if p.identical { 1.0 } else { 0.0 },
-            );
-    }
-    r.metric("wall_seconds", t0.elapsed().as_secs_f64()).note(
-        "paper",
-        "extension: host-array DMA channels hide strip transfers behind compute",
-    );
-    reports.push(r);
-
     let mut summary = BenchReport::new("summary");
     summary
         .metric("experiments", reports.len() as f64)
@@ -1242,167 +1202,6 @@ pub fn scaling() -> (Vec<ScalingPoint>, String) {
     (points, out)
 }
 
-/// One arm of the transfer-fault sweep in [`overlap`] (fault builds
-/// only — the vector stays empty on default builds).
-#[derive(Debug, Clone, Copy)]
-pub struct OverlapFaultPoint {
-    /// Per-descriptor payload-flip probability (caught by CRC).
-    pub flip_rate: f64,
-    /// Per-descriptor stall probability (caught by the cycle timeout).
-    pub stall_rate: f64,
-    /// End-to-end wall cycles of the faulted run.
-    pub wall: u64,
-    /// Whether the edge maps still matched the synchronous arm.
-    pub identical: bool,
-    /// Merged channel health over the run.
-    pub health: pimvo_pim::DmaHealth,
-}
-
-/// Measured results of the DMA-overlap experiment.
-#[derive(Debug, Clone)]
-pub struct OverlapResult {
-    /// Frames streamed through each arm.
-    pub frames: usize,
-    /// Pool arrays per arm.
-    pub arrays: usize,
-    /// End-to-end wall cycles over the synchronous host port.
-    pub sync_wall: u64,
-    /// End-to-end wall cycles with channel prefetch behind compute.
-    pub overlap_wall: u64,
-    /// Array compute cycles (identical in both arms by construction).
-    pub compute: u64,
-    /// Whether the overlap arm's edge maps matched the synchronous arm
-    /// bit for bit.
-    pub identical: bool,
-    /// Seeded transfer-fault arms (empty without the `fault` feature).
-    pub fault_sweep: Vec<OverlapFaultPoint>,
-}
-
-impl OverlapResult {
-    /// Transfer cycles the channels hid behind compute.
-    pub fn hidden(&self) -> u64 {
-        self.sync_wall.saturating_sub(self.overlap_wall)
-    }
-
-    /// End-to-end speed-up of the overlap arm.
-    pub fn speedup(&self) -> f64 {
-        self.sync_wall as f64 / self.overlap_wall as f64
-    }
-}
-
-/// Extension: host↔array DMA overlap. Streams a short QVGA sequence
-/// through the pooled edge-detection front-end twice — once over the
-/// synchronous host port (every strip transfer serializes with
-/// compute) and once with per-array DMA channels prefetching the next
-/// frame's strips behind the current frame's remaining phases
-/// ([`EdgeKernels::edge_detect_pipelined`]). Fault builds add a seeded
-/// transfer-fault sweep on top of the overlap arm. Every arm produces
-/// bit-identical edge maps; only the timing model moves.
-pub fn overlap() -> (OverlapResult, String) {
-    const FRAMES: usize = 6;
-    const ARRAYS: usize = 4;
-    let cfg = EdgeConfig::default();
-    let seq = Sequence::generate(SequenceKind::Xyz, FRAMES);
-    let frames: Vec<_> = seq.frames.iter().map(|f| f.gray.clone()).collect();
-
-    // synchronous arm: no channels, every transfer serializes
-    let mut sync = qvga_array().build_pool(ARRAYS);
-    let mut kernels = EdgeKernels::new();
-    let want: Vec<_> = frames
-        .iter()
-        .map(|img| kernels.edge_detect(&mut sync, img, &cfg))
-        .collect();
-    sync.dma_settle();
-
-    // overlap arm: channels on, next frame streams in behind compute
-    let mut dma = qvga_array().dma(DmaConfig::default()).build_pool(ARRAYS);
-    let got = kernels.edge_detect_pipelined(&mut dma, &frames, &cfg);
-
-    #[cfg_attr(not(feature = "fault"), allow(unused_mut))]
-    let mut res = OverlapResult {
-        frames: FRAMES,
-        arrays: ARRAYS,
-        sync_wall: sync.wall_cycles(),
-        overlap_wall: dma.wall_cycles(),
-        compute: dma.merged_stats().cycles,
-        identical: got == want && sync.merged_stats().cycles == dma.merged_stats().cycles,
-        fault_sweep: Vec::new(),
-    };
-
-    // fault sweep: same schedule under a seeded transfer-fault storm —
-    // CRC'd descriptors retry (and eventually quarantine down to the
-    // synchronous port), so outputs stay bit-identical at any rate
-    #[cfg(feature = "fault")]
-    for &(flip, stall) in &[(0.02, 0.01), (0.10, 0.05), (0.35, 0.25)] {
-        let mut p = qvga_array().dma(DmaConfig::default()).build_pool(ARRAYS);
-        p.set_dma_fault(pimvo_pim::DmaFaultModel::new(
-            0xd3a0_0b5e,
-            flip,
-            stall,
-            0.01,
-        ));
-        let maps = kernels.edge_detect_pipelined(&mut p, &frames, &cfg);
-        res.fault_sweep.push(OverlapFaultPoint {
-            flip_rate: flip,
-            stall_rate: stall,
-            wall: p.wall_cycles(),
-            identical: maps == want,
-            health: p.dma_health(),
-        });
-    }
-
-    let mut out = String::new();
-    writeln!(
-        out,
-        "DMA overlap: {FRAMES}-frame QVGA edge detection on {ARRAYS} arrays"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  {:<22} {:>14} {:>10}",
-        "arm", "wall cycles", "identical"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  {:<22} {:>14} {:>10}",
-        "synchronous port",
-        fmt_cycles(res.sync_wall),
-        "ref"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  {:<22} {:>14} {:>10}",
-        "channel prefetch",
-        fmt_cycles(res.overlap_wall),
-        if res.identical { "yes" } else { "NO" }
-    )
-    .unwrap();
-    for p in &res.fault_sweep {
-        writeln!(
-            out,
-            "  {:<22} {:>14} {:>10}   ({} crc, {} timeout, {} retry, {} quarantine)",
-            format!("faulted f={} s={}", p.flip_rate, p.stall_rate),
-            fmt_cycles(p.wall),
-            if p.identical { "yes" } else { "NO" },
-            p.health.crc_errors,
-            p.health.timeouts,
-            p.health.retries,
-            p.health.quarantines,
-        )
-        .unwrap();
-    }
-    writeln!(
-        out,
-        "  hidden behind compute: {} cycles ({:.2}x end-to-end)",
-        fmt_cycles(res.hidden()),
-        res.speedup()
-    )
-    .unwrap();
-    (res, out)
-}
-
 #[cfg(test)]
 mod scaling_tests {
     use super::*;
@@ -1429,36 +1228,5 @@ mod scaling_tests {
                 b.edge_wall + b.lm_wall
             );
         }
-    }
-
-    #[test]
-    fn overlap_hides_transfers_and_stays_bit_identical() {
-        let (res, text) = overlap();
-        assert!(res.identical, "overlap arm diverged from synchronous arm");
-        assert!(
-            res.overlap_wall < res.sync_wall,
-            "overlap did not pay: {} >= {}",
-            res.overlap_wall,
-            res.sync_wall
-        );
-        assert!(text.contains("hidden behind compute"));
-        // the sweep only runs on fault builds, and every arm must
-        // still match the synchronous reference bit for bit
-        #[cfg(feature = "fault")]
-        {
-            assert!(!res.fault_sweep.is_empty());
-            for p in &res.fault_sweep {
-                assert!(
-                    p.identical,
-                    "faulted arm f={} s={} diverged",
-                    p.flip_rate, p.stall_rate
-                );
-            }
-            let worst = res.fault_sweep.last().unwrap();
-            assert!(worst.health.crc_errors > 0, "storm injected no CRC errors");
-            assert!(worst.health.retries > 0, "storm forced no retries");
-        }
-        #[cfg(not(feature = "fault"))]
-        assert!(res.fault_sweep.is_empty());
     }
 }

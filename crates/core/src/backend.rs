@@ -13,9 +13,7 @@ use pimvo_kernels::pim_pool::EdgeKernels;
 use pimvo_kernels::pim_util::Regions;
 use pimvo_kernels::{EdgeConfig, EdgeMaps, GrayImage};
 use pimvo_mcu::{CostCounter, FloatFeature};
-use pimvo_pim::{
-    ArrayConfig, EnergyBreakdown, ExecStats, MemAccessBreakdown, PimArrayPool, PimError, PimMachine,
-};
+use pimvo_pim::{ArrayConfig, EnergyBreakdown, ExecStats, PimArrayPool, PimError, PimMachine};
 use pimvo_telemetry::Telemetry;
 use pimvo_vomath::{NormalEquations, Pinhole, SE3};
 
@@ -54,11 +52,6 @@ impl BackendStats {
     /// Energy decomposition by PIM component, if this is a PIM backend.
     pub fn pim_energy(&self, cost: &pimvo_pim::CostModel) -> Option<EnergyBreakdown> {
         self.pim.as_ref().map(|s| s.energy(cost))
-    }
-
-    /// Memory-access decomposition, if this is a PIM backend.
-    pub fn pim_mem_accesses(&self) -> Option<MemAccessBreakdown> {
-        self.pim.as_ref().map(|s| s.mem_accesses())
     }
 }
 

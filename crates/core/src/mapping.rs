@@ -8,7 +8,7 @@
 //! so revisited structure does not accumulate duplicates.
 
 use crate::feature::Feature;
-use pimvo_vomath::{Pinhole, Vec3, SE3};
+use pimvo_vomath::{Vec3, SE3};
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
@@ -141,20 +141,10 @@ impl EdgeMap3d {
     }
 }
 
-/// Convenience: lifts a frame's features through a camera pose into an
-/// existing map (used by the tracker driver loops in examples/benches).
-pub fn integrate_frame(
-    map: &mut EdgeMap3d,
-    features: &[Feature],
-    pose_wc: &SE3,
-    _cam: &Pinhole,
-) -> usize {
-    map.integrate_keyframe(features, pose_wc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pimvo_vomath::Pinhole;
 
     #[test]
     fn backprojection_reproduces_known_geometry() {

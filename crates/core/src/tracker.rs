@@ -202,11 +202,12 @@ impl TrackerBuilder {
 
     /// Attaches modeled host↔array DMA channels to every pool array
     /// (see [`pimvo_pim::DmaConfig`]): transfers ride per-array channel
-    /// engines and overlap compute instead of serializing with it.
-    /// Values stay bit-identical; only the timing model changes. A
-    /// runtime QoS knob like the budget — excluded from the checkpoint
-    /// config hash. Ignored for the float backend and for a custom
-    /// backend.
+    /// engines. Host reads overlap the compute that follows; host
+    /// writes are waited for by the next program, and the frame end
+    /// waits for everything. Values stay bit-identical; only the timing
+    /// model changes. A runtime QoS knob like the budget — excluded
+    /// from the checkpoint config hash. Ignored for the float backend
+    /// and for a custom backend.
     pub fn dma(mut self, cfg: pimvo_pim::DmaConfig) -> Self {
         self.dma = Some(cfg);
         self

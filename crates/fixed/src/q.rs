@@ -191,16 +191,6 @@ impl<const I: u32, const F: u32> Q<I, F> {
         }
     }
 
-    /// Full-precision product with a value in another format.
-    ///
-    /// Multiplying Q`I`.`F` by Q`I2`.`F2` yields a raw value in
-    /// Q(`I`+`I2`).(`F`+`F2`); this returns that raw product as `i64`
-    /// (no precision loss for operand widths summing to ≤ 63 bits).
-    #[inline]
-    pub fn mul_raw<const I2: u32, const F2: u32>(self, rhs: Q<I2, F2>) -> i64 {
-        self.0 * rhs.0
-    }
-
     /// Multiplies by a value in another format and rescales (with
     /// round-half-up on the discarded bits) into the requested output
     /// format, saturating on overflow.
@@ -251,12 +241,6 @@ impl<const I: u32, const F: u32> Q<I, F> {
     #[inline]
     pub fn abs(self) -> Self {
         Self::from_raw_saturating(self.0.abs())
-    }
-
-    /// True when the value is negative.
-    #[inline]
-    pub fn is_negative(self) -> bool {
-        self.0 < 0
     }
 }
 

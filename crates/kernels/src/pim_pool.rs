@@ -41,9 +41,7 @@ use crate::ir::{
     downsample_program, hpf_program, lpf_pass1_program, lpf_pass2_program, nms_program,
     scratch_pool,
 };
-use crate::pim_util::{
-    ghost_mask, ghost_mask_row, load_image_rows, partition_rows, prefetch_image_rows, Regions,
-};
+use crate::pim_util::{ghost_mask, ghost_mask_row, load_image_rows, partition_rows, Regions};
 use crate::{EdgeConfig, EdgeMaps, GrayImage};
 use pimvo_pim::{
     lower_passes, ArrayConfig, LaneWidth, LowerLevel, LoweredProgram, Pass, PimArrayPool,
@@ -291,16 +289,7 @@ impl EdgeKernels {
         cfg: Option<&EdgeConfig>,
     ) -> PhaseMaps {
         let i = self.resolve(pool, src.width(), src.height());
-        run_phases(
-            pool,
-            &self.sets[i],
-            &mut self.lanes,
-            src,
-            phases,
-            cfg,
-            false,
-            None,
-        )
+        run_phases(pool, &self.sets[i], &mut self.lanes, src, phases, cfg)
     }
 
     /// Runs the single `phase` and returns its map.
@@ -406,56 +395,6 @@ impl EdgeKernels {
         }
         out
     }
-
-    /// Runs [`EdgeKernels::edge_detect`] over a sequence of equal-sized
-    /// frames with the next frame's input strips prefetched on the
-    /// arrays' DMA channels: the input bank is dead once LPF pass 1 has
-    /// consumed it, so frame `f + 1`'s strips stream in place while
-    /// frame `f`'s remaining phases (LPF pass 2, HPF, NMS) compute, and
-    /// the frame-boundary [`PimArrayPool::dma_settle`] only waits for
-    /// whatever the compute did not already hide. Outputs are
-    /// bit-identical to one `edge_detect` per frame; on a pool without
-    /// DMA channels the schedule degenerates to the synchronous one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frames differ in size, or as
-    /// [`EdgeKernels::edge_detect`].
-    pub fn edge_detect_pipelined(
-        &mut self,
-        pool: &mut PimArrayPool,
-        frames: &[GrayImage],
-        cfg: &EdgeConfig,
-    ) -> Vec<EdgeMaps> {
-        assert!(
-            frames
-                .windows(2)
-                .all(|p| p[0].width() == p[1].width() && p[0].height() == p[1].height()),
-            "pipelined frames must share one size"
-        );
-        let mut out = Vec::with_capacity(frames.len());
-        for (f, img) in frames.iter().enumerate() {
-            if f > 0 {
-                // the prefetch issued during the previous frame must have
-                // landed before LPF pass 1 reads the input bank
-                pool.dma_settle();
-            }
-            let i = self.resolve(pool, img.width(), img.height());
-            let maps = run_phases(
-                pool,
-                &self.sets[i],
-                &mut self.lanes,
-                img,
-                &PIPELINE,
-                Some(cfg),
-                f > 0,
-                frames.get(f + 1),
-            );
-            out.push(into_maps(maps));
-        }
-        pool.dma_settle();
-        out
-    }
 }
 
 /// Every phase, in pipeline order.
@@ -477,12 +416,8 @@ fn submit(pool: &mut PimArrayPool, label: &str, programs: &[Arc<LoweredProgram>]
 /// Runs the consecutive `phases` with the programs of `set` on `src`,
 /// the map the first phase reads (the camera image for LPF), and
 /// returns each phase's output map. `cfg` carries the NMS thresholds
-/// and border and must be given when `phases` includes NMS. With
-/// `preloaded` the input strips are already resident (a prior frame
-/// prefetched them); with `next` the following frame's strips are
-/// prefetched right after LPF pass 1 frees the input bank. `lanes` is
+/// and border and must be given when `phases` includes NMS. `lanes` is
 /// the lane buffer of every host row read.
-#[allow(clippy::too_many_arguments)] // one private call shape shared by two entry points
 fn run_phases(
     pool: &mut PimArrayPool,
     set: &EdgeSet,
@@ -490,8 +425,6 @@ fn run_phases(
     src: &GrayImage,
     phases: &[Phase],
     cfg: Option<&EdgeConfig>,
-    preloaded: bool,
-    next: Option<&GrayImage>,
 ) -> PhaseMaps {
     let r = Regions::for_machine(pool.array(0), src.height());
     let (w, h) = (src.width(), src.height());
@@ -513,7 +446,7 @@ fn run_phases(
                 .expect("host I/O row in range");
         }
         ghost_mask(m, &r, w as usize);
-        if !preloaded && y0 < y1 {
+        if y0 < y1 {
             let lo = if first == Phase::Lpf {
                 y0
             } else {
@@ -531,16 +464,6 @@ fn run_phases(
         match phase {
             Phase::Lpf => {
                 submit(pool, "lpf_pass1", &set.lpf_pass1);
-                if let Some(nf) = next {
-                    // input bank is dead from here on: stream the next
-                    // frame's strips behind the remaining phases
-                    for (i, &(y0, y1)) in strips.iter().enumerate() {
-                        if y0 < y1 {
-                            let hi = (y1 as u32 + 1).min(h);
-                            prefetch_image_rows(pool.array_mut(i), r.input, nf, y0 as u32, hi);
-                        }
-                    }
-                }
                 exchange_boundary_rows(pool, strips, lanes, r.aux1, h, true, false);
                 submit(pool, "lpf_pass2", &set.lpf_pass2);
             }
@@ -700,54 +623,20 @@ mod tests {
         }
     }
 
-    fn test_frames(n: usize) -> Vec<GrayImage> {
-        (0..n)
-            .map(|f| {
-                GrayImage::from_fn(64, 48, |x, y| {
-                    ((x * 31 + y * 17 + f as u32 * 101).wrapping_mul(2654435761) >> 11) as u8
-                })
-            })
-            .collect()
-    }
-
     #[test]
-    fn pipelined_edge_detect_matches_per_frame() {
-        let frames = test_frames(3);
+    fn edge_detect_on_dma_pools_matches_scalar() {
         let cfg = EdgeConfig::default();
         for n in [1, 2, 4] {
             let mut p = builder().dma(DmaConfig::default()).build_pool(n);
-            let got = EdgeKernels::new().edge_detect_pipelined(&mut p, &frames, &cfg);
-            for (f, (g, img)) in got.iter().zip(&frames).enumerate() {
-                assert_eq!(g, &scalar::edge_detect(img, &cfg), "n={n} frame {f}");
+            let mut kernels = EdgeKernels::new();
+            for f in 0..3u32 {
+                let img = GrayImage::from_fn(64, 48, |x, y| {
+                    ((x * 31 + y * 17 + f * 101).wrapping_mul(2654435761) >> 11) as u8
+                });
+                let got = kernels.edge_detect(&mut p, &img, &cfg);
+                assert_eq!(got, scalar::edge_detect(&img, &cfg), "n={n} frame {f}");
             }
         }
-    }
-
-    #[test]
-    fn pipelined_overlap_hides_transfer_cycles() {
-        let frames = test_frames(4);
-        let cfg = EdgeConfig::default();
-
-        // synchronous arm: no channels, every transfer serializes
-        let mut sync = pool(2);
-        let mut kernels = EdgeKernels::new();
-        for img in &frames {
-            let _ = kernels.edge_detect(&mut sync, img, &cfg);
-        }
-        sync.dma_settle(); // absorb trailing host reads into the wall
-
-        // overlap arm: channels on, next frame prefetched behind compute
-        let mut dma = builder().dma(DmaConfig::default()).build_pool(2);
-        let _ = EdgeKernels::new().edge_detect_pipelined(&mut dma, &frames, &cfg);
-
-        // identical compute work, strictly fewer wall cycles
-        assert_eq!(dma.merged_stats().cycles, sync.merged_stats().cycles);
-        assert!(
-            dma.wall_cycles() < sync.wall_cycles(),
-            "overlap did not pay: dma {} >= sync {}",
-            dma.wall_cycles(),
-            sync.wall_cycles()
-        );
     }
 
     #[test]

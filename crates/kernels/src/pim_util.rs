@@ -106,26 +106,6 @@ pub fn load_image_rows(
     w
 }
 
-/// Loads image rows like [`load_image_rows`] but tagged as
-/// [`pimvo_pim::TransferKind::PyramidPrefetch`]: on a machine with a
-/// DMA channel the transfers ride the channel engine without gating
-/// the inbound-strip wait, so they overlap whatever compute follows —
-/// only a settle point ([`pimvo_pim::PimMachine::dma_settle`] or the
-/// pool equivalent) waits for them. Without a channel this is
-/// identical to a plain strip load. Returns the image width.
-pub fn prefetch_image_rows(
-    m: &mut PimMachine,
-    base: usize,
-    img: &GrayImage,
-    y0: u32,
-    y1: u32,
-) -> usize {
-    m.set_transfer_kind(pimvo_pim::TransferKind::PyramidPrefetch);
-    let w = load_image_rows(m, base, img, y0, y1);
-    m.set_transfer_kind(pimvo_pim::TransferKind::StripIn);
-    w
-}
-
 /// Partitions `h` rows into `n` contiguous strips `[y0, y1)` of
 /// near-equal height (the first `h % n` strips get one extra row).
 /// Strips beyond the row count come out empty, so a pool larger than

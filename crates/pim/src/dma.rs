@@ -39,15 +39,14 @@
 //!
 //! * **payload bit flips** — caught by the descriptor CRC at
 //!   completion; the attempt cost is a full transfer;
-//! * **stalled descriptors** — caught by the cycle-domain
-//!   [`DmaConfig::timeout_cycles`];
+//! * **stalled descriptors** — caught by a 512-cycle completion
+//!   timeout;
 //! * **dropped completions** — same detector: the payload landed but
 //!   the completion never fired, so the host times out and retries.
 //!
 //! Every failed attempt costs its detection latency plus exponential
-//! backoff (`backoff_base_cycles << attempt`). A descriptor that
-//! exhausts [`DmaConfig::max_retries`], or a run of
-//! [`DmaConfig::quarantine_after`] consecutive faulted descriptors,
+//! backoff (`32 << attempt` cycles). A descriptor that exhausts its 3
+//! retries, or a run of 8 consecutive faulted descriptors,
 //! **quarantines the channel**: all subsequent transfers fall back to
 //! the synchronous port (infallible, costed, bit-identical) instead of
 //! failing the frame or hanging the wave scheduler.
@@ -67,9 +66,6 @@ pub enum TransferKind {
     StripIn,
     /// SRAM → host strip/result readout.
     StripOut,
-    /// Host → SRAM prefetch of the *next* frame's pyramid, issued
-    /// while the current frame still computes (double-buffering).
-    PyramidPrefetch,
 }
 
 impl TransferKind {
@@ -116,7 +112,6 @@ impl TransferDescriptor {
         h[0] = match self.kind {
             TransferKind::StripIn => 0,
             TransferKind::StripOut => 1,
-            TransferKind::PyramidPrefetch => 2,
         };
         h[1..5].copy_from_slice(&self.row.to_le_bytes());
         h[5..9].copy_from_slice(&self.bytes.to_le_bytes());
@@ -136,38 +131,32 @@ impl TransferDescriptor {
     }
 }
 
-/// Channel configuration. The defaults model a small on-die burst
-/// engine: a 4-deep descriptor queue (double-buffering plus slack), a
-/// timeout a few transfers long, and a short exponential backoff.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Switches a machine's host↔array DMA channel on
+/// ([`crate::PimMachineBuilder::dma`]). The channel models one small
+/// on-die burst engine with fixed parameters: a 4-deep descriptor
+/// queue, a 512-cycle completion timeout, 3 retries with a 32-cycle
+/// exponential backoff, and quarantine after 8 consecutive faulted
+/// descriptors. Built with `DmaConfig::default()`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DmaConfig {
-    /// Maximum descriptors in flight; issuing into a full queue stalls
-    /// the host until the oldest completes (backpressure).
-    pub queue_depth: usize,
-    /// Cycle-domain completion timeout: a stalled descriptor or a
-    /// dropped completion is detected after this many cycles.
-    pub timeout_cycles: u64,
-    /// Delivery retries per descriptor before the channel gives up and
-    /// quarantines.
-    pub max_retries: u32,
-    /// Base backoff after a failed attempt; doubles per retry.
-    pub backoff_base_cycles: u64,
-    /// Consecutive faulted descriptors before the channel quarantines
-    /// even when individual retries keep succeeding.
-    pub quarantine_after: u32,
+    _fixed: (),
 }
 
-impl Default for DmaConfig {
-    fn default() -> Self {
-        DmaConfig {
-            queue_depth: 4,
-            timeout_cycles: 512,
-            max_retries: 3,
-            backoff_base_cycles: 32,
-            quarantine_after: 8,
-        }
-    }
-}
+/// Maximum descriptors in flight; issuing into a full queue stalls the
+/// host until the oldest completes (backpressure).
+const QUEUE_DEPTH: usize = 4;
+/// Cycle-domain completion timeout, a few transfers long: a stalled
+/// descriptor or a dropped completion is detected after this many
+/// cycles.
+const TIMEOUT_CYCLES: u64 = 512;
+/// Delivery retries per descriptor before the channel gives up and
+/// quarantines.
+const MAX_RETRIES: u32 = 3;
+/// Base backoff after a failed attempt; doubles per retry.
+const BACKOFF_BASE_CYCLES: u64 = 32;
+/// Consecutive faulted descriptors before the channel quarantines even
+/// when individual retries keep succeeding.
+const QUARANTINE_AFTER: u32 = 8;
 
 /// Seeded transfer-fault model. [`DmaFaultModel::none`] is inert and
 /// free; active models require the `fault` cargo feature, mirroring
@@ -323,8 +312,6 @@ impl DmaFaultUnit {
 pub struct DmaHealth {
     /// Descriptors issued to the channel engine.
     pub issued: u64,
-    /// Inbound prefetch descriptors ([`TransferKind::PyramidPrefetch`]).
-    pub prefetches: u64,
     /// Delivery retries (one per failed attempt).
     pub retries: u64,
     /// Payload corruptions rejected by the descriptor CRC.
@@ -350,7 +337,6 @@ impl DmaHealth {
     pub fn since(&self, earlier: &DmaHealth) -> DmaHealth {
         DmaHealth {
             issued: self.issued.saturating_sub(earlier.issued),
-            prefetches: self.prefetches.saturating_sub(earlier.prefetches),
             retries: self.retries.saturating_sub(earlier.retries),
             crc_errors: self.crc_errors.saturating_sub(earlier.crc_errors),
             timeouts: self.timeouts.saturating_sub(earlier.timeouts),
@@ -365,7 +351,6 @@ impl DmaHealth {
     /// "quarantined" here when *any* member channel is.
     pub fn merge(&mut self, other: &DmaHealth) {
         self.issued += other.issued;
-        self.prefetches += other.prefetches;
         self.retries += other.retries;
         self.crc_errors += other.crc_errors;
         self.timeouts += other.timeouts;
@@ -405,12 +390,11 @@ pub(crate) struct IssueOutcome {
 /// invariant exact.
 #[derive(Debug, Clone)]
 pub(crate) struct DmaChannel {
-    cfg: DmaConfig,
     fault: DmaFaultUnit,
     /// Channel clock: when the engine finishes everything issued.
     busy_until: u64,
     /// Latest [`TransferKind::StripIn`] completion: what
-    /// [`run_program`] stalls on. Prefetch completions advance only
+    /// [`run_program`] stalls on. Outbound completions advance only
     /// [`DmaChannel::busy_until`] (drained at a settle point).
     ///
     /// [`run_program`]: crate::PimMachine::run_program
@@ -426,9 +410,8 @@ pub(crate) struct DmaChannel {
 }
 
 impl DmaChannel {
-    pub(crate) fn new(cfg: DmaConfig) -> Self {
+    pub(crate) fn new() -> Self {
         DmaChannel {
-            cfg,
             fault: DmaFaultUnit::new(DmaFaultModel::none()),
             busy_until: 0,
             in_done: 0,
@@ -542,7 +525,7 @@ impl DmaChannel {
         // in-flight descriptor completes
         self.observe(now);
         let mut stall = 0;
-        while self.inflight.len() >= self.cfg.queue_depth.max(1) {
+        while self.inflight.len() >= QUEUE_DEPTH {
             let head = self.inflight.pop_front().expect("non-empty");
             stall = stall.max(head.saturating_sub(now));
         }
@@ -551,9 +534,6 @@ impl DmaChannel {
         let desc = TransferDescriptor::new(kind, row, self.seq, payload);
         self.seq += 1;
         self.health.issued += 1;
-        if kind == TransferKind::PyramidPrefetch {
-            self.health.prefetches += 1;
-        }
 
         // resolve the retry ladder: each attempt draws one fault, a
         // failed attempt costs its detection latency plus exponential
@@ -564,7 +544,7 @@ impl DmaChannel {
         let mut engine_cycles = 0u64;
         let mut faulted = false;
         let mut delivered = false;
-        for attempt in 0..=self.cfg.max_retries {
+        for attempt in 0..=MAX_RETRIES {
             match self.fault.draw(payload_bits) {
                 Attempt::Ok => {
                     engine_cycles += wire;
@@ -588,12 +568,12 @@ impl DmaChannel {
                 }
                 Attempt::Stall | Attempt::Drop => {
                     self.health.timeouts += 1;
-                    engine_cycles += self.cfg.timeout_cycles;
+                    engine_cycles += TIMEOUT_CYCLES;
                 }
             }
             faulted = true;
             self.health.retries += 1;
-            engine_cycles += self.cfg.backoff_base_cycles << attempt.min(16);
+            engine_cycles += BACKOFF_BASE_CYCLES << attempt;
         }
 
         if faulted {
@@ -601,7 +581,7 @@ impl DmaChannel {
         } else {
             self.consecutive_faulted = 0;
         }
-        if !delivered || self.consecutive_faulted >= self.cfg.quarantine_after.max(1) {
+        if !delivered || self.consecutive_faulted >= QUARANTINE_AFTER {
             // end of the ladder: quarantine the channel; this
             // descriptor (and everything after it) degrades to the
             // synchronous port
@@ -620,10 +600,9 @@ impl DmaChannel {
         let start = self.busy_until.max(now);
         let done = start + engine_cycles;
         self.busy_until = done;
-        // prefetch targets the *inactive* double buffer: it is drained
-        // only at a settle point, never at run_program entry — that
-        // window is exactly the compute/transfer overlap
-        if kind == TransferKind::StripIn {
+        // outbound reads are drained only at a settle point, never at
+        // run_program entry — that window is the compute/transfer overlap
+        if kind.is_inbound() {
             self.in_done = self.in_done.max(done);
         }
         self.inflight.push_back(done);
@@ -686,7 +665,7 @@ mod tests {
     #[test]
     fn descriptor_crc_is_the_one_shot_crc_of_payload_then_header() {
         let payload: Vec<u8> = (0..96u8).map(|i| i.wrapping_mul(29)).collect();
-        let d = TransferDescriptor::new(TransferKind::PyramidPrefetch, 11, 9, &payload);
+        let d = TransferDescriptor::new(TransferKind::StripOut, 11, 9, &payload);
         let mut wire = payload.clone();
         wire.extend_from_slice(&d.header_bytes());
         assert_eq!(d.crc, crc32(0, &wire));
@@ -694,7 +673,7 @@ mod tests {
 
     #[test]
     fn fault_free_channel_overlaps_and_counts() {
-        let mut ch = DmaChannel::new(DmaConfig::default());
+        let mut ch = DmaChannel::new();
         let c = cost();
         let payload = [0u8; 320];
         let o = ch.issue(0, 0, TransferKind::StripIn, 4, &payload, &c);
@@ -710,22 +689,21 @@ mod tests {
 
     #[test]
     fn full_queue_backpressures() {
-        let mut ch = DmaChannel::new(DmaConfig {
-            queue_depth: 2,
-            ..DmaConfig::default()
-        });
+        let mut ch = DmaChannel::new();
         let c = cost();
         let payload = [0u8; 320];
         let w = c.transfer_cycles(320);
-        ch.issue(0, 0, TransferKind::StripIn, 0, &payload, &c);
-        ch.issue(0, 0, TransferKind::StripIn, 1, &payload, &c);
-        let o = ch.issue(0, 0, TransferKind::StripIn, 2, &payload, &c);
+        for row in 0..QUEUE_DEPTH as u32 {
+            let o = ch.issue(0, 0, TransferKind::StripIn, row, &payload, &c);
+            assert_eq!(o.backpressure_stall, 0, "queue slot {row} is free");
+        }
+        let o = ch.issue(0, 0, TransferKind::StripIn, 9, &payload, &c);
         assert_eq!(o.backpressure_stall, w, "must wait for the oldest");
     }
 
     #[test]
     fn quarantined_channel_degrades_to_sync() {
-        let mut ch = DmaChannel::new(DmaConfig::default());
+        let mut ch = DmaChannel::new();
         ch.health.quarantined = true;
         let o = ch.issue(0, 0, TransferKind::StripIn, 0, &[0u8; 8], &cost());
         assert_eq!(o.channel_record, None);
@@ -740,7 +718,7 @@ mod tests {
     #[test]
     fn fault_stream_is_deterministic_and_reseed_forks() {
         let run = |salt: Option<u64>| {
-            let mut ch = DmaChannel::new(DmaConfig::default());
+            let mut ch = DmaChannel::new();
             ch.set_fault(DmaFaultModel::new(42, 0.2, 0.1, 0.05));
             if let Some(s) = salt {
                 ch.reseed(s);
@@ -767,22 +745,20 @@ mod tests {
     #[test]
     fn always_failing_channel_quarantines_within_its_ladder() {
         // stall rate ~1: every attempt times out; the first descriptor
-        // exhausts max_retries and the channel quarantines instead of
+        // exhausts MAX_RETRIES and the channel quarantines instead of
         // hanging
-        let cfg = DmaConfig {
-            max_retries: 2,
-            timeout_cycles: 100,
-            backoff_base_cycles: 8,
-            ..DmaConfig::default()
-        };
-        let mut ch = DmaChannel::new(cfg);
+        let mut ch = DmaChannel::new();
         ch.set_fault(DmaFaultModel::new(1, 0.0, 0.99, 0.0));
         let o = ch.issue(0, 0, TransferKind::StripIn, 0, &[0u8; 320], &cost());
         assert_eq!(o.channel_record, None, "undeliverable → sync fallback");
         assert!(ch.is_quarantined());
         let h = ch.health();
         assert_eq!(h.quarantines, 1);
-        assert_eq!(h.timeouts, 3, "1 + max_retries attempts, all timed out");
+        assert_eq!(
+            h.timeouts,
+            1 + u64::from(MAX_RETRIES),
+            "1 + MAX_RETRIES attempts, all timed out"
+        );
         assert_eq!(h.sync_fallbacks, 1);
         // bounded detection: the whole ladder costs at most
         // (1 + retries) × timeout + total backoff
@@ -792,25 +768,39 @@ mod tests {
     #[cfg(feature = "fault")]
     #[test]
     fn consecutive_faulted_descriptors_trip_quarantine() {
-        let cfg = DmaConfig {
-            quarantine_after: 3,
-            ..DmaConfig::default()
-        };
-        let mut ch = DmaChannel::new(cfg);
-        // flips always, but retries succeed eventually? flip rate 0.5:
-        // most descriptors see ≥1 flip; after 3 consecutive faulted
-        // ones the channel must quarantine
+        // flip rate 0.5: half the descriptors need a retry and one in 16
+        // exhausts its retries; a delivered descriptor quarantines the
+        // channel exactly when it ends a run of QUARANTINE_AFTER faulted
+        // ones. Each quarantine is lifted so the run starts over.
+        let mut ch = DmaChannel::new();
         ch.set_fault(DmaFaultModel::new(9, 0.5, 0.0, 0.0));
         let c = cost();
-        let mut now = 0;
-        for i in 0..1000 {
-            if ch.is_quarantined() {
-                break;
-            }
-            let o = ch.issue(now, 0, TransferKind::StripIn, i, &[2u8; 64], &c);
+        let (mut now, mut run, mut tripped) = (0, 0, 0);
+        for i in 0..20_000 {
+            let retries = ch.health().retries;
+            let o = ch.issue(now, 0, TransferKind::StripIn, i % 64, &[2u8; 64], &c);
             now += o.backpressure_stall + 50;
+            run = if ch.health().retries > retries {
+                run + 1
+            } else {
+                0
+            };
+            if o.channel_record.is_some() {
+                let due = run >= QUARANTINE_AFTER;
+                assert_eq!(ch.is_quarantined(), due, "descriptor {i}, run {run}");
+                tripped += u32::from(due);
+            } else {
+                assert!(ch.is_quarantined(), "undeliverable descriptor {i}");
+            }
+            if ch.is_quarantined() {
+                ch.rehabilitate();
+                run = 0;
+            }
         }
-        assert!(ch.is_quarantined(), "0.5 flip rate must trip within 1000");
+        assert!(
+            tripped > 0,
+            "no run of {QUARANTINE_AFTER} faulted descriptors"
+        );
         assert!(ch.health().crc_errors > 0);
     }
 }

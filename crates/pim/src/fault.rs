@@ -130,11 +130,6 @@ impl FaultModel {
         self.bit_read_rate
     }
 
-    /// Configured stuck-at bits.
-    pub fn stuck_bits(&self) -> &[StuckBit] {
-        &self.stuck
-    }
-
     /// A model injecting transient bit flips at `rate` per bit read,
     /// deterministically derived from `seed`.
     #[cfg(feature = "fault")]

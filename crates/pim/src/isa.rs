@@ -38,16 +38,6 @@ impl Operand {
     pub fn is_reg(self) -> bool {
         matches!(self, Operand::Tmp | Operand::Reg(_))
     }
-
-    /// Register index of a register operand.
-    #[inline]
-    pub fn reg_index(self) -> Option<u8> {
-        match self {
-            Operand::Tmp => Some(0),
-            Operand::Reg(i) => Some(i),
-            Operand::Row(_) => None,
-        }
-    }
 }
 
 /// Lane pre-shift applied to operand `b` of an ALU submission.

@@ -94,12 +94,13 @@
 //! # Host↔array data path (DMA)
 //!
 //! The [`dma`] module models the host↔SRAM bus the same way: typed
-//! [`TransferDescriptor`]s (strip in/out, pyramid prefetch) carry a
-//! CRC-32 over payload + header, cost
-//! [`CostModel::transfer_cycles`] on the wire, and ride per-array
-//! channel engines ([`PimMachineBuilder::dma`],
-//! [`PimArrayPool::set_dma`]) whose bounded queues overlap transfers
-//! with compute — the value domain never changes, only wall cycles.
+//! [`TransferDescriptor`]s (strip in, strip out) carry a CRC-32 over
+//! payload + header, cost [`CostModel::transfer_cycles`] on the wire,
+//! and ride per-array channel engines ([`PimMachineBuilder::dma`],
+//! [`PimArrayPool::set_dma`]) with bounded queues. One schedule: a
+//! program waits for the strips written before it, a host read
+//! overlaps the compute that follows, and a settle point waits for
+//! everything — the value domain never changes, only wall cycles.
 //! A seeded [`DmaFaultModel`] (`fault` feature) injects payload flips
 //! (caught by CRC), stalls and dropped completions (caught by a
 //! cycle-domain timeout), driving a retry → exponential backoff →

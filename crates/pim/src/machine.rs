@@ -188,10 +188,6 @@ pub struct PimMachine {
     /// keeps every host transfer on the synchronous port. See
     /// [`PimMachine::set_dma`] and [`crate::dma`].
     dma: Option<Box<DmaChannel>>,
-    /// [`TransferKind`] stamped on subsequent *inbound* host transfers
-    /// (outbound reads are always [`TransferKind::StripOut`]). See
-    /// [`PimMachine::set_transfer_kind`].
-    transfer_kind: TransferKind,
 }
 
 /// Fluent constructor for [`PimMachine`], replacing the historical
@@ -314,7 +310,6 @@ impl PimMachineBuilder {
             op_recorder: None,
             fault: FaultUnit::new(self.fault.clone(), self.protection),
             dma: None,
-            transfer_kind: TransferKind::StripIn,
         };
         m.set_tmp_regs(self.tmp_regs);
         m.set_dma(self.dma);
@@ -526,13 +521,6 @@ impl PimMachine {
     /// Number of logical rows currently remapped to spares.
     pub fn remapped_rows(&self) -> usize {
         self.remap.len()
-    }
-
-    /// The logical → physical row remap table. Logical rows absent from
-    /// the table map to themselves; the table stays empty (and the row
-    /// decode pays nothing) until [`PimMachine::remap_row`] is called.
-    pub fn remap_table(&self) -> &BTreeMap<usize, usize> {
-        &self.remap
     }
 
     /// Remaps logical `row` to the next free spare physical row,
@@ -751,7 +739,7 @@ impl PimMachine {
         cells[bytes.len()..].fill(0);
         // data lands eagerly (above); the transfer model charges the
         // timing and seals the descriptor CRC over the wire image
-        self.host_transfer(self.transfer_kind, row as u32, bytes, bytes.len() as u32);
+        self.host_transfer(TransferKind::StripIn, row as u32, bytes, bytes.len() as u32);
         Ok(())
     }
 
@@ -819,7 +807,12 @@ impl PimMachine {
         // the wire moves only the valid lanes; the zero tail is a row
         // clear strobe, not burst traffic
         let lanes = (moved / self.width.bytes()) as u32;
-        self.host_transfer(self.transfer_kind, row as u32, &cells[span][..moved], lanes);
+        self.host_transfer(
+            TransferKind::StripIn,
+            row as u32,
+            &cells[span][..moved],
+            lanes,
+        );
         self.cells = cells;
         Ok(())
     }
@@ -878,12 +871,7 @@ impl PimMachine {
     /// fault stream start fresh. With no channel every host transfer is
     /// synchronous.
     pub fn set_dma(&mut self, cfg: Option<DmaConfig>) {
-        self.dma = cfg.map(|c| Box::new(DmaChannel::new(c)));
-    }
-
-    /// Whether a DMA channel is installed.
-    pub fn dma_enabled(&self) -> bool {
-        self.dma.is_some()
+        self.dma = cfg.map(|_| Box::new(DmaChannel::new()));
     }
 
     /// Plugs a seeded [`DmaFaultModel`] into the installed channel.
@@ -920,22 +908,6 @@ impl PimMachine {
         if let Some(ch) = &mut self.dma {
             ch.rehabilitate();
         }
-    }
-
-    /// Sets the [`TransferKind`] stamped on subsequent inbound host
-    /// transfers. [`TransferKind::PyramidPrefetch`] marks next-frame
-    /// double-buffer traffic: it is *not* waited on at
-    /// [`PimMachine::run_program`] entry, only at
-    /// [`PimMachine::dma_settle`] — that window is the overlap.
-    /// Sticky until changed; outbound reads always record as
-    /// [`TransferKind::StripOut`].
-    pub fn set_transfer_kind(&mut self, kind: TransferKind) {
-        self.transfer_kind = kind;
-    }
-
-    /// The kind currently stamped on inbound host transfers.
-    pub fn transfer_kind(&self) -> TransferKind {
-        self.transfer_kind
     }
 
     /// Arms a dedicated op-trace lane for the DMA channel: descriptor
@@ -984,20 +956,20 @@ impl PimMachine {
     }
 
     /// Waits for every outstanding *strip-in* descriptor (compute
-    /// inputs); prefetch and outbound traffic keeps flying. Called at
-    /// [`PimMachine::run_program`] entry, so program-based execution can
-    /// never read a row whose inbound burst is still on the wire. Free
-    /// without a channel or when inputs already landed.
-    pub fn dma_sync_inbound(&mut self) {
+    /// inputs); outbound reads keep flying. Called at
+    /// [`PimMachine::run_program`] entry, so a program can never read a
+    /// row whose inbound burst is still on the wire. Free without a
+    /// channel or when inputs already landed.
+    fn dma_sync_inbound(&mut self) {
         if let Some(ch) = &self.dma {
             let t = ch.in_done();
             self.dma_stall_until(t);
         }
     }
 
-    /// Waits for the channel engine to go fully idle (strip-in,
-    /// prefetch *and* outbound descriptors): the frame/measurement
-    /// boundary. Charged as stall cycles like any other wait.
+    /// Waits for the channel engine to go fully idle (strip-in *and*
+    /// outbound descriptors): the frame/measurement boundary. Charged
+    /// as stall cycles like any other wait.
     pub fn dma_settle(&mut self) {
         if let Some(ch) = &self.dma {
             let t = ch.busy_until();
@@ -1034,7 +1006,7 @@ impl PimMachine {
             rec.set_label(Some(prog.name()));
         }
         // compute may not outrun its inputs: wait for outstanding
-        // strip-in DMA (prefetch traffic keeps overlapping)
+        // strip-in DMA (outbound reads keep overlapping)
         self.dma_sync_inbound();
         let run = match prog.lane_class() {
             LaneClass::I64 => prog.ops().iter().try_for_each(|op| {
@@ -2273,6 +2245,57 @@ mod tests {
         assert_eq!(m.stats().cycles - c0, 2 * m.cost_model().scrub_row_cycles);
         let e = m.stats().energy(m.cost_model());
         assert!(e.sram_pj >= 2.0 * m.cost_model().scrub_row_pj);
+    }
+
+    /// The one DMA transfer schedule: a program waits for the strips
+    /// written before it, a host read overlaps the program after it,
+    /// and a settle point charges exactly what the channel still owes.
+    #[test]
+    fn dma_schedule_waits_for_writes_and_overlaps_reads() {
+        use crate::{lower, LowerLevel, PimProgram, ScratchRows, Val};
+        let mut p = PimProgram::new("add");
+        let sum = p.add(Val::Row(0), Val::Row(1));
+        p.store(sum, 2);
+        let prog = lower(&p, LowerLevel::Opt, &ScratchRows::contiguous(8, 2)).unwrap();
+        let mut m = PimMachineBuilder::new(ArrayConfig::qvga())
+            .dma(DmaConfig::default())
+            .build();
+        let cost = m.cost_model().clone();
+        let (write, read) = (
+            cost.transfer_cycles(3),
+            cost.transfer_cycles(m.config().row_bytes() as u64),
+        );
+
+        // two writes queue back to back on the channel; the program
+        // stalls until the second lands (in_done), then computes
+        m.host_write_lanes(0, &[10, 20, 30]).unwrap();
+        m.host_write_lanes(1, &[1, 2, 3]).unwrap();
+        assert_eq!(m.timeline(), 0, "a write charges nothing at issue");
+        m.run_program(&prog).unwrap();
+        assert_eq!(m.stats().dma_stall_cycles, 2 * write);
+        assert_eq!(m.timeline(), 2 * write + m.stats().cycles);
+
+        // a read is not waited for: the next program starts at once
+        assert_eq!(&m.host_read_lanes(2).unwrap()[..3], &[11, 22, 33]);
+        let busy_until = m.timeline() + read;
+        m.run_program(&prog).unwrap();
+        assert_eq!(
+            m.stats().dma_stall_cycles,
+            2 * write,
+            "the read overlaps compute"
+        );
+
+        // the settle point charges the rest of the channel clock
+        let now = m.timeline();
+        assert!(now < busy_until, "the program hides only part of the read");
+        m.dma_settle();
+        assert_eq!(m.stats().dma_stall_cycles, 2 * write + (busy_until - now));
+        assert_eq!(m.timeline(), busy_until);
+        assert_eq!(
+            m.stats().host_io_cycles,
+            0,
+            "every transfer rode the channel"
+        );
     }
 
     #[cfg(feature = "fault")]

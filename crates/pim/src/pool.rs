@@ -568,7 +568,7 @@ impl PimArrayPool {
         }
     }
 
-    /// Drains every member channel — strip-in, prefetch *and* outbound
+    /// Drains every member channel — strip-in *and* outbound
     /// descriptors — at a frame/measurement boundary. Per-array stall
     /// cycles are charged and the wall clock advances by the slowest
     /// member's wait; no extra sync overhead is charged (the settle
@@ -772,11 +772,6 @@ impl PimArrayPool {
         }
     }
 
-    /// Current retry/quarantine policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.policy
-    }
-
     /// Replaces the retry/quarantine policy.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.policy = policy;
@@ -919,11 +914,6 @@ impl PimArrayPool {
             scrubs: self.scrubs,
             rehabilitated: self.rehabilitations,
         }
-    }
-
-    /// Current scrub/probation configuration.
-    pub fn scrub_config(&self) -> ScrubConfig {
-        self.scrub
     }
 
     /// Replaces the scrub/probation configuration. A non-zero

@@ -229,11 +229,6 @@ impl FleetScheduler {
         )
     }
 
-    /// Frames waiting in the session's admission queue.
-    pub fn queue_len(&self, id: SessionId) -> usize {
-        self.sessions.get(&id).map_or(0, |s| s.queue.len())
-    }
-
     /// Total backlogged frames across every session.
     pub fn backlog(&self) -> usize {
         self.sessions.values().map(|s| s.queue.len()).sum()

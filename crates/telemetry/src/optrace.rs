@@ -104,7 +104,7 @@ pub enum OpKind {
     /// wave (carries the inter-array sync cost) or serializes a
     /// recovery/patrol step against the pool's wall clock.
     Barrier = 19,
-    /// DMA descriptor host → SRAM (strip input, pyramid prefetch):
+    /// DMA descriptor host → SRAM (strip input):
     /// setup + per-beat + completion cycles on a channel lane.
     DmaIn = 20,
     /// DMA descriptor SRAM → host (strip/result readout).

@@ -17,8 +17,10 @@
 //!     xyz pim 30 --dma-fault-rate 0.2
 //! ```
 //!
-//! `--dma-overlap` attaches modeled host↔array DMA channels so strip
-//! transfers overlap compute (bit-identical poses, fewer wall cycles);
+//! `--dma-overlap` attaches modeled host↔array DMA channels: host
+//! reads of result rows overlap the compute that follows, host writes
+//! are waited for by the next program (bit-identical poses, fewer wall
+//! cycles);
 //! `--dma-fault-rate R` (implies `--dma-overlap`, needs a
 //! `--features fault` build) additionally runs a seeded transfer-fault
 //! storm against those channels — poses must not move.
@@ -317,10 +319,9 @@ fn main() {
         if let Some(pool) = tracker.pool_mut() {
             let h = pool.dma_health();
             println!(
-                "dma            : {} descriptors ({} prefetches), {} faults, \
+                "dma            : {} descriptors, {} faults, \
                  {} retries, {} quarantines, {} sync fallbacks",
                 h.issued,
-                h.prefetches,
                 h.faults(),
                 h.retries,
                 h.quarantines,

@@ -2,7 +2,7 @@
 # Tier-1 verification: what every PR must keep green.
 #
 #   fmt check -> one-codec check -> one-front-end check ->
-#   one-execution-surface check -> build
+#   one-execution-surface check -> one-DMA-schedule check -> build
 #   (release) -> workspace tests -> fault-feature tests -> clippy
 #   (-D warnings) -> rustdoc (-D warnings) -> IR golden snapshots ->
 #   smokes -> RESULTS.txt freshness -> bench gates
@@ -58,6 +58,14 @@ one_execution_surface() {
             -- crates/pim/src/machine.rs
 }
 step one_execution_surface
+# one DMA transfer schedule: host writes are StripIn, host reads
+# StripOut, run_program waits for inbound strips and dma_settle drains
+# everything; the next-frame prefetch path does not come back
+one_dma_schedule() {
+    ! git grep -n -w -e PyramidPrefetch -e edge_detect_pipelined -e prefetch_image_rows \
+        -e set_transfer_kind -- '*.rs'
+}
+step one_dma_schedule
 step cargo build --release
 step cargo test -q --workspace
 # the fault-injection layer is feature-gated off by default; test it
