@@ -410,7 +410,7 @@ impl PimBackend {
     }
 
     /// Exclusive access to the underlying array pool (fault status
-    /// reset, retry-policy configuration, manual quarantine).
+    /// reset, scrub configuration, manual quarantine).
     pub fn pool_mut(&mut self) -> &mut PimArrayPool {
         self.runner.pool_mut()
     }

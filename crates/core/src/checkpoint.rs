@@ -11,12 +11,16 @@
 //! through `f64::to_bits`, so a restored run replays the uninterrupted
 //! run exactly.
 //!
-//! Rebuilding instead of storing costs time on every restore. A QVGA
-//! keyframe's tables take ~1.5 ms of host time: a clamped-window
+//! Rebuilding instead of storing costs time on a restore. A QVGA
+//! keyframe's tables take ~1 ms of host time: a clamped-window
 //! distance transform (~0.3 ms), the gradient maps and the quantized
 //! tables. Storing them would add six `320 × 240` tables (~1.4 MB) to a
 //! ~77 KB snapshot, and the CRC over the whole frame (~1 ns/byte) is
-//! already most of a snapshot's encode and decode time.
+//! already most of a snapshot's encode and decode time. A process that
+//! still holds the tables keeps them beside the snapshot instead
+//! ([`crate::Tracker::into_pyramid`], as the serving fleet's eviction
+//! does), and [`crate::Tracker::restore_reusing`] adopts them when they
+//! match the snapshot's masks byte for byte.
 //!
 //! # On-disk format (version 2)
 //!
@@ -93,7 +97,9 @@ impl From<ContainerError> for CheckpointError {
 
 /// Keyframe state in a snapshot: the per-level edge masks plus the
 /// shared pose. Lookup tables (distance transform, gradients, quantized
-/// forms) are rebuilt deterministically on restore.
+/// forms) are rebuilt deterministically on restore, unless a kept,
+/// byte-identical pyramid is handed back
+/// ([`crate::Tracker::restore_reusing`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct KeyframeSnapshot {
     /// Frame index the keyframe was promoted at.

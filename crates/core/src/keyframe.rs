@@ -47,7 +47,7 @@ impl Keyframe {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -72,7 +72,7 @@ mod tests {
     /// FNV-1a over every table `Keyframe::build` produces, in a fixed
     /// order: f32 DT, `∂DT/∂u`, `∂DT/∂v` (bit patterns), then the Q12.4
     /// DT and the Q14.2 gradients.
-    fn tables_digest(kf: &Keyframe) -> u64 {
+    pub(crate) fn tables_digest(kf: &Keyframe) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut eat = |bytes: &[u8]| {
             for &b in bytes {

@@ -116,6 +116,37 @@ pub struct Tracker {
     supervisor: DeadlineSupervisor,
 }
 
+/// A tracker's built keyframe pyramid, taken out of it by
+/// [`Tracker::into_pyramid`] so that a later
+/// [`Tracker::restore_reusing`] of the same session's checkpoint can
+/// adopt the distance-transform and gradient tables instead of
+/// rebuilding them. It is only ever a cache: the checkpoint stays the
+/// source of truth, and a pyramid that does not match it byte for byte
+/// is dropped and the tables are rebuilt.
+#[derive(Debug)]
+pub struct KeptPyramid {
+    /// [`checkpoint::config_hash`] of the tracker that built the
+    /// tables (the quantized gradients depend on the camera).
+    config_hash: u64,
+    levels: Vec<Keyframe>,
+}
+
+impl KeptPyramid {
+    /// True if these tables are the ones `Keyframe::build` makes from
+    /// `masks` under the configuration hashed to `config_hash`: same
+    /// configuration, same level count, every level's mask equal byte
+    /// for byte.
+    fn matches(&self, config_hash: u64, masks: &[GrayImage]) -> bool {
+        self.config_hash == config_hash
+            && self.levels.len() == masks.len()
+            && self
+                .levels
+                .iter()
+                .zip(masks)
+                .all(|(k, m)| k.edge_mask == *m)
+    }
+}
+
 /// Builder for [`Tracker`] sessions: collects the configuration,
 /// backend choice and runtime knobs that previously required a
 /// `new` + `set_telemetry` + `set_budget` + `set_frame_budget_cycles`
@@ -457,6 +488,17 @@ impl Tracker {
         Ok(())
     }
 
+    /// Consumes the tracker and returns its built keyframe pyramid (no
+    /// copy), for [`Tracker::restore_reusing`] of a checkpoint taken
+    /// just before. `None` before the first keyframe.
+    pub fn into_pyramid(self) -> Option<KeptPyramid> {
+        let config_hash = checkpoint::config_hash(&self.config);
+        self.keyframes.map(|levels| KeptPyramid {
+            config_hash,
+            levels,
+        })
+    }
+
     /// Restores the tracker from a snapshot, resuming the sequence
     /// mid-stream: poses, keyframe tables (rebuilt deterministically
     /// from the stored edge masks), map, degradation rung and the
@@ -467,7 +509,22 @@ impl Tracker {
     /// the tracker is left unchanged — fall back to re-initialization
     /// by simply continuing to feed frames.
     pub fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
-        match self.restore_inner(ckpt) {
+        self.restore_reusing(ckpt, None)
+    }
+
+    /// [`Tracker::restore`], handed the pyramid the snapshotted tracker
+    /// built ([`Tracker::into_pyramid`]). The snapshot is validated
+    /// exactly as by `restore`, and its frame index and poses are
+    /// restored; the kept tables are adopted only when they were built
+    /// under this configuration from the snapshot's edge masks, byte
+    /// for byte. Otherwise they are dropped and the tables rebuilt, with
+    /// no error: the outcome is identical either way, only cheaper.
+    pub fn restore_reusing(
+        &mut self,
+        ckpt: &Checkpoint,
+        kept: Option<KeptPyramid>,
+    ) -> Result<(), CheckpointError> {
+        match self.restore_inner(ckpt, kept) {
             Ok(()) => {
                 self.telemetry.event(
                     EventKind::CheckpointRestored,
@@ -498,7 +555,11 @@ impl Tracker {
         self.restore(&ckpt)
     }
 
-    fn restore_inner(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
+    fn restore_inner(
+        &mut self,
+        ckpt: &Checkpoint,
+        kept: Option<KeptPyramid>,
+    ) -> Result<(), CheckpointError> {
         let current = checkpoint::config_hash(&self.config);
         if ckpt.config_hash != current {
             return Err(CheckpointError::ConfigMismatch {
@@ -527,7 +588,6 @@ impl Tracker {
                 if kf.masks.len() != self.cameras.len() {
                     return Err(ContainerError::Malformed("pyramid level count mismatch").into());
                 }
-                let mut kfs = Vec::with_capacity(kf.masks.len());
                 for (mask, cam) in kf.masks.iter().zip(&self.cameras) {
                     if mask.width() != cam.width || mask.height() != cam.height {
                         return Err(ContainerError::Malformed(
@@ -535,14 +595,19 @@ impl Tracker {
                         )
                         .into());
                     }
-                    kfs.push(Keyframe::build(
-                        kf.frame_index,
-                        kf.pose_wk,
-                        mask.clone(),
-                        cam,
-                    ));
                 }
-                Some(kfs)
+                Some(match kept.filter(|k| k.matches(current, &kf.masks)) {
+                    Some(k) => k
+                        .levels
+                        .into_iter()
+                        .map(|level| Keyframe {
+                            frame_index: kf.frame_index,
+                            pose_wk: kf.pose_wk,
+                            ..level
+                        })
+                        .collect(),
+                    None => build_keyframes(kf.frame_index, kf.pose_wk, &kf.masks, &self.cameras),
+                })
             }
         };
         let map = if self.config.build_map {
@@ -1083,6 +1148,8 @@ impl std::fmt::Debug for Tracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keyframe::tests::tables_digest;
+    use pimvo_vomath::Vec3;
 
     fn textured_frame(shift: f64) -> (GrayImage, DepthImage) {
         // a textured wall at 2 m; shifting the texture horizontally by
@@ -1213,5 +1280,91 @@ mod tests {
         // well-conditioned scenes is asserted by the integration tests
         let dt = (rf.pose_wc.translation - rp.pose_wc.translation).norm();
         assert!(dt < 0.05, "float vs pim translation differ by {dt}");
+    }
+
+    /// A tracker one keyframe and one tracked frame in: its checkpoint
+    /// and the pyramid taken out of it, as an eviction leaves them.
+    fn evicted() -> (Checkpoint, KeptPyramid) {
+        let mut t = Tracker::new(TrackerConfig::default(), BackendKind::Float);
+        for shift in [0.0, 0.8] {
+            let (g, d) = textured_frame(shift);
+            t.process_frame(&g, &d);
+        }
+        let ckpt = t.checkpoint();
+        (
+            ckpt,
+            t.into_pyramid().expect("the first frame is a keyframe"),
+        )
+    }
+
+    /// Asserts that `t`'s keyframes carry the snapshot's frame index,
+    /// pose and masks, and exactly the tables `Keyframe::build` makes
+    /// from them.
+    fn assert_tables_built_from(t: &Tracker, ckpt: &Checkpoint) {
+        let snap = ckpt.keyframes.as_ref().expect("snapshot has a keyframe");
+        let kfs = t.keyframes.as_ref().expect("restored keyframe");
+        assert_eq!(kfs.len(), snap.masks.len());
+        for ((k, mask), cam) in kfs.iter().zip(&snap.masks).zip(&t.cameras) {
+            assert_eq!(k.frame_index, snap.frame_index);
+            assert_eq!(k.pose_wk, snap.pose_wk);
+            assert!(k.edge_mask == *mask, "mask comes from the snapshot");
+            let built = Keyframe::build(snap.frame_index, snap.pose_wk, mask.clone(), cam);
+            assert_eq!(tables_digest(k), tables_digest(&built));
+        }
+    }
+
+    /// Overwrites one entry of every kept table, so tables that reach
+    /// the tracker unrebuilt give themselves away.
+    fn poison(kept: &mut KeptPyramid) {
+        for k in &mut kept.levels {
+            k.q_tables.dt[0] ^= 0x5a5a;
+            k.tables.grad_x[0] += 1.0;
+        }
+    }
+
+    #[test]
+    fn restore_adopts_a_matching_kept_pyramid() {
+        let (ckpt, mut kept) = evicted();
+        // a kept level's own frame index and pose never survive: the
+        // snapshot's are restored
+        kept.levels[0].frame_index += 7;
+        kept.levels[0].pose_wk = SE3::new(SO3::IDENTITY, Vec3::new(0.1, 0.0, 0.0));
+        let tables: Vec<*const i16> = kept.levels.iter().map(|k| k.q_tables.dt.as_ptr()).collect();
+        let mut t = Tracker::new(TrackerConfig::default(), BackendKind::Float);
+        t.restore_reusing(&ckpt, Some(kept)).unwrap();
+        let adopted: Vec<*const i16> = t
+            .keyframes
+            .as_ref()
+            .unwrap()
+            .iter()
+            .map(|k| k.q_tables.dt.as_ptr())
+            .collect();
+        assert_eq!(adopted, tables, "the kept tables are moved in, not rebuilt");
+        assert_tables_built_from(&t, &ckpt);
+        assert_eq!(t.frame_index, ckpt.frame_index);
+        assert_eq!(t.pose_wc, ckpt.pose_wc);
+    }
+
+    #[test]
+    fn restore_rebuilds_a_kept_pyramid_that_does_not_match() {
+        let (ckpt, _) = evicted();
+        let mut flipped = evicted().1;
+        let v = flipped.levels[0].edge_mask.get(100, 100);
+        flipped.levels[0].edge_mask.set(100, 100, !v);
+        let mut extra_level = evicted().1;
+        extra_level.levels.push(extra_level.levels[0].clone());
+        let mut other_config = evicted().1;
+        other_config.config_hash ^= 1;
+        for (case, mut kept) in [
+            ("one mask byte differs", flipped),
+            ("wrong level count", extra_level),
+            ("other configuration", other_config),
+        ] {
+            poison(&mut kept);
+            let mut t = Tracker::new(TrackerConfig::default(), BackendKind::Float);
+            t.restore_reusing(&ckpt, Some(kept))
+                .unwrap_or_else(|e| panic!("{case}: a mismatch is no error: {e}"));
+            assert_tables_built_from(&t, &ckpt);
+        }
     }
 }

@@ -25,9 +25,8 @@
 //!    reuse).
 //!
 //! Ids are namespaced per stream (`(stream + 1) << 40 | seq`), so the
-//! per-array streams of a pool can be recorded lock-free under the
-//! wave scheduler's scoped threads and merged afterwards without
-//! renumbering. Draining ([`OpRecorder::drain_into`]) hands the records
+//! per-array streams of a pool are recorded independently, one per
+//! array, and merged afterwards without renumbering. Draining ([`OpRecorder::drain_into`]) hands the records
 //! off but keeps sequence counters and row tables, so ids stay unique
 //! across frames and cross-frame edges simply dangle (the profiler
 //! treats a missing dependency as already finished).

@@ -2,8 +2,12 @@
 //!
 //! The paper evaluates a single (320·8)×256-bit macro, but a deployed
 //! PIM cache tiles many of them. The pool owns N independent
-//! [`PimMachine`] arrays and runs *waves* — disjoint shards of a kernel
-//! — on scoped worker threads, one per array.
+//! [`PimMachine`] arrays and runs *waves*: disjoint shards of a kernel,
+//! one per array. The simulated arrays run a wave concurrently; the
+//! host runs its shards one after another on the calling thread, in
+//! array order. (A scoped worker thread per array took longer in wall
+//! time than this loop on a two-array pool: at these shard sizes the
+//! spawn and join cost more than the overlap saved.)
 //!
 //! Accounting stays deterministic and paper-faithful:
 //!
@@ -16,8 +20,8 @@
 //!   when more than one array participates — so a pool of one is
 //!   cycle-identical to a bare machine.
 //!
-//! Thread scheduling can never perturb results: each closure owns its
-//! array exclusively for the duration of the phase, and cycle deltas
+//! Host scheduling can never perturb results: each closure owns its
+//! array exclusively for the duration of its shard, and cycle deltas
 //! are computed from per-array counters after the barrier, in array
 //! order.
 //!
@@ -25,7 +29,7 @@
 //!
 //! Every frame runs as fixed array-wide kernel phases, and the pool has
 //! one entry point per kind of phase. Both share one private wave core
-//! (the thread fan-out, the max + sync wall-clock charge and the
+//! (the in-order shard loop, the max + sync wall-clock charge and the
 //! op-trace barrier):
 //!
 //! * [`PimArrayPool::submit_strips`] runs one lowered program per
@@ -201,7 +205,8 @@ impl PoolHealth {
     }
 }
 
-/// A pool of N identical PIM arrays executing kernel shards in parallel.
+/// A pool of N identical PIM arrays executing kernel shards as one
+/// simulated parallel wave.
 ///
 /// Construct through [`PimMachineBuilder::build_pool`] so every member
 /// array shares one configuration:
@@ -255,7 +260,6 @@ pub struct PimArrayPool {
     rehabilitated: Vec<bool>,
     scrubs: u64,
     rehabilitations: u64,
-    scrub_cycles: u64,
     telemetry: Telemetry,
     /// Pool-stream op recorder (barrier records); `Some` iff the
     /// per-array recorders are armed too.
@@ -307,7 +311,6 @@ impl PimArrayPool {
             rehabilitated: vec![false; n],
             scrubs: 0,
             rehabilitations: 0,
-            scrub_cycles: 0,
             telemetry: Telemetry::off(),
             op_sync: None,
             op_capacity: 0,
@@ -641,36 +644,21 @@ impl PimArrayPool {
     }
 
     /// The wave core both entry points share: `f(slot, machine)` runs
-    /// on `arrays[members[slot]]` (`members` ascending), each closure
-    /// owning its array exclusively (scoped worker threads; inline for
-    /// a single member), and `done(slot, result)` takes the results in
-    /// `members` order. The wave forms a barrier: wall cycles advance
-    /// by the slowest member's timeline delta, plus the sync overhead
-    /// when more than one member participates, and the op-trace pool
-    /// stream records the sync point. Leaves the per-member cycle
-    /// deltas in `self.deltas`, in `members` order. A single-member
-    /// wave allocates nothing of its own.
+    /// on `arrays[members[slot]]` (`members` ascending), one member
+    /// after another on the calling thread, and `done(slot, result)`
+    /// takes each result in `members` order. The members model arrays
+    /// that run concurrently: the wave forms a barrier, so wall cycles
+    /// advance by the slowest member's timeline delta, plus the sync
+    /// overhead when more than one member participates, and the
+    /// op-trace pool stream records the sync point. Leaves the
+    /// per-member cycle deltas in `self.deltas`, in `members` order.
+    /// A wave allocates nothing of its own.
     fn wave<R, F>(&mut self, members: &[usize], f: &F, mut done: impl FnMut(usize, R))
     where
-        R: Send,
-        F: Fn(usize, &mut PimMachine) -> R + Sync,
+        F: Fn(usize, &mut PimMachine) -> R,
     {
-        if members.len() == 1 {
-            done(0, f(0, &mut self.arrays[members[0]]));
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = self
-                    .arrays
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(i, _)| members.contains(i))
-                    .enumerate()
-                    .map(|(slot, (_, m))| s.spawn(move || f(slot, m)))
-                    .collect();
-                for (slot, h) in handles.into_iter().enumerate() {
-                    done(slot, h.join().expect("pool shard thread panicked"));
-                }
-            });
+        for (slot, &i) in members.iter().enumerate() {
+            done(slot, f(slot, &mut self.arrays[i]));
         }
         self.deltas.clear();
         for &i in members {
@@ -694,8 +682,8 @@ impl PimArrayPool {
     /// array, so a strip cannot move. Strip programs are image kernels
     /// that leave their results in rows, so the phase returns none; a
     /// program whose reduce sums the host needs runs through
-    /// [`PimArrayPool::run_phase`]. On a pool of one the phase
-    /// allocates nothing of its own.
+    /// [`PimArrayPool::run_phase`]. The phase allocates nothing of its
+    /// own.
     ///
     /// The phase is one barrier: wall cycles advance by the slowest
     /// array's delta, plus the sync overhead when the pool has more
@@ -744,7 +732,7 @@ impl PimArrayPool {
     /// span (`wall_start..wall_cycles`, including sync and any serial
     /// recovery) and one span per participating array, all starting at
     /// the barrier entry so the viewer shows the slowest shard gating
-    /// the phase. Called from the main thread after the barrier; a
+    /// the phase. Called after the barrier; a
     /// no-op without an attached telemetry handle.
     fn record_phase_spans(&self, label: &str, wall_start: u64, members: &[usize], deltas: &[u64]) {
         if !self.telemetry.is_enabled() {
@@ -772,8 +760,10 @@ impl PimArrayPool {
         }
     }
 
-    /// Replaces the retry/quarantine policy.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
+    /// Replaces the retry/quarantine policy (tests run with a
+    /// non-default one; a pool always serves with the default).
+    #[cfg(test)]
+    fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.policy = policy;
     }
 
@@ -932,14 +922,6 @@ impl PimArrayPool {
         self.probation[i]
     }
 
-    /// Compute cycles spent in scrub passes so far (maintenance-port
-    /// work on quarantined arrays; runs concurrently with foreground
-    /// phases, so it is charged to the per-array [`ExecStats`] — and
-    /// through them to energy — but not to the wall clock).
-    pub fn scrub_cycles(&self) -> u64 {
-        self.scrub_cycles
-    }
-
     /// Runs one scrub pass now over every quarantined array: march-test
     /// each row with the scrub test patterns, remap rows that fail to
     /// spares, and re-admit arrays that end up fully clean into
@@ -956,10 +938,8 @@ impl PimArrayPool {
             if !self.quarantined[i] {
                 continue;
             }
-            let cyc0 = self.arrays[i].stats().cycles;
             let t0 = self.arrays[i].timeline();
             let clean = self.scrub_array(i);
-            self.scrub_cycles += self.arrays[i].stats().cycles - cyc0;
             // maintenance-port work runs concurrently with foreground
             // phases: bump the watermark by exactly the scrub's own
             // timeline delta so it never reaches the wall clock (host
@@ -1043,8 +1023,7 @@ impl PimArrayPool {
     /// on entry or after quarantines during recovery.
     pub fn run_phase<R, F>(&mut self, label: &str, f: F) -> Result<Vec<R>, PimError>
     where
-        R: Send,
-        F: Fn(usize, &mut PimMachine) -> R + Sync,
+        F: Fn(usize, &mut PimMachine) -> R,
     {
         let _wall = self.telemetry.span("pool", label);
         let wall_start = self.wall_cycles;
@@ -1362,7 +1341,7 @@ impl PimArrayPool {
     /// run finished without newly detected errors.
     fn rerun_shard<R>(
         &mut self,
-        f: &(impl Fn(usize, &mut PimMachine) -> R + Sync),
+        f: &impl Fn(usize, &mut PimMachine) -> R,
         shard: usize,
         i: usize,
     ) -> (R, bool) {
@@ -1910,7 +1889,10 @@ mod tests {
             p.merged_stats().scrub_rows,
             rows * SCRUB_PATTERNS.len() as u64
         );
-        assert!(p.scrub_cycles() > 0);
+        // maintenance-port work: charged to the array's stats (and
+        // through them to energy), not to the wall clock
+        assert!(p.array(0).stats().cycles > 0);
+        assert_eq!(p.wall_cycles(), 0);
 
         // clean phases count the probation down to full membership,
         // each charging a verify-on-read patrol

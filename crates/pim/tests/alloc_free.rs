@@ -8,8 +8,9 @@
 //!
 //! Host row I/O keeps the same contract: a host read into a sized
 //! buffer and a host write from a slice or an iterator allocate
-//! nothing, so a warm `EdgeKernels::edge_detect` on a pool of one
-//! allocates only the three maps it returns.
+//! nothing, so a warm `EdgeKernels::edge_detect` on a pool of one or
+//! two arrays allocates only the three maps it returns (a pool runs a
+//! wave's shards inline, spawning no thread).
 //!
 //! A counting global allocator sees every allocation of this test
 //! binary. Counting is per thread, so neither the other test of this
@@ -176,14 +177,19 @@ fn warm_host_io_and_edge_detect_allocate_only_their_outputs() {
     // edges to keep and to suppress
     let img = GrayImage::from_fn(320, 240, |x, y| (((x * 7) ^ (y * 13)) + (x * y) / 40) as u8);
     let cfg = EdgeConfig::default();
-    let mut pool = PimMachineBuilder::new(ArrayConfig::qvga_banks(6)).build_pool(1);
-    let mut kernels = EdgeKernels::new();
-    // warm-up: resolves the strip programs and sizes the lane buffers
-    kernels.edge_detect(&mut pool, &img, &cfg);
-    let (n, maps) = allocations(|| kernels.edge_detect(&mut pool, &img, &cfg));
-    assert_eq!(maps, scalar::edge_detect(&img, &cfg));
-    assert_eq!(
-        n, 3,
-        "a warm edge_detect made {n} heap allocations; only its three maps may allocate"
-    );
+    // a pool of two runs each wave's shards inline too: no wave spawns
+    // a thread or allocates on its own
+    for arrays in [1, 2] {
+        let mut pool = PimMachineBuilder::new(ArrayConfig::qvga_banks(6)).build_pool(arrays);
+        let mut kernels = EdgeKernels::new();
+        // warm-up: resolves the strip programs and sizes the lane buffers
+        kernels.edge_detect(&mut pool, &img, &cfg);
+        let (n, maps) = allocations(|| kernels.edge_detect(&mut pool, &img, &cfg));
+        assert_eq!(maps, scalar::edge_detect(&img, &cfg));
+        assert_eq!(
+            n, 3,
+            "{arrays} arrays: a warm edge_detect made {n} heap allocations; \
+             only its three maps may allocate"
+        );
+    }
 }

@@ -5,7 +5,8 @@
 use crate::flight::{DumpReason, FlightDump, FlightFrame, FlightRecorder};
 use crate::session::{ServeError, SessionSpec, SessionStats, StepOutcome};
 use pimvo_core::{
-    BackendKind, Checkpoint, DegradeRung, PimBackend, Tracker, TrackerBuilder, TrackingState,
+    BackendKind, Checkpoint, DegradeRung, KeptPyramid, PimBackend, Tracker, TrackerBuilder,
+    TrackingState,
 };
 use pimvo_kernels::{DepthImage, GrayImage};
 use pimvo_pim::{
@@ -48,8 +49,16 @@ enum Residency {
     /// Tracker in memory (holds a one-array staging pool while not
     /// running; the shared fleet pool is swapped in per frame).
     Resident(Box<Tracker>),
-    /// Serialized checkpoint — zero resident arrays.
-    Evicted(Vec<u8>),
+    /// Serialized checkpoint — zero resident arrays. The bytes are the
+    /// session's state; beside them the session keeps the host-side
+    /// keyframe tables its tracker built (1.46 MB at QVGA with one
+    /// pyramid level), which the restore adopts when they match the
+    /// checkpoint's edge masks instead of rebuilding them. A session
+    /// recovered from a manifest has none.
+    Evicted {
+        bytes: Vec<u8>,
+        pyramid: Option<KeptPyramid>,
+    },
 }
 
 /// One frame waiting in a session's admission queue.
@@ -618,8 +627,11 @@ impl FleetScheduler {
     }
 
     /// Evicts a resident session to checkpoint bytes: the tracker (and
-    /// its staging array) is dropped, leaving zero resident arrays.
-    /// Returns `false` if the session was already cold or evicted.
+    /// its staging array) is dropped, leaving zero resident arrays. The
+    /// keyframe tables it built are moved out of it first and kept
+    /// beside the bytes, so the restore can adopt them instead of
+    /// rebuilding them ([`Tracker::restore_reusing`]). Returns `false`
+    /// if the session was already cold or evicted.
     ///
     /// # Errors
     ///
@@ -629,11 +641,16 @@ impl FleetScheduler {
             .sessions
             .get_mut(&id)
             .ok_or(ServeError::UnknownSession(id))?;
-        let Residency::Resident(tracker) = &sess.residency else {
+        let residency = std::mem::replace(&mut sess.residency, Residency::Cold);
+        let Residency::Resident(tracker) = residency else {
+            sess.residency = residency;
             return Ok(false);
         };
         let bytes = tracker.checkpoint().to_bytes();
-        sess.residency = Residency::Evicted(bytes);
+        sess.residency = Residency::Evicted {
+            bytes,
+            pyramid: tracker.into_pyramid(),
+        };
         sess.stats.evictions += 1;
         if self.telemetry.is_enabled() {
             self.telemetry
@@ -684,22 +701,23 @@ impl FleetScheduler {
     }
 
     /// Loads the session's tracker: builds it cold, or restores it
-    /// from its eviction checkpoint.
+    /// from its eviction checkpoint (adopting the kept keyframe tables
+    /// when they match it).
     fn ensure_resident(&mut self, id: SessionId) -> Result<(), ServeError> {
         let telemetry = self.telemetry.clone();
         let lowered = self.lowered.clone();
         let sess = self.sessions.get_mut(&id).expect("caller checked id");
-        match &sess.residency {
+        match &mut sess.residency {
             Residency::Resident(_) => Ok(()),
             Residency::Cold => {
                 sess.residency =
                     Residency::Resident(Box::new(build_tracker(&sess.spec, &telemetry, &lowered)));
                 Ok(())
             }
-            Residency::Evicted(bytes) => {
+            Residency::Evicted { bytes, pyramid } => {
                 let ckpt = Checkpoint::from_bytes(bytes)?;
                 let mut tracker = build_tracker(&sess.spec, &telemetry, &lowered);
-                tracker.restore(&ckpt)?;
+                tracker.restore_reusing(&ckpt, pyramid.take())?;
                 sess.residency = Residency::Resident(Box::new(tracker));
                 sess.stats.restores += 1;
                 if telemetry.is_enabled() {
@@ -786,7 +804,7 @@ impl FleetScheduler {
             let blob: Option<Vec<u8>> = match &sess.residency {
                 Residency::Cold => None,
                 Residency::Resident(tracker) => Some(tracker.checkpoint().to_bytes()),
-                Residency::Evicted(bytes) => Some(bytes.clone()),
+                Residency::Evicted { bytes, .. } => Some(bytes.clone()),
             };
             match blob {
                 None => {
@@ -924,7 +942,10 @@ impl FleetScheduler {
                 }
                 1 => {
                     let len = r.count(1)?;
-                    Residency::Evicted(r.take(len)?.to_vec())
+                    Residency::Evicted {
+                        bytes: r.take(len)?.to_vec(),
+                        pyramid: None,
+                    }
                 }
                 _ => return Err(Malformed("unknown residency tag")),
             };

@@ -5,7 +5,7 @@
 
 use pimvo_core::{BackendKind, TrackerBuilder, TrackerConfig};
 use pimvo_kernels::{DepthImage, GrayImage};
-use pimvo_pim::SessionId;
+use pimvo_pim::{ArrayConfig, PimMachine, SessionId};
 use pimvo_serve::{FleetScheduler, SessionSpec, StepOutcome};
 use pimvo_vomath::SE3;
 use proptest::prelude::*;
@@ -164,45 +164,72 @@ fn shared_cache_makes_second_fleet_lower_nothing() {
 }
 
 /// Eviction to checkpoint bytes and transparent restore replays the
-/// session exactly: the poses after the evict/restore cycle equal an
-/// uninterrupted run bit-for-bit.
+/// session exactly. Three fleets serve the same frames: one evicts the
+/// session mid-stream and restores it with the keyframe tables it kept,
+/// one is recovered from a manifest saved at that point (a restore with
+/// no kept tables), and one never evicts. Poses, per-frame latencies
+/// and the fleet clock agree bit-for-bit, and the poses equal a solo
+/// tracker's.
 #[test]
 fn evicted_session_replays_exactly() {
     const FRAMES: usize = 6;
     const EVICT_AT: usize = 3;
     let speed = 0.7;
-
-    let baseline = solo_poses(0, FRAMES, speed);
-
-    let mut fleet = FleetScheduler::new(2);
-    fleet.add_session(
-        SessionId(1),
+    let id = SessionId(1);
+    let builder = PimMachine::builder(ArrayConfig::qvga_banks(6));
+    let specs = [(
+        id,
         SessionSpec::new(TrackerConfig::default()).max_queue(FRAMES),
-    );
-    let mut poses = Vec::new();
-    for k in 0..EVICT_AT {
-        let (g, d) = session_frame(0, k, speed);
-        fleet.submit_frame(SessionId(1), g, d).unwrap();
-    }
-    for o in fleet.run_until_idle().unwrap() {
-        poses.push(o.result.pose_wc);
-    }
+    )];
+    let new_fleet = || {
+        let mut fleet = FleetScheduler::from_builder(&builder, 2);
+        fleet.add_session(id, specs[0].1.clone());
+        fleet
+    };
+    let feed = |fleet: &mut FleetScheduler, frames: std::ops::Range<usize>| {
+        for k in frames {
+            let (g, d) = session_frame(0, k, speed);
+            fleet.submit_frame(id, g, d).unwrap();
+        }
+        let out = fleet.run_until_idle().unwrap();
+        out.into_iter()
+            .map(|o| o.result.pose_wc)
+            .collect::<Vec<_>>()
+    };
 
-    assert!(fleet.evict(SessionId(1)).unwrap(), "session was resident");
-    assert!(!fleet.is_resident(SessionId(1)), "zero resident state");
+    // the same two submission bursts in every fleet
+    let mut whole = new_fleet();
+    let mut want = feed(&mut whole, 0..EVICT_AT);
+    want.extend(feed(&mut whole, EVICT_AT..FRAMES));
 
-    for k in EVICT_AT..FRAMES {
-        let (g, d) = session_frame(0, k, speed);
-        fleet.submit_frame(SessionId(1), g, d).unwrap();
-    }
-    for o in fleet.run_until_idle().unwrap() {
-        poses.push(o.result.pose_wc);
-    }
+    let mut kept = new_fleet();
+    let mut kept_poses = feed(&mut kept, 0..EVICT_AT);
+    assert!(kept.evict(id).unwrap(), "session was resident");
+    assert!(!kept.is_resident(id), "zero resident state");
+    let dir = std::env::temp_dir().join(format!("pimvo_evict_replay_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("fleet.ckpt");
+    kept.save_manifest(&path).unwrap();
+    let mut recovered = FleetScheduler::recover(&path, &builder, 2, &specs).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let mut recovered_poses = kept_poses.clone();
+    kept_poses.extend(feed(&mut kept, EVICT_AT..FRAMES));
+    recovered_poses.extend(feed(&mut recovered, EVICT_AT..FRAMES));
 
-    assert_eq!(poses.len(), FRAMES);
-    for (k, (got, want)) in poses.iter().zip(&baseline).enumerate() {
-        assert_eq!(got, want, "frame {k} pose must replay exactly");
+    let solo = solo_poses(0, FRAMES, speed);
+    assert_eq!(want.len(), FRAMES);
+    for (k, want) in want.iter().enumerate() {
+        assert_eq!(*want, solo[k], "frame {k}: fleet pose equals solo");
+        assert_eq!(kept_poses[k], *want, "frame {k}: kept-table restore");
+        assert_eq!(recovered_poses[k], *want, "frame {k}: manifest recovery");
     }
-    let st = fleet.stats(SessionId(1)).unwrap();
-    assert_eq!((st.evictions, st.restores), (1, 1));
+    let latencies = |fleet: &FleetScheduler| fleet.stats(id).unwrap().latencies_cycles.clone();
+    assert_eq!(latencies(&kept), latencies(&whole));
+    assert_eq!(latencies(&recovered), latencies(&whole));
+    assert_eq!(kept.now_cycles(), whole.now_cycles());
+    assert_eq!(recovered.now_cycles(), whole.now_cycles());
+    for fleet in [&kept, &recovered] {
+        let st = fleet.stats(id).unwrap();
+        assert_eq!((st.evictions, st.restores), (1, 1));
+    }
 }

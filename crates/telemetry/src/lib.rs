@@ -28,7 +28,7 @@
 //! * **PIM cycles** — the simulator's own clock. Cycle-domain spans are
 //!   recorded explicitly ([`Telemetry::record_span`]) from counter
 //!   deltas (`ExecStats::cycles`, `PimArrayPool::wall_cycles`), after
-//!   the fact, so worker threads never touch the registry.
+//!   the fact, so the simulator's inner loops never touch the registry.
 //!
 //! # Exporters
 //!

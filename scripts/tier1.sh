@@ -2,10 +2,11 @@
 # Tier-1 verification: what every PR must keep green.
 #
 #   fmt check -> one-codec check -> one-front-end check ->
-#   one-execution-surface check -> one-DMA-schedule check -> build
-#   (release) -> workspace tests -> fault-feature tests -> clippy
-#   (-D warnings) -> rustdoc (-D warnings) -> IR golden snapshots ->
-#   smokes -> RESULTS.txt freshness -> bench gates
+#   one-execution-surface check -> one-DMA-schedule check ->
+#   one-wave-path check -> build (release) -> workspace tests ->
+#   fault-feature tests -> clippy (-D warnings) -> rustdoc (-D warnings)
+#   -> IR golden snapshots -> smokes -> RESULTS.txt freshness -> bench
+#   gates
 #
 # Every step is mandatory. The formatter and clippy gates run the
 # pinned workspace toolchain, so lint results are reproducible.
@@ -66,6 +67,12 @@ one_dma_schedule() {
         -e set_transfer_kind -- '*.rs'
 }
 step one_dma_schedule
+# one wave path: a pool runs every wave's shards inline, in member
+# order, on the calling thread; no per-wave thread fan-out comes back
+one_wave_path() {
+    ! git grep -n -e 'thread::scope' -e 'thread::spawn' -- crates/pim/src
+}
+step one_wave_path
 step cargo build --release
 step cargo test -q --workspace
 # the fault-injection layer is feature-gated off by default; test it
