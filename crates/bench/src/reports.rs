@@ -351,42 +351,20 @@ pub fn fig9b() -> (Fig9bResult, String) {
     (res, out)
 }
 
-/// The staged pass groups the lowering sweep compares. `greedy` is the
-/// pre-pipeline optimizer (shift fusion + dead-store elimination, the
-/// PR-5 baseline); each later stage enables one more pass group, up to
-/// the full [`pimvo_pim::pass_pipeline`] at `Opt`.
-pub const LOWERING_STAGES: [(&str, &[Pass]); 4] = [
-    ("greedy", &[Pass::FuseShifts, Pass::EliminateDeadStores]),
-    (
-        "peephole",
-        &[Pass::Peephole, Pass::FuseShifts, Pass::EliminateDeadStores],
-    ),
-    (
-        "sched",
-        &[
-            Pass::Peephole,
-            Pass::FuseShifts,
-            Pass::EliminateDeadStores,
-            Pass::Schedule,
-        ],
-    ),
-    (
-        "layout",
-        &[
-            Pass::Peephole,
-            Pass::FuseShifts,
-            Pass::EliminateDeadStores,
-            Pass::Schedule,
-            Pass::Layout,
-        ],
-    ),
+/// The staged pass groups the lowering sweep compares. `greedy` is
+/// shift fusion alone (an in-order allocation walk); `sched` adds the
+/// list scheduler, which is the full [`pimvo_pim::pass_pipeline`] at
+/// `Opt`.
+pub const LOWERING_STAGES: [(&str, &[Pass]); 2] = [
+    ("greedy", &[Pass::FuseShifts]),
+    ("sched", &[Pass::FuseShifts, Pass::Schedule]),
 ];
 
 /// Lowering-pipeline stage sweep: per-kernel cycles on the canonical
 /// frame at `Opt` as each staged pass group is enabled. Outputs are
 /// asserted bit-identical across stages (passes may only change cost),
 /// so the sweep isolates where the cycle wins come from — the
-/// scheduler and home-row layout vs the PR-5 greedy baseline.
+/// scheduler vs the greedy in-order walk.
 ///
 /// Returns `(kernel, stage, cycles)` rows and the formatted table.
 pub fn lowering() -> (Vec<(&'static str, &'static str, u64)>, String) {

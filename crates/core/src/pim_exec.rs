@@ -523,13 +523,13 @@ fn frac_weights_program(rows: &PoseRows) -> PimProgram {
 
 /// Residual program: bilinear interpolation of the gathered DT corners
 /// (`dx0 = d00 + ((d10 - d00) * wu >> 6)`, likewise `dx1`, then the
-/// vertical lerp), or a plain masked copy in nearest mode where the
-/// gathered value *is* the residual. Either way the Z/low-half mask is
-/// folded in before the single store to the residual row.
+/// vertical lerp), or in nearest mode, where the gathered value *is*
+/// the residual, the residual row itself. Either way the Z/low-half
+/// mask is folded in before the single store to the residual row.
 fn residual_program(rows: &PoseRows, interp: Interp) -> PimProgram {
     let mut p = PimProgram::new("pose_residual");
     p.set_lanes(LaneWidth::W32, Signedness::Signed);
-    let r = match interp {
+    let r: Val = match interp {
         Interp::Bilinear => {
             let lerp = |p: &mut PimProgram, a: Val, b: Val, w: Val| -> VReg {
                 let d = p.sub(b, a);
@@ -549,11 +549,11 @@ fn residual_program(rows: &PoseRows, interp: Interp) -> PimProgram {
                 Row(rows.r(PoseRows::D11)),
                 Row(rows.r(PoseRows::WU)),
             );
-            lerp(&mut p, dx0.into(), dx1.into(), Row(rows.r(PoseRows::WV)))
+            lerp(&mut p, dx0.into(), dx1.into(), Row(rows.r(PoseRows::WV))).into()
         }
-        Interp::Nearest => p.load(Row(rows.r(PoseRows::RES))),
+        Interp::Nearest => Row(rows.r(PoseRows::RES)),
     };
-    let rm = p.and(r.into(), Row(rows.r(PoseRows::ZMASK)));
+    let rm = p.and(r, Row(rows.r(PoseRows::ZMASK)));
     p.store(rm, rows.r(PoseRows::RES));
     p
 }

@@ -177,13 +177,6 @@ pub enum MacroOp {
         /// Result register.
         dst: VReg,
     },
-    /// Copy a value into a fresh register (a 1-cycle `OR a, a`).
-    Load {
-        /// Operand.
-        a: Val,
-        /// Result register.
-        dst: VReg,
-    },
     /// Write a register's value to an SRAM row. The row must not be
     /// read between the defining op and the store — lowering levels
     /// that write results eagerly rely on this.
@@ -214,8 +207,7 @@ impl MacroOp {
             | MacroOp::Neg { dst, .. }
             | MacroOp::SatNarrow { dst, .. }
             | MacroOp::Mul { dst, .. }
-            | MacroOp::DivFrac { dst, .. }
-            | MacroOp::Load { dst, .. } => Some(dst),
+            | MacroOp::DivFrac { dst, .. } => Some(dst),
             MacroOp::SetLanes { .. } | MacroOp::Store { .. } | MacroOp::Reduce { .. } => None,
         }
     }
@@ -233,7 +225,6 @@ impl MacroOp {
             | MacroOp::ShlBits { a, .. }
             | MacroOp::Neg { a, .. }
             | MacroOp::SatNarrow { a, .. }
-            | MacroOp::Load { a, .. }
             | MacroOp::Reduce { a } => vec![a],
             MacroOp::Store { src, .. } => vec![Val::V(src)],
         }
@@ -285,7 +276,6 @@ impl fmt::Display for MacroOp {
                 "{dst} = div_frac{} {a}, {b}, {frac}",
                 if *signed { "_s" } else { "" }
             ),
-            MacroOp::Load { a, dst } => write!(f, "{dst} = load {a}"),
             MacroOp::Store { src, row } => write!(f, "store {src} -> r{row}"),
             MacroOp::Reduce { a } => write!(f, "reduce {a}"),
         }
@@ -555,13 +545,6 @@ impl PimProgram {
             signed: true,
             dst,
         });
-        dst
-    }
-
-    /// Explicit copy of a value into a fresh register.
-    pub fn load(&mut self, a: Val) -> VReg {
-        let dst = self.fresh();
-        self.ops.push(MacroOp::Load { a, dst });
         dst
     }
 

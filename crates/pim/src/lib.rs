@@ -66,7 +66,7 @@
 //! Kernels are written **once** as macro-op programs over virtual
 //! registers ([`ir::PimProgram`]) and lowered to machine-op sequences
 //! by the optimizing pass in [`lower()`] — Tmp-Reg allocation, adjacent
-//! shift fusion and dead-write elimination at [`lower::LowerLevel::Opt`],
+//! shift fusion and list scheduling at [`lower::LowerLevel::Opt`],
 //! register-file spilling at `MultiReg`, or the paper's unoptimized
 //! write-everything-back mapping at `Naive`. [`PimMachine::run_program`]
 //! executes the result, charging the same [`CostModel`] and stamping

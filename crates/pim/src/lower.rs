@@ -13,8 +13,8 @@
 //!   written back ("spilled") to a scratch row right before another op
 //!   would clobber the Tmp Reg while the value is still live.
 //!   Stand-alone shifts feeding a single shift-capable ALU op are
-//!   fused into the op's lane pre-shift, and dead row writes are
-//!   eliminated.
+//!   fused into the op's lane pre-shift, and a list scheduler orders
+//!   each value's producer right before its consumer.
 //! * **MultiReg(n)** is Opt on a machine with `n` temporary registers:
 //!   spills prefer a free extra register ([`MachineInstr::SaveTmp`],
 //!   no SRAM write) and fall back to scratch rows when all registers
@@ -43,8 +43,7 @@ pub enum LowerLevel {
     /// Every intermediate written back to SRAM and re-read; fused
     /// shifts expanded (the paper's unoptimized mapping).
     Naive,
-    /// Tmp-Reg chaining, shift fusion, dead-write elimination, peephole
-    /// rewrites and list scheduling.
+    /// Tmp-Reg chaining, shift fusion and list scheduling.
     Opt,
     /// Opt plus spilling to `n` temporary registers (the machine must
     /// have been configured with
@@ -497,40 +496,22 @@ pub enum Pass {
     /// Naive pre-pass: fused ALU lane shifts become stand-alone shift
     /// ops (the paper's unoptimized mapping charges them separately).
     ExpandShifts,
-    /// Rewrite rules on the typed IR: shift-of-shift composition,
-    /// zero-shift and same-operand ALU identities to [`MacroOp::Load`],
-    /// register-to-register load copy-propagation and dead-definition
-    /// removal.
-    Peephole,
     /// A stand-alone lane shift whose single consumer is an unshifted
     /// ALU op folds into that op's lane pre-shift.
     FuseShifts,
-    /// A store overwritten by a later store to the same row with no
-    /// intervening read is dropped.
-    EliminateDeadStores,
     /// Cost-guided list scheduling: macro-ops are reordered (within
     /// SSA, row, reduce-order and lane-config dependencies) so each
     /// value's consumer follows its producer and reads it from the Tmp
     /// Reg instead of a spill row.
     Schedule,
-    /// Home-row layout analysis consumed by the allocation walk: a
-    /// store whose target row is clobbered by a later store while the
-    /// value is still live keeps a register/scratch copy at store time
-    /// (one instruction, value already in the Tmp Reg) instead of
-    /// rescuing it through an extra row read when the clobber lands —
-    /// the clobber-rescue path becomes a cold fallback.
-    Layout,
 }
 
 impl fmt::Display for Pass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
             Pass::ExpandShifts => "expand_shifts",
-            Pass::Peephole => "peephole",
             Pass::FuseShifts => "fuse_shifts",
-            Pass::EliminateDeadStores => "dse",
             Pass::Schedule => "schedule",
-            Pass::Layout => "layout",
         };
         f.write_str(name)
     }
@@ -540,17 +521,12 @@ impl fmt::Display for Pass {
 ///
 /// `Naive` runs only [`Pass::ExpandShifts`] — it is the paper's
 /// unoptimized baseline and must stay cycle-identical to it. `Opt` and
-/// `MultiReg` run the full rewrite + schedule + layout pipeline.
+/// `MultiReg` run the paper's optimized mapping (§5.2): shift fusion,
+/// then list scheduling for Tmp-Reg chaining.
 #[must_use]
 pub fn pass_pipeline(level: LowerLevel) -> &'static [Pass] {
     const NAIVE: &[Pass] = &[Pass::ExpandShifts];
-    const OPT: &[Pass] = &[
-        Pass::Peephole,
-        Pass::FuseShifts,
-        Pass::EliminateDeadStores,
-        Pass::Schedule,
-        Pass::Layout,
-    ];
+    const OPT: &[Pass] = &[Pass::FuseShifts, Pass::Schedule];
     match level {
         LowerLevel::Naive => NAIVE,
         LowerLevel::Opt | LowerLevel::MultiReg(_) => OPT,
@@ -588,12 +564,9 @@ pub struct LowerReport {
     pub spill_writebacks: usize,
     /// Spills into extra Tmp registers ([`MachineInstr::SaveTmp`]).
     pub reg_saves: usize,
-    /// Times the cold clobber-rescue path copied a live value out of a
-    /// row about to be overwritten (with [`Pass::Layout`] in the
-    /// pipeline this should be zero for well-laid-out programs).
+    /// Times the clobber rescue copied a live value out of a row about
+    /// to be overwritten (zero on every production program).
     pub rescues: usize,
-    /// Layout-planned copies made at store time instead of rescue time.
-    pub planned_spills: usize,
 }
 
 impl fmt::Display for LowerReport {
@@ -612,8 +585,8 @@ impl fmt::Display for LowerReport {
         }
         writeln!(
             f,
-            "  emit           {} instrs, {} spill wb, {} reg saves, {} rescues, {} planned spills",
-            self.instrs, self.spill_writebacks, self.reg_saves, self.rescues, self.planned_spills
+            "  emit           {} instrs, {} spill wb, {} reg saves, {} rescues",
+            self.instrs, self.spill_writebacks, self.reg_saves, self.rescues
         )
     }
 }
@@ -700,20 +673,12 @@ fn lower_impl(
     check_scratch_overlap(prog, scratch)?;
     let mut processed = prog.clone();
     let mut pass_stats = Vec::with_capacity(passes.len());
-    let mut layout = false;
     for &p in passes {
         let (ops_in, sd_in) = (processed.ops().len(), shift_distance(&processed));
         processed = match p {
             Pass::ExpandShifts => expand_shifts(&processed),
-            Pass::Peephole => peephole(&processed),
             Pass::FuseShifts => fuse_shifts(&processed),
-            Pass::EliminateDeadStores => eliminate_dead_stores(&processed),
             Pass::Schedule => schedule(&processed),
-            // analysis only; consumed by the allocation walk below
-            Pass::Layout => {
-                layout = true;
-                processed
-            }
         };
         pass_stats.push(PassStats {
             pass: p,
@@ -745,12 +710,6 @@ fn lower_impl(
             }
         }
     }
-    // the paper's naive baseline is left untouched by layout planning
-    let plan = if layout && level != LowerLevel::Naive {
-        layout_plan(processed.ops(), &uses)
-    } else {
-        vec![false; processed.ops().len()]
-    };
     let walker = Walker {
         naive: level == LowerLevel::Naive,
         name: prog.name().to_string(),
@@ -762,7 +721,6 @@ fn lower_impl(
         in_reg: vec![None; nv],
         in_row: vec![None; nv],
         home: vec![None; nv],
-        plan,
         stats: WalkStats::default(),
         out: Vec::new(),
     };
@@ -774,7 +732,6 @@ fn lower_impl(
         spill_writebacks: wstats.spills,
         reg_saves: wstats.reg_saves,
         rescues: wstats.rescues,
-        planned_spills: wstats.planned,
     };
     Ok((
         LoweredProgram {
@@ -957,264 +914,6 @@ fn fuse_shifts(prog: &PimProgram) -> PimProgram {
     }
     let fused: Vec<MacroOp> = ops.into_iter().flatten().collect();
     prog.with_ops(fused, prog.vreg_count())
-}
-
-/// Opt-level pass: a store to a row that is stored to again with no
-/// intervening read of that row is dead and dropped.
-fn eliminate_dead_stores(prog: &PimProgram) -> PimProgram {
-    let ops = prog.ops();
-    let mut keep = vec![true; ops.len()];
-    for (i, op) in ops.iter().enumerate() {
-        let MacroOp::Store { row, .. } = *op else {
-            continue;
-        };
-        for later in &ops[i + 1..] {
-            if later.reads_row(row) {
-                break;
-            }
-            if matches!(later, MacroOp::Store { row: r2, .. } if *r2 == row) {
-                keep[i] = false;
-                break;
-            }
-        }
-    }
-    let kept: Vec<MacroOp> = ops
-        .iter()
-        .zip(&keep)
-        .filter(|&(_, &k)| k)
-        .map(|(op, _)| op.clone())
-        .collect();
-    prog.with_ops(kept, prog.vreg_count())
-}
-
-/// ALU ops for which `f(x, x) == x` (idempotent on equal operands).
-fn alu_identity(op: AluOp) -> bool {
-    matches!(
-        op,
-        AluOp::Logic(LogicFunc::Or)
-            | AluOp::Logic(LogicFunc::And)
-            | AluOp::Max
-            | AluOp::Min
-            | AluOp::Avg
-    )
-}
-
-/// Replaces reads of virtual register `from` with `to` in one op.
-fn subst_vreg(op: &mut MacroOp, from: VReg, to: VReg) {
-    let fix = |v: &mut Val| {
-        if *v == Val::V(from) {
-            *v = Val::V(to);
-        }
-    };
-    match op {
-        MacroOp::Alu { a, b, .. } | MacroOp::Mul { a, b, .. } | MacroOp::DivFrac { a, b, .. } => {
-            fix(a);
-            fix(b);
-        }
-        MacroOp::ShiftPix { a, .. }
-        | MacroOp::ShrBits { a, .. }
-        | MacroOp::ShlBits { a, .. }
-        | MacroOp::Neg { a, .. }
-        | MacroOp::SatNarrow { a, .. }
-        | MacroOp::Load { a, .. }
-        | MacroOp::Reduce { a } => fix(a),
-        MacroOp::Store { src, .. } => {
-            if *src == from {
-                *src = to;
-            }
-        }
-        MacroOp::SetLanes { .. } => {}
-    }
-}
-
-/// [`Pass::Peephole`]: rewrite rules over the typed IR, swept to
-/// fixpoint (each rule strictly simplifies, so a handful of sweeps
-/// converges; the bound is a safety net).
-fn peephole(prog: &PimProgram) -> PimProgram {
-    let mut cur = prog.clone();
-    for _ in 0..8 {
-        let (next, changed) = peephole_once(&cur);
-        cur = next;
-        if !changed {
-            break;
-        }
-    }
-    cur
-}
-
-fn peephole_once(prog: &PimProgram) -> (PimProgram, bool) {
-    let src_ops = prog.ops();
-    let nv = prog.vreg_count() as usize;
-    let mut ops: Vec<Option<MacroOp>> = src_ops.iter().cloned().map(Some).collect();
-    let mut changed = false;
-    let mut uses: Vec<Vec<usize>> = vec![Vec::new(); nv];
-    let mut def_at: Vec<Option<usize>> = vec![None; nv];
-    for (i, op) in src_ops.iter().enumerate() {
-        for s in op.sources() {
-            if let Val::V(v) = s {
-                uses[v.index() as usize].push(i);
-            }
-        }
-        if let Some(d) = op.dst() {
-            def_at[d.index() as usize] = Some(i);
-        }
-    }
-    // no-op shifts and same-operand idempotent ALU ops become copies
-    for slot in ops.iter_mut() {
-        let rewritten = match slot {
-            Some(MacroOp::ShiftPix { a, pix: 0, dst })
-            | Some(MacroOp::ShrBits { a, k: 0, dst })
-            | Some(MacroOp::ShlBits { a, k: 0, dst }) => Some(MacroOp::Load { a: *a, dst: *dst }),
-            Some(MacroOp::Alu {
-                op,
-                a,
-                b,
-                shift: 0,
-                dst,
-            }) if a == b && alu_identity(*op) => Some(MacroOp::Load { a: *a, dst: *dst }),
-            _ => None,
-        };
-        if let Some(r) = rewritten {
-            *slot = Some(r);
-            changed = true;
-        }
-    }
-    // shift-of-shift composition: a single-use shift feeding another
-    // shift of the same kind folds into one. The source must be
-    // unchanged in between: no lane reconfiguration (shift semantics
-    // are lane-relative) and, for a row source, no store to that row.
-    let path_clear = |ops: &[Option<MacroOp>], k: usize, i: usize, src: Val| -> bool {
-        ops[k + 1..i].iter().flatten().all(|o| {
-            if matches!(o, MacroOp::SetLanes { .. }) {
-                return false;
-            }
-            match src {
-                Val::Row(r) => !matches!(o, MacroOp::Store { row, .. } if *row == r),
-                Val::V(_) => true,
-            }
-        })
-    };
-    let single_use_def = |v: VReg| -> Option<usize> {
-        let x = v.index() as usize;
-        if uses[x].len() != 1 {
-            return None;
-        }
-        def_at[x]
-    };
-    for i in 0..ops.len() {
-        let Some(op_i) = ops[i].clone() else { continue };
-        match op_i {
-            MacroOp::ShiftPix {
-                a: Val::V(v),
-                pix: p2,
-                dst,
-            } => {
-                let Some(k) = single_use_def(v) else { continue };
-                let Some(MacroOp::ShiftPix {
-                    a: src, pix: p1, ..
-                }) = ops[k].clone()
-                else {
-                    continue;
-                };
-                // pixel shifts fill vacated edge lanes with zeros, so
-                // they compose only when both move the same direction
-                if !(p1 == 0 || p2 == 0 || (p1 < 0) == (p2 < 0)) {
-                    continue;
-                }
-                if !path_clear(&ops, k, i, src) {
-                    continue;
-                }
-                let sum = p1 + p2;
-                ops[i] = Some(if sum == 0 {
-                    MacroOp::Load { a: src, dst }
-                } else {
-                    MacroOp::ShiftPix {
-                        a: src,
-                        pix: sum,
-                        dst,
-                    }
-                });
-                ops[k] = None;
-                changed = true;
-            }
-            MacroOp::ShrBits {
-                a: Val::V(v),
-                k: k2,
-                dst,
-            } => {
-                let Some(kidx) = single_use_def(v) else {
-                    continue;
-                };
-                let Some(MacroOp::ShrBits { a: src, k: k1, .. }) = ops[kidx].clone() else {
-                    continue;
-                };
-                if k1 + k2 >= 64 || !path_clear(&ops, kidx, i, src) {
-                    continue;
-                }
-                ops[i] = Some(MacroOp::ShrBits {
-                    a: src,
-                    k: k1 + k2,
-                    dst,
-                });
-                ops[kidx] = None;
-                changed = true;
-            }
-            MacroOp::ShlBits {
-                a: Val::V(v),
-                k: k2,
-                dst,
-            } => {
-                let Some(kidx) = single_use_def(v) else {
-                    continue;
-                };
-                let Some(MacroOp::ShlBits { a: src, k: k1, .. }) = ops[kidx].clone() else {
-                    continue;
-                };
-                if k1 + k2 >= 64 || !path_clear(&ops, kidx, i, src) {
-                    continue;
-                }
-                ops[i] = Some(MacroOp::ShlBits {
-                    a: src,
-                    k: k1 + k2,
-                    dst,
-                });
-                ops[kidx] = None;
-                changed = true;
-            }
-            _ => {}
-        }
-    }
-    // register-to-register copy propagation (row loads stay: moving a
-    // row read across stores would change the value observed)
-    for i in 0..ops.len() {
-        let Some(MacroOp::Load { a: Val::V(v), dst }) = ops[i].clone() else {
-            continue;
-        };
-        for later in ops[i + 1..].iter_mut().flatten() {
-            subst_vreg(later, dst, v);
-        }
-        ops[i] = None;
-        changed = true;
-    }
-    // dead definitions disappear (cascading chains converge across
-    // the outer fixpoint sweeps)
-    let mut used = vec![false; nv];
-    for op in ops.iter().flatten() {
-        for s in op.sources() {
-            if let Val::V(v) = s {
-                used[v.index() as usize] = true;
-            }
-        }
-    }
-    for slot in ops.iter_mut() {
-        let dead = matches!(slot, Some(op) if op.dst().is_some_and(|d| !used[d.index() as usize]));
-        if dead {
-            *slot = None;
-            changed = true;
-        }
-    }
-    let kept: Vec<MacroOp> = ops.into_iter().flatten().collect();
-    (prog.with_ops(kept, prog.vreg_count()), changed)
 }
 
 /// [`Pass::Schedule`]: cost-guided list scheduling. Macro-ops are
@@ -1409,27 +1108,6 @@ fn schedule_segment(
     }
 }
 
-/// [`Pass::Layout`] analysis: for each store, whether the stored value
-/// outlives a later store that clobbers the same row. Such values keep
-/// a register/scratch copy at store time (one instruction — the value
-/// is already in the Tmp Reg) so the clobber never triggers the
-/// two-instruction rescue path.
-fn layout_plan(ops: &[MacroOp], uses: &[Vec<usize>]) -> Vec<bool> {
-    let mut plan = vec![false; ops.len()];
-    for (i, op) in ops.iter().enumerate() {
-        let MacroOp::Store { src, row } = *op else {
-            continue;
-        };
-        let x = src.index() as usize;
-        plan[i] = ops[i + 1..].iter().enumerate().any(|(d, later)| {
-            let j = i + 1 + d;
-            matches!(later, MacroOp::Store { row: r2, .. } if *r2 == row)
-                && uses[x].iter().any(|&u| u > j)
-        });
-    }
-    plan
-}
-
 /// Greedy forward allocation walk shared by all levels.
 struct Walker {
     naive: bool,
@@ -1448,10 +1126,6 @@ struct Walker {
     in_row: Vec<Option<usize>>,
     /// Naive home rows, assigned at the defining op.
     home: Vec<Option<usize>>,
-    /// Per-op layout decisions from [`layout_plan`]: `plan[i]` on a
-    /// store means "keep a surviving copy now, the row gets clobbered
-    /// while the value is still live".
-    plan: Vec<bool>,
     stats: WalkStats,
     out: Vec<LoweredOp>,
 }
@@ -1462,7 +1136,6 @@ struct WalkStats {
     spills: usize,
     reg_saves: usize,
     rescues: usize,
-    planned: usize,
 }
 
 impl Walker {
@@ -1708,15 +1381,6 @@ impl Walker {
                 frac,
                 signed,
             },
-            MacroOp::Load { a, .. } => {
-                let x = self.resolve(a, i)?;
-                MachineInstr::Alu {
-                    op: AluOp::Logic(LogicFunc::Or),
-                    a: x,
-                    b: x,
-                    shift: Shift::None,
-                }
-            }
             MacroOp::SetLanes { .. } | MacroOp::Store { .. } | MacroOp::Reduce { .. } => {
                 unreachable!("handled by the walk")
             }
@@ -1774,7 +1438,7 @@ impl Walker {
             self.rescue_row(i, row, src.index())?;
             if self.tmp == Some(src.index()) {
                 self.emit(MachineInstr::Writeback { row }, i);
-                self.finish_store(i, s, row)?;
+                self.in_row[s] = Some(row);
                 return Ok(());
             }
             // the rescue displaced src from the Tmp Reg (spilling it to
@@ -1797,23 +1461,7 @@ impl Walker {
         );
         self.tmp = Some(src.index());
         self.emit(MachineInstr::Writeback { row }, i);
-        self.finish_store(i, s, row)?;
-        Ok(())
-    }
-
-    /// Records where a just-stored value lives. Normally the target
-    /// row is cached as the value's location; when [`layout_plan`]
-    /// flagged this store (the row gets clobbered while the value is
-    /// still live) the value instead keeps a register/scratch copy now
-    /// — it is sitting in the Tmp Reg, so the copy is one instruction
-    /// versus the two-instruction rescue at clobber time.
-    fn finish_store(&mut self, i: usize, s: usize, row: usize) -> Result<(), LowerError> {
-        if self.plan.get(i).copied().unwrap_or(false) {
-            self.stats.planned += 1;
-            self.spill_tmp(i)?;
-        } else {
-            self.in_row[s] = Some(row);
-        }
+        self.in_row[s] = Some(row);
         Ok(())
     }
 
@@ -1849,7 +1497,7 @@ impl Walker {
 mod tests {
     use super::*;
     use crate::config::ArrayConfig;
-    use crate::machine::PimMachine;
+    use crate::machine::{PimMachine, PimMachineBuilder};
 
     fn smooth() -> PimProgram {
         let mut p = PimProgram::new("smooth");
@@ -2013,29 +1661,6 @@ mod tests {
     }
 
     #[test]
-    fn dead_store_is_eliminated_at_opt_and_kept_at_naive() {
-        let mut build = PimProgram::new("d");
-        let a = build.avg(Val::Row(0), Val::Row(1));
-        build.store(a, 5);
-        let b = build.max(Val::Row(0), Val::Row(1));
-        build.store(b, 5); // overwrites row 5 with no read in between
-        let opt = lower(&build, LowerLevel::Opt, &scratch()).unwrap();
-        let wb5 = opt
-            .ops()
-            .iter()
-            .filter(|o| matches!(o.instr, MachineInstr::Writeback { row: 5 }))
-            .count();
-        assert_eq!(wb5, 1, "dead store dropped:\n{opt}");
-        let naive = lower(&build, LowerLevel::Naive, &scratch()).unwrap();
-        let wb5n = naive
-            .ops()
-            .iter()
-            .filter(|o| matches!(o.instr, MachineInstr::Writeback { row: 5 }))
-            .count();
-        assert_eq!(wb5n, 2, "naive keeps every write:\n{naive}");
-    }
-
-    #[test]
     fn out_of_scratch_is_reported() {
         let mut build = PimProgram::new("s");
         let a = build.avg(Val::Row(0), Val::Row(1));
@@ -2065,10 +1690,10 @@ mod tests {
 
     #[test]
     fn store_over_cached_row_rescues_live_value() {
-        // REVIEW repro: `a` is stored to row 5 and still live when `b`
-        // overwrites row 5 (the intervening row-5 read keeps the first
-        // store alive at Opt); `a`'s later use must not resolve to the
-        // clobbered row at any level.
+        // `a` is stored to row 5 and still live when `b` overwrites row
+        // 5 (the intervening row-5 read keeps the first store alive);
+        // `a`'s later use must not resolve to the clobbered row at any
+        // level, so the walk rescues it first.
         let mut build = PimProgram::new("clobber");
         let a = build.add(Val::Row(0), Val::Row(1));
         build.store(a, 5);
@@ -2206,71 +1831,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn peephole_composes_shift_chains() {
-        let mut build = PimProgram::new("p");
-        let s1 = build.shift_pix(Val::Row(0), 1);
-        let s2 = build.shift_pix(s1.into(), 2);
-        let c = build.cmp_gt(Val::Row(1), s2.into());
-        build.store(c, 2);
-        let l = lower(&build, LowerLevel::Opt, &scratch()).unwrap();
-        // both shifts compose, then fuse into cmp_gt's pre-shift
-        assert_eq!(l.ops().len(), 2);
-        assert!(matches!(
-            l.ops()[0].instr,
-            MachineInstr::Alu {
-                op: AluOp::CmpGt,
-                shift: Shift::Pix(3),
-                ..
-            }
-        ));
-        // opposite-direction shifts zero-fill different edge lanes and
-        // must NOT compose
-        let mut build = PimProgram::new("p2");
-        let s1 = build.shift_pix(Val::Row(0), 1);
-        let s2 = build.shift_pix(s1.into(), -1);
-        build.store(s2, 2);
-        let l = lower(&build, LowerLevel::Opt, &scratch()).unwrap();
-        assert!(
-            l.ops()
-                .iter()
-                .filter(|o| matches!(o.instr, MachineInstr::ShiftPix { .. }))
-                .count()
-                >= 2,
-            "opposite-sign shifts stayed separate"
-        );
-    }
-
-    #[test]
-    fn peephole_drops_identity_ops() {
-        let mut build = PimProgram::new("p");
-        let z = build.shift_pix(Val::Row(0), 0);
-        let o = build.or(z.into(), z.into());
-        build.store(o, 2);
-        let l = lower(&build, LowerLevel::Opt, &scratch()).unwrap();
-        // zero-shift and or(x, x) both vanish: one row copy + writeback
-        assert_eq!(l.ops().len(), 2);
-        assert!(matches!(
-            l.ops()[0].instr,
-            MachineInstr::Alu {
-                op: AluOp::Logic(LogicFunc::Or),
-                a: Operand::Row(0),
-                b: Operand::Row(0),
-                shift: Shift::None,
-            }
-        ));
-        // values match the naive lowering exactly
-        let mut rows = Vec::new();
-        for level in [LowerLevel::Naive, LowerLevel::Opt] {
-            let mut m = PimMachine::new(ArrayConfig::default());
-            m.host_write_lanes(0, &[7, 0, 255, 13]).unwrap();
-            let l = lower(&build, level, &scratch()).unwrap();
-            m.run_program(&l).unwrap();
-            rows.push(m.host_read_lanes(2).unwrap()[..4].to_vec());
-        }
-        assert_eq!(rows[0], rows[1]);
-    }
-
     /// An HPF-shaped diamond: four values live at once, whose greedy
     /// in-order walk spills all of them while a depth-first schedule
     /// computes each operand chain right before its consumer.
@@ -2290,7 +1850,7 @@ mod tests {
 
     #[test]
     fn scheduling_reduces_spills_below_greedy() {
-        let greedy = [Pass::FuseShifts, Pass::EliminateDeadStores];
+        let greedy = [Pass::FuseShifts];
         let prog = diamond();
         let mut cycles = Vec::new();
         let mut rows = Vec::new();
@@ -2311,48 +1871,6 @@ mod tests {
             cycles[1],
             cycles[0]
         );
-    }
-
-    #[test]
-    fn layout_plan_replaces_rescue_with_cheap_copy() {
-        // v is stored to row 3, row 3 is read and then clobbered, and v
-        // is used afterwards: unplanned lowering rescues at the
-        // clobber, the layout pass keeps a copy at store time instead
-        let mut build = PimProgram::new("clobber");
-        let v = build.add(Val::Row(0), Val::Row(1));
-        build.store(v, 3);
-        let w = build.add(Val::Row(3), Val::Row(1));
-        build.store(w, 3);
-        let x = build.add(v.into(), w.into());
-        build.store(x, 4);
-        let (_, report) = lower_with_report(&build, LowerLevel::Opt, &scratch()).unwrap();
-        assert_eq!(report.planned_spills, 1, "{report}");
-        assert_eq!(report.rescues, 0, "{report}");
-        // without the layout pass the same program needs a rescue
-        let no_layout: Vec<Pass> = pass_pipeline(LowerLevel::Opt)
-            .iter()
-            .copied()
-            .filter(|p| *p != Pass::Layout)
-            .collect();
-        let full = lower(&build, LowerLevel::Opt, &scratch()).unwrap();
-        let bare = lower_passes(&build, LowerLevel::Opt, &scratch(), &no_layout).unwrap();
-        assert!(
-            full.ops().len() <= bare.ops().len(),
-            "planned copy is never worse than the rescue"
-        );
-        // both produce identical memory
-        let mut rows = Vec::new();
-        for l in [&full, &bare] {
-            let mut m = PimMachine::new(ArrayConfig::default());
-            m.host_write_lanes(0, &[10, 200, 30]).unwrap();
-            m.host_write_lanes(1, &[1, 2, 3]).unwrap();
-            m.run_program(l).unwrap();
-            rows.push([
-                m.host_read_lanes(3).unwrap()[..3].to_vec(),
-                m.host_read_lanes(4).unwrap()[..3].to_vec(),
-            ]);
-        }
-        assert_eq!(rows[0], rows[1]);
     }
 
     #[test]
@@ -2382,16 +1900,14 @@ mod tests {
 
     #[test]
     fn report_attributes_every_pass() {
-        // a fusible stand-alone shift plus a dead store, so both
-        // fuse_shifts and dse show up as op-count drops in the report
+        // a fusible stand-alone shift, so fuse_shifts shows up as an
+        // op-count drop in the report; the scheduler only reorders
         let mut build = PimProgram::new("r");
         let s = build.shift_pix(Val::Row(0), -1);
         let c = build.cmp_gt(Val::Row(1), s.into());
         build.store(c, 2);
         let d = build.add(Val::Row(0), Val::Row(1));
         build.store(d, 3);
-        let e = build.add(Val::Row(0), Val::Row(2));
-        build.store(e, 3);
         let (l, report) = lower_with_report(&build, LowerLevel::Opt, &scratch()).unwrap();
         assert_eq!(report.level, LowerLevel::Opt);
         let passes: Vec<Pass> = report.passes.iter().map(|p| p.pass).collect();
@@ -2401,8 +1917,9 @@ mod tests {
         let fuse = stats_for(Pass::FuseShifts);
         assert!(fuse.ops_out < fuse.ops_in, "{report}");
         assert!(fuse.shift_distance_out <= fuse.shift_distance_in);
-        let dse = stats_for(Pass::EliminateDeadStores);
-        assert!(dse.ops_out < dse.ops_in, "{report}");
+        let sched = stats_for(Pass::Schedule);
+        assert_eq!(sched.ops_out, sched.ops_in, "{report}");
+        assert_eq!(sched.shift_distance_out, sched.shift_distance_in);
         let rendered = report.to_string();
         assert!(rendered.contains("schedule") && rendered.contains("spill wb"));
     }
@@ -2507,5 +2024,33 @@ mod tests {
         ];
         assert_eq!(class(&signed_then_unsigned), LaneClass::I64);
         assert_eq!(class(&[w8(Signedness::Signed), load, shr]), LaneClass::I16);
+    }
+
+    /// A zero-bit shift followed by a signed `max`: the shift must keep
+    /// the signed lane value at every level, so `max(-1, 0)` is `0`
+    /// and not the OR copy's unsigned bit pattern (`255`, stored back
+    /// as `-1`).
+    #[test]
+    fn signed_zero_shift_keeps_its_sign_at_every_level() {
+        let mut build = PimProgram::new("signed_shr0");
+        build.set_lanes(LaneWidth::W8, Signedness::Signed);
+        let s = build.shr_bits(Val::Row(0), 0);
+        let m = build.max(s.into(), Val::Row(1));
+        build.store(m, 2);
+        for level in [LowerLevel::Naive, LowerLevel::Opt, LowerLevel::MultiReg(2)] {
+            let l = lower(&build, level, &scratch()).unwrap();
+            let mut pool = PimMachineBuilder::new(ArrayConfig::default()).build_pool(1);
+            let rows = pool
+                .run_phase("signed_shr0", |_, m| {
+                    m.set_tmp_regs(2);
+                    m.set_lanes(LaneWidth::W8, Signedness::Signed);
+                    m.host_write_lanes(0, &[-1, 5, -7]).unwrap();
+                    m.host_write_lanes(1, &[0, 0, 0]).unwrap();
+                    m.run_program(&l).unwrap();
+                    m.host_read_lanes(2).unwrap()[..3].to_vec()
+                })
+                .unwrap();
+            assert_eq!(rows, vec![vec![0, 5, 0]], "{level}:\n{l}");
+        }
     }
 }

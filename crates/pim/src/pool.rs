@@ -1388,11 +1388,12 @@ mod tests {
         PimMachineBuilder::new(ArrayConfig::qvga()).build_pool(n)
     }
 
-    /// A program doing `n_adds` chained adds of row 0 and reducing the
-    /// final value; cost scales with `n_adds`.
+    /// A program copying row 0 (`or r0, r0`), doing `n_adds` chained
+    /// adds of row 0 and reducing the final value; cost scales with
+    /// `n_adds`.
     fn adds_program(n_adds: usize) -> Arc<LoweredProgram> {
         let mut p = PimProgram::new("adds");
-        let mut v = p.load(Val::Row(0));
+        let mut v = p.or(Val::Row(0), Val::Row(0));
         for _ in 0..n_adds {
             v = p.add(v.into(), Val::Row(0));
         }

@@ -110,7 +110,7 @@ fn random_program(seed: u64, mixed_signs: bool) -> PimProgram {
             14 | 15 => p.shr_bits(a, rng.below(9) as u32),
             16 => p.neg(a),
             17 => p.sat_narrow(a, 1 + rng.below(8) as u32),
-            _ => p.load(a),
+            _ => p.or(a, a),
         };
         live.push(v);
         if rng.below(3) == 0 {

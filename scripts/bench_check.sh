@@ -68,7 +68,8 @@ check_file() { # $1 = committed snapshot, $2 = fresh snapshot
         }' "$committed" "$fresh"
 }
 
-for snap in BENCH_fig9a.json BENCH_lowering.json BENCH_summary.json; do
+for snap in BENCH_fig9a.json BENCH_fig9b.json BENCH_lowering.json BENCH_scaling.json \
+    BENCH_summary.json; do
     if check_file "$snap" "$tmp/$snap"; then
         echo "bench_check: $snap within tolerance"
     else

@@ -3,7 +3,8 @@
 #
 #   fmt check -> one-codec check -> one-front-end check ->
 #   one-execution-surface check -> one-DMA-schedule check ->
-#   one-wave-path check -> build (release) -> workspace tests ->
+#   one-wave-path check -> one-lowering-pipeline check ->
+#   build (release) -> workspace tests ->
 #   fault-feature tests -> clippy (-D warnings) -> rustdoc (-D warnings)
 #   -> IR golden snapshots -> smokes -> RESULTS.txt freshness -> bench
 #   gates
@@ -73,6 +74,15 @@ one_wave_path() {
     ! git grep -n -e 'thread::scope' -e 'thread::spawn' -- crates/pim/src
 }
 step one_wave_path
+# one lowering pipeline: Opt is shift fusion plus list scheduling, and
+# the clobber rescue is the one path for a row overwritten while its
+# value is live; the deleted rewrite, dead-store and layout passes and
+# the IR copy op they produced do not come back
+one_lowering_pipeline() {
+    ! git grep -n -e Peephole -e EliminateDeadStores -e layout_plan -e planned_spills \
+        -e 'MacroOp::Load' -- crates/
+}
+step one_lowering_pipeline
 step cargo build --release
 step cargo test -q --workspace
 # the fault-injection layer is feature-gated off by default; test it
