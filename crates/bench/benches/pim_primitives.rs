@@ -88,8 +88,8 @@ fn bench_programs(c: &mut Criterion) {
         .map(|p| lower(p, LowerLevel::Opt, &pose_scratch(POSE_BASE)).expect("pose lowers"))
         .find(|p| p.name() == "pose_hessian")
         .expect("pose_hessian");
-    assert_eq!(hessian.lane_class(), LaneClass::I64);
-    g.bench_function("pose_hessian_i64", |b| {
+    assert_eq!(hessian.lane_class(), LaneClass::I32);
+    g.bench_function("pose_hessian_i32", |b| {
         b.iter(|| m.run_program(&hessian).unwrap())
     });
     g.finish();

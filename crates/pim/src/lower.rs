@@ -308,19 +308,25 @@ impl MachineInstr {
 /// The element type [`crate::PimMachine::run_program`] keeps a
 /// program's lanes in. It is fixed at lowering time from the program
 /// alone ([`LaneClass::of`]); the simulated results, costs and op
-/// records are the same in either class.
+/// records are the same in every class.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LaneClass {
     /// `i16` lanes: the program stays on 8-bit lanes, and every value
     /// it can produce fits in an `i16`.
     I16,
+    /// `i32` lanes: the program stays on signed 16-bit lanes and only
+    /// multiplies rows, shifts and reduces the product (the pose
+    /// Hessian).
+    I32,
     /// `i64` lanes: every other program, and
     /// [`crate::PimMachine::execute`].
     I64,
 }
 
 impl LaneClass {
-    /// Classifies a machine-op sequence. It is [`LaneClass::I16`] when
+    /// Classifies a machine-op sequence.
+    ///
+    /// It is [`LaneClass::I16`] when
     ///
     /// * it opens with `SetLanes { W8, _ }` and never leaves W8;
     /// * every op is an `Alu`, `ShiftPix`, `ShrBits` with `k < 16`,
@@ -338,50 +344,95 @@ impl LaneClass {
     /// shift of a negative value, and only a signed op can leave a
     /// negative value behind: hence the last rule. The Tmp rule means
     /// a run never reads a value an earlier call left in the Tmp Reg.
+    ///
+    /// It is [`LaneClass::I32`] when
+    ///
+    /// * it opens with `SetLanes { W16, Signed }` and never leaves it;
+    /// * every other op is a signed `Mul` of two [`Operand::Row`]s, a
+    ///   `ShrBits` of [`Operand::Tmp`], or a `Reduce`;
+    /// * it multiplies before its first `ShrBits` or `Reduce`.
+    ///
+    /// The proof needs no value ranges. A signed W16 row decodes into
+    /// an `i16`, so a product has magnitude at most `2^30` and fits in
+    /// an `i32`; the Tmp Reg then holds 32-bit values. On a 32-bit
+    /// value an arithmetic shift by `k.min(31)` equals the `i64` shift
+    /// by `k.min(63)`. A reduce wraps its sum at the 32-bit Tmp width,
+    /// and the wrapping `i32` sum equals the `i64` sum wrapped once,
+    /// because wrapping is a ring homomorphism modulo `2^32`. No op
+    /// reads a register or a Tmp value an earlier call left behind.
     #[must_use]
     pub fn of(ops: &[LoweredOp]) -> LaneClass {
-        let opens_w8 = matches!(
-            ops.first().map(|op| &op.instr),
+        match ops.first().map(|op| &op.instr) {
             Some(MachineInstr::SetLanes {
                 width: LaneWidth::W8,
                 ..
-            })
-        );
-        if !opens_w8 {
-            return LaneClass::I64;
+            }) if fits_i16(ops) => LaneClass::I16,
+            Some(MachineInstr::SetLanes {
+                width: LaneWidth::W16,
+                sign: Signedness::Signed,
+            }) if fits_i32(ops) => LaneClass::I32,
+            _ => LaneClass::I64,
         }
-        let (mut sign, mut seen_signed, mut tmp_written) = (Signedness::Unsigned, false, false);
-        for op in ops {
-            let (a, b) = match op.instr {
-                MachineInstr::SetLanes {
-                    width: LaneWidth::W8,
-                    sign: s,
-                } => {
-                    sign = s;
-                    seen_signed |= s == Signedness::Signed;
-                    continue;
-                }
-                MachineInstr::Alu { a, b, .. } => (a, b),
-                MachineInstr::ShiftPix { a, .. } | MachineInstr::Neg { a } => (a, a),
-                MachineInstr::ShrBits { a, k }
-                    if k < 16 && (sign == Signedness::Signed || !seen_signed) =>
-                {
-                    (a, a)
-                }
-                MachineInstr::SatNarrow { a, bits } if (1..=8).contains(&bits) => (a, a),
-                MachineInstr::Writeback { .. } => (Operand::Tmp, Operand::Tmp),
-                _ => return LaneClass::I64,
-            };
-            if matches!(a, Operand::Reg(_)) || matches!(b, Operand::Reg(_)) {
-                return LaneClass::I64;
-            }
-            if !tmp_written && (a == Operand::Tmp || b == Operand::Tmp) {
-                return LaneClass::I64;
-            }
-            tmp_written |= op.instr.writes_tmp();
-        }
-        LaneClass::I16
     }
+}
+
+/// The [`LaneClass::I16`] rules past the opening `SetLanes`.
+fn fits_i16(ops: &[LoweredOp]) -> bool {
+    let (mut sign, mut seen_signed, mut tmp_written) = (Signedness::Unsigned, false, false);
+    for op in ops {
+        let (a, b) = match op.instr {
+            MachineInstr::SetLanes {
+                width: LaneWidth::W8,
+                sign: s,
+            } => {
+                sign = s;
+                seen_signed |= s == Signedness::Signed;
+                continue;
+            }
+            MachineInstr::Alu { a, b, .. } => (a, b),
+            MachineInstr::ShiftPix { a, .. } | MachineInstr::Neg { a } => (a, a),
+            MachineInstr::ShrBits { a, k }
+                if k < 16 && (sign == Signedness::Signed || !seen_signed) =>
+            {
+                (a, a)
+            }
+            MachineInstr::SatNarrow { a, bits } if (1..=8).contains(&bits) => (a, a),
+            MachineInstr::Writeback { .. } => (Operand::Tmp, Operand::Tmp),
+            _ => return false,
+        };
+        if matches!(a, Operand::Reg(_)) || matches!(b, Operand::Reg(_)) {
+            return false;
+        }
+        if !tmp_written && (a == Operand::Tmp || b == Operand::Tmp) {
+            return false;
+        }
+        tmp_written |= op.instr.writes_tmp();
+    }
+    true
+}
+
+/// The [`LaneClass::I32`] rules past the opening `SetLanes`.
+fn fits_i32(ops: &[LoweredOp]) -> bool {
+    let mut tmp_written = false;
+    ops.iter().all(|op| match op.instr {
+        MachineInstr::SetLanes {
+            width: LaneWidth::W16,
+            sign: Signedness::Signed,
+        } => true,
+        MachineInstr::Mul {
+            a: Operand::Row(_),
+            b: Operand::Row(_),
+            signed: true,
+        } => {
+            tmp_written = true;
+            true
+        }
+        MachineInstr::ShrBits {
+            a: Operand::Tmp, ..
+        }
+        | MachineInstr::Reduce => tmp_written,
+        _ => false,
+    })
 }
 
 /// The result of [`lower()`]: a machine-op sequence plus bookkeeping.
@@ -1459,7 +1510,9 @@ impl Walker {
             },
             i,
         );
-        self.tmp = Some(src.index());
+        // on signed lanes the copy leaves the value's unsigned bit
+        // pattern in the Tmp Reg, so the Tmp holds no value to reuse
+        self.tmp = None;
         self.emit(MachineInstr::Writeback { row }, i);
         self.in_row[s] = Some(row);
         Ok(())
@@ -1925,7 +1978,8 @@ mod tests {
     }
 
     /// What keeps a program on `i64` lanes: each op appended to an
-    /// otherwise narrow program (W8, Tmp written by a row op first).
+    /// otherwise narrow program (W8, Tmp written by a row op first; or
+    /// signed W16, Tmp written by a row-by-row signed multiply first).
     #[test]
     fn lane_class_rules() {
         use MachineInstr as I;
@@ -2023,7 +2077,80 @@ mod tests {
             shr.clone(),
         ];
         assert_eq!(class(&signed_then_unsigned), LaneClass::I64);
-        assert_eq!(class(&[w8(Signedness::Signed), load, shr]), LaneClass::I16);
+        assert_eq!(
+            class(&[w8(Signedness::Signed), load.clone(), shr]),
+            LaneClass::I16
+        );
+
+        // signed W16: a row-by-row signed product, shifted and reduced
+        let r1 = Operand::Row(1);
+        let w16 = |sign| I::SetLanes {
+            width: LaneWidth::W16,
+            sign,
+        };
+        let mul = |a, b, signed| I::Mul { a, b, signed };
+        let product = [w16(Signedness::Signed), mul(r0, r1, true)];
+        let with = |tail: I| {
+            let mut v = product.to_vec();
+            v.push(tail);
+            class(&v)
+        };
+        assert_eq!(class(&product), LaneClass::I32);
+        for admitted in [
+            mul(r1, r1, true),
+            I::ShrBits { a: tmp, k: 0 },
+            I::ShrBits { a: tmp, k: 63 },
+            I::Reduce,
+            w16(Signedness::Signed),
+        ] {
+            assert_eq!(with(admitted.clone()), LaneClass::I32, "{admitted}");
+        }
+        for wide in [
+            mul(r0, r1, false),
+            mul(tmp, r1, true),
+            mul(r0, tmp, true),
+            mul(Operand::Reg(1), r1, true),
+            I::DivFrac {
+                a: r0,
+                b: r1,
+                frac: 4,
+                signed: true,
+            },
+            I::ShlBits { a: tmp, k: 1 },
+            I::ShrBits { a: r0, k: 1 },
+            I::SaveTmp { idx: 1 },
+            I::Writeback { row: 4 },
+            load.clone(),
+            w16(Signedness::Unsigned),
+            I::SetLanes {
+                width: LaneWidth::W32,
+                sign: Signedness::Signed,
+            },
+            w8(Signedness::Signed),
+        ] {
+            assert_eq!(with(wide.clone()), LaneClass::I64, "{wide}");
+        }
+        // a W32 multiply, and a Tmp read before the first multiply
+        let w32 = I::SetLanes {
+            width: LaneWidth::W32,
+            sign: Signedness::Signed,
+        };
+        assert_eq!(class(&[w32, mul(r0, r1, true)]), LaneClass::I64);
+        for reads_first in [I::ShrBits { a: tmp, k: 1 }, I::Reduce] {
+            assert_eq!(
+                class(&[w16(Signedness::Signed), reads_first.clone()]),
+                LaneClass::I64,
+                "{reads_first}"
+            );
+        }
+        // a W8 program is never i32: its products and sums stay i64
+        for tail in [mul(r0, r1, true), I::Reduce] {
+            assert_eq!(
+                class(&[w8(Signedness::Signed), load.clone(), tail.clone()]),
+                LaneClass::I64,
+                "{tail}"
+            );
+        }
     }
 
     /// A zero-bit shift followed by a signed `max`: the shift must keep
@@ -2051,6 +2178,39 @@ mod tests {
                 })
                 .unwrap();
             assert_eq!(rows, vec![vec![0, 5, 0]], "{level}:\n{l}");
+        }
+    }
+
+    /// A stored value that is no longer in the Tmp Reg is copied back
+    /// through it with `Or x, x`, which on signed lanes leaves the
+    /// unsigned bit pattern behind: a later signed `max` of that value
+    /// must read the stored value, not the copy, so `max(-4, 0)` is `0`.
+    #[test]
+    fn store_copy_keeps_signed_values_at_every_level() {
+        let mut build = PimProgram::new("store_copy");
+        build.set_lanes(LaneWidth::W8, Signedness::Signed);
+        let a = build.sub(Val::Row(0), Val::Row(1));
+        build.store(a, 5);
+        let b = build.max(Val::Row(0), Val::Row(1));
+        build.store(b, 7);
+        build.store(a, 8);
+        let d = build.max(a.into(), Val::Row(2));
+        build.store(d, 6);
+        for level in [LowerLevel::Naive, LowerLevel::Opt, LowerLevel::MultiReg(4)] {
+            let l = lower(&build, level, &scratch()).unwrap();
+            let mut pool = PimMachineBuilder::new(ArrayConfig::default()).build_pool(1);
+            let rows = pool
+                .run_phase("store_copy", |_, m| {
+                    m.set_tmp_regs(4);
+                    m.set_lanes(LaneWidth::W8, Signedness::Signed);
+                    m.host_write_lanes(0, &[1, 3]).unwrap();
+                    m.host_write_lanes(1, &[5, 1]).unwrap();
+                    m.host_write_lanes(2, &[0, 0]).unwrap();
+                    m.run_program(&l).unwrap();
+                    m.host_read_lanes(6).unwrap()[..2].to_vec()
+                })
+                .unwrap();
+            assert_eq!(rows, vec![vec![0, 2]], "{level}:\n{l}");
         }
     }
 }

@@ -989,9 +989,10 @@ impl PimMachine {
     ///
     /// A [`LaneClass::I64`] program is exactly a loop of
     /// [`PimMachine::execute`] over its instructions. A
-    /// [`LaneClass::I16`] program computes on `i16` lanes; its final
-    /// Tmp Reg is widened back on exit, so values, statistics, records
-    /// and the state later calls see are those of the `i64` loop.
+    /// [`LaneClass::I16`] or [`LaneClass::I32`] program computes on
+    /// `i16` or `i32` lanes; its final Tmp Reg is widened back on exit,
+    /// so sums, values, statistics, records and the state later calls
+    /// see are those of the `i64` loop.
     ///
     /// # Errors
     ///
@@ -1013,7 +1014,8 @@ impl PimMachine {
                 sums.extend(self.execute(&op.instr)?);
                 Ok(())
             }),
-            LaneClass::I16 => self.run_narrow(prog.ops()),
+            LaneClass::I32 => self.run_narrow::<i32>(prog.ops(), &mut sums),
+            LaneClass::I16 => self.run_narrow::<i16>(prog.ops(), &mut sums),
         };
         if let Some(rec) = &mut self.op_recorder {
             rec.set_label(None);
@@ -1025,7 +1027,7 @@ impl PimMachine {
     /// instruction of a program; returns the sum of a
     /// [`MachineInstr::Reduce`], `None` otherwise. The reference
     /// interpretation: an `i64` program is a loop of it, and the `i16`
-    /// lanes are checked against it.
+    /// and `i32` lanes are checked against it.
     ///
     /// # Errors
     ///
@@ -1035,31 +1037,38 @@ impl PimMachine {
         self.exec_instr::<i64>(instr)
     }
 
-    /// Runs the ops of a [`LaneClass::I16`] program on the `i16` bank,
+    /// Runs the ops of a [`LaneClass::I16`] or [`LaneClass::I32`]
+    /// program on the bank of `L`, appending its reduce sums to `sums`,
     /// then widens its Tmp Reg into the `i64` bank if the run wrote it.
-    /// The class guarantees the program writes the Tmp Reg before it
-    /// reads it and never reduces, so the narrow Tmp never needs the
-    /// value it held before and no sum is lost. Both banks' buffers
-    /// are pre-sized, so the hand-over does not allocate.
-    fn run_narrow(&mut self, ops: &[LoweredOp]) -> Result<(), PimError> {
+    /// Both classes guarantee the program writes the Tmp Reg before it
+    /// reads it and names no extra register, so the narrow bank never
+    /// needs a value an earlier call left. Every bank's buffers are
+    /// pre-sized, so the hand-over does not allocate.
+    fn run_narrow<L: Lane>(
+        &mut self,
+        ops: &[LoweredOp],
+        sums: &mut Vec<i64>,
+    ) -> Result<(), PimError> {
         let mut done = 0;
         let run = ops.iter().try_for_each(|op| {
-            self.exec_instr::<i16>(&op.instr)?;
+            sums.extend(self.exec_instr::<L>(&op.instr)?);
             done += 1;
             Ok(())
         });
         if ops[..done].iter().any(|op| op.instr.writes_tmp()) {
-            let Banks { wide, narrow } = &mut self.banks;
-            wide.tmp.clear();
-            wide.tmp.extend(narrow.tmp.iter().map(|&v| i64::from(v)));
+            let mut wide = std::mem::take(&mut self.banks.wide.tmp);
+            wide.clear();
+            wide.extend(L::bank(&self.banks).tmp.iter().map(|&v| v.to_i64()));
+            self.banks.wide.tmp = wide;
         }
         run
     }
 
     /// Dispatches one lowered instruction to its helper on the lane bank
     /// of `L`. The helpers stay out of line: folded into this dispatcher,
-    /// pose-program ops measured 10-20 % slower on the host. `i16`
-    /// programs stay on 8-bit lanes, so only `i64` checks the width.
+    /// pose-program ops measured 10-20 % slower on the host. `i16` and
+    /// `i32` programs stay below 64-bit lanes, so only `i64` checks the
+    /// width.
     fn exec_instr<L: Lane>(&mut self, instr: &MachineInstr) -> Result<Option<i64>, PimError> {
         if L::BITS == 64 && self.sign == Signedness::Unsigned {
             self.check_operand_width::<L>(instr)?;
@@ -1072,13 +1081,13 @@ impl PimMachine {
             MachineInstr::Neg { a } => self.neg_on::<L>(a)?,
             MachineInstr::SatNarrow { a, bits } => self.sat_narrow_on::<L>(a, bits)?,
             MachineInstr::Writeback { row } => self.writeback_on::<L>(row)?,
+            MachineInstr::Mul { a, b, signed } => self.mul::<L>(a, b, signed)?,
+            MachineInstr::Reduce => return self.reduce_sum::<L>().map(Some),
             // the rest compute on i64 lanes only: LaneClass::of never
-            // admits them into an i16 program
+            // admits them into an i16 or i32 program
             MachineInstr::ShlBits { a, k } => self.shl_bits(a, k)?,
-            MachineInstr::Mul { a, b, signed } => self.mul(a, b, signed)?,
             MachineInstr::DivFrac { a, b, frac, signed } => self.div_frac(a, b, frac, signed)?,
             MachineInstr::SaveTmp { idx } => self.save_tmp(idx)?,
-            MachineInstr::Reduce => return self.reduce_sum().map(Some),
         }
         Ok(None)
     }
@@ -1209,17 +1218,20 @@ impl PimMachine {
         })
     }
 
-    /// [`MachineInstr::Mul`] on `i64` lanes.
+    /// [`MachineInstr::Mul`] on the lane bank of `L`.
     #[inline(never)]
-    fn mul(&mut self, a: Operand, b: Operand, signed: bool) -> Result<(), PimError> {
+    fn mul<L: Lane>(&mut self, a: Operand, b: Operand, signed: bool) -> Result<(), PimError> {
         let n = self.width.bits();
         if signed {
-            // the low 64 bits of the product: exact for 2n <= 64
-            self.binop(OpClass::Mul, a, b, 0, n, |x: i64, y| x.wrapping_mul(y))?;
+            // the low `L::BITS` bits of the product: exact for 2n <= 64
+            // on i64, and for the i16 rows of an I32 program on i32
+            self.binop(OpClass::Mul, a, b, 0, n, |x: L, y| x.wrapping_mul(y))?;
         } else {
             let mask = width_mask(n);
-            self.binop(OpClass::Mul, a, b, 0, n, move |x: i64, y: i64| {
-                (x as u64 & mask).wrapping_mul(y as u64 & mask) as i64
+            self.binop(OpClass::Mul, a, b, 0, n, move |x: L, y: L| {
+                L::from_i64(
+                    (x.to_i64() as u64 & mask).wrapping_mul(y.to_i64() as u64 & mask) as i64,
+                )
             })?;
         }
         self.tmp_bits = (2 * n).min(64);
@@ -1379,8 +1391,8 @@ impl PimMachine {
     /// checks every edge and pose program at every level for a Tmp read
     /// between a reduce and the next Tmp write.
     #[inline(never)]
-    fn reduce_sum(&mut self) -> Result<i64, PimError> {
-        let tmp = &mut self.banks.wide.tmp;
+    fn reduce_sum<L: Lane>(&mut self) -> Result<i64, PimError> {
+        let tmp = &mut L::bank_mut(&mut self.banks).tmp;
         if tmp.is_empty() {
             return Err(PimError::TmpEmpty);
         }
@@ -1394,7 +1406,7 @@ impl PimMachine {
         self.stats.tmp_accesses += 2 * steps;
         self.stats.record_op(OpClass::Reduce);
         self.record_op(OpKind::Reduce, &[], &[], cycle_start, 0, lanes as u32);
-        Ok(sum)
+        Ok(sum.to_i64())
     }
 
     /// Gathers `addresses.len()` lane values at arbitrary
@@ -1823,7 +1835,8 @@ struct LaneBank<L> {
     tmp: Vec<L>,
     /// Additional temporary registers (index 1..): `(lanes, bits)`.
     /// Empty in the paper's baseline single-register configuration,
-    /// and always in the `i16` bank: its programs name no register.
+    /// and always in the `i16` and `i32` banks: their programs name no
+    /// register.
     regs: Vec<(Vec<L>, u32)>,
     /// The two decoded row operands.
     input: [Vec<L>; 2],
@@ -1855,11 +1868,12 @@ impl<L> LaneBank<L> {
 
 /// The lane banks. `wide` serves [`PimMachine::execute`] and every
 /// [`LaneClass::I64`] program, and holds the Tmp Reg between calls;
-/// `narrow` serves [`LaneClass::I16`] programs inside
-/// [`PimMachine::run_program`].
+/// inside [`PimMachine::run_program`], `narrow` serves
+/// [`LaneClass::I16`] programs and `mid` [`LaneClass::I32`] ones.
 #[derive(Debug, Clone)]
 struct Banks {
     wide: LaneBank<i64>,
+    mid: LaneBank<i32>,
     narrow: LaneBank<i16>,
 }
 
@@ -1869,6 +1883,7 @@ impl Banks {
     fn new(lanes: usize) -> Self {
         Banks {
             wide: LaneBank::new(lanes),
+            mid: LaneBank::new(lanes),
             narrow: LaneBank::new(lanes),
         }
     }
@@ -1877,9 +1892,10 @@ impl Banks {
 /// Element type of a lane bank: the interpreter's per-op helpers are
 /// written once, generic over it. Module-private, so sealed: `i64`
 /// holds a lane of any width; `i16` holds every value a
-/// [`LaneClass::I16`] program can produce (see [`LaneClass::of`]),
-/// and on those values each method returns what the `i64` one does.
-/// No method overflows on any `i64` value.
+/// [`LaneClass::I16`] program can produce and `i32` every value a
+/// [`LaneClass::I32`] program can (see [`LaneClass::of`]), and on
+/// those values each method returns what the `i64` one does. No
+/// method overflows on any `i64` value.
 trait Lane:
     Copy
     + Default
@@ -1900,6 +1916,8 @@ trait Lane:
     fn wrapping_add(self, y: Self) -> Self;
     /// Two's-complement difference.
     fn wrapping_sub(self, y: Self) -> Self;
+    /// Two's-complement product.
+    fn wrapping_mul(self, y: Self) -> Self;
     /// Two's-complement negation.
     fn wrapping_neg(self) -> Self;
     /// Sum clamped to the element type.
@@ -1932,6 +1950,10 @@ macro_rules! lane_int_methods {
         #[inline]
         fn wrapping_sub(self, y: Self) -> Self {
             <$t>::wrapping_sub(self, y)
+        }
+        #[inline]
+        fn wrapping_mul(self, y: Self) -> Self {
+            <$t>::wrapping_mul(self, y)
         }
         #[inline]
         fn wrapping_neg(self) -> Self {
@@ -1980,6 +2002,42 @@ impl Lane for i64 {
     }
     fn bank_mut(banks: &mut Banks) -> &mut LaneBank<Self> {
         &mut banks.wide
+    }
+}
+
+/// The `i64` formulas at 32 bits; exact for `bits <= 32` on values whose
+/// `i64` result fits in an `i32`.
+impl Lane for i32 {
+    lane_int_methods!(i32);
+    #[inline]
+    fn from_i64(v: i64) -> Self {
+        v as i32
+    }
+    #[inline]
+    fn to_i64(self) -> i64 {
+        i64::from(self)
+    }
+    #[inline]
+    fn avg(self, y: Self) -> Self {
+        (self >> 1) + (y >> 1) + (self & y & 1)
+    }
+    #[inline]
+    fn shr_logical(self, k: u32) -> Self {
+        ((self as u32) >> k) as i32
+    }
+    #[inline]
+    fn wrap(self, bits: u32, sign: Signedness) -> Self {
+        let sh = 32 - bits;
+        match sign {
+            Signedness::Signed => ((self as u32) << sh) as i32 >> sh,
+            Signedness::Unsigned => ((self as u32) & (u32::MAX >> sh)) as i32,
+        }
+    }
+    fn bank(banks: &Banks) -> &LaneBank<Self> {
+        &banks.mid
+    }
+    fn bank_mut(banks: &mut Banks) -> &mut LaneBank<Self> {
+        &mut banks.mid
     }
 }
 
@@ -2131,10 +2189,13 @@ fn width_mask(bits: u32) -> u64 {
 /// sum of `lanes` wrapped at `bits`, or the one lane as it stands. A
 /// strided tree that wraps after every pairwise add gives the same
 /// value, because wrapping is a ring homomorphism modulo `2^bits`.
-fn lane_sum(lanes: &[i64], bits: u32, sign: Signedness) -> i64 {
+fn lane_sum<L: Lane>(lanes: &[L], bits: u32, sign: Signedness) -> L {
     match lanes {
         [only] => *only,
-        _ => wrap(lanes.iter().fold(0, |s, &v| s.wrapping_add(v)), bits, sign),
+        _ => lanes
+            .iter()
+            .fold(L::default(), |s, &v| s.wrapping_add(v))
+            .wrap(bits, sign),
     }
 }
 

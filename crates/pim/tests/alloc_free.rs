@@ -2,9 +2,9 @@
 //! sized, an inert `PimMachine` runs a lowered program without touching
 //! the heap. Edge programs allocate nothing; a pose program allocates
 //! only the `sums` vector `run_program` returns. That holds across
-//! lane-class transitions too: edge programs run on `i16` lanes, pose
-//! programs on `i64` lanes, and handing the Tmp Reg between the two
-//! does not allocate.
+//! lane-class transitions too: edge programs run on `i16` lanes, the
+//! pose Hessian on `i32` lanes, the other pose programs on `i64` lanes,
+//! and handing the Tmp Reg between them does not allocate.
 //!
 //! Host row I/O keeps the same contract: a host read into a sized
 //! buffer and a host write from a slice or an iterator allocate
@@ -25,8 +25,8 @@ use pimvo_kernels::pim_pool::EdgeKernels;
 use pimvo_kernels::pim_util::Regions;
 use pimvo_kernels::{scalar, EdgeConfig, GrayImage};
 use pimvo_pim::{
-    lower, ArrayConfig, LaneWidth, LowerLevel, LoweredProgram, PimMachine, PimMachineBuilder,
-    Signedness,
+    lower, ArrayConfig, LaneClass, LaneWidth, LowerLevel, LoweredProgram, PimMachine,
+    PimMachineBuilder, Signedness,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -139,6 +139,30 @@ fn warm_run_program_does_not_allocate() {
             );
         }
     }
+}
+
+/// The Hessian runs on the `i32` bank, which a machine sizes when it is
+/// built: on a pool of one, its first run and a warm run each allocate
+/// exactly one block, the `sums` vector.
+#[test]
+fn warm_hessian_allocates_only_its_sums() {
+    let mut pool = PimMachineBuilder::new(ArrayConfig::qvga_banks(6)).build_pool(1);
+    let counts = pool
+        .run_phase("hessian", |_, m| {
+            let (_, pose) = programs(m);
+            let hessian = pose
+                .iter()
+                .find(|p| p.name() == "pose_hessian")
+                .expect("pose_hessian");
+            assert_eq!(hessian.lane_class(), LaneClass::I32);
+            [(); 2].map(|()| {
+                let (n, sums) = allocations(|| m.run_program(hessian).expect("hessian run"));
+                assert_eq!(sums.len(), hessian.reduce_count());
+                n
+            })
+        })
+        .expect("healthy pool");
+    assert_eq!(counts, vec![[1, 1]], "first and warm Hessian runs");
 }
 
 /// Runs a pose program, which may allocate only its `sums` vector.

@@ -1,6 +1,7 @@
-//! The `i16` lane class is an interpreter detail, not a model change.
+//! The narrow lane classes are an interpreter detail, not a model change.
 //!
-//! `run_program` runs a [`LaneClass::I16`] program on `i16` lanes. Each
+//! `run_program` runs a [`LaneClass::I16`] program on `i16` lanes (and
+//! a [`LaneClass::I32`] one on `i32` lanes, see `mid_lanes.rs`). Each
 //! test here runs the same lowered program twice: once through
 //! `run_program`, and once replayed instruction by instruction through
 //! `execute`, which always computes on `i64` lanes. Both machines must agree
@@ -8,6 +9,9 @@
 //! included), the armed op recorder's records, and with an armed fault
 //! model, the fault counters and the per-row syndrome log.
 
+mod common;
+
+use common::{compare, Rng};
 use pimvo_core::pim_exec::{pose_programs, pose_scratch, POSE_BASE};
 use pimvo_core::Interp;
 use pimvo_kernels::ir::{
@@ -15,9 +19,8 @@ use pimvo_kernels::ir::{
 };
 use pimvo_kernels::pim_util::Regions;
 use pimvo_pim::{
-    lower, AluOp, ArrayConfig, LaneClass, LaneWidth, LogicFunc, LowerLevel, LoweredProgram,
-    MachineInstr, Operand, PimMachine, PimMachineBuilder, PimProgram, ScratchRows, Shift,
-    Signedness, VReg, Val,
+    lower, AluOp, ArrayConfig, LaneClass, LaneWidth, LogicFunc, LowerLevel, MachineInstr, Operand,
+    PimMachine, PimMachineBuilder, PimProgram, ScratchRows, Signedness, VReg, Val,
 };
 use proptest::prelude::*;
 
@@ -27,23 +30,6 @@ const INPUTS: usize = 8;
 const STORE_END: usize = 16;
 /// Scratch rows handed to the lowering.
 const SCRATCH: (usize, usize) = (32, 64);
-
-/// A small deterministic generator (SplitMix64).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 /// A random straight-line 8-bit program over rows `0..INPUTS`, storing
 /// into `INPUTS..STORE_END`: every ALU op (fused pre-shifts included),
@@ -147,86 +133,6 @@ fn twin_machines(builder: &PimMachineBuilder, seed: u64, rows: usize) -> [PimMac
     })
 }
 
-/// Replays a lowered program instruction by instruction through
-/// `execute`, labelling records the way `run_program` does.
-fn replay(m: &mut PimMachine, prog: &LoweredProgram) -> Vec<i64> {
-    if let Some(rec) = m.op_recorder_mut() {
-        rec.set_label(Some(prog.name()));
-    }
-    let sums = prog
-        .ops()
-        .iter()
-        .filter_map(|op| m.execute(&op.instr).expect("replayed op"))
-        .collect();
-    if let Some(rec) = m.op_recorder_mut() {
-        rec.set_label(None);
-    }
-    sums
-}
-
-/// Runs `prog` through `run_program` on `fast` and by replay on
-/// `reference`, then returns the first disagreement, if any. One more
-/// instruction reading the Tmp Reg afterwards checks the state the run
-/// hands on.
-fn compare(
-    fast: &mut PimMachine,
-    reference: &mut PimMachine,
-    prog: &LoweredProgram,
-    rows: usize,
-) -> Result<(), String> {
-    let sums = fast.run_program(prog).map_err(|e| e.to_string())?;
-    let want = replay(reference, prog);
-    let ctx = format!("{} ({:?})", prog.name(), prog.lane_class());
-    let check = |what: &str, same: bool| {
-        if same {
-            Ok(())
-        } else {
-            Err(format!("{ctx}: {what} differs"))
-        }
-    };
-    check("reduce sums", sums == want)?;
-    check("tmp lanes", fast.tmp_lanes() == reference.tmp_lanes())?;
-    check("tmp bits", fast.tmp_bits() == reference.tmp_bits())?;
-    check(
-        "lane config",
-        fast.lane_width() == reference.lane_width() && fast.signedness() == reference.signedness(),
-    )?;
-    let follow_up = MachineInstr::Alu {
-        op: AluOp::Add,
-        a: Operand::Tmp,
-        b: Operand::Row(2),
-        shift: Shift::Pix(1),
-    };
-    for m in [&mut *fast, &mut *reference] {
-        m.execute(&follow_up).map_err(|e| e.to_string())?;
-    }
-    check(
-        "follow-up instruction result",
-        fast.tmp_lanes() == reference.tmp_lanes(),
-    )?;
-    check("stats", fast.stats() == reference.stats())?;
-    check(
-        "op records",
-        fast.drain_op_trace() == reference.drain_op_trace(),
-    )?;
-    check(
-        "fault status",
-        fast.fault_status() == reference.fault_status(),
-    )?;
-    check(
-        "fault row log",
-        fast.fault_row_log() == reference.fault_row_log(),
-    )?;
-    for m in [&mut *fast, &mut *reference] {
-        m.set_lanes(LaneWidth::W8, Signedness::Unsigned);
-    }
-    for r in 0..rows {
-        let (a, b) = (fast.host_read_lanes(r), reference.host_read_lanes(r));
-        check(&format!("row {r}"), a == b)?;
-    }
-    Ok(())
-}
-
 /// Lowers `p` at Naive and Opt and checks each lowered program (run
 /// twice, so the second run finds its buffers warm) against replay.
 /// Returns the lane classes seen.
@@ -319,7 +225,9 @@ fn unsigned_shift_after_a_signed_op_stays_i64() {
 }
 
 /// The real whole-frame programs: the four edge programs are lane
-/// class `i16` and match replay; the five pose programs stay `i64`.
+/// class `i16` and match replay; the pose Hessian is `i32` at every
+/// level past Naive and matches replay; the other four pose programs
+/// stay `i64`.
 #[test]
 fn edge_programs_are_i16_and_pose_programs_i64() {
     let builder = PimMachine::builder(ArrayConfig::qvga_banks(6));
@@ -344,8 +252,22 @@ fn edge_programs_are_i16_and_pose_programs_i64() {
     let scratch = pose_scratch(POSE_BASE);
     for interp in [Interp::Bilinear, Interp::Nearest] {
         for p in pose_programs(POSE_BASE, 12, interp) {
-            let prog = lower(&p, LowerLevel::Opt, &scratch).expect("pose program lowers");
-            assert_eq!(prog.lane_class(), LaneClass::I64, "{}", prog.name());
+            for level in [
+                LowerLevel::Opt,
+                LowerLevel::MultiReg(2),
+                LowerLevel::MultiReg(4),
+            ] {
+                let prog = lower(&p, level, &scratch).expect("pose program lowers");
+                let want = if prog.name() == "pose_hessian" {
+                    LaneClass::I32
+                } else {
+                    LaneClass::I64
+                };
+                assert_eq!(prog.lane_class(), want, "{} at {level}", prog.name());
+                if want == LaneClass::I32 {
+                    compare(&mut fast, &mut reference, &prog, rows).unwrap();
+                }
+            }
         }
     }
 }
