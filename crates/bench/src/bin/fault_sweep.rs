@@ -1,14 +1,14 @@
-//! Fault-injection sweep (requires `--features fault`): tracking
-//! accuracy (ATE) and energy overhead versus transient bit-upset rate
-//! and SRAM word protection (none / parity / SECDED ECC), plus a
-//! stuck-at defect run demonstrating array quarantine + re-dispatch.
+//! Fault-injection sweep: tracking accuracy (ATE) and energy overhead
+//! versus transient bit-upset rate and SRAM word protection (none /
+//! parity / SECDED ECC), plus a stuck-at defect run demonstrating
+//! array quarantine + re-dispatch.
 //!
 //! Every configuration runs the pose-estimation batches *on the
 //! machines* (`BatchOptions::on_machine`), so injected upsets really
 //! corrupt the normal equations and recovery is exercised end to end.
 //!
 //! ```text
-//! cargo run --release --features fault --bin fault_sweep [frames]
+//! cargo run --release -p pimvo-bench --bin fault_sweep [frames]
 //! ```
 
 use pimvo_bench::sink::{BenchReport, TelemetrySink};

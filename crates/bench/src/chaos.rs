@@ -14,9 +14,7 @@
 //! * **quarantine storms** — a subset of PIM arrays is quarantined and
 //!   later released (PIM backend only);
 //! * **fault bursts** — a transient bit-upset model is attached to one
-//!   array for a few frames. The model is installed on every build so
-//!   the RNG stream is identical with and without the `fault` feature;
-//!   actual upsets are only injected when the feature is enabled.
+//!   array for a few frames.
 //!
 //! After every frame the harness checks the invariants shared with the
 //! core test-suite: the pose stays finite, the
@@ -50,8 +48,7 @@ use pimvo_core::{
 };
 use pimvo_kernels::{DepthImage, GrayImage};
 use pimvo_pim::{
-    ArrayConfig, DmaConfig, DmaFaultModel, FaultModel, PimMachine, PimMachineBuilder, ScrubConfig,
-    SessionId,
+    ArrayConfig, DmaConfig, DmaFaultModel, FaultModel, PimMachine, PimMachineBuilder, SessionId,
 };
 use pimvo_serve::{BreakerConfig, BreakerState, FleetScheduler, FlightDump, SessionSpec};
 use pimvo_telemetry::container::ContainerError;
@@ -90,7 +87,7 @@ impl SplitMix64 {
     }
 
     /// True with probability `num/den`.
-    pub fn chance(&mut self, num: u64, den: u64) -> bool {
+    fn chance(&mut self, num: u64, den: u64) -> bool {
         self.below(den) < num
     }
 }
@@ -147,7 +144,7 @@ impl ChaosOutcome {
 
 /// The tracker configuration used by the soak: a quarter-QVGA camera
 /// so a 500-frame PIM run stays cheap.
-pub fn chaos_tracker_config() -> TrackerConfig {
+fn chaos_tracker_config() -> TrackerConfig {
     TrackerConfig {
         camera: Pinhole::qvga().halved(),
         max_features: 3000,
@@ -158,7 +155,7 @@ pub fn chaos_tracker_config() -> TrackerConfig {
 /// Procedural textured-wall frame `i` of the chaos sequence: a fixed
 /// multi-frequency texture at 2 m depth, translated laterally by a
 /// smooth deterministic shift.
-pub fn chaos_frame(cam: &Pinhole, i: usize) -> (GrayImage, DepthImage) {
+fn chaos_frame(cam: &Pinhole, i: usize) -> (GrayImage, DepthImage) {
     let shift = (i as f64 * 0.23).sin() * 2.5;
     let gray = GrayImage::from_fn(cam.width, cam.height, |x, y| {
         let xs = x as f64 + shift;
@@ -176,7 +173,7 @@ pub fn chaos_frame(cam: &Pinhole, i: usize) -> (GrayImage, DepthImage) {
 /// Per-frame invariants shared with the core supervision tests: finite
 /// pose and a legal [`TrackingState`] transition. Returns a
 /// human-readable description per violated invariant.
-pub fn check_frame(
+fn check_frame(
     prev_state: TrackingState,
     result: &FrameResult,
     max_bad_frames: usize,
@@ -340,19 +337,10 @@ pub fn run_chaos(cfg: &ChaosConfig) -> io::Result<ChaosOutcome> {
             }
 
             // Fault burst: attach a transient upset model to one array.
-            // The model is installed unconditionally (keeping the RNG
-            // stream build-independent); upsets only fire under the
-            // `fault` feature.
             if burst_left == 0 && rng.chance(1, 37) {
                 burst_array = rng.below(pool.len() as u64) as usize;
                 let seed = rng.next_u64();
-                #[cfg(feature = "fault")]
                 let model = FaultModel::transient(seed, 1e-7);
-                #[cfg(not(feature = "fault"))]
-                let model = {
-                    let _ = seed;
-                    FaultModel::none()
-                };
                 pool.array_mut(burst_array).set_fault_model(model);
                 burst_left = 2 + rng.below(5) as usize;
                 bursts += 1;
@@ -544,8 +532,8 @@ fn fleet_wave(
 ///
 /// 1. **warm-up** — clean serving, all arrays healthy;
 /// 2. **defect storm** — all but one array is quarantined, two of the
-///    victims grow persistent stuck-at defects (under the `fault`
-///    feature), a seeded transient fault burst rides the surviving
+///    victims grow persistent stuck-at defects, a seeded transient
+///    fault burst rides the surviving
 ///    array, and the breaker-armed session's camera feed blacks out:
 ///    its tracker degrades into `Lost`, the breaker counts the failed
 ///    frames, trips open, and the session is evicted mid-storm;
@@ -559,9 +547,7 @@ fn fleet_wave(
 ///    completions; the CRC/timeout ladder retries, channels quarantine
 ///    and traffic degrades to the synchronous port with poses
 ///    unaffected; the operator lifts the model and rehabilitates the
-///    channels (like act 3's scrub, the model is installed on every
-///    build so the RNG stream is identical without the `fault`
-///    feature — actual transfer faults only fire with it);
+///    channels;
 /// 5. **kill-and-recover** — the fleet is checkpointed to a
 ///    [`FleetScheduler::save_manifest`] manifest and dropped; a
 ///    recovered fleet replays the remaining waves and must match the
@@ -627,10 +613,6 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> io::Result<ChaosOutcome> {
     for (id, spec) in &specs {
         fleet.add_session(*id, spec.clone());
     }
-    fleet.pool_mut().set_scrub(ScrubConfig {
-        interval_phases: 0, // the harness is the maintenance cadence
-        probation_phases: 3,
-    });
 
     let mut prev_states = vec![TrackingState::Ok; n];
     let mut poses: Vec<(u32, pimvo_vomath::SE3)> = Vec::new();
@@ -654,20 +636,16 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> io::Result<ChaosOutcome> {
 
     // act 2: defect storm — quarantine all but one array, two victims
     // with persistent stuck-at defects, plus a transient burst on the
-    // survivor (upsets only fire under the `fault` feature; the model
-    // install keeps the RNG stream build-independent).
+    // survivor.
     let quarantined = cfg.arrays.saturating_sub(1).max(1).min(cfg.arrays - 1);
     for v in 0..quarantined {
         if v < 2 {
             let row = 1 + rng.below(40) as usize;
             let bit = rng.below(32) as usize;
-            #[cfg(feature = "fault")]
             fleet
                 .pool_mut()
                 .array_mut(v)
                 .inject_stuck_bit(row, bit, true);
-            #[cfg(not(feature = "fault"))]
-            let _ = (row, bit);
         }
         fleet
             .pool_mut()
@@ -676,13 +654,7 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> io::Result<ChaosOutcome> {
     }
     let survivor = quarantined; // the one array left standing
     let burst_seed = rng.next_u64();
-    #[cfg(feature = "fault")]
     let burst_model = FaultModel::transient(burst_seed, 1e-8);
-    #[cfg(not(feature = "fault"))]
-    let burst_model = {
-        let _ = burst_seed;
-        FaultModel::none()
-    };
     fleet
         .pool_mut()
         .array_mut(survivor)
@@ -740,13 +712,7 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> io::Result<ChaosOutcome> {
     // the *cost* ladder).
     let dma_before = fleet.pool_mut().dma_health();
     let dma_seed = rng.next_u64();
-    #[cfg(feature = "fault")]
     let dma_model = DmaFaultModel::new(dma_seed, 0.40, 0.30, 0.05);
-    #[cfg(not(feature = "fault"))]
-    let dma_model = {
-        let _ = dma_seed;
-        DmaFaultModel::none()
-    };
     fleet.pool_mut().set_dma_fault(dma_model);
     for k in dma_storm_at..kill_at {
         fleet_wave(
@@ -772,20 +738,17 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> io::Result<ChaosOutcome> {
     if dma_storm.issued == 0 {
         violations.push("no dma descriptors were issued during the transfer storm".into());
     }
-    #[cfg(feature = "fault")]
-    {
-        if dma_storm.crc_errors == 0 {
-            violations.push("transfer storm injected no CRC-detected flips".into());
-        }
-        if dma_storm.timeouts == 0 {
-            violations.push("transfer storm produced no stall/drop timeouts".into());
-        }
-        if dma_storm.quarantines == 0 {
-            violations.push("transfer storm never drove a channel into quarantine".into());
-        }
-        if dma_storm.sync_fallbacks == 0 {
-            violations.push("quarantined channels never degraded to the synchronous port".into());
-        }
+    if dma_storm.crc_errors == 0 {
+        violations.push("transfer storm injected no CRC-detected flips".into());
+    }
+    if dma_storm.timeouts == 0 {
+        violations.push("transfer storm produced no stall/drop timeouts".into());
+    }
+    if dma_storm.quarantines == 0 {
+        violations.push("transfer storm never drove a channel into quarantine".into());
+    }
+    if dma_storm.sync_fallbacks == 0 {
+        violations.push("quarantined channels never degraded to the synchronous port".into());
     }
 
     // act 5: kill-and-recover — drain, checkpoint, then run the tail

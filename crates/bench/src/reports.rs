@@ -172,7 +172,7 @@ impl Fig9aResult {
         self.mcu_lm8 as f64 / self.pim_lm8 as f64
     }
     /// Overall per-frame speed-up.
-    pub fn overall_speedup(&self) -> f64 {
+    fn overall_speedup(&self) -> f64 {
         (self.mcu_edge + self.mcu_lm8) as f64 / (self.pim_edge + self.pim_lm8) as f64
     }
 }
@@ -660,7 +660,7 @@ fn backend_slug(backend: BackendKind) -> &'static str {
 
 /// Builds the machine-readable summary for one set of accuracy runs
 /// (used for both Table 1 and the fault-free part of `fault_sweep`).
-pub fn sequence_report(name: &str, runs: &[SequenceRun]) -> crate::sink::BenchReport {
+fn sequence_report(name: &str, runs: &[SequenceRun]) -> crate::sink::BenchReport {
     let mut r = crate::sink::BenchReport::new(name);
     for run in runs {
         let prefix = format!("{}_{}", run.kind.name(), backend_slug(run.backend));

@@ -47,7 +47,7 @@ impl SmallNet {
 
     /// Runs the feature extractor (scalar path) and returns the
     /// flattened 64-value embedding.
-    pub fn features_scalar(&self, img: &FeatureMap) -> Vec<u8> {
+    fn features_scalar(&self, img: &FeatureMap) -> Vec<u8> {
         let x = self.conv1.forward_scalar(img);
         let x = MaxPool2x2.forward_scalar(&x);
         let x = self.conv2.forward_scalar(&x);
@@ -76,7 +76,7 @@ impl SmallNet {
     }
 
     /// Predicted class (argmax of the logits).
-    pub fn classify_scalar(&self, img: &FeatureMap) -> usize {
+    fn classify_scalar(&self, img: &FeatureMap) -> usize {
         argmax(&self.forward_scalar(img))
     }
 

@@ -1,4 +1,3 @@
-use crate::supervisor::BudgetConfig;
 use pimvo_kernels::EdgeConfig;
 use pimvo_vomath::{LmConfig, Pinhole};
 
@@ -73,12 +72,13 @@ pub struct TrackerConfig {
     pub keyframe: KeyframePolicy,
     /// Graceful-degradation thresholds (tracking-lost recovery).
     pub recovery: RecoveryConfig,
-    /// Per-frame compute budget for the deadline supervisor. The
-    /// default disables enforcement, in which case the tracker takes
-    /// the exact unsupervised code path (bit-identical cycle/energy
-    /// numbers). Excluded from the checkpoint config hash: it is a
-    /// runtime QoS knob, not an estimator parameter.
-    pub budget: BudgetConfig,
+    /// Per-frame backend-cycle budget for the deadline supervisor
+    /// (see [`crate::supervisor`]). The default `None` disables
+    /// enforcement, in which case the tracker takes the exact
+    /// unsupervised code path (bit-identical cycle/energy numbers).
+    /// Excluded from the checkpoint config hash: it is a runtime QoS
+    /// knob, not an estimator parameter.
+    pub frame_budget_cycles: Option<u64>,
     /// Coarse-to-fine pyramid levels (1 = the paper's single-level
     /// tracking; 2-3 enlarge the convergence basin for faster motion at
     /// ~1/4 extra edge-detection cost per level).
@@ -105,7 +105,7 @@ impl Default for TrackerConfig {
             lm: LmConfig::default(),
             keyframe: KeyframePolicy::default(),
             recovery: RecoveryConfig::default(),
-            budget: BudgetConfig::default(),
+            frame_budget_cycles: None,
             pyramid_levels: 1,
             build_map: false,
             map_voxel_m: 0.02,

@@ -118,27 +118,6 @@ impl EdgeMap3d {
         }
         out
     }
-
-    /// Root-mean-square distance from the map points to their nearest
-    /// neighbour in `reference` — a crude reconstruction-quality metric
-    /// for tests (O(n·m); intended for small test clouds).
-    pub fn rms_distance_to(&self, reference: &[Vec3]) -> f64 {
-        assert!(!reference.is_empty(), "empty reference cloud");
-        if self.points.is_empty() {
-            return f64::INFINITY;
-        }
-        let sum2: f64 = self
-            .points
-            .iter()
-            .map(|p| {
-                reference
-                    .iter()
-                    .map(|r| (*p - *r).dot(*p - *r))
-                    .fold(f64::MAX, f64::min)
-            })
-            .sum();
-        (sum2 / self.points.len() as f64).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -195,14 +174,5 @@ mod tests {
         assert!(ply.starts_with("ply\nformat ascii 1.0"));
         assert!(ply.contains("element vertex 5"));
         assert_eq!(ply.lines().count(), 8 + 5); // 8 header lines + 5 vertices
-    }
-
-    #[test]
-    fn rms_distance_metric() {
-        let cam = Pinhole::qvga();
-        let mut map = EdgeMap3d::new(0.001);
-        map.integrate_keyframe(&[Feature::new(cam.cx, cam.cy, 2.0, &cam)], &SE3::IDENTITY);
-        let reference = vec![Vec3::new(0.0, 0.0, 2.1)];
-        assert!((map.rms_distance_to(&reference) - 0.1).abs() < 1e-9);
     }
 }

@@ -180,8 +180,10 @@ impl BatchRunner {
         }
     }
 
-    /// Overrides the scratch base row (default [`POSE_BASE`]).
-    pub fn with_base_row(mut self, base_row: usize) -> Self {
+    /// Overrides the scratch base row (default [`POSE_BASE`]); tests
+    /// move it to probe the staging-row range check.
+    #[cfg(test)]
+    fn with_base_row(mut self, base_row: usize) -> Self {
         self.base_row = base_row;
         self
     }
@@ -229,9 +231,9 @@ impl BatchRunner {
     /// # Errors
     ///
     /// - [`PimError::RowOutOfRange`] if the arrays lack the staging rows
-    ///   ([`BatchRunner::with_base_row`] or the builder geometry leaves
-    ///   fewer than `base_row +` [`POSE_ROWS`] rows); checked before any phase, so
-    ///   no array is touched.
+    ///   (the builder geometry leaves fewer than [`POSE_BASE`] +
+    ///   [`POSE_ROWS`] rows); checked before any phase, so no array is
+    ///   touched.
     /// - [`PimError::AllArraysQuarantined`] once no healthy array
     ///   remains.
     pub fn submit(

@@ -60,10 +60,10 @@ pub fn quantize(v: f64, frac: u32, bits: u32) -> i64 {
     whole + i64::from(rem >= 0.5) - i64::from(rem <= -0.5)
 }
 
-/// Fixed-point raw value back to float.
-#[allow(dead_code)] // symmetric counterpart of `quantize`, used in tests
-#[inline]
-pub fn dequantize(raw: i64, frac: u32) -> f64 {
+/// Fixed-point raw value back to float: the test reference inverting
+/// `quantize`.
+#[cfg(test)]
+fn dequantize(raw: i64, frac: u32) -> f64 {
     raw as f64 / (1i64 << frac) as f64
 }
 

@@ -2,9 +2,11 @@
 //! degradation ladder.
 //!
 //! The paper's pitch is *real-time* EBVO under a hard latency envelope;
-//! this module is the layer that enforces it. A [`BudgetConfig`] gives
-//! each frame a budget in PIM/backend cycles and/or wall time. The
-//! tracker checks the spend at its phase boundaries (pyramid → edge
+//! this module is the layer that enforces it. A per-frame budget in
+//! PIM/backend cycles ([`crate::TrackerConfig::frame_budget_cycles`])
+//! bounds each frame; it reads only the backend's simulated cycle
+//! counters, so supervision is fully deterministic. The tracker checks
+//! the spend at its phase boundaries (pyramid → edge
 //! detection + features → alignment) and, when the budget is at risk,
 //! sheds work in the fixed [`DegradeRung`] order. The rung actually
 //! used is recorded in every [`crate::FrameResult`] and exported as
@@ -26,9 +28,9 @@ pub enum DegradeRung {
     /// Full-quality processing; nothing shed.
     #[default]
     Full,
-    /// LM iterations capped at [`BudgetConfig::capped_lm_iterations`].
+    /// LM iterations capped at [`CAPPED_LM_ITERATIONS`].
     CapLmIterations,
-    /// Feature cap divided by [`BudgetConfig::feature_divisor`].
+    /// Feature cap divided by [`FEATURE_DIVISOR`].
     ReduceFeatures,
     /// Edge detection skips the NMS refinement pass: the mask is the
     /// thresholded HPF response (LPF + HPF cycles only).
@@ -55,7 +57,7 @@ impl DegradeRung {
     }
 
     /// Rung from a ladder position, clamping past the end.
-    pub fn from_index(i: usize) -> DegradeRung {
+    fn from_index(i: usize) -> DegradeRung {
         *Self::LADDER.get(i).unwrap_or(&DegradeRung::Coast)
     }
 
@@ -81,48 +83,16 @@ impl DegradeRung {
     }
 }
 
-/// Per-frame compute budget. `Default` disables enforcement entirely.
-///
-/// Budgets compose: a frame misses its deadline when it exceeds the
-/// cycle budget *or* the wall-time budget, whichever is configured.
-/// Cycle budgets are fully deterministic (they read the backend's
-/// simulated cycle counters); wall budgets depend on the host and are
-/// meant for interactive use.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BudgetConfig {
-    /// Backend cycles allowed per frame (`None` = no cycle budget).
-    pub cycles_per_frame: Option<u64>,
-    /// Host wall time allowed per frame, nanoseconds (`None` = no wall
-    /// budget).
-    pub wall_ns_per_frame: Option<u64>,
-    /// A frame spending less than this fraction of its budget lets the
-    /// ladder relax one rung for the next frame (hysteresis so the
-    /// controller does not oscillate on the miss boundary).
-    pub relax_fraction: f64,
-    /// LM iteration cap at [`DegradeRung::CapLmIterations`] and below.
-    pub capped_lm_iterations: usize,
-    /// Feature-cap divisor at [`DegradeRung::ReduceFeatures`] and below.
-    pub feature_divisor: usize,
-}
+/// A frame spending less than this fraction of its budget lets the
+/// ladder relax one rung for the next frame (hysteresis so the
+/// controller does not oscillate on the miss boundary).
+pub const RELAX_FRACTION: f64 = 0.5;
 
-impl Default for BudgetConfig {
-    fn default() -> Self {
-        BudgetConfig {
-            cycles_per_frame: None,
-            wall_ns_per_frame: None,
-            relax_fraction: 0.5,
-            capped_lm_iterations: 3,
-            feature_divisor: 4,
-        }
-    }
-}
+/// LM iteration cap at [`DegradeRung::CapLmIterations`] and below.
+pub const CAPPED_LM_ITERATIONS: usize = 3;
 
-impl BudgetConfig {
-    /// True when any budget is configured.
-    pub fn enabled(&self) -> bool {
-        self.cycles_per_frame.is_some() || self.wall_ns_per_frame.is_some()
-    }
-}
+/// Feature-cap divisor at [`DegradeRung::ReduceFeatures`] and below.
+pub const FEATURE_DIVISOR: usize = 4;
 
 /// Point-in-time budget status of a tracker, from
 /// [`crate::Tracker::budget_status`].
@@ -159,10 +129,11 @@ pub struct BudgetStatus {
 /// 3. [`DeadlineSupervisor::end_frame`] records the outcome, emits the
 ///    `DeadlineMiss` event / gauges, and moves the ladder: one rung
 ///    harsher after a miss, one rung gentler after a frame that used
-///    less than [`BudgetConfig::relax_fraction`] of its budget.
+///    less than [`RELAX_FRACTION`] of its budget.
 #[derive(Debug, Clone)]
 pub struct DeadlineSupervisor {
-    config: BudgetConfig,
+    /// Backend cycles allowed per frame (`None` = no budget).
+    budget_cycles: Option<u64>,
     rung: DegradeRung,
     last_rung: DegradeRung,
     last_frame_cycles: u64,
@@ -171,10 +142,11 @@ pub struct DeadlineSupervisor {
 }
 
 impl DeadlineSupervisor {
-    /// Creates the supervisor from a budget configuration.
-    pub fn new(config: BudgetConfig) -> Self {
+    /// Creates the supervisor from a per-frame cycle budget (`None`
+    /// disables enforcement).
+    pub fn new(budget_cycles: Option<u64>) -> Self {
         DeadlineSupervisor {
-            config,
+            budget_cycles,
             rung: DegradeRung::Full,
             last_rung: DegradeRung::Full,
             last_frame_cycles: 0,
@@ -183,23 +155,18 @@ impl DeadlineSupervisor {
         }
     }
 
-    /// True when any budget is configured; when false the tracker must
+    /// True when a budget is configured; when false the tracker must
     /// not call into the supervisor at all (bit-identity with the
     /// unsupervised pipeline).
     pub fn enabled(&self) -> bool {
-        self.config.enabled()
+        self.budget_cycles.is_some()
     }
 
-    /// The active budget configuration.
-    pub fn config(&self) -> &BudgetConfig {
-        &self.config
-    }
-
-    /// Replaces the budget at runtime (QoS knob; does not reset the
-    /// ladder or the miss counters).
-    pub fn set_config(&mut self, config: BudgetConfig) {
-        self.config = config;
-        if !self.config.enabled() {
+    /// Replaces the per-frame cycle budget at runtime (QoS knob; does
+    /// not reset the ladder or the miss counters).
+    pub fn set_budget_cycles(&mut self, budget_cycles: Option<u64>) {
+        self.budget_cycles = budget_cycles;
+        if budget_cycles.is_none() {
             self.rung = DegradeRung::Full;
         }
     }
@@ -213,17 +180,12 @@ impl DeadlineSupervisor {
     /// cycle budget, at which point the frame must stop starting phases
     /// and coast.
     pub fn over_cycle_budget(&self, spent_cycles: u64) -> bool {
-        matches!(self.config.cycles_per_frame, Some(b) if spent_cycles > b)
-    }
-
-    /// Wall-time variant of [`DeadlineSupervisor::over_cycle_budget`].
-    pub fn over_wall_budget(&self, spent_ns: u64) -> bool {
-        matches!(self.config.wall_ns_per_frame, Some(b) if spent_ns > b)
+        matches!(self.budget_cycles, Some(b) if spent_cycles > b)
     }
 
     /// Records a completed frame: `rung` is the rung the frame actually
-    /// ran at (after mid-frame escalation), `spent_cycles`/`spent_ns`
-    /// what it cost. Updates the ladder for the next frame, bumps the
+    /// ran at (after mid-frame escalation), `spent_cycles` what it
+    /// cost. Updates the ladder for the next frame, bumps the
     /// miss counters and emits the telemetry gauges and the typed
     /// `DeadlineMiss` event. Returns true when the frame missed its
     /// deadline.
@@ -231,7 +193,6 @@ impl DeadlineSupervisor {
         &mut self,
         rung: DegradeRung,
         spent_cycles: u64,
-        spent_ns: u64,
         frame_index: usize,
         telemetry: &Telemetry,
     ) -> bool {
@@ -240,9 +201,7 @@ impl DeadlineSupervisor {
         if rung == DegradeRung::Coast {
             self.coasted_frames += 1;
         }
-        let cycle_miss = self.over_cycle_budget(spent_cycles);
-        let wall_miss = self.over_wall_budget(spent_ns);
-        let miss = cycle_miss || wall_miss;
+        let miss = self.over_cycle_budget(spent_cycles);
 
         // deterministic ladder feedback: harsher after a miss, gentler
         // after a comfortably cheap frame, otherwise hold
@@ -251,9 +210,8 @@ impl DeadlineSupervisor {
             self.rung = rung.escalate();
             self.deadline_misses += 1;
         } else {
-            let comfortable = match self.config.cycles_per_frame {
-                Some(b) => (spent_cycles as f64) < self.config.relax_fraction * (b as f64),
-                // wall-only budgets relax on any met deadline
+            let comfortable = match self.budget_cycles {
+                Some(b) => (spent_cycles as f64) < RELAX_FRACTION * (b as f64),
                 None => true,
             };
             if comfortable {
@@ -264,7 +222,7 @@ impl DeadlineSupervisor {
         }
 
         if telemetry.is_enabled() {
-            if let Some(b) = self.config.cycles_per_frame {
+            if let Some(b) = self.budget_cycles {
                 telemetry.gauge_set(
                     "pimvo_budget_headroom_cycles",
                     b as f64 - spent_cycles as f64,
@@ -281,11 +239,9 @@ impl DeadlineSupervisor {
                         ("spent_cycles", spent_cycles.to_string()),
                         (
                             "budget_cycles",
-                            self.config
-                                .cycles_per_frame
+                            self.budget_cycles
                                 .map_or("none".to_string(), |b| b.to_string()),
                         ),
-                        ("wall_miss", wall_miss.to_string()),
                     ],
                 );
             }
@@ -309,8 +265,7 @@ impl DeadlineSupervisor {
             last_rung: self.last_rung,
             last_frame_cycles: self.last_frame_cycles,
             headroom_cycles: self
-                .config
-                .cycles_per_frame
+                .budget_cycles
                 .map(|b| b as i64 - self.last_frame_cycles as i64),
             deadline_misses: self.deadline_misses,
             coasted_frames: self.coasted_frames,
@@ -389,41 +344,25 @@ mod tests {
 
     #[test]
     fn controller_escalates_on_miss_and_relaxes_on_headroom() {
-        let mut s = DeadlineSupervisor::new(BudgetConfig {
-            cycles_per_frame: Some(1000),
-            ..BudgetConfig::default()
-        });
+        let mut s = DeadlineSupervisor::new(Some(1000));
         let t = Telemetry::off();
         // miss -> one rung harsher
-        assert!(s.end_frame(DegradeRung::Full, 1500, 0, 0, &t));
+        assert!(s.end_frame(DegradeRung::Full, 1500, 0, &t));
         assert_eq!(s.begin_frame(), DegradeRung::CapLmIterations);
         // met but tight (above the relax fraction) -> hold
-        assert!(!s.end_frame(DegradeRung::CapLmIterations, 900, 0, 1, &t));
+        assert!(!s.end_frame(DegradeRung::CapLmIterations, 900, 1, &t));
         assert_eq!(s.begin_frame(), DegradeRung::CapLmIterations);
         // comfortable -> one rung gentler
-        assert!(!s.end_frame(DegradeRung::CapLmIterations, 300, 0, 2, &t));
+        assert!(!s.end_frame(DegradeRung::CapLmIterations, 300, 2, &t));
         assert_eq!(s.begin_frame(), DegradeRung::Full);
         assert_eq!(s.status().deadline_misses, 1);
     }
 
     #[test]
-    fn wall_budget_counts_as_miss() {
-        let mut s = DeadlineSupervisor::new(BudgetConfig {
-            wall_ns_per_frame: Some(1_000_000),
-            ..BudgetConfig::default()
-        });
-        let t = Telemetry::off();
-        assert!(s.end_frame(DegradeRung::Full, 0, 2_000_000, 0, &t));
-        assert_eq!(s.status().deadline_misses, 1);
-        assert_eq!(s.status().headroom_cycles, None);
-    }
-
-    #[test]
     fn disabled_budget_never_flags() {
-        let s = DeadlineSupervisor::new(BudgetConfig::default());
+        let s = DeadlineSupervisor::new(None);
         assert!(!s.enabled());
         assert!(!s.over_cycle_budget(u64::MAX));
-        assert!(!s.over_wall_budget(u64::MAX));
     }
 
     #[test]

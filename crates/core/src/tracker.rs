@@ -9,7 +9,9 @@ use crate::config::TrackerConfig;
 use crate::feature::{extract_features, Feature};
 use crate::keyframe::Keyframe;
 use crate::mapping::EdgeMap3d;
-use crate::supervisor::{BudgetConfig, BudgetStatus, DeadlineSupervisor, DegradeRung};
+use crate::supervisor::{
+    BudgetStatus, DeadlineSupervisor, DegradeRung, CAPPED_LM_ITERATIONS, FEATURE_DIVISOR,
+};
 use pimvo_kernels::{DepthImage, GrayImage};
 use pimvo_telemetry::container::{self, ContainerError};
 use pimvo_telemetry::{EventKind, Severity, Telemetry, TimeDomain};
@@ -112,7 +114,8 @@ pub struct Tracker {
     prev_pose_wc: SE3,
     /// Telemetry handle (off by default; see [`Tracker::set_telemetry`]).
     telemetry: Telemetry,
-    /// Deadline supervisor (disabled unless `config.budget` sets one).
+    /// Deadline supervisor (disabled unless `config.frame_budget_cycles`
+    /// sets a budget).
     supervisor: DeadlineSupervisor,
 }
 
@@ -148,9 +151,9 @@ impl KeptPyramid {
 }
 
 /// Builder for [`Tracker`] sessions: collects the configuration,
-/// backend choice and runtime knobs that previously required a
-/// `new` + `set_telemetry` + `set_budget` + `set_frame_budget_cycles`
-/// mutation sequence, and produces a fully wired tracker in one call.
+/// backend choice and runtime knobs, and produces a fully wired
+/// tracker in one call. The per-frame cycle budget rides on the
+/// configuration ([`TrackerConfig::frame_budget_cycles`]).
 /// `pimvo-serve` session specs construct their trackers through it.
 ///
 /// A custom backend ([`TrackerBuilder::with_backend`]) takes precedence
@@ -160,11 +163,14 @@ impl KeptPyramid {
 /// ```
 /// use pimvo_core::{BackendKind, TrackerBuilder, TrackerConfig};
 ///
-/// let tracker = TrackerBuilder::new(TrackerConfig::default())
+/// let config = TrackerConfig {
+///     frame_budget_cycles: Some(2_000_000),
+///     ..TrackerConfig::default()
+/// };
+/// let tracker = TrackerBuilder::new(config)
 ///     .backend(BackendKind::Float)
-///     .frame_budget_cycles(Some(2_000_000))
 ///     .build();
-/// assert_eq!(tracker.config().budget.cycles_per_frame, Some(2_000_000));
+/// assert_eq!(tracker.config().frame_budget_cycles, Some(2_000_000));
 /// ```
 pub struct TrackerBuilder {
     config: TrackerConfig,
@@ -173,8 +179,6 @@ pub struct TrackerBuilder {
     pim_pool: Option<usize>,
     dma: Option<pimvo_pim::DmaConfig>,
     telemetry: Option<Telemetry>,
-    budget: Option<BudgetConfig>,
-    frame_budget_cycles: Option<Option<u64>>,
     lowered_cache: Option<pimvo_pim::LoweredCache>,
 }
 
@@ -189,8 +193,6 @@ impl TrackerBuilder {
             pim_pool: None,
             dma: None,
             telemetry: None,
-            budget: None,
-            frame_budget_cycles: None,
             lowered_cache: None,
         }
     }
@@ -250,20 +252,6 @@ impl TrackerBuilder {
         self
     }
 
-    /// Replaces the per-frame budget (see [`Tracker::set_budget`]).
-    pub fn budget(mut self, budget: BudgetConfig) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// Sets only the per-frame cycle budget, keeping the rest of the
-    /// budget configuration (applied after
-    /// [`TrackerBuilder::budget`] if both are given).
-    pub fn frame_budget_cycles(mut self, cycles: Option<u64>) -> Self {
-        self.frame_budget_cycles = Some(cycles);
-        self
-    }
-
     /// Builds the tracker.
     ///
     /// # Panics
@@ -293,12 +281,6 @@ impl TrackerBuilder {
         let mut tracker = Tracker::with_backend(self.config, backend);
         if let Some(t) = self.telemetry {
             tracker.set_telemetry(t);
-        }
-        if let Some(b) = self.budget {
-            tracker.set_budget(b);
-        }
-        if let Some(c) = self.frame_budget_cycles {
-            tracker.set_frame_budget_cycles(c);
         }
         tracker
     }
@@ -336,7 +318,7 @@ impl Tracker {
             cameras.push(cameras.last().expect("nonempty").halved());
         }
         let map = config.build_map.then(|| EdgeMap3d::new(config.map_voxel_m));
-        let supervisor = DeadlineSupervisor::new(config.budget);
+        let supervisor = DeadlineSupervisor::new(config.frame_budget_cycles);
         Tracker {
             config,
             backend,
@@ -409,20 +391,11 @@ impl Tracker {
         self.map.as_ref()
     }
 
-    /// Replaces the per-frame budget at runtime (QoS knob). Setting a
-    /// disabled budget returns the tracker to the exact unsupervised
-    /// code path.
-    pub fn set_budget(&mut self, budget: BudgetConfig) {
-        self.config.budget = budget;
-        self.supervisor.set_config(budget);
-    }
-
-    /// Convenience: sets only the per-frame cycle budget, keeping the
-    /// rest of the budget configuration.
+    /// Replaces the per-frame cycle budget at runtime (QoS knob).
+    /// `None` returns the tracker to the exact unsupervised code path.
     pub fn set_frame_budget_cycles(&mut self, cycles: Option<u64>) {
-        let mut b = self.config.budget;
-        b.cycles_per_frame = cycles;
-        self.set_budget(b);
+        self.config.frame_budget_cycles = cycles;
+        self.supervisor.set_budget_cycles(cycles);
     }
 
     /// Point-in-time deadline-supervisor status (rung, headroom, miss
@@ -793,7 +766,6 @@ impl Tracker {
             self.settle_transfers();
             return result;
         }
-        let wall_start = std::time::Instant::now();
         let cyc_start = self.backend.stats().total_cycles();
         // the bootstrap frame always runs at full quality: without a
         // keyframe there is nothing to coast on
@@ -809,14 +781,8 @@ impl Tracker {
             .stats()
             .total_cycles()
             .saturating_sub(cyc_start);
-        let spent_ns = wall_start.elapsed().as_nanos() as u64;
-        self.supervisor.end_frame(
-            result.rung,
-            spent_cycles,
-            spent_ns,
-            result.index,
-            &self.telemetry,
-        );
+        self.supervisor
+            .end_frame(result.rung, spent_cycles, result.index, &self.telemetry);
         result
     }
 
@@ -920,7 +886,7 @@ impl Tracker {
         // the frame's rung
         let skip_nms = rung >= DegradeRung::SkipNmsRefinement;
         let feature_budget = if rung >= DegradeRung::ReduceFeatures {
-            self.config.max_features / self.supervisor.config().feature_divisor.max(1)
+            self.config.max_features / FEATURE_DIVISOR
         } else {
             self.config.max_features
         };
@@ -994,9 +960,7 @@ impl Tracker {
         };
         let mut lm_cfg = self.config.lm;
         if rung >= DegradeRung::CapLmIterations {
-            lm_cfg.max_iterations = lm_cfg
-                .max_iterations
-                .min(self.supervisor.config().capped_lm_iterations);
+            lm_cfg.max_iterations = lm_cfg.max_iterations.min(CAPPED_LM_ITERATIONS);
         }
         let cyc = self.stage_cycles_start();
         let wall = self.telemetry.span("tracker", "align");

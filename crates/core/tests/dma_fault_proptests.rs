@@ -1,10 +1,9 @@
-//! Transfer-fault transparency (feature `fault`): seeded DMA faults
+//! Transfer-fault transparency: seeded DMA faults
 //! with retries enabled never reach the value domain. Kernel outputs
 //! stay bit-identical across all four lowering levels, and tracker
 //! pose trajectories stay bit-identical on both backends — the fault
 //! ladder (CRC retry → backoff → quarantine → synchronous port) only
 //! moves cycles, never bits.
-#![cfg(feature = "fault")]
 
 use pimvo_core::{BackendKind, TrackerBuilder, TrackerConfig};
 use pimvo_kernels::pim_pool::EdgeKernels;

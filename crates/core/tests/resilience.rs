@@ -1,7 +1,6 @@
 //! Integration tests of the fault-resilience layer: quarantine
-//! transparency at the pool level, ECC cost visibility, and (with
-//! `--features fault`) end-to-end tracker recovery from an injected
-//! fault burst.
+//! transparency at the pool level, ECC cost visibility, and end-to-end
+//! tracker recovery from an injected fault burst.
 
 use pimvo_core::pim_exec::{BatchOptions, BatchOutput, BatchRunner, BATCH};
 use pimvo_core::{Feature, Keyframe, QFeature, QKeyframe, QPose};
@@ -119,7 +118,6 @@ fn ecc_overhead_is_charged_but_values_unchanged() {
 /// machine-executed normal equations badly enough to degrade tracking;
 /// once the burst ends the tracker must return to `Ok` within the
 /// recovery window.
-#[cfg(feature = "fault")]
 mod injected {
     use pimvo_core::pim_exec::BatchOptions;
     use pimvo_core::{PimBackend, Tracker, TrackerBackend, TrackerConfig, TrackingState};

@@ -4,7 +4,7 @@
 //! rejection of damaged snapshots, recovery-config edge cases).
 
 use pimvo_core::{
-    transition_legal, BackendKind, BudgetConfig, Checkpoint, CheckpointError, DegradeRung, Tracker,
+    transition_legal, BackendKind, Checkpoint, CheckpointError, DegradeRung, Tracker,
     TrackerConfig, TrackingState,
 };
 use pimvo_kernels::{DepthImage, GrayImage};
@@ -143,10 +143,7 @@ fn squeezed_budget_descends_the_documented_ladder() {
     // misses at end-of-frame and the controller walks the ladder one
     // rung per miss, exactly in the documented order
     let mut cfg = small_config();
-    cfg.budget = BudgetConfig {
-        cycles_per_frame: Some(edge_cost + 1_000),
-        ..BudgetConfig::default()
-    };
+    cfg.frame_budget_cycles = Some(edge_cost + 1_000);
     let mut t = Tracker::new(cfg, BackendKind::Float);
     let mut rungs = Vec::new();
     let mut states = vec![t.state()];
@@ -199,10 +196,7 @@ fn overrun_is_bounded_to_one_phase() {
     // overrun at the edges+features boundary and must not start the
     // alignment phase (iterations stays 0 once tracking is supervised)
     let mut cfg = small_config();
-    cfg.budget = BudgetConfig {
-        cycles_per_frame: Some(10_000),
-        ..BudgetConfig::default()
-    };
+    cfg.frame_budget_cycles = Some(10_000);
     let cam = cfg.camera;
     let mut t = Tracker::new(cfg, BackendKind::Float);
     for i in 0..6 {
@@ -224,10 +218,7 @@ fn overrun_is_bounded_to_one_phase() {
 fn generous_budget_is_bit_identical_to_disabled() {
     let cfg_off = small_config();
     let mut cfg_on = small_config();
-    cfg_on.budget = BudgetConfig {
-        cycles_per_frame: Some(u64::MAX),
-        ..BudgetConfig::default()
-    };
+    cfg_on.frame_budget_cycles = Some(u64::MAX);
     let cam = cfg_off.camera;
 
     for kind in [BackendKind::Float, BackendKind::Pim] {

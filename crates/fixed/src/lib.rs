@@ -27,11 +27,9 @@
 //! assert!((prod.to_f64() - 0.375).abs() < 2.0 / 4096.0);
 //! ```
 
-mod error;
 mod q;
 pub mod sat;
 
-pub use error::FixedError;
 pub use q::Q;
 
 /// 16-bit feature coordinate format (4 integer bits incl. sign, 12 fractional).

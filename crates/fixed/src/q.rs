@@ -1,4 +1,3 @@
-use crate::FixedError;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -62,7 +61,7 @@ impl<const I: u32, const F: u32> Q<I, F> {
 
     /// Builds a value from a raw representation, wrapping modulo 2^(I+F).
     #[inline]
-    pub fn from_raw_wrapping(raw: i64) -> Self {
+    fn from_raw_wrapping(raw: i64) -> Self {
         let bits = I + F;
         let shifted = (raw as u64) << (64 - bits);
         Q((shifted as i64) >> (64 - bits))
@@ -70,7 +69,7 @@ impl<const I: u32, const F: u32> Q<I, F> {
 
     /// Builds a value from a raw representation, saturating to the range.
     #[inline]
-    pub fn from_raw_saturating(raw: i64) -> Self {
+    fn from_raw_saturating(raw: i64) -> Self {
         Q(raw.clamp(Self::MIN.0, Self::MAX.0))
     }
 
@@ -88,27 +87,6 @@ impl<const I: u32, const F: u32> Q<I, F> {
         } else {
             Q(scaled as i64)
         }
-    }
-
-    /// Converts from `f64`, failing instead of saturating.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FixedError::NotFinite`] for NaN/infinities and
-    /// [`FixedError::OutOfRange`] when the rounded value does not fit.
-    pub fn try_from_f64(v: f64) -> Result<Self, FixedError> {
-        if !v.is_finite() {
-            return Err(FixedError::NotFinite);
-        }
-        let scaled = (v * Self::SCALE).round();
-        if scaled > Self::MAX.0 as f64 || scaled < Self::MIN.0 as f64 {
-            return Err(FixedError::OutOfRange {
-                value: v,
-                bits: Self::BITS,
-                frac: F,
-            });
-        }
-        Ok(Q(scaled as i64))
     }
 
     /// Raw two's-complement representation, sign-extended to `i64`.
@@ -146,12 +124,6 @@ impl<const I: u32, const F: u32> Q<I, F> {
     #[inline]
     pub fn saturating_sub(self, rhs: Self) -> Self {
         Self::from_raw_saturating(self.0 - rhs.0)
-    }
-
-    /// Arithmetic negation, saturating at the minimum.
-    #[inline]
-    pub fn saturating_neg(self) -> Self {
-        Self::from_raw_saturating(-self.0)
     }
 
     /// Average `(a + b) / 2` with truncation toward negative infinity —
@@ -390,13 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn try_from_f64_rejects() {
-        assert!(Q4_12::try_from_f64(100.0).is_err());
-        assert!(Q4_12::try_from_f64(f64::INFINITY).is_err());
-        assert!(Q4_12::try_from_f64(1.25).is_ok());
-    }
-
-    #[test]
     fn wrapping_add_wraps() {
         let max = Q4_12::MAX;
         let one = Q4_12::EPSILON;
@@ -408,7 +373,6 @@ mod tests {
         let max = Q4_12::MAX;
         assert_eq!(max.saturating_add(Q4_12::EPSILON), max);
         assert_eq!(Q4_12::MIN.saturating_sub(Q4_12::EPSILON), Q4_12::MIN);
-        assert_eq!(Q4_12::MIN.saturating_neg(), Q4_12::MAX);
     }
 
     #[test]

@@ -5,12 +5,6 @@
 //! averaging primitives for each lane width so that the fast vector model
 //! and the gate-level bit-exact model agree on one definition.
 
-/// Saturating unsigned 8-bit add — the `sat(A + B)` primitive on pixel data.
-#[inline]
-pub fn sat_add_u8(a: u8, b: u8) -> u8 {
-    a.saturating_add(b)
-}
-
 /// Saturating unsigned 8-bit subtract, clamping at zero.
 #[inline]
 pub fn sat_sub_u8(a: u8, b: u8) -> u8 {
@@ -79,7 +73,6 @@ mod tests {
 
     #[test]
     fn u8_primitives() {
-        assert_eq!(sat_add_u8(200, 100), 255);
         assert_eq!(sat_sub_u8(10, 100), 0);
         assert_eq!(abs_diff_u8(10, 100), 90);
         assert_eq!(avg_u8(3, 4), 3);

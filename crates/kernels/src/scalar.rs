@@ -91,7 +91,8 @@ pub fn hpf(lpf_map: &GrayImage) -> GrayImage {
 ///
 /// Only used for qualitative comparison — the SAD kernel is expected to
 /// produce a *similar* (not identical) response.
-pub fn hpf_sobel(lpf_map: &GrayImage) -> GrayImage {
+#[cfg(test)]
+fn hpf_sobel(lpf_map: &GrayImage) -> GrayImage {
     let (w, h) = (lpf_map.width(), lpf_map.height());
     let mut out = GrayImage::new(w, h);
     for y in 0..h {

@@ -59,7 +59,7 @@ pub struct McuCostTable {
 
 impl McuCostTable {
     /// Cortex-M7-class defaults.
-    pub fn cortex_m7() -> Self {
+    fn cortex_m7() -> Self {
         McuCostTable {
             alu: 1,
             mul: 1,
@@ -108,7 +108,7 @@ impl CostCounter {
     }
 
     /// New counter with an explicit cost table.
-    pub fn with_table(table: McuCostTable) -> Self {
+    fn with_table(table: McuCostTable) -> Self {
         CostCounter {
             table,
             counts: BTreeMap::new(),

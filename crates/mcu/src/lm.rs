@@ -63,7 +63,7 @@ impl KeyframeTables {
 /// by `c`, but the projection `u' = f X/Z + cx` is scale-invariant so
 /// the division by `c` never happens — the trick that makes the
 /// fixed-point PIM version feasible.
-pub fn warp_point(f: &FloatFeature, pose: &SE3) -> Vec3 {
+fn warp_point(f: &FloatFeature, pose: &SE3) -> Vec3 {
     let rotated = pose.rotation.rotate(Vec3::new(f.a, f.b, 1.0));
     rotated + pose.translation * f.c
 }

@@ -33,9 +33,8 @@
 //!
 //! # Fault ladder
 //!
-//! A seeded [`DmaFaultModel`] (constructible only with the `fault`
-//! cargo feature, inert by default) injects three failure classes per
-//! delivery attempt:
+//! A seeded [`DmaFaultModel`] (inert by default) injects three failure
+//! classes per delivery attempt:
 //!
 //! * **payload bit flips** — caught by the descriptor CRC at
 //!   completion; the attempt cost is a full transfer;
@@ -159,8 +158,7 @@ const BACKOFF_BASE_CYCLES: u64 = 32;
 const QUARANTINE_AFTER: u32 = 8;
 
 /// Seeded transfer-fault model. [`DmaFaultModel::none`] is inert and
-/// free; active models require the `fault` cargo feature, mirroring
-/// [`crate::FaultModel`].
+/// free, mirroring [`crate::FaultModel`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DmaFaultModel {
     seed: u64,
@@ -191,7 +189,6 @@ impl DmaFaultModel {
     /// A model injecting payload flips, stalls and dropped completions
     /// at the given per-attempt probabilities, deterministically
     /// derived from `seed`.
-    #[cfg(feature = "fault")]
     pub fn new(seed: u64, flip_rate: f64, stall_rate: f64, drop_rate: f64) -> Self {
         for r in [flip_rate, stall_rate, drop_rate] {
             assert!((0.0..1.0).contains(&r), "rate must be in [0, 1)");
@@ -209,15 +206,8 @@ impl DmaFaultModel {
     }
 
     /// A flip-only model (CRC-detected payload corruption).
-    #[cfg(feature = "fault")]
     pub fn flips(seed: u64, rate: f64) -> Self {
         DmaFaultModel::new(seed, rate, 0.0, 0.0)
-    }
-
-    /// A stall-only model (timeout-detected stuck descriptors).
-    #[cfg(feature = "fault")]
-    pub fn stalls(seed: u64, rate: f64) -> Self {
-        DmaFaultModel::new(seed, 0.0, rate, 0.0)
     }
 }
 
@@ -714,7 +704,6 @@ mod tests {
         assert!(o.channel_record.is_some());
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn fault_stream_is_deterministic_and_reseed_forks() {
         let run = |salt: Option<u64>| {
@@ -741,7 +730,6 @@ mod tests {
         assert!(h.retries + h.quarantines >= h.crc_errors + h.timeouts);
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn always_failing_channel_quarantines_within_its_ladder() {
         // stall rate ~1: every attempt times out; the first descriptor
@@ -765,7 +753,6 @@ mod tests {
         assert!(ch.busy_until() == 0, "nothing ever entered the engine");
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn consecutive_faulted_descriptors_trip_quarantine() {
         // flip rate 0.5: half the descriptors need a retry and one in 16

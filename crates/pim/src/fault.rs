@@ -35,9 +35,7 @@
 //!
 //! With the default [`FaultModel::none`] and [`Protection::None`] the
 //! fast read path is untouched — outputs, cycles and energy are
-//! bit-identical to a fault-free build. Constructing an *active* fault
-//! model requires the `fault` cargo feature, keeping the default build
-//! behaviourally unchanged.
+//! bit-identical to a machine without the layer.
 
 use std::collections::BTreeMap;
 
@@ -99,8 +97,7 @@ impl FaultStatus {
 /// [`crate::PimMachineBuilder::fault`].
 ///
 /// The default [`FaultModel::none`] injects nothing and adds no
-/// overhead. Active models (nonzero transient rate or stuck-at bits)
-/// can only be constructed with the `fault` cargo feature enabled.
+/// overhead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultModel {
     seed: u64,
@@ -125,14 +122,8 @@ impl FaultModel {
         self.bit_read_rate <= 0.0 && self.stuck.is_empty()
     }
 
-    /// Transient flip probability per bit read.
-    pub fn bit_read_rate(&self) -> f64 {
-        self.bit_read_rate
-    }
-
     /// A model injecting transient bit flips at `rate` per bit read,
     /// deterministically derived from `seed`.
-    #[cfg(feature = "fault")]
     pub fn transient(seed: u64, rate: f64) -> Self {
         assert!((0.0..1.0).contains(&rate), "rate must be in [0, 1)");
         FaultModel {
@@ -143,7 +134,6 @@ impl FaultModel {
     }
 
     /// Adds a persistent stuck-at fault at (`row`, `bit`).
-    #[cfg(feature = "fault")]
     pub fn with_stuck_bit(mut self, row: usize, bit: usize, value: bool) -> Self {
         self.stuck.push(StuckBit { row, bit, value });
         self
@@ -248,7 +238,6 @@ impl FaultUnit {
         &self.row_log
     }
 
-    #[cfg(feature = "fault")]
     pub(crate) fn add_stuck_bit(&mut self, row: usize, bit: usize, value: bool) {
         self.model.stuck.push(StuckBit { row, bit, value });
     }
@@ -397,7 +386,6 @@ mod tests {
         assert!(!u.is_inert(), "ECC must charge overhead even fault-free");
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn transient_stream_is_deterministic() {
         let run = || {
@@ -415,7 +403,6 @@ mod tests {
         assert!(s1.injected > 0, "1% rate over 25600 bits must flip");
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn reseed_forks_the_stream() {
         let stream = |salt: Option<u64>| {
@@ -433,7 +420,6 @@ mod tests {
         assert_eq!(stream(Some(1)), stream(Some(1)));
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn ecc_corrects_single_bit() {
         let mut u = FaultUnit::new(
@@ -449,7 +435,6 @@ mod tests {
         assert_eq!(u.take_pending_corrections(), 0);
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn ecc_detects_double_bit_and_logs_row() {
         // two stuck bits in the same 32-bit word: uncorrectable
@@ -467,7 +452,6 @@ mod tests {
         assert_eq!(u.row_log().get(&5), Some(&1));
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn parity_detects_but_does_not_correct() {
         let mut u = FaultUnit::new(
@@ -481,7 +465,6 @@ mod tests {
         assert_eq!((s.injected, s.corrected, s.detected), (1, 0, 1));
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn invisible_stuck_bit_matches_stored_data() {
         let mut u = FaultUnit::new(

@@ -85,11 +85,9 @@
 //! (parity / SECDED ECC) whose detect/correct overhead is charged
 //! through the [`CostModel`]. The pool layer reacts to detected errors
 //! with bounded retry, shard re-dispatch and array quarantine
-//! ([`PoolHealth`], [`RetryPolicy`]). All of it is inert by default:
-//! with [`FaultModel::none`] and [`Protection::None`] every output,
-//! cycle and picojoule is identical to a build without the layer.
-//! Constructing an *active* fault model requires the `fault` cargo
-//! feature.
+//! ([`PoolHealth`]). All of it is inert by default: with
+//! [`FaultModel::none`] and [`Protection::None`] every output, cycle
+//! and picojoule is identical to a machine without the layer.
 //!
 //! # Host↔array data path (DMA)
 //!
@@ -101,7 +99,7 @@
 //! program waits for the strips written before it, a host read
 //! overlaps the compute that follows, and a settle point waits for
 //! everything — the value domain never changes, only wall cycles.
-//! A seeded [`DmaFaultModel`] (`fault` feature) injects payload flips
+//! A seeded [`DmaFaultModel`] injects payload flips
 //! (caught by CRC), stalls and dropped completions (caught by a
 //! cycle-domain timeout), driving a retry → exponential backoff →
 //! channel-quarantine ladder; a quarantined channel degrades to the
@@ -136,5 +134,5 @@ pub use lower::{
 };
 pub use machine::{PimError, PimMachine, PimMachineBuilder};
 pub use optrace::{OpRecorder, DEFAULT_OP_RING_CAPACITY};
-pub use pool::{PimArrayPool, PoolHealth, RetryPolicy, ScrubConfig, SessionId};
+pub use pool::{PimArrayPool, PoolHealth, SessionId};
 pub use stats::{EnergyBreakdown, ExecStats, MemAccessBreakdown, OpHistogram};

@@ -1331,10 +1331,9 @@ impl Walker {
     /// location is `row` before an imminent [`MachineInstr::Writeback`]
     /// clobbers that row. Dead values and values with another location
     /// just forget the row; a live, row-only value is copied out
-    /// through the Tmp Reg into an extra register or a scratch row
-    /// (spilling a still-needed Tmp occupant first), so storing to an
-    /// already-cached row can never silently corrupt an earlier
-    /// still-live result.
+    /// through the Tmp Reg into a scratch row (spilling a still-needed
+    /// Tmp occupant first), so storing to an already-cached row can
+    /// never silently corrupt an earlier still-live result.
     fn rescue_row(&mut self, i: usize, row: usize, keep: u32) -> Result<(), LowerError> {
         for v in 0..self.in_row.len() as u32 {
             let x = v as usize;
@@ -1368,19 +1367,17 @@ impl Walker {
                 i,
             );
             self.forget_row(x, row);
-            self.tmp = Some(v);
-            if let Some(idx) = self.alloc_reg(i, v) {
-                self.emit(MachineInstr::SaveTmp { idx }, i);
-                self.in_reg[x] = Some(idx);
-                self.stats.reg_saves += 1;
-            } else {
-                let r2 = self.alloc_scratch(i, v)?;
-                self.emit(MachineInstr::Writeback { row: r2 }, i);
-                self.in_row[x] = Some(r2);
-                self.stats.spills += 1;
-                if self.naive {
-                    self.home[x] = Some(r2);
-                }
+            // on signed lanes the copy leaves the value's unsigned bit
+            // pattern in the Tmp Reg: only a row write-back turns it
+            // back into the value, so it goes to a scratch row (never
+            // an extra register) and the Tmp holds no value to reuse
+            self.tmp = None;
+            let r2 = self.alloc_scratch(i, v)?;
+            self.emit(MachineInstr::Writeback { row: r2 }, i);
+            self.in_row[x] = Some(r2);
+            self.stats.spills += 1;
+            if self.naive {
+                self.home[x] = Some(r2);
             }
         }
         Ok(())
@@ -2201,6 +2198,39 @@ mod tests {
             let mut pool = PimMachineBuilder::new(ArrayConfig::default()).build_pool(1);
             let rows = pool
                 .run_phase("store_copy", |_, m| {
+                    m.set_tmp_regs(4);
+                    m.set_lanes(LaneWidth::W8, Signedness::Signed);
+                    m.host_write_lanes(0, &[1, 3]).unwrap();
+                    m.host_write_lanes(1, &[5, 1]).unwrap();
+                    m.host_write_lanes(2, &[0, 0]).unwrap();
+                    m.run_program(&l).unwrap();
+                    m.host_read_lanes(6).unwrap()[..2].to_vec()
+                })
+                .unwrap();
+            assert_eq!(rows, vec![vec![0, 2]], "{level}:\n{l}");
+        }
+    }
+
+    /// Storing `b` over the row that holds `a`'s only copy makes the
+    /// clobber rescue move `a` out through the Tmp Reg with `Or r, r`.
+    /// On signed lanes that copy is the unsigned bit pattern, so the
+    /// rescue must land it in a scratch row, never in an extra
+    /// register: a later signed `max(a, 0)` reads `0`, not `-4`.
+    #[test]
+    fn rescue_copy_keeps_signed_values_at_every_level() {
+        let mut build = PimProgram::new("rescue_copy");
+        build.set_lanes(LaneWidth::W8, Signedness::Signed);
+        let a = build.sub(Val::Row(0), Val::Row(1));
+        build.store(a, 5);
+        let b = build.max(Val::Row(0), Val::Row(1));
+        build.store(b, 5);
+        let d = build.max(a.into(), Val::Row(2));
+        build.store(d, 6);
+        for level in [LowerLevel::Naive, LowerLevel::Opt, LowerLevel::MultiReg(4)] {
+            let l = lower(&build, level, &scratch()).unwrap();
+            let mut pool = PimMachineBuilder::new(ArrayConfig::default()).build_pool(1);
+            let rows = pool
+                .run_phase("rescue_copy", |_, m| {
                     m.set_tmp_regs(4);
                     m.set_lanes(LaneWidth::W8, Signedness::Signed);
                     m.host_write_lanes(0, &[1, 3]).unwrap();

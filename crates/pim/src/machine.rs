@@ -257,8 +257,7 @@ impl PimMachineBuilder {
         self
     }
 
-    /// Plugs in a [`FaultModel`]. The default is [`FaultModel::none`];
-    /// active models require the `fault` cargo feature to construct.
+    /// Plugs in a [`FaultModel`]. The default is [`FaultModel::none`].
     /// Pool member arrays stamped from this builder fork the model's
     /// fault stream per array index (see [`PimMachine::reseed_faults`]).
     pub fn fault(mut self, model: FaultModel) -> Self {
@@ -498,7 +497,6 @@ impl PimMachine {
     }
 
     /// Injects a persistent stuck-at cell fault at (`row`, `bit`).
-    #[cfg(feature = "fault")]
     pub fn inject_stuck_bit(&mut self, row: usize, bit: usize, value: bool) {
         self.fault.add_stuck_bit(row, bit, value);
     }
@@ -588,8 +586,9 @@ impl PimMachine {
 
     /// Charges a verify-on-read patrol over `rows` rows: one
     /// ECC-strength syndrome re-check per row, the probation mode of
-    /// the pool's rehabilitation pass ([`crate::ScrubConfig`]). Pure
-    /// accounting — array contents are not touched.
+    /// the pool's rehabilitation pass
+    /// ([`crate::PimArrayPool::scrub_now`]). Pure accounting — array
+    /// contents are not touched.
     pub fn charge_verify_patrol(&mut self, rows: u64) {
         self.stats.ecc_checks += rows;
         let cycle_start = self.stats.cycles;
@@ -2359,7 +2358,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn remap_escapes_stuck_bit_and_scrub_detects_it() {
         let mut m = PimMachineBuilder::new(ArrayConfig::qvga())

@@ -45,8 +45,8 @@
 //! [`crate::Protection`], the pool is the recovery layer:
 //! [`PimArrayPool::run_phase`] runs *self-contained* shard
 //! closures, checks each array's detected-error counter after the
-//! barrier, retries dirty shards on the same array (bounded by
-//! [`RetryPolicy::max_retries`]), and — when the per-row syndrome log
+//! barrier, retries dirty shards on the same array (at most
+//! `MAX_RETRIES` = 2 times), and — when the per-row syndrome log
 //! says the failure is persistent (a stuck-at defect, not a transient
 //! storm) — quarantines the array and re-dispatches the shard to a
 //! healthy one. [`PimArrayPool::health`] reports the per-array fault
@@ -58,16 +58,15 @@
 //! # Rehabilitation (scrub / remap / probation)
 //!
 //! Quarantine alone makes capacity monotonically shrink. The scrub
-//! pass ([`PimArrayPool::scrub_now`], or automatic every
-//! [`ScrubConfig::interval_phases`] resilient phases) is the repair
-//! driver: it march-tests every row of each quarantined array with
-//! test patterns ([`PimMachine::scrub_row`]), remaps rows that fail to
-//! the array's spare-row region ([`PimMachine::remap_row`]), and —
-//! when every row finally verifies clean — clears the fault counters
-//! and re-admits the array through a *probation* state: the array is
-//! dispatched again, but each resilient phase charges it a
-//! verify-on-read patrol and any new detected error restarts the
-//! probation countdown. After [`ScrubConfig::probation_phases`] clean
+//! pass ([`PimArrayPool::scrub_now`], run by the host's maintenance
+//! cadence) is the repair driver: it march-tests every row of each
+//! quarantined array with test patterns ([`PimMachine::scrub_row`]),
+//! remaps rows that fail to the array's spare-row region
+//! ([`PimMachine::remap_row`]), and — when every row finally verifies
+//! clean — clears the fault counters and re-admits the array through a
+//! *probation* state: the array is dispatched again, but each resilient
+//! phase charges it a verify-on-read patrol and any new detected error
+//! restarts the probation countdown. After `PROBATION_PHASES` = 3 clean
 //! phases the array regains full membership. Scrubbing destroys the
 //! array contents (re-admitted arrays come back zero-filled), which is
 //! safe because resilient shards are self-contained. An array whose
@@ -90,52 +89,21 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SessionId(pub u32);
 
-/// Retry/quarantine policy of [`PimArrayPool::run_phase`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Bounded retries of a dirty shard on the *same* array before the
-    /// pool considers stronger measures.
-    pub max_retries: u32,
-    /// Detected-error events on one row (within a single phase,
-    /// including its retries) at which the failure is classified as
-    /// persistent — a stuck-at defect — and the array is quarantined.
-    /// Below the threshold a still-dirty shard is accepted as degraded
-    /// output (a transient upset storm cannot be retried away).
-    pub stuck_row_threshold: u64,
-}
+/// Bounded retries of a dirty shard on the *same* array before
+/// [`PimArrayPool::run_phase`] considers stronger measures.
+const MAX_RETRIES: u32 = 2;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 2,
-            stuck_row_threshold: 3,
-        }
-    }
-}
+/// Detected-error events on one row (within a single phase, including
+/// its retries) at which a failure is classified as persistent — a
+/// stuck-at defect — and the array is quarantined. Below the threshold
+/// a still-dirty shard is accepted as degraded output (a transient
+/// upset storm cannot be retried away).
+const STUCK_ROW_THRESHOLD: u64 = 3;
 
-/// Configuration of the scrub/probation rehabilitation pass
-/// ([`PimArrayPool::scrub_now`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScrubConfig {
-    /// Resilient phases between automatic scrub passes. `0` (the
-    /// default) disables the automatic trigger; [`PimArrayPool::scrub_now`]
-    /// still works, so quarantine-only behaviour is fully preserved
-    /// until a host opts in.
-    pub interval_phases: u64,
-    /// Clean resilient phases a re-admitted array must complete under
-    /// verify-on-read before regaining full membership. Any new
-    /// detected error during probation restarts the countdown.
-    pub probation_phases: u64,
-}
-
-impl Default for ScrubConfig {
-    fn default() -> Self {
-        ScrubConfig {
-            interval_phases: 0,
-            probation_phases: 3,
-        }
-    }
-}
+/// Clean resilient phases a re-admitted array must complete under
+/// verify-on-read before regaining full membership. Any new detected
+/// error during probation restarts the countdown.
+const PROBATION_PHASES: u64 = 3;
 
 /// March-test patterns of one scrub pass, in order: alternating bit
 /// patterns catch stuck-at and simple coupling defects; the final
@@ -180,7 +148,7 @@ impl PoolHealth {
     }
 
     /// Number of arrays still accepting work.
-    pub fn healthy_count(&self) -> usize {
+    fn healthy_count(&self) -> usize {
         self.quarantined.len() - self.quarantined_count()
     }
 
@@ -195,7 +163,7 @@ impl PoolHealth {
     }
 
     /// Number of arrays currently in probation.
-    pub fn probation_count(&self) -> usize {
+    fn probation_count(&self) -> usize {
         self.probation.iter().filter(|&&p| p > 0).count()
     }
 
@@ -245,12 +213,9 @@ pub struct PimArrayPool {
     /// without advancing the wall.
     seen: Vec<u64>,
     quarantined: Vec<bool>,
-    policy: RetryPolicy,
     retries: u64,
     redispatches: u64,
     dirty_accepted: u64,
-    scrub: ScrubConfig,
-    phases_since_scrub: u64,
     /// Remaining clean probation phases per array (0 = full member).
     probation: Vec<u64>,
     /// Arrays whose current healthy state came from a scrub
@@ -301,12 +266,9 @@ impl PimArrayPool {
             sync_cycles,
             barriers: 0,
             seen: vec![0; n],
-            policy: RetryPolicy::default(),
             retries: 0,
             redispatches: 0,
             dirty_accepted: 0,
-            scrub: ScrubConfig::default(),
-            phases_since_scrub: 0,
             probation: vec![0; n],
             rehabilitated: vec![false; n],
             scrubs: 0,
@@ -760,13 +722,6 @@ impl PimArrayPool {
         }
     }
 
-    /// Replaces the retry/quarantine policy (tests run with a
-    /// non-default one; a pool always serves with the default).
-    #[cfg(test)]
-    fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.policy = policy;
-    }
-
     /// Quarantines array `i`: [`PimArrayPool::run_phase`]
     /// stops dispatching shards to it (pinned strips of
     /// [`PimArrayPool::submit_strips`] still run there). Contents and statistics are
@@ -800,7 +755,7 @@ impl PimArrayPool {
 
     /// Lifts the quarantine on array `i`, returning it to the dispatch
     /// set. The scrub pass ([`PimArrayPool::scrub_now`]) is the
-    /// automated driver; manual callers model an external repair
+    /// repair driver; manual callers model an external repair
     /// action or a chaos harness ending a quarantine storm. Fault
     /// counters are kept.
     pub fn unquarantine(&mut self, i: usize) -> Result<(), PimError> {
@@ -869,7 +824,7 @@ impl PimArrayPool {
     }
 
     /// Indices of the arrays still accepting work, in array order.
-    pub fn healthy_arrays(&self) -> Vec<usize> {
+    fn healthy_arrays(&self) -> Vec<usize> {
         (0..self.arrays.len())
             .filter(|&i| !self.quarantined[i])
             .collect()
@@ -904,13 +859,6 @@ impl PimArrayPool {
             scrubs: self.scrubs,
             rehabilitated: self.rehabilitations,
         }
-    }
-
-    /// Replaces the scrub/probation configuration. A non-zero
-    /// [`ScrubConfig::interval_phases`] arms the automatic trigger in
-    /// [`PimArrayPool::run_phase`].
-    pub fn set_scrub(&mut self, scrub: ScrubConfig) {
-        self.scrub = scrub;
     }
 
     /// Remaining probation phases of array `i` (`0` = full member).
@@ -948,7 +896,7 @@ impl PimArrayPool {
             if clean {
                 self.arrays[i].reset_fault_status();
                 self.quarantined[i] = false;
-                self.probation[i] = self.scrub.probation_phases;
+                self.probation[i] = PROBATION_PHASES;
                 self.rehabilitated[i] = true;
                 self.rehabilitations += 1;
                 readmitted += 1;
@@ -994,10 +942,10 @@ impl PimArrayPool {
     /// Recovery, per shard whose array reported newly *detected*
     /// (uncorrected) errors during the phase:
     ///
-    /// 1. retry on the same array, up to [`RetryPolicy::max_retries`]
-    ///    times, accepting the first clean run;
+    /// 1. retry on the same array, up to `MAX_RETRIES` = 2 times,
+    ///    accepting the first clean run;
     /// 2. if still dirty, consult the per-row syndrome log: a row with
-    ///    ≥ [`RetryPolicy::stuck_row_threshold`] detections within this
+    ///    ≥ `STUCK_ROW_THRESHOLD` = 3 detections within this
     ///    phase marks a persistent defect — the array is quarantined and
     ///    the shard re-dispatched to another healthy array (which gets
     ///    its own retry budget);
@@ -1027,15 +975,6 @@ impl PimArrayPool {
     {
         let _wall = self.telemetry.span("pool", label);
         let wall_start = self.wall_cycles;
-        // automatic rehabilitation: the scrub pass runs *before* the
-        // healthy check, so it can rescue an all-quarantined pool
-        if self.scrub.interval_phases > 0 {
-            self.phases_since_scrub += 1;
-            if self.phases_since_scrub >= self.scrub.interval_phases {
-                self.phases_since_scrub = 0;
-                self.scrub_now();
-            }
-        }
         let healthy = self.healthy_arrays();
         if healthy.is_empty() {
             return Err(PimError::AllArraysQuarantined {
@@ -1060,7 +999,7 @@ impl PimArrayPool {
                 continue;
             }
             let mut clean = false;
-            for _ in 0..self.policy.max_retries {
+            for _ in 0..MAX_RETRIES {
                 self.retries += 1;
                 self.event_retry(label, shard, i);
                 let (r, ok) = self.rerun_shard(&f, shard, i);
@@ -1091,7 +1030,7 @@ impl PimArrayPool {
                 self.event_redispatch(label, shard, i, j);
                 let log_j = self.arrays[j].fault_row_log().clone();
                 let mut ok = false;
-                for attempt in 0..=self.policy.max_retries {
+                for attempt in 0..=MAX_RETRIES {
                     if attempt > 0 {
                         self.retries += 1;
                         self.event_retry(label, shard, j);
@@ -1137,7 +1076,7 @@ impl PimArrayPool {
             self.wall_cycles += self.take_timeline(i);
             self.op_sync_point(0, &[i]);
             if self.arrays[i].fault_status().detected > det_before[shard] {
-                self.probation[i] = self.scrub.probation_phases.max(1);
+                self.probation[i] = PROBATION_PHASES;
                 self.event_probation_reset(label, i);
             } else {
                 self.probation[i] -= 1;
@@ -1353,13 +1292,13 @@ impl PimArrayPool {
     }
 
     /// True if some row of array `i` accumulated at least
-    /// [`RetryPolicy::stuck_row_threshold`] detections since `log_before`
+    /// `STUCK_ROW_THRESHOLD` detections since `log_before`
     /// was snapshotted — the signature of a stuck-at defect rather than
     /// independent transient upsets.
     fn is_persistent(&self, i: usize, log_before: &BTreeMap<usize, u64>) -> bool {
         self.arrays[i].fault_row_log().iter().any(|(row, &count)| {
             let before = log_before.get(row).copied().unwrap_or(0);
-            count.saturating_sub(before) >= self.policy.stuck_row_threshold
+            count.saturating_sub(before) >= STUCK_ROW_THRESHOLD
         })
     }
 }
@@ -1878,7 +1817,7 @@ mod tests {
         let readmitted = p.scrub_now();
         assert_eq!(readmitted, 1);
         assert_eq!(p.available(), 2);
-        assert_eq!(p.probation(0), ScrubConfig::default().probation_phases);
+        assert_eq!(p.probation(0), PROBATION_PHASES);
         let h = p.health();
         assert_eq!(h.scrubs, 1);
         assert_eq!(h.rehabilitated, 1);
@@ -1898,7 +1837,7 @@ mod tests {
         // clean phases count the probation down to full membership,
         // each charging a verify-on-read patrol
         let ecc0 = p.merged_stats().ecc_checks;
-        for _ in 0..ScrubConfig::default().probation_phases {
+        for _ in 0..PROBATION_PHASES {
             p.run_phase("phase", |_, m| {
                 m.host_broadcast(0, 1).unwrap();
                 m.execute(&alu(
@@ -1922,22 +1861,6 @@ mod tests {
         assert_eq!(p.scrub_now(), 0);
         assert_eq!(p.health().scrubs, 0);
         assert_eq!(p.merged_stats().scrub_rows, 0);
-    }
-
-    #[test]
-    fn auto_scrub_rescues_all_quarantined_pool() {
-        let mut p = pool(2);
-        p.set_scrub(ScrubConfig {
-            interval_phases: 1,
-            probation_phases: 0,
-        });
-        p.try_quarantine(0).unwrap();
-        p.try_quarantine(1).unwrap();
-        // the automatic scrub runs before the healthy check, so the
-        // phase succeeds instead of AllArraysQuarantined
-        let ids = p.run_phase("phase", |shard, _| shard).unwrap();
-        assert_eq!(ids, vec![0, 1]);
-        assert_eq!(p.health().rehabilitated, 2);
     }
 
     /// Satellite regression: restoring a health snapshot taken while an
@@ -1984,7 +1907,6 @@ mod tests {
         assert_eq!(p.wall_cycles(), 777);
     }
 
-    #[cfg(feature = "fault")]
     mod injected {
         use super::*;
         use crate::fault::{FaultModel, Protection};
@@ -2079,14 +2001,11 @@ mod tests {
                 .fault(FaultModel::transient(7, 0.02))
                 .protection(Protection::Parity);
             let mut p = builder.build_pool(2);
-            // no retry, no quarantine: each array's first run is the one
-            // compared, upsets included
-            p.set_retry_policy(RetryPolicy {
-                max_retries: 0,
-                stuck_row_threshold: u64::MAX,
-            });
-            let lanes = p
-                .run_phase("phase", |_, m| {
+            // each array runs once, directly: no retry or quarantine
+            // replaces the first run, so upsets are compared as injected
+            let lanes: Vec<Vec<i64>> = (0..p.len())
+                .map(|i| {
+                    let m = p.array_mut(i);
                     m.host_write_lanes(0, &[11, 22, 33, 44]).unwrap();
                     m.execute(&alu(
                         AluOp::Logic(LogicFunc::Or),
@@ -2097,7 +2016,7 @@ mod tests {
                     .unwrap();
                     m.tmp_lanes()[..4].to_vec()
                 })
-                .unwrap();
+                .collect();
             assert_ne!(
                 lanes[0], lanes[1],
                 "independent arrays must not replay identical upsets"

@@ -1,7 +1,7 @@
 //! DMA descriptor integrity properties: the CRC over payload + header
-//! rejects arbitrary single-bit corruption, and (feature `fault`) a
-//! machine under a seeded transfer-fault model delivers every host
-//! write intact — flips are caught by CRC and retried, never read back.
+//! rejects arbitrary single-bit corruption, and a machine under a
+//! seeded transfer-fault model delivers every host write intact —
+//! flips are caught by CRC and retried, never read back.
 
 use pimvo_pim::{TransferDescriptor, TransferKind};
 use proptest::prelude::*;
@@ -56,7 +56,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "fault")]
 mod faulted {
     use super::*;
     use pimvo_pim::{ArrayConfig, DmaConfig, DmaFaultModel, LaneWidth, PimMachine, Signedness};

@@ -150,7 +150,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "fault")]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -47,12 +47,6 @@ impl Plane {
             texture,
         }
     }
-
-    /// Restricts the plane to a rectangle of the given half-extents.
-    pub fn with_extent(mut self, hu: f64, hv: f64) -> Self {
-        self.half_extent = Some((hu, hv));
-        self
-    }
 }
 
 /// An axis-aligned textured box.
@@ -468,12 +462,14 @@ mod tests {
     fn bounded_plane_misses_outside_extent() {
         let cam = Pinhole::qvga();
         let scene = Scene {
-            planes: vec![Plane::new(
-                Vec3::new(0.0, 0.0, 2.0),
-                Vec3::new(0.0, 0.0, -1.0),
-                Texture::Flat { base: 200.0 },
-            )
-            .with_extent(0.2, 0.2)],
+            planes: vec![Plane {
+                half_extent: Some((0.2, 0.2)),
+                ..Plane::new(
+                    Vec3::new(0.0, 0.0, 2.0),
+                    Vec3::new(0.0, 0.0, -1.0),
+                    Texture::Flat { base: 200.0 },
+                )
+            }],
             boxes: vec![],
         };
         let (_, depth) = scene.render(&cam, &SE3::IDENTITY, &RenderOptions::default(), 0);

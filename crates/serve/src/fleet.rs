@@ -4,6 +4,7 @@
 
 use crate::flight::{DumpReason, FlightDump, FlightFrame, FlightRecorder};
 use crate::session::{ServeError, SessionSpec, SessionStats, StepOutcome};
+use pimvo_core::supervisor::RELAX_FRACTION;
 use pimvo_core::{
     BackendKind, Checkpoint, DegradeRung, KeptPyramid, PimBackend, Tracker, TrackerBuilder,
     TrackingState,
@@ -369,8 +370,7 @@ impl FleetScheduler {
             sess.stats.deadline_misses += 1;
             sess.shed_rung = sess.shed_rung.escalate();
         } else if let Some(d) = sess.spec.deadline_cycles {
-            let relax = sess.spec.config.budget.relax_fraction;
-            if (latency as f64) < relax * d as f64 {
+            if (latency as f64) < RELAX_FRACTION * d as f64 {
                 sess.shed_rung = sess.shed_rung.relax();
             }
         }
@@ -1023,7 +1023,7 @@ impl std::fmt::Debug for FleetScheduler {
 fn build_tracker(spec: &SessionSpec, telemetry: &Telemetry, lowered: &LoweredCache) -> Tracker {
     let mut config = spec.config.clone();
     if let Some(d) = spec.deadline_cycles {
-        config.budget.cycles_per_frame = Some(d);
+        config.frame_budget_cycles = Some(d);
     }
     TrackerBuilder::new(config)
         .backend(BackendKind::Pim)
@@ -1171,7 +1171,7 @@ mod tests {
             .submit_frame(SessionId(1), g.clone(), d.clone())
             .unwrap();
         let _ = fleet.step().unwrap().unwrap(); // escalate once
-                                                // widen the deadline: next frame lands well under relax_fraction
+                                                // widen the deadline: next frame lands well under RELAX_FRACTION
         fleet
             .sessions
             .get_mut(&SessionId(1))

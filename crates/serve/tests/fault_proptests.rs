@@ -1,12 +1,11 @@
-//! Fault-containment property tests (feature `fault`): a 4-session
+//! Fault-containment property tests: a 4-session
 //! fleet under a seeded quarantine storm stays bit-identical to its
 //! solo runs once the scrub pass re-admits (and, where needed, spare-
 //! row-remaps) the arrays — and never drops a committed frame.
-#![cfg(feature = "fault")]
 
 use pimvo_core::{BackendKind, TrackerBuilder, TrackerConfig};
 use pimvo_kernels::{DepthImage, GrayImage};
-use pimvo_pim::{ArrayConfig, PimMachine, ScrubConfig, SessionId};
+use pimvo_pim::{ArrayConfig, PimMachine, SessionId};
 use pimvo_serve::{FleetScheduler, SessionSpec, StepOutcome};
 use pimvo_vomath::SE3;
 use proptest::prelude::*;
@@ -65,10 +64,6 @@ proptest! {
 
         let builder = PimMachine::builder(ArrayConfig::qvga_banks(6)).spare_rows(2);
         let mut fleet = FleetScheduler::from_builder(&builder, arrays);
-        fleet.pool_mut().set_scrub(ScrubConfig {
-            interval_phases: 0, // manual scrub below stands in for the cadence
-            probation_phases: 2,
-        });
         for s in 0..N {
             fleet.add_session(
                 SessionId(s as u32 + 1),

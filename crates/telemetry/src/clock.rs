@@ -54,14 +54,6 @@ impl ManualClock {
         }
     }
 
-    /// A frozen clock pinned at `now_ns` (step 0).
-    pub fn frozen(now_ns: u64) -> Self {
-        ManualClock {
-            now: now_ns,
-            step: 0,
-        }
-    }
-
     /// Advances the clock by `ns` without producing a sample.
     pub fn advance(&mut self, ns: u64) {
         self.now = self.now.saturating_add(ns);
@@ -95,12 +87,5 @@ mod tests {
         assert_eq!(c.now_ns(), 10);
         c.advance(100);
         assert_eq!(c.now_ns(), 120);
-    }
-
-    #[test]
-    fn frozen_clock_never_moves() {
-        let mut c = ManualClock::frozen(42);
-        assert_eq!(c.now_ns(), 42);
-        assert_eq!(c.now_ns(), 42);
     }
 }

@@ -20,8 +20,7 @@
 //!
 //! * the **critical-path profiler** ([`profile`]): a longest-path walk
 //!   over the dependency DAG, attributing cycles/energy per op kind,
-//!   per kernel label, per array and per session;
-//! * a **Perfetto converter** ([`to_perfetto`]) for small windows.
+//!   per kernel label, per array and per session.
 //!
 //! Corrupt input never panics: every decode failure is a typed
 //! [`ContainerError`].
@@ -172,7 +171,7 @@ impl OpKind {
     }
 
     /// Decodes a wire discriminant.
-    pub fn from_u16(v: u16) -> Option<OpKind> {
+    fn from_u16(v: u16) -> Option<OpKind> {
         OP_KINDS.get(v as usize).copied()
     }
 }
@@ -460,7 +459,7 @@ impl ProfileRow {
     }
 
     /// Energy attributed to the bucket under `w`.
-    pub fn energy_pj(&self, w: &EnergyWeights) -> f64 {
+    fn energy_pj(&self, w: &EnergyWeights) -> f64 {
         self.cycles as f64 * w.op_pj + self.sram as f64 * w.sram_pj
     }
 }
@@ -658,7 +657,7 @@ impl Profile {
 /// Display name of an [`OpRecord::array`] stream index: `pool` for the
 /// sync stream, `dma a` for array `a`'s DMA channel lane
 /// ([`DMA_LANE_BASE`]), `array a` otherwise.
-pub fn stream_name(a: u16) -> String {
+fn stream_name(a: u16) -> String {
     if a == POOL_STREAM {
         "pool".to_string()
     } else if a & DMA_LANE_BASE != 0 {
@@ -673,49 +672,6 @@ fn fmt_keys<K: Ord + Clone, F: Fn(&K) -> String>(
     f: F,
 ) -> Vec<(String, ProfileRow)> {
     map.iter().map(|(k, v)| (f(k), *v)).collect()
-}
-
-// ---------------------------------------------------------------------
-// Perfetto conversion
-// ---------------------------------------------------------------------
-
-/// Converts a (small) trace window to Chrome/Perfetto trace-event JSON:
-/// one cycle-domain lane per array stream, each record a complete span
-/// named by its kernel label and kind. Intended for windows of up to a
-/// few hundred thousand records — the binary format is the scalable
-/// one; this is the microscope.
-pub fn to_perfetto(trace: &OpTrace) -> String {
-    let snap = crate::TelemetrySnapshot {
-        spans: trace
-            .records
-            .iter()
-            .map(|r| crate::SpanRecord {
-                domain: crate::TimeDomain::Cycles,
-                track: stream_name(r.array),
-                name: match trace.label(r.label) {
-                    Some(l) => format!("{l} {}", r.kind.as_str()),
-                    None => r.kind.as_str().to_string(),
-                },
-                start: r.start,
-                dur: r.cycles,
-                frame: None,
-                args: vec![
-                    ("id".to_string(), r.id.to_string()),
-                    (
-                        "deps".to_string(),
-                        r.deps
-                            .iter()
-                            .filter(|&&d| d != 0)
-                            .map(|d| d.to_string())
-                            .collect::<Vec<_>>()
-                            .join(","),
-                    ),
-                ],
-            })
-            .collect(),
-        ..Default::default()
-    };
-    crate::perfetto::export(&snap)
 }
 
 #[cfg(test)]
@@ -842,15 +798,6 @@ mod tests {
     }
 
     #[test]
-    fn perfetto_window_names_lanes_per_array() {
-        let s = to_perfetto(&sample());
-        assert!(s.contains("\"traceEvents\""));
-        assert!(s.contains("array 0"));
-        assert!(s.contains("\"pool\""));
-        assert!(s.contains("lpf_pass1 mul"));
-    }
-
-    #[test]
     fn dma_kinds_roundtrip_and_name_channel_lanes() {
         for k in [OpKind::DmaIn, OpKind::DmaOut, OpKind::DmaStall] {
             assert_eq!(OpKind::from_u16(k as u16), Some(k));
@@ -867,8 +814,5 @@ mod tests {
         }];
         let back = OpTrace::decode(&t.encode()).unwrap();
         assert_eq!(back, t);
-        let s = to_perfetto(&t);
-        assert!(s.contains("dma 1"));
-        assert!(s.contains("dma_in"));
     }
 }

@@ -34,7 +34,8 @@ impl Pinhole {
 
     /// Back-projects pixel `(u, v)` at depth `d` (meters) to a camera-
     /// frame 3D point.
-    pub fn unproject(&self, u: f64, v: f64, d: f64) -> Vec3 {
+    #[cfg(test)]
+    fn unproject(&self, u: f64, v: f64, d: f64) -> Vec3 {
         Vec3::new((u - self.cx) / self.f * d, (v - self.cy) / self.f * d, d)
     }
 

@@ -43,7 +43,7 @@ impl NormalEquations {
     }
 
     /// Mean squared residual.
-    pub fn mean_cost(&self) -> f64 {
+    fn mean_cost(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

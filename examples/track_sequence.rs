@@ -13,17 +13,16 @@
 //! cargo run --release --example track_sequence -- desk pim 30 \
 //!     --trace-bin trace.bin --flight-recorder 4
 //! cargo run --release --example track_sequence -- xyz pim 30 --dma-overlap
-//! cargo run --release --features fault --example track_sequence -- \
-//!     xyz pim 30 --dma-fault-rate 0.2
+//! cargo run --release --example track_sequence -- xyz pim 30 --dma-fault-rate 0.2
 //! ```
 //!
 //! `--dma-overlap` attaches modeled host↔array DMA channels: host
 //! reads of result rows overlap the compute that follows, host writes
 //! are waited for by the next program (bit-identical poses, fewer wall
 //! cycles);
-//! `--dma-fault-rate R` (implies `--dma-overlap`, needs a
-//! `--features fault` build) additionally runs a seeded transfer-fault
-//! storm against those channels — poses must not move.
+//! `--dma-fault-rate R` (implies `--dma-overlap`) additionally runs a
+//! seeded transfer-fault storm against those channels — poses must not
+//! move.
 //!
 //! Open `trace.json` at <https://ui.perfetto.dev> to see the
 //! frame → stage → pool-phase → shard span hierarchy in both the
@@ -161,22 +160,12 @@ fn main() {
     if let Some(rate) = dma_fault_rate {
         // R is the total per-attempt fault probability, split 60 %
         // payload flips / 30 % stalls / 10 % dropped completions
-        #[cfg(feature = "fault")]
-        {
-            let model =
-                pimvo::pim::DmaFaultModel::new(0xd3a0_cafe, rate * 0.6, rate * 0.3, rate * 0.1);
-            tracker
-                .pool_mut()
-                .expect("pim backend checked above")
-                .set_dma_fault(model);
-            println!("dma faults     : seeded transfer storm, total rate {rate}");
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = rate;
-            eprintln!("error: --dma-fault-rate needs a fault build (--features fault)");
-            std::process::exit(2);
-        }
+        let model = pimvo::pim::DmaFaultModel::new(0xd3a0_cafe, rate * 0.6, rate * 0.3, rate * 0.1);
+        tracker
+            .pool_mut()
+            .expect("pim backend checked above")
+            .set_dma_fault(model);
+        println!("dma faults     : seeded transfer storm, total rate {rate}");
     }
     let telemetry = if trace_out.is_some() || metrics_out.is_some() || log_jsonl.is_some() {
         let t = Telemetry::new();

@@ -6,7 +6,7 @@
 #   scripts/bench_snapshot.sh [frames]
 #
 # exp_all writes one BENCH_<experiment>.json per experiment plus
-# BENCH_summary.json; the fault build adds BENCH_fault_sweep.json.
+# BENCH_summary.json; fault_sweep adds BENCH_fault_sweep.json.
 # RESULTS.txt is the canonical exp_all report at its default frame
 # count (the run EXPERIMENTS.md describes).
 set -euo pipefail
@@ -20,7 +20,7 @@ cargo run --release -p pimvo-bench --bin exp_all -- "$FRAMES" --out .
 results_bench="$(mktemp -d)"
 cargo run --release -p pimvo-bench --bin exp_all -- --out "$results_bench" > RESULTS.txt
 rm -rf "$results_bench"
-cargo run --release -p pimvo-bench --features fault --bin fault_sweep -- 10
+cargo run --release -p pimvo-bench --bin fault_sweep -- 10
 # fleet-soak sweep: {1,4,16} sessions x {2,4,8} arrays through the
 # pimvo-serve scheduler -> BENCH_fleet.json
 cargo run --release -p pimvo-bench --bin fleet_soak -- --out .
