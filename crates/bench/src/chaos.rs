@@ -42,6 +42,7 @@ use std::io;
 use std::path::PathBuf;
 
 use pimvo_core::checkpoint::pose_finite;
+use pimvo_core::pim_exec::BatchOptions;
 use pimvo_core::{
     transition_legal, BackendKind, CheckpointError, FrameResult, PimBackend, Tracker,
     TrackerConfig, TrackingState,
@@ -195,7 +196,10 @@ fn make_tracker(cfg: &ChaosConfig, tracker_cfg: &TrackerConfig) -> Tracker {
     match cfg.backend {
         BackendKind::Pim => Tracker::with_backend(
             tracker_cfg.clone(),
-            Box::new(PimBackend::with_pool(cfg.arrays)),
+            Box::new(PimBackend::with_options(BatchOptions {
+                pool: cfg.arrays,
+                ..Default::default()
+            })),
         ),
         _ => Tracker::new(tracker_cfg.clone(), cfg.backend),
     }

@@ -940,7 +940,10 @@ pub fn interp_ablation(frames: usize) -> String {
     )
     .unwrap();
     for (name, interp) in [("nearest", Interp::Nearest), ("bilinear", Interp::Bilinear)] {
-        let backend = Box::new(pimvo_core::PimBackend::with_interp(interp));
+        let backend = Box::new(pimvo_core::PimBackend::with_options(BatchOptions {
+            interp,
+            ..Default::default()
+        }));
         let mut tracker = Tracker::with_backend(TrackerConfig::default(), backend);
         let mut est = Trajectory::new();
         for f in &seq.frames {
@@ -1117,7 +1120,10 @@ pub fn scaling() -> (Vec<ScalingPoint>, String) {
     let mut points: Vec<ScalingPoint> = Vec::new();
     let mut reference: Option<(pimvo_kernels::EdgeMaps, usize, f64)> = None;
     for arrays in [1usize, 2, 4, 8] {
-        let mut be = PimBackend::with_pool(arrays);
+        let mut be = PimBackend::with_options(BatchOptions {
+            pool: arrays,
+            ..Default::default()
+        });
         let maps = be.detect_edges(&gray, &cfg);
         let features = extract_features(&maps.mask, &depth, &cam, 6000, 0.3, 8.0);
         let kf = Keyframe::build(0, SE3::IDENTITY, maps.mask.clone(), &cam);

@@ -61,13 +61,8 @@ impl SmallNet {
     }
 
     /// Full forward pass on the PIM machine: logits.
-    pub fn forward_pim(
-        &self,
-        machine: &mut PimMachine,
-        base_row: usize,
-        img: &FeatureMap,
-    ) -> Vec<i64> {
-        let mut cnn = PimCnn::new(machine, base_row);
+    pub fn forward_pim(&self, machine: &mut PimMachine, base: usize, img: &FeatureMap) -> Vec<i64> {
+        let mut cnn = PimCnn::new(machine, base);
         let x = cnn.conv3x3(&self.conv1, img);
         let x = cnn.maxpool2x2(&x);
         let x = cnn.conv3x3(&self.conv2, &x);

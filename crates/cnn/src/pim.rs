@@ -60,19 +60,19 @@ pub struct PimCnn<'m> {
 }
 
 impl<'m> PimCnn<'m> {
-    /// Wraps a machine, staging CNN data starting at `base_row`.
+    /// Wraps a machine, staging CNN data starting at row `base`.
     ///
     /// # Panics
     ///
-    /// Panics if the machine lacks `base_row + 181` rows.
-    pub fn new(machine: &'m mut PimMachine, base_row: usize) -> Self {
+    /// Panics if the machine lacks `base + 181` rows.
+    pub fn new(machine: &'m mut PimMachine, base: usize) -> Self {
         assert!(
-            base_row + CnnRows::SPAN <= machine.config().rows,
+            base + CnnRows::SPAN <= machine.config().rows,
             "machine too small for the CNN staging area"
         );
         PimCnn {
             machine,
-            rows: CnnRows { base: base_row },
+            rows: CnnRows { base },
         }
     }
 

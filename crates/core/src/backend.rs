@@ -6,7 +6,7 @@ use crate::feature::Feature;
 use crate::hessian::{JacobianColumns, QNormalEquations};
 use crate::jacobian::jacobian_q;
 use crate::keyframe::Keyframe;
-use crate::pim_exec::{self, BatchOptions, BatchRunner, BATCH, POSE_BASE};
+use crate::pim_exec::{self, BatchOptions, BatchRunner, BATCH};
 use crate::quant::{Interp, QCamera, QFeature, QKeyframe, QPose};
 use crate::warp::project_q;
 use pimvo_kernels::pim_pool::EdgeKernels;
@@ -317,29 +317,10 @@ impl PimBackend {
         Self::with_options(BatchOptions::default())
     }
 
-    /// Creates the backend with an explicit residual-interpolation
-    /// mode (the lookup ablation).
-    pub fn with_interp(interp: Interp) -> Self {
-        Self::with_options(BatchOptions {
-            interp,
-            ..Default::default()
-        })
-    }
-
-    /// Creates the backend with a pool of `n` arrays: edge-detection
-    /// strips and LM feature batches are sharded across them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn with_pool(n: usize) -> Self {
-        Self::with_options(BatchOptions {
-            pool: n,
-            ..Default::default()
-        })
-    }
-
-    /// Creates the backend from full [`BatchOptions`].
+    /// Creates the backend from full [`BatchOptions`]: the pool size
+    /// (edge-detection strips and LM feature batches are sharded across
+    /// its arrays), the residual interpolation, the mapping and whether
+    /// LM batches run on the machine.
     ///
     /// # Panics
     ///
@@ -381,7 +362,7 @@ impl PimBackend {
     /// Checks that arrays of geometry `config` hold every row the
     /// backend works in: the six 256-row edge-detection banks and the
     /// pose stage's [`pim_exec::POSE_ROWS`] staging rows from
-    /// [`POSE_BASE`].
+    /// [`pim_exec::POSE_BASE`].
     ///
     /// # Errors
     ///
@@ -396,7 +377,7 @@ impl PimBackend {
                 rows: config.rows,
             });
         }
-        pim_exec::check_pose_rows(config, POSE_BASE)
+        pim_exec::check_pose_rows(config)
     }
 
     /// Access to the first underlying machine (stats inspection).
@@ -647,7 +628,10 @@ mod tests {
         let cfg = EdgeConfig::default();
 
         let mut p1 = PimBackend::new();
-        let mut p4 = PimBackend::with_pool(4);
+        let mut p4 = PimBackend::with_options(BatchOptions {
+            pool: 4,
+            ..Default::default()
+        });
         let maps1 = p1.detect_edges(&gray, &cfg);
         let maps4 = p4.detect_edges(&gray, &cfg);
         assert_eq!(maps1.mask, maps4.mask, "pooling must not change the maps");

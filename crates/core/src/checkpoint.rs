@@ -195,10 +195,11 @@ impl Fnv {
 
 /// Deterministic, RNG-free hash of the *estimator* configuration —
 /// every field that affects what poses a sequence produces. The
-/// deadline budget is deliberately excluded: it is a runtime QoS knob
-/// (chaos harnesses and `--frame-budget-cycles` adjust it mid-run),
-/// and a snapshot taken under a squeezed budget must restore into a
-/// tracker whose budget has since changed.
+/// deadline budget is not part of it: it is a runtime QoS knob on the
+/// tracker ([`crate::Tracker::set_frame_budget_cycles`]; chaos
+/// harnesses and `--frame-budget-cycles` adjust it mid-run), and a
+/// snapshot taken under a squeezed budget must restore into a tracker
+/// whose budget has since changed.
 pub fn config_hash(cfg: &crate::TrackerConfig) -> u64 {
     let mut h = Fnv::new();
     // camera

@@ -72,13 +72,6 @@ pub struct TrackerConfig {
     pub keyframe: KeyframePolicy,
     /// Graceful-degradation thresholds (tracking-lost recovery).
     pub recovery: RecoveryConfig,
-    /// Per-frame backend-cycle budget for the deadline supervisor
-    /// (see [`crate::supervisor`]). The default `None` disables
-    /// enforcement, in which case the tracker takes the exact
-    /// unsupervised code path (bit-identical cycle/energy numbers).
-    /// Excluded from the checkpoint config hash: it is a runtime QoS
-    /// knob, not an estimator parameter.
-    pub frame_budget_cycles: Option<u64>,
     /// Coarse-to-fine pyramid levels (1 = the paper's single-level
     /// tracking; 2-3 enlarge the convergence basin for faster motion at
     /// ~1/4 extra edge-detection cost per level).
@@ -105,7 +98,6 @@ impl Default for TrackerConfig {
             lm: LmConfig::default(),
             keyframe: KeyframePolicy::default(),
             recovery: RecoveryConfig::default(),
-            frame_budget_cycles: None,
             pyramid_levels: 1,
             build_map: false,
             map_voxel_m: 0.02,

@@ -70,5 +70,5 @@ pub use keyframe::Keyframe;
 pub use mapping::EdgeMap3d;
 pub use quant::{Interp, QCamera, QFeature, QKeyframe, QPose, GRAD_FRAC, PIX_FRAC, RES_FRAC};
 pub use supervisor::{transition_legal, BudgetStatus, DegradeRung};
-pub use tracker::{FrameResult, KeptPyramid, Tracker, TrackerBuilder, TrackingState};
+pub use tracker::{FrameResult, KeptPyramid, Tracker, TrackingState};
 pub use warp::{project_q, warp_float, warp_q, WarpQ};

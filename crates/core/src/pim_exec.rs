@@ -152,7 +152,6 @@ impl Default for BatchOptions {
 #[derive(Debug)]
 pub struct BatchRunner {
     pool: PimArrayPool,
-    base_row: usize,
     options: BatchOptions,
 }
 
@@ -175,17 +174,8 @@ impl BatchRunner {
     pub fn from_builder(builder: &PimMachineBuilder, options: BatchOptions) -> Self {
         BatchRunner {
             pool: builder.build_pool(options.pool),
-            base_row: POSE_BASE,
             options,
         }
-    }
-
-    /// Overrides the scratch base row (default [`POSE_BASE`]); tests
-    /// move it to probe the staging-row range check.
-    #[cfg(test)]
-    fn with_base_row(mut self, base_row: usize) -> Self {
-        self.base_row = base_row;
-        self
     }
 
     /// The runner's options.
@@ -282,8 +272,8 @@ impl BatchRunner {
     /// panics.
     fn kernels(&self, ff: u32) -> Result<PoseKernels, PimError> {
         let config = self.pool.array(0).config();
-        check_pose_rows(config, self.base_row)?;
-        let rows = PoseRows::new(self.base_row);
+        check_pose_rows(config)?;
+        let rows = PoseRows::new(POSE_BASE);
         let BatchOptions {
             mapping, interp, ..
         } = self.options;
@@ -402,14 +392,14 @@ impl PoseRows {
 pub const POSE_ROWS: usize = PoseRows::LOWER + PoseRows::LOWER_LEN;
 
 /// Checks that arrays of geometry `config` hold the pose stage's
-/// [`POSE_ROWS`] staging rows from `base_row` on.
+/// [`POSE_ROWS`] staging rows from [`POSE_BASE`] on.
 ///
 /// # Errors
 ///
 /// [`PimError::RowOutOfRange`] naming the last staging row when it
 /// lies beyond the geometry.
-pub(crate) fn check_pose_rows(config: &ArrayConfig, base_row: usize) -> Result<(), PimError> {
-    let last = base_row.saturating_add(POSE_ROWS - 1);
+pub(crate) fn check_pose_rows(config: &ArrayConfig) -> Result<(), PimError> {
+    let last = POSE_BASE + POSE_ROWS - 1;
     if last >= config.rows {
         return Err(PimError::RowOutOfRange {
             row: last,
@@ -646,7 +636,8 @@ fn hessian_program(rows: &PoseRows) -> PimProgram {
 
 /// The five pose-estimation macro-op programs in submission order
 /// (warp/projection, fractional weights, residual, Jacobian, Hessian),
-/// built against staging rows at `base_row` for feature fraction `ff`.
+/// built against staging rows from row `base` on for feature fraction
+/// `ff`.
 ///
 /// This is the introspection entry point behind `examples/dump_ir.rs`
 /// and the tier-1 golden-program snapshots: the returned programs are
@@ -654,8 +645,8 @@ fn hessian_program(rows: &PoseRows) -> PimProgram {
 /// detached from any machine so they can be listed or lowered
 /// standalone (pair with [`pose_scratch`]).
 #[must_use]
-pub fn pose_programs(base_row: usize, ff: u32, interp: Interp) -> Vec<PimProgram> {
-    let rows = PoseRows::new(base_row);
+pub fn pose_programs(base: usize, ff: u32, interp: Interp) -> Vec<PimProgram> {
+    let rows = PoseRows::new(base);
     vec![
         warp_program(&rows, ff),
         frac_weights_program(&rows),
@@ -666,11 +657,11 @@ pub fn pose_programs(base_row: usize, ff: u32, interp: Interp) -> Vec<PimProgram
 }
 
 /// The scratch-row pool the pose-program lowering spills into, for
-/// staging rows at `base_row` — lowers [`pose_programs`] outside
+/// staging rows from row `base` on — lowers [`pose_programs`] outside
 /// [`BatchRunner::submit`].
 #[must_use]
-pub fn pose_scratch(base_row: usize) -> ScratchRows {
-    PoseRows::new(base_row).lower_scratch()
+pub fn pose_scratch(base: usize) -> ScratchRows {
+    PoseRows::new(base).lower_scratch()
 }
 
 /// Output of one machine batch: everything the host needs to fold the
@@ -1308,31 +1299,34 @@ mod tests {
         let kf = test_kf(&cam);
         let feats = test_features(&cam, 2 * BATCH);
         let pose = QPose::quantize(&SE3::IDENTITY);
-        let rows = ArrayConfig::qvga_banks(6).rows;
-        for (base_row, pool) in [(rows - 10, 1), (rows - 10, 2), (usize::MAX, 2)] {
-            let mut runner = BatchRunner::new(BatchOptions {
-                pool,
-                ..Default::default()
+        let geometry = |rows| {
+            PimMachine::builder(ArrayConfig {
+                rows,
+                ..ArrayConfig::qvga()
             })
-            .with_base_row(base_row);
+        };
+        // one row short of the staging rows
+        let short = POSE_BASE + POSE_ROWS - 1;
+        for pool in [1, 2] {
+            let mut runner = BatchRunner::from_builder(
+                &geometry(short),
+                BatchOptions {
+                    pool,
+                    ..Default::default()
+                },
+            );
             let err = runner.submit(&feats, &pose, &kf, &cam).unwrap_err();
             assert!(
-                matches!(err, PimError::RowOutOfRange { rows: r, .. } if r == rows),
+                matches!(err, PimError::RowOutOfRange { row, rows } if row == short && rows == short),
                 "{err:?}"
             );
             // rejected before any phase: no array ran anything
             assert_eq!(runner.pool().merged_stats().cycles, 0);
             assert_eq!(runner.pool().barriers(), 0);
         }
-        // a small builder geometry fails the same way
-        let small = PimMachine::builder(ArrayConfig::qvga_banks(1));
-        let mut runner = BatchRunner::from_builder(&small, BatchOptions::default());
-        assert!(matches!(
-            runner.submit(&feats, &pose, &kf, &cam),
-            Err(PimError::RowOutOfRange { .. })
-        ));
         // the last staging row may be the array's last row
-        let mut runner = BatchRunner::new(BatchOptions::default()).with_base_row(rows - 55);
+        let exact = POSE_BASE + POSE_ROWS;
+        let mut runner = BatchRunner::from_builder(&geometry(exact), BatchOptions::default());
         assert!(runner.submit(&feats, &pose, &kf, &cam).is_ok());
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The paper's pitch is *real-time* EBVO under a hard latency envelope;
 //! this module is the layer that enforces it. A per-frame budget in
-//! PIM/backend cycles ([`crate::TrackerConfig::frame_budget_cycles`])
+//! PIM/backend cycles ([`crate::Tracker::set_frame_budget_cycles`])
 //! bounds each frame; it reads only the backend's simulated cycle
 //! counters, so supervision is fully deterministic. The tracker checks
 //! the spend at its phase boundaries (pyramid → edge
@@ -13,9 +13,12 @@
 //! telemetry gauges; overruns emit a typed
 //! [`pimvo_telemetry::EventKind::DeadlineMiss`] event.
 //!
-//! With the budget disabled (the default) none of this runs: the
-//! tracker takes the exact pre-supervision code path, so cycle and
-//! energy numbers are bit-identical — asserted by the test-suite.
+//! Every frame takes the same path. Without a budget (the default) the
+//! supervisor reads no cycle counter, never coasts a frame mid-way and
+//! never moves the ladder: the rung holds wherever
+//! [`crate::Tracker::set_shed_rung`] put it (`Full` unless a fleet
+//! sheds load), and cycle and energy numbers equal those of a tracker
+//! with an unreachable budget — asserted by the test-suite.
 
 use crate::tracker::TrackingState;
 use pimvo_telemetry::{EventKind, Telemetry};
@@ -71,6 +74,22 @@ impl DegradeRung {
         Self::from_index(self.index().saturating_sub(1))
     }
 
+    /// The ladder rule, from this rung after a frame that `spent` of
+    /// its `budget`: one rung harsher on a miss (`spent > budget`), one
+    /// rung gentler below [`RELAX_FRACTION`] of the budget (hysteresis,
+    /// so the controller does not oscillate on the miss boundary),
+    /// otherwise hold. The deadline supervisor applies it to backend
+    /// cycles, a fleet to pool-cycle latency.
+    pub fn next(self, spent: u64, budget: u64) -> DegradeRung {
+        if spent > budget {
+            self.escalate()
+        } else if (spent as f64) < RELAX_FRACTION * (budget as f64) {
+            self.relax()
+        } else {
+            self
+        }
+    }
+
     /// Stable lower-snake-case name for telemetry and reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -84,8 +103,7 @@ impl DegradeRung {
 }
 
 /// A frame spending less than this fraction of its budget lets the
-/// ladder relax one rung for the next frame (hysteresis so the
-/// controller does not oscillate on the miss boundary).
+/// ladder relax one rung for the next frame ([`DegradeRung::next`]).
 pub const RELAX_FRACTION: f64 = 0.5;
 
 /// LM iteration cap at [`DegradeRung::CapLmIterations`] and below.
@@ -103,7 +121,8 @@ pub struct BudgetStatus {
     /// Rung the last completed frame ran at (after any mid-frame
     /// escalation).
     pub last_rung: DegradeRung,
-    /// Backend cycles the last completed frame spent.
+    /// Backend cycles the last completed frame spent (0 without a
+    /// budget: the supervisor then reads no cycle counter).
     pub last_frame_cycles: u64,
     /// Cycle headroom of the last frame: `budget - spent` (negative on
     /// an overrun; `None` without a cycle budget).
@@ -127,9 +146,11 @@ pub struct BudgetStatus {
 ///    escalates straight to [`DegradeRung::Coast`], so an overrun is
 ///    bounded by the cost of the one phase that was already running.
 /// 3. [`DeadlineSupervisor::end_frame`] records the outcome, emits the
-///    `DeadlineMiss` event / gauges, and moves the ladder: one rung
-///    harsher after a miss, one rung gentler after a frame that used
-///    less than [`RELAX_FRACTION`] of its budget.
+///    `DeadlineMiss` event / gauges, and moves the ladder by
+///    [`DegradeRung::next`].
+///
+/// Without a budget steps 2 and 3 have nothing to compare: the frame
+/// runs at the rung it was given and the ladder holds.
 #[derive(Debug, Clone)]
 pub struct DeadlineSupervisor {
     /// Backend cycles allowed per frame (`None` = no budget).
@@ -155,11 +176,9 @@ impl DeadlineSupervisor {
         }
     }
 
-    /// True when a budget is configured; when false the tracker must
-    /// not call into the supervisor at all (bit-identity with the
-    /// unsupervised pipeline).
-    pub fn enabled(&self) -> bool {
-        self.budget_cycles.is_some()
+    /// The per-frame cycle budget (`None` = no budget).
+    pub fn budget_cycles(&self) -> Option<u64> {
+        self.budget_cycles
     }
 
     /// Replaces the per-frame cycle budget at runtime (QoS knob; does
@@ -185,49 +204,38 @@ impl DeadlineSupervisor {
 
     /// Records a completed frame: `rung` is the rung the frame actually
     /// ran at (after mid-frame escalation), `spent_cycles` what it
-    /// cost. Updates the ladder for the next frame, bumps the
-    /// miss counters and emits the telemetry gauges and the typed
-    /// `DeadlineMiss` event. Returns true when the frame missed its
-    /// deadline.
+    /// cost, read only under a budget (`None` without one). Under a
+    /// budget this moves the ladder for the next frame, bumps the miss
+    /// counters and emits the telemetry gauges and the typed
+    /// `DeadlineMiss` event; without one the ladder holds. Returns true
+    /// when the frame missed its deadline.
     pub fn end_frame(
         &mut self,
         rung: DegradeRung,
-        spent_cycles: u64,
+        spent_cycles: Option<u64>,
         frame_index: usize,
         telemetry: &Telemetry,
     ) -> bool {
         self.last_rung = rung;
-        self.last_frame_cycles = spent_cycles;
+        self.last_frame_cycles = spent_cycles.unwrap_or(0);
         if rung == DegradeRung::Coast {
             self.coasted_frames += 1;
         }
-        let miss = self.over_cycle_budget(spent_cycles);
-
-        // deterministic ladder feedback: harsher after a miss, gentler
-        // after a comfortably cheap frame, otherwise hold
+        let (Some(budget), Some(spent_cycles)) = (self.budget_cycles, spent_cycles) else {
+            return false;
+        };
+        let miss = spent_cycles > budget;
         let prev = self.rung;
+        self.rung = rung.next(spent_cycles, budget);
         if miss {
-            self.rung = rung.escalate();
             self.deadline_misses += 1;
-        } else {
-            let comfortable = match self.budget_cycles {
-                Some(b) => (spent_cycles as f64) < RELAX_FRACTION * (b as f64),
-                None => true,
-            };
-            if comfortable {
-                self.rung = rung.relax();
-            } else {
-                self.rung = rung;
-            }
         }
 
         if telemetry.is_enabled() {
-            if let Some(b) = self.budget_cycles {
-                telemetry.gauge_set(
-                    "pimvo_budget_headroom_cycles",
-                    b as f64 - spent_cycles as f64,
-                );
-            }
+            telemetry.gauge_set(
+                "pimvo_budget_headroom_cycles",
+                budget as f64 - spent_cycles as f64,
+            );
             telemetry.gauge_set("pimvo_degrade_rung", rung.index() as f64);
             if miss {
                 telemetry.counter_add("pimvo_deadline_miss_total", 1.0);
@@ -237,11 +245,7 @@ impl DeadlineSupervisor {
                         ("frame", frame_index.to_string()),
                         ("rung", rung.name().to_string()),
                         ("spent_cycles", spent_cycles.to_string()),
-                        (
-                            "budget_cycles",
-                            self.budget_cycles
-                                .map_or("none".to_string(), |b| b.to_string()),
-                        ),
+                        ("budget_cycles", budget.to_string()),
                     ],
                 );
             }
@@ -272,19 +276,27 @@ impl DeadlineSupervisor {
         }
     }
 
-    /// Forces the ladder to `rung` before the next frame. This is the
-    /// external load-shedding hook: a fleet scheduler under pool
-    /// contention pins a session to a harsher rung than its own
-    /// deadline controller would pick (see `pimvo-serve`). Miss
-    /// counters are untouched and the controller adjusts from the
-    /// forced rung as usual afterwards.
+    /// Forces the ladder to `rung` before the next frame, with or
+    /// without a budget. This is the external load-shedding hook: a
+    /// fleet scheduler, whose sessions carry no budget, pins each
+    /// session's next frame to the rung of its own ladder (see
+    /// `pimvo-serve`). Miss counters are untouched; under a budget the
+    /// controller adjusts from the forced rung as usual afterwards.
     pub fn force_rung(&mut self, rung: DegradeRung) {
         self.rung = rung;
     }
 
     /// Restores controller state from a checkpoint (the rung persists
-    /// across a kill-and-restore; per-frame spend does not).
+    /// across a kill-and-restore; per-frame spend does not). Without a
+    /// budget there is no controller to resume: the ladder starts at
+    /// [`DegradeRung::Full`], as [`DeadlineSupervisor::set_budget_cycles`]
+    /// leaves it.
     pub(crate) fn restore(&mut self, rung: DegradeRung, deadline_misses: u64, coasts: u64) {
+        let rung = if self.budget_cycles.is_some() {
+            rung
+        } else {
+            DegradeRung::Full
+        };
         self.rung = rung;
         self.last_rung = rung;
         self.deadline_misses = deadline_misses;
@@ -347,22 +359,26 @@ mod tests {
         let mut s = DeadlineSupervisor::new(Some(1000));
         let t = Telemetry::off();
         // miss -> one rung harsher
-        assert!(s.end_frame(DegradeRung::Full, 1500, 0, &t));
+        assert!(s.end_frame(DegradeRung::Full, Some(1500), 0, &t));
         assert_eq!(s.begin_frame(), DegradeRung::CapLmIterations);
         // met but tight (above the relax fraction) -> hold
-        assert!(!s.end_frame(DegradeRung::CapLmIterations, 900, 1, &t));
+        assert!(!s.end_frame(DegradeRung::CapLmIterations, Some(900), 1, &t));
         assert_eq!(s.begin_frame(), DegradeRung::CapLmIterations);
         // comfortable -> one rung gentler
-        assert!(!s.end_frame(DegradeRung::CapLmIterations, 300, 2, &t));
+        assert!(!s.end_frame(DegradeRung::CapLmIterations, Some(300), 2, &t));
         assert_eq!(s.begin_frame(), DegradeRung::Full);
         assert_eq!(s.status().deadline_misses, 1);
     }
 
     #[test]
-    fn disabled_budget_never_flags() {
-        let s = DeadlineSupervisor::new(None);
-        assert!(!s.enabled());
+    fn no_budget_never_flags_and_holds_the_ladder() {
+        let mut s = DeadlineSupervisor::new(None);
+        let t = Telemetry::off();
         assert!(!s.over_cycle_budget(u64::MAX));
+        s.force_rung(DegradeRung::ReduceFeatures);
+        assert!(!s.end_frame(DegradeRung::ReduceFeatures, None, 0, &t));
+        assert_eq!(s.begin_frame(), DegradeRung::ReduceFeatures);
+        assert_eq!(s.status().deadline_misses, 0);
     }
 
     #[test]

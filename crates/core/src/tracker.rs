@@ -68,8 +68,8 @@ pub struct FrameResult {
     /// Tracking quality after this frame.
     pub state: TrackingState,
     /// Degradation-ladder rung the frame actually ran at (after any
-    /// mid-frame escalation). Always [`DegradeRung::Full`] when the
-    /// deadline supervisor is disabled.
+    /// mid-frame escalation). [`DegradeRung::Full`] unless a budget or
+    /// [`Tracker::set_shed_rung`] moved the ladder.
     pub rung: DegradeRung,
 }
 
@@ -114,8 +114,9 @@ pub struct Tracker {
     prev_pose_wc: SE3,
     /// Telemetry handle (off by default; see [`Tracker::set_telemetry`]).
     telemetry: Telemetry,
-    /// Deadline supervisor (disabled unless `config.frame_budget_cycles`
-    /// sets a budget).
+    /// Deadline supervisor: holds the per-frame cycle budget (none
+    /// unless [`Tracker::set_frame_budget_cycles`] sets one) and the
+    /// rung the next frame runs at.
     supervisor: DeadlineSupervisor,
 }
 
@@ -150,152 +151,6 @@ impl KeptPyramid {
     }
 }
 
-/// Builder for [`Tracker`] sessions: collects the configuration,
-/// backend choice and runtime knobs, and produces a fully wired
-/// tracker in one call. The per-frame cycle budget rides on the
-/// configuration ([`TrackerConfig::frame_budget_cycles`]).
-/// `pimvo-serve` session specs construct their trackers through it.
-///
-/// A custom backend ([`TrackerBuilder::with_backend`]) takes precedence
-/// over the [`BackendKind`]; [`TrackerBuilder::pim_pool`] applies only
-/// when the PIM backend is built by kind.
-///
-/// ```
-/// use pimvo_core::{BackendKind, TrackerBuilder, TrackerConfig};
-///
-/// let config = TrackerConfig {
-///     frame_budget_cycles: Some(2_000_000),
-///     ..TrackerConfig::default()
-/// };
-/// let tracker = TrackerBuilder::new(config)
-///     .backend(BackendKind::Float)
-///     .build();
-/// assert_eq!(tracker.config().frame_budget_cycles, Some(2_000_000));
-/// ```
-pub struct TrackerBuilder {
-    config: TrackerConfig,
-    kind: BackendKind,
-    custom: Option<Box<dyn TrackerBackend>>,
-    pim_pool: Option<usize>,
-    dma: Option<pimvo_pim::DmaConfig>,
-    telemetry: Option<Telemetry>,
-    lowered_cache: Option<pimvo_pim::LoweredCache>,
-}
-
-impl TrackerBuilder {
-    /// Starts a builder from the estimator configuration. The default
-    /// backend is [`BackendKind::Pim`] (the paper's accelerator).
-    pub fn new(config: TrackerConfig) -> Self {
-        TrackerBuilder {
-            config,
-            kind: BackendKind::Pim,
-            custom: None,
-            pim_pool: None,
-            dma: None,
-            telemetry: None,
-            lowered_cache: None,
-        }
-    }
-
-    /// Shares a lowered-program memo table with the tracker's PIM
-    /// pool: a fleet building many trackers against one
-    /// [`pimvo_pim::LoweredCache`] handle lowers each distinct
-    /// (program, level, geometry) triple exactly once across all of
-    /// them, the fast path's batch price included. Ignored by non-PIM
-    /// backends.
-    pub fn lowered_cache(mut self, cache: pimvo_pim::LoweredCache) -> Self {
-        self.lowered_cache = Some(cache);
-        self
-    }
-
-    /// Selects the backend by kind.
-    pub fn backend(mut self, kind: BackendKind) -> Self {
-        self.kind = kind;
-        self
-    }
-
-    /// Uses a pre-configured backend (ablations, custom cost models).
-    /// Overrides [`TrackerBuilder::backend`] and
-    /// [`TrackerBuilder::pim_pool`].
-    pub fn with_backend(mut self, backend: Box<dyn TrackerBackend>) -> Self {
-        self.custom = Some(backend);
-        self
-    }
-
-    /// Shards the PIM backend across a pool of `n` arrays (ignored for
-    /// the float backend and for a custom backend).
-    ///
-    /// # Panics
-    ///
-    /// [`TrackerBuilder::build`] panics if `n` is zero.
-    pub fn pim_pool(mut self, n: usize) -> Self {
-        self.pim_pool = Some(n);
-        self
-    }
-
-    /// Attaches modeled host↔array DMA channels to every pool array
-    /// (see [`pimvo_pim::DmaConfig`]): transfers ride per-array channel
-    /// engines. Host reads overlap the compute that follows; host
-    /// writes are waited for by the next program, and the frame end
-    /// waits for everything. Values stay bit-identical; only the timing
-    /// model changes. A runtime QoS knob like the budget — excluded
-    /// from the checkpoint config hash. Ignored for the float backend
-    /// and for a custom backend.
-    pub fn dma(mut self, cfg: pimvo_pim::DmaConfig) -> Self {
-        self.dma = Some(cfg);
-        self
-    }
-
-    /// Attaches a telemetry handle (see [`Tracker::set_telemetry`]).
-    pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// Builds the tracker.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.pyramid_levels` is outside `1..=4` or a
-    /// zero-sized PIM pool was requested.
-    pub fn build(self) -> Tracker {
-        let backend: Box<dyn TrackerBackend> = match self.custom {
-            Some(b) => b,
-            None => match self.kind {
-                BackendKind::Float => Box::new(FloatBackend::new()),
-                BackendKind::Pim => {
-                    let mut b = match self.pim_pool {
-                        Some(n) => PimBackend::with_pool(n),
-                        None => PimBackend::new(),
-                    };
-                    if self.dma.is_some() {
-                        b.pool_mut().set_dma(self.dma);
-                    }
-                    if let Some(cache) = self.lowered_cache {
-                        b.pool_mut().set_lowered_cache(cache);
-                    }
-                    Box::new(b)
-                }
-            },
-        };
-        let mut tracker = Tracker::with_backend(self.config, backend);
-        if let Some(t) = self.telemetry {
-            tracker.set_telemetry(t);
-        }
-        tracker
-    }
-}
-
-impl std::fmt::Debug for TrackerBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TrackerBuilder")
-            .field("kind", &self.kind)
-            .field("custom_backend", &self.custom.is_some())
-            .field("pim_pool", &self.pim_pool)
-            .finish_non_exhaustive()
-    }
-}
-
 impl Tracker {
     /// Creates a tracker with the chosen backend.
     pub fn new(config: TrackerConfig, backend: BackendKind) -> Tracker {
@@ -318,7 +173,6 @@ impl Tracker {
             cameras.push(cameras.last().expect("nonempty").halved());
         }
         let map = config.build_map.then(|| EdgeMap3d::new(config.map_voxel_m));
-        let supervisor = DeadlineSupervisor::new(config.frame_budget_cycles);
         Tracker {
             config,
             backend,
@@ -333,7 +187,7 @@ impl Tracker {
             motion: SE3::IDENTITY,
             prev_pose_wc: SE3::IDENTITY,
             telemetry: Telemetry::off(),
-            supervisor,
+            supervisor: DeadlineSupervisor::new(None),
         }
     }
 
@@ -391,10 +245,12 @@ impl Tracker {
         self.map.as_ref()
     }
 
-    /// Replaces the per-frame cycle budget at runtime (QoS knob).
-    /// `None` returns the tracker to the exact unsupervised code path.
+    /// Sets the per-frame budget in backend cycles (see
+    /// [`crate::supervisor`]); the default is none. A runtime QoS knob,
+    /// not an estimator parameter, so checkpoints do not hash it.
+    /// `None` removes the budget and returns the ladder to
+    /// [`DegradeRung::Full`].
     pub fn set_frame_budget_cycles(&mut self, cycles: Option<u64>) {
-        self.config.frame_budget_cycles = cycles;
         self.supervisor.set_budget_cycles(cycles);
     }
 
@@ -407,9 +263,9 @@ impl Tracker {
     /// Forces the degradation ladder to `rung` before the next frame —
     /// the load-shedding hook a fleet scheduler uses to degrade a
     /// session under pool contention (see
-    /// [`DeadlineSupervisor::force_rung`]). Only effective while a
-    /// budget is enabled: without one the supervised path is bypassed
-    /// entirely and every frame runs at [`DegradeRung::Full`].
+    /// [`DeadlineSupervisor::force_rung`]). Applies with or without a
+    /// budget; without one the rung holds until set again. A bootstrap
+    /// frame always runs at [`DegradeRung::Full`].
     pub fn set_shed_rung(&mut self, rung: DegradeRung) {
         self.supervisor.force_rung(rung);
     }
@@ -759,14 +615,6 @@ impl Tracker {
         depth: &DepthImage,
         gyro_delta: Option<SO3>,
     ) -> FrameResult {
-        if !self.supervisor.enabled() {
-            // no budget: the exact unsupervised code path, bit-identical
-            // cycle/energy numbers to a build without the supervisor
-            let result = self.process_core(gray, depth, gyro_delta, DegradeRung::Full, false);
-            self.settle_transfers();
-            return result;
-        }
-        let cyc_start = self.backend.stats().total_cycles();
         // the bootstrap frame always runs at full quality: without a
         // keyframe there is nothing to coast on
         let rung = if self.keyframes.is_some() {
@@ -774,16 +622,30 @@ impl Tracker {
         } else {
             DegradeRung::Full
         };
-        let result = self.process_core(gray, depth, gyro_delta, rung, true);
+        // the frame's cycle spend is read only against a budget
+        let cyc_start = self
+            .supervisor
+            .budget_cycles()
+            .map(|_| self.backend.stats().total_cycles());
+        let result = self.process_core(gray, depth, gyro_delta, rung, cyc_start);
         self.settle_transfers();
-        let spent_cycles = self
-            .backend
-            .stats()
-            .total_cycles()
-            .saturating_sub(cyc_start);
+        let spent_cycles = cyc_start.map(|s| self.backend.stats().total_cycles().saturating_sub(s));
         self.supervisor
             .end_frame(result.rung, spent_cycles, result.index, &self.telemetry);
         result
+    }
+
+    /// Phase-boundary budget check: true once the frame that started at
+    /// backend cycle `cyc_start` (read only under a budget) has spent
+    /// more than the budget. Never true before the first keyframe — a
+    /// bootstrap frame has nothing to coast on.
+    fn over_budget(&self, cyc_start: Option<u64>) -> bool {
+        match cyc_start {
+            Some(s) if self.keyframes.is_some() => self
+                .supervisor
+                .over_cycle_budget(self.backend.stats().total_cycles().saturating_sub(s)),
+            _ => false,
+        }
     }
 
     /// Frame-end transfer settle: drains in-flight DMA descriptors and
@@ -837,19 +699,14 @@ impl Tracker {
         gray: &GrayImage,
         depth: &DepthImage,
         gyro_delta: Option<SO3>,
-        mut rung: DegradeRung,
-        supervised: bool,
+        rung: DegradeRung,
+        cyc_start: Option<u64>,
     ) -> FrameResult {
         assert_eq!(gray.width(), self.config.camera.width, "width mismatch");
         assert_eq!(gray.height(), self.config.camera.height, "height mismatch");
         let index = self.frame_index;
         self.frame_index += 1;
 
-        let cyc_frame = if supervised {
-            self.backend.stats().total_cycles()
-        } else {
-            0
-        };
         // scheduled coast: shed the whole frame before any work
         if rung == DegradeRung::Coast && self.keyframes.is_some() {
             return self.coast_frame(index, gyro_delta, 0, rung);
@@ -870,16 +727,8 @@ impl Tracker {
 
         // phase boundary: once over budget, stop starting phases and
         // coast — bounding an overrun to the one phase already running
-        if supervised && self.keyframes.is_some() {
-            let spent = self
-                .backend
-                .stats()
-                .total_cycles()
-                .saturating_sub(cyc_frame);
-            if self.supervisor.over_cycle_budget(spent) {
-                rung = DegradeRung::Coast;
-                return self.coast_frame(index, gyro_delta, 0, rung);
-            }
+        if self.over_budget(cyc_start) {
+            return self.coast_frame(index, gyro_delta, 0, DegradeRung::Coast);
         }
 
         // edge detection + feature extraction per level, shedding per
@@ -914,19 +763,10 @@ impl Tracker {
         drop(wall);
         self.record_stage_cycles("edges+features", cyc);
 
-        // phase boundary: edges + features done (a bootstrap frame
-        // never coasts — it has no keyframe to coast on)
-        if supervised && self.keyframes.is_some() {
-            let spent = self
-                .backend
-                .stats()
-                .total_cycles()
-                .saturating_sub(cyc_frame);
-            if self.supervisor.over_cycle_budget(spent) {
-                let n = features[0].len();
-                rung = DegradeRung::Coast;
-                return self.coast_frame(index, gyro_delta, n, rung);
-            }
+        // phase boundary: edges + features done
+        if self.over_budget(cyc_start) {
+            let n = features[0].len();
+            return self.coast_frame(index, gyro_delta, n, DegradeRung::Coast);
         }
 
         // bootstrap: first frame becomes the keyframe at the origin

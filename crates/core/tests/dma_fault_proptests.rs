@@ -5,7 +5,7 @@
 //! ladder (CRC retry → backoff → quarantine → synchronous port) only
 //! moves cycles, never bits.
 
-use pimvo_core::{BackendKind, TrackerBuilder, TrackerConfig};
+use pimvo_core::{BackendKind, Tracker, TrackerConfig};
 use pimvo_kernels::pim_pool::EdgeKernels;
 use pimvo_kernels::{ir, DepthImage, EdgeConfig, GrayImage};
 use pimvo_pim::{ArrayConfig, DmaConfig, DmaFaultModel, LowerLevel, PimArrayPool, PimMachine};
@@ -86,8 +86,8 @@ proptest! {
 
     /// Tracker pose trajectories are bit-identical between a fault-free
     /// and a transfer-faulted run on both backends. (The float backend
-    /// has no data path to fault — the builder's DMA knob is inert
-    /// there — so it doubles as the control arm.)
+    /// has no array pool, so no DMA channel to fault — it doubles as
+    /// the control arm.)
     #[test]
     fn dma_faults_leave_poses_bit_identical_on_both_backends(
         seed in any::<u64>(),
@@ -97,12 +97,12 @@ proptest! {
         let speed = 0.4 + speed_sel as f64 * 0.08;
         for kind in [BackendKind::Pim, BackendKind::Float] {
             let run = |fault: Option<DmaFaultModel>| {
-                let mut t = TrackerBuilder::new(TrackerConfig::default())
-                    .backend(kind)
-                    .dma(DmaConfig::default())
-                    .build();
-                if let (Some(model), Some(pool)) = (fault, t.pool_mut()) {
-                    pool.set_dma_fault(model);
+                let mut t = Tracker::new(TrackerConfig::default(), kind);
+                if let Some(pool) = t.pool_mut() {
+                    pool.set_dma(Some(DmaConfig::default()));
+                    if let Some(model) = fault {
+                        pool.set_dma_fault(model);
+                    }
                 }
                 (0..FRAMES)
                     .map(|k| {

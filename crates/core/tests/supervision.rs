@@ -142,9 +142,8 @@ fn squeezed_budget_descends_the_documented_ladder() {
     // trip), any alignment at all overruns — so every working rung
     // misses at end-of-frame and the controller walks the ladder one
     // rung per miss, exactly in the documented order
-    let mut cfg = small_config();
-    cfg.frame_budget_cycles = Some(edge_cost + 1_000);
-    let mut t = Tracker::new(cfg, BackendKind::Float);
+    let mut t = Tracker::new(small_config(), BackendKind::Float);
+    t.set_frame_budget_cycles(Some(edge_cost + 1_000));
     let mut rungs = Vec::new();
     let mut states = vec![t.state()];
     for i in 0..8 {
@@ -195,10 +194,10 @@ fn overrun_is_bounded_to_one_phase() {
     // budget below the edge-detection cost: the frame detects the
     // overrun at the edges+features boundary and must not start the
     // alignment phase (iterations stays 0 once tracking is supervised)
-    let mut cfg = small_config();
-    cfg.frame_budget_cycles = Some(10_000);
+    let cfg = small_config();
     let cam = cfg.camera;
     let mut t = Tracker::new(cfg, BackendKind::Float);
+    t.set_frame_budget_cycles(Some(10_000));
     for i in 0..6 {
         let (g, d) = frame(&cam, i as f64 * 0.5);
         let r = t.process_frame(&g, &d);
@@ -216,14 +215,13 @@ fn overrun_is_bounded_to_one_phase() {
 
 #[test]
 fn generous_budget_is_bit_identical_to_disabled() {
-    let cfg_off = small_config();
-    let mut cfg_on = small_config();
-    cfg_on.frame_budget_cycles = Some(u64::MAX);
-    let cam = cfg_off.camera;
+    let cfg = small_config();
+    let cam = cfg.camera;
 
     for kind in [BackendKind::Float, BackendKind::Pim] {
-        let mut off = Tracker::new(cfg_off.clone(), kind);
-        let mut on = Tracker::new(cfg_on.clone(), kind);
+        let mut off = Tracker::new(cfg.clone(), kind);
+        let mut on = Tracker::new(cfg.clone(), kind);
+        on.set_frame_budget_cycles(Some(u64::MAX));
         for i in 0..4 {
             let (g, d) = frame(&cam, i as f64 * 0.7);
             let r_off = off.process_frame(&g, &d);
@@ -247,6 +245,37 @@ fn generous_budget_is_bit_identical_to_disabled() {
             s_on.energy_mj.to_bits(),
             "{kind:?}: energy must be bit-identical"
         );
+    }
+}
+
+#[test]
+fn shed_rung_applies_without_a_budget() {
+    // a fleet session carries no budget: the rung it is pinned to must
+    // still reach the frame, and the ladder must hold there
+    let cfg = small_config();
+    let cam = cfg.camera;
+    for kind in [BackendKind::Float, BackendKind::Pim] {
+        let mut t = Tracker::new(cfg.clone(), kind);
+        let (g, d) = frame(&cam, 0.0);
+        t.process_frame(&g, &d);
+        t.set_shed_rung(DegradeRung::Coast);
+        let cycles = t.stats().total_cycles();
+        let (g, d) = frame(&cam, 0.8);
+        let r = t.process_frame(&g, &d);
+        assert_eq!(r.rung, DegradeRung::Coast, "{kind:?}");
+        assert_eq!(r.iterations, 0, "{kind:?}: a coasted frame aligns nothing");
+        assert_eq!(
+            t.stats().total_cycles(),
+            cycles,
+            "{kind:?}: coast sheds all compute"
+        );
+        let status = t.budget_status();
+        assert_eq!(
+            status.rung,
+            DegradeRung::Coast,
+            "{kind:?}: no controller moves it"
+        );
+        assert_eq!((status.deadline_misses, status.coasted_frames), (0, 1));
     }
 }
 

@@ -129,61 +129,6 @@ impl LogicFunc {
     }
 }
 
-/// Macro-operation classes, used for the per-op histogram in
-/// [`crate::ExecStats`]. One macro op may span several cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum OpClass {
-    /// Bit-wise logic.
-    Logic,
-    /// Addition / subtraction (wrapping).
-    AddSub,
-    /// Saturating addition / subtraction.
-    SatAddSub,
-    /// Average `(a + b) >> 1`.
-    Avg,
-    /// Absolute difference (3-step sequence, Fig. 7-a).
-    AbsDiff,
-    /// Branch-free min/max (2-step sequence, Fig. 7-b).
-    MinMax,
-    /// Stand-alone lane shift.
-    Shift,
-    /// Comparison producing a per-lane mask.
-    Cmp,
-    /// Mask select (blend).
-    Select,
-    /// Multiplication (n + 2 cycles, Fig. 7-c).
-    Mul,
-    /// Division / remainder (n + 2 cycles, Fig. 7-d).
-    Div,
-    /// Tmp Reg write-back to SRAM.
-    WriteBack,
-    /// Intra-row reduction step.
-    Reduce,
-    /// Scatter/gather row accesses (address-indexed lookups).
-    Gather,
-}
-
-impl OpClass {
-    /// Every class, in declaration (and `Ord`) order; a class's index
-    /// here is its discriminant.
-    pub const ALL: [OpClass; 14] = [
-        OpClass::Logic,
-        OpClass::AddSub,
-        OpClass::SatAddSub,
-        OpClass::Avg,
-        OpClass::AbsDiff,
-        OpClass::MinMax,
-        OpClass::Shift,
-        OpClass::Cmp,
-        OpClass::Select,
-        OpClass::Mul,
-        OpClass::Div,
-        OpClass::WriteBack,
-        OpClass::Reduce,
-        OpClass::Gather,
-    ];
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

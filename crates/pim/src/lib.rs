@@ -126,7 +126,7 @@ pub use cost::{AreaReport, CostModel};
 pub use dma::{DmaConfig, DmaFaultModel, DmaHealth, TransferDescriptor, TransferKind};
 pub use fault::{FaultModel, FaultStatus, Protection, StuckBit};
 pub use ir::{MacroOp, PimProgram, VReg, Val};
-pub use isa::{AluOp, LogicFunc, OpClass, Operand, Shift};
+pub use isa::{AluOp, LogicFunc, Operand, Shift};
 pub use lower::{
     lower, lower_passes, lower_with_report, pass_pipeline, LaneClass, LowerError, LowerLevel,
     LowerReport, LoweredOp, LoweredProgram, MachineInstr, Pass, PassStats, ScratchRows,

@@ -2,7 +2,7 @@ use crate::config::{ArrayConfig, LaneWidth, Signedness};
 use crate::cost::CostModel;
 use crate::dma::{DmaChannel, DmaConfig, DmaFaultModel, DmaHealth, TransferKind};
 use crate::fault::{FaultModel, FaultStatus, FaultUnit, Protection};
-use crate::isa::{AluOp, LogicFunc, OpClass, Operand, Shift};
+use crate::isa::{AluOp, LogicFunc, Operand, Shift};
 use crate::lower::{LaneClass, LoweredOp, LoweredProgram, MachineInstr};
 use crate::optrace::OpRecorder;
 use crate::stats::ExecStats;
@@ -1109,7 +1109,7 @@ impl PimMachine {
                 // one lane loop per function: none matches on it per lane
                 macro_rules! logic {
                     ($f:expr) => {
-                        self.binop(OpClass::Logic, a, b, b_pix, bits, move |x: L, y| {
+                        self.binop(OpKind::Logic, a, b, b_pix, bits, move |x: L, y| {
                             $f.apply(x & mask, y & mask) & mask
                         })
                     };
@@ -1122,52 +1122,52 @@ impl PimMachine {
                 }?;
             }
             AluOp::Add => {
-                self.binop(OpClass::AddSub, a, b, b_pix, bits, move |x: L, y| {
+                self.binop(OpKind::AddSub, a, b, b_pix, bits, move |x: L, y| {
                     x.wrapping_add(y).wrap(bits, sign)
                 })?;
             }
             AluOp::Sub => {
-                self.binop(OpClass::AddSub, a, b, b_pix, bits, move |x: L, y| {
+                self.binop(OpKind::AddSub, a, b, b_pix, bits, move |x: L, y| {
                     x.wrapping_sub(y).wrap(bits, sign)
                 })?;
             }
             AluOp::SatAdd => {
                 let (lo, hi) = sat_range(bits, sign);
-                self.binop(OpClass::SatAddSub, a, b, b_pix, bits, move |x: L, y| {
+                self.binop(OpKind::SatAddSub, a, b, b_pix, bits, move |x: L, y| {
                     x.saturating_add(y).max(lo).min(hi)
                 })?;
             }
             AluOp::SatSub => {
                 let (lo, hi) = sat_range(bits, sign);
-                self.binop(OpClass::SatAddSub, a, b, b_pix, bits, move |x: L, y| {
+                self.binop(OpKind::SatAddSub, a, b, b_pix, bits, move |x: L, y| {
                     x.saturating_sub(y).max(lo).min(hi)
                 })?;
             }
             AluOp::Avg => {
-                self.binop(OpClass::Avg, a, b, b_pix, bits, |x: L, y| x.avg(y))?;
+                self.binop(OpKind::Avg, a, b, b_pix, bits, |x: L, y| x.avg(y))?;
             }
             AluOp::AbsDiff => {
                 // Step 1: M = a - b (+ carry extension), SRAM-touching.
                 // Steps 2-3: Tmp-resident single-cycle fixups (Fig. 7-a).
                 let (_, hi) = sat_range(bits, sign);
-                self.binop(OpClass::AbsDiff, a, b, b_pix, bits, move |x: L, y| {
+                self.binop(OpKind::AbsDiff, a, b, b_pix, bits, move |x: L, y| {
                     x.abs_diff_at_most(y, hi)
                 })?;
                 self.charge_tmp_steps(2);
             }
             AluOp::Max => {
                 // max(a, b) = sat(a - b) + b (Fig. 7-b)
-                self.binop(OpClass::MinMax, a, b, b_pix, bits, |x: L, y| x.max(y))?;
+                self.binop(OpKind::MinMax, a, b, b_pix, bits, |x: L, y| x.max(y))?;
                 self.charge_tmp_steps(1);
             }
             AluOp::Min => {
                 // min(a, b) = a - sat(a - b)
-                self.binop(OpClass::MinMax, a, b, b_pix, bits, |x: L, y| x.min(y))?;
+                self.binop(OpKind::MinMax, a, b, b_pix, bits, |x: L, y| x.min(y))?;
                 self.charge_tmp_steps(1);
             }
             AluOp::CmpGt => {
                 let mask = L::from_i64(width_mask(bits) as i64);
-                self.binop(OpClass::Cmp, a, b, b_pix, bits, move |x: L, y| {
+                self.binop(OpKind::Cmp, a, b, b_pix, bits, move |x: L, y| {
                     if x > y {
                         mask
                     } else {
@@ -1183,7 +1183,7 @@ impl PimMachine {
     #[inline(never)]
     fn shift_pix_on<L: Lane>(&mut self, a: Operand, pix: i32) -> Result<(), PimError> {
         let bits = self.op_bits::<L>(a, a);
-        self.unop(OpClass::Shift, a, bits, move |vals: &[L], out| {
+        self.unop(OpKind::Shift, a, bits, move |vals: &[L], out| {
             out.extend_from_slice(vals);
             shift_in_place(out, pix);
         })
@@ -1196,7 +1196,7 @@ impl PimMachine {
         let bits = self.op_bits::<L>(a, a);
         let sign = self.sign;
         let k_arith = k.min(L::BITS - 1);
-        self.unop(OpClass::Shift, a, bits, move |vals: &[L], out| match sign {
+        self.unop(OpKind::Shift, a, bits, move |vals: &[L], out| match sign {
             Signedness::Signed => out.extend(vals.iter().map(|&v| v >> k_arith)),
             Signedness::Unsigned if k >= L::BITS => out.resize(vals.len(), L::default()),
             Signedness::Unsigned => out.extend(vals.iter().map(|&v| v.shr_logical(k))),
@@ -1208,7 +1208,7 @@ impl PimMachine {
     fn shl_bits(&mut self, a: Operand, k: u32) -> Result<(), PimError> {
         let bits = self.op_bits::<i64>(a, a);
         let sign = self.sign;
-        self.unop(OpClass::Shift, a, bits, move |vals: &[i64], out| {
+        self.unop(OpKind::Shift, a, bits, move |vals: &[i64], out| {
             if k >= i64::BITS {
                 out.resize(vals.len(), 0);
             } else {
@@ -1224,10 +1224,10 @@ impl PimMachine {
         if signed {
             // the low `L::BITS` bits of the product: exact for 2n <= 64
             // on i64, and for the i16 rows of an I32 program on i32
-            self.binop(OpClass::Mul, a, b, 0, n, |x: L, y| x.wrapping_mul(y))?;
+            self.binop(OpKind::Mul, a, b, 0, n, |x: L, y| x.wrapping_mul(y))?;
         } else {
             let mask = width_mask(n);
-            self.binop(OpClass::Mul, a, b, 0, n, move |x: L, y: L| {
+            self.binop(OpKind::Mul, a, b, 0, n, move |x: L, y: L| {
                 L::from_i64(
                     (x.to_i64() as u64 & mask).wrapping_mul(y.to_i64() as u64 & mask) as i64,
                 )
@@ -1258,7 +1258,7 @@ impl PimMachine {
             let max = (width_mask(out_bits) >> 1) as i64;
             // dividends below this magnitude shift without overflowing i64
             let exact = if frac < 63 { 1u64 << (63 - frac) } else { 0 };
-            self.binop(OpClass::Div, a, b, 0, out_bits, move |x: i64, y| {
+            self.binop(OpKind::Div, a, b, 0, out_bits, move |x: i64, y| {
                 if y == 0 {
                     if x >= 0 {
                         max
@@ -1273,7 +1273,7 @@ impl PimMachine {
             })?;
         } else {
             let mask = width_mask(n);
-            self.binop(OpClass::Div, a, b, 0, out_bits, move |x: i64, y: i64| {
+            self.binop(OpKind::Div, a, b, 0, out_bits, move |x: i64, y: i64| {
                 let (x, y) = ((x as u64 & mask) as u128, (y as u64 & mask) as u128);
                 if y == 0 {
                     width_mask(n + frac) as i64
@@ -1295,7 +1295,7 @@ impl PimMachine {
     fn neg_on<L: Lane>(&mut self, a: Operand) -> Result<(), PimError> {
         let bits = self.op_bits::<L>(a, a);
         let sign = self.sign;
-        self.unop(OpClass::AddSub, a, bits, move |vals: &[L], out| {
+        self.unop(OpKind::AddSub, a, bits, move |vals: &[L], out| {
             out.extend(vals.iter().map(|&v| v.wrapping_neg().wrap(bits, sign)));
         })
     }
@@ -1304,7 +1304,7 @@ impl PimMachine {
     #[inline(never)]
     fn sat_narrow_on<L: Lane>(&mut self, a: Operand, bits: u32) -> Result<(), PimError> {
         let (lo, hi) = sat_range(bits, Signedness::Signed);
-        self.unop(OpClass::SatAddSub, a, bits, move |vals: &[L], out| {
+        self.unop(OpKind::SatAddSub, a, bits, move |vals: &[L], out| {
             out.extend(vals.iter().map(|&v| v.max(lo).min(hi)));
         })
     }
@@ -1324,7 +1324,7 @@ impl PimMachine {
         self.stats.cycles += 1;
         self.stats.sram_writes += 1;
         self.stats.tmp_accesses += 1;
-        self.stats.record_op(OpClass::WriteBack);
+        self.stats.record_op(OpKind::WriteBack);
         self.record_op(
             OpKind::WriteBack,
             &[],
@@ -1372,7 +1372,7 @@ impl PimMachine {
     /// *Charge.* The modelled array folds the lanes by a strided tree of
     /// `ceil(log2(lanes))` shift-accumulate steps, each single-cycle
     /// and Tmp-resident: that many cycles and shifter/adder operations,
-    /// two Tmp accesses per step, one [`OpClass::Reduce`] histogram
+    /// two Tmp accesses per step, one [`OpKind::Reduce`] histogram
     /// entry and one op record.
     ///
     /// *Value.* The simulator computes the tree's result in one
@@ -1403,7 +1403,7 @@ impl PimMachine {
         self.stats.cycles += steps;
         self.stats.acc_ops += steps;
         self.stats.tmp_accesses += 2 * steps;
-        self.stats.record_op(OpClass::Reduce);
+        self.stats.record_op(OpKind::Reduce);
         self.record_op(OpKind::Reduce, &[], &[], cycle_start, 0, lanes as u32);
         Ok(sum.to_i64())
     }
@@ -1445,7 +1445,7 @@ impl PimMachine {
         self.stats.cycles += n;
         self.stats.sram_reads += n;
         self.stats.tmp_accesses += n;
-        self.stats.record_op(OpClass::Gather);
+        self.stats.record_op(OpKind::Gather);
         if self.op_recorder.is_some() {
             // first two addressed rows as representative read rows (the
             // serial chain orders the rest within the machine stream)
@@ -1645,7 +1645,7 @@ impl PimMachine {
     /// in the Tmp Reg.
     fn binop<L: Lane>(
         &mut self,
-        class: OpClass,
+        kind: OpKind,
         a: Operand,
         b: Operand,
         b_pix: i32,
@@ -1689,7 +1689,7 @@ impl PimMachine {
         self.stats.sram_reads += sram;
         let tmp_reads = a.is_reg() as u64 + b.is_reg() as u64;
         self.stats.tmp_accesses += tmp_reads + 1; // + result write
-        self.stats.record_op(class);
+        self.stats.record_op(kind);
         if self.op_recorder.is_some() {
             let mut reads = [0u32; 2];
             let mut m = 0;
@@ -1700,7 +1700,7 @@ impl PimMachine {
                 }
             }
             self.record_op(
-                kind_of(class),
+                kind,
                 &reads[..m],
                 &[],
                 cycle_start,
@@ -1715,7 +1715,7 @@ impl PimMachine {
     /// Executes one single-cycle unary micro step.
     fn unop<L: Lane>(
         &mut self,
-        class: OpClass,
+        kind: OpKind,
         a: Operand,
         out_bits: u32,
         f: impl Fn(&[L], &mut Vec<L>),
@@ -1734,7 +1734,7 @@ impl PimMachine {
         let sram = u64::from(a.touches_sram());
         self.stats.sram_reads += sram;
         self.stats.tmp_accesses += a.is_reg() as u64 + 1;
-        self.stats.record_op(class);
+        self.stats.record_op(kind);
         if self.op_recorder.is_some() {
             let mut reads = [0u32; 1];
             let mut m = 0;
@@ -1742,14 +1742,7 @@ impl PimMachine {
                 reads[m] = r as u32;
                 m += 1;
             }
-            self.record_op(
-                kind_of(class),
-                &reads[..m],
-                &[],
-                cycle_start,
-                sram as u32,
-                lanes,
-            );
+            self.record_op(kind, &reads[..m], &[], cycle_start, sram as u32, lanes);
         }
         self.charge_protection(sram);
         Ok(())
@@ -1790,27 +1783,6 @@ impl PimMachine {
         if let Some(rec) = &mut self.op_recorder {
             rec.extend_last(cycles, sram_reads as u32);
         }
-    }
-}
-
-/// Op-trace kind of a machine op class (the codec's first fourteen
-/// kinds mirror [`OpClass`] one-to-one).
-fn kind_of(class: OpClass) -> OpKind {
-    match class {
-        OpClass::Logic => OpKind::Logic,
-        OpClass::AddSub => OpKind::AddSub,
-        OpClass::SatAddSub => OpKind::SatAddSub,
-        OpClass::Avg => OpKind::Avg,
-        OpClass::AbsDiff => OpKind::AbsDiff,
-        OpClass::MinMax => OpKind::MinMax,
-        OpClass::Shift => OpKind::Shift,
-        OpClass::Cmp => OpKind::Cmp,
-        OpClass::Select => OpKind::Select,
-        OpClass::Mul => OpKind::Mul,
-        OpClass::Div => OpKind::Div,
-        OpClass::WriteBack => OpKind::WriteBack,
-        OpClass::Reduce => OpKind::Reduce,
-        OpClass::Gather => OpKind::Gather,
     }
 }
 
@@ -2990,7 +2962,7 @@ mod tests {
                     let d = m.stats().try_since(&before).unwrap();
                     let steps = u64::from(usize::BITS - (lanes - 1).leading_zeros());
                     prop_assert_eq!((d.cycles, d.acc_ops, d.tmp_accesses), (steps, steps, 2 * steps));
-                    prop_assert_eq!(d.op_histogram.iter().collect::<Vec<_>>(), vec![(OpClass::Reduce, 1)]);
+                    prop_assert_eq!(d.op_histogram.iter().collect::<Vec<_>>(), vec![(OpKind::Reduce, 1)]);
                 }
             }
         }

@@ -1,34 +1,37 @@
 use crate::cost::CostModel;
-use crate::isa::OpClass;
+use pimvo_telemetry::optrace::{OpKind, OP_KINDS};
 use std::ops::Index;
 
-/// Macro-op counts per [`OpClass`]: a fixed array indexed by class, so
+/// Macro-op counts per [`OpKind`]: a fixed array indexed by kind, so
 /// recording, cloning and combining histograms never touch the heap.
+/// The machine counts its compute macro ops (`Logic` through
+/// `Gather`); host transfers, maintenance and pool synchronisation
+/// appear in the op trace only, so their counts stay 0.
 ///
-/// A class with count 0 is the same as an absent class. There is no
+/// A kind with count 0 is the same as an absent kind. There is no
 /// separate "present" state: equality, [`OpHistogram::iter`] and every
-/// combinator of [`ExecStats`] treat a zero count and a missing class
+/// combinator of [`ExecStats`] treat a zero count and a missing kind
 /// alike.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub struct OpHistogram([u64; OpClass::ALL.len()]);
+pub struct OpHistogram([u64; OP_KINDS.len()]);
 
 impl OpHistogram {
-    /// The count of `class` (0 when it never ran).
-    pub fn get(&self, class: OpClass) -> u64 {
-        self.0[class as usize]
+    /// The count of `kind` (0 when it never ran).
+    pub fn get(&self, kind: OpKind) -> u64 {
+        self.0[kind as usize]
     }
 
-    /// The classes with a non-zero count and their counts, in
-    /// [`OpClass`] order.
-    pub fn iter(&self) -> impl Iterator<Item = (OpClass, u64)> + '_ {
-        OpClass::ALL
+    /// The kinds with a non-zero count and their counts, in [`OpKind`]
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = (OpKind, u64)> + '_ {
+        OP_KINDS
             .iter()
             .zip(&self.0)
             .filter(|(_, &n)| n > 0)
-            .map(|(&c, &n)| (c, n))
+            .map(|(&k, &n)| (k, n))
     }
 
-    /// The class-wise `self - earlier`, or `None` if any count went
+    /// The kind-wise `self - earlier`, or `None` if any count went
     /// backwards.
     fn checked_sub(&self, earlier: &Self) -> Option<Self> {
         let mut out = Self::default();
@@ -38,22 +41,22 @@ impl OpHistogram {
         Some(out)
     }
 
-    /// The class-wise `f(self, other)`.
+    /// The kind-wise `f(self, other)`.
     fn zip(&self, other: &Self, f: impl Fn(u64, u64) -> u64) -> Self {
         Self(std::array::from_fn(|i| f(self.0[i], other.0[i])))
     }
 
-    /// The class-wise `f(count)`.
+    /// The kind-wise `f(count)`.
     fn map(&self, f: impl Fn(u64) -> u64) -> Self {
         Self(self.0.map(f))
     }
 }
 
-impl Index<OpClass> for OpHistogram {
+impl Index<OpKind> for OpHistogram {
     type Output = u64;
 
-    fn index(&self, class: OpClass) -> &u64 {
-        &self.0[class as usize]
+    fn index(&self, kind: OpKind) -> &u64 {
+        &self.0[kind as usize]
     }
 }
 
@@ -119,8 +122,8 @@ impl ExecStats {
     }
 
     /// Records a macro op in the histogram.
-    pub(crate) fn record_op(&mut self, class: OpClass) {
-        self.op_histogram.0[class as usize] += 1;
+    pub(crate) fn record_op(&mut self, kind: OpKind) {
+        self.op_histogram.0[kind as usize] += 1;
     }
 
     /// Difference `self - earlier`, for scoped measurements, with every
@@ -352,7 +355,7 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    type Map = BTreeMap<OpClass, u64>;
+    type Map = BTreeMap<OpKind, u64>;
 
     /// The `BTreeMap` histogram formulas [`ExecStats`] used before
     /// [`OpHistogram`], kept as the oracle of the array port.
@@ -399,7 +402,7 @@ mod tests {
     }
 
     /// `m` with its zero counts dropped: the form in which a zero count
-    /// and an absent class agree.
+    /// and an absent kind agree.
     fn normalized(m: &Map) -> Map {
         m.iter()
             .filter(|(_, &v)| v > 0)
@@ -425,7 +428,7 @@ mod tests {
 
         /// `merge`, `try_since`, `scaled`, `scaled_div` and `retract`
         /// on the array histogram agree with the old map formulas, a
-        /// zero count counting as absent. Each class of either operand
+        /// zero count counting as absent. Each kind of either operand
         /// is absent, zero or a small count, so both directions of
         /// `try_since` (and its `None`) come up.
         #[test]
@@ -442,7 +445,7 @@ mod tests {
                 s
             };
             let mut draw = || -> Map {
-                OpClass::ALL
+                OP_KINDS
                     .iter()
                     .filter_map(|&c| match next() % 4 {
                         0 => None,
@@ -477,19 +480,19 @@ mod tests {
     }
 
     #[test]
-    fn histogram_indexes_by_class_and_zero_is_absent() {
-        for (i, &c) in OpClass::ALL.iter().enumerate() {
-            assert_eq!(c as usize, i, "{c:?} sits at its discriminant");
+    fn histogram_indexes_by_kind_and_zero_is_absent() {
+        for (i, &k) in OP_KINDS.iter().enumerate() {
+            assert_eq!(k as usize, i, "{k:?} sits at its discriminant");
         }
         let mut s = ExecStats::new();
-        s.record_op(OpClass::Gather);
-        s.record_op(OpClass::Gather);
-        s.record_op(OpClass::Logic);
-        assert_eq!(s.op_histogram[OpClass::Gather], 2);
-        assert_eq!(s.op_histogram.get(OpClass::Mul), 0);
+        s.record_op(OpKind::Gather);
+        s.record_op(OpKind::Gather);
+        s.record_op(OpKind::Logic);
+        assert_eq!(s.op_histogram[OpKind::Gather], 2);
+        assert_eq!(s.op_histogram.get(OpKind::Mul), 0);
         let listed: Vec<_> = s.op_histogram.iter().collect();
-        assert_eq!(listed, vec![(OpClass::Logic, 1), (OpClass::Gather, 2)]);
-        // a class scaled down to zero equals one that never ran
+        assert_eq!(listed, vec![(OpKind::Logic, 1), (OpKind::Gather, 2)]);
+        // a kind scaled down to zero equals one that never ran
         let halved = s.scaled_div(4);
         assert_eq!(halved, ExecStats::new());
     }
@@ -499,24 +502,24 @@ mod tests {
         let mut a = ExecStats::new();
         a.cycles = 10;
         a.sram_reads = 4;
-        a.record_op(OpClass::Mul);
+        a.record_op(OpKind::Mul);
         let mut b = a.clone();
         b.cycles = 25;
         b.sram_reads = 6;
-        b.record_op(OpClass::Mul);
-        b.record_op(OpClass::Div);
+        b.record_op(OpKind::Mul);
+        b.record_op(OpKind::Div);
         let d = b.try_since(&a).unwrap();
         assert_eq!(d.cycles, 15);
         assert_eq!(d.sram_reads, 2);
-        assert_eq!(d.op_histogram[OpClass::Mul], 1);
-        assert_eq!(d.op_histogram[OpClass::Div], 1);
+        assert_eq!(d.op_histogram[OpKind::Mul], 1);
+        assert_eq!(d.op_histogram[OpKind::Div], 1);
     }
 
     #[test]
     fn try_since_catches_underflow() {
         let mut a = ExecStats::new();
         a.cycles = 30;
-        a.record_op(OpClass::Mul);
+        a.record_op(OpKind::Mul);
         let mut b = ExecStats::new();
         b.cycles = 10; // went backwards (e.g. reset in between)
         assert_eq!(b.try_since(&a), None);
@@ -525,7 +528,7 @@ mod tests {
         let mut c = ExecStats::new();
         c.cycles = 30;
         assert_eq!(c.try_since(&a), None);
-        c.record_op(OpClass::Mul);
+        c.record_op(OpKind::Mul);
         assert_eq!(c.try_since(&a), Some(ExecStats::new()));
     }
 
@@ -552,11 +555,11 @@ mod tests {
         let mut s = ExecStats::new();
         s.cycles = 7;
         s.tmp_accesses = 3;
-        s.record_op(OpClass::Avg);
+        s.record_op(OpKind::Avg);
         let t = s.scaled(4);
         assert_eq!(t.cycles, 28);
         assert_eq!(t.tmp_accesses, 12);
-        assert_eq!(t.op_histogram[OpClass::Avg], 4);
+        assert_eq!(t.op_histogram[OpKind::Avg], 4);
     }
 
     #[test]

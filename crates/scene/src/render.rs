@@ -9,7 +9,7 @@ use crate::texture::Texture;
 use pimvo_kernels::{DepthImage, GrayImage};
 use pimvo_vomath::{Pinhole, Vec3, SE3};
 
-/// An infinite or bounded textured plane.
+/// An infinite textured plane.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Plane {
     /// A point on the plane.
@@ -20,8 +20,6 @@ pub struct Plane {
     pub axis_u: Vec3,
     /// In-plane texture axis V (unit).
     pub axis_v: Vec3,
-    /// Half-extent along U/V in meters; `None` = infinite.
-    pub half_extent: Option<(f64, f64)>,
     /// Surface texture.
     pub texture: Texture,
 }
@@ -43,7 +41,6 @@ impl Plane {
             normal: n,
             axis_u,
             axis_v,
-            half_extent: None,
             texture,
         }
     }
@@ -192,19 +189,7 @@ impl Scene {
     pub fn distance_to_surface(&self, p: Vec3) -> f64 {
         let mut best = f64::INFINITY;
         for plane in &self.planes {
-            let rel = p - plane.point;
-            let dn = rel.dot(plane.normal).abs();
-            let d = if let Some((hu, hv)) = plane.half_extent {
-                // distance to the bounded rectangle
-                let tu = rel.dot(plane.axis_u);
-                let tv = rel.dot(plane.axis_v);
-                let du = (tu.abs() - hu).max(0.0);
-                let dv = (tv.abs() - hv).max(0.0);
-                (dn * dn + du * du + dv * dv).sqrt()
-            } else {
-                dn
-            };
-            best = best.min(d);
+            best = best.min((p - plane.point).dot(plane.normal).abs());
         }
         for b in &self.boxes {
             // signed-distance-style AABB surface distance
@@ -249,14 +234,7 @@ fn intersect_plane(plane: &Plane, origin: Vec3, dir: Vec3) -> Option<(f64, f64, 
     }
     let hit = origin + dir * s;
     let rel = hit - plane.point;
-    let tu = rel.dot(plane.axis_u);
-    let tv = rel.dot(plane.axis_v);
-    if let Some((hu, hv)) = plane.half_extent {
-        if tu.abs() > hu || tv.abs() > hv {
-            return None;
-        }
-    }
-    Some((s, tu, tv))
+    Some((s, rel.dot(plane.axis_u), rel.dot(plane.axis_v)))
 }
 
 fn intersect_aabb(b: &Aabb, origin: Vec3, dir: Vec3) -> Option<(f64, Vec3, f64, f64)> {
@@ -456,25 +434,6 @@ mod tests {
         // inside the box: distance to the nearest face
         let d = scene.distance_to_surface(Vec3::new(0.0, 0.0, 1.75));
         assert!((d - 0.25).abs() < 1e-9, "{d}");
-    }
-
-    #[test]
-    fn bounded_plane_misses_outside_extent() {
-        let cam = Pinhole::qvga();
-        let scene = Scene {
-            planes: vec![Plane {
-                half_extent: Some((0.2, 0.2)),
-                ..Plane::new(
-                    Vec3::new(0.0, 0.0, 2.0),
-                    Vec3::new(0.0, 0.0, -1.0),
-                    Texture::Flat { base: 200.0 },
-                )
-            }],
-            boxes: vec![],
-        };
-        let (_, depth) = scene.render(&cam, &SE3::IDENTITY, &RenderOptions::default(), 0);
-        assert!(depth.is_valid(160, 120));
-        assert!(!depth.is_valid(5, 5)); // ray misses the small panel
     }
 }
 

@@ -4,10 +4,8 @@
 
 use crate::flight::{DumpReason, FlightDump, FlightFrame, FlightRecorder};
 use crate::session::{ServeError, SessionSpec, SessionStats, StepOutcome};
-use pimvo_core::supervisor::RELAX_FRACTION;
 use pimvo_core::{
-    BackendKind, Checkpoint, DegradeRung, KeptPyramid, PimBackend, Tracker, TrackerBuilder,
-    TrackingState,
+    BackendKind, Checkpoint, DegradeRung, KeptPyramid, PimBackend, Tracker, TrackingState,
 };
 use pimvo_kernels::{DepthImage, GrayImage};
 use pimvo_pim::{
@@ -284,9 +282,8 @@ impl FleetScheduler {
     }
 
     /// Runs the next frame (earliest deadline first; least-served, then
-    /// highest priority, then lowest session id on ties) to completion
-    /// on the shared pool. Returns `Ok(None)` when every queue is
-    /// empty.
+    /// lowest session id on ties) to completion on the shared pool.
+    /// Returns `Ok(None)` when every queue is empty.
     ///
     /// # Errors
     ///
@@ -341,9 +338,7 @@ impl FleetScheduler {
         // Pin the fleet's shed rung, then run the frame on the shared
         // pool: the tracker's one-array staging pool is parked in
         // `self.shared` for the duration.
-        if sess.spec.deadline_cycles.is_some() {
-            tracker.set_shed_rung(sess.shed_rung);
-        }
+        tracker.set_shed_rung(sess.shed_rung);
         let pool = tracker
             .pool_mut()
             .expect("serve sessions run the PIM backend");
@@ -368,11 +363,9 @@ impl FleetScheduler {
         sess.stats.latencies_cycles.push(latency);
         if missed {
             sess.stats.deadline_misses += 1;
-            sess.shed_rung = sess.shed_rung.escalate();
-        } else if let Some(d) = sess.spec.deadline_cycles {
-            if (latency as f64) < RELAX_FRACTION * d as f64 {
-                sess.shed_rung = sess.shed_rung.relax();
-            }
+        }
+        if let Some(d) = sess.spec.deadline_cycles {
+            sess.shed_rung = sess.shed_rung.next(latency, d);
         }
         let lost = matches!(result.state, TrackingState::Lost);
         if lost {
@@ -676,8 +669,8 @@ impl FleetScheduler {
 
     /// EDF with least-served fair-share: the backlogged session with
     /// the earliest head-frame deadline wins; `None` deadlines sort
-    /// last (background). Ties: fewest completed frames, then highest
-    /// priority, then lowest session id — a total, deterministic order.
+    /// last (background). Ties: fewest completed frames, then lowest
+    /// session id — a total, deterministic order.
     /// Sessions whose circuit breaker is open are not candidates.
     fn pick_next(&self) -> Option<SessionId> {
         self.sessions
@@ -690,12 +683,7 @@ impl FleetScheduler {
                     .front()
                     .and_then(|f| f.deadline_at)
                     .unwrap_or(u64::MAX);
-                (
-                    deadline,
-                    s.stats.completed,
-                    std::cmp::Reverse(s.spec.priority),
-                    **id,
-                )
+                (deadline, s.stats.completed, **id)
             })
             .map(|(id, _)| *id)
     }
@@ -1016,20 +1004,19 @@ impl std::fmt::Debug for FleetScheduler {
     }
 }
 
-/// Builds a session tracker through [`TrackerBuilder`]: PIM backend on
-/// a one-array staging pool, with the session deadline armed as the
-/// tracker's own per-frame cycle budget so the shed ladder has
-/// in-frame enforcement.
+/// Builds a session tracker: PIM backend on a one-array staging pool
+/// that shares the fleet's lowered-program memo table. The tracker has
+/// no cycle budget of its own: the session deadline is measured on the
+/// fleet clock, and the fleet's shed ladder is the session's one rung
+/// controller ([`Tracker::set_shed_rung`] before every frame).
 fn build_tracker(spec: &SessionSpec, telemetry: &Telemetry, lowered: &LoweredCache) -> Tracker {
-    let mut config = spec.config.clone();
-    if let Some(d) = spec.deadline_cycles {
-        config.frame_budget_cycles = Some(d);
-    }
-    TrackerBuilder::new(config)
-        .backend(BackendKind::Pim)
-        .telemetry(telemetry.clone())
-        .lowered_cache(lowered.clone())
-        .build()
+    let mut tracker = Tracker::new(spec.config.clone(), BackendKind::Pim);
+    tracker
+        .pool_mut()
+        .expect("the PIM backend has an array pool")
+        .set_lowered_cache(lowered.clone());
+    tracker.set_telemetry(telemetry.clone());
+    tracker
 }
 
 #[cfg(test)]
@@ -1182,6 +1169,61 @@ mod tests {
         let o = fleet.step().unwrap().unwrap();
         assert!(!o.missed_deadline);
         assert_eq!(o.shed_rung, DegradeRung::Full, "ladder relaxed back");
+    }
+
+    /// A session deadline is compared on the fleet clock only. The
+    /// fast-path LM never advances the pool clock, so a tracked frame's
+    /// backend spend lies far above a deadline of four solo frame
+    /// latencies; a fleet that meets that deadline must count no miss
+    /// anywhere, the trackers' own `pimvo_deadline_miss_total`
+    /// included.
+    #[test]
+    fn a_met_deadline_is_no_miss_on_either_clock() {
+        let frames: Vec<_> = (0..3).map(|k| textured_frame(k as f64 * 0.5)).collect();
+        let mut solo = FleetScheduler::new(2);
+        solo.add_session(SessionId(1), SessionSpec::new(TrackerConfig::default()));
+        let mut solo_latency = 0;
+        for (g, d) in &frames {
+            solo.submit_frame(SessionId(1), g.clone(), d.clone())
+                .unwrap();
+            solo_latency = solo_latency.max(solo.step().unwrap().unwrap().latency_cycles);
+        }
+        let deadline = 4 * solo_latency;
+        let Residency::Resident(tracker) = &solo.sessions[&SessionId(1)].residency else {
+            panic!("the session ran");
+        };
+        let spent_per_frame = tracker.stats().total_cycles() / frames.len() as u64;
+        assert!(
+            spent_per_frame > deadline,
+            "backend spend {spent_per_frame} must exceed the deadline {deadline}"
+        );
+
+        let telemetry = Telemetry::new();
+        let mut fleet = FleetScheduler::new(2);
+        fleet.set_telemetry(telemetry.clone());
+        for id in [1, 2] {
+            fleet.add_session(
+                SessionId(id),
+                SessionSpec::new(TrackerConfig::default()).deadline_cycles(deadline),
+            );
+        }
+        for (g, d) in &frames {
+            for id in [1, 2] {
+                fleet
+                    .submit_frame(SessionId(id), g.clone(), d.clone())
+                    .unwrap();
+            }
+            for o in fleet.run_until_idle().unwrap() {
+                assert!(!o.missed_deadline);
+                assert_eq!(o.result.rung, DegradeRung::Full);
+            }
+        }
+        let counters = telemetry.snapshot().counters;
+        assert_eq!(counters["pimvo_serve_frames_total"], 6.0);
+        assert_eq!(counters.get("pimvo_deadline_miss_total"), None);
+        for id in [1, 2] {
+            assert_eq!(fleet.stats(SessionId(id)).unwrap().deadline_misses, 0);
+        }
     }
 
     #[test]

@@ -15,24 +15,29 @@
 //!
 //! * **Sessions** are registered with a [`SessionSpec`] (estimator
 //!   configuration, optional frame deadline in pool cycles, bounded
-//!   admission queue, priority). Trackers are constructed through
-//!   [`pimvo_core::TrackerBuilder`] on first demand — a session that
+//!   admission queue). Trackers are constructed
+//!   ([`pimvo_core::Tracker::new`]) on first demand — a session that
 //!   has never run holds no resident state at all.
 //! * **Frames** are submitted to a session's bounded queue
 //!   ([`FleetScheduler::submit_frame`]); a full queue *sheds* the frame
 //!   (admission control) and returns [`ServeError::QueueFull`].
 //! * **Scheduling** is earliest-deadline-first over the head frame of
 //!   every backlogged session, with least-served fair-share and then
-//!   priority as tie-breaks. One [`FleetScheduler::step`] runs exactly
+//!   the session id as tie-breaks. One [`FleetScheduler::step`] runs exactly
 //!   one frame to completion on the shared pool; the pool's
 //!   `wall_cycles` ledger is the fleet's virtual clock, so queue wait
 //!   and frame latency are measured in cycles and are **deterministic**
 //!   — independent of host thread timing.
-//! * **Load shedding** reuses the [`pimvo_core::DegradeRung`] ladder:
-//!   a session that misses its deadline is escalated one rung (its next
-//!   frame runs cheaper — capped LM iterations, reduced features,
-//!   skipped NMS refinement, coast), and relaxed again once latency
-//!   falls below the configured fraction of the deadline.
+//! * **Load shedding** reuses the [`pimvo_core::DegradeRung`] ladder
+//!   and its one rule ([`pimvo_core::DegradeRung::next`]): a session
+//!   that misses its deadline is escalated one rung (its next frame
+//!   runs cheaper — capped LM iterations, reduced features, skipped
+//!   NMS refinement, coast), and relaxed again once latency falls below
+//!   [`pimvo_core::supervisor::RELAX_FRACTION`] of the deadline. The
+//!   fleet's ladder is a session's only rung controller: it reaches the
+//!   tracker through [`pimvo_core::Tracker::set_shed_rung`], and the
+//!   tracker carries no cycle budget of its own, so the deadline is
+//!   compared on the fleet clock only.
 //! * **Eviction** serializes a cold session to its checkpoint bytes
 //!   ([`FleetScheduler::evict`]) and drops the tracker, so the session
 //!   holds zero resident arrays; the next submitted frame transparently

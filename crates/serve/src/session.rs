@@ -6,10 +6,9 @@ use pimvo_pim::SessionId;
 
 /// Everything the fleet needs to build and schedule one session.
 ///
-/// The tracker itself is constructed lazily through
-/// [`pimvo_core::TrackerBuilder`] with the PIM backend on a one-array
-/// staging pool; while the session runs a frame, the scheduler swaps
-/// the shared fleet pool in.
+/// The tracker itself is constructed lazily ([`pimvo_core::Tracker::new`])
+/// with the PIM backend on a one-array staging pool; while the session
+/// runs a frame, the scheduler swaps the shared fleet pool in.
 #[derive(Debug, Clone)]
 pub struct SessionSpec {
     /// Estimator configuration (hashed into checkpoints — every
@@ -21,8 +20,6 @@ pub struct SessionSpec {
     pub deadline_cycles: Option<u64>,
     /// Admission-queue capacity; a submission beyond it is shed.
     pub max_queue: usize,
-    /// Tie-break priority (higher first) among equal deadlines.
-    pub priority: u8,
     /// Per-session circuit breaker; `None` (the default) disables it
     /// and preserves pre-breaker scheduling exactly.
     pub breaker: Option<BreakerConfig>,
@@ -40,15 +37,18 @@ impl SessionSpec {
             config,
             deadline_cycles: None,
             max_queue: 4,
-            priority: 0,
             breaker: None,
             flight_recorder: None,
         }
     }
 
-    /// Sets the per-frame deadline in pool cycles. This also arms the
-    /// tracker's own deadline supervisor with the same cycle budget,
-    /// so the fleet's shed ladder has in-frame enforcement behind it.
+    /// Sets the per-frame deadline in pool cycles, measured on the
+    /// fleet clock from submission to completion. The fleet's shed
+    /// ladder is then the session's one rung controller: it escalates
+    /// after a miss and relaxes after a comfortable frame
+    /// ([`pimvo_core::DegradeRung::next`]), and pins the tracker's next
+    /// frame to that rung. The tracker carries no cycle budget of its
+    /// own, so it never compares the deadline with its backend cycles.
     pub fn deadline_cycles(mut self, cycles: u64) -> Self {
         self.deadline_cycles = Some(cycles);
         self
@@ -62,13 +62,6 @@ impl SessionSpec {
     pub fn max_queue(mut self, n: usize) -> Self {
         assert!(n > 0, "a session needs a queue capacity of at least 1");
         self.max_queue = n;
-        self
-    }
-
-    /// Sets the scheduling priority (higher runs first on deadline
-    /// ties).
-    pub fn priority(mut self, p: u8) -> Self {
-        self.priority = p;
         self
     }
 

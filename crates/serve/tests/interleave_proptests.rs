@@ -3,7 +3,7 @@
 //! on its own tracker, and eviction + restore of a cold session must
 //! replay exactly.
 
-use pimvo_core::{BackendKind, TrackerBuilder, TrackerConfig};
+use pimvo_core::{BackendKind, Tracker, TrackerConfig};
 use pimvo_kernels::{DepthImage, GrayImage};
 use pimvo_pim::{ArrayConfig, PimMachine, SessionId};
 use pimvo_serve::{FleetScheduler, SessionSpec, StepOutcome};
@@ -28,11 +28,9 @@ fn session_frame(session: usize, k: usize, speed: f64) -> (GrayImage, DepthImage
 }
 
 /// Reference: the session's frames run alone on a freshly built
-/// tracker (same builder path the fleet uses, one-array pool).
+/// tracker (the PIM backend on a one-array pool, as the fleet builds).
 fn solo_poses(session: usize, n_frames: usize, speed: f64) -> Vec<SE3> {
-    let mut tracker = TrackerBuilder::new(TrackerConfig::default())
-        .backend(BackendKind::Pim)
-        .build();
+    let mut tracker = Tracker::new(TrackerConfig::default(), BackendKind::Pim);
     (0..n_frames)
         .map(|k| {
             let (g, d) = session_frame(session, k, speed);

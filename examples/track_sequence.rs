@@ -36,7 +36,7 @@
 //! any budgeted frame overran, `manual` otherwise. Both flags need the
 //! `pim` backend.
 
-use pimvo::core::{BackendKind, Checkpoint, TrackerBuilder, TrackerConfig};
+use pimvo::core::{BackendKind, Checkpoint, Tracker, TrackerConfig};
 use pimvo::scene::{ate_rmse, format_tum, rpe_rmse, Sequence, SequenceKind, Trajectory};
 use pimvo::serve::{DumpReason, FlightDump, FlightFrame};
 use pimvo::telemetry::optrace::OpTrace;
@@ -148,14 +148,13 @@ fn main() {
         build_map: positional.get(3).is_some(), // reconstruct when exporting
         ..TrackerConfig::default()
     };
-    let mut builder = TrackerBuilder::new(config).backend(backend);
+    let mut tracker = Tracker::new(config, backend);
     if dma_overlap {
-        builder = builder.dma(pimvo::pim::DmaConfig::default());
-    }
-    let mut tracker = builder.build();
-    if dma_overlap && tracker.pool_mut().is_none() {
-        eprintln!("error: --dma-overlap / --dma-fault-rate need the pim backend");
-        usage();
+        let Some(pool) = tracker.pool_mut() else {
+            eprintln!("error: --dma-overlap / --dma-fault-rate need the pim backend");
+            usage();
+        };
+        pool.set_dma(Some(pimvo::pim::DmaConfig::default()));
     }
     if let Some(rate) = dma_fault_rate {
         // R is the total per-attempt fault probability, split 60 %

@@ -4,7 +4,8 @@
 #   fmt check -> one-codec check -> one-front-end check ->
 #   one-execution-surface check -> one-DMA-schedule check ->
 #   one-wave-path check -> one-lowering-pipeline check -> one-build
-#   check -> build (release) -> workspace tests -> clippy (-D warnings)
+#   check -> one-session-path check -> build (release) -> workspace
+#   tests -> clippy (-D warnings)
 #   -> rustdoc (-D warnings) -> IR golden snapshots -> smokes ->
 #   RESULTS.txt freshness -> bench gates
 #
@@ -92,6 +93,19 @@ one_build() {
         -e 'RetryPolic[y]' -e 'interval_phase[s]' -e 'set_scru[b]' -- crates/ examples/ scripts/ src/ tests/
 }
 step one_build
+# one session path: a tracker is built one way (Tracker::new or
+# with_backend), its budget lives only in the supervisor, every frame
+# takes one path, and a fleet session's rung has one controller; the
+# deleted builder, flags, constructors, knobs and duplicate enum do not
+# come back (the bracketed patterns keep this step from matching its
+# own text)
+one_session_path() {
+    ! git grep -n -e 'TrackerBuilde[r]' -e 'supervised: boo[l]' -e 'fn with_inter[p]' \
+        -e 'fn with_poo[l]' -e 'spec\.priorit[y]' -e 'OpClas[s]' -e 'half_exten[t]' \
+        -e 'base_ro[w]' -e 'pub frame_budget_cycle[s]' -e 'frame_budget_cycle[s]:' \
+        -- crates/ examples/ src/ tests/
+}
+step one_session_path
 step cargo build --release
 # every test, the fault-injection ones included, in the one build
 step cargo test -q --workspace

@@ -9,7 +9,7 @@ use pimvo::core::{extract_features, Keyframe, QFeature, QPose};
 use pimvo::kernels::pim_pool::EdgeKernels;
 use pimvo::kernels::{ir, EdgeConfig};
 use pimvo::pim::{
-    ArrayConfig, CostModel, LowerLevel, OpClass, PimArrayPool, PimMachine, DEFAULT_OP_RING_CAPACITY,
+    ArrayConfig, CostModel, LowerLevel, PimArrayPool, PimMachine, DEFAULT_OP_RING_CAPACITY,
 };
 use pimvo::scene::{Sequence, SequenceKind};
 use pimvo::telemetry::optrace::OpKind;
@@ -58,10 +58,10 @@ fn one_machine_runs_vo_and_cnn_workloads() {
     let energy = stats.energy(&CostModel::default());
     assert!(energy.sram_share() > 0.7);
     // the op mix spans image kernels, pose math and CNN layers
-    for class in [OpClass::Avg, OpClass::Mul, OpClass::Div, OpClass::Gather] {
+    for kind in [OpKind::Avg, OpKind::Mul, OpKind::Div, OpKind::Gather] {
         assert!(
-            stats.op_histogram.get(class) > 0,
-            "missing {class:?} in the combined workload"
+            stats.op_histogram.get(kind) > 0,
+            "missing {kind:?} in the combined workload"
         );
     }
 }
