@@ -636,7 +636,7 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> io::Result<ChaosOutcome> {
             &mut violations,
         );
     }
-    let pre_storm_available = fleet.pool_mut().available();
+    let pre_storm_available = fleet.pool().healthy_len();
 
     // act 2: defect storm — quarantine all but one array, two victims
     // with persistent stuck-at defects, plus a transient burst on the
@@ -663,7 +663,7 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> io::Result<ChaosOutcome> {
         .pool_mut()
         .array_mut(survivor)
         .set_fault_model(burst_model);
-    let storm_available = fleet.pool_mut().available();
+    let storm_available = fleet.pool().healthy_len();
 
     for k in storm_at..scrub_at {
         fleet_wave(
@@ -687,7 +687,7 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> io::Result<ChaosOutcome> {
         .array_mut(survivor)
         .set_fault_model(FaultModel::none());
     let rehabbed = fleet.pool_mut().scrub_now();
-    let post_scrub_available = fleet.pool_mut().available();
+    let post_scrub_available = fleet.pool().healthy_len();
     if post_scrub_available != pre_storm_available {
         violations.push(format!(
             "capacity not restored: {post_scrub_available} available after scrub, \

@@ -99,7 +99,8 @@ pub trait TrackerBackend {
 
     /// Exclusive access to the backing array pool for backends that
     /// have one (`None` on the MCU baseline). Checkpoint restore uses
-    /// it to re-import the quarantine set.
+    /// it to apply the snapshot's pool state
+    /// ([`PimArrayPool::restore`]).
     fn pool_mut(&mut self) -> Option<&mut PimArrayPool> {
         None
     }

@@ -7,7 +7,9 @@
 //! lookup tables are *rebuilt* deterministically from the masks by
 //! [`crate::Keyframe::build`], so the snapshot stays compact and the
 //! restored tables are bit-identical), the 3D map points, and the
-//! array pool's quarantine set. All floating-point state round-trips
+//! array pool's [`PoolSnapshot`]: each array's state (quarantine and
+//! probation included) and the recovery counters, in the one encoding
+//! the fleet manifest uses too. All floating-point state round-trips
 //! through `f64::to_bits`, so a restored run replays the uninterrupted
 //! run exactly.
 //!
@@ -22,11 +24,12 @@
 //! does), and [`crate::Tracker::restore_reusing`] adopts them when they
 //! match the snapshot's masks byte for byte.
 //!
-//! # On-disk format (version 2)
+//! # On-disk format (version 3)
 //!
 //! One [`pimvo_telemetry::container`] frame with magic `PIMVOCKP`. The
 //! payload opens with the estimator config hash (u64 LE, FNV-1a over
-//! the estimator config); the field list follows in the source.
+//! the estimator config); the field list follows in the source, and
+//! the pool section is [`PoolSnapshot::encode`].
 //!
 //! Writers go through the container's atomic writer (temp file, fsync,
 //! rename), so a crash mid-write never leaves a truncated snapshot
@@ -37,6 +40,7 @@
 use crate::supervisor::DegradeRung;
 use crate::tracker::TrackingState;
 use pimvo_kernels::GrayImage;
+use pimvo_pim::PoolSnapshot;
 use pimvo_telemetry::container::{self, ContainerError, Reader, Writer};
 use pimvo_vomath::{Mat3, Vec3, SE3, SO3};
 use std::fmt;
@@ -45,7 +49,7 @@ use std::path::Path;
 /// Magic prefix of every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"PIMVOCKP";
 /// Current (and only) format version.
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 /// Sanity bound on keyframe pyramid levels in a snapshot.
 const MAX_LEVELS: usize = 8;
 /// Sanity bound on image dimensions in a snapshot.
@@ -117,21 +121,6 @@ pub struct MapSnapshot {
     pub voxel_m: f64,
     /// World-frame map points.
     pub points: Vec<Vec3>,
-}
-
-/// Array-pool health in a snapshot: the quarantine set and the pool's
-/// recovery counters (per-array fault counters describe the physical
-/// arrays' past and are not carried across a restore).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolSnapshot {
-    /// Which arrays were quarantined, in array order.
-    pub quarantined: Vec<bool>,
-    /// Shard retries performed.
-    pub retries: u64,
-    /// Shards re-dispatched after a quarantine.
-    pub redispatches: u64,
-    /// Shards accepted with detected-but-uncorrected errors.
-    pub dirty_accepted: u64,
 }
 
 /// A complete tracker snapshot — build with [`crate::Tracker::checkpoint`],
@@ -336,13 +325,7 @@ impl Checkpoint {
             None => w.u8(0),
             Some(p) => {
                 w.u8(1);
-                w.u32(p.quarantined.len() as u32);
-                for &q in &p.quarantined {
-                    w.u8(q as u8);
-                }
-                w.u64(p.retries);
-                w.u64(p.redispatches);
-                w.u64(p.dirty_accepted);
+                p.encode(&mut w);
             }
         }
         w.seal()
@@ -424,16 +407,7 @@ impl Checkpoint {
 
         let pool = match r.u8()? {
             0 => None,
-            1 => {
-                let n = r.u32()? as usize;
-                let quarantined = (0..n).map(|_| r.bool()).collect::<Result<Vec<_>, _>>()?;
-                Some(PoolSnapshot {
-                    quarantined,
-                    retries: r.u64()?,
-                    redispatches: r.u64()?,
-                    dirty_accepted: r.u64()?,
-                })
-            }
+            1 => Some(PoolSnapshot::decode(r)?),
             _ => return Err(ContainerError::Malformed("invalid pool tag")),
         };
 
@@ -465,6 +439,7 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pimvo_pim::ArrayState;
 
     fn sample() -> Checkpoint {
         let pose = SE3::exp(&[0.1, -0.2, 0.05, 0.01, 0.02, -0.03]);
@@ -491,7 +466,11 @@ mod tests {
                 points: vec![Vec3::new(1.0, -2.0, 3.0), Vec3::new(0.5, 0.25, 7.0)],
             }),
             pool: Some(PoolSnapshot {
-                quarantined: vec![false, true, false],
+                states: vec![
+                    ArrayState::Active { scrubbed: true },
+                    ArrayState::Quarantined,
+                    ArrayState::Probation { left: 2 },
+                ],
                 retries: 5,
                 redispatches: 1,
                 dirty_accepted: 0,

@@ -2,9 +2,7 @@
 //! alignment against the keyframe (Fig. 1 of the paper).
 
 use crate::backend::{BackendKind, BackendStats, FloatBackend, PimBackend, TrackerBackend};
-use crate::checkpoint::{
-    self, Checkpoint, CheckpointError, KeyframeSnapshot, MapSnapshot, PoolSnapshot,
-};
+use crate::checkpoint::{self, Checkpoint, CheckpointError, KeyframeSnapshot, MapSnapshot};
 use crate::config::TrackerConfig;
 use crate::feature::{extract_features, Feature};
 use crate::keyframe::Keyframe;
@@ -294,12 +292,7 @@ impl Tracker {
                 voxel_m: m.voxel_m(),
                 points: m.points().to_vec(),
             }),
-            pool: self.backend.pool_health().map(|h| PoolSnapshot {
-                quarantined: h.quarantined,
-                retries: h.retries,
-                redispatches: h.redispatches,
-                dirty_accepted: h.dirty_accepted,
-            }),
+            pool: self.backend.pool_health().map(Into::into),
         }
     }
 
@@ -451,21 +444,7 @@ impl Tracker {
             None
         };
         if let (Some(snap), Some(pool)) = (&ckpt.pool, self.backend.pool_mut()) {
-            let n = snap.quarantined.len();
-            // probation/remap/scrub state is physical and not part of
-            // the checkpoint format; import_health ignores these fields
-            let health = pimvo_pim::PoolHealth {
-                arrays: vec![pimvo_pim::FaultStatus::default(); n],
-                quarantined: snap.quarantined.clone(),
-                retries: snap.retries,
-                redispatches: snap.redispatches,
-                dirty_accepted: snap.dirty_accepted,
-                probation: vec![0; n],
-                remapped_rows: vec![0; n],
-                scrubs: 0,
-                rehabilitated: 0,
-            };
-            pool.import_health(&health)
+            pool.restore(snap)
                 .map_err(|_| ContainerError::Malformed("pool size mismatch"))?;
         }
 

@@ -85,7 +85,8 @@
 //! (parity / SECDED ECC) whose detect/correct overhead is charged
 //! through the [`CostModel`]. The pool layer reacts to detected errors
 //! with bounded retry, shard re-dispatch and array quarantine
-//! ([`PoolHealth`]). All of it is inert by default: with
+//! ([`PoolHealth`]); each array's membership is one [`ArrayState`],
+//! persisted as a [`PoolSnapshot`]. All of it is inert by default: with
 //! [`FaultModel::none`] and [`Protection::None`] every output, cycle
 //! and picojoule is identical to a machine without the layer.
 //!
@@ -112,6 +113,7 @@ mod config;
 mod cost;
 pub mod dma;
 pub mod fault;
+pub mod health;
 pub mod ir;
 mod isa;
 pub mod lower;
@@ -125,6 +127,7 @@ pub use config::{ArrayConfig, LaneWidth, Signedness};
 pub use cost::{AreaReport, CostModel};
 pub use dma::{DmaConfig, DmaFaultModel, DmaHealth, TransferDescriptor, TransferKind};
 pub use fault::{FaultModel, FaultStatus, Protection, StuckBit};
+pub use health::{ArrayState, PoolHealth, PoolSnapshot, PROBATION_PHASES};
 pub use ir::{MacroOp, PimProgram, VReg, Val};
 pub use isa::{AluOp, LogicFunc, Operand, Shift};
 pub use lower::{
@@ -134,5 +137,5 @@ pub use lower::{
 };
 pub use machine::{PimError, PimMachine, PimMachineBuilder};
 pub use optrace::{OpRecorder, DEFAULT_OP_RING_CAPACITY};
-pub use pool::{PimArrayPool, PoolHealth, SessionId};
+pub use pool::{PimArrayPool, SessionId};
 pub use stats::{EnergyBreakdown, ExecStats, MemAccessBreakdown, OpHistogram};

@@ -58,17 +58,16 @@ pub enum PimError {
         /// Total arrays in the pool.
         arrays: usize,
     },
-    /// An array index exceeds the pool size (host-driven quarantine /
-    /// health import addressed a non-existent array).
+    /// An array index exceeds the pool size (a host-driven quarantine
+    /// or lift addressed a non-existent array).
     ArrayOutOfRange {
         /// Offending array index.
         index: usize,
         /// Arrays in the pool.
         arrays: usize,
     },
-    /// Per-array input (a pool-health snapshot, probation counters or
-    /// strip programs) describes a different number of arrays than the
-    /// pool it is applied to.
+    /// Per-array input (a pool snapshot or strip programs) describes a
+    /// different number of arrays than the pool it is applied to.
     PoolSizeMismatch {
         /// Arrays described by the input.
         got: usize,

@@ -50,7 +50,8 @@
 //! says the failure is persistent (a stuck-at defect, not a transient
 //! storm) — quarantines the array and re-dispatches the shard to a
 //! healthy one. [`PimArrayPool::health`] reports the per-array fault
-//! counters, the quarantined set and the retry/re-dispatch totals.
+//! counters, each array's [`ArrayState`] and the retry/re-dispatch
+//! totals.
 //! Arrays can also be quarantined manually
 //! ([`PimArrayPool::try_quarantine`]) e.g. from a manufacturing test;
 //! dispatch then simply skips them.
@@ -66,15 +67,17 @@
 //! clean — clears the fault counters and re-admits the array through a
 //! *probation* state: the array is dispatched again, but each resilient
 //! phase charges it a verify-on-read patrol and any new detected error
-//! restarts the probation countdown. After `PROBATION_PHASES` = 3 clean
-//! phases the array regains full membership. Scrubbing destroys the
+//! restarts the probation countdown. After [`crate::PROBATION_PHASES`] = 3
+//! clean phases the array regains full membership. Every membership
+//! change goes through one transition function, whose table is in
+//! [`crate::health`]. Scrubbing destroys the
 //! array contents (re-admitted arrays come back zero-filled), which is
 //! safe because resilient shards are self-contained. An array whose
 //! defects outnumber its spares fails its scrub and stays quarantined.
 
 use crate::cache::LoweredCache;
 use crate::dma::{DmaConfig, DmaFaultModel, DmaHealth};
-use crate::fault::FaultStatus;
+use crate::health::{ArrayEvent, ArrayState, PoolHealth, PoolSnapshot};
 use crate::lower::LoweredProgram;
 use crate::machine::{PimError, PimMachine, PimMachineBuilder};
 use crate::optrace::OpRecorder;
@@ -100,78 +103,11 @@ const MAX_RETRIES: u32 = 2;
 /// upset storm cannot be retried away).
 const STUCK_ROW_THRESHOLD: u64 = 3;
 
-/// Clean resilient phases a re-admitted array must complete under
-/// verify-on-read before regaining full membership. Any new detected
-/// error during probation restarts the countdown.
-const PROBATION_PHASES: u64 = 3;
-
 /// March-test patterns of one scrub pass, in order: alternating bit
 /// patterns catch stuck-at and simple coupling defects; the final
 /// all-zeros pass doubles as the row clear a re-admitted array starts
 /// from.
 const SCRUB_PATTERNS: [u8; 3] = [0x55, 0xAA, 0x00];
-
-/// Health report of a [`PimArrayPool`]: per-array fault counters, the
-/// quarantined set, and the pool's recovery activity.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolHealth {
-    /// Per-array cumulative [`FaultStatus`] (injected / corrected /
-    /// detected counters), in array order.
-    pub arrays: Vec<FaultStatus>,
-    /// Which arrays are quarantined (excluded from dispatch).
-    pub quarantined: Vec<bool>,
-    /// Shard retries performed (same-array and re-dispatch attempts
-    /// beyond the first).
-    pub retries: u64,
-    /// Shards re-dispatched to a different array after a quarantine.
-    pub redispatches: u64,
-    /// Shards accepted with detected-but-uncorrected errors after
-    /// retries were exhausted on a non-persistent (transient) failure.
-    pub dirty_accepted: u64,
-    /// Remaining clean phases each array must complete under
-    /// verify-on-read before regaining full membership (`0` = not in
-    /// probation), in array order.
-    pub probation: Vec<u64>,
-    /// Logical rows remapped to spares on each array, in array order.
-    pub remapped_rows: Vec<u64>,
-    /// Scrub passes run over the pool.
-    pub scrubs: u64,
-    /// Arrays re-admitted from quarantine by a scrub pass (cumulative;
-    /// an array rehabilitated twice counts twice).
-    pub rehabilitated: u64,
-}
-
-impl PoolHealth {
-    /// Number of quarantined arrays.
-    pub fn quarantined_count(&self) -> usize {
-        self.quarantined.iter().filter(|&&q| q).count()
-    }
-
-    /// Number of arrays still accepting work.
-    fn healthy_count(&self) -> usize {
-        self.quarantined.len() - self.quarantined_count()
-    }
-
-    /// Total detected (uncorrected) error events across arrays.
-    pub fn total_detected(&self) -> u64 {
-        self.arrays.iter().map(|s| s.detected).sum()
-    }
-
-    /// Total ECC-corrected words across arrays.
-    pub fn total_corrected(&self) -> u64 {
-        self.arrays.iter().map(|s| s.corrected).sum()
-    }
-
-    /// Number of arrays currently in probation.
-    fn probation_count(&self) -> usize {
-        self.probation.iter().filter(|&&p| p > 0).count()
-    }
-
-    /// Total logical rows remapped to spares across arrays.
-    pub fn total_remapped_rows(&self) -> u64 {
-        self.remapped_rows.iter().sum()
-    }
-}
 
 /// A pool of N identical PIM arrays executing kernel shards as one
 /// simulated parallel wave.
@@ -212,17 +148,12 @@ pub struct PimArrayPool {
     /// barrier; maintenance-port work (scrub) bumps the watermark
     /// without advancing the wall.
     seen: Vec<u64>,
-    quarantined: Vec<bool>,
+    /// Each array's membership; changed only through
+    /// [`ArrayState::next`] and [`ArrayState::restored`].
+    states: Vec<ArrayState>,
     retries: u64,
     redispatches: u64,
     dirty_accepted: u64,
-    /// Remaining clean probation phases per array (0 = full member).
-    probation: Vec<u64>,
-    /// Arrays whose current healthy state came from a scrub
-    /// re-admission; guards [`PimArrayPool::import_health`] against
-    /// stale snapshots re-quarantining a repaired array. Cleared by a
-    /// new quarantine.
-    rehabilitated: Vec<bool>,
     scrubs: u64,
     rehabilitations: u64,
     telemetry: Telemetry,
@@ -260,7 +191,7 @@ impl PimArrayPool {
         }
         let sync_cycles = arrays[0].cost_model().pool_sync_cycles;
         PimArrayPool {
-            quarantined: vec![false; n],
+            states: vec![ArrayState::Active { scrubbed: false }; n],
             arrays,
             wall_cycles: 0,
             sync_cycles,
@@ -269,8 +200,6 @@ impl PimArrayPool {
             retries: 0,
             redispatches: 0,
             dirty_accepted: 0,
-            probation: vec![0; n],
-            rehabilitated: vec![false; n],
             scrubs: 0,
             rehabilitations: 0,
             telemetry: Telemetry::off(),
@@ -724,51 +653,42 @@ impl PimArrayPool {
 
     /// Quarantines array `i`: [`PimArrayPool::run_phase`]
     /// stops dispatching shards to it (pinned strips of
-    /// [`PimArrayPool::submit_strips`] still run there). Contents and statistics are
-    /// kept; any probation state and rehabilitation mark are cleared
-    /// (this is a *new* defect verdict, not the old one resurfacing).
+    /// [`PimArrayPool::submit_strips`] still run there). Contents and
+    /// statistics are kept; a probation or a scrub re-admission mark
+    /// ends (this is a *new* defect verdict, not the old one
+    /// resurfacing).
     ///
     /// # Errors
     ///
     /// [`PimError::ArrayOutOfRange`] for a bad array index, so
-    /// host-driven callers (checkpoint restore, chaos harnesses) can
-    /// recover instead of panicking.
+    /// host-driven callers (chaos harnesses) can recover instead of
+    /// panicking.
     pub fn try_quarantine(&mut self, i: usize) -> Result<(), PimError> {
-        if i >= self.arrays.len() {
-            return Err(PimError::ArrayOutOfRange {
-                index: i,
-                arrays: self.arrays.len(),
-            });
-        }
-        self.mark_quarantined(i);
-        Ok(())
-    }
-
-    /// Quarantine with the bookkeeping every quarantine path shares:
-    /// a fresh defect verdict voids probation and the rehabilitation
-    /// mark.
-    fn mark_quarantined(&mut self, i: usize) {
-        self.quarantined[i] = true;
-        self.probation[i] = 0;
-        self.rehabilitated[i] = false;
+        self.apply(i, ArrayEvent::Quarantine)
     }
 
     /// Lifts the quarantine on array `i`, returning it to the dispatch
-    /// set. The scrub pass ([`PimArrayPool::scrub_now`]) is the
-    /// repair driver; manual callers model an external repair
-    /// action or a chaos harness ending a quarantine storm. Fault
-    /// counters are kept.
+    /// set (a no-op on an array that is not quarantined). The scrub
+    /// pass ([`PimArrayPool::scrub_now`]) is the repair driver; manual
+    /// callers model an external repair action or a chaos harness
+    /// ending a quarantine storm. Fault counters are kept.
+    ///
+    /// # Errors
+    ///
+    /// [`PimError::ArrayOutOfRange`] for a bad array index.
     pub fn unquarantine(&mut self, i: usize) -> Result<(), PimError> {
-        match self.quarantined.get_mut(i) {
-            Some(q) => {
-                *q = false;
-                Ok(())
-            }
-            None => Err(PimError::ArrayOutOfRange {
-                index: i,
-                arrays: self.arrays.len(),
-            }),
-        }
+        self.apply(i, ArrayEvent::Lift)
+    }
+
+    /// Moves a host-addressed array `i` along the transition table.
+    fn apply(&mut self, i: usize, event: ArrayEvent) -> Result<(), PimError> {
+        let arrays = self.arrays.len();
+        let s = self
+            .states
+            .get_mut(i)
+            .ok_or(PimError::ArrayOutOfRange { index: i, arrays })?;
+        *s = s.next(event);
+        Ok(())
     }
 
     /// True if array `i` is quarantined.
@@ -777,80 +697,74 @@ impl PimArrayPool {
     ///
     /// Panics if `i` is out of range.
     pub fn is_quarantined(&self, i: usize) -> bool {
-        self.quarantined[i]
+        !self.states[i].dispatchable()
     }
 
-    /// Applies a previously exported health snapshot: the quarantine
-    /// flags and pool-level recovery counters of
-    /// [`PimArrayPool::health`]. Per-array [`FaultStatus`] counters,
-    /// probation state and remap tables describe the *physical*
-    /// arrays' past and are deliberately not imported. Used by
-    /// checkpoint restore so a resumed run keeps avoiding arrays
-    /// quarantined before the snapshot.
+    /// Array `i`'s membership state.
     ///
-    /// An array that a scrub pass rehabilitated *after* the snapshot
-    /// was taken keeps its healthy state: the snapshot's stale
-    /// quarantine flag records the defect the scrub already repaired,
-    /// so re-applying it would silently undo the repair. A quarantine
-    /// that post-dates the rehabilitation clears the mark
-    /// ([`PimArrayPool::try_quarantine`]) and imports normally again.
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn state(&self, i: usize) -> ArrayState {
+        self.states[i]
+    }
+
+    /// The persisted part of the pool's health: each array's state and
+    /// the recovery counters ([`PoolSnapshot`]).
+    pub fn snapshot(&self) -> PoolSnapshot {
+        self.health().into()
+    }
+
+    /// Applies a snapshot taken by [`PimArrayPool::snapshot`], possibly
+    /// in another process: each array takes the snapshot's state, and
+    /// the recovery counters are replaced. A stale quarantine does not
+    /// undo a scrub re-admission made since the snapshot was taken; a
+    /// quarantine that post-dates the re-admission ends that
+    /// protection. Per-array fault counters, remap tables and the wall
+    /// clock ([`PimArrayPool::restore_wall_cycles`]) are not part of
+    /// it.
     ///
     /// # Errors
     ///
-    /// [`PimError::PoolSizeMismatch`] if the snapshot's quarantine
-    /// vector does not match this pool's array count; the pool is left
-    /// unchanged.
-    pub fn import_health(&mut self, health: &PoolHealth) -> Result<(), PimError> {
-        if health.quarantined.len() != self.arrays.len() {
+    /// [`PimError::PoolSizeMismatch`] if the snapshot describes another
+    /// number of arrays; the pool is left unchanged.
+    pub fn restore(&mut self, snap: &PoolSnapshot) -> Result<(), PimError> {
+        if snap.states.len() != self.arrays.len() {
             return Err(PimError::PoolSizeMismatch {
-                got: health.quarantined.len(),
+                got: snap.states.len(),
                 expected: self.arrays.len(),
             });
         }
-        for (i, &q) in health.quarantined.iter().enumerate() {
-            if q && self.rehabilitated[i] && !self.quarantined[i] {
-                continue; // rehabilitated since the snapshot: stays healthy
-            }
-            self.quarantined[i] = q;
-            if q {
-                self.probation[i] = 0;
-                self.rehabilitated[i] = false;
-            }
+        for (live, &s) in self.states.iter_mut().zip(&snap.states) {
+            *live = live.restored(s);
         }
-        self.retries = health.retries;
-        self.redispatches = health.redispatches;
-        self.dirty_accepted = health.dirty_accepted;
+        self.retries = snap.retries;
+        self.redispatches = snap.redispatches;
+        self.dirty_accepted = snap.dirty_accepted;
         Ok(())
     }
 
     /// Indices of the arrays still accepting work, in array order.
     fn healthy_arrays(&self) -> Vec<usize> {
         (0..self.arrays.len())
-            .filter(|&i| !self.quarantined[i])
+            .filter(|&i| self.states[i].dispatchable())
             .collect()
     }
 
-    /// Number of arrays still accepting work.
+    /// Number of arrays still accepting work, probation members
+    /// included (they serve, with verify-on-read overhead).
     pub fn healthy_len(&self) -> usize {
-        self.quarantined.iter().filter(|&&q| !q).count()
-    }
-
-    /// Arrays currently available for dispatch — healthy arrays,
-    /// including probation members (they serve, just with verify-on-read
-    /// overhead). The capacity figure the fleet chaos soak tracks.
-    pub fn available(&self) -> usize {
-        self.healthy_len()
+        self.states.iter().filter(|s| s.dispatchable()).count()
     }
 
     /// Snapshot of the pool's fault/recovery state.
     pub fn health(&self) -> PoolHealth {
         PoolHealth {
             arrays: self.arrays.iter().map(|m| m.fault_status()).collect(),
-            quarantined: self.quarantined.clone(),
+            states: self.states.clone(),
             retries: self.retries,
             redispatches: self.redispatches,
             dirty_accepted: self.dirty_accepted,
-            probation: self.probation.clone(),
             remapped_rows: self
                 .arrays
                 .iter()
@@ -861,15 +775,6 @@ impl PimArrayPool {
         }
     }
 
-    /// Remaining probation phases of array `i` (`0` = full member).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn probation(&self, i: usize) -> u64 {
-        self.probation[i]
-    }
-
     /// Runs one scrub pass now over every quarantined array: march-test
     /// each row with the scrub test patterns, remap rows that fail to
     /// spares, and re-admit arrays that end up fully clean into
@@ -877,13 +782,13 @@ impl PimArrayPool {
     /// zeroed). Arrays whose defects exhaust the spare region stay
     /// quarantined. Returns the number of arrays re-admitted.
     pub fn scrub_now(&mut self) -> usize {
-        if self.quarantined.iter().all(|&q| !q) {
+        if self.states.iter().all(|s| s.dispatchable()) {
             return 0;
         }
         self.scrubs += 1;
         let mut readmitted = 0;
         for i in 0..self.arrays.len() {
-            if !self.quarantined[i] {
+            if self.states[i].dispatchable() {
                 continue;
             }
             let t0 = self.arrays[i].timeline();
@@ -895,9 +800,7 @@ impl PimArrayPool {
             self.seen[i] += self.arrays[i].timeline() - t0;
             if clean {
                 self.arrays[i].reset_fault_status();
-                self.quarantined[i] = false;
-                self.probation[i] = PROBATION_PHASES;
-                self.rehabilitated[i] = true;
+                self.states[i] = self.states[i].next(ArrayEvent::Readmit);
                 self.rehabilitations += 1;
                 readmitted += 1;
                 self.event_rehabilitated(i);
@@ -1019,11 +922,11 @@ impl PimArrayPool {
                 continue;
             }
             // persistent defect: quarantine and re-dispatch
-            self.mark_quarantined(i);
+            self.states[i] = self.states[i].next(ArrayEvent::Quarantine);
             self.event_quarantine(label, i);
             let mut placed = false;
             for j in 0..self.arrays.len() {
-                if self.quarantined[j] {
+                if !self.states[j].dispatchable() {
                     continue;
                 }
                 self.redispatches += 1;
@@ -1047,7 +950,7 @@ impl PimArrayPool {
                     break;
                 }
                 if self.is_persistent(j, &log_j) {
-                    self.mark_quarantined(j);
+                    self.states[j] = self.states[j].next(ArrayEvent::Quarantine);
                     self.event_quarantine(label, j);
                 } else {
                     self.dirty_accepted += 1;
@@ -1068,7 +971,7 @@ impl PimArrayPool {
         // clean phase counts toward full membership
         for shard in 0..healthy.len() {
             let i = healthy[shard];
-            if self.probation[i] == 0 || self.quarantined[i] {
+            if !matches!(self.states[i], ArrayState::Probation { .. }) {
                 continue;
             }
             let rows = self.arrays[i].config().rows as u64;
@@ -1076,11 +979,11 @@ impl PimArrayPool {
             self.wall_cycles += self.take_timeline(i);
             self.op_sync_point(0, &[i]);
             if self.arrays[i].fault_status().detected > det_before[shard] {
-                self.probation[i] = PROBATION_PHASES;
+                self.states[i] = self.states[i].next(ArrayEvent::DirtyPhase);
                 self.event_probation_reset(label, i);
             } else {
-                self.probation[i] -= 1;
-                if self.probation[i] == 0 {
+                self.states[i] = self.states[i].next(ArrayEvent::CleanPhase);
+                if matches!(self.states[i], ArrayState::Active { .. }) {
                     self.event_probation_cleared(label, i);
                 }
             }
@@ -1245,9 +1148,11 @@ impl PimArrayPool {
         t.gauge_set("pimvo_pool_barriers", self.barriers as f64);
     }
 
-    /// Restores the wall-cycle clock from a fleet checkpoint during
-    /// crash recovery, so the virtual time base resumes where the fleet
-    /// left off. Outside recovery the clock only ever advances.
+    /// Restores the wall-cycle clock from a fleet manifest during crash
+    /// recovery, so the virtual time base resumes where the fleet left
+    /// off. Outside recovery the clock only ever advances. The clock is
+    /// not part of a [`PoolSnapshot`]: a tracker checkpoint does not
+    /// carry it.
     pub fn restore_wall_cycles(&mut self, cycles: u64) {
         self.wall_cycles = cycles;
         // re-anchor the timeline watermarks: whatever the arrays have
@@ -1255,24 +1160,6 @@ impl PimArrayPool {
         for i in 0..self.arrays.len() {
             self.seen[i] = self.arrays[i].timeline();
         }
-    }
-
-    /// Restores per-array probation countdowns from a fleet checkpoint
-    /// during crash recovery.
-    ///
-    /// # Errors
-    ///
-    /// [`PimError::PoolSizeMismatch`] when `probation` does not match
-    /// the pool's array count; the pool is left unchanged.
-    pub fn restore_probation(&mut self, probation: &[u64]) -> Result<(), PimError> {
-        if probation.len() != self.arrays.len() {
-            return Err(PimError::PoolSizeMismatch {
-                got: probation.len(),
-                expected: self.arrays.len(),
-            });
-        }
-        self.probation.copy_from_slice(probation);
-        Ok(())
     }
 
     /// Re-runs shard `shard` on array `i` serially, charging its full
@@ -1314,6 +1201,7 @@ impl PimMachineBuilder {
 mod tests {
     use super::*;
     use crate::config::ArrayConfig;
+    use crate::health::PROBATION_PHASES;
     use crate::ir::{PimProgram, Val};
     use crate::isa::{AluOp, LogicFunc, Operand, Shift};
     use crate::lower::{lower, LowerLevel, MachineInstr, ScratchRows};
@@ -1514,33 +1402,41 @@ mod tests {
     }
 
     #[test]
-    fn import_health_round_trips_and_checks_size() {
+    fn restore_round_trips_and_checks_size() {
         let mut p = pool(3);
         p.try_quarantine(2).unwrap();
-        let mut h = p.health();
-        h.retries = 7;
-        h.redispatches = 2;
-        h.dirty_accepted = 1;
+        p.try_quarantine(1).unwrap();
+        p.scrub_now();
+        p.try_quarantine(2).unwrap();
+        let mut snap = p.snapshot();
+        snap.retries = 7;
+        snap.redispatches = 2;
+        snap.dirty_accepted = 1;
 
         let mut q = pool(3);
-        q.import_health(&h).unwrap();
+        q.restore(&snap).unwrap();
         assert!(q.is_quarantined(2));
         assert!(!q.is_quarantined(0));
-        let hq = q.health();
-        assert_eq!(hq.retries, 7);
-        assert_eq!(hq.redispatches, 2);
-        assert_eq!(hq.dirty_accepted, 1);
+        assert_eq!(
+            q.state(1),
+            ArrayState::Probation {
+                left: PROBATION_PHASES
+            }
+        );
+        assert_eq!(q.snapshot(), snap);
 
         let mut small = pool(2);
+        small.try_quarantine(0).unwrap();
+        let before = small.snapshot();
         assert!(matches!(
-            small.import_health(&h),
+            small.restore(&snap),
             Err(PimError::PoolSizeMismatch {
                 got: 3,
                 expected: 2
             })
         ));
-        // rejected import leaves the pool untouched
-        assert_eq!(small.health().quarantined, vec![false, false]);
+        // a rejected restore leaves the pool untouched
+        assert_eq!(small.snapshot(), before);
     }
 
     #[test]
@@ -1812,12 +1708,17 @@ mod tests {
     fn scrub_rehabilitates_clean_array_through_probation() {
         let mut p = pool(2);
         p.try_quarantine(0).unwrap();
-        assert_eq!(p.available(), 1);
+        assert_eq!(p.healthy_len(), 1);
 
         let readmitted = p.scrub_now();
         assert_eq!(readmitted, 1);
-        assert_eq!(p.available(), 2);
-        assert_eq!(p.probation(0), PROBATION_PHASES);
+        assert_eq!(p.healthy_len(), 2);
+        assert_eq!(
+            p.state(0),
+            ArrayState::Probation {
+                left: PROBATION_PHASES
+            }
+        );
         let h = p.health();
         assert_eq!(h.scrubs, 1);
         assert_eq!(h.rehabilitated, 1);
@@ -1850,7 +1751,7 @@ mod tests {
             })
             .unwrap();
         }
-        assert_eq!(p.probation(0), 0);
+        assert_eq!(p.state(0), ArrayState::Active { scrubbed: true });
         assert_eq!(p.health().probation_count(), 0);
         assert_eq!(p.merged_stats().ecc_checks - ecc0, rows * 3);
     }
@@ -1863,46 +1764,43 @@ mod tests {
         assert_eq!(p.merged_stats().scrub_rows, 0);
     }
 
-    /// Satellite regression: restoring a health snapshot taken while an
-    /// array was quarantined must not re-quarantine it after a scrub
-    /// pass rehabilitated it — but a *new* quarantine verdict clears
+    /// Restoring a snapshot taken while an array was quarantined must
+    /// not re-quarantine it after a scrub pass rehabilitated it, in
+    /// probation or after it — but a *new* quarantine verdict clears
     /// the protection.
     #[test]
-    fn import_health_does_not_requarantine_rehabilitated_array() {
+    fn restore_does_not_requarantine_rehabilitated_array() {
         let mut p = pool(2);
         p.try_quarantine(1).unwrap();
-        let stale = p.health();
+        let mut stale = p.snapshot();
+        stale.retries = 4;
 
         assert_eq!(p.scrub_now(), 1);
         assert!(!p.is_quarantined(1));
-        p.import_health(&stale).unwrap();
+        p.restore(&stale).unwrap();
         assert!(
             !p.is_quarantined(1),
             "stale snapshot must not undo a rehabilitation"
         );
-        // counters still import
-        assert_eq!(p.health().retries, stale.retries);
+        // counters still restore
+        assert_eq!(p.health().retries, 4);
+        for _ in 0..PROBATION_PHASES {
+            p.run_phase("phase", |_, _| ()).unwrap();
+        }
+        p.restore(&stale).unwrap();
+        assert_eq!(p.state(1), ArrayState::Active { scrubbed: true });
 
         // a fresh quarantine clears the rehabilitation mark: the stale
         // snapshot applies normally again afterwards
         p.try_quarantine(1).unwrap();
         p.unquarantine(1).unwrap();
-        p.import_health(&stale).unwrap();
+        p.restore(&stale).unwrap();
         assert!(p.is_quarantined(1));
     }
 
     #[test]
-    fn restore_probation_checks_size() {
+    fn restore_wall_cycles_sets_the_clock() {
         let mut p = pool(2);
-        p.restore_probation(&[2, 0]).unwrap();
-        assert_eq!(p.probation(0), 2);
-        assert!(matches!(
-            p.restore_probation(&[1, 2, 3]),
-            Err(PimError::PoolSizeMismatch {
-                got: 3,
-                expected: 2
-            })
-        ));
         p.restore_wall_cycles(777);
         assert_eq!(p.wall_cycles(), 777);
     }
@@ -1968,10 +1866,10 @@ mod tests {
             let mut p = builder.build_pool(2);
             p.array_mut(0).inject_stuck_bit(3, 0, true);
             p.try_quarantine(0).unwrap();
-            assert_eq!(p.available(), 1);
+            assert_eq!(p.healthy_len(), 1);
 
             assert_eq!(p.scrub_now(), 1);
-            assert_eq!(p.available(), 2);
+            assert_eq!(p.healthy_len(), 2);
             let h = p.health();
             assert_eq!(h.remapped_rows, vec![1, 0]);
             assert_eq!(h.total_remapped_rows(), 1);
@@ -1990,7 +1888,76 @@ mod tests {
             p.try_quarantine(0).unwrap();
             assert_eq!(p.scrub_now(), 0);
             assert!(p.is_quarantined(0));
-            assert_eq!(p.available(), 1);
+            assert_eq!(p.healthy_len(), 1);
+        }
+
+        /// Runs a one-row read shard, so transient upsets can make a
+        /// phase dirty.
+        fn read_shard(_: usize, m: &mut PimMachine) {
+            m.host_write_lanes(0, &[11, 22, 33, 44]).unwrap();
+            m.execute(&alu(
+                AluOp::Logic(LogicFunc::Or),
+                Operand::Row(0),
+                Operand::Row(0),
+                Shift::None,
+            ))
+            .unwrap();
+        }
+
+        proptest::proptest! {
+            #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+            /// A random history of quarantines, lifts, scrubs, clean and
+            /// dirty phases (transient upsets under parity) and
+            /// restores of earlier snapshots: every membership change
+            /// an event makes is an edge of the transition table, and a
+            /// restore gives exactly `ArrayState::restored`.
+            #[test]
+            fn random_histories_take_only_legal_transitions(
+                seed in proptest::prelude::any::<u64>(),
+                // op * 3 + array index
+                ops in proptest::collection::vec(0usize..18, 1..40),
+            ) {
+                let builder = PimMachineBuilder::new(ArrayConfig::qvga())
+                    .fault(FaultModel::transient(seed, 1e-4))
+                    .protection(Protection::Parity);
+                let mut p = builder.build_pool(3);
+                let mut snaps = vec![p.snapshot()];
+                for v in ops {
+                    let (op, i) = (v / 3, v % 3);
+                    let before: Vec<ArrayState> = (0..3).map(|a| p.state(a)).collect();
+                    match op {
+                        0 => p.try_quarantine(i).unwrap(),
+                        1 => p.unquarantine(i).unwrap(),
+                        2 => {
+                            p.scrub_now();
+                        }
+                        3 | 4 => {
+                            // an all-quarantined pool refuses the phase
+                            let _ = p.run_phase("phase", read_shard);
+                        }
+                        _ => {
+                            let snap = snaps[i % snaps.len()].clone();
+                            p.restore(&snap).unwrap();
+                            for a in 0..3 {
+                                proptest::prop_assert_eq!(
+                                    p.state(a),
+                                    before[a].restored(snap.states[a])
+                                );
+                            }
+                            continue;
+                        }
+                    }
+                    for (a, &from) in before.iter().enumerate() {
+                        let to = p.state(a);
+                        proptest::prop_assert!(
+                            ArrayState::transition_legal(from, to),
+                            "array {} went {:?} -> {:?} on op {}", a, from, to, op
+                        );
+                    }
+                    snaps.push(p.snapshot());
+                }
+            }
         }
 
         /// Arrays get forked fault streams: the same seed must not

@@ -10,10 +10,10 @@ use pimvo_core::{
 use pimvo_kernels::{DepthImage, GrayImage};
 use pimvo_pim::{
     ArrayConfig, LoweredCache, LoweredCacheStats, PimArrayPool, PimMachine, PimMachineBuilder,
-    SessionId,
+    PoolSnapshot, SessionId,
 };
 use pimvo_telemetry::container::{self, ContainerError, ContainerError::Malformed, Reader, Writer};
-use pimvo_telemetry::{Severity, Telemetry};
+use pimvo_telemetry::{EventKind, Severity, Telemetry};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 
@@ -365,7 +365,24 @@ impl FleetScheduler {
             sess.stats.deadline_misses += 1;
         }
         if let Some(d) = sess.spec.deadline_cycles {
-            sess.shed_rung = sess.shed_rung.next(latency, d);
+            let prev = sess.shed_rung;
+            sess.shed_rung = prev.next(latency, d);
+            if sess.shed_rung != prev && self.telemetry.is_enabled() {
+                let session = id.0.to_string();
+                self.telemetry.gauge_set_labeled(
+                    "pimvo_serve_shed_rung",
+                    &[("session", &session)],
+                    sess.shed_rung.index() as f64,
+                );
+                self.telemetry.event(
+                    EventKind::DegradeRungChanged,
+                    &[
+                        ("session", session),
+                        ("from", prev.name().to_string()),
+                        ("to", sess.shed_rung.name().to_string()),
+                    ],
+                );
+            }
         }
         let lost = matches!(result.state, TrackingState::Lost);
         if lost {
@@ -725,15 +742,16 @@ impl FleetScheduler {
 /// per-session tracker checkpoint magic "PIMVOCKP".
 const MANIFEST_MAGIC: &[u8; 8] = b"PIMVOFLT";
 /// Manifest layout version; bumped on layout changes.
-const MANIFEST_VERSION: u16 = 2;
+const MANIFEST_VERSION: u16 = 3;
 
 impl FleetScheduler {
     /// Serializes the fleet's recoverable state into a sealed
-    /// [`pimvo_telemetry::container`] frame: the virtual clock,
-    /// pool health (quarantine flags, probation countdowns, recovery
-    /// counters) and, per session, the scheduler bookkeeping (stats,
-    /// shed rung, breaker state) plus a tracker checkpoint blob —
-    /// taken in place for resident sessions, reused for evicted ones.
+    /// [`pimvo_telemetry::container`] frame: the virtual clock, the
+    /// shared pool's [`PoolSnapshot`] (each array's state, probation
+    /// included, and the recovery counters) and, per session, the
+    /// scheduler bookkeeping (stats, shed rung, breaker state) plus a
+    /// tracker checkpoint blob — taken in place for resident sessions,
+    /// reused for evicted ones.
     ///
     /// In-flight queued frames are deliberately *not* serialized:
     /// a crash loses whatever had not completed, and the harness
@@ -743,15 +761,7 @@ impl FleetScheduler {
     fn manifest(&self) -> Vec<u8> {
         let mut w = Writer::new(MANIFEST_MAGIC, MANIFEST_VERSION);
         w.u64(self.shared.wall_cycles());
-        let health = self.shared.health();
-        w.u64(health.quarantined.len() as u64);
-        for i in 0..health.quarantined.len() {
-            w.u8(health.quarantined[i] as u8);
-            w.u64(health.probation[i]);
-        }
-        w.u64(health.retries);
-        w.u64(health.redispatches);
-        w.u64(health.dirty_accepted);
+        self.shared.snapshot().encode(&mut w);
         w.u64(self.sessions.len() as u64);
         for (id, sess) in &self.sessions {
             w.u32(id.0);
@@ -810,8 +820,8 @@ impl FleetScheduler {
     }
 
     /// Rebuilds a fleet from a manifest after a hard kill: a fresh
-    /// pool is stamped from `builder`, the virtual clock, pool
-    /// health and probation countdowns are restored, and every session
+    /// pool is stamped from `builder`, the virtual clock and the pool
+    /// snapshot are restored, and every session
     /// comes back with its stats/rung/breaker state and its checkpoint
     /// blob staged as [`Residency::Evicted`] — the next frame restores
     /// the tracker bit-exactly through the ordinary eviction path.
@@ -828,38 +838,10 @@ impl FleetScheduler {
         let mut r = Reader::new(container::open(bytes, MANIFEST_MAGIC, MANIFEST_VERSION)?);
         let mut fleet = FleetScheduler::from_builder(builder, arrays);
         let wall = r.u64()?;
-        let n = r.u64()? as usize;
-        if n != arrays {
-            return Err(Malformed("pool size mismatch"));
-        }
-        let mut quarantined = vec![false; n];
-        let mut probation = vec![0u64; n];
-        for i in 0..n {
-            quarantined[i] = r.bool()?;
-            probation[i] = r.u64()?;
-        }
-        let retries = r.u64()?;
-        let redispatches = r.u64()?;
-        let dirty_accepted = r.u64()?;
-        let health = pimvo_pim::PoolHealth {
-            arrays: vec![Default::default(); n],
-            quarantined,
-            retries,
-            redispatches,
-            dirty_accepted,
-            probation: vec![0; n],
-            remapped_rows: vec![0; n],
-            scrubs: 0,
-            rehabilitated: 0,
-        };
         fleet
             .shared
-            .import_health(&health)
-            .map_err(|_| Malformed("pool health rejected"))?;
-        fleet
-            .shared
-            .restore_probation(&probation)
-            .map_err(|_| Malformed("probation vector rejected"))?;
+            .restore(&PoolSnapshot::decode(&mut r)?)
+            .map_err(|_| Malformed("pool size mismatch"))?;
         fleet.shared.restore_wall_cycles(wall);
 
         let spec_map: BTreeMap<SessionId, SessionSpec> = specs.iter().cloned().collect();
@@ -962,7 +944,7 @@ impl FleetScheduler {
     /// [`container::write_atomic`], so a hard kill at any instant leaves
     /// either the previous manifest or the new one, never a torn file.
     ///
-    /// The manifest covers the virtual clock, pool health/probation,
+    /// The manifest covers the virtual clock, the pool snapshot,
     /// scheduler counters and per-session checkpoint blobs. In-flight
     /// queued frames are not saved — a crash loses uncommitted frames
     /// and the submitter replays them (at-least-once semantics).
@@ -1125,25 +1107,57 @@ mod tests {
         assert_eq!(order, vec![1, 2, 1, 2], "least-served alternation");
     }
 
+    /// Every rung change is a `DegradeRungChanged` event and a
+    /// per-session `pimvo_serve_shed_rung` gauge; with telemetry off
+    /// nothing is recorded.
     #[test]
     fn missed_deadline_escalates_the_shed_ladder() {
-        let mut fleet = FleetScheduler::new(1);
-        // 1-cycle deadline: every frame misses
-        fleet.add_session(
-            SessionId(1),
-            SessionSpec::new(TrackerConfig::default()).deadline_cycles(1),
-        );
-        let (g, d) = textured_frame(0.0);
-        fleet
-            .submit_frame(SessionId(1), g.clone(), d.clone())
-            .unwrap();
-        let o1 = fleet.step().unwrap().unwrap();
-        assert!(o1.missed_deadline);
-        assert_eq!(o1.shed_rung, DegradeRung::CapLmIterations);
-        fleet.submit_frame(SessionId(1), g, d).unwrap();
-        let o2 = fleet.step().unwrap().unwrap();
-        assert_eq!(o2.shed_rung, DegradeRung::ReduceFeatures);
-        assert!((fleet.stats(SessionId(1)).unwrap().miss_rate() - 1.0).abs() < 1e-12);
+        for telemetry in [Telemetry::off(), Telemetry::new()] {
+            let mut fleet = FleetScheduler::new(1);
+            fleet.set_telemetry(telemetry.clone());
+            // 1-cycle deadline: every frame misses
+            fleet.add_session(
+                SessionId(1),
+                SessionSpec::new(TrackerConfig::default()).deadline_cycles(1),
+            );
+            let (g, d) = textured_frame(0.0);
+            fleet
+                .submit_frame(SessionId(1), g.clone(), d.clone())
+                .unwrap();
+            let o1 = fleet.step().unwrap().unwrap();
+            assert!(o1.missed_deadline);
+            assert_eq!(o1.shed_rung, DegradeRung::CapLmIterations);
+            fleet.submit_frame(SessionId(1), g, d).unwrap();
+            let o2 = fleet.step().unwrap().unwrap();
+            assert_eq!(o2.shed_rung, DegradeRung::ReduceFeatures);
+            assert!((fleet.stats(SessionId(1)).unwrap().miss_rate() - 1.0).abs() < 1e-12);
+
+            let snap = telemetry.snapshot();
+            let changes: Vec<Vec<(String, String)>> = snap
+                .logs
+                .iter()
+                .filter(|l| l.message == EventKind::DegradeRungChanged.as_str())
+                .map(|l| l.fields.clone())
+                .collect();
+            if !telemetry.is_enabled() {
+                assert!(snap.logs.is_empty() && snap.gauges.is_empty());
+                continue;
+            }
+            let field = |k: &str, v: &str| (k.to_string(), v.to_string());
+            assert_eq!(changes.len(), 2);
+            for (change, (from, to)) in changes.iter().zip([
+                ("full", "cap_lm_iterations"),
+                ("cap_lm_iterations", "reduce_features"),
+            ]) {
+                assert!(change.contains(&field("session", "1")), "{change:?}");
+                assert!(change.contains(&field("from", from)), "{change:?}");
+                assert!(change.contains(&field("to", to)), "{change:?}");
+            }
+            assert_eq!(
+                snap.gauges[r#"pimvo_serve_shed_rung{session="1"}"#],
+                DegradeRung::ReduceFeatures.index() as f64
+            );
+        }
     }
 
     #[test]
@@ -1224,6 +1238,44 @@ mod tests {
         for id in [1, 2] {
             assert_eq!(fleet.stats(SessionId(id)).unwrap().deadline_misses, 0);
         }
+    }
+
+    /// A session's checkpoint is taken while its tracker holds its
+    /// one-array staging pool, never the shared one: whatever the shared
+    /// arrays went through, an evicted blob's pool section reads one
+    /// fresh array and zero counters.
+    #[test]
+    fn an_evicted_blob_holds_the_staging_pool_not_the_shared_one() {
+        let mut fleet = FleetScheduler::new(3);
+        fleet.add_session(SessionId(1), SessionSpec::new(TrackerConfig::default()));
+        let (g, d) = textured_frame(0.0);
+        fleet
+            .submit_frame(SessionId(1), g.clone(), d.clone())
+            .unwrap();
+        fleet.step().unwrap().unwrap();
+        fleet.pool_mut().try_quarantine(0).unwrap();
+        fleet.pool_mut().try_quarantine(2).unwrap();
+        fleet.submit_frame(SessionId(1), g, d).unwrap();
+        fleet.step().unwrap().unwrap();
+        assert_eq!(fleet.pool().healthy_len(), 1);
+
+        assert!(fleet.evict(SessionId(1)).unwrap());
+        let Residency::Evicted { bytes, .. } = &fleet.sessions[&SessionId(1)].residency else {
+            panic!("the session was evicted");
+        };
+        let pool = Checkpoint::from_bytes(bytes)
+            .unwrap()
+            .pool
+            .expect("a PIM session's checkpoint has a pool section");
+        assert_eq!(
+            pool,
+            PoolSnapshot {
+                states: vec![pimvo_pim::ArrayState::Active { scrubbed: false }],
+                retries: 0,
+                redispatches: 0,
+                dirty_accepted: 0,
+            }
+        );
     }
 
     #[test]

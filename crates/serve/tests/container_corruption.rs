@@ -14,7 +14,7 @@
 //! Each format also still round-trips byte-identically.
 
 use pimvo_core::{BackendKind, Checkpoint, CheckpointError, Tracker, TrackerConfig};
-use pimvo_pim::{ArrayConfig, PimMachine, SessionId};
+use pimvo_pim::{ArrayConfig, ArrayState, PimMachine, PoolSnapshot, SessionId, PROBATION_PHASES};
 use pimvo_serve::{DumpReason, FleetScheduler, FlightDump, FlightFrame, SessionSpec};
 use pimvo_telemetry::container::{self, crc32, ContainerError, Writer};
 use pimvo_telemetry::optrace::{OpKind, OpRecord, OpTrace, NO_ROW, NO_SESSION};
@@ -50,11 +50,25 @@ fn trace(cycles: u64) -> OpTrace {
     t
 }
 
+/// A tracker checkpoint whose pool section holds every kind of array
+/// state, a probation last.
 fn checkpoint() -> Format {
-    let tracker = Tracker::new(TrackerConfig::default(), BackendKind::Float);
+    let mut ckpt = Tracker::new(TrackerConfig::default(), BackendKind::Float).checkpoint();
+    ckpt.pool = Some(PoolSnapshot {
+        states: vec![
+            ArrayState::Active { scrubbed: true },
+            ArrayState::Quarantined,
+            ArrayState::Probation {
+                left: PROBATION_PHASES,
+            },
+        ],
+        retries: 4,
+        redispatches: 2,
+        dirty_accepted: 1,
+    });
     Format {
         name: "checkpoint",
-        bytes: tracker.checkpoint().to_bytes(),
+        bytes: ckpt.to_bytes(),
         decode: Box::new(|b| match Checkpoint::from_bytes(b) {
             Ok(c) => Ok(c.to_bytes()),
             Err(CheckpointError::Container(e)) => Err(e),
@@ -65,10 +79,15 @@ fn checkpoint() -> Format {
 
 /// The fleet manifest decodes only through `FleetScheduler::recover`
 /// on a file, so the decoder stages the bytes in a per-test temp file.
+/// Its three arrays are active, quarantined and in probation.
 fn manifest(test: &str) -> Format {
     let builder = PimMachine::builder(ArrayConfig::qvga_banks(6));
     let specs = vec![(SessionId(3), SessionSpec::new(TrackerConfig::default()))];
-    let mut fleet = FleetScheduler::from_builder(&builder, 1);
+    let mut fleet = FleetScheduler::from_builder(&builder, 3);
+    let pool = fleet.pool_mut();
+    pool.try_quarantine(2).unwrap();
+    assert_eq!(pool.scrub_now(), 1);
+    pool.try_quarantine(1).unwrap();
     fleet.add_session(specs[0].0, specs[0].1.clone());
     let path = std::env::temp_dir().join(format!("pimvo_container_{test}_{}", std::process::id()));
     fleet.save_manifest(&path).unwrap();
@@ -79,7 +98,7 @@ fn manifest(test: &str) -> Format {
         bytes,
         decode: Box::new(move |b| {
             std::fs::write(&path, b)?;
-            let got = FleetScheduler::recover(&path, &builder, 1, &specs).and_then(|f| {
+            let got = FleetScheduler::recover(&path, &builder, 3, &specs).and_then(|f| {
                 f.save_manifest(&path)?;
                 Ok(std::fs::read(&path)?)
             });
@@ -217,22 +236,37 @@ fn trailing_garbage_is_malformed() {
     }
 }
 
-/// Decodes the fleet manifest with payload byte `at` set to `value`
-/// and the frame validly re-sealed. The payload opens with the wall
-/// clock u64 and the array count u64, then per array a quarantine flag
-/// u8 and a probation u64, three pool counters u64, the session count
-/// u64, and per session its id u32 and shed rung u8.
-fn edited_manifest(test: &str, at: usize, value: u8) -> Result<Vec<u8>, ContainerError> {
-    let f = manifest(test);
+/// The format's payload, as its container frame holds it.
+fn payload(f: &Format) -> Vec<u8> {
     let (magic, version) = magic_and_version(&f.bytes);
-    let mut payload = container::open(&f.bytes, &magic, version).unwrap().to_vec();
-    payload[at] = value;
-    (f.decode)(&reseal(&magic, version, &payload))
+    container::open(&f.bytes, &magic, version).unwrap().to_vec()
 }
+
+/// Decodes `f` with payload byte `at` set to `value` and the frame
+/// validly re-sealed.
+fn edited(f: &Format, at: usize, value: u8) -> Result<Vec<u8>, ContainerError> {
+    let (magic, version) = magic_and_version(&f.bytes);
+    let mut p = payload(f);
+    p[at] = value;
+    (f.decode)(&reseal(&magic, version, &p))
+}
+
+// Manifest payload offsets. The payload opens with the wall clock u64
+// and the pool snapshot: the array count u64, then per array a state
+// tag u8 followed by its fields (active: a scrubbed flag u8;
+// quarantined: none; probation: phases left u64), then three pool
+// counters u64. The session count u64 follows, and per session its id
+// u32 and shed rung u8.
+const MANIFEST_STATES: usize = 16;
+/// Array 0 (active): tag and scrubbed flag.
+const MANIFEST_SCRUBBED: usize = MANIFEST_STATES + 1;
+/// Array 2 (probation): the u64 phases left, after its tag.
+const MANIFEST_LEFT: usize = MANIFEST_STATES + 2 + 1 + 1;
+const MANIFEST_RUNG: usize = MANIFEST_LEFT + 8 + 24 + 8 + 4;
 
 #[test]
 fn manifest_rejects_an_out_of_range_shed_rung() {
-    let got = edited_manifest("rung", 16 + 9 + 24 + 8 + 4, 200);
+    let got = edited(&manifest("rung"), MANIFEST_RUNG, 200);
     assert!(matches!(
         got,
         Err(ContainerError::Malformed("invalid degrade rung"))
@@ -240,12 +274,43 @@ fn manifest_rejects_an_out_of_range_shed_rung() {
 }
 
 #[test]
-fn manifest_rejects_a_quarantine_flag_other_than_0_or_1() {
-    let got = edited_manifest("quarantine", 16, 2);
+fn manifest_rejects_an_unknown_array_state() {
+    let m = manifest("state");
     assert!(matches!(
-        got,
+        edited(&m, MANIFEST_STATES, 3),
+        Err(ContainerError::Malformed("invalid array state"))
+    ));
+    assert!(matches!(
+        edited(&m, MANIFEST_SCRUBBED, 2),
         Err(ContainerError::Malformed("invalid flag byte"))
     ));
+}
+
+/// A probation owes `1..=PROBATION_PHASES` clean phases; zero, one too
+/// many and a huge count are states no pool can be in, in either
+/// container that carries a pool snapshot.
+#[test]
+fn a_probation_out_of_range_is_malformed_in_both_containers() {
+    let m = manifest("probation");
+    let c = checkpoint();
+    // the checkpoint's pool section ends its payload: the probation's
+    // phases left, then the three counters
+    let c_left = payload(&c).len() - 24 - 8;
+    for (f, at) in [(&m, MANIFEST_LEFT), (&c, c_left)] {
+        assert_eq!(payload(f)[at], PROBATION_PHASES as u8, "{}", f.name);
+        for (byte, value) in [(0, 0), (0, PROBATION_PHASES as u8 + 1), (7, 0xFF)] {
+            let got = edited(f, at + byte, value);
+            assert!(
+                matches!(
+                    got,
+                    Err(ContainerError::Malformed("probation phases out of range"))
+                ),
+                "{} byte {byte} = {value}: {:?}",
+                f.name,
+                got.map(|_| ())
+            );
+        }
+    }
 }
 
 proptest! {

@@ -95,7 +95,7 @@ proptest! {
         for &i in &storm {
             fleet.pool_mut().try_quarantine(i).unwrap();
         }
-        prop_assert_eq!(fleet.pool_mut().available(), arrays - q);
+        prop_assert_eq!(fleet.pool().healthy_len(), arrays - q);
 
         // the fleet keeps serving on the surviving arrays
         for _ in 0..N {
@@ -105,7 +105,7 @@ proptest! {
         // scrub re-admits everything: clean arrays pass the march
         // patterns, the defective one gets its row remapped to a spare
         prop_assert_eq!(fleet.pool_mut().scrub_now(), q);
-        prop_assert_eq!(fleet.pool_mut().available(), arrays);
+        prop_assert_eq!(fleet.pool().healthy_len(), arrays);
         let health = fleet.pool_mut().health();
         prop_assert_eq!(health.rehabilitated, q as u64);
         prop_assert_eq!(health.remapped_rows[victim], 1);

@@ -224,6 +224,15 @@ impl Telemetry {
         }
     }
 
+    /// Sets a labeled gauge, e.g.
+    /// `gauge_set_labeled("pimvo_serve_shed_rung", &[("session", "1")], 2.0)`.
+    pub fn gauge_set_labeled(&self, name: &str, labels: &[(&str, &str)], v: f64) {
+        if self.inner.is_none() {
+            return;
+        }
+        self.gauge_set(&metrics::labeled_key(name, labels), v);
+    }
+
     /// Appends a structured event to the JSONL log. `fields` are
     /// key/value pairs serialized verbatim as JSON strings.
     pub fn log(&self, severity: Severity, message: &str, fields: &[(&str, String)]) {

@@ -4,8 +4,8 @@
 #   fmt check -> one-codec check -> one-front-end check ->
 #   one-execution-surface check -> one-DMA-schedule check ->
 #   one-wave-path check -> one-lowering-pipeline check -> one-build
-#   check -> one-session-path check -> build (release) -> workspace
-#   tests -> clippy (-D warnings)
+#   check -> one-session-path check -> one-pool-state check -> build
+#   (release) -> workspace tests -> clippy (-D warnings)
 #   -> rustdoc (-D warnings) -> IR golden snapshots -> smokes ->
 #   RESULTS.txt freshness -> bench gates
 #
@@ -106,6 +106,16 @@ one_session_path() {
         -- crates/ examples/ src/ tests/
 }
 step one_session_path
+# one pool state and one pool snapshot: each array's membership is one
+# ArrayState, and pool health persists through one PoolSnapshot codec
+# and one PimArrayPool::restore; the parallel per-array membership
+# vectors and the extra restore entry points do not come back (the
+# bracketed patterns keep this step from matching its own text)
+one_pool_state() {
+    ! git grep -n -e 'import_healt[h]' -e 'restore_probatio[n]' -e 'rehabilitated: Ve[c]' \
+        -e 'probation: Ve[c]' -- crates/
+}
+step one_pool_state
 step cargo build --release
 # every test, the fault-injection ones included, in the one build
 step cargo test -q --workspace
