@@ -1,7 +1,7 @@
 //! Criterion micro-benches of the sharded multi-array pool: simulator
 //! wall-clock throughput of pooled edge detection and LM batch
 //! submission at several pool sizes (the modeled hardware cycles are
-//! printed by `exp_scaling`).
+//! printed by `exp_all`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pimvo_core::pim_exec::{BatchOptions, BatchRunner};

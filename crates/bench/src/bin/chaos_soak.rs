@@ -14,7 +14,6 @@
 //! ```
 
 use pimvo_bench::chaos::{run_chaos, ChaosConfig};
-use pimvo_bench::sink::TelemetrySink;
 use pimvo_core::BackendKind;
 
 fn main() {
@@ -84,8 +83,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&cfg.workdir);
 
     print!("{}", outcome.report.to_json());
-    let mut sink = TelemetrySink::new(&out_dir);
-    match sink.emit(&outcome.report) {
+    match outcome.report.write_to(&out_dir) {
         Ok(path) => eprintln!("wrote {}", path.display()),
         Err(e) => {
             eprintln!("failed to write {}: {e}", outcome.report.file_name());

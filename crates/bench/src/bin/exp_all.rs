@@ -1,12 +1,12 @@
-//! Runs every experiment (E1-E11 except the Fig. 8 file dump) and
-//! prints one consolidated report, plus machine-readable
-//! `BENCH_<experiment>.json` snapshots in the current directory.
+//! Runs every experiment of the experiment table
+//! (`pimvo_bench::experiments`; Fig. 8's file dump has its own binary)
+//! and prints one consolidated report, plus machine-readable
+//! `BENCH_<experiment>.json` snapshots in the current directory, each
+//! naming the command that regenerates it.
 //!
 //! ```text
 //! cargo run --release --bin exp_all [frames] [--out <dir>]
 //! ```
-
-use pimvo_bench::sink::TelemetrySink;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -32,12 +32,11 @@ fn main() {
         i += 1;
     }
 
-    let (reports, text) = pimvo_bench::reports::all_with_reports(frames);
+    let (reports, text) = pimvo_bench::experiments::all_with_reports(frames);
     print!("{text}");
 
-    let mut sink = TelemetrySink::new(&out_dir);
     for report in &reports {
-        match sink.emit(report) {
+        match report.write_to(&out_dir) {
             Ok(path) => eprintln!("wrote {}", path.display()),
             Err(e) => eprintln!("failed to write {}: {e}", report.file_name()),
         }

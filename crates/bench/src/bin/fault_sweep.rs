@@ -11,7 +11,7 @@
 //! cargo run --release -p pimvo-bench --bin fault_sweep [frames]
 //! ```
 
-use pimvo_bench::sink::{BenchReport, TelemetrySink};
+use pimvo_bench::sink::{command, BenchReport};
 use pimvo_core::pim_exec::BatchOptions;
 use pimvo_core::{PimBackend, Tracker, TrackerConfig, TrackingState};
 use pimvo_pim::{ArrayConfig, CostModel, FaultModel, PimMachine, PoolHealth, Protection};
@@ -94,10 +94,8 @@ fn protection_name(p: Protection) -> &'static str {
 }
 
 fn main() {
-    let frames = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(15);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let frames = args.first().and_then(|a| a.parse().ok()).unwrap_or(15);
     let seq = Sequence::generate(SequenceKind::Desk, frames);
 
     println!("# Fault sweep: transient upset rate x word protection");
@@ -120,10 +118,12 @@ fn main() {
 
     let started = std::time::Instant::now();
     let mut report = BenchReport::new("fault_sweep");
-    report.note(
-        "config",
-        &format!("{frames} Desk frames, {POOL}-array pool, on-machine LM"),
-    );
+    report
+        .note(
+            "config",
+            &format!("{frames} Desk frames, {POOL}-array pool, on-machine LM"),
+        )
+        .note("command", &command("fault_sweep", &args));
 
     let mut baseline_mj = None;
     for protection in [Protection::None, Protection::Parity, Protection::Ecc] {
@@ -246,8 +246,7 @@ fn main() {
             },
         )
         .metric("wall_seconds", started.elapsed().as_secs_f64());
-    let mut sink = TelemetrySink::new(".");
-    match sink.emit(&report) {
+    match report.write_to(".") {
         Ok(path) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("failed to write {}: {e}", report.file_name()),
     }

@@ -18,7 +18,7 @@
 //! frames plus the replayed recovery tail.
 
 use pimvo_bench::chaos::{run_fleet_chaos, FleetChaosConfig};
-use pimvo_bench::sink::TelemetrySink;
+use pimvo_bench::sink::command;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -60,15 +60,17 @@ fn main() {
     }
     cfg.workdir = std::path::PathBuf::from(&out_dir).join("fleet_chaos_work");
 
-    let outcome = run_fleet_chaos(&cfg).unwrap_or_else(|e| {
+    let mut outcome = run_fleet_chaos(&cfg).unwrap_or_else(|e| {
         eprintln!("fleet chaos soak failed on manifest I/O: {e}");
         std::process::exit(1);
     });
     let _ = std::fs::remove_dir_all(&cfg.workdir);
+    outcome
+        .report
+        .note("command", &command("fleet_chaos", &args));
 
     print!("{}", outcome.report.to_json());
-    let mut sink = TelemetrySink::new(&out_dir);
-    match sink.emit(&outcome.report) {
+    match outcome.report.write_to(&out_dir) {
         Ok(path) => eprintln!("wrote {}", path.display()),
         Err(e) => {
             eprintln!("failed to write {}: {e}", outcome.report.file_name());

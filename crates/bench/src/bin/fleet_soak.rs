@@ -14,7 +14,7 @@
 //! With both given, only that one cell runs (the CI smoke
 //! configuration) and the report goes to `--out` as well.
 
-use pimvo_bench::sink::{BenchReport, TelemetrySink};
+use pimvo_bench::sink::{command, BenchReport};
 use pimvo_core::TrackerConfig;
 use pimvo_kernels::{DepthImage, GrayImage};
 use pimvo_pim::SessionId;
@@ -177,6 +177,7 @@ fn main() {
          3/4 drain per round",
     );
     report.note("frames_per_session", &rounds.to_string());
+    report.note("command", &command("fleet_soak", &args));
 
     println!("sessions arrays    p50_cycles    p99_cycles  miss_rate  shed_rate  frames");
     for &(s, a) in &sweep {
@@ -207,8 +208,7 @@ fn main() {
         eprintln!("failed to create {out_dir}: {e}");
         std::process::exit(1);
     }
-    let mut sink = TelemetrySink::new(&out_dir);
-    match sink.emit(&report) {
+    match report.write_to(&out_dir) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => {
             eprintln!("failed to write report: {e}");

@@ -23,7 +23,7 @@
 //! ```
 
 use pimvo_bench::canonical_frame;
-use pimvo_bench::sink::{BenchReport, TelemetrySink};
+use pimvo_bench::sink::{command, BenchReport};
 use pimvo_core::pim_exec::{BatchOptions, BatchRunner, BATCH};
 use pimvo_core::{extract_features, Keyframe, QFeature, QPose, TrackerConfig};
 use pimvo_kernels::pim_pool::EdgeKernels;
@@ -165,7 +165,8 @@ fn main() {
     let mut report = BenchReport::new("profile");
     report
         .note("op_pj", &format!("{:.1}", w.op_pj))
-        .note("sram_pj", &format!("{:.1}", w.sram_pj));
+        .note("sram_pj", &format!("{:.1}", w.sram_pj))
+        .note("command", &command("trace_profile", &args));
 
     // Fig. 9-a: raw trace + rendered golden
     let t9a = trace_fig9a();
@@ -218,8 +219,7 @@ fn main() {
     );
     let _ = std::fs::remove_dir_all(&workdir);
 
-    let mut sink = TelemetrySink::new(&out);
-    match sink.emit(&report) {
+    match report.write_to(&out) {
         Ok(path) => eprintln!("wrote {}", path.display()),
         Err(e) => {
             eprintln!("failed to write {}: {e}", report.file_name());

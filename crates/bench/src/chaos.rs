@@ -589,11 +589,8 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> io::Result<ChaosOutcome> {
     // makes each probe "miss" on queue wait alone and the breaker can
     // never close again.
     let breaker = BreakerConfig {
-        failure_window: 8,
         trip_threshold: 2,
         backoff_base: healthy_cycles,
-        backoff_factor: 2,
-        backoff_max: healthy_cycles * 16,
     };
     let mut specs: Vec<(SessionId, SessionSpec)> = vec![(
         SessionId(1),

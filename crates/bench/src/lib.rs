@@ -1,11 +1,13 @@
 #![warn(missing_docs)]
 
-//! Shared harness code for the experiment binaries (`exp_*`) that
-//! regenerate every table and figure of the paper, and for the
-//! Criterion micro-benches.
+//! Shared harness code for the experiment binaries that regenerate
+//! every table and figure of the paper, and for the Criterion
+//! micro-benches.
 //!
-//! Each experiment binary prints the same rows/series the paper
-//! reports; `EXPERIMENTS.md` records the paper-vs-measured comparison.
+//! [`experiments::EXPERIMENTS`] lists every experiment `exp_all` runs
+//! with the paper's targets; `exp_all` prints the same rows/series the
+//! paper reports and `EXPERIMENTS.md` records the paper-vs-measured
+//! comparison.
 
 use pimvo_core::{BackendKind, Tracker, TrackerConfig};
 use pimvo_kernels::{DepthImage, GrayImage};
@@ -124,5 +126,6 @@ mod tests {
 }
 
 pub mod chaos;
+pub mod experiments;
 pub mod reports;
 pub mod sink;

@@ -1,8 +1,12 @@
-//! Experiment implementations. Each function performs the measurement
-//! for one table/figure and returns both the structured numbers and a
-//! formatted report block; the `exp_*` binaries are thin wrappers.
+//! Experiment implementations. Each function of the
+//! [`EXPERIMENTS`](crate::experiments::EXPERIMENTS) table performs the
+//! measurement for one table/figure, records its metrics in the run's
+//! BENCH report and returns the formatted report block; [`fig8`] and
+//! [`noise_sweep`] back their own binaries.
 
-use crate::{canonical_frame, fmt_cycles, run_sequence, SequenceRun, DEFAULT_FRAMES};
+use crate::experiments::Run;
+use crate::sink::BenchReport;
+use crate::{canonical_frame, fmt_cycles, run_sequence, SequenceRun};
 use pimvo_core::pim_exec::{BatchMapping, BatchOptions, BatchRunner, BATCH};
 use pimvo_core::{
     ablation, extract_features, BackendKind, Keyframe, QPose, Tracker, TrackerConfig,
@@ -23,10 +27,6 @@ use std::fmt::Write as _;
 /// Mean LM iterations the paper reports (×8 in Fig. 9-a's `LM*`).
 pub const LM_ITERS: u64 = 8;
 
-/// The paper's Fig. 9-a speed-ups, quoted in `RESULTS.txt` and in
-/// `BENCH_fig9a.json` (the abstract's 11× overall is the anchor).
-const FIG9A_PAPER: &str = "48x edge, 9x LM, ~11x overall";
-
 /// The builder of the paper's single six-bank QVGA array.
 fn qvga_array() -> PimMachineBuilder {
     PimMachine::builder(ArrayConfig::qvga_banks(6))
@@ -39,8 +39,7 @@ fn cycles(pool: &PimArrayPool) -> u64 {
 
 /// Table 1 — RMSE of relative pose error for the three sequences, both
 /// backends.
-pub fn table1(frames: usize) -> (Vec<SequenceRun>, String) {
-    let mut runs = Vec::new();
+pub fn table1(run: &mut Run) -> String {
     let mut out = String::new();
     writeln!(out, "Table 1: RMSE of relative pose error (1 s windows)").unwrap();
     writeln!(
@@ -56,8 +55,8 @@ pub fn table1(frames: usize) -> (Vec<SequenceRun>, String) {
     )
     .unwrap();
     for kind in SequenceKind::all() {
-        let float_run = run_sequence(kind, BackendKind::Float, frames);
-        let pim_run = run_sequence(kind, BackendKind::Pim, frames);
+        let float_run = run_sequence(kind, BackendKind::Float, run.frames);
+        let pim_run = run_sequence(kind, BackendKind::Pim, run.frames);
         writeln!(
             out,
             "{:<14} | {:>10.4} {:>10.3} | {:>10.4} {:>10.3}",
@@ -68,16 +67,39 @@ pub fn table1(frames: usize) -> (Vec<SequenceRun>, String) {
             pim_run.rpe.rot_dps
         )
         .unwrap();
-        runs.push(float_run);
-        runs.push(pim_run);
+        sequence_metrics(&mut run.report, &float_run);
+        sequence_metrics(&mut run.report, &pim_run);
     }
-    writeln!(
-        out,
-        "(paper, TUM RGB-D: fr1_xyz 0.030/1.82 vs 0.039/1.92; fr2_desk \
-         0.020/0.69 vs 0.019/0.64; fr3_st_ntex_far 0.028/0.77 vs 0.030/0.86)"
-    )
-    .unwrap();
-    (runs, out)
+    writeln!(out, "(paper, {})", run.paper[0]).unwrap();
+    out
+}
+
+/// Backend name used in machine-readable metric keys.
+fn backend_slug(backend: BackendKind) -> &'static str {
+    match backend {
+        BackendKind::Float => "float",
+        BackendKind::Pim => "pim",
+    }
+}
+
+/// Records one accuracy run's metrics under a `<sequence>_<backend>`
+/// prefix.
+fn sequence_metrics(r: &mut BenchReport, run: &SequenceRun) {
+    let prefix = format!("{}_{}", run.kind.name(), backend_slug(run.backend));
+    r.metric(&format!("{prefix}_rpe_trans_mps"), run.rpe.trans_mps)
+        .metric(&format!("{prefix}_rpe_rot_dps"), run.rpe.rot_dps)
+        .metric(
+            &format!("{prefix}_ate_m"),
+            pimvo_scene::ate_rmse(&run.estimate, &run.ground_truth),
+        )
+        .metric(
+            &format!("{prefix}_cycles_total"),
+            run.stats.total_cycles() as f64,
+        )
+        .metric(&format!("{prefix}_energy_mj"), run.stats.energy_mj)
+        .metric(&format!("{prefix}_keyframes"), run.keyframes as f64)
+        .metric(&format!("{prefix}_mean_features"), run.mean_features)
+        .metric(&format!("{prefix}_mean_lm_iterations"), run.mean_iterations);
 }
 
 /// Fig. 8 — estimated vs ground-truth trajectories (TUM text + SVG) and
@@ -147,39 +169,9 @@ pub fn fig8(frames: usize) -> (Vec<(String, String, String, String)>, String) {
     (files, out)
 }
 
-/// Measured cycle counts behind Fig. 9-a.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig9aResult {
-    /// MCU edge-detection cycles per frame.
-    pub mcu_edge: u64,
-    /// MCU LM cycles (×[`LM_ITERS`] iterations).
-    pub mcu_lm8: u64,
-    /// PIM edge-detection cycles per frame.
-    pub pim_edge: u64,
-    /// PIM LM cycles (×[`LM_ITERS`] iterations).
-    pub pim_lm8: u64,
-    /// Features used for the LM measurement.
-    pub features: usize,
-}
-
-impl Fig9aResult {
-    /// Edge-detection speed-up.
-    pub fn edge_speedup(&self) -> f64 {
-        self.mcu_edge as f64 / self.pim_edge as f64
-    }
-    /// LM speed-up.
-    pub fn lm_speedup(&self) -> f64 {
-        self.mcu_lm8 as f64 / self.pim_lm8 as f64
-    }
-    /// Overall per-frame speed-up.
-    fn overall_speedup(&self) -> f64 {
-        (self.mcu_edge + self.mcu_lm8) as f64 / (self.pim_edge + self.pim_lm8) as f64
-    }
-}
-
 /// Fig. 9-a — per-frame cycles, baseline vs PIM, for edge detection and
 /// 8 LM iterations.
-pub fn fig9a() -> (Fig9aResult, String) {
+pub fn fig9a(run: &mut Run) -> String {
     let (gray, depth) = canonical_frame();
     let cam = Pinhole::qvga();
     let cfg = EdgeConfig::default();
@@ -214,69 +206,60 @@ pub fn fig9a() -> (Fig9aResult, String) {
     let batches = features.len().div_ceil(BATCH) as u64;
     let pim_lm8 = per_batch * batches * LM_ITERS;
 
-    let res = Fig9aResult {
-        mcu_edge,
-        mcu_lm8,
-        pim_edge,
-        pim_lm8,
-        features: features.len(),
-    };
+    let edge_speedup = mcu_edge as f64 / pim_edge as f64;
+    let lm_speedup = mcu_lm8 as f64 / pim_lm8 as f64;
+    let overall_speedup = (mcu_edge + mcu_lm8) as f64 / (pim_edge + pim_lm8) as f64;
+    run.report
+        .metric("mcu_edge_cycles", mcu_edge as f64)
+        .metric("mcu_lm8_cycles", mcu_lm8 as f64)
+        .metric("pim_edge_cycles", pim_edge as f64)
+        .metric("pim_lm8_cycles", pim_lm8 as f64)
+        .metric("features", features.len() as f64)
+        .metric("edge_speedup", edge_speedup)
+        .metric("lm_speedup", lm_speedup)
+        .metric("overall_speedup", overall_speedup);
     let mut out = String::new();
     writeln!(
         out,
         "Fig. 9-a: computing cycles per frame ({} features)",
-        res.features
+        features.len()
     )
     .unwrap();
     writeln!(out, "  {:<18} {:>12} {:>12}", "", "baseline", "PIM").unwrap();
     writeln!(
         out,
-        "  {:<18} {:>12} {:>12}   ({:.0}x)",
+        "  {:<18} {:>12} {:>12}   ({edge_speedup:.0}x)",
         "edge detection",
-        fmt_cycles(res.mcu_edge),
-        fmt_cycles(res.pim_edge),
-        res.edge_speedup()
+        fmt_cycles(mcu_edge),
+        fmt_cycles(pim_edge),
     )
     .unwrap();
     writeln!(
         out,
-        "  {:<18} {:>12} {:>12}   ({:.1}x)",
+        "  {:<18} {:>12} {:>12}   ({lm_speedup:.1}x)",
         "LM x8",
-        fmt_cycles(res.mcu_lm8),
-        fmt_cycles(res.pim_lm8),
-        res.lm_speedup()
+        fmt_cycles(mcu_lm8),
+        fmt_cycles(pim_lm8),
     )
     .unwrap();
     writeln!(
         out,
-        "  overall speed-up: {:.1}x  (paper: {FIG9A_PAPER})",
-        res.overall_speedup()
+        "  overall speed-up: {overall_speedup:.1}x  {}",
+        run.cite(0)
     )
     .unwrap();
     writeln!(
         out,
-        "  iso-performance PIM clock: {:.1} MHz (paper: ~19 MHz at 216 MHz baseline)",
-        216.0 / res.overall_speedup()
+        "  iso-performance PIM clock: {:.1} MHz {}",
+        216.0 / overall_speedup,
+        run.cite(1)
     )
     .unwrap();
-    (res, out)
-}
-
-/// Measured cycles behind Fig. 9-b.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig9bResult {
-    /// (naive, optimized) cycles per kernel.
-    pub lpf: (u64, u64),
-    /// HPF cycles.
-    pub hpf: (u64, u64),
-    /// NMS cycles.
-    pub nms: (u64, u64),
-    /// One LM iteration.
-    pub lm: (u64, u64),
+    out
 }
 
 /// Fig. 9-b — naive vs optimized PIM mappings.
-pub fn fig9b() -> (Fig9bResult, String) {
+pub fn fig9b(run: &mut Run) -> String {
     let (gray, depth) = canonical_frame();
     let cam = Pinhole::qvga();
     let cfg = EdgeConfig::default();
@@ -312,12 +295,6 @@ pub fn fig9b() -> (Fig9bResult, String) {
     let lm_n = measure_lm(BatchMapping::Naive);
     let lm_o = measure_lm(BatchMapping::Opt);
 
-    let res = Fig9bResult {
-        lpf: (lpf_n, lpf_o),
-        hpf: (hpf_n, hpf_o),
-        nms: (nms_n, nms_o),
-        lm: (lm_n, lm_o),
-    };
     let mut out = String::new();
     writeln!(out, "Fig. 9-b: naive vs optimized PIM mappings (cycles)").unwrap();
     writeln!(
@@ -326,12 +303,15 @@ pub fn fig9b() -> (Fig9bResult, String) {
         "kernel", "naive", "opt", "ratio"
     )
     .unwrap();
-    for (name, (n, o)) in [
-        ("LPF", res.lpf),
-        ("HPF", res.hpf),
-        ("NMS", res.nms),
-        ("LM x1", res.lm),
+    for (name, key, n, o) in [
+        ("LPF", "lpf", lpf_n, lpf_o),
+        ("HPF", "hpf", hpf_n, hpf_o),
+        ("NMS", "nms", nms_n, nms_o),
+        ("LM x1", "lm", lm_n, lm_o),
     ] {
+        run.report
+            .metric(&format!("{key}_naive_cycles"), n as f64)
+            .metric(&format!("{key}_optimized_cycles"), o as f64);
         writeln!(
             out,
             "  {:<8} {:>10} {:>10} {:>7.2}x",
@@ -345,10 +325,12 @@ pub fn fig9b() -> (Fig9bResult, String) {
     let edge_ratio = (lpf_n + hpf_n + nms_n) as f64 / (lpf_o + hpf_o + nms_o) as f64;
     writeln!(
         out,
-        "  edge detection overall: {edge_ratio:.2}x (paper: 1.7x); LM (paper: 1.4x)"
+        "  edge detection overall: {edge_ratio:.2}x {}; LM {}",
+        run.cite(0),
+        run.cite(1)
     )
     .unwrap();
-    (res, out)
+    out
 }
 
 /// The staged pass groups the lowering sweep compares. `greedy` is
@@ -366,8 +348,8 @@ pub const LOWERING_STAGES: [(&str, &[Pass]); 2] = [
 /// so the sweep isolates where the cycle wins come from — the
 /// scheduler vs the greedy in-order walk.
 ///
-/// Returns `(kernel, stage, cycles)` rows and the formatted table.
-pub fn lowering() -> (Vec<(&'static str, &'static str, u64)>, String) {
+/// Records one `<kernel>_<stage>_cycles` metric per measurement.
+pub fn lowering(run: &mut Run) -> String {
     let (gray, _) = canonical_frame();
     let cfg = EdgeConfig::default();
     let lpf_map = pimvo_kernels::scalar::lpf(&gray);
@@ -416,7 +398,11 @@ pub fn lowering() -> (Vec<(&'static str, &'static str, u64)>, String) {
         writeln!(out).unwrap();
     }
     writeln!(out, "  outputs bit-identical across all stages (asserted)").unwrap();
-    (rows, out)
+    for (kernel, stage, cycles) in &rows {
+        run.report
+            .metric(&format!("{kernel}_{stage}_cycles"), *cycles as f64);
+    }
+    out
 }
 
 /// Tracks one full frame on the PIM backend and returns the machine
@@ -432,17 +418,25 @@ fn pim_frame_stats(frames: usize) -> (pimvo_pim::ExecStats, u64) {
 }
 
 /// Fig. 10-a — energy decomposition per PIM component.
-pub fn fig10a() -> (pimvo_pim::EnergyBreakdown, String) {
+pub fn fig10a(run: &mut Run) -> String {
     let (stats, frames) = pim_frame_stats(6);
     let cost = CostModel::default();
     let e = stats.energy(&cost);
     let total = e.total_pj();
+    run.report
+        .metric("sram_pj", e.sram_pj)
+        .metric("shifter_adder_pj", e.shifter_adder_pj)
+        .metric("tmp_reg_pj", e.tmp_reg_pj)
+        .metric("ecc_pj", e.ecc_pj)
+        .metric("total_pj", total)
+        .metric("sram_share", e.sram_share());
     let mut out = String::new();
     writeln!(out, "Fig. 10-a: PIM energy decomposition ({frames} frames)").unwrap();
     writeln!(
         out,
-        "  SRAM array     : {:>6.1} %  (paper: 86 %)",
-        100.0 * e.sram_pj / total
+        "  SRAM array     : {:>6.1} %  {}",
+        100.0 * e.sram_pj / total,
+        run.cite(0)
     )
     .unwrap();
     writeln!(
@@ -457,14 +451,19 @@ pub fn fig10a() -> (pimvo_pim::EnergyBreakdown, String) {
         100.0 * e.tmp_reg_pj / total
     )
     .unwrap();
-    (e, out)
+    out
 }
 
 /// Fig. 10-b — memory-access decomposition.
-pub fn fig10b() -> (pimvo_pim::MemAccessBreakdown, String) {
+pub fn fig10b(run: &mut Run) -> String {
     let (stats, frames) = pim_frame_stats(6);
     let m = stats.mem_accesses();
     let total = m.total() as f64;
+    run.report
+        .metric("sram_reads", m.sram_reads as f64)
+        .metric("sram_writes", m.sram_writes as f64)
+        .metric("tmp_accesses", m.tmp_accesses as f64)
+        .metric("total_accesses", total);
     let mut out = String::new();
     writeln!(
         out,
@@ -479,8 +478,9 @@ pub fn fig10b() -> (pimvo_pim::MemAccessBreakdown, String) {
     .unwrap();
     writeln!(
         out,
-        "  SRAM writes: {:>6.1} %  (paper: ~7 % after Tmp-Reg optimization)",
-        100.0 * m.sram_writes as f64 / total
+        "  SRAM writes: {:>6.1} %  {}",
+        100.0 * m.sram_writes as f64 / total,
+        run.cite(0)
     )
     .unwrap();
     writeln!(
@@ -489,31 +489,36 @@ pub fn fig10b() -> (pimvo_pim::MemAccessBreakdown, String) {
         100.0 * m.tmp_accesses as f64 / total
     )
     .unwrap();
-    (m, out)
+    out
 }
 
 /// §5.4 — per-frame energy, baseline vs PIM.
-pub fn energy() -> ((f64, f64), String) {
+pub fn energy(run: &mut Run) -> String {
     let frames = 6;
     let float_run = run_sequence(SequenceKind::Xyz, BackendKind::Float, frames);
     let pim_run = run_sequence(SequenceKind::Xyz, BackendKind::Pim, frames);
     let mcu_mj = float_run.stats.energy_mj / float_run.stats.frames as f64;
     let pim_mj = pim_run.stats.energy_mj / pim_run.stats.frames as f64;
+    run.report
+        .metric("mcu_mj_per_frame", mcu_mj)
+        .metric("pim_mj_per_frame", pim_mj)
+        .metric("improvement_x", mcu_mj / pim_mj);
     let mut out = String::new();
     writeln!(out, "§5.4: energy per frame").unwrap();
-    writeln!(out, "  baseline MCU : {mcu_mj:.3} mJ (paper: 10.3 mJ)").unwrap();
-    writeln!(out, "  PIM EBVO     : {pim_mj:.3} mJ (paper: 0.495 mJ)").unwrap();
+    writeln!(out, "  baseline MCU : {mcu_mj:.3} mJ {}", run.cite(0)).unwrap();
+    writeln!(out, "  PIM EBVO     : {pim_mj:.3} mJ {}", run.cite(1)).unwrap();
     writeln!(
         out,
-        "  improvement  : {:.1}x (paper: 20.8x)",
-        mcu_mj / pim_mj
+        "  improvement  : {:.1}x {}",
+        mcu_mj / pim_mj,
+        run.cite(2)
     )
     .unwrap();
-    ((mcu_mj, pim_mj), out)
+    out
 }
 
 /// §1 — instruction-mix motivation (data movement share).
-pub fn instr_mix() -> (InstructionMix, String) {
+pub fn instr_mix(run: &mut Run) -> String {
     let (gray, depth) = canonical_frame();
     let cam = Pinhole::qvga();
     let cfg = EdgeConfig::default();
@@ -540,6 +545,11 @@ pub fn instr_mix() -> (InstructionMix, String) {
         );
     }
     let mix = InstructionMix::from_counter(&c);
+    run.report
+        .metric("total_instructions", mix.total as f64)
+        .metric("memory_instructions", mix.memory as f64)
+        .metric("arithmetic_instructions", mix.arithmetic as f64)
+        .metric("control_instructions", mix.control as f64);
     let mut out = String::new();
     writeln!(
         out,
@@ -548,9 +558,10 @@ pub fn instr_mix() -> (InstructionMix, String) {
     .unwrap();
     writeln!(
         out,
-        "  data movement: {:.1} % of {} instructions (paper: 43 % x86 / 51 % ARM)",
+        "  data movement: {:.1} % of {} instructions {}",
         100.0 * mix.memory_share(),
-        fmt_cycles(mix.total)
+        fmt_cycles(mix.total),
+        run.cite(0)
     )
     .unwrap();
     writeln!(
@@ -560,11 +571,11 @@ pub fn instr_mix() -> (InstructionMix, String) {
         100.0 * mix.control as f64 / mix.total as f64
     )
     .unwrap();
-    (mix, out)
+    out
 }
 
 /// §3.3/§3.4 — quantization ablations.
-pub fn quant_ablation() -> String {
+pub fn quant_ablation(run: &mut Run) -> String {
     let cam = Pinhole::qvga();
     let pose = SE3::exp(&[0.05, -0.02, 0.03, 0.02, -0.01, 0.015]);
     let sweep = ablation::warp_error_sweep(&cam, &pose, &[(16, 12), (12, 8), (10, 6), (8, 4)]);
@@ -587,7 +598,7 @@ pub fn quant_ablation() -> String {
         )
         .unwrap();
     }
-    writeln!(out, "  (paper: 16-bit < 1 px; 8-bit completely faulty)").unwrap();
+    writeln!(out, "  {}", run.cite(0)).unwrap();
     writeln!(out).unwrap();
     writeln!(out, "§3.4 ablation: Hessian accumulator width").unwrap();
     for r in ablation::hessian_width_ablation(&[32, 24, 16]) {
@@ -601,256 +612,54 @@ pub fn quant_ablation() -> String {
         )
         .unwrap();
     }
-    writeln!(
-        out,
-        "  (paper: 32-bit Q29.3 works, 16-bit breaks the solver)"
-    )
-    .unwrap();
+    writeln!(out, "  {}", run.cite(1)).unwrap();
     out
 }
 
 /// §5.1 — area report.
-pub fn area() -> String {
+pub fn area(run: &mut Run) -> String {
     let cost = CostModel::default();
     let a = cost.area_report();
     let mut out = String::new();
     writeln!(out, "§5.1: 90 nm area model").unwrap();
     writeln!(
         out,
-        "  SRAM array      : {:.3e} µm²  (paper: 3.48e6)",
-        a.array_um2
+        "  SRAM array      : {:.3e} µm²  {}",
+        a.array_um2,
+        run.cite(0)
     )
     .unwrap();
     writeln!(
         out,
-        "  sense amplifiers: {:.3e} µm²  (paper: 5.60e4)",
-        a.sa_um2
+        "  sense amplifiers: {:.3e} µm²  {}",
+        a.sa_um2,
+        run.cite(1)
     )
     .unwrap();
     writeln!(
         out,
-        "  computing logic : {:.3e} µm² = {:.1} % of the array (paper: 5.1 %)",
+        "  computing logic : {:.3e} µm² = {:.1} % of the array {}",
         a.logic_um2,
-        100.0 * a.logic_over_array
+        100.0 * a.logic_over_array,
+        run.cite(2)
     )
     .unwrap();
     writeln!(
         out,
-        "  energy/op: SRAM access {} pJ, datapath {} pJ (paper: 944.8 / 44.6)",
+        "  energy/op: SRAM access {} pJ, datapath {} pJ {}",
         cost.sram_read_pj,
-        cost.shifter_adder_pj + cost.tmp_reg_pj
+        cost.shifter_adder_pj + cost.tmp_reg_pj,
+        run.cite(3)
     )
     .unwrap();
     out
-}
-
-/// Runs the cheap experiments plus a reduced Table 1 (used by
-/// `exp_all`). `frames` bounds the accuracy runs.
-pub fn all(frames: usize) -> String {
-    all_with_reports(frames).1
-}
-
-/// Backend name used in machine-readable metric keys.
-fn backend_slug(backend: BackendKind) -> &'static str {
-    match backend {
-        BackendKind::Float => "float",
-        BackendKind::Pim => "pim",
-    }
-}
-
-/// Builds the machine-readable summary for one set of accuracy runs
-/// (used for both Table 1 and the fault-free part of `fault_sweep`).
-fn sequence_report(name: &str, runs: &[SequenceRun]) -> crate::sink::BenchReport {
-    let mut r = crate::sink::BenchReport::new(name);
-    for run in runs {
-        let prefix = format!("{}_{}", run.kind.name(), backend_slug(run.backend));
-        r.metric(&format!("{prefix}_rpe_trans_mps"), run.rpe.trans_mps)
-            .metric(&format!("{prefix}_rpe_rot_dps"), run.rpe.rot_dps)
-            .metric(
-                &format!("{prefix}_ate_m"),
-                pimvo_scene::ate_rmse(&run.estimate, &run.ground_truth),
-            )
-            .metric(
-                &format!("{prefix}_cycles_total"),
-                run.stats.total_cycles() as f64,
-            )
-            .metric(&format!("{prefix}_energy_mj"), run.stats.energy_mj)
-            .metric(&format!("{prefix}_keyframes"), run.keyframes as f64)
-            .metric(&format!("{prefix}_mean_features"), run.mean_features)
-            .metric(&format!("{prefix}_mean_lm_iterations"), run.mean_iterations);
-    }
-    r
-}
-
-/// Runs the same experiments as [`all`] and additionally returns one
-/// [`BenchReport`](crate::sink::BenchReport) per experiment — cycles,
-/// energy, accuracy, and wall-clock seconds in a flat numeric map —
-/// so `exp_all` can drop `BENCH_*.json` snapshots next to the
-/// human-readable tables.
-pub fn all_with_reports(frames: usize) -> (Vec<crate::sink::BenchReport>, String) {
-    use crate::sink::BenchReport;
-    use std::time::Instant;
-
-    let mut reports = Vec::new();
-    let mut out = String::new();
-    let started = Instant::now();
-
-    let t0 = Instant::now();
-    let (runs, t1) = table1(frames.min(DEFAULT_FRAMES));
-    out.push_str(&t1);
-    out.push('\n');
-    let mut r = sequence_report("table1", &runs);
-    r.metric("wall_seconds", t0.elapsed().as_secs_f64())
-        .note("paper", "Table 1: RPE RMSE, baseline vs PIM EBVO");
-    reports.push(r);
-
-    let t0 = Instant::now();
-    let (f9a, text) = fig9a();
-    out.push_str(&text);
-    out.push('\n');
-    let mut r = BenchReport::new("fig9a");
-    r.metric("mcu_edge_cycles", f9a.mcu_edge as f64)
-        .metric("mcu_lm8_cycles", f9a.mcu_lm8 as f64)
-        .metric("pim_edge_cycles", f9a.pim_edge as f64)
-        .metric("pim_lm8_cycles", f9a.pim_lm8 as f64)
-        .metric("features", f9a.features as f64)
-        .metric("edge_speedup", f9a.edge_speedup())
-        .metric("lm_speedup", f9a.lm_speedup())
-        .metric("overall_speedup", f9a.overall_speedup())
-        .metric("wall_seconds", t0.elapsed().as_secs_f64())
-        .note("paper", &format!("Fig. 9-a: {FIG9A_PAPER}"));
-    reports.push(r);
-
-    let t0 = Instant::now();
-    let (f9b, text) = fig9b();
-    out.push_str(&text);
-    out.push('\n');
-    let mut r = BenchReport::new("fig9b");
-    for (name, (naive, optimized)) in [
-        ("lpf", f9b.lpf),
-        ("hpf", f9b.hpf),
-        ("nms", f9b.nms),
-        ("lm", f9b.lm),
-    ] {
-        r.metric(&format!("{name}_naive_cycles"), naive as f64)
-            .metric(&format!("{name}_optimized_cycles"), optimized as f64);
-    }
-    r.metric("wall_seconds", t0.elapsed().as_secs_f64())
-        .note("paper", "Fig. 9-b: naive vs optimized PIM mappings");
-    reports.push(r);
-
-    let t0 = Instant::now();
-    let (stages, text) = lowering();
-    out.push_str(&text);
-    out.push('\n');
-    let mut r = BenchReport::new("lowering");
-    for (kernel, stage, cycles) in &stages {
-        r.metric(&format!("{kernel}_{stage}_cycles"), *cycles as f64);
-    }
-    r.metric("wall_seconds", t0.elapsed().as_secs_f64()).note(
-        "paper",
-        "extension: staged lowering pipeline, per-kernel cycles per pass group",
-    );
-    reports.push(r);
-
-    let t0 = Instant::now();
-    let (f10a, text) = fig10a();
-    out.push_str(&text);
-    out.push('\n');
-    let mut r = BenchReport::new("fig10a");
-    r.metric("sram_pj", f10a.sram_pj)
-        .metric("shifter_adder_pj", f10a.shifter_adder_pj)
-        .metric("tmp_reg_pj", f10a.tmp_reg_pj)
-        .metric("ecc_pj", f10a.ecc_pj)
-        .metric("total_pj", f10a.total_pj())
-        .metric("sram_share", f10a.sram_share())
-        .metric("wall_seconds", t0.elapsed().as_secs_f64())
-        .note("paper", "Fig. 10-a: SRAM ~86 % of PIM energy");
-    reports.push(r);
-
-    let t0 = Instant::now();
-    let (f10b, text) = fig10b();
-    out.push_str(&text);
-    out.push('\n');
-    let mut r = BenchReport::new("fig10b");
-    r.metric("sram_reads", f10b.sram_reads as f64)
-        .metric("sram_writes", f10b.sram_writes as f64)
-        .metric("tmp_accesses", f10b.tmp_accesses as f64)
-        .metric("total_accesses", f10b.total() as f64)
-        .metric("wall_seconds", t0.elapsed().as_secs_f64())
-        .note("paper", "Fig. 10-b: writes ~7 % after Tmp-Reg optimization");
-    reports.push(r);
-
-    let t0 = Instant::now();
-    let ((mcu_mj, pim_mj), text) = energy();
-    out.push_str(&text);
-    out.push('\n');
-    let mut r = BenchReport::new("energy");
-    r.metric("mcu_mj_per_frame", mcu_mj)
-        .metric("pim_mj_per_frame", pim_mj)
-        .metric("improvement_x", mcu_mj / pim_mj)
-        .metric("wall_seconds", t0.elapsed().as_secs_f64())
-        .note("paper", "10.3 mJ vs 0.495 mJ per frame (20.8x)");
-    reports.push(r);
-
-    let t0 = Instant::now();
-    let (mix, text) = instr_mix();
-    out.push_str(&text);
-    out.push('\n');
-    let mut r = BenchReport::new("instr_mix");
-    r.metric("total_instructions", mix.total as f64)
-        .metric("memory_instructions", mix.memory as f64)
-        .metric("arithmetic_instructions", mix.arithmetic as f64)
-        .metric("control_instructions", mix.control as f64)
-        .metric("wall_seconds", t0.elapsed().as_secs_f64())
-        .note("paper", "§1 motivation: data-movement share");
-    reports.push(r);
-
-    out.push_str(&quant_ablation());
-    out.push('\n');
-    out.push_str(&tmpreg_ablation());
-    out.push('\n');
-    out.push_str(&interp_ablation(frames.min(60)));
-    out.push('\n');
-    out.push_str(&pyramid_ablation());
-    out.push('\n');
-    out.push_str(&area());
-    out.push('\n');
-
-    let t0 = Instant::now();
-    let (points, text) = scaling();
-    out.push_str(&text);
-    let mut r = BenchReport::new("scaling");
-    for p in &points {
-        let prefix = format!("arrays_{}", p.arrays);
-        r.metric(&format!("{prefix}_edge_wall_cycles"), p.edge_wall as f64)
-            .metric(&format!("{prefix}_lm_wall_cycles"), p.lm_wall as f64)
-            .metric(&format!("{prefix}_energy_mj"), p.energy_mj)
-            .metric(
-                &format!("{prefix}_bit_identical"),
-                if p.identical { 1.0 } else { 0.0 },
-            );
-    }
-    r.metric("wall_seconds", t0.elapsed().as_secs_f64())
-        .note("paper", "extension: sharded pool scaling, 1-8 arrays");
-    reports.push(r);
-
-    let mut summary = BenchReport::new("summary");
-    summary
-        .metric("experiments", reports.len() as f64)
-        .metric("frames", frames.min(DEFAULT_FRAMES) as f64)
-        .metric("wall_seconds", started.elapsed().as_secs_f64())
-        .note("tool", "pimvo-bench exp_all");
-    reports.push(summary);
-
-    (reports, out)
 }
 
 /// §5.4 extension ablation: Tmp-register count (the paper: "we could
 /// use more registers to further improve the efficiency of both
 /// computation and power"). Compares the single-register optimized
 /// edge-detection mapping against the four-register variant.
-pub fn tmpreg_ablation() -> String {
+pub fn tmpreg_ablation(_: &mut Run) -> String {
     let (gray, _) = canonical_frame();
     let cfg = EdgeConfig::default();
     let cost = CostModel::default();
@@ -922,10 +731,12 @@ pub fn tmpreg_ablation() -> String {
 /// interpolation on the PIM backend (the one place this reproduction
 /// deliberately refines the paper's "directly looked-up" residual —
 /// this experiment quantifies why).
-pub fn interp_ablation(frames: usize) -> String {
+/// Runs at most 60 frames.
+pub fn interp_ablation(run: &mut Run) -> String {
     use pimvo_core::Interp;
     use pimvo_scene::{rpe_rmse, Sequence, Trajectory};
 
+    let frames = run.frames.min(60);
     let seq = Sequence::generate(SequenceKind::Xyz, frames);
     let mut out = String::new();
     writeln!(
@@ -971,7 +782,7 @@ pub fn interp_ablation(frames: usize) -> String {
 }
 
 /// Extension ablation: pyramid levels — convergence basin vs cost.
-pub fn pyramid_ablation() -> String {
+pub fn pyramid_ablation(_: &mut Run) -> String {
     use pimvo_scene::{build_scene, RenderOptions};
     use pimvo_vomath::SE3;
 
@@ -1090,7 +901,7 @@ pub fn noise_sweep(frames: usize) -> String {
 
 /// One point of the array-scaling sweep.
 #[derive(Debug, Clone)]
-pub struct ScalingPoint {
+struct ScalingPoint {
     /// Pool size (number of PIM arrays).
     pub arrays: usize,
     /// Edge-detection wall cycles for one QVGA frame.
@@ -1109,7 +920,59 @@ pub struct ScalingPoint {
 /// linearizations. Wall cycles per phase are the slowest shard plus
 /// the inter-array sync overhead; outputs must stay bit-identical to
 /// the single-array execution.
-pub fn scaling() -> (Vec<ScalingPoint>, String) {
+pub fn scaling(run: &mut Run) -> String {
+    let points = scaling_points();
+    for p in &points {
+        let prefix = format!("arrays_{}", p.arrays);
+        run.report
+            .metric(&format!("{prefix}_edge_wall_cycles"), p.edge_wall as f64)
+            .metric(&format!("{prefix}_lm_wall_cycles"), p.lm_wall as f64)
+            .metric(&format!("{prefix}_energy_mj"), p.energy_mj)
+            .metric(
+                &format!("{prefix}_bit_identical"),
+                if p.identical { 1.0 } else { 0.0 },
+            );
+    }
+
+    let total0 = points[0].edge_wall + points[0].lm_wall;
+    let mut out = String::new();
+    writeln!(
+        out,
+        "Array scaling: sharded PimArrayPool (QVGA edge detection + {LM_ITERS} LM iterations)"
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "  {:<7} {:>12} {:>12} {:>12} {:>8} {:>12} {:>10}",
+        "arrays", "edge wall", "LM wall", "total wall", "speedup", "energy (mJ)", "identical"
+    )
+    .unwrap();
+    for p in &points {
+        let total = p.edge_wall + p.lm_wall;
+        writeln!(
+            out,
+            "  {:<7} {:>12} {:>12} {:>12} {:>7.2}x {:>12.4} {:>10}",
+            p.arrays,
+            fmt_cycles(p.edge_wall),
+            fmt_cycles(p.lm_wall),
+            fmt_cycles(total),
+            total0 as f64 / total as f64,
+            p.energy_mj,
+            if p.identical { "yes" } else { "NO" }
+        )
+        .unwrap();
+    }
+    writeln!(
+        out,
+        "  (wall = slowest shard per phase + {} sync cycles per barrier; compute work,\n   energy and outputs are conserved — only elapsed time shrinks)",
+        CostModel::default().pool_sync_cycles
+    )
+    .unwrap();
+    out
+}
+
+/// The measured points of [`scaling`].
+fn scaling_points() -> Vec<ScalingPoint> {
     use pimvo_core::{PimBackend, TrackerBackend};
 
     let (gray, depth) = canonical_frame();
@@ -1148,42 +1011,7 @@ pub fn scaling() -> (Vec<ScalingPoint>, String) {
             identical,
         });
     }
-
-    let total0 = points[0].edge_wall + points[0].lm_wall;
-    let mut out = String::new();
-    writeln!(
-        out,
-        "Array scaling: sharded PimArrayPool (QVGA edge detection + {LM_ITERS} LM iterations)"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  {:<7} {:>12} {:>12} {:>12} {:>8} {:>12} {:>10}",
-        "arrays", "edge wall", "LM wall", "total wall", "speedup", "energy (mJ)", "identical"
-    )
-    .unwrap();
-    for p in &points {
-        let total = p.edge_wall + p.lm_wall;
-        writeln!(
-            out,
-            "  {:<7} {:>12} {:>12} {:>12} {:>7.2}x {:>12.4} {:>10}",
-            p.arrays,
-            fmt_cycles(p.edge_wall),
-            fmt_cycles(p.lm_wall),
-            fmt_cycles(total),
-            total0 as f64 / total as f64,
-            p.energy_mj,
-            if p.identical { "yes" } else { "NO" }
-        )
-        .unwrap();
-    }
-    writeln!(
-        out,
-        "  (wall = slowest shard per phase + {} sync cycles per barrier; compute work,\n   energy and outputs are conserved — only elapsed time shrinks)",
-        CostModel::default().pool_sync_cycles
-    )
-    .unwrap();
-    (points, out)
+    points
 }
 
 #[cfg(test)]
@@ -1192,7 +1020,7 @@ mod scaling_tests {
 
     #[test]
     fn scaling_is_monotone_and_bit_identical() {
-        let (points, _) = scaling();
+        let points = scaling_points();
         assert_eq!(points.len(), 4);
         for p in &points {
             assert!(

@@ -2,7 +2,7 @@
 //!
 //! Each experiment contributes one [`BenchReport`] — a flat map of
 //! numeric metrics (cycles, energy, accuracy, wall time) plus string
-//! annotations — and a [`TelemetrySink`] serializes them to
+//! annotations — and [`BenchReport::write_to`] serializes it to
 //! `BENCH_*.json` files, one per experiment, so CI and notebooks can
 //! diff runs without scraping the human-readable tables. Serialization
 //! reuses the dependency-free JSON helpers of `pimvo-telemetry`;
@@ -12,7 +12,7 @@
 use pimvo_telemetry::json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// One experiment's machine-readable result summary.
 #[derive(Debug, Clone)]
@@ -31,11 +31,6 @@ impl BenchReport {
             meta: BTreeMap::new(),
             metrics: BTreeMap::new(),
         }
-    }
-
-    /// Experiment name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Adds a numeric metric.
@@ -60,10 +55,18 @@ impl BenchReport {
         format!("BENCH_{}.json", self.name)
     }
 
+    /// Writes the report to `<dir>/BENCH_<name>.json` and returns that
+    /// path.
+    pub fn write_to(&self, dir: impl AsRef<Path>) -> std::io::Result<PathBuf> {
+        let path = dir.as_ref().join(self.file_name());
+        std::fs::write(&path, self.to_json())?;
+        Ok(path)
+    }
+
     /// Serializes the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        let _ = write!(out, "  \"experiment\": {},\n", json::escaped(&self.name));
+        let _ = writeln!(out, "  \"experiment\": {},", json::escaped(&self.name));
         out.push_str("  \"meta\": {");
         for (i, (k, v)) in self.meta.iter().enumerate() {
             if i > 0 {
@@ -89,36 +92,24 @@ impl BenchReport {
     }
 }
 
-/// Writes [`BenchReport`]s as `BENCH_*.json` files into one directory
-/// (typically the repo root, so `scripts/bench_snapshot.sh` leaves the
-/// snapshots next to the code that produced them).
-#[derive(Debug)]
-pub struct TelemetrySink {
-    dir: PathBuf,
-    written: Vec<PathBuf>,
-}
-
-impl TelemetrySink {
-    /// A sink writing into `dir`.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        TelemetrySink {
-            dir: dir.into(),
-            written: Vec::new(),
+/// The command line that regenerates a BENCH file written by binary
+/// `bin` of this crate when run with `args`, less any `--out <dir>`:
+/// the destination does not change what is written.
+pub fn command(bin: &str, args: &[String]) -> String {
+    let mut cmd = format!("cargo run --release -p pimvo-bench --bin {bin}");
+    let mut args = args.iter();
+    let mut sep = " --";
+    while let Some(arg) = args.next() {
+        if arg == "--out" {
+            args.next();
+            continue;
         }
+        cmd.push_str(sep);
+        cmd.push(' ');
+        cmd.push_str(arg);
+        sep = "";
     }
-
-    /// Serializes one report to `<dir>/BENCH_<name>.json`.
-    pub fn emit(&mut self, report: &BenchReport) -> std::io::Result<PathBuf> {
-        let path = self.dir.join(report.file_name());
-        std::fs::write(&path, report.to_json())?;
-        self.written.push(path.clone());
-        Ok(path)
-    }
-
-    /// Every file written so far.
-    pub fn written(&self) -> &[PathBuf] {
-        &self.written
-    }
+    cmd
 }
 
 #[cfg(test)]
@@ -130,24 +121,35 @@ mod tests {
         let mut r = BenchReport::new("fig9a");
         r.metric("pim_edge_cycles", 29_556.0)
             .metric("edge_speedup", 47.5)
-            .note("paper", "48x edge");
+            .note("units", "cycles");
         let j = r.to_json();
         assert!(j.contains("\"experiment\": \"fig9a\""));
         assert!(j.contains("\"pim_edge_cycles\": 29556"));
         assert!(j.contains("\"edge_speedup\": 47.5"));
-        assert!(j.contains("\"paper\": \"48x edge\""));
+        assert!(j.contains("\"units\": \"cycles\""));
         assert_eq!(j, r.to_json());
         assert_eq!(r.file_name(), "BENCH_fig9a.json");
+    }
+
+    #[test]
+    fn command_drops_the_destination() {
+        let args = ["--frames", "16", "--out", "/tmp/x", "--arrays", "3"].map(String::from);
+        let cmd = "cargo run --release -p pimvo-bench --bin";
+        assert_eq!(
+            command("a", &args),
+            format!("{cmd} a -- --frames 16 --arrays 3")
+        );
+        assert_eq!(command("b", &args[2..4]), format!("{cmd} b"));
     }
 
     #[test]
     fn sink_writes_files() {
         let dir = std::env::temp_dir().join("pimvo_bench_sink_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let mut sink = TelemetrySink::new(&dir);
+
         let mut r = BenchReport::new("unit");
         r.metric("x", 1.0);
-        let path = sink.emit(&r).unwrap();
+        let path = r.write_to(&dir).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.contains("\"x\": 1"));
         std::fs::remove_file(path).unwrap();

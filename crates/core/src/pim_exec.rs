@@ -1154,6 +1154,49 @@ mod tests {
         assert_same(priced.pool_mut(), twin.pool_mut());
     }
 
+    /// The op trace's one known gap against the pool clock: the Hessian
+    /// stage is traced at full cost, then `exec_batch` retracts half of
+    /// it from the statistics, so on one array with settled clocks each
+    /// full batch puts the DAG critical path ahead of the wall delta by
+    /// exactly the retracted cycles. A static Hessian cost would close
+    /// the gap and make this an equality.
+    #[test]
+    fn op_trace_exceeds_the_wall_clock_by_the_retracted_hessian_half() {
+        let cam = Pinhole::qvga();
+        let kf = test_kf(&cam);
+        let pose = QPose::quantize(&SE3::IDENTITY);
+        let mut runner = BatchRunner::new(BatchOptions::default());
+
+        // the retraction, measured on a scratch array
+        let kernels = runner.kernels(FEAT_FRAC).unwrap();
+        let mut scratch = PimMachine::builder(runner.pool().array(0).config().clone()).build();
+        scratch.set_lanes(LaneWidth::W32, Signedness::Signed);
+        let _ = scratch.run_program(&kernels.hessian).unwrap();
+        let half = scratch.stats().scaled_div(2);
+        let retracted = half.cycles + half.host_io_cycles;
+        assert!(retracted > 0);
+
+        for batches in [1, 3] {
+            let feats = test_features(&cam, batches * BATCH);
+            let pool = runner.pool_mut();
+            pool.arm_op_recorders(1 << 16);
+            pool.dma_settle();
+            let wall = pool.wall_cycles();
+            let _ = runner.submit(&feats, &pose, &kf, &cam).unwrap();
+            let pool = runner.pool_mut();
+            pool.dma_settle();
+            let wall_delta = pool.wall_cycles() - wall;
+            let trace = pool.drain_op_trace().unwrap();
+            assert_eq!(trace.dropped, 0);
+            let critical = pimvo_telemetry::optrace::profile(&trace).critical_path_cycles;
+            assert_eq!(
+                critical - wall_delta,
+                batches as u64 * retracted,
+                "{batches} batches: critical path {critical}, wall delta {wall_delta}"
+            );
+        }
+    }
+
     #[test]
     fn nearest_mode_matches_fast_path_exactly() {
         let cam = Pinhole::qvga();

@@ -52,6 +52,7 @@
 
 use crate::cost::CostModel;
 use crate::optrace::OpRecorder;
+use crate::stream::FaultStream;
 use pimvo_telemetry::container::crc32;
 use pimvo_telemetry::optrace::{OpKind, NO_ROW};
 use std::collections::VecDeque;
@@ -217,14 +218,6 @@ impl Default for DmaFaultModel {
     }
 }
 
-/// splitmix64 (same constants as the array fault model).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 /// Outcome of one delivery attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Attempt {
@@ -242,13 +235,13 @@ enum Attempt {
 #[derive(Debug, Clone)]
 struct DmaFaultUnit {
     model: DmaFaultModel,
-    rng: u64,
+    rng: FaultStream,
 }
 
 impl DmaFaultUnit {
     fn new(model: DmaFaultModel) -> Self {
         DmaFaultUnit {
-            rng: splitmix64(model.seed) | 1,
+            rng: FaultStream::new(model.seed),
             model,
         }
     }
@@ -256,17 +249,7 @@ impl DmaFaultUnit {
     /// Forks the stream with `salt` so pool member channels see
     /// independent fault patterns from one shared model.
     fn reseed(&mut self, salt: u64) {
-        self.rng = (self.rng ^ splitmix64(salt.wrapping_add(0x5bd1e995))) | 1;
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        // xorshift64*
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545f4914f6cdd1d)
+        self.rng.reseed(salt);
     }
 
     /// One delivery-attempt draw: a single uniform sample partitioned
@@ -276,13 +259,13 @@ impl DmaFaultUnit {
         if self.model.is_none() {
             return Attempt::Ok;
         }
-        let u = ((self.next_u64() >> 11) as f64) / 9007199254740992.0;
+        let u = ((self.rng.next_u64() >> 11) as f64) / 9007199254740992.0;
         let m = &self.model;
         if u < m.flip_rate {
             let bit = if payload_bits == 0 {
                 0
             } else {
-                self.next_u64() % payload_bits
+                self.rng.next_u64() % payload_bits
             };
             Attempt::Flip { bit }
         } else if u < m.flip_rate + m.stall_rate {

@@ -37,6 +37,7 @@
 //! fast read path is untouched — outputs, cycles and energy are
 //! bit-identical to a machine without the layer.
 
+use crate::stream::FaultStream;
 use std::collections::BTreeMap;
 
 /// Bits per protection word: parity/ECC check granularity.
@@ -146,22 +147,13 @@ impl Default for FaultModel {
     }
 }
 
-/// splitmix64 — used to derive well-mixed RNG states from seeds.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 /// The per-machine fault state: model + RNG stream + protection mode +
 /// counters. Lives inside [`crate::PimMachine`]; inert by default.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultUnit {
     model: FaultModel,
     protection: Protection,
-    /// xorshift64* state (always nonzero).
-    rng: u64,
+    rng: FaultStream,
     /// Bits of fault-free stream remaining before the next transient
     /// flip (geometric inter-arrival sampling).
     bits_to_next: u64,
@@ -178,7 +170,7 @@ pub(crate) struct FaultUnit {
 impl FaultUnit {
     pub(crate) fn new(model: FaultModel, protection: Protection) -> Self {
         let mut u = FaultUnit {
-            rng: splitmix64(model.seed) | 1,
+            rng: FaultStream::new(model.seed),
             model,
             protection,
             bits_to_next: 0,
@@ -221,7 +213,7 @@ impl FaultUnit {
     /// Forks the transient-fault stream with `salt` so pool member
     /// arrays stamped from one builder see independent fault patterns.
     pub(crate) fn reseed(&mut self, salt: u64) {
-        self.rng = (self.rng ^ splitmix64(salt.wrapping_add(0x5bd1e995))) | 1;
+        self.rng.reseed(salt);
         self.bits_to_next = self.sample_gap();
     }
 
@@ -264,16 +256,6 @@ impl FaultUnit {
         }
     }
 
-    fn next_u64(&mut self) -> u64 {
-        // xorshift64*
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545f4914f6cdd1d)
-    }
-
     /// Samples a geometric fault-free gap (in bits) at the transient
     /// rate. `u64::MAX` when the rate is zero.
     fn sample_gap(&mut self) -> u64 {
@@ -282,7 +264,7 @@ impl FaultUnit {
             return u64::MAX;
         }
         // u in (0, 1]; gap = floor(ln u / ln(1 - p))
-        let u = ((self.next_u64() >> 11) as f64 + 1.0) / 9007199254740992.0;
+        let u = ((self.rng.next_u64() >> 11) as f64 + 1.0) / 9007199254740992.0;
         let g = u.ln() / (-p).ln_1p();
         if g >= u64::MAX as f64 {
             u64::MAX

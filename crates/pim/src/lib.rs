@@ -121,6 +121,7 @@ mod machine;
 pub mod optrace;
 mod pool;
 mod stats;
+mod stream;
 
 pub use cache::{LoweredCache, LoweredCacheStats};
 pub use config::{ArrayConfig, LaneWidth, Signedness};

@@ -3,7 +3,7 @@
 //! scheduling, degrade-ladder load shedding and checkpoint eviction.
 
 use crate::flight::{DumpReason, FlightDump, FlightFrame, FlightRecorder};
-use crate::session::{ServeError, SessionSpec, SessionStats, StepOutcome};
+use crate::session::{BreakerConfig, ServeError, SessionSpec, SessionStats, StepOutcome};
 use pimvo_core::{
     BackendKind, Checkpoint, DegradeRung, KeptPyramid, PimBackend, Tracker, TrackingState,
 };
@@ -548,8 +548,8 @@ impl FleetScheduler {
                     _ => cfg.backoff_base,
                 };
                 let next = prev
-                    .saturating_mul(cfg.backoff_factor.max(1))
-                    .min(cfg.backoff_max);
+                    .saturating_mul(BreakerConfig::BACKOFF_FACTOR)
+                    .min(cfg.backoff_max());
                 sess.breaker = BreakerState::Open {
                     until: now + next,
                     backoff: next,
@@ -568,14 +568,14 @@ impl FleetScheduler {
         while sess
             .failure_marks
             .front()
-            .is_some_and(|&m| sess.stats.completed - m >= cfg.failure_window)
+            .is_some_and(|&m| sess.stats.completed - m >= BreakerConfig::FAILURE_WINDOW)
         {
             sess.failure_marks.pop_front();
         }
         if (sess.failure_marks.len() as u32) < cfg.trip_threshold {
             return false;
         }
-        let backoff = cfg.backoff_base.min(cfg.backoff_max);
+        let backoff = cfg.backoff_base.min(cfg.backoff_max());
         sess.breaker = BreakerState::Open {
             until: now + backoff,
             backoff,
@@ -1305,16 +1305,6 @@ mod tests {
         ));
     }
 
-    fn tight_breaker(base: u64) -> crate::BreakerConfig {
-        crate::BreakerConfig {
-            failure_window: 4,
-            trip_threshold: 2,
-            backoff_base: base,
-            backoff_factor: 2,
-            backoff_max: base * 8,
-        }
-    }
-
     #[test]
     fn breaker_trips_evicts_and_recovers_through_probe() {
         let mut fleet = FleetScheduler::new(1);
@@ -1324,7 +1314,10 @@ mod tests {
             SessionSpec::new(TrackerConfig::default())
                 .deadline_cycles(1)
                 .max_queue(4)
-                .breaker(tight_breaker(1_000)),
+                .breaker(BreakerConfig {
+                    trip_threshold: 2,
+                    backoff_base: 1_000,
+                }),
         );
         let (g, d) = textured_frame(0.0);
         for _ in 0..3 {
@@ -1355,12 +1348,26 @@ mod tests {
         assert_eq!(st.breaker_probes, 1);
         assert_eq!(st.breaker_trips, 2, "failed probe re-trips");
         assert_eq!(st.restores, 1, "probe restored the evicted tracker");
-        match fleet.breaker_state(SessionId(1)).unwrap() {
-            BreakerState::Open { backoff, .. } => {
-                assert_eq!(backoff, 2_000, "exponential backoff doubles");
+        // every further failed probe doubles the backoff up to the
+        // 16x cap, where it stays (each probe runs at full quality: a
+        // shed-down frame would do too little work to miss)
+        for want in [2_000, 4_000, 8_000, 16_000, 16_000] {
+            if want > 2_000 {
+                fleet.sessions.get_mut(&SessionId(1)).unwrap().shed_rung = DegradeRung::Full;
+                fleet
+                    .submit_frame(SessionId(1), g.clone(), d.clone())
+                    .unwrap();
+                let o = fleet.step().unwrap().expect("probe frame runs");
+                assert!(o.missed_deadline);
             }
-            other => panic!("expected re-tripped breaker, got {other:?}"),
+            match fleet.breaker_state(SessionId(1)).unwrap() {
+                BreakerState::Open { backoff, .. } => {
+                    assert_eq!(backoff, want, "exponential backoff, capped");
+                }
+                other => panic!("expected re-tripped breaker, got {other:?}"),
+            }
         }
+        assert_eq!(fleet.stats(SessionId(1)).unwrap().breaker_probes, 5);
 
         // widen the deadline: the next probe succeeds and closes it
         fleet
@@ -1376,7 +1383,7 @@ mod tests {
             fleet.breaker_state(SessionId(1)),
             Some(BreakerState::Closed)
         );
-        assert_eq!(fleet.stats(SessionId(1)).unwrap().breaker_probes, 2);
+        assert_eq!(fleet.stats(SessionId(1)).unwrap().breaker_probes, 6);
     }
 
     #[test]
@@ -1388,11 +1395,9 @@ mod tests {
             SessionSpec::new(TrackerConfig::default())
                 .deadline_cycles(1)
                 .max_queue(4)
-                .breaker(crate::BreakerConfig {
+                .breaker(BreakerConfig {
                     trip_threshold: 1,
                     backoff_base: u64::MAX / 4,
-                    backoff_max: u64::MAX / 2,
-                    ..tight_breaker(1)
                 }),
         );
         fleet.add_session(SessionId(2), SessionSpec::new(TrackerConfig::default()));

@@ -93,27 +93,31 @@ impl SessionSpec {
 /// half-open single-frame probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
-    /// Failures are counted over the session's last `failure_window`
-    /// completed frames.
-    pub failure_window: u64,
-    /// Failures inside the window that trip the breaker open.
+    /// Failures inside the last [`Self::FAILURE_WINDOW`] completed
+    /// frames that trip the breaker open.
     pub trip_threshold: u32,
     /// First open interval, in virtual (pool) cycles.
     pub backoff_base: u64,
+}
+
+impl BreakerConfig {
+    /// Failures are counted over the session's last this many
+    /// completed frames.
+    pub const FAILURE_WINDOW: u64 = 8;
     /// Multiplier on the open interval per consecutive failed probe.
-    pub backoff_factor: u64,
-    /// Upper bound on the open interval.
-    pub backoff_max: u64,
+    pub const BACKOFF_FACTOR: u64 = 2;
+
+    /// Upper bound on the open interval: 16 × `backoff_base`.
+    pub fn backoff_max(&self) -> u64 {
+        self.backoff_base.saturating_mul(16)
+    }
 }
 
 impl Default for BreakerConfig {
     fn default() -> Self {
         BreakerConfig {
-            failure_window: 8,
             trip_threshold: 3,
             backoff_base: 1_000_000,
-            backoff_factor: 2,
-            backoff_max: 16_000_000,
         }
     }
 }

@@ -1,20 +1,21 @@
 #!/usr/bin/env bash
-# Bench regression gate: regenerates the headline benchmark snapshots
-# into a temp directory and compares their cycle-count metrics against
-# the committed BENCH_*.json at the repo root.
+# Bench regression gate: regenerates every snapshot exp_all writes into
+# a temp directory and compares it exactly against the committed
+# BENCH_*.json at the repo root.
 #
-#   scripts/bench_check.sh [frames] [tolerance]
+#   scripts/bench_check.sh [frames]
 #
 # `frames` must match what scripts/bench_snapshot.sh used for the
-# committed snapshots (default 30). Cycle counts are fully
-# deterministic, so the relative tolerance (default 1 %) exists only to
-# absorb intentional small cost-model adjustments; wall-clock seconds
-# and derived float ratios are not compared.
+# committed snapshots (default 30). The simulation is deterministic, so
+# every metric except wall_seconds must match byte for byte, and no
+# metric may appear or vanish; regenerate with scripts/bench_snapshot.sh
+# when a change moves a number on purpose.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FRAMES="${1:-30}"
-TOL="${2:-0.01}"
+# every BENCH file exp_all writes
+SNAPSHOTS="table1 fig9a fig9b lowering fig10a fig10b energy instr_mix scaling summary"
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -23,62 +24,39 @@ echo "bench_check: regenerating snapshots (${FRAMES} frames) ..."
 cargo run -q --release -p pimvo-bench --bin exp_all -- "$FRAMES" --out "$tmp" \
     >/dev/null 2>&1
 
-fail=0
-check_file() { # $1 = committed snapshot, $2 = fresh snapshot
-    local committed="$1" fresh="$2"
-    if [ ! -f "$committed" ]; then
-        echo "bench_check: missing committed snapshot $committed" >&2
-        return 1
-    fi
-    if [ ! -f "$fresh" ]; then
-        echo "bench_check: $(basename "$fresh") was not regenerated" >&2
-        return 1
-    fi
-    awk -v tol="$TOL" -v name="$(basename "$committed")" '
-        FNR == 1 { file++ }
-        # pretty-printed "key": number lines inside "metrics"
-        $1 ~ /^"[a-z0-9_]+":$/ && $2 ~ /^-?[0-9.eE+-]+,?$/ {
-            key = $1; gsub(/[":]/, "", key)
-            v = $2; gsub(/,/, "", v)
-            if (file == 1) a[key] = v; else b[key] = v
-        }
-        END {
-            bad = 0
-            for (k in a) {
-                # gate deterministic counts only: cycle totals plus the
-                # structural counters of the summary report
-                if (!(k ~ /_cycles$/ || k == "experiments" || k == "frames" \
-                      || k == "features"))
-                    continue
-                if (!(k in b)) {
-                    printf "%s: metric %s missing from fresh run\n", name, k
-                    bad = 1; continue
-                }
-                d = b[k] - a[k]
-                if (d < 0) d = -d
-                ref = a[k] < 0 ? -a[k] : a[k]
-                rel = ref > 0 ? d / ref : d
-                if (rel > tol) {
-                    printf "%s: %s drifted: committed %s, fresh %s (rel %.4f > %.4f)\n", \
-                        name, k, a[k], b[k], rel, tol
-                    bad = 1
-                }
-            }
-            exit bad
-        }' "$committed" "$fresh"
+# the "key": value lines of a snapshot's metrics, wall_seconds left out
+metrics() {
+    awk '/"metrics": \{/ { on = 1; next } on && /^  \}/ { on = 0 } on' "$1" |
+        sed 's/,$//' | grep -v '"wall_seconds":'
 }
 
-for snap in BENCH_fig9a.json BENCH_fig9b.json BENCH_lowering.json BENCH_scaling.json \
-    BENCH_summary.json; do
-    if check_file "$snap" "$tmp/$snap"; then
-        echo "bench_check: $snap within tolerance"
+fail=0
+for name in $SNAPSHOTS; do
+    snap="BENCH_$name.json"
+    if [ ! -f "$snap" ] || [ ! -f "$tmp/$snap" ]; then
+        echo "bench_check: $snap missing (committed or fresh)" >&2
+        fail=1
+    elif diff <(metrics "$snap") <(metrics "$tmp/$snap") >"$tmp/$name.diff"; then
+        echo "bench_check: $snap matches"
     else
+        echo "bench_check: $snap drifted (< committed, > fresh):" >&2
+        cat "$tmp/$name.diff" >&2
         fail=1
     fi
 done
+for fresh in "$tmp"/BENCH_*.json; do
+    name="$(basename "$fresh" .json)"
+    case " $SNAPSHOTS " in
+    *" ${name#BENCH_} "*) ;;
+    *)
+        echo "bench_check: exp_all wrote $name.json, which this gate does not list" >&2
+        fail=1
+        ;;
+    esac
+done
 
 if [ "$fail" -ne 0 ]; then
-    echo "bench_check: FAILED (regenerate with scripts/bench_snapshot.sh if the drift is intentional)" >&2
+    echo "bench_check: FAILED (regenerate with scripts/bench_snapshot.sh if the change is intentional)" >&2
     exit 1
 fi
 echo "bench_check: OK"

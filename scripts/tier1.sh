@@ -4,7 +4,8 @@
 #   fmt check -> one-codec check -> one-front-end check ->
 #   one-execution-surface check -> one-DMA-schedule check ->
 #   one-wave-path check -> one-lowering-pipeline check -> one-build
-#   check -> one-session-path check -> one-pool-state check -> build
+#   check -> one-session-path check -> one-pool-state check ->
+#   one-experiment-table check -> build
 #   (release) -> workspace tests -> clippy (-D warnings)
 #   -> rustdoc (-D warnings) -> IR golden snapshots -> smokes ->
 #   RESULTS.txt freshness -> bench gates
@@ -116,6 +117,19 @@ one_pool_state() {
         -e 'probation: Ve[c]' -- crates/
 }
 step one_pool_state
+# one experiment table: every paper target of the experiments exp_all
+# runs is quoted once, in crates/bench/src/experiments.rs, and exp_all
+# is their one entry point; no cited quote or paper note outside the
+# table and no per-experiment wrapper binary comes back (the bracketed
+# patterns keep this step from matching its own text)
+one_experiment_table() {
+    ! git grep -n -e '(paper[:]' -e 'note("pape[r]"' -- crates/bench/src \
+        ':!crates/bench/src/experiments.rs' &&
+        ! git ls-files -co --exclude-standard -- 'crates/bench/src/bin/exp_*.rs' |
+            grep -v -x -e 'crates/bench/src/bin/exp_al[l].rs' \
+                -e 'crates/bench/src/bin/exp_fig[8].rs' -e 'crates/bench/src/bin/exp_nois[e].rs'
+}
+step one_experiment_table
 step cargo build --release
 # every test, the fault-injection ones included, in the one build
 step cargo test -q --workspace
@@ -197,8 +211,8 @@ results_fresh() {
 }
 step results_fresh
 
-# bench regression gate: the headline cycle counts must match the
-# committed BENCH_*.json snapshots within tolerance
+# bench regression gate: every metric exp_all writes, wall time aside,
+# must match the committed BENCH_*.json snapshots exactly
 step scripts/bench_check.sh
 
 # host-time benchmark smoke: the hostbench crate builds against the

@@ -1,16 +1,16 @@
 //! Shape tests for the paper's headline results: these encode, as
 //! assertions, the qualitative claims every experiment must reproduce
-//! (who wins, by roughly what factor). The exact numbers live in
-//! `EXPERIMENTS.md`; these tests keep the shapes from regressing.
+//! (who wins, by roughly what factor). The paper targets come from the
+//! experiment table (`pimvo_bench::experiments`); the exact numbers live
+//! in `EXPERIMENTS.md`. These tests keep the shapes from regressing.
 
-use pimvo::core::pim_exec::{BatchOptions, BatchRunner, BATCH};
-use pimvo::core::{extract_features, BackendKind, Keyframe, Tracker, TrackerConfig};
+use pimvo::core::{extract_features, BackendKind, Tracker, TrackerConfig};
 use pimvo::kernels::pim_pool::EdgeKernels;
 use pimvo::kernels::EdgeConfig;
-use pimvo::mcu::{CostCounter, FloatFeature};
+use pimvo::mcu::CostCounter;
 use pimvo::pim::{ArrayConfig, CostModel, PimMachine};
 use pimvo::scene::{Sequence, SequenceKind};
-use pimvo::vomath::{Pinhole, SE3};
+use pimvo_bench::experiments::experiment;
 
 fn canonical_frame() -> (pimvo::kernels::GrayImage, pimvo::kernels::DepthImage) {
     let seq = Sequence::generate(SequenceKind::Xyz, 1);
@@ -20,8 +20,9 @@ fn canonical_frame() -> (pimvo::kernels::GrayImage, pimvo::kernels::DepthImage) 
 
 #[test]
 fn edge_detection_speedup_shape() {
-    // paper: 48x (PicoEdge vs PIM); ours is leaner on the PIM side, so
-    // anything far above 10x with identical output preserves the claim
+    // Fig. 9-a's edge speed-up (PicoEdge vs PIM); ours is leaner on the
+    // PIM side, so anything far above 10x with identical output
+    // preserves the claim
     let (gray, _) = canonical_frame();
     let cfg = EdgeConfig::default();
 
@@ -33,60 +34,41 @@ fn edge_detection_speedup_shape() {
 
     assert_eq!(mcu_maps.mask, pim_maps.mask, "outputs must be identical");
     let speedup = counter.cycles() as f64 / m.merged_stats().cycles as f64;
-    assert!(speedup > 40.0, "edge speedup {speedup}");
+    let target = experiment("fig9a").paper[0];
+    assert!(speedup > 40.0, "edge speedup {speedup} vs {target}");
 }
 
 #[test]
 fn lm_speedup_and_overall_shape() {
-    // paper: 9x LM, ~11x overall; our regime: LM 4-12x, overall 5-20x
-    let (gray, depth) = canonical_frame();
-    let cam = Pinhole::qvga();
-    let cfg = EdgeConfig::default();
-
-    let mut counter = CostCounter::new();
-    let maps = pimvo::mcu::edge_detect_counted(&gray, &cfg, &mut counter);
-    let mcu_edge = counter.cycles();
-    let features = extract_features(&maps.mask, &depth, &cam, 6000, 0.3, 8.0);
-    assert!(features.len() > 2000, "features {}", features.len());
-    let floats: Vec<FloatFeature> = features
-        .iter()
-        .map(|f| FloatFeature {
-            a: f.a,
-            b: f.b,
-            c: f.c,
-        })
-        .collect();
-    let kf = Keyframe::build(0, SE3::IDENTITY, maps.mask.clone(), &cam);
-    counter.reset();
-    let _ = pimvo::mcu::linearize_counted(&floats, &kf.tables, &cam, &SE3::IDENTITY, &mut counter);
-    let mcu_lm = counter.cycles();
-
-    // one array running both stages
-    let mut runner = BatchRunner::new(BatchOptions::default());
-    let _ = EdgeKernels::new().edge_detect(runner.pool_mut(), &gray, &cfg);
-    let pim_edge = runner.pool().merged_stats().cycles;
-    let qpose = pimvo::core::QPose::quantize(&SE3::IDENTITY);
-    let price = runner.batch_cost(&qpose, &kf.q_tables, &cam).unwrap();
-    let batches = features.len().div_ceil(BATCH) as u64;
-    let pim_lm = price.cycles * batches;
-
-    let lm_speedup = mcu_lm as f64 / pim_lm as f64;
-    assert!((3.0..15.0).contains(&lm_speedup), "LM speedup {lm_speedup}");
-
-    let overall = (mcu_edge + 8 * mcu_lm) as f64 / (pim_edge + 8 * pim_lm) as f64;
-    assert!((5.0..20.0).contains(&overall), "overall speedup {overall}");
+    // Fig. 9-a's LM and overall speed-ups, as its experiment measures
+    // them; our regime: LM 4-12x, overall 5-20x
+    let fig9a = experiment("fig9a");
+    let (_, report) = fig9a.measure(1);
+    let (m, target) = (report.metrics(), fig9a.paper[0]);
+    assert!(m["features"] > 2000.0, "features {}", m["features"]);
+    let lm_speedup = m["lm_speedup"];
+    assert!(
+        (3.0..15.0).contains(&lm_speedup),
+        "LM {lm_speedup} vs {target}"
+    );
+    let overall = m["overall_speedup"];
+    assert!(
+        (5.0..20.0).contains(&overall),
+        "overall {overall} vs {target}"
+    );
 
     // LM speedup must be smaller than the edge speedup (32-bit mul/div
     // throughput penalty, §5.3)
-    let edge_speedup = mcu_edge as f64 / pim_edge as f64;
+    let edge_speedup = m["edge_speedup"];
     assert!(edge_speedup > lm_speedup, "{edge_speedup} vs {lm_speedup}");
 }
 
 #[test]
 fn energy_shape() {
-    // paper: 10.3 mJ vs 0.495 mJ per frame (20.8x); SRAM dominates the
-    // PIM budget (86 %); writes are a small slice after the Tmp-Reg
-    // optimization
+    // §5.4's per-frame energies and their ratio; SRAM dominates the PIM
+    // budget (Fig. 10-a); writes are a small slice after the Tmp-Reg
+    // optimization (Fig. 10-b)
+    let [mcu_p, pim_p, ratio_p]: [&str; 3] = experiment("energy").paper.try_into().unwrap();
     let seq = Sequence::generate(SequenceKind::Xyz, 3);
     let mut tf = Tracker::new(TrackerConfig::default(), BackendKind::Float);
     let mut tp = Tracker::new(TrackerConfig::default(), BackendKind::Pim);
@@ -96,19 +78,23 @@ fn energy_shape() {
     }
     let mcu_mj = tf.stats().energy_mj / 3.0;
     let pim_mj = tp.stats().energy_mj / 3.0;
-    assert!((5.0..20.0).contains(&mcu_mj), "MCU {mcu_mj} mJ/frame");
-    assert!((0.1..1.5).contains(&pim_mj), "PIM {pim_mj} mJ/frame");
+    assert!((5.0..20.0).contains(&mcu_mj), "MCU {mcu_mj} vs {mcu_p}");
+    assert!((0.1..1.5).contains(&pim_mj), "PIM {pim_mj} vs {pim_p}");
     let ratio = mcu_mj / pim_mj;
-    assert!((8.0..40.0).contains(&ratio), "energy ratio {ratio}");
+    assert!((8.0..40.0).contains(&ratio), "ratio {ratio} vs {ratio_p}");
 
     let pim = tp.stats().pim.expect("pim stats");
-    let e = pim.energy(&CostModel::default());
-    assert!(e.sram_share() > 0.75, "SRAM share {}", e.sram_share());
-    let mem = pim.mem_accesses();
+    let sram = pim.energy(&CostModel::default()).sram_share();
     assert!(
-        mem.write_share() < 0.10,
-        "write share {}",
-        mem.write_share()
+        sram > 0.75,
+        "SRAM share {sram} vs {}",
+        experiment("fig10a").paper[0]
+    );
+    let writes = pim.mem_accesses().write_share();
+    assert!(
+        writes < 0.10,
+        "write share {writes} vs {}",
+        experiment("fig10b").paper[0]
     );
 }
 
