@@ -102,7 +102,9 @@ pub fn experiment(name: &str) -> &'static Experiment {
 /// `exp_all` command that regenerates it.
 pub fn all_with_reports(frames: usize) -> (Vec<BenchReport>, String) {
     let frames = frames.min(DEFAULT_FRAMES);
-    let regenerate = command("exp_all", &[frames.to_string()]);
+    // the destination is part of the regenerating command: without
+    // `--out`, exp_all writes no file
+    let regenerate = format!("{} --out .", command("exp_all", &[frames.to_string()]));
     let started = Instant::now();
     let mut reports = Vec::new();
     let mut out = String::new();
@@ -128,7 +130,7 @@ pub fn all_with_reports(frames: usize) -> (Vec<BenchReport>, String) {
 
     let mut summary = BenchReport::new("summary");
     summary
-        .metric("experiments", reports.len() as f64)
+        .metric("experiments", EXPERIMENTS.len() as f64)
         .metric("frames", frames as f64)
         .metric("wall_seconds", started.elapsed().as_secs_f64())
         .note("tool", "pimvo-bench exp_all")

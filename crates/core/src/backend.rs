@@ -136,9 +136,9 @@ fn threshold_hpf_mask(hpf: &GrayImage, cfg: &EdgeConfig) -> GrayImage {
 /// Each feature is warped from its Q4.12 form [`Feature::q`], its
 /// residual and gradients are looked up in `kf` and its Jacobian row is
 /// formed; the rows of each [`BATCH`]-feature chunk are staged in a
-/// stack buffer in column layout and summed as by
-/// [`QNormalEquations::accumulate_batch`], which gives the result of
-/// accumulating them one by one.
+/// stack buffer in column layout and summed under a no-clamp proof,
+/// which gives the result of [`QNormalEquations::accumulate`] on each
+/// row in order.
 pub fn linearize_q(
     features: &[Feature],
     pose: &QPose,

@@ -33,8 +33,8 @@ pub struct QNormalEquations {
 
 /// Up to one [`BATCH`] of Jacobian rows and residuals in column layout
 /// (`i16`, the range of the Q14.2 / Q12.4 formats): the staging buffer
-/// of [`QNormalEquations::accumulate_batch`] and of the PIM backend's
-/// fast path.
+/// of the PIM backend's fast path, summed by
+/// [`QNormalEquations::accumulate_columns`].
 #[derive(Debug, Clone)]
 pub(crate) struct JacobianColumns {
     /// Columns `0..6` hold the Jacobian entries, column [`RES_COL`] the
@@ -143,45 +143,21 @@ impl QNormalEquations {
         self.count += 1;
     }
 
-    /// Accumulates a batch of `(Jacobian row, residual)` pairs with the
-    /// result of calling [`QNormalEquations::accumulate`] on each pair
-    /// in order.
+    /// Accumulates one part of up to [`BATCH`] rows in column layout
+    /// with the result of calling [`QNormalEquations::accumulate`] on
+    /// each row in order.
     ///
     /// The clamp after every addition makes the per-row sums
-    /// order-sensitive, and clamping is most of their cost. The batch is
-    /// summed in parts of up to [`BATCH`] rows, each without the clamp
-    /// when a bound proves none can fire: with `m_i = max|J_i|` and
-    /// `m_r = max|r|` over the part's `n` rows, every rescaled product
-    /// `((J_i·J_k) << l) >> r` has magnitude at most
-    /// `((m_i·m_k) << l) >> r` plus one (the floor of a negative
+    /// order-sensitive, and clamping is most of their cost. The part is
+    /// summed without the clamp when a bound proves none can fire: with
+    /// `m_i = max|J_i|` and `m_r = max|r|` over the part's `n` rows,
+    /// every rescaled product `((J_i·J_k) << l) >> r` has magnitude at
+    /// most `((m_i·m_k) << l) >> r` plus one (the floor of a negative
     /// product), so if `|h_ik| + n·(that + 1)` stays within the
     /// accumulator range for every entry of `h` and `b`, no prefix sum
     /// leaves it. No clamp fires, the unclamped sum is exact, and its
-    /// order is free. Otherwise, and for a part holding an entry or
-    /// residual outside the `i16` range of the Q14.2 / Q12.4 formats,
-    /// the part falls back to per-row [`QNormalEquations::accumulate`].
-    pub fn accumulate_batch(&mut self, rows: &[([i64; 6], i64)]) {
-        let mut cols = JacobianColumns::new();
-        for part in rows.chunks(BATCH) {
-            let narrow =
-                |&(j, r): &([i64; 6], i64)| j.iter().chain([&r]).all(|&v| i16::try_from(v).is_ok());
-            if !part.iter().all(narrow) {
-                for (j, r) in part {
-                    self.accumulate(j, *r);
-                }
-                continue;
-            }
-            cols.clear();
-            for (j, r) in part {
-                cols.push(j.map(|v| v as i16), *r as i16);
-            }
-            self.accumulate_columns(&cols);
-        }
-    }
-
-    /// [`QNormalEquations::accumulate_batch`] of one part already in
-    /// column layout: unclamped when the no-clamp bound holds, row by
-    /// row otherwise.
+    /// order is free. Otherwise the part falls back to per-row
+    /// [`QNormalEquations::accumulate`].
     ///
     /// Each unclamped entry is one dot product of two `i16` columns with
     /// `i32` products and sums — exact, because the bound limits every
@@ -231,7 +207,7 @@ impl QNormalEquations {
         self.count += n;
     }
 
-    /// The no-clamp bound of [`QNormalEquations::accumulate_batch`] for
+    /// The no-clamp bound of [`QNormalEquations::accumulate_columns`] for
     /// `n` rows whose columns have magnitudes at most `max_abs`
     /// (Jacobian entries, then the residual), with the `(left, right)`
     /// rescale shifts `jj` of `J·J` and `jr` of `J·r`.
@@ -456,15 +432,15 @@ mod tests {
         }
     }
 
-    /// The batched accumulate gives per-row accumulate's result whether
+    /// The column accumulate gives per-row accumulate's result whether
     /// its no-clamp proof holds or not. Rows at ±32767 with maximal
     /// residuals fail the proof on a stream's first chunk, and again
-    /// mid-stream after chunks of small rows passed it; rows outside
-    /// the i16 range fall back too, and a slice longer than one batch
-    /// is summed in parts. Checked at the paper's format and
-    /// the ablation's narrower widths and other `hes_frac`.
+    /// mid-stream after chunks of small rows passed it; a chunk longer
+    /// than one batch is summed in parts, and an empty part adds
+    /// nothing. Checked at the paper's format and the ablation's
+    /// narrower widths and other `hes_frac`.
     #[test]
-    fn accumulate_batch_matches_per_row_accumulate() {
+    fn accumulate_columns_matches_per_row_accumulate() {
         // whether the no-clamp bound holds for `chunk` from `eq`'s state
         fn bound_holds(eq: &QNormalEquations, chunk: &[([i64; 6], i64)]) -> bool {
             let max_abs = std::array::from_fn(|i| {
@@ -474,6 +450,21 @@ mod tests {
             let jj = shifts((2 * GRAD_FRAC) as i64 - eq.hes_frac as i64);
             let jr = shifts((GRAD_FRAC + RES_FRAC) as i64 - eq.hes_frac as i64);
             eq.cannot_clamp(&max_abs, chunk.len(), jj, jr)
+        }
+        // `chunk` staged and summed one BATCH part at a time, as
+        // `linearize_q` does (an empty chunk is one empty part)
+        fn accumulate_parts(eq: &mut QNormalEquations, chunk: &[([i64; 6], i64)]) {
+            let mut cols = JacobianColumns::new();
+            for part in chunk.chunks(BATCH) {
+                cols.clear();
+                for (j, r) in part {
+                    cols.push(j.map(|v| v as i16), *r as i16);
+                }
+                eq.accumulate_columns(&cols);
+            }
+            if chunk.is_empty() {
+                eq.accumulate_columns(&JacobianColumns::new());
+            }
         }
         let m = i64::from(i16::MAX);
         let big: Vec<([i64; 6], i64)> = (0..BATCH as i64)
@@ -486,7 +477,6 @@ mod tests {
             .map(|i| ([3 - i % 7, -2, 1, i % 5, 4, -1], 2 - i % 4))
             .collect();
         let long: Vec<_> = small.iter().cycle().take(5 * BATCH / 2).copied().collect();
-        let wide = vec![([40_000, 0, 0, 0, 0, 0], 1); 3];
         // (chunk, whether the bound holds at the paper's Q29.3 / 32 bits)
         let first_chunk_fails = [(&big[..], false), (&small[..], false)];
         let fails_mid_stream = [
@@ -495,7 +485,7 @@ mod tests {
             (&big[..], false),
             (&small[..], false),
         ];
-        let longer_than_a_batch = [(&long[..], true), (&wide[..], false), (&[][..], false)];
+        let longer_than_a_batch = [(&long[..], true), (&[][..], false)];
         for bits in [32, 24, 16, 12] {
             for hes_frac in [HES_FRAC, 0, 6, 8] {
                 let streams = [
@@ -510,7 +500,7 @@ mod tests {
                         if (bits, hes_frac) == (32, HES_FRAC) && !chunk.is_empty() {
                             assert_eq!(bound_holds(&batched, chunk), proof);
                         }
-                        batched.accumulate_batch(chunk);
+                        accumulate_parts(&mut batched, chunk);
                         for (j, r) in chunk {
                             per_row.accumulate(j, *r);
                         }

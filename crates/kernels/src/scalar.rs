@@ -7,7 +7,25 @@
 //! hardware `avg` drops the LSB) and saturating 8-bit sums.
 
 use crate::{EdgeConfig, EdgeMaps, GrayImage};
-use pimvo_fixed::sat::{abs_diff_u8, avg_u8, max_u8, min_u8, sat_sub_u8};
+
+/// Average with truncation: `(a + b) >> 1` on unsigned 8-bit pixels.
+#[inline]
+fn avg_u8(a: u8, b: u8) -> u8 {
+    (((a as u16) + (b as u16)) >> 1) as u8
+}
+
+/// Branch-free max via the saturating identity the paper cites:
+/// `max(a, b) = sat(a - b) + b` (unsigned saturation clamps at 0).
+#[inline]
+fn max_u8(a: u8, b: u8) -> u8 {
+    a.saturating_sub(b).wrapping_add(b)
+}
+
+/// Branch-free min: `min(a, b) = a - sat(a - b)`.
+#[inline]
+fn min_u8(a: u8, b: u8) -> u8 {
+    a.wrapping_sub(a.saturating_sub(b))
+}
 
 /// Low-pass filter: the 3x3 binomial kernel `[1 2 1; 2 4 2; 1 2 1]/16`
 /// decomposed into two 2x2 averaging passes (Fig. 2), with truncation
@@ -68,16 +86,18 @@ pub fn hpf(lpf_map: &GrayImage) -> GrayImage {
     for y in 0..h {
         for x in 1..w {
             let (xi, yi) = (x as i64, y as i64);
-            let d_diag1 = abs_diff_u8(
-                lpf_map.get_zero(xi - 1, yi - 1),
-                lpf_map.get_zero(xi + 1, yi + 1),
-            );
-            let d_diag2 = abs_diff_u8(
-                lpf_map.get_zero(xi + 1, yi - 1),
-                lpf_map.get_zero(xi - 1, yi + 1),
-            );
-            let d_vert = abs_diff_u8(lpf_map.get_zero(xi, yi - 1), lpf_map.get_zero(xi, yi + 1));
-            let d_horiz = abs_diff_u8(lpf_map.get_zero(xi - 1, yi), lpf_map.get_zero(xi + 1, yi));
+            let d_diag1 = lpf_map
+                .get_zero(xi - 1, yi - 1)
+                .abs_diff(lpf_map.get_zero(xi + 1, yi + 1));
+            let d_diag2 = lpf_map
+                .get_zero(xi + 1, yi - 1)
+                .abs_diff(lpf_map.get_zero(xi - 1, yi + 1));
+            let d_vert = lpf_map
+                .get_zero(xi, yi - 1)
+                .abs_diff(lpf_map.get_zero(xi, yi + 1));
+            let d_horiz = lpf_map
+                .get_zero(xi - 1, yi)
+                .abs_diff(lpf_map.get_zero(xi + 1, yi));
             let s = avg_u8(avg_u8(d_diag1, d_diag2), avg_u8(d_vert, d_horiz));
             out.set(x, y, s);
         }
@@ -132,7 +152,7 @@ pub fn nms(hpf_map: &GrayImage, cfg: &EdgeConfig) -> GrayImage {
             );
             let m4 = max_u8(hpf_map.get_zero(xi - 1, yi), hpf_map.get_zero(xi + 1, yi));
             let k = min_u8(min_u8(m1, m2), min_u8(m3, m4));
-            let l = sat_sub_u8(b2, cfg.th1);
+            let l = b2.saturating_sub(cfg.th1);
             let edge = b2 > cfg.th2 && l > k;
             out.set(x, y, if edge { 255 } else { 0 });
         }
@@ -181,6 +201,37 @@ pub fn edge_detect(img: &GrayImage, cfg: &EdgeConfig) -> EdgeMaps {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn u8_primitives() {
+        assert_eq!(avg_u8(3, 4), 3);
+        assert_eq!(avg_u8(255, 255), 255);
+    }
+
+    #[test]
+    fn branch_free_min_max_match_std() {
+        for a in (0u16..=255).step_by(7) {
+            for b in (0u16..=255).step_by(11) {
+                let (a, b) = (a as u8, b as u8);
+                assert_eq!(max_u8(a, b), a.max(b), "max({a},{b})");
+                assert_eq!(min_u8(a, b), a.min(b), "min({a},{b})");
+            }
+        }
+    }
+
+    proptest! {
+        /// Branch-free u8 min/max identities hold for all inputs.
+        #[test]
+        fn u8_minmax_identity(a in any::<u8>(), b in any::<u8>()) {
+            prop_assert_eq!(max_u8(a, b), a.max(b));
+            prop_assert_eq!(min_u8(a, b), a.min(b));
+            prop_assert_eq!(
+                max_u8(a, b) as u16 + min_u8(a, b) as u16,
+                a as u16 + b as u16
+            );
+        }
+    }
 
     fn ramp(w: u32, h: u32) -> GrayImage {
         GrayImage::from_fn(w, h, |x, y| ((x * 7 + y * 13) % 251) as u8)

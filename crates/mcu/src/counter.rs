@@ -179,11 +179,6 @@ impl CostCounter {
         self.cycles as f64 * self.table.energy_nj_per_cycle * 1e-6
     }
 
-    /// Wall-clock seconds at the table's clock.
-    pub fn seconds(&self) -> f64 {
-        self.cycles as f64 / self.table.clock_hz
-    }
-
     /// The cost table in use.
     pub fn table(&self) -> &McuCostTable {
         &self.table

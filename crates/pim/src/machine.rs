@@ -6,7 +6,6 @@ use crate::isa::{AluOp, LogicFunc, Operand, Shift};
 use crate::lower::{LaneClass, LoweredOp, LoweredProgram, MachineInstr};
 use crate::optrace::OpRecorder;
 use crate::stats::ExecStats;
-use pimvo_fixed::sat;
 use pimvo_telemetry::optrace::{OpKind, OpTrace};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -1900,8 +1899,7 @@ trait Lane:
     fn abs_diff_at_most(self, y: Self, hi: Self) -> Self;
     /// Logical right shift of the lane's bit pattern (`k < BITS`).
     fn shr_logical(self, k: u32) -> Self;
-    /// Wraps to a `bits`-wide word ([`sat::wrap_signed`] /
-    /// [`sat::wrap_unsigned`]).
+    /// Wraps to a `bits`-wide word (two's-complement truncation).
     fn wrap(self, bits: u32, sign: Signedness) -> Self;
     /// This type's bank.
     fn bank(banks: &Banks) -> &LaneBank<Self>;
@@ -2169,19 +2167,32 @@ fn lane_sum<L: Lane>(lanes: &[L], bits: u32, sign: Signedness) -> L {
     }
 }
 
+/// Wraps `v` into a `bits`-wide word (`1..=64` bits): two's-complement
+/// truncation, i.e. carry propagation cut at the word edge. An unsigned
+/// 64-bit word keeps its bit pattern in the `i64`.
 #[inline]
 fn wrap(v: i64, bits: u32, sign: Signedness) -> i64 {
+    let sh = 64 - bits;
     match sign {
-        Signedness::Signed => sat::wrap_signed(v, bits),
-        Signedness::Unsigned => sat::wrap_unsigned(v, bits) as i64,
+        Signedness::Signed => ((v as u64) << sh) as i64 >> sh,
+        Signedness::Unsigned => ((v as u64) & (u64::MAX >> sh)) as i64,
     }
 }
 
+/// Saturates `v` into a `bits`-wide word (`1..=64` bits). No `i64`
+/// exceeds an unsigned 64-bit word's maximum, so there only negative
+/// values move.
 #[inline]
 fn clamp(v: i64, bits: u32, sign: Signedness) -> i64 {
     match sign {
-        Signedness::Signed => sat::clamp_signed(v, bits),
-        Signedness::Unsigned => sat::clamp_unsigned(v, bits) as i64,
+        Signedness::Signed => {
+            let max = i64::MAX >> (64 - bits);
+            v.clamp(!max, max)
+        }
+        Signedness::Unsigned => {
+            let max = (u64::MAX >> (64 - bits)).min(i64::MAX as u64) as i64;
+            v.clamp(0, max)
+        }
     }
 }
 
@@ -3013,6 +3024,63 @@ mod tests {
         assert!(m.host_write_bytes(300, &[0]).is_err());
         assert!(m.host_write_bytes(0, &vec![0u8; 400]).is_err());
         assert!(m.host_write_bytes(0, &[1, 2, 3]).is_ok());
+    }
+
+    #[test]
+    fn wrap_and_clamp() {
+        use Signedness::{Signed, Unsigned};
+        assert_eq!(wrap(128, 8, Signed), -128);
+        assert_eq!(wrap(-129, 8, Signed), 127);
+        assert_eq!(clamp(128, 8, Signed), 127);
+        assert_eq!(clamp(-300, 8, Signed), -128);
+        assert_eq!(wrap(256, 8, Unsigned), 0);
+        assert_eq!(clamp(-5, 8, Unsigned), 0);
+        assert_eq!(clamp(300, 8, Unsigned), 255);
+    }
+
+    #[test]
+    fn clamps_are_exact_at_every_width() {
+        let vals = [
+            i64::MIN,
+            i64::MIN + 1,
+            -300,
+            -1,
+            0,
+            1,
+            300,
+            i64::MAX - 1,
+            i64::MAX,
+        ];
+        for bits in 1..=64u32 {
+            let (lo, hi) = (-(1i128 << (bits - 1)), (1i128 << (bits - 1)) - 1);
+            let umax = (1i128 << bits) - 1;
+            for v in vals {
+                let w = i128::from(v);
+                assert_eq!(
+                    i128::from(clamp(v, bits, Signedness::Signed)),
+                    w.clamp(lo, hi),
+                    "{v} s{bits}"
+                );
+                assert_eq!(
+                    i128::from(clamp(v, bits, Signedness::Unsigned)),
+                    w.clamp(0, umax),
+                    "{v} u{bits}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        /// A signed wrap is idempotent and agrees with the clamp for
+        /// in-range values.
+        #[test]
+        fn wrap_signed_idempotent(v in any::<i32>(), bits in 2u32..32) {
+            let w = wrap(v as i64, bits, Signedness::Signed);
+            prop_assert_eq!(wrap(w, bits, Signedness::Signed), w);
+            if w == v as i64 {
+                prop_assert_eq!(clamp(v as i64, bits, Signedness::Signed), v as i64);
+            }
+        }
     }
 }
 

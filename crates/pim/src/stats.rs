@@ -277,11 +277,6 @@ impl ExecStats {
             tmp_accesses: self.tmp_accesses,
         }
     }
-
-    /// Wall-clock time at the cost model's clock, in seconds.
-    pub fn seconds(&self, cost: &CostModel) -> f64 {
-        self.cycles as f64 / cost.clock_hz
-    }
 }
 
 /// Per-component energy (Fig. 10-a).

@@ -5,7 +5,7 @@
 #   one-execution-surface check -> one-DMA-schedule check ->
 #   one-wave-path check -> one-lowering-pipeline check -> one-build
 #   check -> one-session-path check -> one-pool-state check ->
-#   one-experiment-table check -> build
+#   one-experiment-table check -> one-dependency-graph check -> build
 #   (release) -> workspace tests -> clippy (-D warnings)
 #   -> rustdoc (-D warnings) -> IR golden snapshots -> smokes ->
 #   RESULTS.txt freshness -> bench gates
@@ -130,6 +130,28 @@ one_experiment_table() {
                 -e 'crates/bench/src/bin/exp_fig[8].rs' -e 'crates/bench/src/bin/exp_nois[e].rs'
 }
 step one_experiment_table
+# one dependency graph: every pimvo-* crate a [dependencies] table of
+# the root or a member names is imported under that package's src/, so
+# no edge is dead, and the deleted fixed-point crate does not come back
+# (the bracketed patterns keep this step from matching its own text)
+one_dependency_graph() {
+    local dead=0 manifest dir dep
+    for manifest in Cargo.toml crates/*/Cargo.toml; do
+        dir="$(dirname "$manifest")"
+        for dep in $(awk '/^\[/ { on = ($0 == "[dependencies]") }
+                on && /^pimvo-/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
+            if ! grep -rqw -- "${dep//-/_}" "$dir/src"; then
+                echo "$manifest: $dep is never imported under $dir/src" >&2
+                dead=1
+            fi
+        done
+    done
+    [ "$dead" -eq 0 ] &&
+        ! git ls-files -co --exclude-standard -- 'crates/fixe[d]/*' | grep . &&
+        ! git grep -n -E 'pimvo[_-]fixe[d]' -- Cargo.toml Cargo.lock crates/ examples/ \
+            scripts/ src/ tests/
+}
+step one_dependency_graph
 step cargo build --release
 # every test, the fault-injection ones included, in the one build
 step cargo test -q --workspace

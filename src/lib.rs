@@ -3,7 +3,6 @@
 //! Umbrella crate re-exporting the pimvo workspace.
 pub use pimvo_cnn as cnn;
 pub use pimvo_core as core;
-pub use pimvo_fixed as fixed;
 pub use pimvo_kernels as kernels;
 pub use pimvo_mcu as mcu;
 pub use pimvo_pim as pim;
